@@ -1,0 +1,214 @@
+"""Golden replay digests: fixed (graph, seed, parameters) triples replay
+byte-identically across refactors.
+
+Each stream case pins sha256 digests of the stream order, the run's
+``StreamRunStats.to_json_dict()``, the matching (edge ids and weight) and
+the kept sets H and X.  The cases cover ``run_single_pass`` in variants 1
+and 3 and every end of ``run_with_fallbacks``: ``none`` (the relevant
+store dies and phase 1 stops on a quiet epoch), ``alpha_zero`` (the store
+dies and the interval size floors to zero) and ``small_output`` (the store
+survives).  Builder cases pin ``BuildTrace.to_json_dict()`` and H.
+
+A digest changes only when behaviour does.  A change that means to alter
+a seeded output must say why and replace the digest; print the current
+ones with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from wedcs import (
+    Capacities,
+    EdcsParams,
+    MultiGraph,
+    build_wb_edcs,
+    file_order_stream,
+    make_stream,
+    run_single_pass,
+    run_with_fallbacks,
+)
+
+from helpers import make_random
+
+
+def _digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _hubs():
+    # four unit-capacity hubs: phase 1 runs at a positive interval size
+    G = MultiGraph(4 + 1250, [(i % 4, 4 + i // 4, 1) for i in range(5000)], W=1)
+    return G, Capacities.uniform(G.n)
+
+
+def _ascending_pairs():
+    # disjoint pairs fed weights 1..3 in rounds, then weight-3 duplicates
+    pairs, W, m = 50, 3, 20000
+    triples = [(2 * i, 2 * i + 1, w) for w in range(1, W + 1) for i in range(pairs)]
+    triples += [(2 * (j % pairs), 2 * (j % pairs) + 1, W) for j in range(m - len(triples))]
+    G = MultiGraph(2 * pairs, triples, W=W)
+    return G, Capacities.uniform(G.n)
+
+
+P41 = EdcsParams(W=1, beta=6, beta_minus=4)
+
+# name -> (runner, instance, params, epsilon, stream seed, variant,
+#          the fallback_used the case must reach)
+STREAM_CASES = {
+    "single-v1-phase1": (run_single_pass, _hubs, P41, "0.4", 1234, 1, "none"),
+    "single-v1-random": (run_single_pass,
+                         lambda: make_random(3, n=16, m=60, W=2, b_max=2),
+                         EdcsParams(W=2, beta=6, beta_minus=4), "0.3", 42, 1, "alpha_zero"),
+    "single-v3-raw": (run_single_pass,
+                      lambda: make_random(1, n=8, m=400, W=2, b_max=2, bipartite=True,
+                                          allow_parallel=True),
+                      EdcsParams(W=2, beta=6, beta_minus=4), "0.4", 101, 3, "alpha_zero"),
+    "single-v3-replacements": (run_single_pass, _ascending_pairs,
+                               EdcsParams(W=3, beta=4, beta_minus=2), "0.49", None, 3, "none"),
+    "fallbacks-none": (run_with_fallbacks,
+                       lambda: make_random(40, n=200, m=40000, W=1, b_max=4, b_min=4,
+                                           bipartite=True),
+                       P41, "0.4", 2, 1, "none"),
+    "fallbacks-alpha-zero": (run_with_fallbacks,
+                             lambda: make_random(7, n=10, m=1500, W=1, b_max=100, b_min=100,
+                                                 bipartite=True, allow_parallel=True),
+                             P41, "0.49", 5, 1, "alpha_zero"),
+    "fallbacks-small-output": (run_with_fallbacks,
+                               lambda: make_random(11, n=40, m=150, W=3, b_max=4,
+                                                   bipartite=True),
+                               EdcsParams(W=3, beta=12, beta_minus=10), "1/10", 3, 1,
+                               "small_output"),
+    "fallbacks-small-output-v3": (run_with_fallbacks,
+                                  lambda: make_random(1, n=8, m=400, W=2, b_max=2,
+                                                      bipartite=True, allow_parallel=True),
+                                  EdcsParams(W=2, beta=6, beta_minus=4), "0.4", 101, 3,
+                                  "small_output"),
+}
+
+# name -> (instance, params)
+BUILD_CASES = {
+    "build-n14-beta6": (lambda: make_random(0, n=14, m=40, W=3, b_max=3),
+                        EdcsParams(W=3, beta=6, beta_minus=4)),
+    "build-n14-beta10": (lambda: make_random(1, n=14, m=40, W=3, b_max=3),
+                         EdcsParams(W=3, beta=10, beta_minus=8)),
+    "build-n60-beta12": (lambda: make_random(2, n=60, m=400, W=3, b_max=4, bipartite=True),
+                         EdcsParams(W=3, beta=12, beta_minus=10)),
+}
+
+STREAM_GOLDEN: dict[str, dict[str, str]] = {
+    "single-v1-phase1": {
+        "order": "19795e495603118ed76418ce226b6b840ad57ced484fd79d4e17e70387c07840",
+        "stats": "86251c4b4ba69ce05befc64959a3acc5fa4c9a8033ccac3a2f6d2a6e1517be9f",
+        "matching": "449c4c59eb4eb05ef1cb7506da94c77d8eb120efac18a66be632c44431ae36de",
+        "sets": "8512ed363c21ad45cb079a01d99ef0cb6200d843c2867f12c943190883e486fb",
+    },
+    "single-v1-random": {
+        "order": "37873c4a3f8b5d9dafa81c4329bc89f78a282092908d909cab6cfeebd647c343",
+        "stats": "b72ed9c1897d2dbf71cc41bc3ab039edc6e5f83aeef9f485cd1afa8f6461e445",
+        "matching": "68f47fd0de5699720ae26e6826ebd2d4bc34a5d208534b4170d963d97d5dc533",
+        "sets": "e918fd5ccbbce2415e72375d38f62c4248b0ac47fad30197033613980291641c",
+    },
+    "single-v3-raw": {
+        "order": "d709b014801fdbadb1644fa05cdcfad0b5cbc592e16bba129936f4a888d355ed",
+        "stats": "63666aa0d95086ea130fda677e62026b688dc19f61f935adb2ce8221786c4578",
+        "matching": "8d1e865c8bb48e61130fb187a1cecfdd075ef9ad54feaca20a486ebb1088dc06",
+        "sets": "151192a18c7ed6f4d5e1122e189f25e78bca3c6153daeef2fc8c9e4f1ce053eb",
+    },
+    "single-v3-replacements": {
+        "order": "71ef2792c2e44c5fcdeb513882ec516e88d622ab43af2ed00bc04af625fd2484",
+        "stats": "8a0f8457155e7b0aa8b48c0b10957a89c68a4a3163146c2cd1393bc00edb2916",
+        "matching": "edadba752b1ca59dd37674b8731dd744d959540fb62696482091571911b8ab05",
+        "sets": "b4809ea400c8c0874aaaff4ca0f4017e941ebdf4ac65e06a11e9e3dc3388c143",
+    },
+    "fallbacks-none": {
+        "order": "39343460561979b564cfdce4d5252829e2e0b9b5dccbd1288ad2aa1ae44c802b",
+        "stats": "e7e70b6d4ebf6f8fbea81d8413206bcc8f1b4bdab2f189cd7b22b7e6fcdadfa6",
+        "matching": "b9d899af3b853e3e51fa21d3e27e04d9176fae2d054b5d330377e49c4c8ee728",
+        "sets": "e4eda477b94eefb40fc71e1bf7c4843dbed13d2daacdc5519d6ff431bc51c4d8",
+    },
+    "fallbacks-alpha-zero": {
+        "order": "4dd515a67eb28cf9a74a986e21e3f20b62c8e6dcf8e725f812a98470342ce4b2",
+        "stats": "9a59bcabc794ab67b93f285296fa45e7366a3d039b826ec81688f166822ab02a",
+        "matching": "3133e88e108be6649f57ce54bed1f5552a6f800595112e2dc72e68c22493b015",
+        "sets": "a27f0644925299ce9b5e6c6b349df338988d08ffb8edf959bdbb6e8bd9441947",
+    },
+    "fallbacks-small-output": {
+        "order": "eed43a9369521d83d990b2f973be160562828e4d6e31cd1b71aa6f5f3911cd29",
+        "stats": "99b2f5a2deddbc7af6992dcfc3bfc588ecf6c722dc229bc39f65cdae44bae22b",
+        "matching": "3d37eba9cae3b242963365ace7ab25260cbf61eab7577ed8f3169e620227f3c0",
+        "sets": "728359f6cf478f4712b02c4d29520c06cbf21a627dc77970fb36a0fc2c534926",
+    },
+    "fallbacks-small-output-v3": {
+        "order": "d709b014801fdbadb1644fa05cdcfad0b5cbc592e16bba129936f4a888d355ed",
+        "stats": "489694ef7775e0b172a1959db1ca0e54998f0bc34fd5475d0010315bf105a2bf",
+        "matching": "c3e4ceaf9cd0bbb3733c56fe69d6ddad8b916c71f8686562cc4336e979ff0765",
+        "sets": "151192a18c7ed6f4d5e1122e189f25e78bca3c6153daeef2fc8c9e4f1ce053eb",
+    },
+}
+
+BUILD_GOLDEN: dict[str, dict[str, str]] = {
+    "build-n14-beta6": {
+        "trace": "bef0d8c14993069884c176158f6b2079fd3f416d25e0645f576017bcf6eeda6b",
+        "H": "b0033a21d33dca252d2d4ec6fb48e34b77758a5c7ae37fe53c007de4fb3a60a2",
+    },
+    "build-n14-beta10": {
+        "trace": "21dd7856717d83aa1de703fdedeed63ff88cb3b5cbc600143403fe6ea7beab21",
+        "H": "1ffaad671182a46f9786013c516d25593c01305d5bbe6f14602ae6f7803c6eaa",
+    },
+    "build-n60-beta12": {
+        "trace": "885482bf7a43c3c4db989ba4512ede586cdadaded13094c7c4144137eb4986ed",
+        "H": "79a136c1a8ceb266170e1310833896e4a4e12cfb573d9eda0cf23f1e18476abe",
+    },
+}
+
+
+def _stream_run(name: str):
+    runner, instance, params, epsilon, seed, variant, _ = STREAM_CASES[name]
+    G, b = instance()
+    stream = file_order_stream(G) if seed is None else make_stream(G, seed)
+    return stream, runner(stream, b, params, epsilon, variant=variant)
+
+
+def _stream_digests(stream, result) -> dict[str, str]:
+    return {
+        "order": _digest(list(stream.order)),
+        "stats": _digest(result.stats.to_json_dict()),
+        "matching": _digest({"edge_ids": list(result.matching.edge_ids),
+                             "weight": result.matching.weight}),
+        "sets": _digest({"H": sorted(result.H.members), "X": sorted(result.X.members)}),
+    }
+
+
+def _build_digests(name: str) -> dict[str, str]:
+    instance, params = BUILD_CASES[name]
+    G, b = instance()
+    H, trace = build_wb_edcs(G, b, params)
+    return {"trace": _digest(trace.to_json_dict()), "H": _digest(sorted(H.members))}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_stream_replays_golden(name):
+    stream, result = _stream_run(name)
+    # a digest guards a path only if the case actually takes it
+    assert result.stats.fallback_used == STREAM_CASES[name][-1]
+    assert _stream_digests(stream, result) == STREAM_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_CASES))
+def test_build_replays_golden(name):
+    assert _build_digests(name) == BUILD_GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    print("STREAM_GOLDEN = ", end="")
+    pprint.pprint({name: _stream_digests(*_stream_run(name)) for name in STREAM_CASES},
+                  sort_dicts=False)
+    print("BUILD_GOLDEN = ", end="")
+    pprint.pprint({name: _build_digests(name) for name in BUILD_CASES}, sort_dicts=False)
