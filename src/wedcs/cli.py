@@ -20,7 +20,8 @@ from fractions import Fraction
 from .edcs import EdcsParams, build_wb_edcs, parameters_for, validate
 from .generators import GenSpec, multicopy_instance, random_instance, tight_instance
 from .graph import Capacities, MultiGraph, Subgraph
-from .graph_io import GraphFormatError, match_subgraph_edges, read_graph, write_graph
+from .graph_io import (GraphFormatError, match_subgraph_edges, read_graph, write_graph,
+                       write_subgraph)
 from .matching import (
     DEFAULT_ORACLE_BUDGET,
     OracleBudgetExceeded,
@@ -103,8 +104,7 @@ def cmd_gen(args) -> int:
     if args.ref_out:
         if reference is None:
             raise InputError("--ref-out only applies to tight/multicopy specs")
-        restricted, _ = graph.restrict(reference.members)
-        write_graph(args.ref_out, restricted, caps)
+        write_subgraph(args.ref_out, reference, caps)
     return EXIT_OK
 
 
@@ -117,8 +117,7 @@ def cmd_build(args) -> int:
         raise InputError(str(exc)) from exc
     report = validate(graph, caps, H, params)
     if args.out:
-        restricted, _ = graph.restrict(H.members)
-        write_graph(args.out, restricted, caps)
+        write_subgraph(args.out, H, caps)
     payload = {
         "params": {"W": params.W, "beta": params.beta, "beta_minus": params.beta_minus},
         "edges_kept": len(H),
@@ -146,7 +145,7 @@ def cmd_verify(args) -> int:
 
 
 def _stream_one(graph: MultiGraph, caps: Capacities, params: EdcsParams,
-                epsilon: str, seed, variant: int, budget: int) -> dict:
+                epsilon: str, variant: int, budget: int, seed) -> dict:
     stream = file_order_stream(graph) if seed == "as-is" else make_stream(graph, int(seed))
     result = run_with_fallbacks(stream, caps, params, epsilon,
                                 variant=variant, oracle_budget=budget)
@@ -155,11 +154,18 @@ def _stream_one(graph: MultiGraph, caps: Capacities, params: EdcsParams,
     return record
 
 
-def _worker(job) -> dict:
-    graph_path, params_fields, epsilon, seed, variant, budget = job
-    graph, caps = read_graph(graph_path)
-    params = EdcsParams(**params_fields)
-    return _stream_one(graph, caps, params, epsilon, seed, variant, budget)
+#: The leading arguments of :func:`_stream_one`, set once in each ``--jobs``
+#: worker by its pool initializer.
+_worker_args: tuple = ()
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker(seed) -> dict:
+    return _stream_one(*_worker_args, seed)
 
 
 def cmd_stream(args) -> int:
@@ -176,14 +182,15 @@ def cmd_stream(args) -> int:
         oracle_weight = None
         log.info("exact oracle infeasible for %s; ratios omitted", args.graph)
 
-    jobs = [(args.graph, _params_fields(params), args.epsilon, s, args.variant,
-             args.oracle_budget) for s in seeds]
-    if args.jobs > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(_worker, jobs))
+    shared = (graph, caps, params, args.epsilon, args.variant, args.oracle_budget)
+    if args.jobs > 1 and len(seeds) > 1:
+        # workers get the parsed graph through the initializer (inherited,
+        # not pickled, under fork) and never read the file again
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=_init_worker, initargs=shared) as pool:
+            runs = list(pool.map(_worker, seeds))
     else:
-        runs = [_stream_one(graph, caps, params, args.epsilon, s, args.variant,
-                            args.oracle_budget) for s in seeds]
+        runs = [_stream_one(*shared, seed) for seed in seeds]
 
     eps = Fraction(args.epsilon)
     threshold = 1.0 / float(2 - Fraction(1, 2 * params.W) + eps)
@@ -235,10 +242,6 @@ def cmd_stream(args) -> int:
     if args.fail_below is not None and any(r < args.fail_below for r in ratios):
         return EXIT_GUARANTEE
     return EXIT_OK
-
-
-def _params_fields(params: EdcsParams) -> dict:
-    return {"W": params.W, "beta": params.beta, "beta_minus": params.beta_minus}
 
 
 def _parse_seeds(spec: str) -> list:

@@ -235,10 +235,12 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams, *,
 
     Requires at most min(b_u, b_v) parallel edges per vertex pair (reduce
     with :func:`wedcs.graph.relevant_subgraph` first).  Returns
-    ``(H, trace)``.  Every step increases the potential by at least
-    1 + 1/(b_u * b_v) for the touched edge (so at least 3/2 whenever no
-    unit-capacity endpoint meets a capacity >= 3 one, and 2 in the
-    all-unit case); termination follows because the potential is bounded.
+    ``(H, trace)``.  Every step on an edge (u, v, w) increases the
+    potential by at least g = w^2 (2 - 1/b_u - 1/b_v) + 2w / (b_u * b_v),
+    which ``check_invariants`` enforces per step.  So every step gains at
+    least 1 + 1/(b_u * b_v), at least 3/2 unless a w = 1 edge joins a
+    unit-capacity endpoint to a capacity >= 3 one, and 2w in the all-unit
+    case; termination follows because the potential is bounded.
     """
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
@@ -277,18 +279,24 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     phi = Fraction(0)
     min_seen: Fraction | None = None
 
-    def note_gain(gain_scaled: int, denom: int):
-        # provable per-step minimum is 1 + 1/(b_u*b_v): the violation slack
-        # contributes 2w/(b_u*b_v) and the quadratic terms at least
-        # w^2*(2 - 1/b_u - 1/b_v); at unit capacities this is the classic 2
+    def note_gain(gain_scaled: int, w: int, bu: int, bv: int):
+        # a step on edge (u, v, w) gains at least the floor
+        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), scaled here by b_u b_v:
+        # the violation slack of at least 1/(b_u b_v) contributes the 2w term
+        # and beta_minus <= beta - 2 the quadratic one; at unit capacities
+        # g = 2w, the classic 2
         nonlocal phi, min_seen
+        denom = bu * bv
         g = Fraction(gain_scaled, denom)
         phi += g
         if min_seen is None or g < min_seen:
             min_seen = g
-        if check_invariants and g < 1 + Fraction(1, denom):
+        floor_scaled = w * w * (2 * denom - bu - bv) + 2 * w
+        if check_invariants and gain_scaled < floor_scaled:
             raise LocalSearchError(
-                f"potential gain {g} below the guaranteed minimum 1 + 1/{denom}")
+                f"potential gain {g} below the per-step floor "
+                f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor_scaled, denom)} "
+                f"for w={w}, b_u={bu}, b_v={bv}")
 
     while q_upper or q_lower:
         if q_upper:
@@ -306,7 +314,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             H.remove(eid)
             steps += 1
             removals += 1
-            note_gain(gain, bu * bv)
+            note_gain(gain, e.w, bu, bv)
             affected = sorted(
                 i for i in set(G.incident(e.u)) | set(G.incident(e.v))
                 if i not in members and not in_lower[i])
@@ -328,7 +336,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             H.add(eid)
             steps += 1
             insertions += 1
-            note_gain(gain, bu * bv)
+            note_gain(gain, e.w, bu, bv)
             if check_invariants:
                 for x in (e.u, e.v):
                     cap = (beta * b[x] if b_case else beta) + 1

@@ -14,8 +14,8 @@ Two degenerate regimes are handled explicitly:
 * ``alpha_zero``  -- the interval size floors to zero (the stream is too
   short for the parameters); all remaining edges are stored verbatim.
 * ``small_output`` -- a parallel store of the relevant subgraph never
-  exceeded its cap, so the stored graph is solved directly
-  (:func:`run_with_fallbacks` only).
+  exceeded its cap, so the stored graph is solved in place of H | X
+  (:func:`run_with_fallbacks` only; each stream is still solved once).
 
 Everything is deterministic given (graph, seed, parameters).
 """
@@ -195,24 +195,26 @@ class _RelevantStore:
         return sorted(i for group in self.groups.values() for i in group)
 
 
-def _extract(G: MultiGraph, b: Capacities, edge_ids: list[int],
-             oracle_budget: int) -> tuple[BMatching, str]:
-    """Best b-matching restricted to ``edge_ids``: exact when the solver
-    budget allows, greedy otherwise."""
+def _extract(H: Subgraph, X: set[int], stats: StreamRunStats, b: Capacities,
+             edge_ids: list[int], oracle_budget: int) -> StreamRunResult:
+    """Best b-matching restricted to ``edge_ids``, recorded in ``stats``:
+    exact when the solver budget allows, greedy otherwise."""
+    G = H.parent
     sub, old_ids = G.restrict(edge_ids)
     try:
         found = max_weight_b_matching_exact(sub, b, oracle_budget)
-        how = "exact"
+        stats.extraction = "exact"
     except OracleBudgetExceeded:
         found = max_weight_b_matching_greedy(sub, b)
-        how = "greedy"
-    return BMatching(sorted(old_ids[j] for j in found.edge_ids), found.weight), how
+        stats.extraction = "greedy"
+    matching = BMatching(sorted(old_ids[j] for j in found.edge_ids), found.weight)
+    stats.result_weight = matching.weight
+    return StreamRunResult(H, Subgraph(G, X), matching, stats)
 
 
 def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon, *,
                     variant: int = 1, oracle_budget: int = DEFAULT_ORACLE_BUDGET,
-                    check_invariants: bool = False,
-                    _observer: _RelevantStore | None = None) -> StreamRunResult:
+                    check_invariants: bool = False) -> StreamRunResult:
     """One pass over the stream; the core two-phase algorithm.
 
     ``variant=1`` assumes at most min(b_u, b_v) parallel edges per pair.
@@ -225,7 +227,18 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     stats as ``alpha_log_mode``) and level i runs at most
     2^(i+2) * beta^2 * W^2 + 1 epochs.  An insertion later undone by the
     repair loop still counts as the epoch having found an underfull edge.
+    The answer is extracted once, from H | X.
     """
+    H, X, stats = _two_phase_pass(stream, b, params, epsilon, variant, check_invariants, None)
+    return _extract(H, X, stats, b, sorted(H.members | X), oracle_budget)
+
+
+def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon,
+                    variant: int, check_invariants: bool,
+                    observer: _RelevantStore | None) -> tuple[Subgraph, set[int], StreamRunStats]:
+    """Phases 1 and 2 of :func:`run_single_pass`, feeding every edge to
+    ``observer`` as it arrives; returns H, X and the stats without an
+    extraction."""
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
@@ -249,7 +262,7 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
 
     def track() -> None:
         nonlocal peak
-        size = len(H.members) + len(X) + (_observer.size if _observer is not None else 0)
+        size = len(H.members) + len(X) + (observer.size if observer is not None else 0)
         if size > peak:
             peak = size
 
@@ -386,8 +399,8 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                     eid = order[pos]
                     pos += 1
                     stats.phase1_edges_consumed += 1
-                    if _observer is not None:
-                        _observer.observe(eid)
+                    if observer is not None:
+                        observer.observe(eid)
                         track()
                     if process_phase1_edge(eid):
                         found_underfull = True
@@ -406,8 +419,8 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     while pos < m:
         eid = order[pos]
         pos += 1
-        if _observer is not None:
-            _observer.observe(eid)
+        if observer is not None:
+            observer.observe(eid)
             track()
         if collect_all:
             X.add(eid)
@@ -427,39 +440,31 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
             X.add(eid)
             track()
 
-    # ---- extraction ----------------------------------------------------
-    matching, how = _extract(G, b, sorted(H.members | X), oracle_budget)
-    stats.extraction = how
-    stats.result_weight = matching.weight
     stats.underfull_collected = len(X)
     stats.peak_stored_edges = peak
-    return StreamRunResult(H, Subgraph(G, X), matching, stats)
+    return H, X, stats
 
 
 def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon, *,
                        variant: int = 1, oracle_budget: int = DEFAULT_ORACLE_BUDGET,
                        check_invariants: bool = False) -> StreamRunResult:
     """The full product: the single-pass runner plus the store-everything
-    shortcut for small outputs.
+    shortcut for small outputs, with one extraction per stream.
 
     A relevant-subgraph store runs alongside the main pass, capped at
-    2n * (3 W^2 / (2 eps^2)) * ln(m) edges.  If it survives the whole
-    stream, the stored graph is solved directly and wins
-    (``fallback_used = small_output``); otherwise the main run's answer
-    stands.  Peak memory counts both structures.
+    2n * (3 W^2 / (2 eps^2)) * ln(m) edges.  At the end of the stream one
+    decision picks what to solve: the stored graph if the store survived
+    (``fallback_used = small_output``), otherwise H | X as in
+    :func:`run_single_pass`.  Peak memory counts both structures.
     """
     G = stream.graph
     eps = _as_fraction(epsilon)
     cap = 2 * G.n * (3 * params.W ** 2 / (2 * float(eps) ** 2)) * math.log(max(stream.m, 2))
     store = _RelevantStore(G, b, cap)
-    result = run_single_pass(stream, b, params, epsilon, variant=variant,
-                             oracle_budget=oracle_budget,
-                             check_invariants=check_invariants, _observer=store)
-    if not store.alive:
-        return result
-    matching, how = _extract(G, b, store.edge_ids(), oracle_budget)
-    stats = result.stats
-    stats.fallback_used = "small_output"
-    stats.extraction = how
-    stats.result_weight = matching.weight
-    return StreamRunResult(result.H, result.X, matching, stats)
+    H, X, stats = _two_phase_pass(stream, b, params, epsilon, variant, check_invariants, store)
+    if store.alive:
+        stats.fallback_used = "small_output"
+        edge_ids = store.edge_ids()
+    else:
+        edge_ids = sorted(H.members | X)
+    return _extract(H, X, stats, b, edge_ids, oracle_budget)

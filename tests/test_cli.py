@@ -144,6 +144,36 @@ def test_stream_jobs_do_not_change_output(tmp_path, capsys):
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
 
 
+def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
+    # forked workers inherit the parent's call count of 1, so a worker that
+    # read the graph file again would make the second call and fail the run
+    import wedcs.cli as cli
+
+    spec = _write_spec(tmp_path, {"kind": "random", "seed": 3, "n": 10, "m": 18,
+                                  "W": 2, "b_min": 1, "b_max": 2})
+    graph = str(tmp_path / "g.txt")
+    main(["gen", "--spec", spec, "--out", graph])
+    read_graph = cli.read_graph
+
+    def read_once():
+        calls = []
+
+        def read(source):
+            calls.append(source)
+            if len(calls) > 1:
+                raise RuntimeError(f"graph read a second time from {source}")
+            return read_graph(source)
+        return read
+
+    outputs = []
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(cli, "read_graph", read_once())
+        assert main(["stream", graph, "--seeds", "0-3", "--epsilon", "0.2", "--beta", "6",
+                     "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_stream_outputs_are_byte_identical(tmp_path, capsys):
     spec = _write_spec(tmp_path, {"kind": "random", "seed": 2, "n": 10, "m": 20,
                                   "W": 2, "b_min": 1, "b_max": 2})

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wedcs import (
     Capacities,
     EdcsParams,
+    LocalSearchError,
     MultiGraph,
     Subgraph,
     build_w_edcs,
@@ -223,8 +224,9 @@ def test_build_corpus_properties(seed, beta):
     assert validate(G, b, H, params).is_clean
     # degree bound: deg_H(v) <= beta * b_v
     assert all(H.degree(v) <= beta * b[v] for v in range(G.n))
-    # potential-derived step bound: per-step gain is at least 1 + 1/(b_u b_v),
-    # hence at least 1 + 1/b_max^2 uniformly
+    # potential-derived step bound: a step on (u, v, w) gains at least
+    # w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) >= 1 + 1/(b_u b_v), hence at
+    # least 1 + 1/b_max^2 uniformly
     floor_gain = 1 + Fraction(1, 9)
     assert trace.steps <= trace.phi_final / floor_gain
     assert trace.min_gain is None or trace.min_gain >= floor_gain
@@ -241,6 +243,18 @@ def test_boundary_step_gain_four_thirds():
     H, trace = build_wb_edcs(G, b, params)
     assert validate(G, b, H, params).is_clean
     assert trace.min_gain == Fraction(4, 3)
+
+
+def test_builder_rejects_step_below_its_edge_floor():
+    # with beta_minus forced to beta - 1, past the beta - 2 the floor needs,
+    # a step gains 5/4: above the uniform 1 + 1/(b_u b_v) but below its own
+    # edge's floor w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) >= 3/2
+    G = MultiGraph(5, [(0, 1, 1), (0, 2, 3), (0, 3, 1), (0, 4, 2), (1, 3, 2), (1, 4, 1)], W=3)
+    b = Capacities([4, 2, 1, 2, 4])
+    params = EdcsParams(W=3, beta=4, beta_minus=2)
+    object.__setattr__(params, "beta_minus", 3)
+    with pytest.raises(LocalSearchError, match="per-step floor"):
+        build_wb_edcs(G, b, params)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -287,31 +287,51 @@ def test_relevant_store_tracks_relevant_subgraph():
     assert store.edge_ids() == sorted(relevant_subgraph(G, b).members)
 
 
-def test_small_output_fallback_tiny_graph():
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the stream runner's calls of the exact solver."""
+    import wedcs.streaming as streaming
+
+    calls = []
+    solve = streaming.max_weight_b_matching_exact
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].m)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(streaming, "max_weight_b_matching_exact", counted)
+    return calls
+
+
+def test_small_output_fallback_tiny_graph(exact_calls):
     G, b = make_random(2, n=6, m=5, W=2, b_max=2)
     params = EdcsParams(W=2, beta=6, beta_minus=4)
     res = run_with_fallbacks(make_stream(G, 3), b, params, "0.2")
     assert res.stats.fallback_used == "small_output"
     assert res.matching.weight == max_weight_b_matching_exact(G, b).weight
+    # one extraction per stream: the store's graph, never H | X as well
+    assert len(exact_calls) == 1
 
 
-def test_alpha_zero_on_dense_high_capacity_graph():
+def test_alpha_zero_on_dense_high_capacity_graph(exact_calls):
     # capacities equal to n make the optimum huge relative to m/polylog(m);
     # the interval size floors to zero and the run stores the whole stream
     G, b = make_random(8, n=8, m=120, W=2, b_max=8, b_min=8, bipartite=True)
     params = EdcsParams(W=2, beta=6, beta_minus=4)
     res = run_single_pass(make_stream(G, 21), b, params, "0.1")
     assert res.stats.fallback_used == "alpha_zero"
+    assert len(exact_calls) == 1
     opt = max_weight_b_matching_exact(G, b).weight
     assert res.matching.weight >= (1 - 2 * Fraction(1, 10)) * opt
 
 
-def test_fallback_none_on_standard_instance():
+def test_fallback_none_on_standard_instance(exact_calls):
     # large enough that the relevant-graph store dies (cap ~ 39700 < m) and
     # phase 1 goes quiet while its interval size is still positive
     G, b = make_random(40, n=200, m=40000, W=1, b_max=4, b_min=4, bipartite=True)
     res = run_with_fallbacks(make_stream(G, 2), b, P41, "0.4")
     assert res.stats.fallback_used == "none"
+    assert exact_calls == [len(res.H) + len(res.X)]
 
 
 @pytest.mark.parametrize("seed", range(20))
