@@ -8,6 +8,8 @@ and 3 and every end of ``run_with_fallbacks``: ``none`` (the relevant
 store dies and phase 1 stops on a quiet epoch), ``alpha_zero`` (the store
 dies and the interval size floors to zero) and ``small_output`` (the store
 survives).  Builder cases pin ``BuildTrace.to_json_dict()`` and H.
+Generator cases pin ``random_instance``'s edge triples and capacities for
+bipartite, general and raw-multiplicity specs.
 
 A digest changes only when behaviour does.  A change that means to alter
 a seeded output must say why and replace the digest; print the current
@@ -24,10 +26,12 @@ import pytest
 from wedcs import (
     Capacities,
     EdcsParams,
+    GenSpec,
     MultiGraph,
     build_wb_edcs,
     file_order_stream,
     make_stream,
+    random_instance,
     run_single_pass,
     run_with_fallbacks,
 )
@@ -100,6 +104,16 @@ BUILD_CASES = {
                          EdcsParams(W=3, beta=12, beta_minus=10)),
 }
 
+# name -> spec
+GENERATOR_CASES = {
+    "random-bipartite": GenSpec(seed=3, n=301, m=6000, W=3, b_max=4, bipartite=True),
+    "random-general": GenSpec(seed=4, n=120, m=3000, W=5, b_min=2, b_max=3),
+    "random-parallel": GenSpec(seed=5, n=40, m=4000, W=3, b_max=2, bipartite=True,
+                               allow_parallel=True),
+    "random-parallel-general": GenSpec(seed=6, n=9, m=700, W=2, b_max=5,
+                                       allow_parallel=True),
+}
+
 STREAM_GOLDEN: dict[str, dict[str, str]] = {
     "single-v1-phase1": {
         "order": "19795e495603118ed76418ce226b6b840ad57ced484fd79d4e17e70387c07840",
@@ -167,6 +181,14 @@ BUILD_GOLDEN: dict[str, dict[str, str]] = {
 }
 
 
+GENERATOR_GOLDEN: dict[str, str] = {
+    "random-bipartite": "71764abe912f18f68645293bbcec8eff4077be514a0fecedf5938d5484268522",
+    "random-general": "04837a15fb586934717956af705514c0812f99e0f694d3bf85bc0e991093fb4c",
+    "random-parallel": "8f3a723fd82554b4b98618f88e59c79a7241459e0d799a2a73e9c1bc1aab90e5",
+    "random-parallel-general": "0eca26e5d4eb57379680e631fd7b0d2b47dd451c6317eff29993cfab2d682437",
+}
+
+
 def _stream_run(name: str):
     runner, instance, params, epsilon, seed, variant, _ = STREAM_CASES[name]
     G, b = instance()
@@ -191,6 +213,12 @@ def _build_digests(name: str) -> dict[str, str]:
     return {"trace": _digest(trace.to_json_dict()), "H": _digest(sorted(H.members))}
 
 
+def _generator_digest(name: str) -> str:
+    G, b = random_instance(GENERATOR_CASES[name])
+    return _digest({"n": G.n, "triples": [[e.u, e.v, e.w] for e in G.edges],
+                    "b": list(b.b)})
+
+
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 def test_stream_replays_golden(name):
     stream, result = _stream_run(name)
@@ -204,6 +232,11 @@ def test_build_replays_golden(name):
     assert _build_digests(name) == BUILD_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GENERATOR_CASES))
+def test_generator_replays_golden(name):
+    assert _generator_digest(name) == GENERATOR_GOLDEN[name]
+
+
 if __name__ == "__main__":
     import pprint
 
@@ -212,3 +245,6 @@ if __name__ == "__main__":
                   sort_dicts=False)
     print("BUILD_GOLDEN = ", end="")
     pprint.pprint({name: _build_digests(name) for name in BUILD_CASES}, sort_dicts=False)
+    print("GENERATOR_GOLDEN = ", end="")
+    pprint.pprint({name: _generator_digest(name) for name in GENERATOR_CASES},
+                  sort_dicts=False)
