@@ -79,25 +79,29 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
 
     if spec.bipartite:
         half = n // 2
-        pairs = [(u, v) for u in range(half) for v in range(half, n)]
+        us = np.repeat(np.arange(half), n - half)
+        vs = np.tile(np.arange(half, n), half)
     else:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        us, vs = np.triu_indices(n, 1)
 
     triples: list[tuple[int, int, int]] = []
     if spec.allow_parallel:
-        if m > 0 and not pairs:
+        if m > 0 and not len(us):
             raise ValueError("no vertex pairs available for the requested edges")
         for _ in range(m):
-            u, v = pairs[int(rng.integers(0, len(pairs)))]
-            triples.append((u, v, int(rng.integers(1, spec.W + 1))))
+            p = int(rng.integers(0, len(us)))
+            triples.append((int(us[p]), int(vs[p]), int(rng.integers(1, spec.W + 1))))
     else:
-        slots = [p for p in pairs for _ in range(min(b[p[0]], b[p[1]]))]
-        if m > len(slots):
+        # pair p owns capacity slots [cum[p-1], cum[p]), in pair order
+        caps = np.asarray(b.b, dtype=np.int64)
+        cum = np.cumsum(np.minimum(caps[us], caps[vs]))
+        total = int(cum[-1]) if len(cum) else 0
+        if m > total:
             raise ValueError(
-                f"infeasible spec: {m} edges requested but only {len(slots)} "
+                f"infeasible spec: {m} edges requested but only {total} "
                 "capacity-respecting slots exist")
-        for idx in rng.permutation(len(slots))[:m]:
-            u, v = slots[int(idx)]
+        picked = np.searchsorted(cum, rng.permutation(total)[:m], side="right")
+        for u, v in zip(us[picked].tolist(), vs[picked].tolist()):
             triples.append((u, v, int(rng.integers(1, spec.W + 1))))
     return MultiGraph(n, triples, W=spec.W), b
 
