@@ -233,6 +233,13 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     return _extract(H, X, stats, b, sorted(H.members | X), oracle_budget)
 
 
+def _checked_epsilon(epsilon) -> Fraction:
+    eps = _as_fraction(epsilon)
+    if not (0 < eps < Fraction(1, 2)):
+        raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
+    return eps
+
+
 def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon,
                     variant: int, check_invariants: bool,
                     observer: _RelevantStore | None) -> tuple[Subgraph, set[int], StreamRunStats]:
@@ -242,9 +249,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
-    eps = _as_fraction(epsilon)
-    if not (0 < eps < Fraction(1, 2)):
-        raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
+    eps = _checked_epsilon(epsilon)
     if G.W > params.W:
         raise ValueError(f"graph weight cap {G.W} exceeds parameter W={params.W}")
     if len(b) != G.n:
@@ -458,7 +463,7 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
     :func:`run_single_pass`.  Peak memory counts both structures.
     """
     G = stream.graph
-    eps = _as_fraction(epsilon)
+    eps = _checked_epsilon(epsilon)
     cap = 2 * G.n * (3 * params.W ** 2 / (2 * float(eps) ** 2)) * math.log(max(stream.m, 2))
     store = _RelevantStore(G, b, cap)
     H, X, stats = _two_phase_pass(stream, b, params, epsilon, variant, check_invariants, store)

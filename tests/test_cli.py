@@ -121,6 +121,14 @@ def test_stream_variant3_accepts_parallel_edges(tmp_path, capsys):
                  "--beta", "6"]) == 2
 
 
+def test_stream_rejects_zero_epsilon(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 2 1 1\ne 0 1 1\n")
+    assert main(["stream", str(graph), "--seeds", "0", "--epsilon", "0",
+                 "--beta", "6"]) == 2
+    assert "error: epsilon must be in (0, 1/2)" in capsys.readouterr().err
+
+
 def test_gen_build_verify_multicopy(tmp_path, capsys):
     spec = _write_spec(tmp_path, {"kind": "multicopy", "k": 1, "W": 2})
     graph = str(tmp_path / "g.txt")

@@ -154,6 +154,14 @@ def test_variant1_rejects_raw_multiplicity():
                         EdcsParams(W=2, beta=6, beta_minus=4), "0.3", variant=1)
 
 
+@pytest.mark.parametrize("runner", [run_single_pass, run_with_fallbacks])
+@pytest.mark.parametrize("epsilon", [0, "0", "1/2", -0.1])
+def test_epsilon_out_of_range_is_a_value_error(runner, epsilon):
+    G = MultiGraph(2, [(0, 1, 1)])
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1/2\)"):
+        runner(make_stream(G, 0), Capacities.uniform(2), P41, epsilon)
+
+
 def _ascending_parallel_stream(pairs: int, W: int, m: int) -> MultiGraph:
     """Disjoint pairs fed weights 1..W in rounds, then weight-W duplicates.
 
