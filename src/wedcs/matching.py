@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
-
 from .graph import Capacities, MultiGraph, Subgraph
 
 __all__ = [
@@ -207,12 +205,20 @@ def branch_and_bound_b_matching(G: MultiGraph, b: Capacities, budget: int) -> BM
 
 def bipartite_b_matching(G: MultiGraph, b: Capacities,
                          sides: Sequence[int] | None = None) -> BMatching:
-    """Exact solver for bipartite multigraphs via integer min-cost flow.
+    """Exact solver for bipartite multigraphs by a weight-level primal-dual
+    method that checks its own König–Egerváry certificate.
 
-    Every (u, v, w) class becomes one arc of capacity equal to its
-    multiplicity and cost -w; a zero-cost bypass arc lets the flow pick
-    any matching size, so the min-cost circulation is exactly the
-    maximum-weight b-matching.  Integer data keeps network simplex exact.
+    Edges collapse into (u, v, w) classes with u on the left
+    (``sides[u] == 0``); a class may take at most its multiplicity of
+    edges, and takes its lowest ids.  Every left vertex with an edge starts
+    at label W (the heaviest class weight), every right vertex at 0.  Each
+    of W rounds augments a maximum flow along shortest paths of tight
+    classes (y_u + y_v = w), then lowers the labels of the left vertices
+    the last search reached and raises those of the right vertices it
+    reached.  The labels y, with z = max(0, w - y_u - y_v) per class, are
+    the certificate: a dual solution whose value
+    sum(b_v * y_v) + sum(mult * z) equals the matching's weight, checked
+    in integers before returning.
     """
     if sides is None:
         sides = bipartition_sides(G)
@@ -224,37 +230,178 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     if G.m == 0:
         return BMatching([], 0)
 
-    classes: dict[tuple[int, int, int], list[int]] = {}
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for e in G.edges:
         u, v = (e.u, e.v) if sides[e.u] == 0 else (e.v, e.u)
-        classes.setdefault((u, v, e.w), []).append(e.id)
-
-    lefts = sorted({u for (u, _, _) in classes})
-    rights = sorted({v for (_, v, _) in classes})
-    supply = sum(b[u] for u in lefts)
-
-    net = nx.MultiDiGraph()
-    net.add_node("s", demand=-supply)
-    net.add_node("t", demand=supply)
-    net.add_edge("s", "t", capacity=supply, weight=0)
-    for u in lefts:
-        net.add_edge("s", ("L", u), capacity=b[u], weight=0)
-    for v in rights:
-        net.add_edge(("R", v), "t", capacity=b[v], weight=0)
-    arc_key: dict[tuple[int, int, int], int] = {}
-    for (u, v, w), ids in sorted(classes.items()):
-        arc_key[(u, v, w)] = net.add_edge(("L", u), ("R", v),
-                                          capacity=len(ids), weight=-w)
-
-    cost, flow = nx.network_simplex(net)
+        groups.setdefault((u, v, e.w), []).append(e.id)
+    classes = [(u, v, w, len(ids)) for (u, v, w), ids in groups.items()]
+    x, y = _primal_dual(classes, b, G.n)
+    weight = _check_certificate(classes, x, y, b)
     chosen: list[int] = []
-    for (u, v, w), ids in sorted(classes.items()):
-        f = flow.get(("L", u), {}).get(("R", v), {}).get(arc_key[(u, v, w)], 0)
-        chosen.extend(sorted(ids)[:f])
-    result = BMatching(sorted(chosen), -cost)
+    for ids, taken in zip(groups.values(), x):
+        chosen.extend(ids[:taken])  # ids are in id order
+    result = BMatching(sorted(chosen), weight)
     if not result.verify(G, b):
-        raise RuntimeError("flow solution failed verification")  # pragma: no cover
+        raise RuntimeError("primal-dual solution failed verification")  # pragma: no cover
     return result
+
+
+def _primal_dual(classes: Sequence[tuple[int, int, int, int]], b: Capacities,
+                 n: int) -> tuple[list[int], list[int]]:
+    """Class counts x and vertex labels y for :func:`bipartite_b_matching`.
+
+    Invariants: a class below its multiplicity has y_u + y_v >= w, a class
+    in use has y_u + y_v <= w, a right vertex with a positive label is
+    full, and left loads never fall.  A free left vertex is a source of
+    every search, so it loses one unit per round and ends at 0; the
+    invariants then are complementary slackness.
+    """
+    cu = [c[0] for c in classes]
+    cv = [c[1] for c in classes]
+    cw = [c[2] for c in classes]
+    mult = [c[3] for c in classes]
+    cap = [b[v] for v in range(n)]
+    x = [0] * len(classes)
+    y = [0] * n
+    load = [0] * n
+    lefts = sorted(set(cu))
+    w_max = max(cw)
+    for u in lefts:
+        y[u] = w_max
+
+    for _ in range(w_max):
+        # labels are fixed within a round, so the tight classes are too
+        tight: list[list[int]] = [[] for _ in range(n)]
+        for c in range(len(classes)):
+            if y[cu[c]] + y[cv[c]] == cw[c]:
+                tight[cu[c]].append(c)
+                tight[cv[c]].append(c)
+        while True:
+            # BFS layers over the tight residual graph: left vertices at even
+            # depth (forward arcs, x < mult), right ones at odd (backward, x > 0)
+            dist = [-1] * n
+            frontier = [u for u in lefts if load[u] < cap[u]]
+            for u in frontier:
+                dist[u] = 0
+            sources = frontier
+            reached = list(frontier)
+            depth = 0
+            found = False
+            while frontier:
+                rights: list[int] = []
+                for u in frontier:
+                    for c in tight[u]:
+                        v = cv[c]
+                        if dist[v] < 0 and x[c] < mult[c]:
+                            dist[v] = depth + 1
+                            rights.append(v)
+                            if load[v] < cap[v]:
+                                found = True
+                reached += rights
+                if found:
+                    break
+                frontier = []
+                for v in rights:
+                    for c in tight[v]:
+                        u = cu[c]
+                        if dist[u] < 0 and x[c] > 0:
+                            dist[u] = depth + 2
+                            frontier.append(u)
+                reached += frontier
+                depth += 2
+            if not found:
+                break
+            _blocking_flow(sources, dist, tight, cu, cv, mult, x, load, cap)
+        for a in reached:
+            y[a] += 1 if dist[a] & 1 else -1
+    return x, y
+
+
+def _blocking_flow(sources: list[int], dist: list[int], tight: list[list[int]],
+                   cu: list[int], cv: list[int], mult: list[int], x: list[int],
+                   load: list[int], cap: list[int]) -> None:
+    """Augment along layered shortest paths until none is left.
+
+    Iterative depth-first search with a current-arc pointer per vertex
+    (paths can be as long as the graph); a vertex with no way forward is
+    marked dead (``dist = -2``) for the rest of the phase.
+    """
+    ptr = [0] * len(dist)
+    for s in sources:
+        while load[s] < cap[s]:
+            stack = [s]
+            path: list[int] = []
+            while stack:
+                a = stack[-1]
+                da = dist[a]
+                if da & 1 and load[a] < cap[a]:
+                    break  # a right vertex with room: the sink
+                arcs = tight[a]
+                i = ptr[a]
+                nxt = -1
+                if da & 1:
+                    while i < len(arcs):
+                        c = arcs[i]
+                        if x[c] > 0 and dist[cu[c]] == da + 1:
+                            nxt = cu[c]
+                            break
+                        i += 1
+                else:
+                    while i < len(arcs):
+                        c = arcs[i]
+                        if x[c] < mult[c] and dist[cv[c]] == da + 1:
+                            nxt = cv[c]
+                            break
+                        i += 1
+                ptr[a] = i
+                if nxt < 0:
+                    dist[a] = -2
+                    stack.pop()
+                    if path:
+                        path.pop()
+                else:
+                    stack.append(nxt)
+                    path.append(arcs[i])
+            if not stack:
+                break
+            t = stack[-1]
+            delta = min(cap[s] - load[s], cap[t] - load[t])
+            for j, c in enumerate(path):
+                delta = min(delta, x[c] if j & 1 else mult[c] - x[c])
+            for j, c in enumerate(path):
+                x[c] += -delta if j & 1 else delta
+            load[s] += delta
+            load[t] += delta
+
+
+def _check_certificate(classes: Sequence[tuple[int, int, int, int]], x: Sequence[int],
+                       y: Sequence[int], b: Capacities) -> int:
+    """The matching's weight, once (x, y) is proven optimal in integers.
+
+    x must be feasible (0 <= x <= mult per class, load <= b per vertex)
+    and y non-negative; with z = max(0, w - y_u - y_v) per class, (y, z)
+    is then a feasible dual, so sum(b_v * y_v) + sum(mult * z) bounds every
+    b-matching's weight, and equality with x's weight proves x optimal.
+    Raises ``RuntimeError`` on any mismatch.
+    """
+    load = [0] * len(y)
+    primal = 0
+    dual = sum(b[v] * y[v] for v in range(len(y)))
+    for (u, v, w, mult), taken in zip(classes, x):
+        if not 0 <= taken <= mult:
+            raise RuntimeError(f"class ({u}, {v}, {w}) takes {taken} of its {mult} edges")
+        load[u] += taken
+        load[v] += taken
+        primal += w * taken
+        dual += mult * max(0, w - y[u] - y[v])
+    for v in range(len(y)):
+        if load[v] > b[v]:
+            raise RuntimeError(f"vertex {v} carries {load[v]} edges, capacity {b[v]}")
+        if y[v] < 0:
+            raise RuntimeError(f"vertex {v} has negative label {y[v]}")
+    if dual != primal:
+        raise RuntimeError(f"dual bound {dual} does not certify matching weight {primal}")
+    return primal
 
 
 def min_w_vertex_cover_bipartite(G: MultiGraph, sides: Sequence[int],

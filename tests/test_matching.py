@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import wedcs
 
 from wedcs import (
     BMatching,
@@ -18,6 +24,7 @@ from wedcs import (
     min_w_vertex_cover_bipartite,
     split_vertices,
 )
+from wedcs.matching import _check_certificate
 
 from helpers import (
     brute_force_b_matching_weight,
@@ -55,15 +62,59 @@ def test_branch_and_bound_matches_enumeration(seed):
     assert got.weight == brute_force_b_matching_weight(G, b)
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", range(50))
 def test_flow_matches_branch_and_bound(seed):
-    G, b = make_random(seed, n=8, m=14, W=4, b_max=3, bipartite=True)
+    # weights up to 5, capacities up to 5, raw multiplicities on odd seeds
+    G, b = make_random(seed, n=8, m=14, W=1 + seed % 5, b_max=1 + seed // 10,
+                       bipartite=True, allow_parallel=seed % 2 == 1)
     sides = bipartition_sides(G)
     assert sides is not None
     flow = bipartite_b_matching(G, b, sides)
     bnb = branch_and_bound_b_matching(G, b, budget=10**6)
     assert flow.verify(G, b)
     assert flow.weight == bnb.weight
+
+
+def test_bipartite_long_augmenting_path():
+    # left L_i = 2(k-1-i), right R_i = 2i+1; the first phase matches every
+    # L_{i+1} to R_i, leaving one augmenting path through all 2k vertices
+    k = 3000
+    left = [2 * (k - 1 - i) for i in range(k)]
+    right = [2 * i + 1 for i in range(k)]
+    triples = [(left[i + 1], right[i], 1) for i in range(k - 1)]
+    triples += [(left[i], right[i], 1) for i in range(k)]
+    G = MultiGraph(2 * k, triples)
+    best = bipartite_b_matching(G, Capacities.uniform(G.n))
+    assert best.weight == k and best.verify(G, Capacities.uniform(G.n))
+
+
+# left vertex 0 (capacity 1) and two weight-2 classes to right vertices 1, 2
+CERT_CLASSES = [(0, 1, 2, 1), (0, 2, 2, 1)]
+
+
+def test_certificate_accepts_optimal_pair():
+    assert _check_certificate(CERT_CLASSES, [1, 0], [2, 0, 0], Capacities.uniform(3)) == 2
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([1, 0], [1, 0, 0], "dual bound 3 does not certify matching weight 2"),  # y_0 one short
+    ([2, 0], [2, 0, 0], "takes 2 of its 1 edges"),
+    ([1, 1], [2, 0, 0], "vertex 0 carries 2 edges"),
+    ([1, 0], [3, -1, 0], "negative label"),
+])
+def test_certificate_rejects(x, y, message):
+    with pytest.raises(RuntimeError, match=message):
+        _check_certificate(CERT_CLASSES, x, y, Capacities.uniform(3))
+
+
+def test_import_leaves_networkx_out():
+    src = os.path.dirname(os.path.dirname(wedcs.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wedcs; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_exact_dispatch_prefers_flow_for_bipartite():
