@@ -2,9 +2,10 @@
 
 The exact solver is the yardstick the rest of the package is measured
 against.  Non-bipartite instances go through a budgeted branch-and-bound;
-bipartite instances (detected by 2-coloring) go through an integer
-min-cost-flow formulation that stays exact at sizes branch-and-bound
-cannot reach.  Both are deterministic.
+bipartite instances (detected by 2-coloring) go through a weight-level
+primal-dual method that stays exact at sizes branch-and-bound cannot
+reach and proves each answer with a König–Egerváry dual certificate,
+checked in integers.  Both are deterministic.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
                                 budget: int = DEFAULT_ORACLE_BUDGET) -> BMatching:
     """Exact maximum-weight b-matching.
 
-    Bipartite inputs are solved by integer min-cost flow regardless of
-    size; everything else by branch-and-bound within ``budget`` search
+    Bipartite inputs are solved by the certified primal-dual method
+    regardless of size; everything else by branch-and-bound within ``budget`` search
     nodes (raising :class:`OracleBudgetExceeded` beyond it).
     """
     sides = bipartition_sides(G)
