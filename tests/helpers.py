@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from wedcs import Capacities, GenSpec, MultiGraph, random_instance
 
 
@@ -72,6 +74,17 @@ def make_random(seed: int, n: int, m: int, W: int, b_max: int = 1, *,
                    b_min=b_min, b_max=b_max, bipartite=bipartite,
                    allow_parallel=allow_parallel)
     return random_instance(spec)
+
+
+def scalar_fisher_yates(m: int, seed: int) -> tuple[int, ...]:
+    """The stream order of ``make_stream`` drawn one index per generator
+    call: for i = m-1 down to 1, swap position i with a uniform j <= i."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    order = list(range(m))
+    for i in range(m - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        order[i], order[j] = order[j], order[i]
+    return tuple(order)
 
 
 def random_distribution_input(rng, bucket_count: int, W: int):

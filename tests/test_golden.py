@@ -7,7 +7,10 @@ the kept sets H and X.  The cases cover ``run_single_pass`` in variants 1
 and 3 and every end of ``run_with_fallbacks``: ``none`` (the relevant
 store dies and phase 1 stops on a quiet epoch), ``alpha_zero`` (the store
 dies and the interval size floors to zero) and ``small_output`` (the store
-survives).  Builder cases pin ``BuildTrace.to_json_dict()`` and H.
+survives).  ``fallbacks-v3-chunks`` is a raw-multiplicity stream of more
+than 2 * 2**15 edges whose relevant store dies after the first 2**15
+positions, so that a pass over chunks of positions crosses chunk
+boundaries in both phases of the store.  Builder cases pin ``BuildTrace.to_json_dict()`` and H.
 Generator cases pin ``random_instance``'s edge triples and capacities for
 bipartite, general and raw-multiplicity specs.
 
@@ -97,6 +100,12 @@ STREAM_CASES = {
                                                       bipartite=True, allow_parallel=True),
                                   EdcsParams(W=2, beta=6, beta_minus=4), "0.4", 101, 3,
                                   "small_output"),
+    # a raw-multiplicity stream three chunks long whose relevant store dies
+    # at position 71,359, inside the third chunk of 2**15 positions
+    "fallbacks-v3-chunks": (run_with_fallbacks,
+                            lambda: make_random(32, n=90, m=100_001, W=2, b_max=100,
+                                                bipartite=True, allow_parallel=True),
+                            EdcsParams(W=2, beta=3, beta_minus=1), "0.49", 9, 3, "none"),
 }
 
 # name -> (instance, params)
@@ -167,6 +176,12 @@ STREAM_GOLDEN: dict[str, dict[str, str]] = {
         "stats": "489694ef7775e0b172a1959db1ca0e54998f0bc34fd5475d0010315bf105a2bf",
         "matching": "58605fc35ec45cddccaeab133990973bc6768781e36d8306b1dd2d07a581d24c",
         "sets": "151192a18c7ed6f4d5e1122e189f25e78bca3c6153daeef2fc8c9e4f1ce053eb",
+    },
+    "fallbacks-v3-chunks": {
+        "order": "e26fb9c56f941bc351d5510247e863cd705ad7926d14dd6cbd154814c52f3619",
+        "stats": "6e0f36be8a4737b9f5b126febbeed49607e72635c531760f9e866fa42cf9c0c6",
+        "matching": "56a301b9e90be28b4e73d2b70043526ddd8d77b2d3035dee99b1d4e51ef9a9fc",
+        "sets": "31e9f414b63dd35ece481010488c90612f521e4bff327597bb640bbed5f3df7a",
     },
 }
 

@@ -18,7 +18,7 @@ from wedcs import (
     validate,
 )
 
-from helpers import make_random
+from helpers import make_random, scalar_fisher_yates
 
 P41 = EdcsParams(W=1, beta=6, beta_minus=4)
 
@@ -40,6 +40,20 @@ def test_make_stream_tiny():
     assert make_stream(G1, 123).order == (0,)
     G0 = MultiGraph(3, [])
     assert make_stream(G0, 5).order == ()
+
+
+@pytest.mark.parametrize("seed", [5, 2024])
+def test_make_stream_matches_scalar_draws_across_chunks(seed):
+    # 70,001 edges span three chunks of 2**15 draws
+    G = MultiGraph(2, [(0, 1, 1)] * 70_001)
+    assert make_stream(G, seed).order == scalar_fisher_yates(G.m, seed)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 10, 1000])
+def test_make_stream_matches_scalar_draws(m):
+    G = MultiGraph(2, [(0, 1, 1)] * m)
+    for seed in range(5):
+        assert make_stream(G, seed).order == scalar_fisher_yates(m, seed)
 
 
 def test_stream_rejects_non_permutation():
