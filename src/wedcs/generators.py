@@ -69,6 +69,11 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     most min(b_u, b_v) parallel edges (the edges are drawn uniformly
     without replacement from the multiset of capacity slots); raw
     multiplicities are for exercising the replacement-rule stream variant.
+
+    Per-edge draws are made in one generator call with an array of bounds,
+    which consumes PCG64 exactly as repeated scalar calls with the same
+    bounds would; raw multiplicities interleave each edge's pair index and
+    weight in that array.
     """
     if spec.kind != "random":
         raise ValueError("random_instance needs a spec with kind='random'")
@@ -84,13 +89,11 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     else:
         us, vs = np.triu_indices(n, 1)
 
-    triples: list[tuple[int, int, int]] = []
     if spec.allow_parallel:
         if m > 0 and not len(us):
             raise ValueError("no vertex pairs available for the requested edges")
-        for _ in range(m):
-            p = int(rng.integers(0, len(us)))
-            triples.append((int(us[p]), int(vs[p]), int(rng.integers(1, spec.W + 1))))
+        draws = rng.integers(np.tile([0, 1], m), np.tile([len(us), spec.W + 1], m))
+        picked, weights = draws[0::2], draws[1::2]
     else:
         # pair p owns capacity slots [cum[p-1], cum[p]), in pair order
         caps = np.asarray(b.b, dtype=np.int64)
@@ -101,8 +104,8 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
                 f"infeasible spec: {m} edges requested but only {total} "
                 "capacity-respecting slots exist")
         picked = np.searchsorted(cum, rng.permutation(total)[:m], side="right")
-        for u, v in zip(us[picked].tolist(), vs[picked].tolist()):
-            triples.append((u, v, int(rng.integers(1, spec.W + 1))))
+        weights = rng.integers(1, np.full(m, spec.W + 1))
+    triples = zip(us[picked].tolist(), vs[picked].tolist(), weights.tolist())
     return MultiGraph(n, triples, W=spec.W), b
 
 

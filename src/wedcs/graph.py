@@ -8,7 +8,9 @@ all operations are deterministic for a fixed input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "WeightedEdge",
@@ -47,16 +49,29 @@ class WeightedEdge:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
+class EdgeColumns(NamedTuple):
+    """A graph's edges as int32 arrays indexed by edge id (``w`` is int64
+    when the weight cap does not fit int32)."""
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    #: dense id of the unordered pair {u, v}: pairs numbered in (min, max) order
+    pair: np.ndarray
+
+
 class MultiGraph:
     """Immutable weighted multigraph.
 
     ``edges`` is an ordered multiset; parallel edges and repeated
     (endpoints, weight) triples are allowed.  ``adjacency[v]`` lists the
     ids of edges incident to ``v`` in id order.  Instances never mutate
-    after construction and are safe to share across threads.
+    after construction, apart from the :meth:`columns` cache that the
+    first call fills; they are safe to share across threads (two threads
+    racing on that first call build equal arrays and one set is kept).
     """
 
-    __slots__ = ("n", "W", "edges", "adjacency")
+    __slots__ = ("n", "W", "edges", "adjacency", "_columns")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         if n < 0:
@@ -82,6 +97,7 @@ class MultiGraph:
         self.W = W
         self.edges: tuple[WeightedEdge, ...] = tuple(edge_list)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adjacency)
+        self._columns: EdgeColumns | None = None
 
     @property
     def m(self) -> int:
@@ -93,6 +109,19 @@ class MultiGraph:
     def incident(self, v: int) -> tuple[int, ...]:
         """Ids of edges incident to ``v``, in id order."""
         return self.adjacency[v]
+
+    def columns(self) -> EdgeColumns:
+        """``u``, ``v``, ``w`` and the unordered-pair id of every edge as
+        arrays; built on the first call and cached."""
+        if self._columns is None:
+            m, edges = self.m, self.edges
+            u = np.fromiter((e.u for e in edges), np.int32, m)
+            v = np.fromiter((e.v for e in edges), np.int32, m)
+            w = np.fromiter((e.w for e in edges), np.int32 if self.W < 2**31 else np.int64, m)
+            key = np.minimum(u, v).astype(np.int64) * self.n + np.maximum(u, v)
+            pair = np.unique(key, return_inverse=True)[1].astype(np.int32)
+            self._columns = EdgeColumns(u, v, w, pair)
+        return self._columns
 
     def pair_groups(self) -> dict[tuple[int, int], list[int]]:
         """Edge ids grouped by unordered endpoint pair, each group in id order."""
@@ -235,6 +264,36 @@ def index_labeled_edges(edges) -> tuple[list[tuple[int, int, int]], dict]:
     return triples, index
 
 
+def _pair_limits(G: MultiGraph, b: Capacities) -> np.ndarray:
+    """min(b_u, b_v) for every edge: how many edges of its pair a
+    b-matching can use."""
+    if len(b) != G.n:
+        raise ValueError("capacity vector length does not match vertex count")
+    caps = np.asarray(b.b, dtype=np.int64)
+    c = G.columns()
+    return np.minimum(caps[c.u], caps[c.v])
+
+
+def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
+    """Position of every element of a sorted array within its run of
+    equal values: ``[4, 4, 7, 9, 9, 9]`` gives ``[0, 1, 0, 0, 1, 2]``."""
+    n = len(keys)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if n else np.zeros(0, np.intp)
+    return np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+
+
+def _relevant_edge_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
+    """Ids of the relevant subgraph, ascending: for every unordered pair,
+    its min(b_u, b_v) heaviest edges, smaller ids first on equal weights.
+
+    One stable sort by (pair, -w) ranks the edges of each pair, so edges
+    of equal weight keep their id order."""
+    limit = _pair_limits(G, b)
+    c = G.columns()
+    by = np.lexsort((-c.w, c.pair))
+    return np.sort(by[_rank_in_runs(c.pair[by]) < limit[by]])
+
+
 def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:
     """Keep, for every unordered vertex pair, the min(b_u, b_v) heaviest
     parallel edges (ties by smaller edge id).
@@ -242,11 +301,4 @@ def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:
     Dropping the rest never changes the best achievable b-matching, since
     a b-matching can use at most min(b_u, b_v) edges between u and v.
     """
-    if len(b) != G.n:
-        raise ValueError("capacity vector length does not match vertex count")
-    keep: list[int] = []
-    for (u, v), ids in G.pair_groups().items():
-        cap = min(b[u], b[v])
-        ranked = sorted(ids, key=lambda i: (-G.edges[i].w, i))
-        keep.extend(ranked[:cap])
-    return Subgraph(G, keep)
+    return Subgraph(G, _relevant_edge_ids(G, b).tolist())

@@ -9,6 +9,12 @@ without a single insertion ends the phase.  Phase 2 freezes H and collects
 every remaining "underfull" edge (one that would still be worth inserting)
 into a side set X.  The answer is a maximum-weight b-matching of H | X.
 
+Phase 1 is sequential and runs edge by edge.  Against the frozen H, phase
+2 and the relevant store of :func:`run_with_fallbacks` are evaluated as
+arrays over chunks of stream positions (the graph's edge columns, H's
+frozen degrees, and the store's size after every position), with the
+same outcome, counters and peak as an edge-at-a-time pass.
+
 Two degenerate regimes are handled explicitly:
 
 * ``alpha_zero``  -- the interval size floors to zero (the stream is too
@@ -31,7 +37,15 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .edcs import EdcsParams, _as_fraction
-from .graph import Capacities, MultiGraph, Subgraph, WeightedEdge
+from .graph import (
+    Capacities,
+    MultiGraph,
+    Subgraph,
+    WeightedEdge,
+    _pair_limits,
+    _rank_in_runs,
+    _relevant_edge_ids,
+)
 from .matching import (
     BMatching,
     OracleBudgetExceeded,
@@ -57,6 +71,10 @@ __all__ = [
 #: numpy's PCG64 so that seeds replay identically across platforms.
 PRNG_ID = "pcg64-fisher-yates"
 
+#: Stream positions per array step: Fisher-Yates draws per generator call,
+#: and positions per step of the relevant store and of phase 2.
+_CHUNK = 1 << 15
+
 
 class StreamInvariantError(RuntimeError):
     """A runtime self-check of the stream algorithm failed."""
@@ -76,7 +94,11 @@ class EdgeStream:
         return len(self.order)
 
     def __post_init__(self):
-        if sorted(self.order) != list(range(self.graph.m)):
+        m = self.graph.m
+        ids = np.asarray(self.order)
+        if len(ids) != m or (m and not (
+                ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < m
+                and np.bincount(ids, minlength=m).all())):
             raise ValueError("order must be a permutation of all edge ids")
 
     def edges(self) -> Iterator[WeightedEdge]:
@@ -89,9 +111,13 @@ def make_stream(G: MultiGraph, seed: int) -> EdgeStream:
     same order."""
     rng = np.random.Generator(np.random.PCG64(seed))
     order = list(range(G.m))
-    for i in range(G.m - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        order[i], order[j] = order[j], order[i]
+    # for i = m-1 down to 1 swap i with a uniform j <= i; an array of
+    # bounds draws each j exactly as one scalar call per i would
+    for hi in range(G.m, 1, -_CHUNK):
+        lo = max(hi - _CHUNK, 1)
+        draws = rng.integers(0, np.arange(hi, lo, -1)).tolist()
+        for i, j in zip(range(hi - 1, lo - 1, -1), draws):
+            order[i], order[j] = order[j], order[i]
     return EdgeStream(G, tuple(order), seed, PRNG_ID)
 
 
@@ -156,43 +182,42 @@ def is_underfull(H: Subgraph, b: Capacities, edge: WeightedEdge, params: EdcsPar
     return H.wdeg[edge.u] * bv + H.wdeg[edge.v] * bu < params.beta_minus * edge.w * bu * bv
 
 
-class _RelevantStore:
-    """Streaming store of the heaviest min(b_u, b_v) edges per pair.
+def _store_sizes(G: MultiGraph, b: Capacities, order: tuple[int, ...],
+                 cap: float) -> tuple[np.ndarray, bool]:
+    """Size of the relevant store after every stream position, and whether
+    the store lived to the end of the stream.
 
-    Kills itself once its size reaches ``cap`` (meaning the graph is too
-    big for the store-everything shortcut); while alive its content equals
-    the relevant subgraph of the edges seen so far.
-    """
-
-    def __init__(self, G: MultiGraph, b: Capacities, cap: float):
-        self.G = G
-        self.b = b
-        self.cap = cap
-        self.alive = cap >= 1
-        self.groups: dict[tuple[int, int], list[int]] = {}
-        self.size = 0
-
-    def observe(self, eid: int) -> None:
-        if not self.alive:
-            return
-        e = self.G.edges[eid]
-        pair = e.pair()
-        limit = min(self.b[e.u], self.b[e.v])
-        group = self.groups.setdefault(pair, [])
-        group.append(eid)
-        self.size += 1
-        if len(group) > limit:
-            # evict the lightest stored edge, dropping larger ids first on ties
-            victim = min(group, key=lambda i: (self.G.edges[i].w, -i))
-            group.remove(victim)
-            self.size -= 1
-        if self.size >= self.cap:
-            self.alive = False
-            self.groups = {}
-            self.size = 0
-
-    def edge_ids(self) -> list[int]:
-        return sorted(i for group in self.groups.values() for i in group)
+    The store keeps the heaviest min(b_u, b_v) edges seen so far of every
+    pair, so an arrival grows it by one exactly when fewer than
+    min(b_u, b_v) edges of its pair arrived before it, and otherwise
+    evicts one.  It dies at the first position where its size reaches
+    ``cap`` (at once when ``cap < 1``) and has size 0 from there on.  A
+    store that lives holds the relevant subgraph of the whole graph."""
+    m = len(order)
+    sizes = np.zeros(m, dtype=np.int32)
+    if cap < 1:
+        return sizes, False
+    c = G.columns()
+    limit = _pair_limits(G, b)
+    seen = np.zeros(int(c.pair.max()) + 1 if m else 0, dtype=np.int64)
+    size = 0
+    for lo in range(0, m, _CHUNK):
+        ids = np.asarray(order[lo:lo + _CHUNK])
+        pair = c.pair[ids]
+        # rank of each arrival among its pair's arrivals so far
+        by = np.argsort(pair, kind="stable")
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[by] = _rank_in_runs(pair[by])
+        rank += seen[pair]
+        np.add.at(seen, pair, 1)
+        run = size + np.cumsum(rank < limit[ids])
+        full = np.flatnonzero(run >= cap)
+        if full.size:
+            sizes[lo:lo + full[0]] = run[:full[0]]
+            return sizes, False
+        sizes[lo:lo + len(ids)] = run
+        size = int(run[-1])
+    return sizes, True
 
 
 def _extract(H: Subgraph, X: set[int], stats: StreamRunStats, b: Capacities,
@@ -229,7 +254,7 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     repair loop still counts as the epoch having found an underfull edge.
     The answer is extracted once, from H | X.
     """
-    H, X, stats = _two_phase_pass(stream, b, params, epsilon, variant, check_invariants, None)
+    H, X, stats, _ = _two_phase_pass(stream, b, params, epsilon, variant, check_invariants, None)
     return _extract(H, X, stats, b, sorted(H.members | X), oracle_budget)
 
 
@@ -241,11 +266,16 @@ def _checked_epsilon(epsilon) -> Fraction:
 
 
 def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon,
-                    variant: int, check_invariants: bool,
-                    observer: _RelevantStore | None) -> tuple[Subgraph, set[int], StreamRunStats]:
-    """Phases 1 and 2 of :func:`run_single_pass`, feeding every edge to
-    ``observer`` as it arrives; returns H, X and the stats without an
-    extraction."""
+                    variant: int, check_invariants: bool, store_cap: float | None,
+                    ) -> tuple[Subgraph, set[int], StreamRunStats, bool]:
+    """Phases 1 and 2 of :func:`run_single_pass`, with a relevant store
+    capped at ``store_cap`` alongside when that is not None; returns H, X,
+    the stats without an extraction, and whether the store survived.
+
+    Phase 1 goes edge by edge.  Once H is frozen, phase 2 and the store
+    are arrays over chunks of stream positions: the underfull test of a
+    chunk is one vector expression over the frozen degrees, and the peak
+    is |H| plus the running |X| plus the store's size series."""
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
@@ -259,34 +289,49 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
 
     stats = StreamRunStats(seed=stream.seed, m=m, variant=variant, prng=stream.prng)
     H = Subgraph(G)
-    X: set[int] = set()
     pair_h: dict[tuple[int, int], set[int]] = {}
     order = stream.order
     wdeg = H.wdeg
+    # H's member ids per vertex, so repairs look at H's edges only
+    h_at: list[set[int]] = [set() for _ in range(G.n)]
     peak = 0
 
+    if variant == 1 and m:
+        pair = G.columns().pair
+        over = np.flatnonzero(np.bincount(pair)[pair] > _pair_limits(G, b))
+        if over.size:
+            u, v = G.edges[int(over[0])].pair()
+            raise ValueError(
+                f"pair ({u}, {v}) has more than min(b_u, b_v) parallel edges; "
+                "use variant=3 for raw multiplicity streams")
+
+    if store_cap is None:
+        store_sizes, store_alive = None, False
+    else:
+        store_sizes, store_alive = _store_sizes(G, b, order, store_cap)
+
     def track() -> None:
+        # in phase 1, where X is empty, after the edge at pos - 1 arrived
         nonlocal peak
-        size = len(H.members) + len(X) + (observer.size if observer is not None else 0)
+        size = len(H.members) + (int(store_sizes[pos - 1]) if store_sizes is not None else 0)
         if size > peak:
             peak = size
 
-    if variant == 1:
-        for (u, v), ids in G.pair_groups().items():
-            if len(ids) > min(b[u], b[v]):
-                raise ValueError(
-                    f"pair ({u}, {v}) has more than min(b_u, b_v) parallel edges; "
-                    "use variant=3 for raw multiplicity streams")
-
     def h_add(eid: int) -> None:
         H.add(eid)
+        e = G.edges[eid]
+        h_at[e.u].add(eid)
+        h_at[e.v].add(eid)
         if variant == 3:
-            pair_h.setdefault(G.edges[eid].pair(), set()).add(eid)
+            pair_h.setdefault(e.pair(), set()).add(eid)
 
     def h_remove(eid: int) -> None:
         H.remove(eid)
+        e = G.edges[eid]
+        h_at[e.u].discard(eid)
+        h_at[e.v].discard(eid)
         if variant == 3:
-            pair_h[G.edges[eid].pair()].discard(eid)
+            pair_h[e.pair()].discard(eid)
 
     def phi_delta_remove(eid: int) -> Fraction:
         e = G.edges[eid]
@@ -305,8 +350,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     def repair_upper(u0: int, v0: int) -> None:
         # fix membership-bound violations in FIFO id order; only edges at
         # vertices whose degree changed can newly violate
-        pending = deque(sorted(
-            i for i in set(G.incident(u0)) | set(G.incident(v0)) if i in H.members))
+        pending = deque(sorted(h_at[u0] | h_at[v0]))
         queued = set(pending)
         while pending:
             cand = pending.popleft()
@@ -318,9 +362,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
             if wdeg[ce.u] * cbv + wdeg[ce.v] * cbu <= beta * ce.w * cbu * cbv:
                 continue
             h_remove(cand)
-            for i in sorted(
-                    x for x in set(G.incident(ce.u)) | set(G.incident(ce.v))
-                    if x in H.members and x not in queued):
+            for i in sorted(x for x in h_at[ce.u] | h_at[ce.v] if x not in queued):
                 pending.append(i)
                 queued.add(i)
 
@@ -404,8 +446,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                     eid = order[pos]
                     pos += 1
                     stats.phase1_edges_consumed += 1
-                    if observer is not None:
-                        observer.observe(eid)
+                    if store_sizes is not None:
                         track()
                     if process_phase1_edge(eid):
                         found_underfull = True
@@ -421,33 +462,43 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                 f"phase 1 consumed {stats.phase1_edges_consumed} edges, beyond ceil(eps*m)={budget}")
 
     # ---- phase 2: H is frozen ----------------------------------------
-    while pos < m:
-        eid = order[pos]
-        pos += 1
-        if observer is not None:
-            observer.observe(eid)
-            track()
-        if collect_all:
-            X.add(eid)
-            track()
-            continue
-        e = G.edges[eid]
-        bu, bv = b[e.u], b[e.v]
+    x_parts: list[np.ndarray] = []
+    if pos < m:
+        c = G.columns()
+        h_size, x_size = len(H.members), 0
+        b_max = max(b.b)
+        # the degree test in int64 unless a term could overflow it
+        big = max(2 * max(wdeg), beta_minus * W * b_max) * b_max >= 2**62
+        dtype = object if big else np.int64
+        caps = np.asarray(b.b, dtype=dtype)
+        wd = np.asarray(wdeg, dtype=dtype)
         if variant == 3:
-            held = pair_h.get(e.pair())
-            if held and len(held) >= min(bu, bv):
-                underfull = min(G.edges[i].w for i in held) < e.w
+            # per pair id: the lightest weight H holds at a full pair, else 0
+            full_lightest = np.zeros(int(c.pair.max()) + 1, dtype=np.int64)
+            for (u, v), held in pair_h.items():
+                if held and len(held) >= min(b[u], b[v]):
+                    full_lightest[c.pair[next(iter(held))]] = min(G.edges[i].w for i in held)
+        for lo in range(pos, m, _CHUNK):
+            ids = np.asarray(order[lo:lo + _CHUNK])
+            if collect_all:
+                keep = np.ones(len(ids), dtype=bool)
             else:
-                underfull = wdeg[e.u] * bv + wdeg[e.v] * bu < beta_minus * e.w * bu * bv
-        else:
-            underfull = wdeg[e.u] * bv + wdeg[e.v] * bu < beta_minus * e.w * bu * bv
-        if underfull:
-            X.add(eid)
-            track()
+                u, v, w = c.u[ids], c.v[ids], c.w[ids]
+                bu, bv = caps[u], caps[v]
+                keep = np.asarray(wd[u] * bv + wd[v] * bu < bu * bv * w * beta_minus, dtype=bool)
+                if variant == 3:
+                    lightest = full_lightest[c.pair[ids]]
+                    keep = np.where(lightest > 0, lightest < w, keep)
+            x_count = x_size + np.cumsum(keep)
+            stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(ids)]
+            peak = max(peak, h_size + int(stored.max()))
+            x_parts.append(ids[keep])
+            x_size = int(x_count[-1])
+    X = set(np.concatenate(x_parts).tolist()) if x_parts else set()
 
     stats.underfull_collected = len(X)
     stats.peak_stored_edges = peak
-    return H, X, stats
+    return H, X, stats, store_alive
 
 
 def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon, *,
@@ -465,11 +516,11 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
     G = stream.graph
     eps = _checked_epsilon(epsilon)
     cap = 2 * G.n * (3 * params.W ** 2 / (2 * float(eps) ** 2)) * math.log(max(stream.m, 2))
-    store = _RelevantStore(G, b, cap)
-    H, X, stats = _two_phase_pass(stream, b, params, epsilon, variant, check_invariants, store)
-    if store.alive:
+    H, X, stats, store_alive = _two_phase_pass(stream, b, params, epsilon, variant,
+                                               check_invariants, cap)
+    if store_alive:
         stats.fallback_used = "small_output"
-        edge_ids = store.edge_ids()
+        edge_ids = _relevant_edge_ids(G, b).tolist()
     else:
         edge_ids = sorted(H.members | X)
     return _extract(H, X, stats, b, edge_ids, oracle_budget)

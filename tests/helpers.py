@@ -6,6 +6,7 @@ solvers (plain subset enumeration) so they can act as ground truth.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -133,3 +134,173 @@ def pair_count(n: int, bipartite: bool) -> int:
         half = n // 2
         return half * (n - half)
     return n * (n - 1) // 2
+
+
+class ScalarRelevantStore:
+    """Edge-at-a-time store of the heaviest min(b_u, b_v) edges per pair,
+    the reference for the stream runner's store-size series: it dies once
+    its size reaches ``cap``, and while alive holds the relevant subgraph
+    of the edges seen so far."""
+
+    def __init__(self, G: MultiGraph, b: Capacities, cap: float):
+        self.G, self.b, self.cap = G, b, cap
+        self.alive = cap >= 1
+        self.groups: dict[tuple[int, int], list[int]] = {}
+        self.size = 0
+
+    def observe(self, eid: int) -> None:
+        if not self.alive:
+            return
+        e = self.G.edges[eid]
+        group = self.groups.setdefault(e.pair(), [])
+        group.append(eid)
+        self.size += 1
+        if len(group) > min(self.b[e.u], self.b[e.v]):
+            # evict the lightest stored edge, dropping larger ids first on ties
+            group.remove(min(group, key=lambda i: (self.G.edges[i].w, -i)))
+            self.size -= 1
+        if self.size >= self.cap:
+            self.alive, self.groups, self.size = False, {}, 0
+
+    def edge_ids(self) -> list[int]:
+        return sorted(i for group in self.groups.values() for i in group)
+
+
+def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
+                      with_store: bool):
+    """Both phases of the stream runner, one edge at a time: the reference
+    for ``run_single_pass`` (``with_store=False``) and ``run_with_fallbacks``
+    (``with_store=True``).  Phase 1 follows the runner's level and epoch
+    schedule; phase 2 tests every later edge against the frozen H, and
+    the peak counts |H| + |X| + the store's size after every tracked step.
+    Returns the same ``StreamRunResult`` the runner does."""
+    import math
+    from wedcs import StreamRunStats, Subgraph
+    from wedcs.edcs import _as_fraction
+    from wedcs.matching import DEFAULT_ORACLE_BUDGET
+    from wedcs.streaming import _extract
+
+    G, m, order = stream.graph, stream.m, stream.order
+    eps = _as_fraction(epsilon)
+    beta, beta_minus, W = params.beta, params.beta_minus, params.W
+    store = None
+    if with_store:
+        cap = 2 * G.n * (3 * W ** 2 / (2 * float(eps) ** 2)) * math.log(max(m, 2))
+        store = ScalarRelevantStore(G, b, cap)
+    stats = StreamRunStats(seed=stream.seed, m=m, variant=variant, prng=stream.prng)
+    H = Subgraph(G)
+    wdeg = H.wdeg
+    X: set[int] = set()
+    pair_h: dict[tuple[int, int], set[int]] = {}
+    peak = 0
+
+    def track():
+        nonlocal peak
+        peak = max(peak, len(H.members) + len(X) + (store.size if store else 0))
+
+    def h_add(eid):
+        H.add(eid)
+        pair_h.setdefault(G.edges[eid].pair(), set()).add(eid)
+
+    def h_remove(eid):
+        H.remove(eid)
+        pair_h[G.edges[eid].pair()].discard(eid)
+
+    def degree_underfull(e):
+        bu, bv = b[e.u], b[e.v]
+        return wdeg[e.u] * bv + wdeg[e.v] * bu < beta_minus * e.w * bu * bv
+
+    def full_pair_lightest(e):
+        held = pair_h.get(e.pair()) if variant == 3 else None
+        if held and len(held) >= min(b[e.u], b[e.v]):
+            return min(G.edges[i].w for i in held)
+        return None
+
+    def repair_upper(u0, v0):
+        pending = deque(sorted(i for i in set(G.incident(u0)) | set(G.incident(v0))
+                               if i in H.members))
+        queued = set(pending)
+        while pending:
+            cand = pending.popleft()
+            queued.discard(cand)
+            if cand not in H.members:
+                continue
+            ce = G.edges[cand]
+            cbu, cbv = b[ce.u], b[ce.v]
+            if wdeg[ce.u] * cbv + wdeg[ce.v] * cbu <= beta * ce.w * cbu * cbv:
+                continue
+            h_remove(cand)
+            for i in sorted(x for x in set(G.incident(ce.u)) | set(G.incident(ce.v))
+                            if x in H.members and x not in queued):
+                pending.append(i)
+                queued.add(i)
+
+    def phase1_edge(eid):
+        e = G.edges[eid]
+        if not degree_underfull(e):
+            return False
+        if full_pair_lightest(e) is not None:
+            held = pair_h[e.pair()]
+            lightest = min(held, key=lambda i: (G.edges[i].w, i))
+            if e.w <= G.edges[lightest].w:
+                return False
+            h_remove(lightest)
+            stats.replacement_count += 1
+        h_add(eid)
+        repair_upper(e.u, e.v)
+        track()
+        return True
+
+    pos = 0
+    collect_all = False
+    if m > 0:
+        levels, logden = m.bit_length() - 1, (m - 1).bit_length()
+        bw2 = beta * beta * W * W
+        i = 0
+        stopped = False
+        while not stopped and pos < m and i <= levels:
+            alpha_i = 0 if logden == 0 else \
+                (eps.numerator * m) // (eps.denominator * logden * ((1 << (i + 2)) * bw2 + 1))
+            stats.final_guess_i = i
+            if alpha_i == 0:
+                stats.fallback_used = "alpha_zero"
+                collect_all = True
+                break
+            for _ in range((1 << (i + 2)) * bw2 + 1):
+                if pos >= m:
+                    break
+                stats.epoch_count += 1
+                found = False
+                for _ in range(alpha_i):
+                    if pos >= m:
+                        break
+                    eid = order[pos]
+                    pos += 1
+                    stats.phase1_edges_consumed += 1
+                    if store:
+                        store.observe(eid)
+                        track()
+                    found = phase1_edge(eid) or found
+                if not found:
+                    stopped = True
+                    break
+            i += 1
+
+    for eid in order[pos:]:
+        if store:
+            store.observe(eid)
+            track()
+        e = G.edges[eid]
+        lightest = full_pair_lightest(e)
+        if collect_all or (degree_underfull(e) if lightest is None else lightest < e.w):
+            X.add(eid)
+            track()
+
+    stats.underfull_collected = len(X)
+    stats.peak_stored_edges = peak
+    if store and store.alive:
+        stats.fallback_used = "small_output"
+        edge_ids = store.edge_ids()
+    else:
+        edge_ids = sorted(H.members | X)
+    return _extract(H, X, stats, b, edge_ids, DEFAULT_ORACLE_BUDGET)

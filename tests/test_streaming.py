@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wedcs import (
@@ -18,7 +19,13 @@ from wedcs import (
     validate,
 )
 
-from helpers import make_random, scalar_fisher_yates
+from helpers import (
+    ScalarRelevantStore,
+    make_random,
+    pair_count,
+    scalar_fisher_yates,
+    scalar_stream_run,
+)
 
 P41 = EdcsParams(W=1, beta=6, beta_minus=4)
 
@@ -60,6 +67,27 @@ def test_stream_rejects_non_permutation():
     G = MultiGraph(2, [(0, 1, 1)])
     with pytest.raises(ValueError):
         EdgeStream(G, (0, 0), 1, "x")
+
+
+@pytest.mark.parametrize("order", [
+    (0, 2, 2, 3),       # duplicate id (and a missing one)
+    (0, 1, 2, 4),       # id out of range
+    (0, 1, -1, 3),      # negative id
+    (0, 1, 2),          # too short
+    (0, 1, 2, 3, 0),    # too long
+    (),                 # empty
+    (0, 1, 2, 2**70),   # beyond any integer array
+])
+def test_stream_rejects_each_kind_of_non_permutation(order):
+    G = MultiGraph(2, [(0, 1, 1)] * 4)
+    with pytest.raises(ValueError, match="order must be a permutation of all edge ids"):
+        EdgeStream(G, order, 1, "x")
+
+
+def test_stream_accepts_any_permutation():
+    G = MultiGraph(2, [(0, 1, 1)] * 4)
+    assert EdgeStream(G, (3, 1, 0, 2), 1, "x").m == 4
+    assert EdgeStream(MultiGraph(2, []), (), 1, "x").m == 0
 
 
 def test_file_order_stream():
@@ -295,18 +323,45 @@ def test_combination_bound_practical_scale(seed):
 
 # -------------------------------------------------------------- fallbacks
 
-def test_relevant_store_tracks_relevant_subgraph():
-    # the auxiliary store, fed the whole stream, must hold exactly the
-    # relevant subgraph (heaviest min(b_u, b_v) per pair, smaller ids first)
-    from wedcs.streaming import _RelevantStore
+def test_relevant_store_tracks_relevant_subgraph(monkeypatch):
+    # the store's size after each arrival is the count over pairs of
+    # min(arrivals so far, min(b_u, b_v)); fed the whole stream, the
+    # edge-at-a-time store holds exactly the relevant subgraph (heaviest
+    # min(b_u, b_v) per pair, smaller ids first), which the runner solves
+    # when its store survives
+    import wedcs.streaming as streaming
     from wedcs import relevant_subgraph
 
+    monkeypatch.setattr(streaming, "_CHUNK", 7)
     G, b = make_random(13, n=6, m=60, W=3, b_max=2, allow_parallel=True)
-    store = _RelevantStore(G, b, cap=10**9)
-    for eid in make_stream(G, 4).order:
+    order = make_stream(G, 4).order
+    sizes, alive = streaming._store_sizes(G, b, order, cap=10**9)
+    assert alive
+    store = ScalarRelevantStore(G, b, cap=10**9)
+    seen: dict[tuple[int, int], int] = {}
+    for t, eid in enumerate(order):
+        pair = G.edges[eid].pair()
+        seen[pair] = seen.get(pair, 0) + 1
         store.observe(eid)
-    assert store.alive
+        assert sizes[t] == store.size == sum(min(k, b[p], b[q]) for (p, q), k in seen.items())
     assert store.edge_ids() == sorted(relevant_subgraph(G, b).members)
+
+
+@pytest.mark.parametrize("cap", [0.5, 1, 7, 23.5, 40])
+def test_store_size_series_dies_like_the_scalar_store(monkeypatch, cap):
+    import wedcs.streaming as streaming
+
+    monkeypatch.setattr(streaming, "_CHUNK", 5)
+    G, b = make_random(3, n=6, m=80, W=3, b_max=3, allow_parallel=True)
+    order = make_stream(G, 1).order
+    sizes, alive = streaming._store_sizes(G, b, order, cap)
+    store = ScalarRelevantStore(G, b, cap)
+    expected = []
+    for eid in order:
+        store.observe(eid)
+        expected.append(store.size)
+    assert sizes.tolist() == expected
+    assert alive == store.alive
 
 
 @pytest.fixture
@@ -377,3 +432,86 @@ def test_stats_json_fields():
                 "underfull_collected", "peak_stored_edges", "replacement_count",
                 "fallback_used", "extraction", "result_weight"):
         assert key in d
+
+
+# ------------------------------------------- array pass vs scalar reference
+
+def _differential_case(seed: int):
+    """A seeded (graph, capacities, params, epsilon, runner, variant, chunk).
+
+    ``seed % 4`` picks a regime: 0 tiny graphs, general ones included;
+    1 beta = W + 2 with W <= 2, so phase 1 runs and variant 3 replaces
+    edges at pairs of capacity 1; 2 high capacities at eps = 0.49, so the
+    relevant store dies part-way through the stream; 3 a mix.  Runners
+    alternate, raw-multiplicity graphs run variant 3, and the chunk size
+    ranges from 5 positions to the real one."""
+    rng = np.random.default_rng(seed)
+    regime, k = seed % 4, seed // 4
+    raw = bool(rng.integers(0, 2))
+    beta, slack, epsilon = int(rng.integers(3, 6)), int(rng.integers(0, 2)), "0.3"
+    if regime == 0:
+        n, m, W, b_min, b_max = 4 + k % 8, k % 40, 1 + k % 3, 1, 1 + k % 5
+        epsilon = ["0.3", "1/10"][k % 2]
+    elif regime == 1:
+        n = int(rng.integers(8, 40)) if raw else 200
+        W, b_min, b_max = 1 + k % 2, 1, 1 + k % 3
+        # level 0's interval is positive from m ~ 800 (W = 1) or 6800 (W = 2)
+        m = int(rng.integers(2000, 6000) if W == 1 else rng.integers(7000, 9000))
+        beta, slack, epsilon = 2 + W, 0, "0.49"
+    elif regime == 2:
+        n, m, W = int(rng.integers(10, 24)), int(rng.integers(2000, 5000)), 1
+        b_min = int(rng.integers(20, 40))
+        b_max = int(rng.integers(b_min, 60))
+        beta, slack, epsilon = 3, 0, "0.49"
+    else:
+        n, m, W = int(rng.integers(8, 40)), int(rng.integers(2000, 8000)), 1 + k % 3
+        b_min, b_max = 1, int(rng.integers(1, 6))
+    bipartite = regime != 0 or k % 2 == 0
+    if not raw:
+        m = min(m, pair_count(n, bipartite) * b_min)
+    G, b = make_random(seed, n=n, m=m, W=W, b_min=b_min, b_max=b_max, bipartite=bipartite,
+                       allow_parallel=raw)
+    params = EdcsParams(W=W, beta=beta, beta_minus=beta - 2 - slack)
+    runner = run_with_fallbacks if regime == 2 or k % 2 else run_single_pass
+    variant = 3 if raw or k % 3 == 0 else 1
+    chunk = [5, 64, 777, 1 << 15][k % 4]
+    return G, b, params, epsilon, runner, variant, chunk
+
+
+def _outcome(result):
+    return (result.stats.to_json_dict(), sorted(result.H.members), sorted(result.X.members),
+            result.matching.edge_ids, result.matching.weight)
+
+
+def test_array_pass_matches_scalar_reference(monkeypatch):
+    import wedcs.streaming as streaming
+
+    reached, replaced = set(), False
+    for seed in range(100):
+        G, b, params, epsilon, runner, variant, chunk = _differential_case(seed)
+        monkeypatch.setattr(streaming, "_CHUNK", chunk)
+        stream = make_stream(G, seed)
+        assert stream.order == scalar_fisher_yates(G.m, seed)
+        got = runner(stream, b, params, epsilon, variant=variant)
+        want = scalar_stream_run(stream, b, params, epsilon, variant=variant,
+                                 with_store=runner is run_with_fallbacks)
+        assert _outcome(got) == _outcome(want), seed
+        reached.add((runner.__name__, variant, got.stats.fallback_used))
+        replaced = replaced or got.stats.replacement_count > 0
+    for end in ("none", "alpha_zero"):
+        for variant in (1, 3):
+            assert ("run_single_pass", variant, end) in reached
+            assert ("run_with_fallbacks", variant, end) in reached
+    assert ("run_with_fallbacks", 3, "small_output") in reached
+    assert replaced
+
+
+def test_array_pass_matches_scalar_reference_beyond_two_chunks():
+    # 70,001 positions are three chunks of 2**15; phase 1 runs first
+    G, b = make_random(17, n=400, m=70_001, W=2, b_min=2, b_max=3, bipartite=True)
+    params = EdcsParams(W=2, beta=4, beta_minus=2)
+    stream = make_stream(G, 17)
+    got = run_single_pass(stream, b, params, "0.49", variant=1)
+    want = scalar_stream_run(stream, b, params, "0.49", variant=1, with_store=False)
+    assert got.stats.phase1_edges_consumed > 0
+    assert _outcome(got) == _outcome(want)
