@@ -8,6 +8,7 @@ all operations are deterministic for a fixed input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -49,9 +50,21 @@ class WeightedEdge:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
+def _int_type(top: int) -> np.dtype:
+    """The smallest signed integer type that holds 0..top (and -top)."""
+    return np.min_scalar_type(-top - 1)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each element of a sorted array starts a run of equal values."""
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
 class EdgeColumns(NamedTuple):
-    """A graph's edges as int32 arrays indexed by edge id (``w`` is int64
-    when the weight cap does not fit int32)."""
+    """A graph's edges as arrays indexed by edge id, each of the smallest
+    signed integer type that holds its values."""
 
     u: np.ndarray
     v: np.ndarray
@@ -115,11 +128,18 @@ class MultiGraph:
         arrays; built on the first call and cached."""
         if self._columns is None:
             m, edges = self.m, self.edges
-            u = np.fromiter((e.u for e in edges), np.int32, m)
-            v = np.fromiter((e.v for e in edges), np.int32, m)
-            w = np.fromiter((e.w for e in edges), np.int32 if self.W < 2**31 else np.int64, m)
-            key = np.minimum(u, v).astype(np.int64) * self.n + np.maximum(u, v)
-            pair = np.unique(key, return_inverse=True)[1].astype(np.int32)
+            u = np.fromiter((e.u for e in edges), _int_type(self.n), m)
+            v = np.fromiter((e.v for e in edges), _int_type(self.n), m)
+            w = np.fromiter((e.w for e in edges), _int_type(self.W), m)
+            # number the distinct keys min(u, v) * n + max(u, v) in order
+            key = np.minimum(u, v, dtype=np.int64)
+            key *= self.n
+            key += np.maximum(u, v)
+            by = np.argsort(key)
+            fresh = _run_starts(key[by])
+            del key
+            pair = np.empty(m, dtype=_int_type(int(fresh.sum())))
+            pair[by] = np.cumsum(fresh, dtype=pair.dtype) - 1
             self._columns = EdgeColumns(u, v, w, pair)
         return self._columns
 
@@ -269,7 +289,7 @@ def _pair_limits(G: MultiGraph, b: Capacities) -> np.ndarray:
     b-matching can use."""
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    caps = np.asarray(b.b, dtype=np.int64)
+    caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
     c = G.columns()
     return np.minimum(caps[c.u], caps[c.v])
 
@@ -277,21 +297,26 @@ def _pair_limits(G: MultiGraph, b: Capacities) -> np.ndarray:
 def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
     """Position of every element of a sorted array within its run of
     equal values: ``[4, 4, 7, 9, 9, 9]`` gives ``[0, 1, 0, 0, 1, 2]``."""
-    n = len(keys)
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if n else np.zeros(0, np.intp)
-    return np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    rank = np.arange(len(keys), dtype=_int_type(len(keys)))
+    start = np.where(_run_starts(keys), rank, 0)
+    np.maximum.accumulate(start, out=start)
+    rank -= start
+    return rank
 
 
-def _relevant_edge_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
-    """Ids of the relevant subgraph, ascending: for every unordered pair,
-    its min(b_u, b_v) heaviest edges, smaller ids first on equal weights.
+def _relevant_mask(G: MultiGraph, b: Capacities) -> np.ndarray:
+    """Whether each edge is in the relevant subgraph: for every unordered
+    pair, its min(b_u, b_v) heaviest edges, smaller ids first on equal
+    weights.
 
     One stable sort by (pair, -w) ranks the edges of each pair, so edges
     of equal weight keep their id order."""
     limit = _pair_limits(G, b)
     c = G.columns()
     by = np.lexsort((-c.w, c.pair))
-    return np.sort(by[_rank_in_runs(c.pair[by]) < limit[by]])
+    keep = np.zeros(G.m, dtype=bool)
+    keep[by] = _rank_in_runs(c.pair[by]) < limit[by]
+    return keep
 
 
 def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:
@@ -301,4 +326,4 @@ def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:
     Dropping the rest never changes the best achievable b-matching, since
     a b-matching can use at most min(b_u, b_v) edges between u and v.
     """
-    return Subgraph(G, _relevant_edge_ids(G, b).tolist())
+    return Subgraph(G, [e.id for e in compress(G.edges, _relevant_mask(G, b).tolist())])

@@ -32,6 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -44,7 +45,7 @@ from .graph import (
     WeightedEdge,
     _pair_limits,
     _rank_in_runs,
-    _relevant_edge_ids,
+    _relevant_mask,
 )
 from .matching import (
     BMatching,
@@ -95,10 +96,15 @@ class EdgeStream:
 
     def __post_init__(self):
         m = self.graph.m
-        ids = np.asarray(self.order)
-        if len(ids) != m or (m and not (
-                ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < m
-                and np.bincount(ids, minlength=m).all())):
+        seen = np.zeros(m, dtype=bool)
+        ok = len(self.order) == m
+        for lo in range(0, m if ok else 0, _CHUNK):
+            ids = np.asarray(self.order[lo:lo + _CHUNK])
+            if not (ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < m):
+                ok = False
+                break
+            seen[ids] = True
+        if not (ok and seen.all()):
             raise ValueError("order must be a permutation of all edge ids")
 
     def edges(self) -> Iterator[WeightedEdge]:
@@ -462,7 +468,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                 f"phase 1 consumed {stats.phase1_edges_consumed} edges, beyond ceil(eps*m)={budget}")
 
     # ---- phase 2: H is frozen ----------------------------------------
-    x_parts: list[np.ndarray] = []
+    X: set[int] = set()
     if pos < m:
         c = G.columns()
         h_size, x_size = len(H.members), 0
@@ -474,14 +480,15 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
         wd = np.asarray(wdeg, dtype=dtype)
         if variant == 3:
             # per pair id: the lightest weight H holds at a full pair, else 0
-            full_lightest = np.zeros(int(c.pair.max()) + 1, dtype=np.int64)
+            full_lightest = np.zeros(int(c.pair.max()) + 1, dtype=c.w.dtype)
             for (u, v), held in pair_h.items():
                 if held and len(held) >= min(b[u], b[v]):
                     full_lightest[c.pair[next(iter(held))]] = min(G.edges[i].w for i in held)
         for lo in range(pos, m, _CHUNK):
-            ids = np.asarray(order[lo:lo + _CHUNK])
+            chunk = order[lo:lo + _CHUNK]
+            ids = np.asarray(chunk)
             if collect_all:
-                keep = np.ones(len(ids), dtype=bool)
+                keep = np.ones(len(chunk), dtype=bool)
             else:
                 u, v, w = c.u[ids], c.v[ids], c.w[ids]
                 bu, bv = caps[u], caps[v]
@@ -490,11 +497,10 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                     lightest = full_lightest[c.pair[ids]]
                     keep = np.where(lightest > 0, lightest < w, keep)
             x_count = x_size + np.cumsum(keep)
-            stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(ids)]
+            stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(chunk)]
             peak = max(peak, h_size + int(stored.max()))
-            x_parts.append(ids[keep])
+            X.update(compress(chunk, keep.tolist()))
             x_size = int(x_count[-1])
-    X = set(np.concatenate(x_parts).tolist()) if x_parts else set()
 
     stats.underfull_collected = len(X)
     stats.peak_stored_edges = peak
@@ -520,7 +526,7 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
                                                check_invariants, cap)
     if store_alive:
         stats.fallback_used = "small_output"
-        edge_ids = _relevant_edge_ids(G, b).tolist()
+        edge_ids = [e.id for e in compress(G.edges, _relevant_mask(G, b).tolist())]
     else:
         edge_ids = sorted(H.members | X)
     return _extract(H, X, stats, b, edge_ids, oracle_budget)

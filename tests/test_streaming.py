@@ -506,6 +506,19 @@ def test_array_pass_matches_scalar_reference(monkeypatch):
     assert replaced
 
 
+def test_array_pass_degree_test_beyond_int64():
+    # an isolated vertex of capacity 2**35 puts beta_minus * w * b_u * b_v
+    # out of int64 range, so phase 2 tests degrees in Python integers
+    triples = [(i % 4, 4 + i // 4, 1) for i in range(5000)]
+    G = MultiGraph(4 + 1250 + 1, triples, W=1)
+    b = Capacities([1] * (G.n - 1) + [2**35])
+    stream = make_stream(G, 1234)
+    got = run_single_pass(stream, b, P41, "0.4")
+    want = scalar_stream_run(stream, b, P41, "0.4", variant=1, with_store=False)
+    assert got.stats.fallback_used == "none" and len(got.X) > 0
+    assert _outcome(got) == _outcome(want)
+
+
 def test_array_pass_matches_scalar_reference_beyond_two_chunks():
     # 70,001 positions are three chunks of 2**15; phase 1 runs first
     G, b = make_random(17, n=400, m=70_001, W=2, b_min=2, b_max=3, bipartite=True)
