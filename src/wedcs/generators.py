@@ -18,9 +18,6 @@ import numpy as np
 from .edcs import EdcsParams
 from .graph import Capacities, MultiGraph, Subgraph
 
-#: Edges per generator call; keeps the draw arrays small.
-_DRAW_CHUNK = 1 << 15
-
 __all__ = [
     "GenSpec",
     "TightInstance",
@@ -73,10 +70,10 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     without replacement from the multiset of capacity slots); raw
     multiplicities are for exercising the replacement-rule stream variant.
 
-    Per-edge draws are made a chunk of edges per generator call, with an
-    array of bounds, which consumes PCG64 exactly as repeated scalar calls
-    with the same bounds would; raw multiplicities interleave each edge's
-    pair index and weight in that array.
+    Per-edge draws are made in one generator call with an array of bounds,
+    which consumes PCG64 exactly as repeated scalar calls with the same
+    bounds would; raw multiplicities interleave each edge's pair index and
+    weight in that array.
     """
     if spec.kind != "random":
         raise ValueError("random_instance needs a spec with kind='random'")
@@ -95,6 +92,8 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     if spec.allow_parallel:
         if m > 0 and not len(us):
             raise ValueError("no vertex pairs available for the requested edges")
+        draws = rng.integers(np.tile([0, 1], m), np.tile([len(us), spec.W + 1], m))
+        picked, weights = draws[0::2], draws[1::2]
     else:
         # pair p owns capacity slots [cum[p-1], cum[p]), in pair order
         caps = np.asarray(b.b, dtype=np.int64)
@@ -105,16 +104,8 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
                 f"infeasible spec: {m} edges requested but only {total} "
                 "capacity-respecting slots exist")
         picked = np.searchsorted(cum, rng.permutation(total)[:m], side="right")
-
-    triples: list[tuple[int, int, int]] = []
-    for lo in range(0, m, _DRAW_CHUNK):
-        k = min(_DRAW_CHUNK, m - lo)
-        if spec.allow_parallel:
-            draws = rng.integers(np.tile([0, 1], k), np.tile([len(us), spec.W + 1], k))
-            pairs, weights = draws[0::2], draws[1::2]
-        else:
-            pairs, weights = picked[lo:lo + k], rng.integers(1, np.full(k, spec.W + 1))
-        triples += zip(us[pairs].tolist(), vs[pairs].tolist(), weights.tolist())
+        weights = rng.integers(1, np.full(m, spec.W + 1))
+    triples = zip(us[picked].tolist(), vs[picked].tolist(), weights.tolist())
     return MultiGraph(n, triples, W=spec.W), b
 
 

@@ -96,15 +96,10 @@ class EdgeStream:
 
     def __post_init__(self):
         m = self.graph.m
-        seen = np.zeros(m, dtype=bool)
-        ok = len(self.order) == m
-        for lo in range(0, m if ok else 0, _CHUNK):
-            ids = np.asarray(self.order[lo:lo + _CHUNK])
-            if not (ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < m):
-                ok = False
-                break
-            seen[ids] = True
-        if not (ok and seen.all()):
+        ids = np.asarray(self.order)
+        if len(ids) != m or m > 0 and not (
+                ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < m
+                and np.bincount(ids, minlength=m).all()):
             raise ValueError("order must be a permutation of all edge ids")
 
     def edges(self) -> Iterator[WeightedEdge]:
