@@ -333,18 +333,22 @@ def test_relevant_store_tracks_relevant_subgraph(monkeypatch):
     from wedcs import relevant_subgraph
 
     monkeypatch.setattr(streaming, "_CHUNK", 7)
-    G, b = make_random(13, n=6, m=60, W=3, b_max=2, allow_parallel=True)
-    order = make_stream(G, 4).order
-    sizes, alive = streaming._store_sizes(G, b, order, cap=10**9)
-    assert alive
-    store = ScalarRelevantStore(G, b, cap=10**9)
-    seen: dict[tuple[int, int], int] = {}
-    for t, eid in enumerate(order):
-        pair = G.edges[eid].pair()
-        seen[pair] = seen.get(pair, 0) + 1
-        store.observe(eid)
-        assert sizes[t] == store.size == sum(min(k, b[p], b[q]) for (p, q), k in seen.items())
-    assert store.edge_ids() == sorted(relevant_subgraph(G, b).members)
+    for G, b in (make_random(13, n=6, m=60, W=3, b_max=2, allow_parallel=True),
+                 make_random(21, n=10, m=300, W=3, b_max=3, bipartite=True,
+                             allow_parallel=True),
+                 make_random(5, n=9, m=40, W=2, b_max=3)):
+        order = make_stream(G, 4).order
+        sizes, alive = streaming._store_sizes(G, b, order, cap=10**9)
+        assert alive
+        store = ScalarRelevantStore(G, b, cap=10**9)
+        seen: dict[tuple[int, int], int] = {}
+        for t, eid in enumerate(order):
+            pair = G.edges[eid].pair()
+            seen[pair] = seen.get(pair, 0) + 1
+            store.observe(eid)
+            assert sizes[t] == store.size == sum(min(k, b[p], b[q])
+                                                 for (p, q), k in seen.items())
+        assert store.edge_ids() == sorted(relevant_subgraph(G, b).members)
 
 
 @pytest.mark.parametrize("cap", [0.5, 1, 7, 23.5, 40])
