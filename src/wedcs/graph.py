@@ -304,19 +304,19 @@ def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _relevant_mask(G: MultiGraph, b: Capacities) -> np.ndarray:
-    """Whether each edge is in the relevant subgraph: for every unordered
-    pair, its min(b_u, b_v) heaviest edges, smaller ids first on equal
-    weights.
+def _relevant_ids(G: MultiGraph, b: Capacities) -> list[int]:
+    """Ids of the relevant subgraph, ascending: for every unordered pair,
+    its min(b_u, b_v) heaviest edges, smaller ids first on equal weights.
 
     One stable sort by (pair, -w) ranks the edges of each pair, so edges
-    of equal weight keep their id order."""
+    of equal weight keep their id order.  The ids are the edges' own int
+    objects, which callers keep in sets: new ones would add to memory."""
     limit = _pair_limits(G, b)
     c = G.columns()
     by = np.lexsort((-c.w, c.pair))
     keep = np.zeros(G.m, dtype=bool)
     keep[by] = _rank_in_runs(c.pair[by]) < limit[by]
-    return keep
+    return [e.id for e in compress(G.edges, keep.tolist())]
 
 
 def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:
@@ -326,4 +326,4 @@ def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:
     Dropping the rest never changes the best achievable b-matching, since
     a b-matching can use at most min(b_u, b_v) edges between u and v.
     """
-    return Subgraph(G, [e.id for e in compress(G.edges, _relevant_mask(G, b).tolist())])
+    return Subgraph(G, _relevant_ids(G, b))

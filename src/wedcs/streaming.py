@@ -45,7 +45,7 @@ from .graph import (
     WeightedEdge,
     _pair_limits,
     _rank_in_runs,
-    _relevant_mask,
+    _relevant_ids,
 )
 from .matching import (
     BMatching,
@@ -494,6 +494,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
             x_count = x_size + np.cumsum(keep)
             stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(chunk)]
             peak = max(peak, h_size + int(stored.max()))
+            # the stream's own int objects; new ones would add to peak memory
             X.update(compress(chunk, keep.tolist()))
             x_size = int(x_count[-1])
 
@@ -521,7 +522,7 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
                                                check_invariants, cap)
     if store_alive:
         stats.fallback_used = "small_output"
-        edge_ids = [e.id for e in compress(G.edges, _relevant_mask(G, b).tolist())]
+        edge_ids = _relevant_ids(G, b)
     else:
         edge_ids = sorted(H.members | X)
     return _extract(H, X, stats, b, edge_ids, oracle_budget)
