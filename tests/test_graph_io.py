@@ -53,3 +53,122 @@ def test_match_subgraph_edges_rejects_foreign_edge():
     S = MultiGraph(2, [(0, 1, 3)])
     with pytest.raises(ValueError):
         match_subgraph_edges(G, S)
+
+
+# --------------------------------------------------- error paths, pinned
+# Line numbers and messages below are the line-by-line parser's; a parser
+# that reads the edge lines as arrays must report exactly the same ones.
+
+def _big_file(m: int = 12_000, n: int = 50) -> list[str]:
+    """A valid graph file as lines: a comment, the header, three capacity
+    lines and ``m`` edge lines, so edge ``k`` sits on line ``k + 6``."""
+    lines = ["# generated for the error-path tests", f"g {n} {m} 3",
+             "b 0 2", "b 1 3", "b 7 2"]
+    lines += [f"e {k % 25} {25 + k % 25} {1 + k % 3}" for k in range(m)]
+    return lines
+
+
+def _parse_error(lines: list[str]) -> GraphFormatError:
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("\n".join(lines) + "\n")
+    return exc.value
+
+
+def test_big_file_parses():
+    G, b = parse_graph("\n".join(_big_file()) + "\n")
+    assert (G.n, G.m, G.W) == (50, 12_000, 3)
+    assert [b[0], b[1], b[2], b[7]] == [2, 3, 1, 2]
+    c = G.columns()
+    assert c.u.tolist() == [k % 25 for k in range(12_000)]
+    assert c.v.tolist() == [25 + k % 25 for k in range(12_000)]
+    assert c.w.tolist() == [1 + k % 3 for k in range(12_000)]
+
+
+@pytest.mark.parametrize("bad, line_no, message", [
+    ("e 3 x 1", 11_006, "non-integer field in 'e 3 x 1'"),
+    ("e 3 4", 11_006, "edge line needs: e <u> <v> <w>"),
+    ("e 3 4 1 9", 11_006, "edge line needs: e <u> <v> <w>"),
+    ("e 3 4 1 # trailing comment", 11_006, "non-integer field in 'e 3 4 1 # trailing comment'"),
+    ("e 3 4 1.0", 11_006, "non-integer field in 'e 3 4 1.0'"),
+    ("f 3 4 1", 11_006, "unknown record type 'f'"),
+    ("ee 3 4 1", 11_006, "unknown record type 'ee'"),
+    ("g 50 12000 3", 11_006, "duplicate header"),
+])
+def test_malformed_edge_line_deep_in_a_big_file(bad, line_no, message):
+    lines = _big_file()
+    lines[line_no - 1] = bad
+    err = _parse_error(lines)
+    assert (err.line_no, str(err)) == (line_no, f"line {line_no}: {message}")
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("g 3 1 2\ne 0 1 two\n", 2, "non-integer field in 'e 0 1 two'"),
+    ("g 3 1 2\ne 0 1 2.5\n", 2, "non-integer field in 'e 0 1 2.5'"),
+    ("g 3 x 2\n", 1, "non-integer field in 'g 3 x 2'"),
+    ("g 3 1 2\nb 0 z\ne 0 1 2\n", 2, "non-integer field in 'b 0 z'"),
+    ("g 3 1 2\ne 0 1\n", 2, "edge line needs: e <u> <v> <w>"),
+    ("g 3 1 2\n\n# c\ne 0 1 2 2\n", 4, "edge line needs: e <u> <v> <w>"),
+    ("g 3 1\n", 1, "header needs exactly: g <n> <m> <W>"),
+    ("g 3 1 2\nb 0\n", 2, "capacity line needs: b <v> <b_v>"),
+    ("g 3 1 2\ne 0 1 2\ne 1", 3, "edge line needs: e <u> <v> <w>"),
+])
+def test_field_errors(text, line_no, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert (exc.value.line_no, str(exc.value)) == (line_no, f"line {line_no}: {message}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    ((9_000, "e 3 50 1"), "edge 8994: endpoint out of range"),
+    ((9_000, "e -1 30 1"), "edge 8994: endpoint out of range"),
+    ((9_000, "e 30 30 1"), "edge 8994: self-loops are not allowed"),
+    ((9_000, "e 3 99 99"), "edge 8994: endpoint out of range"),
+    ((9_000, "e 3 30 4"), "edge 8994: weight 4 outside [1, 3]"),
+    ((9_000, "e 3 30 0"), "edge 8994: weight 0 outside [1, 3]"),
+    ((9_000, "e 3 30 99999999999999999999999"),
+     "edge 8994: weight 99999999999999999999999 outside [1, 3]"),
+    ((9_000, "e 3 99999999999999999999999 2"), "edge 8994: endpoint out of range"),
+])
+def test_edge_value_errors_name_the_first_bad_edge(edit, message):
+    lines = _big_file()
+    line_no, bad = edit
+    lines[line_no - 1] = bad
+    lines[11_000] = "e 3 30 7"  # a later bad edge is not the one reported
+    err = _parse_error(lines)
+    assert (err.line_no, str(err)) == (1, f"line 1: {message}")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1], "header declares m=12000 but file has 11999 edge lines"),
+    (lambda lines: lines + ["e 0 25 1"], "header declares m=12000 but file has 12001 edge lines"),
+    (lambda lines: lines[:1] + ["g 50 0 3"] + lines[2:],
+     "header declares m=0 but file has 12000 edge lines"),
+])
+def test_edge_count_mismatch(edit, message):
+    err = _parse_error(edit(_big_file()))
+    assert (err.line_no, str(err)) == (1, f"line 1: {message}")
+
+
+def test_missing_header_and_bad_header_values():
+    for text, message in [("", "missing header line 'g <n> <m> <W>'"),
+                          ("# only a comment\n", "missing header line 'g <n> <m> <W>'"),
+                          ("g -1 0 1\n", "vertex count must be non-negative"),
+                          ("g 2 1 0\ne 0 1 1\n", "weight cap W must be at least 1")]:
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert (exc.value.line_no, str(exc.value)) == (1, f"line 1: {message}")
+
+
+@pytest.mark.parametrize("text", [
+    "g 3 2 2\ne 0 1 2\n# comment between edges\ne 1 2 1\n",
+    "g 3 2 2\ne 0 1 2\n\n   \ne 1 2 1",
+    "g 3 2 2\ne 0 1 2\nb 2 4\ne 1 2 1\n",
+    "g 3 2 2\r\ne 0 1 2\r\ne 1 2 1\r\n",
+    "g 3 2 2\n  e\t0  1 2  \ne 1 2 +1\n",
+    "g 3 2 2\ne 0 1 0_2\ne 1 2 001\n",
+    "  # comment\n\ng 3 2 2\nb 2 4\ne 0 1 2\ne 1 2 1\n",
+])
+def test_unusual_but_valid_layouts(text):
+    G, b = parse_graph(text)
+    assert [(e.u, e.v, e.w) for e in G.edges] == [(0, 1, 2), (1, 2, 1)]
+    assert b[2] == (4 if "b 2 4" in text else 1)
