@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
-from .graph import Capacities, MultiGraph, Subgraph
+import numpy as np
+
+from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _pair_limits
 
 __all__ = [
     "EdcsParams",
@@ -173,30 +175,39 @@ def parameters_for(
     raise ValueError(f"no admissible parameters with beta <= {BETA_SEARCH_CAP}")
 
 
+def _degree_dtype(wdeg: list[int], b: Capacities, coef: int):
+    """The array type for the degree test
+    ``wdeg_u * b_v + wdeg_v * b_u`` against ``coef' * w * b_u * b_v`` with
+    ``coef' * w <= coef``: int64 unless a term could reach 2**62, and
+    Python integers (``object``) beyond that."""
+    b_max = max(b.b, default=1)
+    big = max(2 * max(wdeg, default=0), coef * b_max) * b_max >= 2**62
+    return object if big else np.int64
+
+
 def validate(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams) -> ViolationReport:
     """Check both degree properties for every edge of G; exact arithmetic.
 
     Returns every violating edge id, member edges under
     ``upper_violations`` and non-member edges under ``lower_violations``.
+    The test runs over G's columns at once, in int64 or, where a term
+    could overflow that, in Python integers.
     """
     if H.parent is not G:
         raise ValueError("H must be a subgraph of G")
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    beta, beta_minus = params.beta, params.beta_minus
-    wdeg = H.wdeg
-    members = H.members
-    upper: list[int] = []
-    lower: list[int] = []
-    for e in G.edges:
-        bu, bv = b[e.u], b[e.v]
-        lhs = wdeg[e.u] * bv + wdeg[e.v] * bu
-        if e.id in members:
-            if lhs > beta * e.w * bu * bv:
-                upper.append(e.id)
-        elif lhs < beta_minus * e.w * bu * bv:
-            lower.append(e.id)
-    return ViolationReport(upper, lower)
+    dtype = _degree_dtype(H.wdeg, b, params.beta * G.W)
+    caps = np.asarray(b.b, dtype=dtype)
+    wd = np.asarray(H.wdeg, dtype=dtype)
+    bu, bv = caps[G.u], caps[G.v]
+    lhs = wd[G.u] * bv + wd[G.v] * bu
+    scaled = bu * bv * G.w.astype(dtype)
+    member = np.zeros(G.m, dtype=bool)
+    member[np.fromiter(H.members, dtype=np.int64, count=len(H.members))] = True
+    upper = np.flatnonzero(member & np.asarray(lhs > scaled * params.beta, dtype=bool))
+    lower = np.flatnonzero(~member & np.asarray(lhs < scaled * params.beta_minus, dtype=bool))
+    return ViolationReport(upper.tolist(), lower.tolist())
 
 
 def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
@@ -207,12 +218,14 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
     construction time.
     """
     G = H.parent
-    sq = sum(G.edges[eid].w ** 2 for eid in H.members)
-    phi = Fraction((2 * params.beta - 2) * sq)
-    for v in range(G.n):
-        if H.wdeg[v]:
-            phi -= Fraction(H.wdeg[v] ** 2, b[v])
-    return phi
+    ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
+    sq = sum(w * w for w in G.w[ids].tolist())
+    by_cap: dict[int, int] = {}
+    for d, bv in zip(H.wdeg, b.b):
+        if d:
+            by_cap[bv] = by_cap.get(bv, 0) + d * d
+    return Fraction((2 * params.beta - 2) * sq) - sum(
+        (Fraction(total, bv) for bv, total in by_cap.items()), Fraction(0))
 
 
 def build_w_edcs(G: MultiGraph, params: EdcsParams, *, check_invariants: bool = True):
@@ -222,9 +235,8 @@ def build_w_edcs(G: MultiGraph, params: EdcsParams, *, check_invariants: bool = 
     step increases the potential by at least 2, so the step count is at
     most half the final potential (and at most beta^2 W^2 n overall).
     """
-    for ids in G.pair_groups().values():
-        if len(ids) > 1:
-            raise ValueError("graph must be simple (parallel edges found)")
+    if _first_crowded_pair(G, 1) is not None:
+        raise ValueError("graph must be simple (parallel edges found)")
     b = Capacities.uniform(G.n)
     return _local_search(G, b, params, b_case=False, check_invariants=check_invariants)
 
@@ -244,12 +256,15 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     """
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    for (u, v), ids in G.pair_groups().items():
-        if len(ids) > min(b[u], b[v]):
-            raise ValueError(
-                f"pair ({u}, {v}) has {len(ids)} parallel edges, more than min(b_u, b_v)="
-                f"{min(b[u], b[v])}; reduce to the relevant subgraph first"
-            )
+    crowded = _first_crowded_pair(G, _pair_limits(G, b))
+    if crowded is not None:
+        eid, count = crowded
+        u, v, _ = G.triple(eid)
+        u, v = min(u, v), max(u, v)
+        raise ValueError(
+            f"pair ({u}, {v}) has {count} parallel edges, more than min(b_u, b_v)="
+            f"{min(b[u], b[v])}; reduce to the relevant subgraph first"
+        )
     return _local_search(G, b, params, b_case=True, check_invariants=check_invariants)
 
 
@@ -261,7 +276,13 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     drained before the lower queue is touched, so vertex degrees stay
     within beta * b_v + 1 at all times.  Queue entries are re-verified on
     pop, and each mutation enqueues only the edges whose status can have
-    changed (those incident to the mutated edge's endpoints), in id order.
+    changed (those incident to the mutated edge's endpoints), in id order:
+    after a removal the non-members among them, read from the graph's
+    adjacency, and after an insertion the members, read from per-vertex
+    sets of H's members.
+
+    The potential is summed in integers, one sum per denominator
+    b_u * b_v, and becomes a single ``Fraction`` at the end.
     """
     beta, beta_minus = params.beta, params.beta_minus
     m = G.m
@@ -269,15 +290,17 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     q_upper: deque[int] = deque()
     q_lower: deque[int] = deque(range(m))
     in_upper = bytearray(m)
-    in_lower = bytearray(m)
-    for i in range(m):
-        in_lower[i] = 1
+    in_lower = bytearray(b"\x01") * m
 
-    wdeg = H.wdeg
-    members = H.members
+    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
+    adj, ptr = G.adj_edges.tolist(), G.indptr.tolist()
+    caps = b.b
+    wdeg, deg, members = H.wdeg, H.deg, H.members
+    h_at: list[set[int]] = [set() for _ in range(G.n)]
     steps = insertions = removals = 0
-    phi = Fraction(0)
-    min_seen: Fraction | None = None
+    # per denominator b_u * b_v: the summed and the smallest scaled gain
+    gain_sum: dict[int, int] = {}
+    gain_min: dict[int, int] = {}
 
     def note_gain(gain_scaled: int, w: int, bu: int, bv: int):
         # a step on edge (u, v, w) gains at least the floor
@@ -285,16 +308,14 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
         # the violation slack of at least 1/(b_u b_v) contributes the 2w term
         # and beta_minus <= beta - 2 the quadratic one; at unit capacities
         # g = 2w, the classic 2
-        nonlocal phi, min_seen
         denom = bu * bv
-        g = Fraction(gain_scaled, denom)
-        phi += g
-        if min_seen is None or g < min_seen:
-            min_seen = g
+        gain_sum[denom] = gain_sum.get(denom, 0) + gain_scaled
+        if gain_scaled < gain_min.get(denom, gain_scaled + 1):
+            gain_min[denom] = gain_scaled
         floor_scaled = w * w * (2 * denom - bu - bv) + 2 * w
         if check_invariants and gain_scaled < floor_scaled:
             raise LocalSearchError(
-                f"potential gain {g} below the per-step floor "
+                f"potential gain {Fraction(gain_scaled, denom)} below the per-step floor "
                 f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor_scaled, denom)} "
                 f"for w={w}, b_u={bu}, b_v={bv}")
 
@@ -304,21 +325,26 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             in_upper[eid] = 0
             if eid not in members:
                 continue
-            e = G.edges[eid]
-            bu, bv = b[e.u], b[e.v]
-            if wdeg[e.u] * bv + wdeg[e.v] * bu <= beta * e.w * bu * bv:
+            u, v, w = eu[eid], ev[eid], ew[eid]
+            bu, bv = caps[u], caps[v]
+            if wdeg[u] * bv + wdeg[v] * bu <= beta * w * bu * bv:
                 continue  # repaired in the meantime
-            gain = (-(2 * beta - 2) * e.w * e.w * bu * bv
-                    + (2 * wdeg[e.u] * e.w - e.w * e.w) * bv
-                    + (2 * wdeg[e.v] * e.w - e.w * e.w) * bu)
-            H.remove(eid)
+            gain = (-(2 * beta - 2) * w * w * bu * bv
+                    + (2 * wdeg[u] * w - w * w) * bv
+                    + (2 * wdeg[v] * w - w * w) * bu)
+            members.remove(eid)
+            h_at[u].remove(eid)
+            h_at[v].remove(eid)
+            wdeg[u] -= w
+            wdeg[v] -= w
+            deg[u] -= 1
+            deg[v] -= 1
             steps += 1
             removals += 1
-            note_gain(gain, e.w, bu, bv)
-            affected = sorted(
-                i for i in set(G.incident(e.u)) | set(G.incident(e.v))
-                if i not in members and not in_lower[i])
-            for i in affected:
+            note_gain(gain, w, bu, bv)
+            near = set(adj[ptr[u]:ptr[u + 1]])
+            near.update(adj[ptr[v]:ptr[v + 1]])
+            for i in sorted(i for i in near if not in_lower[i] and i not in members):
                 in_lower[i] = 1
                 q_lower.append(i)
         else:
@@ -326,30 +352,35 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             in_lower[eid] = 0
             if eid in members:
                 continue
-            e = G.edges[eid]
-            bu, bv = b[e.u], b[e.v]
-            if wdeg[e.u] * bv + wdeg[e.v] * bu >= beta_minus * e.w * bu * bv:
+            u, v, w = eu[eid], ev[eid], ew[eid]
+            bu, bv = caps[u], caps[v]
+            if wdeg[u] * bv + wdeg[v] * bu >= beta_minus * w * bu * bv:
                 continue
-            gain = ((2 * beta - 2) * e.w * e.w * bu * bv
-                    - (2 * wdeg[e.u] * e.w + e.w * e.w) * bv
-                    - (2 * wdeg[e.v] * e.w + e.w * e.w) * bu)
-            H.add(eid)
+            gain = ((2 * beta - 2) * w * w * bu * bv
+                    - (2 * wdeg[u] * w + w * w) * bv
+                    - (2 * wdeg[v] * w + w * w) * bu)
+            members.add(eid)
+            h_at[u].add(eid)
+            h_at[v].add(eid)
+            wdeg[u] += w
+            wdeg[v] += w
+            deg[u] += 1
+            deg[v] += 1
             steps += 1
             insertions += 1
-            note_gain(gain, e.w, bu, bv)
+            note_gain(gain, w, bu, bv)
             if check_invariants:
-                for x in (e.u, e.v):
-                    cap = (beta * b[x] if b_case else beta) + 1
-                    if H.deg[x] > cap:
+                for x in (u, v):
+                    cap = (beta * caps[x] if b_case else beta) + 1
+                    if deg[x] > cap:
                         raise LocalSearchError(
-                            f"mid-build degree {H.deg[x]} at vertex {x} exceeds {cap}")
-            affected = sorted(
-                i for i in set(G.incident(e.u)) | set(G.incident(e.v))
-                if i in members and not in_upper[i])
-            for i in affected:
+                            f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
+            for i in sorted(i for i in h_at[u] | h_at[v] if not in_upper[i]):
                 in_upper[i] = 1
                 q_upper.append(i)
 
+    phi = sum((Fraction(total, denom) for denom, total in gain_sum.items()), Fraction(0))
+    min_seen = min((Fraction(low, denom) for denom, low in gain_min.items()), default=None)
     trace = BuildTrace(steps=steps, insertions=insertions, removals=removals,
                        phi_final=phi, min_gain=min_seen)
     if check_invariants:

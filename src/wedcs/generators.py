@@ -105,8 +105,7 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
                 "capacity-respecting slots exist")
         picked = np.searchsorted(cum, rng.permutation(total)[:m], side="right")
         weights = rng.integers(1, np.full(m, spec.W + 1))
-    triples = zip(us[picked].tolist(), vs[picked].tolist(), weights.tolist())
-    return MultiGraph(n, triples, W=spec.W), b
+    return MultiGraph.from_columns(n, us[picked], vs[picked], weights, W=spec.W), b
 
 
 @dataclass

@@ -8,7 +8,6 @@ all operations are deterministic for a fixed input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -74,47 +73,109 @@ class EdgeColumns(NamedTuple):
 
 
 class MultiGraph:
-    """Immutable weighted multigraph.
+    """Immutable weighted multigraph stored as columns.
 
-    ``edges`` is an ordered multiset; parallel edges and repeated
-    (endpoints, weight) triples are allowed.  ``adjacency[v]`` lists the
-    ids of edges incident to ``v`` in id order.  Instances never mutate
-    after construction, apart from the :meth:`columns` cache that the
-    first call fills; they are safe to share across threads (two threads
-    racing on that first call build equal arrays and one set is kept).
+    Edge ``i`` joins ``u[i]`` and ``v[i]`` with weight ``w[i]``; each column
+    is an array of the smallest signed integer type that holds its values.
+    Parallel edges and repeated (endpoints, weight) triples are allowed.
+    The adjacency is in CSR form: the edges incident to vertex ``x`` are
+    ``adj_edges[indptr[x]:indptr[x + 1]]`` in id order, and
+    ``adj_nbrs`` holds the other endpoint of each.
+
+    ``edges``, :meth:`edge`, ``adjacency`` and :meth:`incident` give the
+    same graph as :class:`WeightedEdge` objects and tuples.  They are built
+    on first use, for callers outside the package; nothing inside it reads
+    them.  Apart from those views and the :meth:`columns` pair-id cache,
+    instances never change after construction and are safe to share
+    across threads (two threads racing on a first call build equal values
+    and one is kept).
     """
 
-    __slots__ = ("n", "W", "edges", "adjacency", "_columns")
+    __slots__ = ("n", "W", "u", "v", "w", "indptr", "adj_edges", "adj_nbrs",
+                 "_pair", "_edges", "_adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        edge_list: list[WeightedEdge] = []
-        for u, v, w in edges:
-            edge_list.append(WeightedEdge(len(edge_list), u, v, w))
+        rows = list(edges)
+        try:
+            table = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            table = np.array(rows, dtype=object)
+        table = table.reshape(len(rows), 3)
+        self._setup(n, table[:, 0], table[:, 1], table[:, 2], W)
+
+    @classmethod
+    def from_columns(cls, n: int, u, v, w, W: int | None = None) -> "MultiGraph":
+        """The graph whose edge ``i`` is ``(u[i], v[i], w[i])``; checked as
+        the constructor checks its triples."""
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        graph = cls.__new__(cls)
+        graph._setup(n, np.asarray(u), np.asarray(v), np.asarray(w), W)
+        return graph
+
+    def _setup(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, W: int | None):
+        m = len(u)
         if W is None:
-            W = max((e.w for e in edge_list), default=1)
+            W = int(w.max()) if m else 1
         if W < 1:
             raise ValueError("weight cap W must be at least 1")
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for e in edge_list:
-            if e.u == e.v:
-                raise ValueError(f"edge {e.id}: self-loops are not allowed")
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValueError(f"edge {e.id}: endpoint out of range")
-            if not (1 <= e.w <= W):
-                raise ValueError(f"edge {e.id}: weight {e.w} outside [1, {W}]")
-            adjacency[e.u].append(e.id)
-            adjacency[e.v].append(e.id)
+        loop = u == v
+        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        heavy = (w < 1) | (w > W)
+        bad = np.flatnonzero(loop | outside | heavy)
+        if bad.size:
+            i = int(bad[0])
+            if loop[i]:
+                raise ValueError(f"edge {i}: self-loops are not allowed")
+            if outside[i]:
+                raise ValueError(f"edge {i}: endpoint out of range")
+            raise ValueError(f"edge {i}: weight {w[i]} outside [1, {W}]")
         self.n = n
         self.W = W
-        self.edges: tuple[WeightedEdge, ...] = tuple(edge_list)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adjacency)
-        self._columns: EdgeColumns | None = None
+        self.u = u.astype(_int_type(n))
+        self.v = v.astype(_int_type(n))
+        self.w = w.astype(_int_type(W))
+        # CSR: endpoint slots 2i and 2i + 1 belong to edge i, so a stable
+        # sort by vertex lists every vertex's edges in id order
+        ends = np.empty(2 * m, dtype=self.u.dtype)
+        ends[0::2], ends[1::2] = self.u, self.v
+        slots = np.argsort(ends, kind="stable")
+        del ends
+        self.adj_edges = (slots >> 1).astype(_int_type(m))
+        nbrs = np.empty(2 * m, dtype=self.u.dtype)
+        nbrs[0::2], nbrs[1::2] = self.v, self.u
+        self.adj_nbrs = nbrs[slots]
+        del slots, nbrs
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.u, minlength=n) + np.bincount(self.v, minlength=n),
+                  out=self.indptr[1:])
+        self._pair: np.ndarray | None = None
+        self._edges: tuple[WeightedEdge, ...] | None = None
+        self._adjacency: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.u)
+
+    @property
+    def edges(self) -> tuple[WeightedEdge, ...]:
+        """Every edge as a :class:`WeightedEdge`, in id order; built on
+        first use."""
+        if self._edges is None:
+            self._edges = tuple(map(WeightedEdge, range(self.m), self.u.tolist(),
+                                    self.v.tolist(), self.w.tolist()))
+        return self._edges
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[x]``: ids of the edges incident to ``x``, in id order;
+        built on first use."""
+        if self._adjacency is None:
+            ids, ptr = self.adj_edges.tolist(), self.indptr.tolist()
+            self._adjacency = tuple(tuple(ids[ptr[x]:ptr[x + 1]]) for x in range(self.n))
+        return self._adjacency
 
     def edge(self, eid: int) -> WeightedEdge:
         return self.edges[eid]
@@ -123,31 +184,32 @@ class MultiGraph:
         """Ids of edges incident to ``v``, in id order."""
         return self.adjacency[v]
 
+    def triple(self, eid: int) -> tuple[int, int, int]:
+        """``(u, v, w)`` of edge ``eid`` as Python ints."""
+        return int(self.u[eid]), int(self.v[eid]), int(self.w[eid])
+
     def columns(self) -> EdgeColumns:
         """``u``, ``v``, ``w`` and the unordered-pair id of every edge as
-        arrays; built on the first call and cached."""
-        if self._columns is None:
-            m, edges = self.m, self.edges
-            u = np.fromiter((e.u for e in edges), _int_type(self.n), m)
-            v = np.fromiter((e.v for e in edges), _int_type(self.n), m)
-            w = np.fromiter((e.w for e in edges), _int_type(self.W), m)
+        arrays; the pair ids are built on the first call and cached."""
+        if self._pair is None:
             # number the distinct keys min(u, v) * n + max(u, v) in order
-            key = np.minimum(u, v, dtype=np.int64)
+            key = np.minimum(self.u, self.v, dtype=np.int64)
             key *= self.n
-            key += np.maximum(u, v)
+            key += np.maximum(self.u, self.v)
             by = np.argsort(key)
             fresh = _run_starts(key[by])
             del key
-            pair = np.empty(m, dtype=_int_type(int(fresh.sum())))
+            pair = np.empty(self.m, dtype=_int_type(int(fresh.sum())))
             pair[by] = np.cumsum(fresh, dtype=pair.dtype) - 1
-            self._columns = EdgeColumns(u, v, w, pair)
-        return self._columns
+            self._pair = pair
+        return EdgeColumns(self.u, self.v, self.w, self._pair)
 
     def pair_groups(self) -> dict[tuple[int, int], list[int]]:
         """Edge ids grouped by unordered endpoint pair, each group in id order."""
         groups: dict[tuple[int, int], list[int]] = {}
-        for e in self.edges:
-            groups.setdefault(e.pair(), []).append(e.id)
+        lo, hi = np.minimum(self.u, self.v).tolist(), np.maximum(self.u, self.v).tolist()
+        for eid, key in enumerate(zip(lo, hi)):
+            groups.setdefault(key, []).append(eid)
         return groups
 
     def restrict(self, edge_ids: Iterable[int]) -> tuple["MultiGraph", list[int]]:
@@ -156,15 +218,37 @@ class MultiGraph:
         Edges keep their relative id order; returns the new graph and the
         list mapping new edge ids back to the originals.
         """
-        old_ids = sorted(set(edge_ids))
-        triples = [(self.edges[i].u, self.edges[i].v, self.edges[i].w) for i in old_ids]
-        return MultiGraph(self.n, triples, W=self.W), old_ids
+        ids = np.unique(_id_array(edge_ids))
+        graph = MultiGraph.from_columns(self.n, self.u[ids], self.v[ids], self.w[ids], W=self.W)
+        return graph, ids.tolist()
 
     def total_weight(self, edge_ids: Iterable[int]) -> int:
-        return sum(self.edges[i].w for i in edge_ids)
+        return int(self.w[_id_array(edge_ids)].sum(dtype=np.int64))
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m}, W={self.W})"
+
+
+def _id_array(edge_ids: Iterable[int]) -> np.ndarray:
+    """Edge ids from any iterable (sets included) as an int64 array."""
+    if isinstance(edge_ids, (np.ndarray, list, tuple, range)):
+        return np.asarray(edge_ids, dtype=np.int64)
+    return np.fromiter(edge_ids, dtype=np.int64)
+
+
+def _vertex_sums(G: MultiGraph, ids: np.ndarray) -> tuple[list[int], list[int]]:
+    """Weighted and plain degree of every vertex over the edges ``ids``,
+    as lists of Python ints."""
+    ends = np.concatenate((G.u[ids], G.v[ids]))
+    deg = np.bincount(ends, minlength=G.n)
+    w = G.w[ids]
+    if G.W * len(ids) < 2**53:
+        # float64 sums of integers are exact below 2**53
+        wdeg = np.bincount(ends, np.concatenate((w, w)), minlength=G.n).astype(np.int64)
+    else:
+        wdeg = np.zeros(G.n, dtype=object)
+        np.add.at(wdeg, ends, np.concatenate((w, w)).astype(object))
+    return wdeg.tolist(), deg.tolist()
 
 
 class Capacities:
@@ -200,39 +284,42 @@ class Subgraph:
     """Edge-id subset of a parent graph with cached per-vertex degrees.
 
     ``wdeg[v]`` caches the weighted degree (sum of member-edge weights at
-    ``v``) and ``deg[v]`` the plain degree.  Single-writer: mutate from one
-    thread only; concurrent readers are fine between mutations.
+    ``v``) and ``deg[v]`` the plain degree, both lists of Python ints; the
+    constructor counts them over the parent's columns in one pass.
+    Single-writer: mutate from one thread only; concurrent readers are
+    fine between mutations.
     """
 
     __slots__ = ("parent", "members", "wdeg", "deg")
 
     def __init__(self, parent: MultiGraph, members: Iterable[int] = ()):
         self.parent = parent
-        self.members: set[int] = set()
-        self.wdeg = [0] * parent.n
-        self.deg = [0] * parent.n
-        for eid in sorted(set(members)):
-            self.add(eid)
+        self.members: set[int] = set(
+            members.tolist() if isinstance(members, np.ndarray) else members)
+        ids = np.fromiter(self.members, dtype=np.int64, count=len(self.members))
+        if ids.size and not (ids.min() >= 0 and ids.max() < parent.m):
+            raise IndexError(f"edge ids must lie in [0, {parent.m})")
+        self.wdeg, self.deg = _vertex_sums(parent, ids)
 
     def add(self, eid: int) -> None:
         if eid in self.members:
             raise ValueError(f"edge {eid} already in subgraph")
-        e = self.parent.edges[eid]
+        u, v, w = self.parent.triple(eid)
         self.members.add(eid)
-        self.wdeg[e.u] += e.w
-        self.wdeg[e.v] += e.w
-        self.deg[e.u] += 1
-        self.deg[e.v] += 1
+        self.wdeg[u] += w
+        self.wdeg[v] += w
+        self.deg[u] += 1
+        self.deg[v] += 1
 
     def remove(self, eid: int) -> None:
         if eid not in self.members:
             raise ValueError(f"edge {eid} not in subgraph")
-        e = self.parent.edges[eid]
+        u, v, w = self.parent.triple(eid)
         self.members.remove(eid)
-        self.wdeg[e.u] -= e.w
-        self.wdeg[e.v] -= e.w
-        self.deg[e.u] -= 1
-        self.deg[e.v] -= 1
+        self.wdeg[u] -= w
+        self.wdeg[v] -= w
+        self.deg[u] -= 1
+        self.deg[v] -= 1
 
     def weighted_degree(self, v: int) -> int:
         """Sum of weights of member edges incident to ``v``; O(1)."""
@@ -309,14 +396,26 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> list[int]:
     its min(b_u, b_v) heaviest edges, smaller ids first on equal weights.
 
     One stable sort by (pair, -w) ranks the edges of each pair, so edges
-    of equal weight keep their id order.  The ids are the edges' own int
-    objects, which callers keep in sets: new ones would add to memory."""
+    of equal weight keep their id order."""
     limit = _pair_limits(G, b)
     c = G.columns()
     by = np.lexsort((-c.w, c.pair))
     keep = np.zeros(G.m, dtype=bool)
     keep[by] = _rank_in_runs(c.pair[by]) < limit[by]
-    return [e.id for e in compress(G.edges, keep.tolist())]
+    return np.flatnonzero(keep).tolist()
+
+
+def _first_crowded_pair(G: MultiGraph, limit) -> tuple[int, int] | None:
+    """The smallest edge id whose unordered pair has more than ``limit``
+    edges (a number, or one per edge), with that pair's edge count; None
+    when no pair does.  That edge is its pair's first, and its pair the
+    first to appear among the crowded ones."""
+    if not G.m:
+        return None
+    pair = G.columns().pair
+    count = np.bincount(pair)[pair]
+    over = np.flatnonzero(count > limit)
+    return (int(over[0]), int(count[over[0]])) if over.size else None
 
 
 def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import io
 from typing import TextIO
 
+import numpy as np
+
 from .graph import Capacities, MultiGraph, Subgraph
 
 __all__ = ["GraphFormatError", "read_graph", "write_graph", "parse_graph", "format_graph"]
@@ -32,18 +34,64 @@ def parse_graph(text: str) -> tuple[MultiGraph, Capacities]:
 
 
 def read_graph(source: TextIO | str) -> tuple[MultiGraph, Capacities]:
-    """Parse a graph file from a path or open text stream."""
+    """Parse a graph file from a path or open text stream.
+
+    Lines go one at a time up to the first edge line.  From there on the
+    edge lines of a well-formed file are read as arrays in one pass; if
+    that pass meets anything but plain ``e <u> <v> <w>`` lines, the rest
+    of the file is parsed line by line instead, which accepts exactly the
+    same files and reports the line number of an error.
+    """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_graph(fh)
 
-    header: tuple[int, int, int] | None = None
-    caps: dict[int, int] = {}
-    triples: list[tuple[int, int, int]] = []
-    for line_no, raw in enumerate(source, start=1):
+    text = source.read()
+    state = _ParseState()
+    columns = None
+    pos, line_no = 0, 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        line_no += 1
+        line = text[pos:end]
+        if columns is None and state.header is not None and line.split()[:1] == ["e"]:
+            columns = _edge_columns(text[pos:])
+            if columns is not None:
+                break
+            columns = False  # parse the rest line by line
+        state.parse(line_no, line)
+        pos = end + 1
+
+    if state.header is None:
+        raise GraphFormatError(1, "missing header line 'g <n> <m> <W>'")
+    n, m, W = state.header
+    if not columns:
+        columns = _triple_columns(state.triples)
+    if len(columns[0]) != m:
+        raise GraphFormatError(
+            1, f"header declares m={m} but file has {len(columns[0])} edge lines")
+    try:
+        graph = MultiGraph.from_columns(n, *columns, W=W)
+    except ValueError as exc:
+        raise GraphFormatError(1, str(exc)) from exc
+    b = Capacities([state.caps.get(v, 1) for v in range(n)])
+    return graph, b
+
+
+class _ParseState:
+    """Header, capacities and edge triples read so far, one line at a time."""
+
+    def __init__(self):
+        self.header: tuple[int, int, int] | None = None
+        self.caps: dict[int, int] = {}
+        self.triples: list[tuple[int, int, int]] = []
+
+    def parse(self, line_no: int, raw: str) -> None:
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
+            return
         parts = line.split()
         kind, args = parts[0], parts[1:]
         try:
@@ -51,54 +99,75 @@ def read_graph(source: TextIO | str) -> tuple[MultiGraph, Capacities]:
         except ValueError:
             raise GraphFormatError(line_no, f"non-integer field in {line!r}")
         if kind == "g":
-            if header is not None:
+            if self.header is not None:
                 raise GraphFormatError(line_no, "duplicate header")
             if len(values) != 3:
                 raise GraphFormatError(line_no, "header needs exactly: g <n> <m> <W>")
-            header = (values[0], values[1], values[2])
+            self.header = (values[0], values[1], values[2])
         elif kind == "b":
-            if header is None:
+            if self.header is None:
                 raise GraphFormatError(line_no, "capacity line before header")
             if len(values) != 2:
                 raise GraphFormatError(line_no, "capacity line needs: b <v> <b_v>")
             v, bv = values
-            if not (0 <= v < header[0]):
+            if not (0 <= v < self.header[0]):
                 raise GraphFormatError(line_no, f"vertex {v} out of range")
             if bv < 1:
                 raise GraphFormatError(line_no, "capacity must be >= 1")
-            caps[v] = bv
+            self.caps[v] = bv
         elif kind == "e":
-            if header is None:
+            if self.header is None:
                 raise GraphFormatError(line_no, "edge line before header")
             if len(values) != 3:
                 raise GraphFormatError(line_no, "edge line needs: e <u> <v> <w>")
-            triples.append((values[0], values[1], values[2]))
+            self.triples.append((values[0], values[1], values[2]))
         else:
             raise GraphFormatError(line_no, f"unknown record type {kind!r}")
 
-    if header is None:
-        raise GraphFormatError(1, "missing header line 'g <n> <m> <W>'")
-    n, m, W = header
-    if len(triples) != m:
-        raise GraphFormatError(1, f"header declares m={m} but file has {len(triples)} edge lines")
+
+#: One edge line read as a record; "U2" keeps any kind longer than "e"
+#: distinct from it.
+_EDGE_LINE = np.dtype([("kind", "U2"), ("u", np.int64), ("v", np.int64), ("w", np.int64)])
+
+
+def _edge_columns(payload: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``u``, ``v`` and ``w`` of a text made of ``e <u> <v> <w>`` lines and
+    blank lines only, or None for any other text.
+
+    ``np.loadtxt`` splits lines and fields much as the line parser does;
+    a carriage return, which it may take for a line break, sends the text
+    to the line parser."""
+    if "\r" in payload:
+        return None
     try:
-        graph = MultiGraph(n, triples, W=W)
-    except ValueError as exc:
-        raise GraphFormatError(1, str(exc)) from exc
-    b = Capacities([caps.get(v, 1) for v in range(n)])
-    return graph, b
+        rows = np.loadtxt(io.StringIO(payload), dtype=_EDGE_LINE, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if not (rows["kind"] == "e").all():
+        return None
+    return rows["u"], rows["v"], rows["w"]
+
+
+def _triple_columns(triples: list[tuple[int, int, int]]):
+    """The columns of a list of (u, v, w) triples; Python integers beyond
+    int64 stay Python integers, for the graph's range checks to reject."""
+    try:
+        table = np.array(triples, dtype=np.int64)
+    except OverflowError:
+        table = np.array(triples, dtype=object)
+    table = table.reshape(len(triples), 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def format_graph(G: MultiGraph, b: Capacities | None = None) -> str:
     """Render a graph (and non-default capacities) in the file format."""
-    out = [f"g {G.n} {G.m} {G.W}"]
+    out = [f"g {G.n} {G.m} {G.W}\n"]
     if b is not None:
         for v in range(G.n):
             if b[v] != 1:
-                out.append(f"b {v} {b[v]}")
-    for e in G.edges:
-        out.append(f"e {e.u} {e.v} {e.w}")
-    return "\n".join(out) + "\n"
+                out.append(f"b {v} {b[v]}\n")
+    out += map("e {} {} {}\n".format, G.u.tolist(), G.v.tolist(), G.w.tolist())
+    return "".join(out)
 
 
 def write_graph(path: str, G: MultiGraph, b: Capacities | None = None) -> None:
@@ -123,17 +192,22 @@ def match_subgraph_edges(G: MultiGraph, S: MultiGraph) -> list[int]:
     if S.n != G.n:
         raise ValueError(f"vertex count mismatch: parent has {G.n}, subgraph file has {S.n}")
     pool: dict[tuple[int, int, int], list[int]] = {}
-    for e in G.edges:
-        pool.setdefault((*e.pair(), e.w), []).append(e.id)
+    for eid, key in enumerate(_pair_weight_keys(G)):
+        pool.setdefault(key, []).append(eid)
     for ids in pool.values():
         ids.reverse()  # pop() then yields smallest id first
     matched: list[int] = []
-    for e in S.edges:
-        key = (*e.pair(), e.w)
+    for eid, key in enumerate(_pair_weight_keys(S)):
         ids = pool.get(key)
         if not ids:
+            u, v, w = S.triple(eid)
             raise ValueError(
-                f"subgraph edge ({e.u}, {e.v}, w={e.w}) has no unused counterpart in the parent graph"
+                f"subgraph edge ({u}, {v}, w={w}) has no unused counterpart in the parent graph"
             )
         matched.append(ids.pop())
     return matched
+
+
+def _pair_weight_keys(G: MultiGraph):
+    """(min(u, v), max(u, v), w) of every edge, in id order."""
+    return zip(np.minimum(G.u, G.v).tolist(), np.maximum(G.u, G.v).tolist(), G.w.tolist())

@@ -11,9 +11,11 @@ checked in integers.  Both are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .graph import Capacities, MultiGraph, Subgraph
+import numpy as np
+
+from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _pair_limits
 
 __all__ = [
     "BMatching",
@@ -46,24 +48,20 @@ class BMatching:
     weight: int
 
     def verify(self, G: MultiGraph, b: Capacities) -> bool:
-        load = [0] * G.n
-        total = 0
-        seen = set()
-        for eid in self.edge_ids:
-            if eid in seen:
-                return False
-            seen.add(eid)
-            e = G.edges[eid]
-            load[e.u] += 1
-            load[e.v] += 1
-            total += e.w
-        return total == self.weight and all(load[v] <= b[v] for v in range(G.n))
+        ids = np.asarray(self.edge_ids, dtype=np.int64)
+        if len(np.unique(ids)) != len(ids):
+            return False
+        load = np.bincount(G.u[ids], minlength=G.n) + np.bincount(G.v[ids], minlength=G.n)
+        total = int(G.w[ids].sum(dtype=np.int64))
+        return total == self.weight and bool((load <= np.asarray(b.b)).all())
 
     def to_json_dict(self, G: MultiGraph) -> dict:
+        ids = np.asarray(self.edge_ids, dtype=np.int64)
         return {
             "edges": [
-                {"u": G.edges[i].u, "v": G.edges[i].v, "w": G.edges[i].w, "id": i}
-                for i in self.edge_ids
+                {"u": u, "v": v, "w": w, "id": i}
+                for u, v, w, i in zip(G.u[ids].tolist(), G.v[ids].tolist(),
+                                      G.w[ids].tolist(), self.edge_ids)
             ],
             "weight": self.weight,
         }
@@ -81,27 +79,36 @@ class WVertexCover:
         return sum(self.alpha)
 
     def covers(self, G: MultiGraph) -> bool:
-        return all(e.w <= self.alpha[e.u] + self.alpha[e.v] for e in G.edges)
+        alpha = np.asarray(self.alpha)
+        return bool((G.w <= alpha[G.u] + alpha[G.v]).all())
 
 
 def bipartition_sides(G: MultiGraph) -> list[int] | None:
-    """2-coloring of the vertices, or None if some component is odd."""
-    color = [-1] * G.n
-    for start in range(G.n):
-        if color[start] != -1:
+    """2-coloring of the vertices, or None if some component is odd.
+
+    The smallest vertex of every component gets color 0, and the rest the
+    parity of their distance from it.  Breadth-first search over the CSR
+    adjacency, one array step per level: every vertex of a level has the
+    same color, so an edge inside a level is an odd cycle."""
+    ptr, nbrs = G.indptr, G.adj_nbrs
+    color = np.full(G.n, -1, dtype=np.int8)
+    color[ptr[1:] == ptr[:-1]] = 0  # isolated vertices
+    for start in np.flatnonzero(color < 0).tolist():
+        if color[start] >= 0:
             continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for eid in G.adjacency[x]:
-                y = G.edges[eid].other(x)
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return None
-    return color
+        color[start] = c = 0
+        level = np.array([start])
+        while level.size:
+            lo, count = ptr[level], ptr[level + 1] - ptr[level]
+            starts = np.cumsum(count) - count
+            near = nbrs[np.repeat(lo - starts, count) + np.arange(starts[-1] + count[-1])]
+            seen = color[near]
+            if (seen == c).any():
+                return None
+            c ^= 1
+            level = np.unique(near[seen < 0])
+            color[level] = c
+    return color.tolist()
 
 
 def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
@@ -122,15 +129,16 @@ def max_weight_b_matching_greedy(G: MultiGraph, b: Capacities) -> BMatching:
     """Scan edges by descending weight (ties by id), keep those with
     residual capacity at both endpoints.  At least half the optimum."""
     residual = list(b.b)
+    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
     chosen: list[int] = []
     weight = 0
-    for eid in sorted(range(G.m), key=lambda i: (-G.edges[i].w, i)):
-        e = G.edges[eid]
-        if residual[e.u] > 0 and residual[e.v] > 0:
-            residual[e.u] -= 1
-            residual[e.v] -= 1
+    for eid in np.argsort(-G.w.astype(np.int64), kind="stable").tolist():
+        u, v = eu[eid], ev[eid]
+        if residual[u] > 0 and residual[v] > 0:
+            residual[u] -= 1
+            residual[v] -= 1
             chosen.append(eid)
-            weight += e.w
+            weight += ew[eid]
     return BMatching(sorted(chosen), weight)
 
 
@@ -148,10 +156,11 @@ def branch_and_bound_b_matching(G: MultiGraph, b: Capacities, budget: int) -> BM
     incumbent = max_weight_b_matching_greedy(G, b)
     best_weight = incumbent.weight
     best_set = list(incumbent.edge_ids)
+    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
 
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + G.edges[i].w
+        suffix[i] = suffix[i + 1] + ew[i]
 
     residual = list(b.b)
     chosen: list[int] = []
@@ -160,10 +169,10 @@ def branch_and_bound_b_matching(G: MultiGraph, b: Capacities, budget: int) -> BM
     def truncated_bound(k: int) -> int:
         per_vertex: dict[int, list[int]] = {}
         for i in range(k, m):
-            e = G.edges[i]
-            if residual[e.u] > 0 and residual[e.v] > 0:
-                per_vertex.setdefault(e.u, []).append(e.w)
-                per_vertex.setdefault(e.v, []).append(e.w)
+            u, v = eu[i], ev[i]
+            if residual[u] > 0 and residual[v] > 0:
+                per_vertex.setdefault(u, []).append(ew[i])
+                per_vertex.setdefault(v, []).append(ew[i])
         total = 0
         for v, ws in per_vertex.items():
             r = residual[v]
@@ -189,15 +198,15 @@ def branch_and_bound_b_matching(G: MultiGraph, b: Capacities, budget: int) -> BM
             return
         if cur + truncated_bound(k) <= best_weight:
             return
-        e = G.edges[k]
-        if residual[e.u] > 0 and residual[e.v] > 0:
-            residual[e.u] -= 1
-            residual[e.v] -= 1
+        u, v = eu[k], ev[k]
+        if residual[u] > 0 and residual[v] > 0:
+            residual[u] -= 1
+            residual[v] -= 1
             chosen.append(k)
-            dfs(k + 1, cur + e.w)
+            dfs(k + 1, cur + ew[k])
             chosen.pop()
-            residual[e.u] += 1
-            residual[e.v] += 1
+            residual[u] += 1
+            residual[v] += 1
         dfs(k + 1, cur)
 
     dfs(0, 0)
@@ -210,8 +219,9 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     method that checks its own König–Egerváry certificate.
 
     Edges collapse into (u, v, w) classes with u on the left
-    (``sides[u] == 0``); a class may take at most its multiplicity of
-    edges, and takes its lowest ids.  Every left vertex with an edge starts
+    (``sides[u] == 0``), grouped by one sort of the columns and numbered
+    in order of first appearance; a class may take at most its
+    multiplicity of edges, and takes its lowest ids.  Every left vertex with an edge starts
     at label W (the heaviest class weight), every right vertex at 0.  Each
     of W rounds augments a maximum flow along shortest paths of tight
     classes (y_u + y_v = w), then lowers the labels of the left vertices
@@ -225,31 +235,48 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
         sides = bipartition_sides(G)
         if sides is None:
             raise ValueError("graph is not bipartite")
-    for e in G.edges:
-        if sides[e.u] == sides[e.v]:
-            raise ValueError(f"edge {e.id} does not cross the given bipartition")
-    if G.m == 0:
+    side = np.asarray(sides)
+    on_left = side[G.u] == 0
+    crossing = np.flatnonzero(side[G.u] == side[G.v])
+    if crossing.size:
+        raise ValueError(f"edge {int(crossing[0])} does not cross the given bipartition")
+    m = G.m
+    if m == 0:
         return BMatching([], 0)
 
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for e in G.edges:
-        u, v = (e.u, e.v) if sides[e.u] == 0 else (e.v, e.u)
-        groups.setdefault((u, v, e.w), []).append(e.id)
-    classes = [(u, v, w, len(ids)) for (u, v, w), ids in groups.items()]
-    x, y = _primal_dual(classes, b, G.n)
-    weight = _check_certificate(classes, x, y, b)
-    chosen: list[int] = []
-    for ids, taken in zip(groups.values(), x):
-        chosen.extend(ids[:taken])  # ids are in id order
-    result = BMatching(sorted(chosen), weight)
+    left = np.where(on_left, G.u, G.v)
+    right = np.where(on_left, G.v, G.u)
+    # sorted by class, ids ascending within each (lexsort is stable)
+    by = np.lexsort((G.w, right, left))
+    keys = (left[by], right[by], G.w[by])
+    fresh = np.zeros(m, dtype=bool)
+    fresh[0] = True
+    for key in keys:
+        fresh[1:] |= key[1:] != key[:-1]
+    heads = np.flatnonzero(fresh)           # each class's first position
+    first = by[heads]                       # and its smallest edge id
+    appear = np.argsort(first)              # classes by first appearance
+    mult = np.diff(np.append(heads, m))
+    cu, cv, cw = (key[heads][appear].tolist() for key in keys)
+    cm = mult[appear].tolist()
+    x, y = _primal_dual(cu, cv, cw, cm, b, G.n)
+    weight = _check_certificate(zip(cu, cv, cw, cm), x, y, b)
+    # each class takes the first x of its positions
+    taken = np.empty(len(heads), dtype=np.int64)
+    taken[appear] = x
+    cls = np.cumsum(fresh) - 1
+    rank = np.arange(m) - heads[cls]
+    result = BMatching(np.sort(by[rank < taken[cls]]).tolist(), weight)
     if not result.verify(G, b):
         raise RuntimeError("primal-dual solution failed verification")  # pragma: no cover
     return result
 
 
-def _primal_dual(classes: Sequence[tuple[int, int, int, int]], b: Capacities,
-                 n: int) -> tuple[list[int], list[int]]:
-    """Class counts x and vertex labels y for :func:`bipartite_b_matching`.
+def _primal_dual(cu: list[int], cv: list[int], cw: list[int], mult: list[int],
+                 b: Capacities, n: int) -> tuple[list[int], list[int]]:
+    """Class counts x and vertex labels y for :func:`bipartite_b_matching`,
+    class c joining left vertex ``cu[c]`` to right vertex ``cv[c]`` with
+    weight ``cw[c]`` and multiplicity ``mult[c]``.
 
     Invariants: a class below its multiplicity has y_u + y_v >= w, a class
     in use has y_u + y_v <= w, a right vertex with a positive label is
@@ -257,12 +284,8 @@ def _primal_dual(classes: Sequence[tuple[int, int, int, int]], b: Capacities,
     every search, so it loses one unit per round and ends at 0; the
     invariants then are complementary slackness.
     """
-    cu = [c[0] for c in classes]
-    cv = [c[1] for c in classes]
-    cw = [c[2] for c in classes]
-    mult = [c[3] for c in classes]
     cap = [b[v] for v in range(n)]
-    x = [0] * len(classes)
+    x = [0] * len(cu)
     y = [0] * n
     load = [0] * n
     lefts = sorted(set(cu))
@@ -273,7 +296,7 @@ def _primal_dual(classes: Sequence[tuple[int, int, int, int]], b: Capacities,
     for _ in range(w_max):
         # labels are fixed within a round, so the tight classes are too
         tight: list[list[int]] = [[] for _ in range(n)]
-        for c in range(len(classes)):
+        for c in range(len(cu)):
             if y[cu[c]] + y[cv[c]] == cw[c]:
                 tight[cu[c]].append(c)
                 tight[cv[c]].append(c)
@@ -375,7 +398,7 @@ def _blocking_flow(sources: list[int], dist: list[int], tight: list[list[int]],
             load[t] += delta
 
 
-def _check_certificate(classes: Sequence[tuple[int, int, int, int]], x: Sequence[int],
+def _check_certificate(classes: Iterable[tuple[int, int, int, int]], x: Sequence[int],
                        y: Sequence[int], b: Capacities) -> int:
     """The matching's weight, once (x, y) is proven optimal in integers.
 
@@ -416,15 +439,18 @@ def min_w_vertex_cover_bipartite(G: MultiGraph, sides: Sequence[int],
     computation, which is what makes it usable as the duality check's
     second route.
     """
-    for e in G.edges:
-        if sides[e.u] == sides[e.v]:
-            raise ValueError(f"edge {e.id} does not cross the given bipartition: non-bipartite input")
+    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
+    for eid, (u, v) in enumerate(zip(eu, ev)):
+        if sides[u] == sides[v]:
+            raise ValueError(f"edge {eid} does not cross the given bipartition: non-bipartite input")
 
     max_w = [0] * G.n
-    for e in G.edges:
-        max_w[e.u] = max(max_w[e.u], e.w)
-        max_w[e.v] = max(max_w[e.v], e.w)
-    left = [v for v in range(G.n) if sides[v] == 0 and G.adjacency[v]]
+    for u, v, w in zip(eu, ev, ew):
+        max_w[u] = max(max_w[u], w)
+        max_w[v] = max(max_w[v], w)
+    ptr, nbrs = G.indptr.tolist(), G.adj_nbrs.tolist()
+    adj = G.adj_edges.tolist()
+    left = [v for v in range(G.n) if sides[v] == 0 and ptr[v] < ptr[v + 1]]
 
     # Two trivial covers seed the incumbent: all weight on one side.
     best_alpha = [max_w[v] if sides[v] == 0 else 0 for v in range(G.n)]
@@ -456,10 +482,9 @@ def min_w_vertex_cover_bipartite(G: MultiGraph, sides: Sequence[int],
             alpha[u] = value
             sum_alpha += value
             undo: list[tuple[int, int]] = []
-            for eid in G.adjacency[u]:
-                e = G.edges[eid]
-                v = e.other(u)
-                need = e.w - value
+            for j in range(ptr[u], ptr[u + 1]):
+                v = nbrs[j]
+                need = ew[adj[j]] - value
                 if need > forced[v]:
                     undo.append((v, forced[v]))
                     sum_forced += need - forced[v]
@@ -561,37 +586,38 @@ def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching, *,
         raise ValueError("H must be a subgraph of G")
     if not M.verify(G, b):
         raise ValueError("M is not a b-matching of G")
-    for (u, v), ids in G.pair_groups().items():
-        if len(ids) > min(b[u], b[v]):
-            raise ValueError(f"pair ({u}, {v}) exceeds min(b_u, b_v) parallel edges")
+    crowded = _first_crowded_pair(G, _pair_limits(G, b))
+    if crowded is not None:
+        u, v, _ = G.triple(crowded[0])
+        raise ValueError(f"pair ({min(u, v)}, {max(u, v)}) exceeds min(b_u, b_v) parallel edges")
 
+    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
     union_ids = sorted(H.members | set(M.edge_ids))
     in_matching = set(M.edge_ids)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for eid in union_ids:
-        by_pair.setdefault(G.edges[eid].pair(), []).append(eid)
+        by_pair.setdefault((min(eu[eid], ev[eid]), max(eu[eid], ev[eid])), []).append(eid)
     matched_norm: set[int] = set()
     for ids in by_pair.values():
         k = sum(1 for i in ids if i in in_matching)
-        ranked = sorted(ids, key=lambda i: (-G.edges[i].w, i))
+        ranked = sorted(ids, key=lambda i: (-ew[i], i))
         matched_norm.update(ranked[:k])
 
     union_at: list[list[int]] = [[] for _ in range(G.n)]
     for eid in union_ids:
-        e = G.edges[eid]
-        union_at[e.u].append(eid)
-        union_at[e.v].append(eid)
+        union_at[eu[eid]].append(eid)
+        union_at[ev[eid]].append(eid)
 
     copy_of: dict[tuple[int, int], int] = {}
     for v in range(G.n):
         by_neighbor: dict[int, list[int]] = {}
         for eid in union_at[v]:
-            by_neighbor.setdefault(G.edges[eid].other(v), []).append(eid)
+            by_neighbor.setdefault(eu[eid] + ev[eid] - v, []).append(eid)
         groups = []
         for u in sorted(by_neighbor):
             ids = sorted(by_neighbor[u],
-                         key=lambda i: (i not in matched_norm, -G.edges[i].w, i))
-            groups.append([(i, G.edges[i].w, i in matched_norm) for i in ids])
+                         key=lambda i: (i not in matched_norm, -ew[i], i))
+            groups.append([(i, ew[i], i in matched_norm) for i in ids])
         buckets = distribute_edges(groups, b[v])
         for i, bucket in enumerate(buckets):
             for eid, _, _ in bucket:
@@ -604,9 +630,8 @@ def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching, *,
     triples = []
     edge_origin = []
     for eid in union_ids:
-        e = G.edges[eid]
-        triples.append((offsets[e.u] + copy_of[(eid, e.u)],
-                        offsets[e.v] + copy_of[(eid, e.v)], e.w))
+        u, v = eu[eid], ev[eid]
+        triples.append((offsets[u] + copy_of[(eid, u)], offsets[v] + copy_of[(eid, v)], ew[eid]))
         edge_origin.append(eid)
     split_graph = MultiGraph(offsets[-1], triples, W=G.W)
     split_sub = Subgraph(split_graph,
@@ -614,21 +639,15 @@ def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching, *,
     matched_split = [j for j, eid in enumerate(edge_origin) if eid in matched_norm]
 
     if check:
-        for ids in split_graph.pair_groups().values():
-            if len(ids) > 1:
-                raise RuntimeError("split graph is not simple")
-        load = [0] * split_graph.n
-        for j in matched_split:
-            e = split_graph.edges[j]
-            load[e.u] += 1
-            load[e.v] += 1
-        if any(x > 1 for x in load):
+        if _first_crowded_pair(split_graph, 1) is not None:
+            raise RuntimeError("split graph is not simple")
+        if max(Subgraph(split_graph, matched_split).deg, default=0) > 1:
             raise RuntimeError("matching did not map to a simple matching")
         W = G.W
-        for x in range(split_graph.n):
+        split_wdeg = Subgraph(split_graph, range(split_graph.m)).wdeg
+        for x, total in enumerate(split_wdeg):
             v, _ = vertex_map[x]
             # full distributed weight: wdeg_H(v)/b_v - 2W <= . <= wdeg_H(v)/b_v + 3W
-            total = sum(split_graph.edges[j].w for j in split_graph.adjacency[x])
             if not (H.wdeg[v] - 2 * W * b[v] <= total * b[v] <= H.wdeg[v] + 3 * W * b[v]):
                 raise RuntimeError(f"split copy {x} outside its weighted-degree window")
 

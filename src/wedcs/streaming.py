@@ -28,21 +28,22 @@ Everything is deterministic given (graph, seed, parameters).
 
 from __future__ import annotations
 
+import array
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .edcs import EdcsParams, _as_fraction
+from .edcs import EdcsParams, _as_fraction, _degree_dtype
 from .graph import (
     Capacities,
     MultiGraph,
     Subgraph,
     WeightedEdge,
+    _first_crowded_pair,
     _pair_limits,
     _rank_in_runs,
     _relevant_ids,
@@ -81,12 +82,15 @@ class StreamInvariantError(RuntimeError):
     """A runtime self-check of the stream algorithm failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeStream:
-    """A fixed permutation of a graph's edge ids with a declared length."""
+    """A fixed permutation of a graph's edge ids with a declared length.
+
+    ``order`` is kept as an int32 array (int64 from 2**31 edges on),
+    whatever sequence of ids it was given as."""
 
     graph: MultiGraph
-    order: tuple[int, ...]
+    order: np.ndarray
     seed: int | None
     prng: str
 
@@ -97,21 +101,29 @@ class EdgeStream:
     def __post_init__(self):
         m = self.graph.m
         ids = np.asarray(self.order)
-        if len(ids) != m or m > 0 and not (
+        if ids.ndim != 1 or len(ids) != m or m > 0 and not (
                 ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < m
                 and np.bincount(ids, minlength=m).all()):
             raise ValueError("order must be a permutation of all edge ids")
+        object.__setattr__(self, "order", ids.astype(_order_type(m), copy=False))
 
     def edges(self) -> Iterator[WeightedEdge]:
         for eid in self.order:
             yield self.graph.edges[eid]
 
 
+def _order_type(m: int) -> type:
+    return np.int32 if m < 2**31 else np.int64
+
+
 def make_stream(G: MultiGraph, seed: int) -> EdgeStream:
     """Uniformly random edge order from a seeded generator; same seed,
     same order."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    order = list(range(G.m))
+    dtype = _order_type(G.m)
+    # a machine-integer array swaps as fast as a list of Python ints and
+    # holds 4 bytes per edge instead of about 36
+    order = array.array(np.dtype(dtype).char, np.arange(G.m, dtype=dtype).tobytes())
     # for i = m-1 down to 1 swap i with a uniform j <= i; an array of
     # bounds draws each j exactly as one scalar call per i would
     for hi in range(G.m, 1, -_CHUNK):
@@ -119,13 +131,13 @@ def make_stream(G: MultiGraph, seed: int) -> EdgeStream:
         draws = rng.integers(0, np.arange(hi, lo, -1)).tolist()
         for i, j in zip(range(hi - 1, lo - 1, -1), draws):
             order[i], order[j] = order[j], order[i]
-    return EdgeStream(G, tuple(order), seed, PRNG_ID)
+    return EdgeStream(G, np.frombuffer(order, dtype=dtype), seed, PRNG_ID)
 
 
 def file_order_stream(G: MultiGraph) -> EdgeStream:
     """Edges in input order; for adversarial-order experiments, which the
     approximation guarantees do not cover."""
-    return EdgeStream(G, tuple(range(G.m)), None, "as-is")
+    return EdgeStream(G, np.arange(G.m), None, "as-is")
 
 
 @dataclass
@@ -183,7 +195,7 @@ def is_underfull(H: Subgraph, b: Capacities, edge: WeightedEdge, params: EdcsPar
     return H.wdeg[edge.u] * bv + H.wdeg[edge.v] * bu < params.beta_minus * edge.w * bu * bv
 
 
-def _store_sizes(G: MultiGraph, b: Capacities, order: tuple[int, ...],
+def _store_sizes(G: MultiGraph, b: Capacities, order: np.ndarray,
                  cap: float) -> tuple[np.ndarray, bool]:
     """Size of the relevant store after every stream position, and whether
     the store lived to the end of the stream.
@@ -203,7 +215,7 @@ def _store_sizes(G: MultiGraph, b: Capacities, order: tuple[int, ...],
     seen = np.zeros(int(c.pair.max()) + 1 if m else 0, dtype=np.int64)
     size = 0
     for lo in range(0, m, _CHUNK):
-        ids = np.asarray(order[lo:lo + _CHUNK])
+        ids = order[lo:lo + _CHUNK]
         pair = c.pair[ids]
         # rank of each arrival among its pair's arrivals so far
         by = np.argsort(pair, kind="stable")
@@ -297,13 +309,12 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     h_at: list[set[int]] = [set() for _ in range(G.n)]
     peak = 0
 
-    if variant == 1 and m:
-        pair = G.columns().pair
-        over = np.flatnonzero(np.bincount(pair)[pair] > _pair_limits(G, b))
-        if over.size:
-            u, v = G.edges[int(over[0])].pair()
+    if variant == 1:
+        crowded = _first_crowded_pair(G, _pair_limits(G, b))
+        if crowded is not None:
+            u, v, _ = G.triple(crowded[0])
             raise ValueError(
-                f"pair ({u}, {v}) has more than min(b_u, b_v) parallel edges; "
+                f"pair ({min(u, v)}, {max(u, v)}) has more than min(b_u, b_v) parallel edges; "
                 "use variant=3 for raw multiplicity streams")
 
     if store_cap is None:
@@ -320,33 +331,31 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
 
     def h_add(eid: int) -> None:
         H.add(eid)
-        e = G.edges[eid]
-        h_at[e.u].add(eid)
-        h_at[e.v].add(eid)
+        u, v, _ = G.triple(eid)
+        h_at[u].add(eid)
+        h_at[v].add(eid)
         if variant == 3:
-            pair_h.setdefault(e.pair(), set()).add(eid)
+            pair_h.setdefault((min(u, v), max(u, v)), set()).add(eid)
 
     def h_remove(eid: int) -> None:
         H.remove(eid)
-        e = G.edges[eid]
-        h_at[e.u].discard(eid)
-        h_at[e.v].discard(eid)
+        u, v, _ = G.triple(eid)
+        h_at[u].discard(eid)
+        h_at[v].discard(eid)
         if variant == 3:
-            pair_h[e.pair()].discard(eid)
+            pair_h[min(u, v), max(u, v)].discard(eid)
 
     def phi_delta_remove(eid: int) -> Fraction:
-        e = G.edges[eid]
-        bu, bv = b[e.u], b[e.v]
-        return (-Fraction((2 * beta - 2) * e.w * e.w)
-                + Fraction(2 * wdeg[e.u] * e.w - e.w * e.w, bu)
-                + Fraction(2 * wdeg[e.v] * e.w - e.w * e.w, bv))
+        u, v, w = G.triple(eid)
+        return (-Fraction((2 * beta - 2) * w * w)
+                + Fraction(2 * wdeg[u] * w - w * w, b[u])
+                + Fraction(2 * wdeg[v] * w - w * w, b[v]))
 
     def phi_delta_add(eid: int) -> Fraction:
-        e = G.edges[eid]
-        bu, bv = b[e.u], b[e.v]
-        return (Fraction((2 * beta - 2) * e.w * e.w)
-                - Fraction(2 * wdeg[e.u] * e.w + e.w * e.w, bu)
-                - Fraction(2 * wdeg[e.v] * e.w + e.w * e.w, bv))
+        u, v, w = G.triple(eid)
+        return (Fraction((2 * beta - 2) * w * w)
+                - Fraction(2 * wdeg[u] * w + w * w, b[u])
+                - Fraction(2 * wdeg[v] * w + w * w, b[v]))
 
     def repair_upper(u0: int, v0: int) -> None:
         # fix membership-bound violations in FIFO id order; only edges at
@@ -358,20 +367,20 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
             queued.discard(cand)
             if cand not in H.members:
                 continue
-            ce = G.edges[cand]
-            cbu, cbv = b[ce.u], b[ce.v]
-            if wdeg[ce.u] * cbv + wdeg[ce.v] * cbu <= beta * ce.w * cbu * cbv:
+            cu, cv, cw = G.triple(cand)
+            cbu, cbv = b[cu], b[cv]
+            if wdeg[cu] * cbv + wdeg[cv] * cbu <= beta * cw * cbu * cbv:
                 continue
             h_remove(cand)
-            for i in sorted(x for x in h_at[ce.u] | h_at[ce.v] if x not in queued):
+            for i in sorted(x for x in h_at[cu] | h_at[cv] if x not in queued):
                 pending.append(i)
                 queued.add(i)
 
     def assert_bounded() -> None:
         for eid in H.members:
-            e = G.edges[eid]
-            bu, bv = b[e.u], b[e.v]
-            if wdeg[e.u] * bv + wdeg[e.v] * bu > beta * e.w * bu * bv:
+            u, v, w = G.triple(eid)
+            bu, bv = b[u], b[v]
+            if wdeg[u] * bv + wdeg[v] * bu > beta * w * bu * bv:
                 raise StreamInvariantError(
                     f"H lost its bounded weighted edge-degree at edge {eid}")
         if variant == 3:
@@ -382,15 +391,15 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
 
     def process_phase1_edge(eid: int) -> bool:
         """Returns True when the edge triggered an insertion (or replacement)."""
-        e = G.edges[eid]
-        bu, bv = b[e.u], b[e.v]
-        if not (wdeg[e.u] * bv + wdeg[e.v] * bu < beta_minus * e.w * bu * bv):
+        u, v, w = G.triple(eid)
+        bu, bv = b[u], b[v]
+        if not (wdeg[u] * bv + wdeg[v] * bu < beta_minus * w * bu * bv):
             return False
         if variant == 3:
-            held = pair_h.get(e.pair())
+            held = pair_h.get((min(u, v), max(u, v)))
             if held and len(held) >= min(bu, bv):
-                lightest = min(held, key=lambda i: (G.edges[i].w, i))
-                if e.w <= G.edges[lightest].w:
+                lightest = min(held, key=lambda i: (int(G.w[i]), i))
+                if w <= int(G.w[lightest]):
                     return False  # irrelevant duplicate, ignore
                 delta = phi_delta_remove(lightest) if check_invariants else None
                 h_remove(lightest)
@@ -401,13 +410,13 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                 if check_invariants and delta < 1:
                     raise StreamInvariantError(
                         f"replacement changed the potential by {delta} < 1")
-                repair_upper(e.u, e.v)
+                repair_upper(u, v)
                 if check_invariants:
                     assert_bounded()
                 track()
                 return True
         h_add(eid)
-        repair_upper(e.u, e.v)
+        repair_upper(u, v)
         if check_invariants:
             assert_bounded()
         track()
@@ -444,7 +453,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                 for _ in range(alpha_i):
                     if pos >= m:
                         break
-                    eid = order[pos]
+                    eid = int(order[pos])
                     pos += 1
                     stats.phase1_edges_consumed += 1
                     if store_sizes is not None:
@@ -467,10 +476,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     if pos < m:
         c = G.columns()
         h_size, x_size = len(H.members), 0
-        b_max = max(b.b)
-        # the degree test in int64 unless a term could overflow it
-        big = max(2 * max(wdeg), beta_minus * W * b_max) * b_max >= 2**62
-        dtype = object if big else np.int64
+        dtype = _degree_dtype(wdeg, b, beta_minus * W)
         caps = np.asarray(b.b, dtype=dtype)
         wd = np.asarray(wdeg, dtype=dtype)
         if variant == 3:
@@ -478,12 +484,11 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
             full_lightest = np.zeros(int(c.pair.max()) + 1, dtype=c.w.dtype)
             for (u, v), held in pair_h.items():
                 if held and len(held) >= min(b[u], b[v]):
-                    full_lightest[c.pair[next(iter(held))]] = min(G.edges[i].w for i in held)
+                    full_lightest[c.pair[next(iter(held))]] = min(int(G.w[i]) for i in held)
         for lo in range(pos, m, _CHUNK):
-            chunk = order[lo:lo + _CHUNK]
-            ids = np.asarray(chunk)
+            ids = order[lo:lo + _CHUNK]
             if collect_all:
-                keep = np.ones(len(chunk), dtype=bool)
+                keep = np.ones(len(ids), dtype=bool)
             else:
                 u, v, w = c.u[ids], c.v[ids], c.w[ids]
                 bu, bv = caps[u], caps[v]
@@ -492,10 +497,9 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                     lightest = full_lightest[c.pair[ids]]
                     keep = np.where(lightest > 0, lightest < w, keep)
             x_count = x_size + np.cumsum(keep)
-            stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(chunk)]
+            stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(ids)]
             peak = max(peak, h_size + int(stored.max()))
-            # the stream's own int objects; new ones would add to peak memory
-            X.update(compress(chunk, keep.tolist()))
+            X.update(ids[keep].tolist())
             x_size = int(x_count[-1])
 
     stats.underfull_collected = len(X)

@@ -218,7 +218,7 @@ def _stream_run(name: str):
 
 def _stream_digests(stream, result) -> dict[str, str]:
     return {
-        "order": _digest(list(stream.order)),
+        "order": _digest(stream.order.tolist()),
         "stats": _digest(result.stats.to_json_dict()),
         "matching": _digest({"edge_ids": list(result.matching.edge_ids),
                              "weight": result.matching.weight}),
