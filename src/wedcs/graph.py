@@ -218,7 +218,8 @@ class MultiGraph:
         Edges keep their relative id order; returns the new graph and the
         list mapping new edge ids back to the originals.
         """
-        ids = np.unique(_id_array(edge_ids))
+        ids = np.sort(_id_array(edge_ids))
+        ids = ids[_run_starts(ids)]
         graph = MultiGraph.from_columns(self.n, self.u[ids], self.v[ids], self.w[ids], W=self.W)
         return graph, ids.tolist()
 

@@ -11,11 +11,11 @@ checked in integers.  Both are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _pair_limits
+from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _int_type, _pair_limits
 
 __all__ = [
     "BMatching",
@@ -106,8 +106,9 @@ def bipartition_sides(G: MultiGraph) -> list[int] | None:
             if (seen == c).any():
                 return None
             c ^= 1
-            level = np.unique(near[seen < 0])
-            color[level] = c
+            fresh = near[seen < 0]
+            color[fresh] = c
+            level = np.flatnonzero(np.bincount(fresh, minlength=G.n))
     return color.tolist()
 
 
@@ -254,13 +255,11 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     for key in keys:
         fresh[1:] |= key[1:] != key[:-1]
     heads = np.flatnonzero(fresh)           # each class's first position
-    first = by[heads]                       # and its smallest edge id
-    appear = np.argsort(first)              # classes by first appearance
+    appear = np.argsort(by[heads])          # classes by their smallest edge id
     mult = np.diff(np.append(heads, m))
-    cu, cv, cw = (key[heads][appear].tolist() for key in keys)
-    cm = mult[appear].tolist()
-    x, y = _primal_dual(cu, cv, cw, cm, b, G.n)
-    weight = _check_certificate(zip(cu, cv, cw, cm), x, y, b)
+    classes = np.column_stack([key[heads] for key in keys] + [mult]).astype(np.int64)[appear]
+    x, y = _primal_dual(classes, b, G.n)
+    weight = _check_certificate(classes, x, y, b)
     # each class takes the first x of its positions
     taken = np.empty(len(heads), dtype=np.int64)
     taken[appear] = x
@@ -272,11 +271,10 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     return result
 
 
-def _primal_dual(cu: list[int], cv: list[int], cw: list[int], mult: list[int],
-                 b: Capacities, n: int) -> tuple[list[int], list[int]]:
-    """Class counts x and vertex labels y for :func:`bipartite_b_matching`,
-    class c joining left vertex ``cu[c]`` to right vertex ``cv[c]`` with
-    weight ``cw[c]`` and multiplicity ``mult[c]``.
+def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[list[int], list[int]]:
+    """Class counts x and vertex labels y for :func:`bipartite_b_matching`;
+    row c of ``classes`` is (left vertex, right vertex, weight,
+    multiplicity).
 
     Invariants: a class below its multiplicity has y_u + y_v >= w, a class
     in use has y_u + y_v <= w, a right vertex with a positive label is
@@ -285,21 +283,38 @@ def _primal_dual(cu: list[int], cv: list[int], cw: list[int], mult: list[int],
     invariants then are complementary slackness.
     """
     cap = [b[v] for v in range(n)]
+    # endpoints through one shared int object per vertex (tolist would
+    # make one per class) and class ids likewise, one per class
+    vertex = np.array(range(n), dtype=object)
+    cu, cv = vertex[classes[:, 0]].tolist(), vertex[classes[:, 1]].tolist()
+    mult = classes[:, 3].tolist()
+    class_id = np.array(range(len(classes)), dtype=object)
     x = [0] * len(cu)
     y = [0] * n
     load = [0] * n
-    lefts = sorted(set(cu))
-    w_max = max(cw)
+    lefts = np.flatnonzero(np.bincount(classes[:, 0], minlength=n)).tolist()
+    w_max = int(classes[:, 2].max())
     for u in lefts:
         y[u] = w_max
 
+    # the classes by left and by right endpoint, in class order at each
+    ends = [classes[:, k] for k in (0, 1)]
+    by_end = [np.argsort(end.astype(_int_type(n)), kind="stable") for end in ends]
+
     for _ in range(w_max):
-        # labels are fixed within a round, so the tight classes are too
-        tight: list[list[int]] = [[] for _ in range(n)]
-        for c in range(len(cu)):
-            if y[cu[c]] + y[cv[c]] == cw[c]:
-                tight[cu[c]].append(c)
-                tight[cv[c]].append(c)
+        # labels are fixed within a round, so the tight classes are too;
+        # tight[a] lists them at vertex a in class order
+        labels = np.asarray(y)
+        is_tight = labels[ends[0]] + labels[ends[1]] == classes[:, 2]
+        tight: list = [()] * n
+        for end, order in zip(ends, by_end):
+            ids = order[is_tight[order]]
+            grouped = class_id[ids].tolist()
+            lo = 0
+            for a, hi in enumerate(np.cumsum(np.bincount(end[ids], minlength=n)).tolist()):
+                if hi > lo:
+                    tight[a] = grouped[lo:hi]
+                lo = hi
         while True:
             # BFS layers over the tight residual graph: left vertices at even
             # depth (forward arcs, x < mult), right ones at odd (backward, x > 0)
@@ -398,31 +413,36 @@ def _blocking_flow(sources: list[int], dist: list[int], tight: list[list[int]],
             load[t] += delta
 
 
-def _check_certificate(classes: Iterable[tuple[int, int, int, int]], x: Sequence[int],
-                       y: Sequence[int], b: Capacities) -> int:
+def _check_certificate(classes, x: Sequence[int], y: Sequence[int], b: Capacities) -> int:
     """The matching's weight, once (x, y) is proven optimal in integers.
 
-    x must be feasible (0 <= x <= mult per class, load <= b per vertex)
-    and y non-negative; with z = max(0, w - y_u - y_v) per class, (y, z)
-    is then a feasible dual, so sum(b_v * y_v) + sum(mult * z) bounds every
+    ``classes`` holds one row (u, v, w, multiplicity) per class.  x must be
+    feasible (0 <= x <= mult per class, load <= b per vertex) and y
+    non-negative; with z = max(0, w - y_u - y_v) per class, (y, z) is then
+    a feasible dual, so sum(b_v * y_v) + sum(mult * z) bounds every
     b-matching's weight, and equality with x's weight proves x optimal.
-    Raises ``RuntimeError`` on any mismatch.
+    The class terms are summed in int64, where they are bounded by
+    m * W; the label term in Python integers.  Raises ``RuntimeError`` on
+    any mismatch.
     """
-    load = [0] * len(y)
-    primal = 0
-    dual = sum(b[v] * y[v] for v in range(len(y)))
-    for (u, v, w, mult), taken in zip(classes, x):
-        if not 0 <= taken <= mult:
-            raise RuntimeError(f"class ({u}, {v}, {w}) takes {taken} of its {mult} edges")
-        load[u] += taken
-        load[v] += taken
-        primal += w * taken
-        dual += mult * max(0, w - y[u] - y[v])
-    for v in range(len(y)):
-        if load[v] > b[v]:
-            raise RuntimeError(f"vertex {v} carries {load[v]} edges, capacity {b[v]}")
-        if y[v] < 0:
-            raise RuntimeError(f"vertex {v} has negative label {y[v]}")
+    u, v, w, mult = np.asarray(classes, dtype=np.int64).reshape(-1, 4).T
+    taken = np.asarray(x, dtype=np.int64)
+    labels = np.asarray(y, dtype=np.int64)
+    bad = np.flatnonzero((taken < 0) | (taken > mult))
+    if bad.size:
+        c = bad[0]
+        raise RuntimeError(f"class ({u[c]}, {v[c]}, {w[c]}) takes {taken[c]} of its {mult[c]} edges")
+    n = len(y)
+    load = np.bincount(u, taken, minlength=n) + np.bincount(v, taken, minlength=n)
+    bad = np.flatnonzero((load > np.asarray(b.b[:n])) | (labels < 0))
+    if bad.size:
+        a = bad[0]
+        if load[a] > b[a]:
+            raise RuntimeError(f"vertex {a} carries {int(load[a])} edges, capacity {b[a]}")
+        raise RuntimeError(f"vertex {a} has negative label {y[a]}")
+    primal = int((w * taken).sum())
+    dual = sum(bv * yv for bv, yv in zip(b.b, y))
+    dual += int((mult * np.maximum(0, w - labels[u] - labels[v])).sum())
     if dual != primal:
         raise RuntimeError(f"dual bound {dual} does not certify matching weight {primal}")
     return primal

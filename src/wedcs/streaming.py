@@ -33,7 +33,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -234,7 +235,7 @@ def _store_sizes(G: MultiGraph, b: Capacities, order: np.ndarray,
 
 
 def _extract(H: Subgraph, X: set[int], stats: StreamRunStats, b: Capacities,
-             edge_ids: list[int], oracle_budget: int) -> StreamRunResult:
+             edge_ids: Iterable[int], oracle_budget: int) -> StreamRunResult:
     """Best b-matching restricted to ``edge_ids``, recorded in ``stats``:
     exact when the solver budget allows, greedy otherwise."""
     G = H.parent
@@ -268,7 +269,7 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     The answer is extracted once, from H | X.
     """
     H, X, stats, _ = _two_phase_pass(stream, b, params, epsilon, variant, check_invariants, None)
-    return _extract(H, X, stats, b, sorted(H.members | X), oracle_budget)
+    return _extract(H, X, stats, b, chain(H.members, X), oracle_budget)
 
 
 def _checked_epsilon(epsilon) -> Fraction:
@@ -528,5 +529,5 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
         stats.fallback_used = "small_output"
         edge_ids = _relevant_ids(G, b)
     else:
-        edge_ids = sorted(H.members | X)
+        edge_ids = chain(H.members, X)
     return _extract(H, X, stats, b, edge_ids, oracle_budget)

@@ -180,7 +180,7 @@ def reference_bipartite_b_matching(G: MultiGraph, b: Capacities, sides) -> BMatc
         u, v = (e.u, e.v) if sides[e.u] == 0 else (e.v, e.u)
         groups.setdefault((u, v, e.w), []).append(e.id)
     classes = [(u, v, w, len(ids)) for (u, v, w), ids in groups.items()]
-    x, y = _primal_dual(*(list(col) for col in zip(*classes)), b, G.n)
+    x, y = _primal_dual(np.array(classes, dtype=np.int64), b, G.n)
     weight = _check_certificate(classes, x, y, b)
     chosen = [i for ids, taken in zip(groups.values(), x) for i in ids[:taken]]
     return BMatching(sorted(chosen), weight)
