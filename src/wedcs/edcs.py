@@ -220,12 +220,11 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
     G = H.parent
     ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
     sq = sum(w * w for w in G.w[ids].tolist())
-    by_cap: dict[int, int] = {}
-    for d, bv in zip(H.wdeg, b.b):
-        if d:
-            by_cap[bv] = by_cap.get(bv, 0) + d * d
-    return Fraction((2 * params.beta - 2) * sq) - sum(
-        (Fraction(total, bv) for bv, total in by_cap.items()), Fraction(0))
+    phi = Fraction((2 * params.beta - 2) * sq)
+    for v in range(G.n):
+        if H.wdeg[v]:
+            phi -= Fraction(H.wdeg[v] ** 2, b[v])
+    return phi
 
 
 def build_w_edcs(G: MultiGraph, params: EdcsParams, *, check_invariants: bool = True):

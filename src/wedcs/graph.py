@@ -24,9 +24,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightedEdge:
-    """One edge of a multigraph: endpoints ``u < v`` is *not* required,
-    but ``u != v`` is (no self-loops) and the integer weight lies in
-    ``[1, W]`` for the owning graph's weight cap ``W``."""
+    """One edge of a multigraph, as :attr:`MultiGraph.edges` hands it out:
+    endpoints ``u < v`` is *not* required, but ``u != v`` is (no
+    self-loops) and the integer weight lies in ``[1, W]`` for the owning
+    graph's weight cap ``W``."""
 
     id: int
     u: int
@@ -97,13 +98,7 @@ class MultiGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        rows = list(edges)
-        try:
-            table = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            table = np.array(rows, dtype=object)
-        table = table.reshape(len(rows), 3)
-        self._setup(n, table[:, 0], table[:, 1], table[:, 2], W)
+        self._setup(n, *_triple_columns(list(edges)), W)
 
     @classmethod
     def from_columns(cls, n: int, u, v, w, W: int | None = None) -> "MultiGraph":
@@ -228,6 +223,18 @@ class MultiGraph:
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m}, W={self.W})"
+
+
+def _triple_columns(triples: list[tuple[int, int, int]]):
+    """The ``u``, ``v`` and ``w`` columns of a list of triples, in int64;
+    Python integers beyond int64 stay Python integers, for the range
+    checks to reject or, for weights under a huge cap, keep."""
+    try:
+        table = np.array(triples, dtype=np.int64)
+    except OverflowError:
+        table = np.array(triples, dtype=object)
+    table = table.reshape(len(triples), 3)
+    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def _id_array(edge_ids: Iterable[int]) -> np.ndarray:

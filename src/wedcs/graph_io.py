@@ -16,7 +16,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, Subgraph
+from .graph import Capacities, MultiGraph, Subgraph, _triple_columns
 
 __all__ = ["GraphFormatError", "read_graph", "write_graph", "parse_graph", "format_graph"]
 
@@ -48,7 +48,8 @@ def read_graph(source: TextIO | str) -> tuple[MultiGraph, Capacities]:
 
     text = source.read()
     state = _ParseState()
-    columns = None
+    columns = None  # the edge columns, when read as arrays
+    tried = False
     pos, line_no = 0, 0
     while pos < len(text):
         end = text.find("\n", pos)
@@ -56,18 +57,18 @@ def read_graph(source: TextIO | str) -> tuple[MultiGraph, Capacities]:
             end = len(text)
         line_no += 1
         line = text[pos:end]
-        if columns is None and state.header is not None and line.split()[:1] == ["e"]:
+        if not tried and state.header is not None and line.split()[:1] == ["e"]:
+            tried = True
             columns = _edge_columns(text[pos:])
             if columns is not None:
                 break
-            columns = False  # parse the rest line by line
         state.parse(line_no, line)
         pos = end + 1
 
     if state.header is None:
         raise GraphFormatError(1, "missing header line 'g <n> <m> <W>'")
     n, m, W = state.header
-    if not columns:
+    if columns is None:
         columns = _triple_columns(state.triples)
     if len(columns[0]) != m:
         raise GraphFormatError(
@@ -146,17 +147,6 @@ def _edge_columns(payload: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     if not (rows["kind"] == "e").all():
         return None
     return rows["u"], rows["v"], rows["w"]
-
-
-def _triple_columns(triples: list[tuple[int, int, int]]):
-    """The columns of a list of (u, v, w) triples; Python integers beyond
-    int64 stay Python integers, for the graph's range checks to reject."""
-    try:
-        table = np.array(triples, dtype=np.int64)
-    except OverflowError:
-        table = np.array(triples, dtype=object)
-    table = table.reshape(len(triples), 3)
-    return table[:, 0], table[:, 1], table[:, 2]
 
 
 def format_graph(G: MultiGraph, b: Capacities | None = None) -> str:

@@ -222,12 +222,12 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     Edges collapse into (u, v, w) classes with u on the left
     (``sides[u] == 0``), grouped by one sort of the columns and numbered
     in order of first appearance; a class may take at most its
-    multiplicity of edges, and takes its lowest ids.  Every left vertex with an edge starts
-    at label W (the heaviest class weight), every right vertex at 0.  Each
-    of W rounds augments a maximum flow along shortest paths of tight
-    classes (y_u + y_v = w), then lowers the labels of the left vertices
-    the last search reached and raises those of the right vertices it
-    reached.  The labels y, with z = max(0, w - y_u - y_v) per class, are
+    multiplicity of edges, and takes its lowest ids.  Every left vertex
+    with an edge starts at label W (the heaviest class weight), every
+    right vertex at 0.  Each of W rounds augments a maximum flow along
+    shortest paths of tight classes (y_u + y_v = w), then lowers the
+    labels of the left vertices the last search reached and raises those
+    of the right vertices it reached.  The labels y, with z = max(0, w - y_u - y_v) per class, are
     the certificate: a dual solution whose value
     sum(b_v * y_v) + sum(mult * z) equals the matching's weight, checked
     in integers before returning.

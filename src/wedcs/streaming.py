@@ -138,7 +138,7 @@ def make_stream(G: MultiGraph, seed: int) -> EdgeStream:
 def file_order_stream(G: MultiGraph) -> EdgeStream:
     """Edges in input order; for adversarial-order experiments, which the
     approximation guarantees do not cover."""
-    return EdgeStream(G, np.arange(G.m), None, "as-is")
+    return EdgeStream(G, np.arange(G.m, dtype=_order_type(G.m)), None, "as-is")
 
 
 @dataclass
