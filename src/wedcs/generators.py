@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .edcs import EdcsParams
-from .graph import Capacities, MultiGraph, Subgraph
+from .graph import Capacities, MultiGraph, Subgraph, _int_type
 
 __all__ = [
     "GenSpec",
@@ -82,12 +82,14 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     b = Capacities([int(x) for x in rng.integers(spec.b_min, spec.b_max + 1, size=n)]) \
         if n else Capacities([])
 
+    # every vertex pair, in the graph's smallest vertex type
+    vertex = _int_type(n)
     if spec.bipartite:
         half = n // 2
-        us = np.repeat(np.arange(half), n - half)
-        vs = np.tile(np.arange(half, n), half)
+        us = np.repeat(np.arange(half, dtype=vertex), n - half)
+        vs = np.tile(np.arange(half, n, dtype=vertex), half)
     else:
-        us, vs = np.triu_indices(n, 1)
+        us, vs = (ends.astype(vertex) for ends in np.triu_indices(n, 1))
 
     if spec.allow_parallel:
         if m > 0 and not len(us):
@@ -96,8 +98,8 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
         picked, weights = draws[0::2], draws[1::2]
     else:
         # pair p owns capacity slots [cum[p-1], cum[p]), in pair order
-        caps = np.asarray(b.b, dtype=np.int64)
-        cum = np.cumsum(np.minimum(caps[us], caps[vs]))
+        caps = np.asarray(b.b, dtype=_int_type(spec.b_max))
+        cum = np.cumsum(np.minimum(caps[us], caps[vs]), dtype=np.int64)
         total = int(cum[-1]) if len(cum) else 0
         if m > total:
             raise ValueError(
