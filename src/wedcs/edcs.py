@@ -176,10 +176,10 @@ def parameters_for(
 
 
 def _degree_dtype(wdeg: list[int], b: Capacities, coef: int):
-    """The array type for the degree test
-    ``wdeg_u * b_v + wdeg_v * b_u`` against ``coef' * w * b_u * b_v`` with
-    ``coef' * w <= coef``: int64 unless a term could reach 2**62, and
-    Python integers (``object``) beyond that."""
+    """The array type for the degree test ``wdeg_u * b_v + wdeg_v * b_u``
+    against ``beta * w * b_u * b_v``, given ``coef`` >= beta * w for every
+    edge: int64 unless a term could reach 2**62, and Python integers
+    (``object``) beyond that."""
     b_max = max(b.b, default=1)
     big = max(2 * max(wdeg, default=0), coef * b_max) * b_max >= 2**62
     return object if big else np.int64

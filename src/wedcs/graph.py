@@ -96,21 +96,19 @@ class MultiGraph:
                  "_pair", "_edges", "_adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
         self._setup(n, *_triple_columns(list(edges)), W)
 
     @classmethod
     def from_columns(cls, n: int, u, v, w, W: int | None = None) -> "MultiGraph":
         """The graph whose edge ``i`` is ``(u[i], v[i], w[i])``; checked as
         the constructor checks its triples."""
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
         graph = cls.__new__(cls)
         graph._setup(n, np.asarray(u), np.asarray(v), np.asarray(w), W)
         return graph
 
     def _setup(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, W: int | None):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         m = len(u)
         if W is None:
             W = int(w.max()) if m else 1
