@@ -113,6 +113,12 @@ def test_validate_matches_fraction_arithmetic(seed):
     H = Subgraph(G, [eid for eid in range(G.m) if (eid * 7 + seed) % 3 == 0])
     params = EdcsParams(W=4, beta=5, beta_minus=3)
     report = validate(G, b, H, params)
+    assert (report.upper_violations, report.lower_violations) == \
+        _fraction_violations(G, b, H, params)
+
+
+def _fraction_violations(G, b, H, params):
+    """Both properties evaluated in rationals, edge by edge."""
     upper, lower = [], []
     for e in G.edges:
         total = Fraction(H.wdeg[e.u], b[e.u]) + Fraction(H.wdeg[e.v], b[e.v])
@@ -121,8 +127,26 @@ def test_validate_matches_fraction_arithmetic(seed):
                 upper.append(e.id)
         elif total < params.beta_minus * e.w:
             lower.append(e.id)
-    assert report.upper_violations == upper
-    assert report.lower_violations == lower
+    return upper, lower
+
+
+def test_validate_matches_fraction_arithmetic_near_2_62():
+    # weights near 2**60 put the degree terms past 2**62, beyond what int64
+    # products hold, so the array test runs in Python integers
+    big = 2**60
+    G = MultiGraph(5, [(0, 1, big), (1, 2, big - 1), (0, 2, big - 3), (2, 3, big),
+                       (3, 4, 7), (0, 4, big - 2)], W=big)
+    b = Capacities([1, 2, 3, 1, 2])
+    seen = set()
+    for beta, beta_minus in ((3, 1), (5, 3), (4, 0)):
+        params = EdcsParams(W=big, beta=beta, beta_minus=beta_minus)
+        for mask in range(1 << G.m):
+            H = Subgraph(G, [eid for eid in range(G.m) if mask >> eid & 1])
+            report = validate(G, b, H, params)
+            want = _fraction_violations(G, b, H, params)
+            assert (report.upper_violations, report.lower_violations) == want
+            seen.update(kind for kind, ids in zip("ul", want) if ids)
+    assert seen == {"u", "l"}
 
 
 def test_validate_requires_same_parent():
@@ -153,6 +177,55 @@ def test_potential_capacity_normalization():
     val = potential(Subgraph(G, [0]), Capacities([2, 1]),
                     EdcsParams(W=2, beta=4, beta_minus=2))
     assert val == Fraction(24) - Fraction(4, 2) - Fraction(4, 1)
+
+
+# ------------------------------------------------------- potential delta
+
+def _step_gain(H, b, params, eid, insert):
+    """b_u*b_v times the potential change when edge ``eid`` enters H
+    (``insert``) or leaves it, from the degree excess
+    E_k = wdeg_u*b_v + wdeg_v*b_u - k*w*b_u*b_v before the step:
+    w^2((2 beta - 2 - 2 beta_minus) b_u b_v - b_u - b_v) - 2w E_beta_minus
+    for an insertion, w^2(2 b_u b_v - b_u - b_v) + 2w E_beta for a removal."""
+    u, v, w = H.parent.triple(eid)
+    bu, bv = b[u], b[v]
+    k = params.beta_minus if insert else params.beta
+    excess = H.wdeg[u] * bv + H.wdeg[v] * bu - k * w * bu * bv
+    if insert:
+        c = 2 * params.beta - 2 - 2 * params.beta_minus
+        return w * w * (c * bu * bv - bu - bv) - 2 * w * excess
+    return w * w * (2 * bu * bv - bu - bv) + 2 * w * excess
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_step_gains_match_potential_differences(seed):
+    G, b = make_random(seed, n=9, m=25, W=4, b_max=3)
+    params = EdcsParams(W=4, beta=5, beta_minus=3)
+    H = Subgraph(G, [eid for eid in range(G.m) if (eid * 5 + seed) % 3 == 0])
+    before = potential(H, b, params)
+    for eid in range(G.m):
+        u, v, _ = G.triple(eid)
+        insert = eid not in H.members
+        gain = _step_gain(H, b, params, eid, insert)
+        (H.add if insert else H.remove)(eid)
+        assert gain == b[u] * b[v] * (potential(H, b, params) - before), eid
+        (H.remove if insert else H.add)(eid)
+
+
+def test_replacement_gain_matches_potential_difference():
+    # a variant-3 replacement swaps the held copy of a full pair (here the
+    # pair {0, 1} at capacities (1, 2)) for a heavier arrival given in the
+    # other orientation; both steps share the denominator b_u*b_v
+    G = MultiGraph(4, [(0, 1, 1), (1, 0, 3), (0, 2, 2), (1, 3, 3)], W=3)
+    b = Capacities([1, 2, 3, 1])
+    params = EdcsParams(W=3, beta=6, beta_minus=4)
+    H = Subgraph(G, [0, 2, 3])
+    before = potential(H, b, params)
+    gain = _step_gain(H, b, params, 0, False)
+    H.remove(0)
+    gain += _step_gain(H, b, params, 1, True)
+    H.add(1)
+    assert gain == b[0] * b[1] * (potential(H, b, params) - before)
 
 
 # ---------------------------------------------------------------- builders
