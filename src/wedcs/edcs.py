@@ -11,9 +11,12 @@ beta_minus <= beta - 2:
 
 Property (i) keeps H sparse (each vertex ends up with degree at most
 beta * b_v); property (ii) guarantees H retains a near-optimal b-matching.
-All comparisons below cross-multiply by b_u * b_v so everything stays in
-exact integer arithmetic; the termination argument lives on slacks of
-1/(b_u * b_v) that floating point would destroy.
+Both are one comparison, cross-multiplied by b_u * b_v so everything stays
+in exact integer arithmetic; the termination argument lives on slacks of
+1/(b_u * b_v) that floating point would destroy.  That comparison and the
+potential's change per step are written once, here, for the builder, the
+validator and the stream runner: :func:`_excess` per edge,
+:func:`_degree_terms` over edge columns, and :func:`_step_gain`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 
 import numpy as np
 
@@ -118,13 +120,15 @@ class BuildTrace:
         }
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
+def _checked_epsilon(epsilon) -> Fraction:
+    """epsilon as a ``Fraction`` in (0, 1/2), or ``ValueError``."""
+    if isinstance(epsilon, float):
         # accept floats through their decimal spelling so 0.4 means 2/5
-        return Fraction(str(x))
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(x)
+        epsilon = str(epsilon)
+    eps = Fraction(epsilon)
+    if not (0 < eps < Fraction(1, 2)):
+        raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
+    return eps
 
 
 def parameters_for(
@@ -148,9 +152,7 @@ def parameters_for(
     ``practical`` mode to pin beta directly for experiments, which returns
     (practical_beta, practical_beta - 2).
     """
-    eps = _as_fraction(epsilon)
-    if not (0 < eps < Fraction(1, 2)):
-        raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
+    eps = _checked_epsilon(epsilon)
     if W < 1:
         raise ValueError("W must be >= 1")
     lam = eps / (100 * W)
@@ -175,14 +177,53 @@ def parameters_for(
     raise ValueError(f"no admissible parameters with beta <= {BETA_SEARCH_CAP}")
 
 
-def _degree_dtype(wdeg: list[int], b: Capacities, coef: int):
-    """The array type for the degree test ``wdeg_u * b_v + wdeg_v * b_u``
-    against ``beta * w * b_u * b_v``, given ``coef`` >= beta * w for every
-    edge: int64 unless a term could reach 2**62, and Python integers
-    (``object``) beyond that."""
+def _excess(wdeg_u: int, wdeg_v: int, bu: int, bv: int, w: int, k: int) -> int:
+    """The degree rule for one edge (u, v, w): the scaled excess
+    b_u * b_v * (wdeg_u/b_u + wdeg_v/b_v - k * w), an integer.
+
+    At k = beta a positive excess breaks property (i); at k = beta_minus a
+    negative one breaks property (ii) (the edge is underfull).  Zero
+    breaks neither."""
+    return wdeg_u * bv + wdeg_v * bu - k * w * bu * bv
+
+
+def _step_gain(params: EdcsParams, insert: bool, excess: int, w: int, bu: int, bv: int) -> int:
+    """b_u * b_v times the change of :func:`potential` when an edge
+    (u, v, w) enters H (``insert``) or leaves it, given its
+    :func:`_excess` before the step: over beta_minus for an insertion,
+    over beta for a removal.
+
+    Insertion gains w^2 ((2 beta - 2 - 2 beta_minus) b_u b_v - b_u - b_v)
+    - 2w E, removal w^2 (2 b_u b_v - b_u - b_v) + 2w E.  A step that fixes
+    a violation has E <= -1 or E >= 1, and beta_minus <= beta - 2, so it
+    gains at least w^2 (2 b_u b_v - b_u - b_v) + 2w, the per-step floor."""
+    if insert:
+        c = 2 * params.beta - 2 - 2 * params.beta_minus
+        return w * w * (c * bu * bv - bu - bv) - 2 * w * excess
+    return w * w * (2 * bu * bv - bu - bv) + 2 * w * excess
+
+
+def _degree_terms(wdeg: list[int], b: Capacities, coef: int):
+    """The degree rule over edge columns, for the degrees ``wdeg``.
+
+    Returns a function of column arrays (u, v, w) that gives
+    wdeg_u * b_v + wdeg_v * b_u and b_u * b_v * w per edge; property (i)
+    or (ii) compares the first with beta or beta_minus times the second.
+    Given ``coef`` >= k * w for every edge and every k compared with, the
+    arrays are int64 unless a term could reach 2**62, and Python integers
+    (``object``) beyond that.  ``wdeg`` and ``b`` are converted once, here.
+    """
     b_max = max(b.b, default=1)
     big = max(2 * max(wdeg, default=0), coef * b_max) * b_max >= 2**62
-    return object if big else np.int64
+    dtype = object if big else np.int64
+    caps = np.asarray(b.b, dtype=dtype)
+    wd = np.asarray(wdeg, dtype=dtype)
+
+    def terms(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bu, bv = caps[u], caps[v]
+        return wd[u] * bv + wd[v] * bu, bu * bv * w.astype(dtype)
+
+    return terms
 
 
 def validate(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams) -> ViolationReport:
@@ -197,12 +238,7 @@ def validate(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams) -> V
         raise ValueError("H must be a subgraph of G")
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    dtype = _degree_dtype(H.wdeg, b, params.beta * G.W)
-    caps = np.asarray(b.b, dtype=dtype)
-    wd = np.asarray(H.wdeg, dtype=dtype)
-    bu, bv = caps[G.u], caps[G.v]
-    lhs = wd[G.u] * bv + wd[G.v] * bu
-    scaled = bu * bv * G.w.astype(dtype)
+    lhs, scaled = _degree_terms(H.wdeg, b, params.beta * G.W)(G.u, G.v, G.w)
     member = np.zeros(G.m, dtype=bool)
     member[np.fromiter(H.members, dtype=np.int64, count=len(H.members))] = True
     upper = np.flatnonzero(member & np.asarray(lhs > scaled * params.beta, dtype=bool))
@@ -237,7 +273,7 @@ def build_w_edcs(G: MultiGraph, params: EdcsParams, *, check_invariants: bool = 
     if _first_crowded_pair(G, 1) is not None:
         raise ValueError("graph must be simple (parallel edges found)")
     b = Capacities.uniform(G.n)
-    return _local_search(G, b, params, b_case=False, check_invariants=check_invariants)
+    return _local_search(G, b, params, check_invariants=check_invariants)
 
 
 def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams, *,
@@ -264,11 +300,11 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             f"pair ({u}, {v}) has {count} parallel edges, more than min(b_u, b_v)="
             f"{min(b[u], b[v])}; reduce to the relevant subgraph first"
         )
-    return _local_search(G, b, params, b_case=True, check_invariants=check_invariants)
+    return _local_search(G, b, params, check_invariants=check_invariants)
 
 
 def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
-                  b_case: bool, check_invariants: bool):
+                  check_invariants: bool):
     """Fix violations until none remain, upper-bound repairs first.
 
     Two FIFO work queues, one per property; the upper queue is always
@@ -280,8 +316,10 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     adjacency, and after an insertion the members, read from per-vertex
     sets of H's members.
 
-    The potential is summed in integers, one sum per denominator
-    b_u * b_v, and becomes a single ``Fraction`` at the end.
+    Each pop tests its edge with :func:`_excess`, and a step takes its
+    gain from that excess (:func:`_step_gain`).  The potential is summed in
+    integers, one sum per denominator b_u * b_v, and becomes a single
+    ``Fraction`` at the end.
     """
     beta, beta_minus = params.beta, params.beta_minus
     m = G.m
@@ -301,12 +339,12 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     gain_sum: dict[int, int] = {}
     gain_min: dict[int, int] = {}
 
+    excess = _excess  # a local name: called once per queue pop
+
     def note_gain(gain_scaled: int, w: int, bu: int, bv: int):
         # a step on edge (u, v, w) gains at least the floor
-        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), scaled here by b_u b_v:
-        # the violation slack of at least 1/(b_u b_v) contributes the 2w term
-        # and beta_minus <= beta - 2 the quadratic one; at unit capacities
-        # g = 2w, the classic 2
+        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), scaled here by b_u b_v
+        # (see _step_gain); at unit capacities g = 2w, the classic 2
         denom = bu * bv
         gain_sum[denom] = gain_sum.get(denom, 0) + gain_scaled
         if gain_scaled < gain_min.get(denom, gain_scaled + 1):
@@ -326,11 +364,9 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
                 continue
             u, v, w = eu[eid], ev[eid], ew[eid]
             bu, bv = caps[u], caps[v]
-            if wdeg[u] * bv + wdeg[v] * bu <= beta * w * bu * bv:
+            e = excess(wdeg[u], wdeg[v], bu, bv, w, beta)
+            if e <= 0:
                 continue  # repaired in the meantime
-            gain = (-(2 * beta - 2) * w * w * bu * bv
-                    + (2 * wdeg[u] * w - w * w) * bv
-                    + (2 * wdeg[v] * w - w * w) * bu)
             members.remove(eid)
             h_at[u].remove(eid)
             h_at[v].remove(eid)
@@ -340,7 +376,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             deg[v] -= 1
             steps += 1
             removals += 1
-            note_gain(gain, w, bu, bv)
+            note_gain(_step_gain(params, False, e, w, bu, bv), w, bu, bv)
             near = set(adj[ptr[u]:ptr[u + 1]])
             near.update(adj[ptr[v]:ptr[v + 1]])
             for i in sorted(i for i in near if not in_lower[i] and i not in members):
@@ -353,11 +389,9 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
                 continue
             u, v, w = eu[eid], ev[eid], ew[eid]
             bu, bv = caps[u], caps[v]
-            if wdeg[u] * bv + wdeg[v] * bu >= beta_minus * w * bu * bv:
+            e = excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
+            if e >= 0:
                 continue
-            gain = ((2 * beta - 2) * w * w * bu * bv
-                    - (2 * wdeg[u] * w + w * w) * bv
-                    - (2 * wdeg[v] * w + w * w) * bu)
             members.add(eid)
             h_at[u].add(eid)
             h_at[v].add(eid)
@@ -367,10 +401,10 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             deg[v] += 1
             steps += 1
             insertions += 1
-            note_gain(gain, w, bu, bv)
+            note_gain(_step_gain(params, True, e, w, bu, bv), w, bu, bv)
             if check_invariants:
                 for x in (u, v):
-                    cap = (beta * caps[x] if b_case else beta) + 1
+                    cap = beta * caps[x] + 1
                     if deg[x] > cap:
                         raise LocalSearchError(
                             f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")

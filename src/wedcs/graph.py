@@ -18,7 +18,6 @@ __all__ = [
     "Capacities",
     "Subgraph",
     "relevant_subgraph",
-    "index_labeled_edges",
 ]
 
 
@@ -359,22 +358,6 @@ class Subgraph:
 
     def __repr__(self) -> str:
         return f"Subgraph({len(self.members)} of {self.parent!r})"
-
-
-def index_labeled_edges(edges) -> tuple[list[tuple[int, int, int]], dict]:
-    """Map arbitrary hashable vertex labels to dense 0-based indices.
-
-    Labels are numbered in order of first appearance; returns the indexed
-    (u, v, w) triples ready for :class:`MultiGraph` and the label-to-index
-    mapping so results can be reported in the caller's vocabulary.
-    """
-    index: dict = {}
-    triples: list[tuple[int, int, int]] = []
-    for label_u, label_v, w in edges:
-        u = index.setdefault(label_u, len(index))
-        v = index.setdefault(label_v, len(index))
-        triples.append((u, v, w))
-    return triples, index
 
 
 def _pair_limits(G: MultiGraph, b: Capacities) -> np.ndarray:

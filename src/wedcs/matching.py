@@ -19,7 +19,6 @@ from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _int_t
 
 __all__ = [
     "BMatching",
-    "WVertexCover",
     "OracleBudgetExceeded",
     "DEFAULT_ORACLE_BUDGET",
     "bipartition_sides",
@@ -27,7 +26,6 @@ __all__ = [
     "branch_and_bound_b_matching",
     "bipartite_b_matching",
     "max_weight_b_matching_greedy",
-    "min_w_vertex_cover_bipartite",
     "distribute_edges",
     "split_vertices",
     "SplitResult",
@@ -65,22 +63,6 @@ class BMatching:
             ],
             "weight": self.weight,
         }
-
-
-@dataclass
-class WVertexCover:
-    """Non-negative integer vertex labels with w(u,v) <= alpha_u + alpha_v
-    on every edge."""
-
-    alpha: list[int]
-
-    @property
-    def weight(self) -> int:
-        return sum(self.alpha)
-
-    def covers(self, G: MultiGraph) -> bool:
-        alpha = np.asarray(self.alpha)
-        return bool((G.w <= alpha[G.u] + alpha[G.v]).all())
 
 
 def bipartition_sides(G: MultiGraph) -> list[int] | None:
@@ -219,56 +201,69 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     """Exact solver for bipartite multigraphs by a weight-level primal-dual
     method that checks its own König–Egerváry certificate.
 
-    Edges collapse into (u, v, w) classes with u on the left
-    (``sides[u] == 0``), grouped by one sort of the columns and numbered
-    in order of first appearance; a class may take at most its
-    multiplicity of edges, and takes its lowest ids.  Every left vertex
-    with an edge starts at label W (the heaviest class weight), every
-    right vertex at 0.  Each of W rounds augments a maximum flow along
-    shortest paths of tight classes (y_u + y_v = w), then lowers the
-    labels of the left vertices the last search reached and raises those
-    of the right vertices it reached.  The labels y, with z = max(0, w - y_u - y_v) per class, are
-    the certificate: a dual solution whose value
-    sum(b_v * y_v) + sum(mult * z) equals the matching's weight, checked
-    in integers before returning.
+    Edges collapse into the classes of :func:`_classes`; a class may
+    take at most its multiplicity of edges, and takes its lowest ids.
+    Every left vertex with an edge starts at label W (the heaviest class
+    weight), every right vertex at 0.  Each of W rounds augments a
+    maximum flow along shortest paths of tight classes (y_u + y_v = w),
+    then lowers the labels of the left vertices the last search reached
+    and raises those of the right vertices it reached.  The labels y, with
+    z = max(0, w - y_u - y_v) per class, are the certificate: a dual
+    solution whose value sum(b_v * y_v) + sum(mult * z) equals the
+    matching's weight, checked in integers before returning.
     """
     if sides is None:
         sides = bipartition_sides(G)
         if sides is None:
             raise ValueError("graph is not bipartite")
+    classes, cls, rank = _classes(G, sides)
+    if G.m == 0:
+        return BMatching([], 0)
+    x, y = _primal_dual(classes, b, G.n)
+    weight = _check_certificate(classes, x, y, b)
+    # each class takes its x lowest ids
+    result = BMatching(np.flatnonzero(rank < np.asarray(x)[cls]).tolist(), weight)
+    if not result.verify(G, b):
+        raise RuntimeError("primal-dual solution failed verification")  # pragma: no cover
+    return result
+
+
+def _classes(G: MultiGraph, sides: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G's edges collapsed into (u, v, w) classes with u on the left
+    (``sides[u] == 0``), grouped by one sort of the columns.
+
+    Returns one row (left vertex, right vertex, weight, multiplicity) per
+    class, classes numbered in order of their smallest edge id, and per
+    edge id its class and its rank among its class's ids.  Raises
+    ``ValueError`` when an edge does not cross the bipartition.
+    """
     side = np.asarray(sides)
     on_left = side[G.u] == 0
     crossing = np.flatnonzero(side[G.u] == side[G.v])
     if crossing.size:
         raise ValueError(f"edge {int(crossing[0])} does not cross the given bipartition")
     m = G.m
-    if m == 0:
-        return BMatching([], 0)
-
     left = np.where(on_left, G.u, G.v)
     right = np.where(on_left, G.v, G.u)
     # sorted by class, ids ascending within each (lexsort is stable)
     by = np.lexsort((G.w, right, left))
     keys = (left[by], right[by], G.w[by])
     fresh = np.zeros(m, dtype=bool)
-    fresh[0] = True
+    fresh[:1] = True
     for key in keys:
         fresh[1:] |= key[1:] != key[:-1]
     heads = np.flatnonzero(fresh)           # each class's first position
     appear = np.argsort(by[heads])          # classes by their smallest edge id
     mult = np.diff(np.append(heads, m))
     classes = np.column_stack([key[heads] for key in keys] + [mult]).astype(np.int64)[appear]
-    x, y = _primal_dual(classes, b, G.n)
-    weight = _check_certificate(classes, x, y, b)
-    # each class takes the first x of its positions
-    taken = np.empty(len(heads), dtype=np.int64)
-    taken[appear] = x
-    cls = np.cumsum(fresh) - 1
-    rank = np.arange(m) - heads[cls]
-    result = BMatching(np.sort(by[rank < taken[cls]]).tolist(), weight)
-    if not result.verify(G, b):
-        raise RuntimeError("primal-dual solution failed verification")  # pragma: no cover
-    return result
+    number = np.empty(len(heads), dtype=np.int64)
+    number[appear] = np.arange(len(heads))
+    at = np.cumsum(fresh) - 1               # class of each sorted position, by sort order
+    cls = np.empty(m, dtype=np.int64)
+    cls[by] = number[at]
+    rank = np.empty(m, dtype=np.int64)
+    rank[by] = np.arange(m) - heads[at]
+    return classes, cls, rank
 
 
 def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[list[int], list[int]]:
@@ -446,78 +441,6 @@ def _check_certificate(classes, x: Sequence[int], y: Sequence[int], b: Capacitie
     if dual != primal:
         raise RuntimeError(f"dual bound {dual} does not certify matching weight {primal}")
     return primal
-
-
-def min_w_vertex_cover_bipartite(G: MultiGraph, sides: Sequence[int],
-                                 budget: int = DEFAULT_ORACLE_BUDGET) -> WVertexCover:
-    """Minimum-weight cover labels for a bipartite graph by pruned search.
-
-    Enumerates labels on one side only: once the left labels are fixed,
-    the cheapest right label of v is forced to max(0, w - alpha_u) over
-    its edges.  The partial forced sum is an admissible lower bound, so
-    the search prunes hard at desk scale.  Independent of any matching
-    computation, which is what makes it usable as the duality check's
-    second route.
-    """
-    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
-    for eid, (u, v) in enumerate(zip(eu, ev)):
-        if sides[u] == sides[v]:
-            raise ValueError(f"edge {eid} does not cross the given bipartition: non-bipartite input")
-
-    max_w = [0] * G.n
-    for u, v, w in zip(eu, ev, ew):
-        max_w[u] = max(max_w[u], w)
-        max_w[v] = max(max_w[v], w)
-    ptr, nbrs = G.indptr.tolist(), G.adj_nbrs.tolist()
-    adj = G.adj_edges.tolist()
-    left = [v for v in range(G.n) if sides[v] == 0 and ptr[v] < ptr[v + 1]]
-
-    # Two trivial covers seed the incumbent: all weight on one side.
-    best_alpha = [max_w[v] if sides[v] == 0 else 0 for v in range(G.n)]
-    other = [max_w[v] if sides[v] == 1 else 0 for v in range(G.n)]
-    if sum(other) < sum(best_alpha):
-        best_alpha = other
-    best_total = sum(best_alpha)
-
-    alpha = [0] * G.n
-    forced = [0] * G.n
-    sum_alpha = 0
-    sum_forced = 0
-    nodes = 0
-
-    def dfs(k: int) -> None:
-        nonlocal nodes, best_total, best_alpha, sum_alpha, sum_forced
-        nodes += 1
-        if nodes > budget:
-            raise OracleBudgetExceeded(
-                f"cover search budget exceeded ({budget} nodes)")
-        if sum_alpha + sum_forced >= best_total:
-            return
-        if k == len(left):
-            best_total = sum_alpha + sum_forced
-            best_alpha = [alpha[v] if sides[v] == 0 else forced[v] for v in range(G.n)]
-            return
-        u = left[k]
-        for value in range(0, max_w[u] + 1):
-            alpha[u] = value
-            sum_alpha += value
-            undo: list[tuple[int, int]] = []
-            for j in range(ptr[u], ptr[u + 1]):
-                v = nbrs[j]
-                need = ew[adj[j]] - value
-                if need > forced[v]:
-                    undo.append((v, forced[v]))
-                    sum_forced += need - forced[v]
-                    forced[v] = need
-            dfs(k + 1)
-            for v, old in reversed(undo):
-                sum_forced -= forced[v] - old
-                forced[v] = old
-            sum_alpha -= value
-            alpha[u] = 0
-
-    dfs(0)
-    return WVertexCover(best_alpha)
 
 
 def distribute_edges(groups: Sequence[Sequence[tuple[int, int, bool]]],

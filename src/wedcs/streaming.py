@@ -34,16 +34,15 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .edcs import EdcsParams, _as_fraction, _degree_dtype
+from .edcs import EdcsParams, _checked_epsilon, _degree_terms, _excess, _step_gain
 from .graph import (
     Capacities,
     MultiGraph,
     Subgraph,
-    WeightedEdge,
     _first_crowded_pair,
     _pair_limits,
     _rank_in_runs,
@@ -65,7 +64,6 @@ __all__ = [
     "PRNG_ID",
     "make_stream",
     "file_order_stream",
-    "is_underfull",
     "run_single_pass",
     "run_with_fallbacks",
 ]
@@ -107,10 +105,6 @@ class EdgeStream:
                 and np.bincount(ids, minlength=m).all()):
             raise ValueError("order must be a permutation of all edge ids")
         object.__setattr__(self, "order", ids.astype(_order_type(m), copy=False))
-
-    def edges(self) -> Iterator[WeightedEdge]:
-        for eid in self.order:
-            yield self.graph.edges[eid]
 
 
 def _order_type(m: int) -> type:
@@ -186,16 +180,6 @@ class StreamRunResult(NamedTuple):
     stats: StreamRunStats
 
 
-def is_underfull(H: Subgraph, b: Capacities, edge: WeightedEdge, params: EdcsParams) -> bool:
-    """Whether a non-member edge's endpoints are still light enough that
-    the edge must be kept: wdeg(u)/b_u + wdeg(v)/b_v < beta_minus * w,
-    compared exactly by cross-multiplying."""
-    if edge.id in H.members:
-        raise ValueError(f"edge {edge.id} is a member of H")
-    bu, bv = b[edge.u], b[edge.v]
-    return H.wdeg[edge.u] * bv + H.wdeg[edge.v] * bu < params.beta_minus * edge.w * bu * bv
-
-
 def _store_sizes(G: MultiGraph, b: Capacities, order: np.ndarray,
                  cap: float) -> tuple[np.ndarray, bool]:
     """Size of the relevant store after every stream position, and whether
@@ -268,23 +252,18 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     repair loop still counts as the epoch having found an underfull edge.
     The answer is extracted once, from H | X.
     """
-    H, X, stats, _ = _two_phase_pass(stream, b, params, epsilon, variant, check_invariants, None)
+    H, X, stats, _ = _two_phase_pass(stream, b, params, _checked_epsilon(epsilon), variant,
+                                     check_invariants, None)
     return _extract(H, X, stats, b, chain(H.members, X), oracle_budget)
 
 
-def _checked_epsilon(epsilon) -> Fraction:
-    eps = _as_fraction(epsilon)
-    if not (0 < eps < Fraction(1, 2)):
-        raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
-    return eps
-
-
-def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon,
+def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: Fraction,
                     variant: int, check_invariants: bool, store_cap: float | None,
                     ) -> tuple[Subgraph, set[int], StreamRunStats, bool]:
-    """Phases 1 and 2 of :func:`run_single_pass`, with a relevant store
-    capped at ``store_cap`` alongside when that is not None; returns H, X,
-    the stats without an extraction, and whether the store survived.
+    """Phases 1 and 2 of :func:`run_single_pass` at the checked epsilon
+    ``eps``, with a relevant store capped at ``store_cap`` alongside when
+    that is not None; returns H, X, the stats without an extraction, and
+    whether the store survived.
 
     Phase 1 goes edge by edge.  Once H is frozen, phase 2 and the store
     are arrays over chunks of stream positions: the underfull test of a
@@ -293,7 +272,6 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
-    eps = _checked_epsilon(epsilon)
     if G.W > params.W:
         raise ValueError(f"graph weight cap {G.W} exceeds parameter W={params.W}")
     if len(b) != G.n:
@@ -346,18 +324,6 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
         if variant == 3:
             pair_h[min(u, v), max(u, v)].discard(eid)
 
-    def phi_delta_remove(eid: int) -> Fraction:
-        u, v, w = G.triple(eid)
-        return (-Fraction((2 * beta - 2) * w * w)
-                + Fraction(2 * wdeg[u] * w - w * w, b[u])
-                + Fraction(2 * wdeg[v] * w - w * w, b[v]))
-
-    def phi_delta_add(eid: int) -> Fraction:
-        u, v, w = G.triple(eid)
-        return (Fraction((2 * beta - 2) * w * w)
-                - Fraction(2 * wdeg[u] * w + w * w, b[u])
-                - Fraction(2 * wdeg[v] * w + w * w, b[v]))
-
     def repair_upper(u0: int, v0: int) -> None:
         # fix membership-bound violations in FIFO id order; only edges at
         # vertices whose degree changed can newly violate
@@ -369,8 +335,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
             if cand not in H.members:
                 continue
             cu, cv, cw = G.triple(cand)
-            cbu, cbv = b[cu], b[cv]
-            if wdeg[cu] * cbv + wdeg[cv] * cbu <= beta * cw * cbu * cbv:
+            if _excess(wdeg[cu], wdeg[cv], b[cu], b[cv], cw, beta) <= 0:
                 continue
             h_remove(cand)
             for i in sorted(x for x in h_at[cu] | h_at[cv] if x not in queued):
@@ -380,8 +345,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     def assert_bounded() -> None:
         for eid in H.members:
             u, v, w = G.triple(eid)
-            bu, bv = b[u], b[v]
-            if wdeg[u] * bv + wdeg[v] * bu > beta * w * bu * bv:
+            if _excess(wdeg[u], wdeg[v], b[u], b[v], w, beta) > 0:
                 raise StreamInvariantError(
                     f"H lost its bounded weighted edge-degree at edge {eid}")
         if variant == 3:
@@ -394,28 +358,27 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
         """Returns True when the edge triggered an insertion (or replacement)."""
         u, v, w = G.triple(eid)
         bu, bv = b[u], b[v]
-        if not (wdeg[u] * bv + wdeg[v] * bu < beta_minus * w * bu * bv):
+        if _excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus) >= 0:
             return False
         if variant == 3:
             held = pair_h.get((min(u, v), max(u, v)))
             if held and len(held) >= min(bu, bv):
                 lightest = min(held, key=lambda i: (int(G.w[i]), i))
-                if w <= int(G.w[lightest]):
+                lw = int(G.w[lightest])
+                if w <= lw:
                     return False  # irrelevant duplicate, ignore
-                delta = phi_delta_remove(lightest) if check_invariants else None
+                if check_invariants:
+                    # remove the held copy, then insert: both edges join u
+                    # and v, so one denominator b_u * b_v serves both gains
+                    e_out = _excess(wdeg[u], wdeg[v], bu, bv, lw, beta)
+                    e_in = _excess(wdeg[u] - lw, wdeg[v] - lw, bu, bv, w, beta_minus)
+                    gain = (_step_gain(params, False, e_out, lw, bu, bv)
+                            + _step_gain(params, True, e_in, w, bu, bv))
+                    if gain < bu * bv:
+                        raise StreamInvariantError(
+                            f"replacement changed the potential by {Fraction(gain, bu * bv)} < 1")
                 h_remove(lightest)
-                if check_invariants:
-                    delta += phi_delta_add(eid)
-                h_add(eid)
                 stats.replacement_count += 1
-                if check_invariants and delta < 1:
-                    raise StreamInvariantError(
-                        f"replacement changed the potential by {delta} < 1")
-                repair_upper(u, v)
-                if check_invariants:
-                    assert_bounded()
-                track()
-                return True
         h_add(eid)
         repair_upper(u, v)
         if check_invariants:
@@ -477,9 +440,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     if pos < m:
         c = G.columns()
         h_size, x_size = len(H.members), 0
-        dtype = _degree_dtype(wdeg, b, beta_minus * W)
-        caps = np.asarray(b.b, dtype=dtype)
-        wd = np.asarray(wdeg, dtype=dtype)
+        terms = _degree_terms(wdeg, b, beta_minus * W)
         if variant == 3:
             # per pair id: the lightest weight H holds at a full pair, else 0
             full_lightest = np.zeros(int(c.pair.max()) + 1, dtype=c.w.dtype)
@@ -491,9 +452,9 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
             if collect_all:
                 keep = np.ones(len(ids), dtype=bool)
             else:
-                u, v, w = c.u[ids], c.v[ids], c.w[ids]
-                bu, bv = caps[u], caps[v]
-                keep = np.asarray(wd[u] * bv + wd[v] * bu < bu * bv * w * beta_minus, dtype=bool)
+                w = c.w[ids]
+                lhs, scaled = terms(c.u[ids], c.v[ids], w)
+                keep = np.asarray(lhs < scaled * beta_minus, dtype=bool)
                 if variant == 3:
                     lightest = full_lightest[c.pair[ids]]
                     keep = np.where(lightest > 0, lightest < w, keep)
@@ -523,7 +484,7 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
     G = stream.graph
     eps = _checked_epsilon(epsilon)
     cap = 2 * G.n * (3 * params.W ** 2 / (2 * float(eps) ** 2)) * math.log(max(stream.m, 2))
-    H, X, stats, store_alive = _two_phase_pass(stream, b, params, epsilon, variant,
+    H, X, stats, store_alive = _two_phase_pass(stream, b, params, eps, variant,
                                                check_invariants, cap)
     if store_alive:
         stats.fallback_used = "small_output"

@@ -68,6 +68,22 @@ def brute_force_min_cover_weight(G: MultiGraph) -> int:
     return best
 
 
+def primal_dual_cover(G: MultiGraph, sides) -> list[int]:
+    """A w-vertex cover read off the primal-dual solver's labels at unit
+    capacities: alpha = y, plus z = max(0, w - y_u - y_v) of every class
+    added to its left vertex.  When G is simple, sum(alpha) is the dual
+    value the solver certifies; callers check the cover property
+    themselves."""
+    from wedcs.matching import _classes, _primal_dual
+
+    classes, _, _ = _classes(G, sides)
+    _, y = _primal_dual(classes, Capacities.uniform(G.n), G.n)
+    alpha = list(y)
+    for u, v, w, _ in classes.tolist():
+        alpha[u] += max(0, w - y[u] - y[v])
+    return alpha
+
+
 def make_random(seed: int, n: int, m: int, W: int, b_max: int = 1, *,
                 b_min: int = 1, bipartite: bool = False,
                 allow_parallel: bool = False) -> tuple[MultiGraph, Capacities]:
@@ -176,12 +192,12 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
     Returns the same ``StreamRunResult`` the runner does."""
     import math
     from wedcs import StreamRunStats, Subgraph
-    from wedcs.edcs import _as_fraction
+    from wedcs.edcs import _checked_epsilon
     from wedcs.matching import DEFAULT_ORACLE_BUDGET
     from wedcs.streaming import _extract
 
     G, m, order = stream.graph, stream.m, stream.order
-    eps = _as_fraction(epsilon)
+    eps = _checked_epsilon(epsilon)
     beta, beta_minus, W = params.beta, params.beta_minus, params.W
     store = None
     if with_store:

@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,8 @@ from wedcs import (
     tight_instance,
     validate,
 )
+
+from wedcs.edcs import _degree_terms, _excess, _step_gain
 
 from helpers import make_random
 
@@ -179,22 +182,29 @@ def test_potential_capacity_normalization():
     assert val == Fraction(24) - Fraction(4, 2) - Fraction(4, 1)
 
 
+@pytest.mark.parametrize("scale", [1, 2**60])
+def test_degree_terms_match_scalar_excess(scale):
+    # at scale 2**60 the weights put the terms past 2**62, so the array
+    # form runs in Python integers
+    G0, b = make_random(4, n=9, m=25, W=4, b_max=3)
+    G = MultiGraph.from_columns(G0.n, G0.u, G0.v, G0.w.astype(np.int64) * scale, W=4 * scale)
+    H = Subgraph(G, [eid for eid in range(G.m) if eid % 3 != 1])
+    lhs, scaled = _degree_terms(H.wdeg, b, 5 * G.W)(G.u, G.v, G.w)
+    assert lhs.dtype == (object if scale > 1 else np.int64)
+    for k in (0, 2, 5):
+        for eid in range(G.m):
+            u, v, w = G.triple(eid)
+            assert lhs[eid] - k * scaled[eid] == _excess(H.wdeg[u], H.wdeg[v], b[u], b[v], w, k)
+
+
 # ------------------------------------------------------- potential delta
 
-def _step_gain(H, b, params, eid, insert):
-    """b_u*b_v times the potential change when edge ``eid`` enters H
-    (``insert``) or leaves it, from the degree excess
-    E_k = wdeg_u*b_v + wdeg_v*b_u - k*w*b_u*b_v before the step:
-    w^2((2 beta - 2 - 2 beta_minus) b_u b_v - b_u - b_v) - 2w E_beta_minus
-    for an insertion, w^2(2 b_u b_v - b_u - b_v) + 2w E_beta for a removal."""
+def _gain(H, b, params, eid, insert):
+    """The kernel's scaled gain for edge ``eid`` entering or leaving H."""
     u, v, w = H.parent.triple(eid)
-    bu, bv = b[u], b[v]
     k = params.beta_minus if insert else params.beta
-    excess = H.wdeg[u] * bv + H.wdeg[v] * bu - k * w * bu * bv
-    if insert:
-        c = 2 * params.beta - 2 - 2 * params.beta_minus
-        return w * w * (c * bu * bv - bu - bv) - 2 * w * excess
-    return w * w * (2 * bu * bv - bu - bv) + 2 * w * excess
+    excess = _excess(H.wdeg[u], H.wdeg[v], b[u], b[v], w, k)
+    return _step_gain(params, insert, excess, w, b[u], b[v])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -206,7 +216,7 @@ def test_step_gains_match_potential_differences(seed):
     for eid in range(G.m):
         u, v, _ = G.triple(eid)
         insert = eid not in H.members
-        gain = _step_gain(H, b, params, eid, insert)
+        gain = _gain(H, b, params, eid, insert)
         (H.add if insert else H.remove)(eid)
         assert gain == b[u] * b[v] * (potential(H, b, params) - before), eid
         (H.remove if insert else H.add)(eid)
@@ -221,9 +231,9 @@ def test_replacement_gain_matches_potential_difference():
     params = EdcsParams(W=3, beta=6, beta_minus=4)
     H = Subgraph(G, [0, 2, 3])
     before = potential(H, b, params)
-    gain = _step_gain(H, b, params, 0, False)
+    gain = _gain(H, b, params, 0, False)
     H.remove(0)
-    gain += _step_gain(H, b, params, 1, True)
+    gain += _gain(H, b, params, 1, True)
     H.add(1)
     assert gain == b[0] * b[1] * (potential(H, b, params) - before)
 

@@ -148,12 +148,3 @@ def test_subgraph_add_remove_errors():
     H.add(0)
     with pytest.raises(ValueError):
         H.add(0)
-
-
-def test_index_labeled_edges():
-    from wedcs import index_labeled_edges
-    triples, mapping = index_labeled_edges([("a", "b", 3), ("b", "c", 1), ("a", "c", 2)])
-    assert triples == [(0, 1, 3), (1, 2, 1), (0, 2, 2)]
-    assert mapping == {"a": 0, "b": 1, "c": 2}
-    G = MultiGraph(len(mapping), triples)
-    assert G.m == 3

@@ -21,7 +21,6 @@ from wedcs import (
     distribute_edges,
     max_weight_b_matching_exact,
     max_weight_b_matching_greedy,
-    min_w_vertex_cover_bipartite,
     split_vertices,
 )
 from wedcs.matching import _check_certificate
@@ -31,6 +30,7 @@ from helpers import (
     brute_force_min_cover_weight,
     check_distribution_properties,
     make_random,
+    primal_dual_cover,
     random_distribution_input,
 )
 
@@ -165,40 +165,38 @@ def test_greedy_half_of_optimum(seed):
 
 # ----------------------------------------------------------------- cover
 
+def _covers(G, alpha) -> bool:
+    alpha = np.asarray(alpha)
+    return bool((alpha >= 0).all() and (G.w <= alpha[G.u] + alpha[G.v]).all())
+
+
 def test_cover_single_edge():
     G = MultiGraph(2, [(0, 1, 3)])
-    cover = min_w_vertex_cover_bipartite(G, [0, 1])
-    assert cover.weight == 3 and cover.covers(G)
+    alpha = primal_dual_cover(G, [0, 1])
+    assert sum(alpha) == 3 and _covers(G, alpha)
 
 
 def test_cover_path():
     G = MultiGraph(3, [(0, 1, 2), (1, 2, 2)])
-    cover = min_w_vertex_cover_bipartite(G, [0, 1, 0])
-    assert cover.weight == 2  # all weight on the middle vertex
-    assert cover.covers(G)
+    alpha = primal_dual_cover(G, [0, 1, 0])
+    assert alpha == [0, 2, 0]  # all weight on the middle vertex
+    assert _covers(G, alpha)
 
 
 def test_cover_rejects_non_bipartite_labeling():
     G = MultiGraph(2, [(0, 1, 1)])
-    with pytest.raises(ValueError):
-        min_w_vertex_cover_bipartite(G, [0, 0])
-
-
-def test_cover_budget():
-    G, _ = make_random(1, n=14, m=30, W=4, bipartite=True)
-    with pytest.raises(OracleBudgetExceeded):
-        min_w_vertex_cover_bipartite(G, bipartition_sides(G), budget=2)
+    with pytest.raises(ValueError, match="does not cross"):
+        primal_dual_cover(G, [0, 0])
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_koenig_egervary_duality(seed):
     G, _ = make_random(seed, n=8, m=12, W=4, bipartite=True)
-    sides = bipartition_sides(G)
-    cover = min_w_vertex_cover_bipartite(G, sides)
-    assert cover.covers(G)
+    alpha = primal_dual_cover(G, bipartition_sides(G))
+    assert _covers(G, alpha)
     matching = branch_and_bound_b_matching(G, Capacities.uniform(G.n), budget=10**6)
-    assert cover.weight == matching.weight
-    assert cover.weight == brute_force_min_cover_weight(G)
+    assert sum(alpha) == matching.weight
+    assert sum(alpha) == brute_force_min_cover_weight(G)
 
 
 # ------------------------------------------------------------- distribute

@@ -11,13 +11,13 @@ from wedcs import (
     Subgraph,
     build_wb_edcs,
     file_order_stream,
-    is_underfull,
     make_stream,
     max_weight_b_matching_exact,
     run_single_pass,
     run_with_fallbacks,
     validate,
 )
+from wedcs.edcs import _excess
 
 from helpers import (
     ScalarRelevantStore,
@@ -98,10 +98,22 @@ def test_file_order_stream():
 
 # -------------------------------------------------------------- underfull
 
+def _is_underfull(H, b, eid, params) -> bool:
+    """The degree rule's sign: E_beta_minus < 0."""
+    u, v, w = H.parent.triple(eid)
+    return _excess(H.wdeg[u], H.wdeg[v], b[u], b[v], w, params.beta_minus) < 0
+
+
+def _underfull_direct(H, b, e, params) -> bool:
+    """wdeg(u)/b_u + wdeg(v)/b_v < beta_minus * w, in rationals."""
+    return (Fraction(H.wdeg[e.u], b[e.u]) + Fraction(H.wdeg[e.v], b[e.v])
+            < params.beta_minus * e.w)
+
+
 def test_is_underfull_empty_H():
     G = MultiGraph(2, [(0, 1, 1)])
     H = Subgraph(G)
-    assert is_underfull(H, Capacities.uniform(2), G.edges[0], P41)
+    assert _is_underfull(H, Capacities.uniform(2), 0, P41)
 
 
 def test_is_underfull_boundary_strict():
@@ -109,14 +121,8 @@ def test_is_underfull_boundary_strict():
     G = MultiGraph(4, [(0, 2, 2), (1, 3, 2), (0, 1, 1)])
     H = Subgraph(G, [0, 1])
     params = EdcsParams(W=2, beta=6, beta_minus=4)
-    assert not is_underfull(H, Capacities.uniform(4), G.edges[2], params)
-
-
-def test_is_underfull_rejects_member():
-    G = MultiGraph(2, [(0, 1, 1)])
-    H = Subgraph(G, [0])
-    with pytest.raises(ValueError):
-        is_underfull(H, Capacities.uniform(2), G.edges[0], P41)
+    assert _excess(H.wdeg[0], H.wdeg[1], 1, 1, 1, params.beta_minus) == 0
+    assert not _is_underfull(H, Capacities.uniform(4), 2, params)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -125,11 +131,10 @@ def test_is_underfull_matches_direct_formula(seed):
     H = Subgraph(G, [eid for eid in range(G.m) if eid % 3 == 0])
     params = EdcsParams(W=3, beta=8, beta_minus=5)
     for e in G.edges:
-        if e.id in H.members:
-            continue
-        direct = (Fraction(H.wdeg[e.u], b[e.u]) + Fraction(H.wdeg[e.v], b[e.v])
-                  < params.beta_minus * e.w)
-        assert is_underfull(H, b, e, params) == direct
+        u, v = e.u, e.v
+        over = (Fraction(H.wdeg[u], b[u]) + Fraction(H.wdeg[v], b[v]) > params.beta * e.w)
+        assert (_excess(H.wdeg[u], H.wdeg[v], b[u], b[v], e.w, params.beta) > 0) == over
+        assert _is_underfull(H, b, e.id, params) == _underfull_direct(H, b, e, params)
 
 
 # ------------------------------------------------------------------- runs
@@ -269,7 +274,7 @@ def test_phase1_runs_for_real_at_small_parameters():
     # X is exactly the underfull part of the late stream w.r.t. the final H
     late = make_stream(G, 1234).order[stats.phase1_edges_consumed:]
     expected = {eid for eid in late
-                if is_underfull(res.H, b, G.edges[eid], P41)}
+                if _underfull_direct(res.H, b, G.edges[eid], P41)}
     assert res.X.members == expected
     assert stats.peak_stored_edges >= len(res.H) + len(res.X)
     assert stats.extraction == "exact"
@@ -296,7 +301,7 @@ def _offline_combination(seed: int, params: EdcsParams, n: int, m: int, W: int,
     H_half, _ = build_wb_edcs(first_half, b, params)
     H = Subgraph(G, H_half.members)  # same ids: restriction preserved prefix ids
     X = {e.id for e in G.edges
-         if e.id not in H.members and is_underfull(H, b, e, params)}
+         if e.id not in H.members and _underfull_direct(H, b, e, params)}
     union, _ = G.restrict(H.members | X)
     got = max_weight_b_matching_exact(union, b).weight
     opt = max_weight_b_matching_exact(G, b).weight
