@@ -221,7 +221,7 @@ def _degree_terms(wdeg: list[int], b: Capacities, coef: int):
 
     def terms(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bu, bv = caps[u], caps[v]
-        return wd[u] * bv + wd[v] * bu, bu * bv * w.astype(dtype)
+        return wd[u] * bv + wd[v] * bu, bu * bv * w
 
     return terms
 

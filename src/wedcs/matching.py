@@ -259,9 +259,9 @@ def _classes(G: MultiGraph, sides: Sequence[int]) -> tuple[np.ndarray, np.ndarra
     number = np.empty(len(heads), dtype=np.int64)
     number[appear] = np.arange(len(heads))
     at = np.cumsum(fresh) - 1               # class of each sorted position, by sort order
-    cls = np.empty(m, dtype=np.int64)
+    cls = np.empty(m, dtype=_int_type(len(heads)))
     cls[by] = number[at]
-    rank = np.empty(m, dtype=np.int64)
+    rank = np.empty(m, dtype=_int_type(int(mult.max(initial=0))))
     rank[by] = np.arange(m) - heads[at]
     return classes, cls, rank
 
