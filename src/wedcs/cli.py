@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .edcs import EdcsParams, build_wb_edcs, parameters_for, validate
+from .edcs import EdcsParams, _checked_epsilon, build_wb_edcs, parameters_for, validate
 from .generators import GenSpec, multicopy_instance, random_instance, tight_instance
 from .graph import Capacities, MultiGraph, Subgraph
 from .graph_io import (GraphFormatError, match_subgraph_edges, read_graph, write_graph,
@@ -169,10 +169,14 @@ def _worker(seed) -> dict:
 
 
 def cmd_stream(args) -> int:
+    if args.jobs < 1:
+        raise InputError("--jobs must be >= 1")
     graph, caps = _load_graph(args.graph)
     params = _params_from_args(args, graph.W)
     if args.epsilon is None:
         raise InputError("stream requires --epsilon")
+    # before the oracle and any worker: a bad epsilon fails every run
+    _checked_epsilon(args.epsilon)
     seeds = _parse_seeds(args.seeds)
 
     try:

@@ -251,16 +251,18 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
     capacity-normalized sum of squared weighted degrees.
 
     Strictly increases with every local-search step, which is what bounds
-    construction time.
+    construction time.  The degree sum is taken in integers per distinct
+    capacity, one ``Fraction`` per capacity value.
     """
     G = H.parent
     ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
     sq = sum(w * w for w in G.w[ids].tolist())
-    phi = Fraction((2 * params.beta - 2) * sq)
-    for v in range(G.n):
-        if H.wdeg[v]:
-            phi -= Fraction(H.wdeg[v] ** 2, b[v])
-    return phi
+    by_cap: dict[int, int] = {}
+    for d, c in zip(H.wdeg, b.b, strict=True):
+        if d:
+            by_cap[c] = by_cap.get(c, 0) + d * d
+    return Fraction((2 * params.beta - 2) * sq) - sum(
+        (Fraction(total, c) for c, total in by_cap.items()), Fraction(0))
 
 
 def build_w_edcs(G: MultiGraph, params: EdcsParams, *, check_invariants: bool = True):
@@ -313,8 +315,8 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     pop, and each mutation enqueues only the edges whose status can have
     changed (those incident to the mutated edge's endpoints), in id order:
     after a removal the non-members among them, read from the graph's
-    adjacency, and after an insertion the members, read from per-vertex
-    sets of H's members.
+    adjacency, and after an insertion the members over their bound, read
+    from per-vertex sets of H's members.
 
     Each pop tests its edge with :func:`_excess`, and a step takes its
     gain from that excess (:func:`_step_gain`).  The potential is summed in
@@ -326,7 +328,6 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     H = Subgraph(G)
     q_upper: deque[int] = deque()
     q_lower: deque[int] = deque(range(m))
-    in_upper = bytearray(m)
     in_lower = bytearray(b"\x01") * m
 
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
@@ -359,7 +360,6 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     while q_upper or q_lower:
         if q_upper:
             eid = q_upper.popleft()
-            in_upper[eid] = 0
             if eid not in members:
                 continue
             u, v, w = eu[eid], ev[eid], ew[eid]
@@ -408,9 +408,13 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
                     if deg[x] > cap:
                         raise LocalSearchError(
                             f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
-            for i in sorted(i for i in h_at[u] | h_at[v] if not in_upper[i]):
-                in_upper[i] = 1
-                q_upper.append(i)
+            # an insertion happens only with q_upper empty, and until it
+            # drains only removals follow, which only lower degrees: a member
+            # not over its bound now is still not over it when it would be
+            # popped, and none is queued twice
+            q_upper.extend(i for i in sorted(h_at[u] | h_at[v])
+                           if excess(wdeg[eu[i]], wdeg[ev[i]], caps[eu[i]], caps[ev[i]],
+                                     ew[i], beta) > 0)
 
     phi = sum((Fraction(total, denom) for denom, total in gain_sum.items()), Fraction(0))
     min_seen = min((Fraction(low, denom) for denom, low in gain_min.items()), default=None)

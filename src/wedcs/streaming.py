@@ -13,7 +13,10 @@ Phase 1 is sequential and runs edge by edge.  Against the frozen H, phase
 2 and the relevant store of :func:`run_with_fallbacks` are evaluated as
 arrays over chunks of stream positions (the graph's edge columns, H's
 frozen degrees, and the store's size after every position), with the
-same outcome, counters and peak as an edge-at-a-time pass.
+same outcome, counters and peak as an edge-at-a-time pass.  The random
+order itself is a seeded Fisher-Yates shuffle whose swaps
+:func:`make_stream` resolves as arrays too, by pointer jumping, with the
+order the swaps one at a time would give.
 
 Two degenerate regimes are handled explicitly:
 
@@ -28,7 +31,6 @@ Everything is deterministic given (graph, seed, parameters).
 
 from __future__ import annotations
 
-import array
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -113,20 +115,58 @@ def _order_type(m: int) -> type:
 
 def make_stream(G: MultiGraph, seed: int) -> EdgeStream:
     """Uniformly random edge order from a seeded generator; same seed,
-    same order."""
+    same order.
+
+    The order is the Fisher-Yates shuffle that, for i = m-1 down to 1,
+    swaps position i with a uniform j[i] <= i.  Step i freezes position i
+    with what position j[i] held just before it, and position q holds q
+    until a step k writes it (j[k] == q), after which it holds what
+    position k held just before step k.  So with succ[i] the smallest
+    k > i with j[k] == j[i], and nxt[q] the smallest k > q with j[k] == q,
+    the final order is resolved by pointer jumping along nxt instead of
+    m swaps: position i ends with root[succ[i]] where succ[i] exists and
+    j[i] otherwise, and position 0 with root[0], where root follows nxt
+    to its end."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    dtype = _order_type(G.m)
-    # a machine-integer array swaps as fast as a list of Python ints and
-    # holds 4 bytes per edge instead of about 36
-    order = array.array(np.dtype(dtype).char, np.arange(G.m, dtype=dtype).tobytes())
-    # for i = m-1 down to 1 swap i with a uniform j <= i; an array of
-    # bounds draws each j exactly as one scalar call per i would
-    for hi in range(G.m, 1, -_CHUNK):
+    m = G.m
+    dtype = _order_type(m)
+    ids = np.arange(m, dtype=dtype)
+    j = np.zeros(m, dtype=dtype)
+    # an array of bounds draws each j[i] exactly as one scalar call per i
+    # would, from i = m-1 down
+    for hi in range(m, 1, -_CHUNK):
         lo = max(hi - _CHUNK, 1)
-        draws = rng.integers(0, np.arange(hi, lo, -1)).tolist()
-        for i, j in zip(range(hi - 1, lo - 1, -1), draws):
-            order[i], order[j] = order[j], order[i]
-    return EdgeStream(G, np.frombuffer(order, dtype=dtype), seed, PRNG_ID)
+        j[lo:hi] = rng.integers(0, np.arange(hi, lo, -1))[::-1]
+    # the steps grouped by partner j, each group by ascending i: one sort
+    # of the unique keys j*m + i (which fit int64 below 3e9 edges)
+    key = j[1:].astype(np.int64)
+    key *= m
+    key += ids[1:]
+    key.sort()
+    by_j = (key // m).astype(dtype)
+    by_i = (key % m).astype(dtype)
+    del key
+    same = by_j[1:] == by_j[:-1]
+    succ = np.full(m, -1, dtype=dtype)
+    succ[by_i[:-1]] = np.where(same, by_i[1:], -1)
+    # nxt[q]: the first step of q's group.  Where that is q's own
+    # self-swap, root[q] stays q, which is never read: no succ[i]
+    # (j[i] <= i < q = j[q]) and no other nxt[x] (j[q] = q) is such a q
+    first = np.flatnonzero(np.diff(by_j, prepend=-1))
+    live = by_j[first]
+    root = ids.copy()
+    root[live] = by_i[first]
+    del by_j, by_i, same, first
+    while live.size:
+        up = root[live]
+        up2 = root[up]
+        moved = up2 != up
+        live = live[moved]
+        root[live] = up2[moved]
+    # root[-1] where succ is missing is read but not used
+    order = np.where(succ >= 0, root[succ], j)
+    order[:1] = root[:1]
+    return EdgeStream(G, order, seed, PRNG_ID)
 
 
 def file_order_stream(G: MultiGraph) -> EdgeStream:

@@ -129,6 +129,34 @@ def test_stream_rejects_zero_epsilon(tmp_path, capsys):
     assert "error: epsilon must be in (0, 1/2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["0", "0.5", "-1/10", "3/4"])
+def test_stream_rejects_bad_epsilon_before_the_oracle(tmp_path, capsys, monkeypatch, epsilon):
+    import wedcs.cli as cli
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran before epsilon was checked")
+
+    monkeypatch.setattr(cli, "max_weight_b_matching_exact", no_oracle)
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 2 1 1\ne 0 1 1\n")
+    assert main(["stream", str(graph), "--seeds", "0-3", f"--epsilon={epsilon}",
+                 "--beta", "6", "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "error: epsilon must be in (0, 1/2)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_stream_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 2 1 1\ne 0 1 1\n")
+    assert main(["stream", str(graph), "--seeds", "0-3", "--epsilon", "0.2",
+                 "--beta", "6", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "error: --jobs must be >= 1"
+    assert captured.out == ""
+
+
 def test_gen_build_verify_multicopy(tmp_path, capsys):
     spec = _write_spec(tmp_path, {"kind": "multicopy", "k": 1, "W": 2})
     graph = str(tmp_path / "g.txt")

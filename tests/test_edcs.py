@@ -182,6 +182,28 @@ def test_potential_capacity_normalization():
     assert val == Fraction(24) - Fraction(4, 2) - Fraction(4, 1)
 
 
+def _per_vertex_potential(H, b, params):
+    """potential() as one Fraction per vertex."""
+    G = H.parent
+    phi = Fraction((2 * params.beta - 2) * sum(int(G.w[e]) ** 2 for e in H.members))
+    for v in range(G.n):
+        phi -= Fraction(H.wdeg[v] ** 2, b[v])
+    return phi
+
+
+@pytest.mark.parametrize("scale", [1, 2**60 - 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_potential_matches_per_vertex_fractions(seed, scale):
+    # weights near 2**60 make every squared degree a Python integer past 2**120
+    G0, b = make_random(seed, n=12, m=40, W=4, b_max=5)
+    G = MultiGraph.from_columns(G0.n, G0.u, G0.v, G0.w.astype(object) * scale, W=4 * scale)
+    params = EdcsParams(W=G.W, beta=7, beta_minus=5)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        H = Subgraph(G, np.flatnonzero(rng.random(G.m) < 0.5).tolist())
+        assert potential(H, b, params) == _per_vertex_potential(H, b, params)
+
+
 @pytest.mark.parametrize("scale", [1, 2**60])
 def test_degree_terms_match_scalar_excess(scale):
     # at scale 2**60 the weights put the terms past 2**62, so the array

@@ -63,6 +63,27 @@ def test_make_stream_matches_scalar_draws(m):
         assert tuple(make_stream(G, seed).order.tolist()) == scalar_fisher_yates(m, seed)
 
 
+def _parallel_edges(m):
+    return MultiGraph.from_columns(2, np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64),
+                                   np.ones(m, dtype=np.int64), W=1)
+
+
+def test_make_stream_matches_scalar_swaps_small():
+    # every length up to 300 meets self-swaps and length-1 chains
+    for m in range(301):
+        G = _parallel_edges(m)
+        for seed in range(5):
+            assert tuple(make_stream(G, seed).order.tolist()) == scalar_fisher_yates(m, seed), m
+
+
+# chunk edges, two seeds each, and the benchmark's stream length
+@pytest.mark.parametrize("m, seed", [(m, seed) for m in (2**15 - 1, 2**15, 2**15 + 1, 2**16 + 1)
+                                     for seed in (3, 77)] + [(200_000, 8101)])
+def test_make_stream_matches_scalar_swaps_large(m, seed):
+    assert tuple(make_stream(_parallel_edges(m), seed).order.tolist()) == \
+        scalar_fisher_yates(m, seed)
+
+
 def test_stream_rejects_non_permutation():
     G = MultiGraph(2, [(0, 1, 1)])
     with pytest.raises(ValueError):
