@@ -7,11 +7,13 @@ solvers (plain subset enumeration) so they can act as ground truth.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from wedcs import Capacities, GenSpec, MultiGraph, random_instance
+from wedcs import Capacities, GenSpec, MultiGraph, Subgraph, random_instance
+from wedcs.edcs import BuildTrace, LocalSearchError, _excess, _step_gain, potential, validate
 
 
 def brute_force_b_matching_weight(G: MultiGraph, b: Capacities) -> int:
@@ -320,3 +322,118 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
     else:
         edge_ids = sorted(H.members | X)
     return _extract(H, X, stats, b, edge_ids, DEFAULT_ORACLE_BUDGET)
+
+
+def reference_local_search(G: MultiGraph, b: Capacities, params, *,
+                           check_invariants: bool):
+    """The builder's local search as first written, kept as the reference
+    for ``wedcs.edcs._local_search``: the same steps in the same order,
+    with the queue refills read straight off the structures.  After a
+    removal it scans both endpoints' CSR adjacency for non-members not
+    queued; after an insertion it sorts the union of both endpoints'
+    member sets and queues those over their bound.  Returns ``(H, trace)``
+    exactly as the builder does."""
+    beta, beta_minus = params.beta, params.beta_minus
+    m = G.m
+    H = Subgraph(G)
+    q_upper: deque[int] = deque()
+    q_lower: deque[int] = deque(range(m))
+    in_lower = bytearray(b"\x01") * m
+
+    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
+    adj, ptr = G.adj_edges.tolist(), G.indptr.tolist()
+    caps = b.b
+    wdeg, deg, members = H.wdeg, H.deg, H.members
+    h_at: list[set[int]] = [set() for _ in range(G.n)]
+    steps = insertions = removals = 0
+    # per denominator b_u * b_v: the summed and the smallest scaled gain
+    gain_sum: dict[int, int] = {}
+    gain_min: dict[int, int] = {}
+
+    excess = _excess  # a local name: called once per queue pop
+
+    def note_gain(gain_scaled: int, w: int, bu: int, bv: int):
+        # a step on edge (u, v, w) gains at least the floor
+        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), scaled here by b_u b_v
+        # (see _step_gain); at unit capacities g = 2w, the classic 2
+        denom = bu * bv
+        gain_sum[denom] = gain_sum.get(denom, 0) + gain_scaled
+        if gain_scaled < gain_min.get(denom, gain_scaled + 1):
+            gain_min[denom] = gain_scaled
+        floor_scaled = w * w * (2 * denom - bu - bv) + 2 * w
+        if check_invariants and gain_scaled < floor_scaled:
+            raise LocalSearchError(
+                f"potential gain {Fraction(gain_scaled, denom)} below the per-step floor "
+                f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor_scaled, denom)} "
+                f"for w={w}, b_u={bu}, b_v={bv}")
+
+    while q_upper or q_lower:
+        if q_upper:
+            eid = q_upper.popleft()
+            if eid not in members:
+                continue
+            u, v, w = eu[eid], ev[eid], ew[eid]
+            bu, bv = caps[u], caps[v]
+            e = excess(wdeg[u], wdeg[v], bu, bv, w, beta)
+            if e <= 0:
+                continue  # repaired in the meantime
+            members.remove(eid)
+            h_at[u].remove(eid)
+            h_at[v].remove(eid)
+            wdeg[u] -= w
+            wdeg[v] -= w
+            deg[u] -= 1
+            deg[v] -= 1
+            steps += 1
+            removals += 1
+            note_gain(_step_gain(params, False, e, w, bu, bv), w, bu, bv)
+            near = set(adj[ptr[u]:ptr[u + 1]])
+            near.update(adj[ptr[v]:ptr[v + 1]])
+            for i in sorted(i for i in near if not in_lower[i] and i not in members):
+                in_lower[i] = 1
+                q_lower.append(i)
+        else:
+            eid = q_lower.popleft()
+            in_lower[eid] = 0
+            if eid in members:
+                continue
+            u, v, w = eu[eid], ev[eid], ew[eid]
+            bu, bv = caps[u], caps[v]
+            e = excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
+            if e >= 0:
+                continue
+            members.add(eid)
+            h_at[u].add(eid)
+            h_at[v].add(eid)
+            wdeg[u] += w
+            wdeg[v] += w
+            deg[u] += 1
+            deg[v] += 1
+            steps += 1
+            insertions += 1
+            note_gain(_step_gain(params, True, e, w, bu, bv), w, bu, bv)
+            if check_invariants:
+                for x in (u, v):
+                    cap = beta * caps[x] + 1
+                    if deg[x] > cap:
+                        raise LocalSearchError(
+                            f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
+            # an insertion happens only with q_upper empty, and until it
+            # drains only removals follow, which only lower degrees: a member
+            # not over its bound now is still not over it when it would be
+            # popped, and none is queued twice
+            q_upper.extend(i for i in sorted(h_at[u] | h_at[v])
+                           if excess(wdeg[eu[i]], wdeg[ev[i]], caps[eu[i]], caps[ev[i]],
+                                     ew[i], beta) > 0)
+
+    phi = sum((Fraction(total, denom) for denom, total in gain_sum.items()), Fraction(0))
+    min_seen = min((Fraction(low, denom) for denom, low in gain_min.items()), default=None)
+    trace = BuildTrace(steps=steps, insertions=insertions, removals=removals,
+                       phi_final=phi, min_gain=min_seen)
+    if check_invariants:
+        report = validate(G, b, H, params)
+        if not report.is_clean:
+            raise LocalSearchError(f"construction left violations: {report}")
+        if phi != potential(H, b, params):
+            raise LocalSearchError("incremental potential diverged from recount")
+    return H, trace

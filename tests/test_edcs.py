@@ -23,7 +23,7 @@ from wedcs import (
 
 from wedcs.edcs import _degree_terms, _excess, _step_gain
 
-from helpers import make_random
+from helpers import make_random, reference_local_search
 
 
 # ---------------------------------------------------------------- params
@@ -403,3 +403,76 @@ def test_simple_build_min_gain_two():
     assert trace.steps <= trace.phi_final / 2
     # plain degree bound for the unit-capacity case
     assert all(H.degree(v) <= params.beta for v in range(G.n))
+
+
+# ---------------------------------------------------------------- reference
+
+def _reference_cases() -> dict[str, tuple]:
+    """Seeded builder inputs, by name: (graph, capacities, params, unit),
+    where ``unit`` marks simple unit-capacity graphs built through
+    ``build_w_edcs``.  Weights cap at W in {1, 3, 127} (int8 columns),
+    capacities lie in [1, 4], pairs carry up to min(b_u, b_v) parallel
+    edges, and beta_minus is beta - 2 or 0."""
+    from wedcs.graph import _relevant_ids
+
+    cases: dict[str, tuple] = {}
+    weights = (1, 3, 127)
+    for seed in range(10):
+        W, beta = weights[seed % 3], (3, 4, 6, 12)[seed % 4]
+        G, _ = make_random(100 + seed, n=12 + 3 * seed, m=4 * (12 + 3 * seed), W=W)
+        beta_minus = 0 if seed == 9 else beta - 2
+        cases[f"unit-{seed}"] = (G, Capacities.uniform(G.n), EdcsParams(W, beta, beta_minus), True)
+    for seed in range(24):
+        W, beta = weights[seed % 3], (3, 5, 8, 12)[seed % 4]
+        b_min, b_max = (1, 4) if seed % 2 else (2, 1 + seed % 4 + (seed % 4 == 0))
+        n = 8 + seed
+        G, b = make_random(200 + seed, n=n, m=3 * n, W=W, b_min=b_min, b_max=max(b_min, b_max),
+                           bipartite=seed % 3 == 0)
+        beta_minus = 0 if seed % 8 == 5 else beta - 2
+        cases[f"cap-{seed}"] = (G, b, EdcsParams(W, beta, beta_minus), False)
+    for seed in range(6):
+        # raw multiplicities reduced to the relevant subgraph: crowded pairs
+        # keep exactly min(b_u, b_v) parallel edges
+        W = weights[seed % 3]
+        raw, b = make_random(300 + seed, n=7, m=90, W=W, b_max=4, allow_parallel=True)
+        G, _ = raw.restrict(_relevant_ids(raw, b))
+        cases[f"relevant-{seed}"] = (G, b, EdcsParams(W, 4 + seed, 2 + seed), False)
+    G, b = make_random(4242, n=4000, m=50_000, W=3, b_max=2, bipartite=True)
+    cases["large"] = (G, b, EdcsParams(W=3, beta=4, beta_minus=2), False)
+    return cases
+
+
+_REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
+def test_builder_matches_reference(name, check):
+    # same steps in the same order: the same members and the same trace,
+    # whatever bookkeeping the builder keeps to find its next step
+    G, b, params, unit = _REFERENCE_CASES[name]
+    H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=check)
+    if unit:
+        H, trace = build_w_edcs(G, params, check_invariants=check)
+    else:
+        H, trace = build_wb_edcs(G, b, params, check_invariants=check)
+    assert H.members == H_ref.members
+    assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
+    assert trace.to_json_dict() == trace_ref.to_json_dict()
+
+
+def test_reference_cases_cover_the_input_space():
+    kinds = {}
+    for G, b, params, unit in _REFERENCE_CASES.values():
+        kinds.setdefault("W", set()).add(params.W)
+        kinds.setdefault("b", set()).update(b.b)
+        kinds.setdefault("gap", set()).add(params.beta - params.beta_minus)
+        kinds.setdefault("unit", set()).add(unit)
+        pairs = G.columns().pair
+        kinds.setdefault("parallel", set()).add(bool(len(pairs) and np.bincount(pairs).max() > 1))
+        kinds.setdefault("steps", set()).add(params.beta_minus > 0 and G.m > 0)
+    assert len(_REFERENCE_CASES) >= 40
+    assert kinds["W"] == {1, 3, 127} and kinds["b"] == {1, 2, 3, 4}
+    assert {2} < kinds["gap"] and kinds["unit"] == {True, False}
+    assert kinds["parallel"] == {True, False}
+    assert max(G.m for G, *_ in _REFERENCE_CASES.values()) >= 50_000
