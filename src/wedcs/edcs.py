@@ -16,7 +16,10 @@ in exact integer arithmetic; the termination argument lives on slacks of
 1/(b_u * b_v) that floating point would destroy.  That comparison and the
 potential's change per step are written once, here, for the builder, the
 validator and the stream runner: :func:`_excess` per edge,
-:func:`_degree_terms` over edge columns, and :func:`_step_gain`.
+:func:`_degree_terms` over edge columns, and :func:`_step_gain`.  The
+builder and the stream runner also share :func:`_members_over`, which
+finds the members over their bound after an insertion from per-vertex
+member maps.
 """
 
 from __future__ import annotations
@@ -203,6 +206,22 @@ def _step_gain(params: EdcsParams, insert: bool, excess: int, w: int, bu: int, b
     return w * w * (2 * bu * bv - bu - bv) + 2 * w * excess
 
 
+def _members_over(h_at: list[dict[int, int]], wdeg: list[int], caps: list[int], ew,
+                  beta: int, u: int, v: int) -> list[int]:
+    """Ids of H's members at u or v that break property (i), ascending.
+
+    ``h_at[x]`` maps each member at x to its other endpoint and ``ew[i]``
+    is member i's weight.  Each member is tested with :func:`_excess` once
+    per end it has at u or v, with that end's degree and capacity fixed; a
+    parallel (u, v) member is met from both ends, hence the set."""
+    over: set[int] = set()
+    for x in (u, v):
+        dx, bx = wdeg[x], caps[x]
+        over.update([i for i, y in h_at[x].items()
+                     if _excess(dx, wdeg[y], bx, caps[y], ew[i], beta) > 0])
+    return sorted(over)
+
+
 def _degree_terms(wdeg: list[int], b: Capacities, coef: int):
     """The degree rule over edge columns, for the degrees ``wdeg``.
 
@@ -312,11 +331,33 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     Two FIFO work queues, one per property; the upper queue is always
     drained before the lower queue is touched, so vertex degrees stay
     within beta * b_v + 1 at all times.  Queue entries are re-verified on
-    pop, and each mutation enqueues only the edges whose status can have
-    changed (those incident to the mutated edge's endpoints), in id order:
-    after a removal the non-members among them, read from the graph's
-    adjacency, and after an insertion the members over their bound, read
-    from per-vertex sets of H's members.
+    pop, and each mutation enqueues, in id order, only the edges whose
+    status can have changed: those incident to the mutated edge's
+    endpoints.
+
+    Outside the upper queue every edge is in one of three states: a member
+    of H, queued in the lower queue (``in_lower``), or idle, which is an
+    edge popped from the lower queue and found not underfull.  A queued
+    edge is never a member, since insertions happen only at pops; so an
+    edge turns idle only at a lower pop, and stops being idle only when a
+    refill at one of its endpoints queues it again.  Two per-vertex ledgers
+    track this:
+
+    * ``idle[x]``, a plain list: a lower pop that finds its edge not
+      underfull appends it at both endpoints.  Entries go stale (the edge
+      was queued from its other end, or is a member by now) and are cleaned
+      lazily: a refill at x skips them and empties the list.
+    * ``h_at[x]``, a dict from each member at x to its other endpoint.
+
+    After a removal of (u, v) the lower queue gets the removed edge and
+    every entry of ``idle[u]`` and ``idle[v]`` that is neither queued nor a
+    member, marked ``in_lower`` as it is collected so that parallel edges
+    and stale copies come once, sorted.  An idle edge at x is always in
+    ``idle[x]`` (it was appended at its pop, and only a refill at x, which
+    queues it, empties the list), so this is exactly the set a scan of u's
+    and v's adjacency for edges neither queued nor members would find.
+    After an insertion the upper queue gets the members at u or v over
+    their bound, from :func:`_members_over`.
 
     Each pop tests its edge with :func:`_excess`, and a step takes its
     gain from that excess (:func:`_step_gain`).  The potential is summed in
@@ -331,10 +372,12 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     in_lower = bytearray(b"\x01") * m
 
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
-    adj, ptr = G.adj_edges.tolist(), G.indptr.tolist()
     caps = b.b
     wdeg, deg, members = H.wdeg, H.deg, H.members
-    h_at: list[set[int]] = [set() for _ in range(G.n)]
+    # per vertex: H's members there, each mapped to its other endpoint, and
+    # the edges found idle there, stale entries included until the next refill
+    h_at: list[dict[int, int]] = [{} for _ in range(G.n)]
+    idle: list[list[int]] = [[] for _ in range(G.n)]
     steps = insertions = removals = 0
     # per denominator b_u * b_v: the summed and the smallest scaled gain
     gain_sum: dict[int, int] = {}
@@ -368,8 +411,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             if e <= 0:
                 continue  # repaired in the meantime
             members.remove(eid)
-            h_at[u].remove(eid)
-            h_at[v].remove(eid)
+            del h_at[u][eid], h_at[v][eid]
             wdeg[u] -= w
             wdeg[v] -= w
             deg[u] -= 1
@@ -377,24 +419,30 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             steps += 1
             removals += 1
             note_gain(_step_gain(params, False, e, w, bu, bv), w, bu, bv)
-            near = set(adj[ptr[u]:ptr[u + 1]])
-            near.update(adj[ptr[v]:ptr[v + 1]])
-            for i in sorted(i for i in near if not in_lower[i] and i not in members):
-                in_lower[i] = 1
-                q_lower.append(i)
+            # the removed edge and every idle edge at u or v, each once
+            in_lower[eid] = 1
+            fresh = [eid]
+            for x in (u, v):
+                for i in idle[x]:
+                    if not in_lower[i] and i not in members:
+                        in_lower[i] = 1
+                        fresh.append(i)
+                idle[x].clear()
+            fresh.sort()
+            q_lower.extend(fresh)
         else:
             eid = q_lower.popleft()
             in_lower[eid] = 0
-            if eid in members:
-                continue
             u, v, w = eu[eid], ev[eid], ew[eid]
             bu, bv = caps[u], caps[v]
             e = excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
             if e >= 0:
+                idle[u].append(eid)
+                idle[v].append(eid)
                 continue
             members.add(eid)
-            h_at[u].add(eid)
-            h_at[v].add(eid)
+            h_at[u][eid] = v
+            h_at[v][eid] = u
             wdeg[u] += w
             wdeg[v] += w
             deg[u] += 1
@@ -412,9 +460,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             # drains only removals follow, which only lower degrees: a member
             # not over its bound now is still not over it when it would be
             # popped, and none is queued twice
-            q_upper.extend(i for i in sorted(h_at[u] | h_at[v])
-                           if excess(wdeg[eu[i]], wdeg[ev[i]], caps[eu[i]], caps[ev[i]],
-                                     ew[i], beta) > 0)
+            q_upper.extend(_members_over(h_at, wdeg, caps, ew, beta, u, v))
 
     phi = sum((Fraction(total, denom) for denom, total in gain_sum.items()), Fraction(0))
     min_seen = min((Fraction(low, denom) for denom, low in gain_min.items()), default=None)

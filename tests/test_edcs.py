@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -476,3 +478,71 @@ def test_reference_cases_cover_the_input_space():
     assert {2} < kinds["gap"] and kinds["unit"] == {True, False}
     assert kinds["parallel"] == {True, False}
     assert max(G.m for G, *_ in _REFERENCE_CASES.values()) >= 50_000
+
+
+def _loop_states(G, b, params) -> list[dict]:
+    """The builder's queues and ledgers at every turn of its work loop,
+    copied out of its frame by a line tracer."""
+    from wedcs import edcs
+
+    search = edcs._local_search
+    lines, first = inspect.getsourcelines(search)
+    loop = first + next(k for k, text in enumerate(lines)
+                        if text.strip() == "while q_upper or q_lower:")
+    states = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == loop:
+            f = frame.f_locals
+            states.append({
+                "q_upper": list(f["q_upper"]), "q_lower": list(f["q_lower"]),
+                "in_lower": bytes(f["in_lower"]), "members": set(f["members"]),
+                "wdeg": list(f["wdeg"]), "idle": [list(x) for x in f["idle"]],
+                "h_at": [dict(x) for x in f["h_at"]],
+            })
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is search.__code__ else None)
+    try:
+        search(G, b, params, check_invariants=True)
+    finally:
+        sys.settrace(before)
+    return states
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _REFERENCE_CASES if n != "large"))
+def test_builder_ledger_states(name):
+    # at every turn of the loop: each edge outside the upper queue is a
+    # member, queued once in the lower queue, or idle and listed in both of
+    # its endpoints' idle lists; a removal empties both endpoints' lists;
+    # an insertion queues exactly its endpoints' members over their bound,
+    # once each and ascending
+    G, b, params, _ = _REFERENCE_CASES[name]
+    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
+    states = _loop_states(G, b, params)
+    assert states
+    previous = None
+    for s in states:
+        members, q_lower, in_lower, idle = s["members"], s["q_lower"], s["in_lower"], s["idle"]
+        assert len(set(q_lower)) == len(q_lower) and not members.intersection(q_lower)
+        assert {i for i in range(G.m) if in_lower[i]} == set(q_lower)
+        for i in range(G.m):
+            if i not in members and not in_lower[i]:
+                assert i in idle[eu[i]] and i in idle[ev[i]]
+        at = [{} for _ in range(G.n)]
+        for i in members:
+            at[eu[i]][i], at[ev[i]][i] = ev[i], eu[i]
+        assert s["h_at"] == at
+        if previous is not None:
+            removed = previous["members"] - members
+            added = members - previous["members"]
+            for i in removed:
+                assert idle[eu[i]] == [] and idle[ev[i]] == []
+            for i in added:
+                wdeg = s["wdeg"]
+                over = sorted(j for j in members if {eu[j], ev[j]} & {eu[i], ev[i]}
+                              and _excess(wdeg[eu[j]], wdeg[ev[j]], b[eu[j]], b[ev[j]],
+                                          ew[j], params.beta) > 0)
+                assert s["q_upper"] == over
+        previous = s
