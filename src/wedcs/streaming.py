@@ -32,7 +32,6 @@ Everything is deterministic given (graph, seed, parameters).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -40,7 +39,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .edcs import EdcsParams, _checked_epsilon, _degree_terms, _excess, _step_gain
+from .edcs import (
+    EdcsParams,
+    _checked_epsilon,
+    _degree_terms,
+    _excess,
+    _members_over,
+    _step_gain,
+)
 from .graph import (
     Capacities,
     MultiGraph,
@@ -323,9 +329,11 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     H = Subgraph(G)
     pair_h: dict[tuple[int, int], set[int]] = {}
     order = stream.order
-    wdeg = H.wdeg
-    # H's member ids per vertex, so repairs look at H's edges only
-    h_at: list[set[int]] = [set() for _ in range(G.n)]
+    wdeg, caps = H.wdeg, b.b
+    # H's members per vertex, each mapped to its other endpoint, and their
+    # weights: the builder's member map, so repairs look at H's edges only
+    h_at: list[dict[int, int]] = [{} for _ in range(G.n)]
+    h_w: dict[int, int] = {}
     peak = 0
 
     if variant == 1:
@@ -348,39 +356,30 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         if size > peak:
             peak = size
 
-    def h_add(eid: int) -> None:
+    def h_add(eid: int, u: int, v: int, w: int) -> None:
         H.add(eid)
-        u, v, _ = G.triple(eid)
-        h_at[u].add(eid)
-        h_at[v].add(eid)
+        h_at[u][eid] = v
+        h_at[v][eid] = u
+        h_w[eid] = w
         if variant == 3:
             pair_h.setdefault((min(u, v), max(u, v)), set()).add(eid)
 
-    def h_remove(eid: int) -> None:
+    def h_remove(eid: int, u: int, v: int) -> None:
         H.remove(eid)
-        u, v, _ = G.triple(eid)
-        h_at[u].discard(eid)
-        h_at[v].discard(eid)
+        del h_at[u][eid], h_at[v][eid], h_w[eid]
         if variant == 3:
             pair_h[min(u, v), max(u, v)].discard(eid)
 
     def repair_upper(u0: int, v0: int) -> None:
-        # fix membership-bound violations in FIFO id order; only edges at
-        # vertices whose degree changed can newly violate
-        pending = deque(sorted(h_at[u0] | h_at[v0]))
-        queued = set(pending)
-        while pending:
-            cand = pending.popleft()
-            queued.discard(cand)
-            if cand not in H.members:
-                continue
-            cu, cv, cw = G.triple(cand)
-            if _excess(wdeg[cu], wdeg[cv], b[cu], b[cv], cw, beta) <= 0:
-                continue
-            h_remove(cand)
-            for i in sorted(x for x in h_at[cu] | h_at[cv] if x not in queued):
-                pending.append(i)
-                queued.add(i)
+        # before the insertion at (u0, v0) every member was within its
+        # bound, so only members at u0 or v0 can be over it now; removals
+        # only lower degrees, so one ascending pass over those over it now,
+        # each re-checked at its turn, leaves every member within it
+        for cand in _members_over(h_at, wdeg, caps, h_w, beta, u0, v0):
+            x = u0 if cand in h_at[u0] else v0
+            y, cw = h_at[x][cand], h_w[cand]
+            if _excess(wdeg[x], wdeg[y], caps[x], caps[y], cw, beta) > 0:
+                h_remove(cand, x, y)
 
     def assert_bounded() -> None:
         for eid in H.members:
@@ -417,9 +416,9 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
                     if gain < bu * bv:
                         raise StreamInvariantError(
                             f"replacement changed the potential by {Fraction(gain, bu * bv)} < 1")
-                h_remove(lightest)
+                h_remove(lightest, u, v)
                 stats.replacement_count += 1
-        h_add(eid)
+        h_add(eid, u, v, w)
         repair_upper(u, v)
         if check_invariants:
             assert_bounded()

@@ -558,3 +558,16 @@ def test_array_pass_matches_scalar_reference_beyond_two_chunks():
     want = scalar_stream_run(stream, b, params, "0.49", variant=1, with_store=False)
     assert got.stats.phase1_edges_consumed > 0
     assert _outcome(got) == _outcome(want)
+
+
+def test_phase1_repair_rechecks_each_member_at_its_turn():
+    # a stream where a repair removal brings a later member at the same
+    # vertex back within its bound before that member's turn: removing
+    # every member over the bound right after the insertion keeps too few
+    G, b = make_random(0, n=16, m=30_000, W=3, b_max=3, bipartite=True, allow_parallel=True)
+    params = EdcsParams(W=3, beta=5, beta_minus=3)
+    stream = make_stream(G, 0)
+    got = run_single_pass(stream, b, params, "0.49", variant=3, check_invariants=True)
+    want = scalar_stream_run(stream, b, params, "0.49", variant=3, with_store=False)
+    assert got.stats.phase1_edges_consumed > 0
+    assert _outcome(got) == _outcome(want)
