@@ -171,13 +171,13 @@ def _worker(seed) -> dict:
 def cmd_stream(args) -> int:
     if args.jobs < 1:
         raise InputError("--jobs must be >= 1")
+    seeds = _parse_seeds(args.seeds)
     graph, caps = _load_graph(args.graph)
     params = _params_from_args(args, graph.W)
     if args.epsilon is None:
         raise InputError("stream requires --epsilon")
     # before the oracle and any worker: a bad epsilon fails every run
     _checked_epsilon(args.epsilon)
-    seeds = _parse_seeds(args.seeds)
 
     try:
         oracle = max_weight_b_matching_exact(graph, caps, args.oracle_budget)
@@ -249,18 +249,26 @@ def cmd_stream(args) -> int:
 
 
 def _parse_seeds(spec: str) -> list:
+    """``as-is``, or a comma list of seeds (non-negative integers) and
+    ascending ranges lo-hi of them, both ends included.  A chunk that is
+    none of these raises ``InputError`` naming it."""
     if spec == "as-is":
         return ["as-is"]
     seeds: list[int] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if "-" in chunk and not chunk.startswith("-"):
-            lo, hi = chunk.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(chunk))
-    if not seeds:
-        raise InputError("empty seed list")
+        lo, sep, hi = chunk.partition("-")
+        if sep and not lo.strip() and hi.strip().isdecimal():
+            raise InputError(f"--seeds: {chunk!r} is negative")
+        try:
+            first = int(lo)
+            last = int(hi) if sep else first
+        except ValueError:
+            raise InputError(
+                f"--seeds: {chunk!r} is neither a seed nor a range lo-hi of seeds") from None
+        if last < first:
+            raise InputError(f"--seeds: range {chunk!r} is descending")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 

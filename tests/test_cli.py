@@ -146,6 +146,45 @@ def test_stream_rejects_bad_epsilon_before_the_oracle(tmp_path, capsys, monkeypa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("seeds,message", [
+    ("1,5-3", "range '5-3' is descending"),
+    ("-3", "'-3' is negative"),
+    ("0-2, -7", "'-7' is negative"),
+    ("2,x", "'x' is neither a seed nor a range lo-hi of seeds"),
+    ("1,,2", "'' is neither a seed nor a range lo-hi of seeds"),
+], ids=["descending", "negative", "negative-in-list", "not-a-number", "empty-chunk"])
+def test_stream_rejects_bad_seeds_before_the_oracle(tmp_path, capsys, monkeypatch,
+                                                    seeds, message):
+    import wedcs.cli as cli
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran before the seeds were checked")
+
+    monkeypatch.setattr(cli, "max_weight_b_matching_exact", no_oracle)
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 2 1 1\ne 0 1 1\n")
+    assert main(["stream", str(graph), f"--seeds={seeds}", "--epsilon", "0.2",
+                 "--beta", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: --seeds: {message}"
+    assert captured.out == ""
+
+
+def test_stream_checks_seeds_before_reading_the_graph(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    assert main(["stream", str(missing), "--seeds", "4-1", "--epsilon", "0.2",
+                 "--beta", "6"]) == 2
+    assert capsys.readouterr().err.strip() == "error: --seeds: range '4-1' is descending"
+
+
+def test_parse_seeds_lists_and_ascending_ranges():
+    from wedcs.cli import _parse_seeds
+
+    assert _parse_seeds("3,0-2, 7") == [3, 0, 1, 2, 7]
+    assert _parse_seeds("2-2") == [2]
+    assert _parse_seeds("as-is") == ["as-is"]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_stream_rejects_jobs_below_one(tmp_path, capsys, jobs):
     graph = tmp_path / "g.txt"
