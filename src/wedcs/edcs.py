@@ -374,8 +374,6 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
     caps = b.b
     wdeg, deg, members = H.wdeg, H.deg, H.members
-    # per vertex: H's members there, each mapped to its other endpoint, and
-    # the edges found idle there, stale entries included until the next refill
     h_at: list[dict[int, int]] = [{} for _ in range(G.n)]
     idle: list[list[int]] = [[] for _ in range(G.n)]
     steps = insertions = removals = 0

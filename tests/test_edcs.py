@@ -472,7 +472,6 @@ def test_reference_cases_cover_the_input_space():
         kinds.setdefault("unit", set()).add(unit)
         pairs = G.columns().pair
         kinds.setdefault("parallel", set()).add(bool(len(pairs) and np.bincount(pairs).max() > 1))
-        kinds.setdefault("steps", set()).add(params.beta_minus > 0 and G.m > 0)
     assert len(_REFERENCE_CASES) >= 40
     assert kinds["W"] == {1, 3, 127} and kinds["b"] == {1, 2, 3, 4}
     assert {2} < kinds["gap"] and kinds["unit"] == {True, False}
