@@ -215,6 +215,20 @@ def test_variant3_replacement_trace():
     assert res.matching.weight == 6
 
 
+def test_variant3_replacement_evicts_the_smaller_id_on_equal_weights():
+    # pair (0, 1) at capacities 2 fills with two weight-1 copies; the
+    # weight-3 copy then replaces the lighter one with the smaller id,
+    # edge 0; padded on a disjoint pair as above (alpha_0 = 1)
+    triples = [(0, 1, 1), (0, 1, 1), (0, 1, 3)] + [(2, 3, 3)] * 19997
+    G = MultiGraph(4, triples, W=3)
+    params = EdcsParams(W=3, beta=4, beta_minus=2)
+    res = run_single_pass(file_order_stream(G), Capacities([2, 2, 1, 1]), params,
+                          "0.49", variant=3, check_invariants=True)
+    assert res.stats.fallback_used == "none"
+    assert res.stats.replacement_count == 1
+    assert sorted(res.H.members) == [1, 2, 3]
+
+
 def test_variant1_rejects_raw_multiplicity():
     G = MultiGraph(2, [(0, 1, 1), (0, 1, 2)], W=2)
     with pytest.raises(ValueError):
