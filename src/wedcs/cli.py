@@ -59,7 +59,7 @@ def _params_from_args(args, graph_W: int) -> EdcsParams:
     if args.beta is None:
         raise InputError("give --beta (with optional --beta-minus) or --theorem-params")
     beta_minus = args.beta_minus if args.beta_minus is not None else args.beta - 2
-    epsilon = Fraction(args.epsilon) if args.epsilon is not None else None
+    epsilon = _checked_epsilon(args.epsilon) if args.epsilon is not None else None
     try:
         return EdcsParams(W=W, beta=args.beta, beta_minus=beta_minus, epsilon=epsilon)
     except ValueError as exc:
@@ -173,11 +173,10 @@ def cmd_stream(args) -> int:
         raise InputError("--jobs must be >= 1")
     seeds = _parse_seeds(args.seeds)
     graph, caps = _load_graph(args.graph)
+    # a bad epsilon fails here, before the oracle and any worker
     params = _params_from_args(args, graph.W)
-    if args.epsilon is None:
+    if params.epsilon is None:
         raise InputError("stream requires --epsilon")
-    # before the oracle and any worker: a bad epsilon fails every run
-    _checked_epsilon(args.epsilon)
 
     try:
         oracle = max_weight_b_matching_exact(graph, caps, args.oracle_budget)
@@ -196,8 +195,7 @@ def cmd_stream(args) -> int:
     else:
         runs = [_stream_one(*shared, seed) for seed in seeds]
 
-    eps = Fraction(args.epsilon)
-    threshold = 1.0 / float(2 - Fraction(1, 2 * params.W) + eps)
+    threshold = 1.0 / float(2 - Fraction(1, 2 * params.W) + params.epsilon)
     ratios = []
     for run in runs:
         if oracle_weight is None:

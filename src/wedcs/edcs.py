@@ -17,9 +17,9 @@ in exact integer arithmetic; the termination argument lives on slacks of
 potential's change per step are written once, here, for the builder, the
 validator and the stream runner: :func:`_excess` per edge,
 :func:`_degree_terms` over edge columns, and :func:`_step_gain`.  The
-builder and the stream runner also share :func:`_members_over`, which
-finds the members over their bound after an insertion from per-vertex
-member maps.
+builder and the stream runner's phase 1 change H only through one
+:class:`_Ledger`, which inserts, removes, and after an insertion repairs
+the members pushed over their bound.
 """
 
 from __future__ import annotations
@@ -206,20 +206,69 @@ def _step_gain(params: EdcsParams, insert: bool, excess: int, w: int, bu: int, b
     return w * w * (2 * bu * bv - bu - bv) + 2 * w * excess
 
 
-def _members_over(h_at: list[dict[int, int]], wdeg: list[int], caps: list[int], ew,
-                  beta: int, u: int, v: int) -> list[int]:
-    """Ids of H's members at u or v that break property (i), ascending.
+class _Ledger:
+    """H with a per-vertex member map, kept under property (i): the only
+    code that changes the H of the builder or of the stream's phase 1.
 
-    ``h_at[x]`` maps each member at x to its other endpoint and ``ew[i]``
-    is member i's weight.  Each member is tested with :func:`_excess` once
-    per end it has at u or v, with that end's degree and capacity fixed; a
-    parallel (u, v) member is met from both ends, hence the set."""
-    over: set[int] = set()
-    for x in (u, v):
-        dx, bx = wdeg[x], caps[x]
-        over.update([i for i, y in h_at[x].items()
-                     if _excess(dx, wdeg[y], bx, caps[y], ew[i], beta) > 0])
-    return sorted(over)
+    ``at[x]`` maps each member at x to its other endpoint.  ``weight[i]``
+    is member i's weight, from a mapping the caller keeps: the builder's
+    weight column, or the dict phase 1 fills at each insertion.
+    """
+
+    __slots__ = ("H", "at", "weight", "caps", "beta")
+
+    def __init__(self, G: MultiGraph, b: Capacities, beta: int, weight):
+        self.H = Subgraph(G)
+        self.at: list[dict[int, int]] = [{} for _ in range(G.n)]
+        self.weight = weight
+        self.caps = b.b
+        self.beta = beta
+
+    def insert(self, eid: int, u: int, v: int, w: int) -> None:
+        H = self.H
+        H.members.add(eid)
+        self.at[u][eid] = v
+        self.at[v][eid] = u
+        wdeg, deg = H.wdeg, H.deg
+        wdeg[u] += w
+        wdeg[v] += w
+        deg[u] += 1
+        deg[v] += 1
+
+    def remove(self, eid: int, u: int, v: int, w: int) -> None:
+        H = self.H
+        H.members.remove(eid)
+        del self.at[u][eid], self.at[v][eid]
+        wdeg, deg = H.wdeg, H.deg
+        wdeg[u] -= w
+        wdeg[v] -= w
+        deg[u] -= 1
+        deg[v] -= 1
+
+    def repair(self, u: int, v: int) -> list[tuple[int, int, int, int, int]]:
+        """After an insertion at (u, v), remove the members at u or v over
+        their bound in ascending id order, each re-checked at its turn, and
+        return (id, x, y, w, excess) per removal, x its end at u or v.
+
+        Before the insertion every member was within its bound, so only
+        members at u or v can be over it now, and removals only lower
+        degrees: one pass leaves every member within it.  A parallel (u, v)
+        member is tested from both ends, hence the set."""
+        wdeg, caps, at, weight, beta = self.H.wdeg, self.caps, self.at, self.weight, self.beta
+        over: set[int] = set()
+        for x in (u, v):
+            dx, bx = wdeg[x], caps[x]
+            over.update([i for i, y in at[x].items()
+                         if _excess(dx, wdeg[y], bx, caps[y], weight[i], beta) > 0])
+        removed = []
+        for i in sorted(over):
+            x = u if i in at[u] else v
+            y, w = at[x][i], weight[i]
+            e = _excess(wdeg[x], wdeg[y], caps[x], caps[y], w, beta)
+            if e > 0:
+                self.remove(i, x, y, w)
+                removed.append((i, x, y, w, e))
+        return removed
 
 
 def _degree_terms(wdeg: list[int], b: Capacities, coef: int):
@@ -284,7 +333,7 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
         (Fraction(total, c) for c, total in by_cap.items()), Fraction(0))
 
 
-def build_w_edcs(G: MultiGraph, params: EdcsParams, *, check_invariants: bool = True):
+def build_w_edcs(G: MultiGraph, params: EdcsParams):
     """Local-search construction for a simple weighted graph (all b_v = 1).
 
     Returns ``(H, trace)`` where H validates with zero violations.  Every
@@ -294,19 +343,18 @@ def build_w_edcs(G: MultiGraph, params: EdcsParams, *, check_invariants: bool = 
     if _first_crowded_pair(G, 1) is not None:
         raise ValueError("graph must be simple (parallel edges found)")
     b = Capacities.uniform(G.n)
-    return _local_search(G, b, params, check_invariants=check_invariants)
+    return _local_search(G, b, params)
 
 
-def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams, *,
-                  check_invariants: bool = True):
+def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams):
     """Local-search construction for a capacitated multigraph.
 
     Requires at most min(b_u, b_v) parallel edges per vertex pair (reduce
     with :func:`wedcs.graph.relevant_subgraph` first).  Returns
     ``(H, trace)``.  Every step on an edge (u, v, w) increases the
     potential by at least g = w^2 (2 - 1/b_u - 1/b_v) + 2w / (b_u * b_v),
-    which ``check_invariants`` enforces per step.  So every step gains at
-    least 1 + 1/(b_u * b_v), at least 3/2 unless a w = 1 edge joins a
+    which the builder checks per step.  So every step gains at least
+    1 + 1/(b_u * b_v), at least 3/2 unless a w = 1 edge joins a
     unit-capacity endpoint to a capacity >= 3 one, and 2w in the all-unit
     case; termination follows because the potential is bounded.
     """
@@ -321,43 +369,40 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams, *,
             f"pair ({u}, {v}) has {count} parallel edges, more than min(b_u, b_v)="
             f"{min(b[u], b[v])}; reduce to the relevant subgraph first"
         )
-    return _local_search(G, b, params, check_invariants=check_invariants)
+    return _local_search(G, b, params)
 
 
-def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
-                  check_invariants: bool):
-    """Fix violations until none remain, upper-bound repairs first.
+def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
+    """Fix violations until none remain.
 
-    Two FIFO work queues, one per property; the upper queue is always
-    drained before the lower queue is touched, so vertex degrees stay
-    within beta * b_v + 1 at all times.  Queue entries are re-verified on
-    pop, and each mutation enqueues, in id order, only the edges whose
-    status can have changed: those incident to the mutated edge's
-    endpoints.
+    One FIFO queue of edges to test for property (ii), each re-verified on
+    pop.  A pop that finds its edge underfull inserts it, and
+    :meth:`_Ledger.repair` at once removes the members it pushed over their
+    bound, so vertex degrees stay within beta * b_v + 1 at all times.
+    These are the removals a second queue for property (i), drained before
+    every pop, would make, in its order: an insertion would find that
+    queue empty and fill it with exactly the members ``repair`` walks,
+    ascending, and removals would add nothing to it.  Each removal queues,
+    in id order, only the edges whose status can have changed: those
+    incident to the removed edge's endpoints.
 
-    Outside the upper queue every edge is in one of three states: a member
-    of H, queued in the lower queue (``in_lower``), or idle, which is an
-    edge popped from the lower queue and found not underfull.  A queued
-    edge is never a member, since insertions happen only at pops; so an
-    edge turns idle only at a lower pop, and stops being idle only when a
-    refill at one of its endpoints queues it again.  Two per-vertex ledgers
-    track this:
+    Every edge is in one of three states: a member of H, queued
+    (``in_lower``), or idle, which is an edge popped and found not
+    underfull.  A queued edge is never a member, since insertions happen
+    only at pops; so an edge turns idle only at a pop, and stops being
+    idle only when a refill at one of its endpoints queues it again.
+    ``idle[x]``, a plain list, tracks this: a pop that finds its edge not
+    underfull appends it at both endpoints.  Entries go stale (the edge
+    was queued from its other end, or is a member by now) and are cleaned
+    lazily: a refill at x skips them and empties the list.
 
-    * ``idle[x]``, a plain list: a lower pop that finds its edge not
-      underfull appends it at both endpoints.  Entries go stale (the edge
-      was queued from its other end, or is a member by now) and are cleaned
-      lazily: a refill at x skips them and empties the list.
-    * ``h_at[x]``, a dict from each member at x to its other endpoint.
-
-    After a removal of (u, v) the lower queue gets the removed edge and
-    every entry of ``idle[u]`` and ``idle[v]`` that is neither queued nor a
+    After a removal of (u, v) the queue gets the removed edge and every
+    entry of ``idle[u]`` and ``idle[v]`` that is neither queued nor a
     member, marked ``in_lower`` as it is collected so that parallel edges
     and stale copies come once, sorted.  An idle edge at x is always in
     ``idle[x]`` (it was appended at its pop, and only a refill at x, which
     queues it, empties the list), so this is exactly the set a scan of u's
     and v's adjacency for edges neither queued nor members would find.
-    After an insertion the upper queue gets the members at u or v over
-    their bound, from :func:`_members_over`.
 
     Each pop tests its edge with :func:`_excess`, and a step takes its
     gain from that excess (:func:`_step_gain`).  The potential is summed in
@@ -366,15 +411,14 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
     """
     beta, beta_minus = params.beta, params.beta_minus
     m = G.m
-    H = Subgraph(G)
-    q_upper: deque[int] = deque()
     q_lower: deque[int] = deque(range(m))
     in_lower = bytearray(b"\x01") * m
 
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
     caps = b.b
+    ledger = _Ledger(G, b, beta, ew)
+    H = ledger.H
     wdeg, deg, members = H.wdeg, H.deg, H.members
-    h_at: list[dict[int, int]] = [{} for _ in range(G.n)]
     idle: list[list[int]] = [[] for _ in range(G.n)]
     steps = insertions = removals = 0
     # per denominator b_u * b_v: the summed and the smallest scaled gain
@@ -392,33 +436,41 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
         if gain_scaled < gain_min.get(denom, gain_scaled + 1):
             gain_min[denom] = gain_scaled
         floor_scaled = w * w * (2 * denom - bu - bv) + 2 * w
-        if check_invariants and gain_scaled < floor_scaled:
+        if gain_scaled < floor_scaled:
             raise LocalSearchError(
                 f"potential gain {Fraction(gain_scaled, denom)} below the per-step floor "
                 f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor_scaled, denom)} "
                 f"for w={w}, b_u={bu}, b_v={bv}")
 
-    while q_upper or q_lower:
-        if q_upper:
-            eid = q_upper.popleft()
-            if eid not in members:
-                continue
-            u, v, w = eu[eid], ev[eid], ew[eid]
+    while q_lower:
+        eid = q_lower.popleft()
+        in_lower[eid] = 0
+        u, v, w = eu[eid], ev[eid], ew[eid]
+        bu, bv = caps[u], caps[v]
+        e = excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
+        if e >= 0:
+            idle[u].append(eid)
+            idle[v].append(eid)
+            continue
+        ledger.insert(eid, u, v, w)
+        steps += 1
+        insertions += 1
+        note_gain(_step_gain(params, True, e, w, bu, bv), w, bu, bv)
+        for x in (u, v):
+            cap = beta * caps[x] + 1
+            if deg[x] > cap:
+                raise LocalSearchError(f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
+        removed = ledger.repair(u, v)
+        # each removed edge is queued by its own refill; marked now, an
+        # earlier removal's refill skips it, as it skipped a member
+        for r in removed:
+            in_lower[r[0]] = 1
+        for eid, u, v, w, e in removed:
             bu, bv = caps[u], caps[v]
-            e = excess(wdeg[u], wdeg[v], bu, bv, w, beta)
-            if e <= 0:
-                continue  # repaired in the meantime
-            members.remove(eid)
-            del h_at[u][eid], h_at[v][eid]
-            wdeg[u] -= w
-            wdeg[v] -= w
-            deg[u] -= 1
-            deg[v] -= 1
             steps += 1
             removals += 1
             note_gain(_step_gain(params, False, e, w, bu, bv), w, bu, bv)
             # the removed edge and every idle edge at u or v, each once
-            in_lower[eid] = 1
             fresh = [eid]
             for x in (u, v):
                 for i in idle[x]:
@@ -428,46 +480,14 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams, *,
                 idle[x].clear()
             fresh.sort()
             q_lower.extend(fresh)
-        else:
-            eid = q_lower.popleft()
-            in_lower[eid] = 0
-            u, v, w = eu[eid], ev[eid], ew[eid]
-            bu, bv = caps[u], caps[v]
-            e = excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
-            if e >= 0:
-                idle[u].append(eid)
-                idle[v].append(eid)
-                continue
-            members.add(eid)
-            h_at[u][eid] = v
-            h_at[v][eid] = u
-            wdeg[u] += w
-            wdeg[v] += w
-            deg[u] += 1
-            deg[v] += 1
-            steps += 1
-            insertions += 1
-            note_gain(_step_gain(params, True, e, w, bu, bv), w, bu, bv)
-            if check_invariants:
-                for x in (u, v):
-                    cap = beta * caps[x] + 1
-                    if deg[x] > cap:
-                        raise LocalSearchError(
-                            f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
-            # an insertion happens only with q_upper empty, and until it
-            # drains only removals follow, which only lower degrees: a member
-            # not over its bound now is still not over it when it would be
-            # popped, and none is queued twice
-            q_upper.extend(_members_over(h_at, wdeg, caps, ew, beta, u, v))
 
     phi = sum((Fraction(total, denom) for denom, total in gain_sum.items()), Fraction(0))
     min_seen = min((Fraction(low, denom) for denom, low in gain_min.items()), default=None)
     trace = BuildTrace(steps=steps, insertions=insertions, removals=removals,
                        phi_final=phi, min_gain=min_seen)
-    if check_invariants:
-        report = validate(G, b, H, params)
-        if not report.is_clean:
-            raise LocalSearchError(f"construction left violations: {report}")
-        if phi != potential(H, b, params):
-            raise LocalSearchError("incremental potential diverged from recount")
+    report = validate(G, b, H, params)
+    if not report.is_clean:
+        raise LocalSearchError(f"construction left violations: {report}")
+    if phi != potential(H, b, params):
+        raise LocalSearchError("incremental potential diverged from recount")
     return H, trace

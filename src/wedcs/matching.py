@@ -514,8 +514,7 @@ class SplitResult:
     matched_split_ids: list[int] = field(default_factory=list)
 
 
-def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching, *,
-                   check: bool = True) -> SplitResult:
+def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching) -> SplitResult:
     """Expand each vertex v into b_v copies and spread H and M's edges
     over the copies so that the result is a simple graph.
 
@@ -581,17 +580,16 @@ def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching, *,
                          [j for j, eid in enumerate(edge_origin) if eid in H.members])
     matched_split = [j for j, eid in enumerate(edge_origin) if eid in matched_norm]
 
-    if check:
-        if _first_crowded_pair(split_graph, 1) is not None:
-            raise RuntimeError("split graph is not simple")
-        if max(Subgraph(split_graph, matched_split).deg, default=0) > 1:
-            raise RuntimeError("matching did not map to a simple matching")
-        W = G.W
-        split_wdeg = Subgraph(split_graph, range(split_graph.m)).wdeg
-        for x, total in enumerate(split_wdeg):
-            v, _ = vertex_map[x]
-            # full distributed weight: wdeg_H(v)/b_v - 2W <= . <= wdeg_H(v)/b_v + 3W
-            if not (H.wdeg[v] - 2 * W * b[v] <= total * b[v] <= H.wdeg[v] + 3 * W * b[v]):
-                raise RuntimeError(f"split copy {x} outside its weighted-degree window")
+    if _first_crowded_pair(split_graph, 1) is not None:
+        raise RuntimeError("split graph is not simple")
+    if max(Subgraph(split_graph, matched_split).deg, default=0) > 1:
+        raise RuntimeError("matching did not map to a simple matching")
+    W = G.W
+    split_wdeg = Subgraph(split_graph, range(split_graph.m)).wdeg
+    for x, total in enumerate(split_wdeg):
+        v, _ = vertex_map[x]
+        # full distributed weight: wdeg_H(v)/b_v - 2W <= . <= wdeg_H(v)/b_v + 3W
+        if not (H.wdeg[v] - 2 * W * b[v] <= total * b[v] <= H.wdeg[v] + 3 * W * b[v]):
+            raise RuntimeError(f"split copy {x} outside its weighted-degree window")
 
     return SplitResult(split_graph, split_sub, vertex_map, edge_origin, matched_split)

@@ -32,6 +32,7 @@ Everything is deterministic given (graph, seed, parameters).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -44,7 +45,7 @@ from .edcs import (
     _checked_epsilon,
     _degree_terms,
     _excess,
-    _members_over,
+    _Ledger,
     _step_gain,
 )
 from .graph import (
@@ -311,10 +312,12 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     that is not None; returns H, X, the stats without an extraction, and
     whether the store survived.
 
-    Phase 1 goes edge by edge.  Once H is frozen, phase 2 and the store
-    are arrays over chunks of stream positions: the underfull test of a
-    chunk is one vector expression over the frozen degrees, and the peak
-    is |H| plus the running |X| plus the store's size series."""
+    Phase 1 goes edge by edge and changes H only through the builder's
+    insert and repair (:class:`~wedcs.edcs._Ledger`).  Once H is frozen,
+    phase 2 and the store are arrays over chunks of stream positions: the
+    underfull test of a chunk is one vector expression over the frozen
+    degrees, and the peak is |H| plus the running |X| plus the store's
+    size series."""
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
@@ -326,14 +329,11 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     m = stream.m
 
     stats = StreamRunStats(seed=stream.seed, m=m, variant=variant, prng=stream.prng)
-    H = Subgraph(G)
-    pair_h: dict[tuple[int, int], set[int]] = {}
+    weight: dict[int, int] = {}
+    ledger = _Ledger(G, b, beta, weight)
+    H, at = ledger.H, ledger.at
     order = stream.order
-    wdeg, caps = H.wdeg, b.b
-    # H's members per vertex, each mapped to its other endpoint, and their
-    # weights: the builder's member map, so repairs look at H's edges only
-    h_at: list[dict[int, int]] = [{} for _ in range(G.n)]
-    h_w: dict[int, int] = {}
+    wdeg = H.wdeg
     peak = 0
 
     if variant == 1:
@@ -356,31 +356,6 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         if size > peak:
             peak = size
 
-    def h_add(eid: int, u: int, v: int, w: int) -> None:
-        H.add(eid)
-        h_at[u][eid] = v
-        h_at[v][eid] = u
-        h_w[eid] = w
-        if variant == 3:
-            pair_h.setdefault((min(u, v), max(u, v)), set()).add(eid)
-
-    def h_remove(eid: int, u: int, v: int) -> None:
-        H.remove(eid)
-        del h_at[u][eid], h_at[v][eid], h_w[eid]
-        if variant == 3:
-            pair_h[min(u, v), max(u, v)].discard(eid)
-
-    def repair_upper(u0: int, v0: int) -> None:
-        # before the insertion at (u0, v0) every member was within its
-        # bound, so only members at u0 or v0 can be over it now; removals
-        # only lower degrees, so one ascending pass over those over it now,
-        # each re-checked at its turn, leaves every member within it
-        for cand in _members_over(h_at, wdeg, caps, h_w, beta, u0, v0):
-            x = u0 if cand in h_at[u0] else v0
-            y, cw = h_at[x][cand], h_w[cand]
-            if _excess(wdeg[x], wdeg[y], caps[x], caps[y], cw, beta) > 0:
-                h_remove(cand, x, y)
-
     def assert_bounded() -> None:
         for eid in H.members:
             u, v, w = G.triple(eid)
@@ -388,10 +363,11 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
                 raise StreamInvariantError(
                     f"H lost its bounded weighted edge-degree at edge {eid}")
         if variant == 3:
-            for (u, v), ids in pair_h.items():
-                if len(ids) > min(b[u], b[v]):
-                    raise StreamInvariantError(
-                        f"H holds too many parallel edges between {u} and {v}")
+            for u, ends in enumerate(at):
+                for v, count in Counter(ends.values()).items():
+                    if u < v and count > min(b[u], b[v]):
+                        raise StreamInvariantError(
+                            f"H holds too many parallel edges between {u} and {v}")
 
     def process_phase1_edge(eid: int) -> bool:
         """Returns True when the edge triggered an insertion (or replacement)."""
@@ -400,10 +376,11 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         if _excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus) >= 0:
             return False
         if variant == 3:
-            held = pair_h.get((min(u, v), max(u, v)))
-            if held and len(held) >= min(bu, bv):
-                lightest = min(held, key=lambda i: (int(G.w[i]), i))
-                lw = int(G.w[lightest])
+            # the pair's copies in H: at most beta * b_u + 1 members at u
+            held = [i for i, y in at[u].items() if y == v]
+            if len(held) >= min(bu, bv):
+                lightest = min(held, key=lambda i: (weight[i], i))
+                lw = weight[lightest]
                 if w <= lw:
                     return False  # irrelevant duplicate, ignore
                 if check_invariants:
@@ -416,10 +393,11 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
                     if gain < bu * bv:
                         raise StreamInvariantError(
                             f"replacement changed the potential by {Fraction(gain, bu * bv)} < 1")
-                h_remove(lightest, u, v)
+                ledger.remove(lightest, u, v, lw)
                 stats.replacement_count += 1
-        h_add(eid, u, v, w)
-        repair_upper(u, v)
+        weight[eid] = w
+        ledger.insert(eid, u, v, w)
+        ledger.repair(u, v)
         if check_invariants:
             assert_bounded()
         track()
@@ -482,10 +460,14 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         terms = _degree_terms(wdeg, b, beta_minus * W)
         if variant == 3:
             # per pair id: the lightest weight H holds at a full pair, else 0
+            held = np.fromiter(H.members, dtype=np.int64, count=h_size)
+            pair = c.pair[held]
+            caps = np.asarray(b.b)
+            full = np.bincount(pair)[pair] >= np.minimum(caps[c.u[held]], caps[c.v[held]])
+            pair, w = pair[full], c.w[held[full]]
             full_lightest = np.zeros(int(c.pair.max()) + 1, dtype=c.w.dtype)
-            for (u, v), held in pair_h.items():
-                if held and len(held) >= min(b[u], b[v]):
-                    full_lightest[c.pair[next(iter(held))]] = min(int(G.w[i]) for i in held)
+            full_lightest[pair] = w  # some held weight, lowered to the lightest next
+            np.minimum.at(full_lightest, pair, w)
         for lo in range(pos, m, _CHUNK):
             ids = order[lo:lo + _CHUNK]
             if collect_all:

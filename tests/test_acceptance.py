@@ -68,7 +68,7 @@ def _build_corpus():
         beta = (6, 10, 14)[i % 3]
         G, b = make_random(10_000 + i, n=n, m=m, W=W, b_max=b_max, bipartite=bipartite)
         params = EdcsParams(W=W, beta=beta, beta_minus=beta - 2)
-        H, trace = build_wb_edcs(G, b, params, check_invariants=True)
+        H, trace = build_wb_edcs(G, b, params)
         out.append((i, G, b, params, H, trace))
     return out
 
@@ -95,7 +95,7 @@ def test_criterion_1_validity_and_termination(corpus):
         G, _ = make_random(40_000 + i, n=n, m=m, W=1 + i % 4)
         params = EdcsParams(W=1 + i % 4, beta=(6, 10, 14)[i % 3],
                             beta_minus=(6, 10, 14)[i % 3] - 2)
-        H, trace = build_w_edcs(G, params, check_invariants=True)
+        H, trace = build_w_edcs(G, params)
         assert validate(G, Capacities.uniform(G.n), H, params).is_clean
         assert trace.steps <= trace.phi_final / 2
         if trace.min_gain is not None:

@@ -129,6 +129,15 @@ def test_stream_rejects_zero_epsilon(tmp_path, capsys):
     assert "error: epsilon must be in (0, 1/2)" in capsys.readouterr().err
 
 
+def test_build_rejects_bad_epsilon(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 2 1 1\ne 0 1 1\n")
+    assert main(["build", str(graph), "--beta", "12", "--epsilon", "0.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: epsilon must be in (0, 1/2), got 7/10\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("epsilon", ["0", "0.5", "-1/10", "3/4"])
 def test_stream_rejects_bad_epsilon_before_the_oracle(tmp_path, capsys, monkeypatch, epsilon):
     import wedcs.cli as cli

@@ -390,7 +390,7 @@ def test_builder_fuzz_always_clean(data):
     beta_minus = data.draw(st.integers(0, beta - 2))
     G, b = make_random(seed, n=n, m=m, W=W, b_max=b_max)
     params = EdcsParams(W=W, beta=beta, beta_minus=beta_minus)
-    H, trace = build_wb_edcs(G, b, params, check_invariants=True)
+    H, trace = build_wb_edcs(G, b, params)
     assert validate(G, b, H, params).is_clean
     assert all(H.degree(v) <= beta * b[v] for v in range(G.n))
     if beta_minus == 0:
@@ -447,17 +447,16 @@ def _reference_cases() -> dict[str, tuple]:
 _REFERENCE_CASES = _reference_cases()
 
 
-@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
 @pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
-def test_builder_matches_reference(name, check):
+def test_builder_matches_reference(name):
     # same steps in the same order: the same members and the same trace,
     # whatever bookkeeping the builder keeps to find its next step
     G, b, params, unit = _REFERENCE_CASES[name]
-    H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=check)
+    H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=True)
     if unit:
-        H, trace = build_w_edcs(G, params, check_invariants=check)
+        H, trace = build_w_edcs(G, params)
     else:
-        H, trace = build_wb_edcs(G, b, params, check_invariants=check)
+        H, trace = build_wb_edcs(G, b, params)
     assert H.members == H_ref.members
     assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
     assert trace.to_json_dict() == trace_ref.to_json_dict()
@@ -480,31 +479,30 @@ def test_reference_cases_cover_the_input_space():
 
 
 def _loop_states(G, b, params) -> list[dict]:
-    """The builder's queues and ledgers at every turn of its work loop,
-    copied out of its frame by a line tracer."""
+    """The builder's queue, idle lists and ledger at every turn of its work
+    loop, copied out of its frame by a line tracer."""
     from wedcs import edcs
 
     search = edcs._local_search
     lines, first = inspect.getsourcelines(search)
-    loop = first + next(k for k, text in enumerate(lines)
-                        if text.strip() == "while q_upper or q_lower:")
+    loop = first + next(k for k, text in enumerate(lines) if text.strip() == "while q_lower:")
     states = []
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno == loop:
             f = frame.f_locals
             states.append({
-                "q_upper": list(f["q_upper"]), "q_lower": list(f["q_lower"]),
-                "in_lower": bytes(f["in_lower"]), "members": set(f["members"]),
-                "wdeg": list(f["wdeg"]), "idle": [list(x) for x in f["idle"]],
-                "h_at": [dict(x) for x in f["h_at"]],
+                "q_lower": list(f["q_lower"]), "in_lower": bytes(f["in_lower"]),
+                "members": set(f["members"]), "wdeg": list(f["wdeg"]),
+                "idle": [list(x) for x in f["idle"]],
+                "at": [dict(x) for x in f["ledger"].at],
             })
         return local
 
     before = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local if frame.f_code is search.__code__ else None)
     try:
-        search(G, b, params, check_invariants=True)
+        search(G, b, params)
     finally:
         sys.settrace(before)
     return states
@@ -512,13 +510,18 @@ def _loop_states(G, b, params) -> list[dict]:
 
 @pytest.mark.parametrize("name", sorted(n for n in _REFERENCE_CASES if n != "large"))
 def test_builder_ledger_states(name):
-    # at every turn of the loop: each edge outside the upper queue is a
-    # member, queued once in the lower queue, or idle and listed in both of
-    # its endpoints' idle lists; a removal empties both endpoints' lists;
-    # an insertion queues exactly its endpoints' members over their bound,
-    # once each and ascending
+    # at every turn of the loop: each edge is a member, queued once, or
+    # idle and listed in both of its endpoints' idle lists; every member is
+    # within its bound; a removal empties both endpoints' lists; and the
+    # members removed since the previous turn are those over their bound at
+    # the inserted edge's endpoints, taken in ascending order and each
+    # re-checked at its turn
     G, b, params, _ = _REFERENCE_CASES[name]
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
+
+    def excess(wdeg, j, k):
+        return _excess(wdeg[eu[j]], wdeg[ev[j]], b[eu[j]], b[ev[j]], ew[j], k)
+
     states = _loop_states(G, b, params)
     assert states
     previous = None
@@ -532,16 +535,23 @@ def test_builder_ledger_states(name):
         at = [{} for _ in range(G.n)]
         for i in members:
             at[eu[i]][i], at[ev[i]][i] = ev[i], eu[i]
-        assert s["h_at"] == at
+        assert s["at"] == at
+        assert all(excess(s["wdeg"], i, params.beta) <= 0 for i in members)
         if previous is not None:
-            removed = previous["members"] - members
-            added = members - previous["members"]
-            for i in removed:
+            for i in previous["members"] - members:
                 assert idle[eu[i]] == [] and idle[ev[i]] == []
-            for i in added:
-                wdeg = s["wdeg"]
-                over = sorted(j for j in members if {eu[j], ev[j]} & {eu[i], ev[i]}
-                              and _excess(wdeg[eu[j]], wdeg[ev[j]], b[eu[j]], b[ev[j]],
-                                          ew[j], params.beta) > 0)
-                assert s["q_upper"] == over
+            held, wdeg = set(previous["members"]), list(previous["wdeg"])
+            popped = previous["q_lower"][0]
+            if excess(wdeg, popped, params.beta_minus) < 0:
+                ends = {eu[popped], ev[popped]}
+                for x in ends:
+                    wdeg[x] += ew[popped]
+                held.add(popped)
+                for j in sorted(j for j in held
+                                if {eu[j], ev[j]} & ends and excess(wdeg, j, params.beta) > 0):
+                    if excess(wdeg, j, params.beta) > 0:
+                        held.remove(j)
+                        wdeg[eu[j]] -= ew[j]
+                        wdeg[ev[j]] -= ew[j]
+            assert members == held and s["wdeg"] == wdeg
         previous = s
