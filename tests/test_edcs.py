@@ -447,12 +447,14 @@ def _reference_cases() -> dict[str, tuple]:
 _REFERENCE_CASES = _reference_cases()
 
 
+@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
 @pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
-def test_builder_matches_reference(name):
+def test_builder_matches_reference(name, check):
     # same steps in the same order: the same members and the same trace,
-    # whatever bookkeeping the builder keeps to find its next step
+    # whatever bookkeeping the builder keeps to find its next step; the
+    # builder always runs its checks, the reference with or without its own
     G, b, params, unit = _REFERENCE_CASES[name]
-    H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=True)
+    H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=check)
     if unit:
         H, trace = build_w_edcs(G, params)
     else:
