@@ -55,7 +55,7 @@ def _params_from_args(args, graph_W: int) -> EdcsParams:
     if getattr(args, "theorem_params", False):
         if args.epsilon is None:
             raise InputError("--theorem-params requires --epsilon")
-        return parameters_for(args.epsilon, W, mode="theorem")
+        return parameters_for(args.epsilon, W)
     if args.beta is None:
         raise InputError("give --beta (with optional --beta-minus) or --theorem-params")
     beta_minus = args.beta_minus if args.beta_minus is not None else args.beta - 2

@@ -45,8 +45,8 @@ __all__ = [
     "build_wb_edcs",
 ]
 
-#: Upper limit for the ascending parameter search; beyond this the epsilon
-#: requested is considered unreasonable.
+#: Upper end of the parameter search; beyond this the epsilon requested is
+#: considered unreasonable.
 BETA_SEARCH_CAP = 2**32
 
 
@@ -134,50 +134,48 @@ def _checked_epsilon(epsilon) -> Fraction:
     return eps
 
 
-def parameters_for(
-    epsilon,
-    W: int,
-    mode: str = "theorem",
-    practical_beta: int | None = None,
-) -> EdcsParams:
+def parameters_for(epsilon, W: int) -> EdcsParams:
     """Pick (beta, beta_minus) for an approximation target epsilon.
 
-    ``theorem`` mode runs an ascending search for the smallest beta such
-    that, with lambda = epsilon / (100 W),
+    Returns the smallest beta such that, with lambda = epsilon / (100 W),
 
         (beta + 8W) / ln(beta + 8W) >= 2 W^2 / lambda^2, and
         some integer beta_minus <= beta - 2 has
         beta_minus - 6W >= (1 - lambda) * (beta + 8W),
 
-    returning that beta with the smallest admissible beta_minus.  The
-    resulting values are polynomial in W and 1/epsilon but far too large
-    for desk-scale graphs (around 1.8e6 already for epsilon=0.4, W=1); use
-    ``practical`` mode to pin beta directly for experiments, which returns
-    (practical_beta, practical_beta - 2).
+    with the smallest admissible beta_minus.  Both conditions only turn
+    from false to true as beta grows: x / ln x increases for
+    x = beta + 8W >= 11, and the second reduces exactly to
+    lambda * (beta + 8W) >= 14W + 2.  So a bisection over
+    [3, BETA_SEARCH_CAP] finds beta.  The resulting values are polynomial
+    in W and 1/epsilon but far too large for desk-scale graphs (around
+    1.8e6 already for epsilon=0.4, W=1); to pin beta directly for
+    experiments, construct :class:`EdcsParams` (``--beta`` on the command
+    line).
     """
     eps = _checked_epsilon(epsilon)
     if W < 1:
         raise ValueError("W must be >= 1")
     lam = eps / (100 * W)
-
-    if mode == "practical":
-        if practical_beta is None:
-            raise ValueError("practical mode requires practical_beta")
-        return EdcsParams(W=W, epsilon=eps, lam=lam,
-                          beta=practical_beta, beta_minus=practical_beta - 2)
-    if mode != "theorem":
-        raise ValueError(f"unknown mode {mode!r}")
-
     target = float(Fraction(2 * W * W) / (lam * lam))
-    beta = 3
-    while beta <= BETA_SEARCH_CAP:
+
+    def beta_minus(beta: int) -> int:
+        return math.ceil((1 - lam) * (beta + 8 * W) + 6 * W)
+
+    def admissible(beta: int) -> bool:
         x = beta + 8 * W
-        if x / math.log(x) >= target:
-            bm = math.ceil((1 - lam) * x + 6 * W)
-            if bm <= beta - 2:
-                return EdcsParams(W=W, epsilon=eps, lam=lam, beta=beta, beta_minus=bm)
-        beta += 1
-    raise ValueError(f"no admissible parameters with beta <= {BETA_SEARCH_CAP}")
+        return x / math.log(x) >= target and beta_minus(beta) <= beta - 2
+
+    if not admissible(BETA_SEARCH_CAP):
+        raise ValueError(f"no admissible parameters with beta <= {BETA_SEARCH_CAP}")
+    lo, hi = 3, BETA_SEARCH_CAP
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return EdcsParams(W=W, epsilon=eps, lam=lam, beta=lo, beta_minus=beta_minus(lo))
 
 
 def _excess(wdeg_u: int, wdeg_v: int, bu: int, bv: int, w: int, k: int) -> int:

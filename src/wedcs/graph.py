@@ -8,7 +8,7 @@ all operations are deterministic for a fixed input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,17 +61,6 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-class EdgeColumns(NamedTuple):
-    """A graph's edges as arrays indexed by edge id, each of the smallest
-    signed integer type that holds its values."""
-
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    #: dense id of the unordered pair {u, v}: pairs numbered in (min, max) order
-    pair: np.ndarray
-
-
 class MultiGraph:
     """Immutable weighted multigraph stored as columns.
 
@@ -85,10 +74,10 @@ class MultiGraph:
     ``edges``, :meth:`edge`, ``adjacency`` and :meth:`incident` give the
     same graph as :class:`WeightedEdge` objects and tuples.  They are built
     on first use, for callers outside the package; nothing inside it reads
-    them.  Apart from those views and the :meth:`columns` pair-id cache,
-    instances never change after construction and are safe to share
-    across threads (two threads racing on a first call build equal values
-    and one is kept).
+    them.  Apart from those views and the :attr:`pair` cache, instances
+    never change after construction and are safe to share across threads
+    (two threads racing on a first call build equal values and one is
+    kept).
     """
 
     __slots__ = ("n", "W", "u", "v", "w", "indptr", "adj_edges", "adj_nbrs",
@@ -180,9 +169,11 @@ class MultiGraph:
         """``(u, v, w)`` of edge ``eid`` as Python ints."""
         return int(self.u[eid]), int(self.v[eid]), int(self.w[eid])
 
-    def columns(self) -> EdgeColumns:
-        """``u``, ``v``, ``w`` and the unordered-pair id of every edge as
-        arrays; the pair ids are built on the first call and cached."""
+    @property
+    def pair(self) -> np.ndarray:
+        """Dense id of every edge's unordered pair {u, v}, pairs numbered in
+        (min, max) order, as an array of the smallest signed integer type
+        that holds them; built on first use."""
         if self._pair is None:
             # number the distinct keys min(u, v) * n + max(u, v) in order
             key = np.minimum(self.u, self.v, dtype=np.int64)
@@ -194,7 +185,7 @@ class MultiGraph:
             pair = np.empty(self.m, dtype=_int_type(int(fresh.sum())))
             pair[by] = np.cumsum(fresh, dtype=pair.dtype) - 1
             self._pair = pair
-        return EdgeColumns(self.u, self.v, self.w, self._pair)
+        return self._pair
 
     def pair_groups(self) -> dict[tuple[int, int], list[int]]:
         """Edge ids grouped by unordered endpoint pair, each group in id order."""
@@ -214,9 +205,6 @@ class MultiGraph:
         ids = ids[_run_starts(ids)]
         graph = MultiGraph.from_columns(self.n, self.u[ids], self.v[ids], self.w[ids], W=self.W)
         return graph, ids.tolist()
-
-    def total_weight(self, edge_ids: Iterable[int]) -> int:
-        return int(self.w[_id_array(edge_ids)].sum(dtype=np.int64))
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m}, W={self.W})"
@@ -341,12 +329,6 @@ class Subgraph:
         """Member edge ids in ascending order."""
         return sorted(self.members)
 
-    def total_weight(self) -> int:
-        return self.parent.total_weight(self.members)
-
-    def copy(self) -> "Subgraph":
-        return Subgraph(self.parent, self.members)
-
     def __contains__(self, eid: int) -> bool:
         return eid in self.members
 
@@ -366,8 +348,7 @@ def _pair_limits(G: MultiGraph, b: Capacities) -> np.ndarray:
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
     caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
-    c = G.columns()
-    return np.minimum(caps[c.u], caps[c.v])
+    return np.minimum(caps[G.u], caps[G.v])
 
 
 def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
@@ -387,10 +368,9 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> list[int]:
     One stable sort by (pair, -w) ranks the edges of each pair, so edges
     of equal weight keep their id order."""
     limit = _pair_limits(G, b)
-    c = G.columns()
-    by = np.lexsort((-c.w, c.pair))
+    by = np.lexsort((-G.w, G.pair))
     keep = np.zeros(G.m, dtype=bool)
-    keep[by] = _rank_in_runs(c.pair[by]) < limit[by]
+    keep[by] = _rank_in_runs(G.pair[by]) < limit[by]
     return np.flatnonzero(keep).tolist()
 
 
@@ -401,7 +381,7 @@ def _first_crowded_pair(G: MultiGraph, limit) -> tuple[int, int] | None:
     first to appear among the crowded ones."""
     if not G.m:
         return None
-    pair = G.columns().pair
+    pair = G.pair
     count = np.bincount(pair)[pair]
     over = np.flatnonzero(count > limit)
     return (int(over[0]), int(count[over[0]])) if over.size else None

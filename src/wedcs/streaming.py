@@ -9,12 +9,16 @@ without a single insertion ends the phase.  Phase 2 freezes H and collects
 every remaining "underfull" edge (one that would still be worth inserting)
 into a side set X.  The answer is a maximum-weight b-matching of H | X.
 
-Phase 1 is sequential and runs edge by edge.  Against the frozen H, phase
-2 and the relevant store of :func:`run_with_fallbacks` are evaluated as
-arrays over chunks of stream positions (the graph's edge columns, H's
-frozen degrees, and the store's size after every position), with the
-same outcome, counters and peak as an edge-at-a-time pass.  The random
-order itself is a seeded Fisher-Yates shuffle whose swaps
+Every stream runs one replacement rule that keeps at most min(b_u, b_v)
+copies of a pair in H (:func:`run_single_pass`); ``variant`` is an input
+contract, not a second algorithm.
+
+Phase 1 is sequential, one loop over levels read edge by edge.  Against
+the frozen H, phase 2 and the relevant store of :func:`run_with_fallbacks`
+are evaluated as arrays over chunks of stream positions (the graph's edge
+columns, H's frozen degrees, and the store's size after every position),
+with the same outcome, counters and peak as an edge-at-a-time pass.  The
+random order itself is a seeded Fisher-Yates shuffle whose swaps
 :func:`make_stream` resolves as arrays too, by pointer jumping, with the
 order the swaps one at a time would give.
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, NamedTuple
@@ -202,22 +206,7 @@ class StreamRunStats:
     result_weight: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "m": self.m,
-            "variant": self.variant,
-            "prng": self.prng,
-            "alpha_log_mode": self.alpha_log_mode,
-            "phase1_edges_consumed": self.phase1_edges_consumed,
-            "final_guess_i": self.final_guess_i,
-            "epoch_count": self.epoch_count,
-            "underfull_collected": self.underfull_collected,
-            "peak_stored_edges": self.peak_stored_edges,
-            "replacement_count": self.replacement_count,
-            "fallback_used": self.fallback_used,
-            "extraction": self.extraction,
-            "result_weight": self.result_weight,
-        }
+        return asdict(self)
 
 
 class StreamRunResult(NamedTuple):
@@ -242,13 +231,12 @@ def _store_sizes(G: MultiGraph, b: Capacities, order: np.ndarray,
     sizes = np.zeros(m, dtype=np.int32)
     if cap < 1:
         return sizes, False
-    c = G.columns()
     limit = _pair_limits(G, b)
-    seen = np.zeros(int(c.pair.max()) + 1 if m else 0, dtype=np.int64)
+    seen = np.zeros(int(G.pair.max()) + 1 if m else 0, dtype=np.int64)
     size = 0
     for lo in range(0, m, _CHUNK):
         ids = order[lo:lo + _CHUNK]
-        pair = c.pair[ids]
+        pair = G.pair[ids]
         # rank of each arrival among its pair's arrivals so far
         by = np.argsort(pair, kind="stable")
         rank = np.empty(len(ids), dtype=np.int64)
@@ -287,17 +275,26 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
                     check_invariants: bool = False) -> StreamRunResult:
     """One pass over the stream; the core two-phase algorithm.
 
-    ``variant=1`` assumes at most min(b_u, b_v) parallel edges per pair.
-    ``variant=3`` drops that assumption: when a pair already holds its full
-    complement of parallel edges in H, an arriving underfull edge is
-    ignored unless strictly heavier than the lightest held copy, which it
-    then replaces; phase 2 applies the matching two-case test.
+    H holds at most min(b_u, b_v) copies of a pair: when the pair is full,
+    an arriving underfull edge is ignored unless strictly heavier than the
+    lightest held copy, which it then replaces; phase 2 applies the
+    matching two-case test.  Both variants run this rule; ``variant`` is
+    an input contract.  ``variant=1`` promises at most min(b_u, b_v)
+    parallel edges per pair, rejects input that breaks it, and so never
+    fires the rule: a pair is full in H only once its last copy arrived.
+    ``variant=3`` takes raw multiplicities.
 
     Interval sizes use ceil(log2 m) in the denominator (recorded in the
     stats as ``alpha_log_mode``) and level i runs at most
     2^(i+2) * beta^2 * W^2 + 1 epochs.  An insertion later undone by the
     repair loop still counts as the epoch having found an underfull edge.
     The answer is extracted once, from H | X.
+
+    Two O(1) self-checks run on every stream: each replacement raises the
+    potential by at least 1, and a phase 1 that ends by itself consumes
+    at most ceil(eps * m) edges.  ``check_invariants`` adds an O(|H|)
+    re-check of H's degree bound and pair counts after every insertion.
+    A failed check raises :class:`StreamInvariantError`.
     """
     H, X, stats, _ = _two_phase_pass(stream, b, params, _checked_epsilon(epsilon), variant,
                                      check_invariants, None)
@@ -312,12 +309,14 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     that is not None; returns H, X, the stats without an extraction, and
     whether the store survived.
 
-    Phase 1 goes edge by edge and changes H only through the builder's
-    insert and repair (:class:`~wedcs.edcs._Ledger`).  Once H is frozen,
-    phase 2 and the store are arrays over chunks of stream positions: the
-    underfull test of a chunk is one vector expression over the frozen
-    degrees, and the peak is |H| plus the running |X| plus the store's
-    size series."""
+    ``variant`` only selects the up-front rejection of crowded pairs and
+    is recorded in the stats.  Phase 1 is one loop over levels, each a run
+    of epochs of alpha_i edges, and changes H only through the builder's
+    insert, remove and repair (:class:`~wedcs.edcs._Ledger`).  Once H is
+    frozen, phase 2 and the store are arrays over chunks of stream
+    positions: the underfull test of a chunk is one vector expression over
+    the frozen degrees, and the peak is |H| plus the running |X| plus the
+    store's size series."""
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
@@ -349,10 +348,10 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     else:
         store_sizes, store_alive = _store_sizes(G, b, order, store_cap)
 
-    def track() -> None:
-        # in phase 1, where X is empty, after the edge at pos - 1 arrived
+    def track(k: int) -> None:
+        # in phase 1, where X is empty, after the edge at position k arrived
         nonlocal peak
-        size = len(H.members) + (int(store_sizes[pos - 1]) if store_sizes is not None else 0)
+        size = len(H.members) + (int(store_sizes[k]) if store_sizes is not None else 0)
         if size > peak:
             peak = size
 
@@ -362,123 +361,103 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
             if _excess(wdeg[u], wdeg[v], b[u], b[v], w, beta) > 0:
                 raise StreamInvariantError(
                     f"H lost its bounded weighted edge-degree at edge {eid}")
-        if variant == 3:
-            for u, ends in enumerate(at):
-                for v, count in Counter(ends.values()).items():
-                    if u < v and count > min(b[u], b[v]):
-                        raise StreamInvariantError(
-                            f"H holds too many parallel edges between {u} and {v}")
+        for u, ends in enumerate(at):
+            for v, count in Counter(ends.values()).items():
+                if u < v and count > min(b[u], b[v]):
+                    raise StreamInvariantError(
+                        f"H holds too many parallel edges between {u} and {v}")
 
-    def process_phase1_edge(eid: int) -> bool:
-        """Returns True when the edge triggered an insertion (or replacement)."""
+    def process_phase1_edge(eid: int, k: int) -> bool:
+        """Returns True when the edge at position k triggered an insertion
+        (or replacement)."""
         u, v, w = G.triple(eid)
         bu, bv = b[u], b[v]
         if _excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus) >= 0:
             return False
-        if variant == 3:
-            # the pair's copies in H: at most beta * b_u + 1 members at u
-            held = [i for i, y in at[u].items() if y == v]
-            if len(held) >= min(bu, bv):
-                lightest = min(held, key=lambda i: (weight[i], i))
-                lw = weight[lightest]
-                if w <= lw:
-                    return False  # irrelevant duplicate, ignore
-                if check_invariants:
-                    # remove the held copy, then insert: both edges join u
-                    # and v, so one denominator b_u * b_v serves both gains
-                    e_out = _excess(wdeg[u], wdeg[v], bu, bv, lw, beta)
-                    e_in = _excess(wdeg[u] - lw, wdeg[v] - lw, bu, bv, w, beta_minus)
-                    gain = (_step_gain(params, False, e_out, lw, bu, bv)
-                            + _step_gain(params, True, e_in, w, bu, bv))
-                    if gain < bu * bv:
-                        raise StreamInvariantError(
-                            f"replacement changed the potential by {Fraction(gain, bu * bv)} < 1")
-                ledger.remove(lightest, u, v, lw)
-                stats.replacement_count += 1
+        # the pair's copies in H: at most beta * b_u + 1 members at u
+        held = [i for i, y in at[u].items() if y == v]
+        if len(held) >= min(bu, bv):
+            lightest = min(held, key=lambda i: (weight[i], i))
+            lw = weight[lightest]
+            if w <= lw:
+                return False  # irrelevant duplicate, ignore
+            # remove the held copy, then insert: both edges join u and v,
+            # so one denominator b_u * b_v serves both gains
+            e_out = _excess(wdeg[u], wdeg[v], bu, bv, lw, beta)
+            e_in = _excess(wdeg[u] - lw, wdeg[v] - lw, bu, bv, w, beta_minus)
+            gain = (_step_gain(params, False, e_out, lw, bu, bv)
+                    + _step_gain(params, True, e_in, w, bu, bv))
+            if gain < bu * bv:
+                raise StreamInvariantError(
+                    f"replacement changed the potential by {Fraction(gain, bu * bv)} < 1")
+            ledger.remove(lightest, u, v, lw)
+            stats.replacement_count += 1
         weight[eid] = w
         ledger.insert(eid, u, v, w)
         ledger.repair(u, v)
         if check_invariants:
             assert_bounded()
-        track()
+        track(k)
         return True
 
-    # ---- phase 1 -----------------------------------------------------
+    # ---- phase 1: levels i = 0 .. floor(log2 m) ------------------------
     pos = 0
-    collect_all = False
-    if m > 0:
-        levels = m.bit_length() - 1          # floor(log2 m)
-        logden = (m - 1).bit_length()        # ceil(log2 m); 0 only for m = 1
-        bw2 = beta * beta * W * W
-        i = 0
-        stopped = False
-        while not stopped and pos < m:
-            if i > levels:
+    logden = (m - 1).bit_length() if m else 0  # ceil(log2 m); 0 for m <= 1
+    bw2 = beta * beta * W * W
+    for i in range(m.bit_length()):
+        epoch_limit = (1 << (i + 2)) * bw2 + 1
+        alpha_i = (eps.numerator * m) // (eps.denominator * logden * epoch_limit) if logden else 0
+        stats.final_guess_i = i
+        if alpha_i == 0:
+            stats.fallback_used = "alpha_zero"
+            break
+        for _ in range(epoch_limit):
+            stats.epoch_count += 1
+            found_underfull = False
+            batch = order[pos:pos + alpha_i].tolist()
+            for k, eid in enumerate(batch, pos):
+                if store_sizes is not None:
+                    track(k)
+                if process_phase1_edge(eid, k):
+                    found_underfull = True
+            pos += len(batch)
+            if not found_underfull or pos == m:
                 break
-            if logden == 0:
-                alpha_i = 0
-            else:
-                denom = logden * ((1 << (i + 2)) * bw2 + 1)
-                alpha_i = (eps.numerator * m) // (eps.denominator * denom)
-            stats.final_guess_i = i
-            if alpha_i == 0:
-                stats.fallback_used = "alpha_zero"
-                collect_all = True
-                break
-            epoch_limit = (1 << (i + 2)) * bw2 + 1
-            for _ in range(epoch_limit):
-                if pos >= m:
-                    break
-                stats.epoch_count += 1
-                found_underfull = False
-                for _ in range(alpha_i):
-                    if pos >= m:
-                        break
-                    eid = int(order[pos])
-                    pos += 1
-                    stats.phase1_edges_consumed += 1
-                    if store_sizes is not None:
-                        track()
-                    if process_phase1_edge(eid):
-                        found_underfull = True
-                if not found_underfull:
-                    stopped = True
-                    break
-            i += 1
+        else:
+            continue  # every epoch found an underfull edge: next level
+        break
+    stats.phase1_edges_consumed = pos
 
-    if check_invariants and stats.fallback_used == "none":
-        budget = -((-eps.numerator * m) // eps.denominator)  # ceil(eps * m)
-        if stats.phase1_edges_consumed > budget:
-            raise StreamInvariantError(
-                f"phase 1 consumed {stats.phase1_edges_consumed} edges, beyond ceil(eps*m)={budget}")
+    budget = -((-eps.numerator * m) // eps.denominator)  # ceil(eps * m)
+    if stats.fallback_used == "none" and pos > budget:
+        raise StreamInvariantError(
+            f"phase 1 consumed {pos} edges, beyond ceil(eps*m)={budget}")
 
     # ---- phase 2: H is frozen ----------------------------------------
     X: set[int] = set()
     if pos < m:
-        c = G.columns()
+        pair = G.pair
         h_size, x_size = len(H.members), 0
         terms = _degree_terms(wdeg, b, beta_minus * W)
-        if variant == 3:
-            # per pair id: the lightest weight H holds at a full pair, else 0
-            held = np.fromiter(H.members, dtype=np.int64, count=h_size)
-            pair = c.pair[held]
-            caps = np.asarray(b.b)
-            full = np.bincount(pair)[pair] >= np.minimum(caps[c.u[held]], caps[c.v[held]])
-            pair, w = pair[full], c.w[held[full]]
-            full_lightest = np.zeros(int(c.pair.max()) + 1, dtype=c.w.dtype)
-            full_lightest[pair] = w  # some held weight, lowered to the lightest next
-            np.minimum.at(full_lightest, pair, w)
+        # per pair id: the lightest weight H holds at a full pair, else 0
+        held = np.fromiter(H.members, dtype=np.int64, count=h_size)
+        held_pair = pair[held]
+        caps = np.asarray(b.b)
+        full = np.bincount(held_pair)[held_pair] >= np.minimum(caps[G.u[held]], caps[G.v[held]])
+        held_pair, held_w = held_pair[full], G.w[held[full]]
+        full_lightest = np.zeros(int(pair.max()) + 1, dtype=G.w.dtype)
+        full_lightest[held_pair] = held_w  # some held weight, lowered to the lightest next
+        np.minimum.at(full_lightest, held_pair, held_w)
         for lo in range(pos, m, _CHUNK):
             ids = order[lo:lo + _CHUNK]
-            if collect_all:
+            if stats.fallback_used == "alpha_zero":
                 keep = np.ones(len(ids), dtype=bool)
             else:
-                w = c.w[ids]
-                lhs, scaled = terms(c.u[ids], c.v[ids], w)
+                w = G.w[ids]
+                lhs, scaled = terms(G.u[ids], G.v[ids], w)
                 keep = np.asarray(lhs < scaled * beta_minus, dtype=bool)
-                if variant == 3:
-                    lightest = full_lightest[c.pair[ids]]
-                    keep = np.where(lightest > 0, lightest < w, keep)
+                lightest = full_lightest[pair[ids]]
+                keep = np.where(lightest > 0, lightest < w, keep)
             x_count = x_size + np.cumsum(keep)
             stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(ids)]
             peak = max(peak, h_size + int(stored.max()))

@@ -246,7 +246,7 @@ def test_criterion_6_distribution_guarantees():
 def test_criterion_7_contained_matching_quality():
     # (a) parameter-search values are far beyond desk scale; with them the
     # builder keeps every edge, so the contained matching is the optimum
-    theorem = parameters_for("0.4", 1, mode="theorem")
+    theorem = parameters_for("0.4", 1)
     assert theorem.beta >= 10**5
     for seed in range(5):
         G, b = make_random(60_000 + seed, n=10, m=20, W=1, b_max=2)

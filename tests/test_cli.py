@@ -321,7 +321,6 @@ def test_cli_log_env_var(tmp_path):
     assert proc.returncode == 0
 
 
-@pytest.mark.slow
 def test_cli_theorem_params(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("g 2 1 1\ne 0 1 1\n")

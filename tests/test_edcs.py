@@ -38,12 +38,6 @@ def test_params_invariants():
     EdcsParams(W=1, beta=3, beta_minus=1)
 
 
-def test_parameters_for_practical_passthrough():
-    p = parameters_for("0.4", 1, mode="practical", practical_beta=10)
-    assert (p.beta, p.beta_minus) == (10, 8)
-    assert p.lam == Fraction(1, 250)
-
-
 def test_parameters_for_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         parameters_for("0.5", 1)
@@ -60,23 +54,27 @@ def _theorem_conditions(beta: int, beta_minus: int, W: int, lam: Fraction):
     return c1, c2
 
 
-@pytest.mark.slow
-def test_parameters_for_theorem_small_epsilon_magnitude():
-    # lambda = 0.4/100 = 1/250, so 2 W^2 / lambda^2 = 125000; the smallest
-    # beta with (beta+8)/ln(beta+8) >= 125000 sits in the 1e5..1e7 decade
-    p = parameters_for("0.4", 1, mode="theorem")
-    assert p.lam == Fraction(1, 250)
-    assert Fraction(2, 1) / (p.lam * p.lam) == 125000
-    assert 10**5 <= p.beta <= 4 * 10**6
+@pytest.mark.parametrize("W", [1, 2, 3])
+@pytest.mark.parametrize("epsilon", ["1/10", "1/4", "2/5"])
+def test_parameters_for_theorem_small_epsilon_magnitude(epsilon, W):
+    # lambda = epsilon/(100 W), so 2 W^2 / lambda^2 = 20000 W^4 / epsilon^2
+    # (125000 at epsilon=2/5, W=1); x = beta + 8W with x / ln x at least
+    # that target lies between target * ln(target) and twice that
+    p = parameters_for(epsilon, W)
+    assert p.lam == Fraction(epsilon) / (100 * W)
+    target = Fraction(2 * W * W) / (p.lam * p.lam)
+    assert target == 20000 * W**4 / Fraction(epsilon) ** 2
+    x = p.beta + 8 * W
+    assert target * math.log(target) <= x <= 2 * target * math.log(target)
 
-    c1, c2 = _theorem_conditions(p.beta, p.beta_minus, 1, p.lam)
+    c1, c2 = _theorem_conditions(p.beta, p.beta_minus, W, p.lam)
     assert c1 and c2 and p.beta_minus <= p.beta - 2
+    assert not _theorem_conditions(p.beta, p.beta_minus - 1, W, p.lam)[1]
 
-    # minimality: beta - 1 admits no valid pair
+    # minimality: beta - 1 admits no valid pair, not even the largest
+    # beta_minus it allows
     prev = p.beta - 1
-    c1_prev, _ = _theorem_conditions(prev, prev - 2, 1, p.lam)
-    best_bm = math.ceil((1 - p.lam) * (prev + 8) + 6)
-    assert not (c1_prev and best_bm <= prev - 2)
+    assert not all(_theorem_conditions(prev, prev - 2, W, p.lam))
 
 
 # ---------------------------------------------------------------- validate
@@ -471,7 +469,7 @@ def test_reference_cases_cover_the_input_space():
         kinds.setdefault("b", set()).update(b.b)
         kinds.setdefault("gap", set()).add(params.beta - params.beta_minus)
         kinds.setdefault("unit", set()).add(unit)
-        pairs = G.columns().pair
+        pairs = G.pair
         kinds.setdefault("parallel", set()).add(bool(len(pairs) and np.bincount(pairs).max() > 1))
     assert len(_REFERENCE_CASES) >= 40
     assert kinds["W"] == {1, 3, 127} and kinds["b"] == {1, 2, 3, 4}

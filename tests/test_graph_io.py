@@ -78,10 +78,9 @@ def test_big_file_parses():
     G, b = parse_graph("\n".join(_big_file()) + "\n")
     assert (G.n, G.m, G.W) == (50, 12_000, 3)
     assert [b[0], b[1], b[2], b[7]] == [2, 3, 1, 2]
-    c = G.columns()
-    assert c.u.tolist() == [k % 25 for k in range(12_000)]
-    assert c.v.tolist() == [25 + k % 25 for k in range(12_000)]
-    assert c.w.tolist() == [1 + k % 3 for k in range(12_000)]
+    assert G.u.tolist() == [k % 25 for k in range(12_000)]
+    assert G.v.tolist() == [25 + k % 25 for k in range(12_000)]
+    assert G.w.tolist() == [1 + k % 3 for k in range(12_000)]
 
 
 @pytest.mark.parametrize("bad, line_no, message", [

@@ -185,12 +185,18 @@ def test_deterministic_replay():
     assert r1.stats.to_json_dict() == r2.stats.to_json_dict()
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_variants_agree_without_parallel_edges(seed):
+@pytest.mark.parametrize("seed, runner, check_invariants", [
+    pytest.param(seed, runner, check, id=f"{seed}{suffix}")
+    for seed in range(8)
+    for runner, check, suffix in ((run_single_pass, False, ""),
+                                  (run_with_fallbacks, False, "-fallbacks"),
+                                  (run_single_pass, True, "-checked"),
+                                  (run_with_fallbacks, True, "-fallbacks-checked"))])
+def test_variants_agree_without_parallel_edges(seed, runner, check_invariants):
     G, b = make_random(seed, n=14, m=50, W=3, b_max=3)
     params = EdcsParams(W=3, beta=8, beta_minus=6)
-    r1 = run_single_pass(make_stream(G, seed), b, params, "0.3", variant=1)
-    r3 = run_single_pass(make_stream(G, seed), b, params, "0.3", variant=3)
+    r1, r3 = (runner(make_stream(G, seed), b, params, "0.3", variant=variant,
+                     check_invariants=check_invariants) for variant in (1, 3))
     assert r1.H.members == r3.H.members
     assert r1.X.members == r3.X.members
     assert r1.matching.edge_ids == r3.matching.edge_ids
