@@ -11,15 +11,20 @@ beta_minus <= beta - 2:
 
 Property (i) keeps H sparse (each vertex ends up with degree at most
 beta * b_v); property (ii) guarantees H retains a near-optimal b-matching.
-Both are one comparison, cross-multiplied by b_u * b_v so everything stays
-in exact integer arithmetic; the termination argument lives on slacks of
-1/(b_u * b_v) that floating point would destroy.  That comparison and the
-potential's change per step are written once, here, for the builder, the
-validator and the stream runner: :func:`_excess` per edge,
-:func:`_degree_terms` over edge columns, and :func:`_step_gain`.  The
-builder and the stream runner's phase 1 change H only through one
-:class:`_Ledger`, which inserts, removes, and after an insertion repairs
-the members pushed over their bound.
+Both are one comparison in exact integer arithmetic; the termination
+argument lives on slacks of 1/(b_u * b_v) that floating point would
+destroy.  Per edge, and over edge columns, the comparison is
+cross-multiplied by b_u * b_v; it and the potential's change per step are
+written once, here, for the builder, the validator and the stream runner:
+:func:`_excess` per edge, :func:`_degree_terms` over edge columns, and
+:func:`_step_gain`.  The builder and the stream runner's phase 1 change H
+only through one :class:`_Ledger`, which inserts, removes, and after an
+insertion repairs the members pushed over their bound.  The ledger also
+keeps every weighted degree over one common denominator L = lcm(b), as
+the integer load wdeg_H(x) * (L // b_x).  An edge's two loads summed and
+compared with k * w * L give the sign of its :func:`_excess` at k, so the
+builder's queue pops and the repair's search for members over their bound
+test an edge with two list reads and an add.
 """
 
 from __future__ import annotations
@@ -211,9 +216,18 @@ class _Ledger:
     ``at[x]`` maps each member at x to its other endpoint.  ``weight[i]``
     is member i's weight, from a mapping the caller keeps: the builder's
     weight column, or the dict phase 1 fills at each insertion.
+
+    ``load[x]`` is wdeg_H(x) * (L // b_x), with L = lcm of all capacities:
+    the weighted degrees over one common denominator.  An edge's
+    :func:`_excess` at k is (b_u * b_v / L) * (load[u] + load[v] - k * w * L),
+    so ``load[u] + load[v]`` compared with ``k * w * L`` has the sign of
+    that excess: property (i) is ``load[u] + load[v] > beta * w * L``
+    broken, and the edge is underfull when the sum is below
+    ``beta_minus * w * L``.  That is two list reads and an add per test.
+    L can be wide; Python integers just grow.
     """
 
-    __slots__ = ("H", "at", "weight", "caps", "beta")
+    __slots__ = ("H", "at", "weight", "caps", "beta", "L", "unit", "load")
 
     def __init__(self, G: MultiGraph, b: Capacities, beta: int, weight):
         self.H = Subgraph(G)
@@ -221,45 +235,58 @@ class _Ledger:
         self.weight = weight
         self.caps = b.b
         self.beta = beta
+        self.L = math.lcm(*b.b)
+        self.unit = [self.L // c for c in b.b]
+        self.load = [0] * G.n
 
     def insert(self, eid: int, u: int, v: int, w: int) -> None:
         H = self.H
         H.members.add(eid)
         self.at[u][eid] = v
         self.at[v][eid] = u
-        wdeg, deg = H.wdeg, H.deg
+        wdeg, deg, load, unit = H.wdeg, H.deg, self.load, self.unit
         wdeg[u] += w
         wdeg[v] += w
         deg[u] += 1
         deg[v] += 1
+        load[u] += w * unit[u]
+        load[v] += w * unit[v]
 
     def remove(self, eid: int, u: int, v: int, w: int) -> None:
         H = self.H
         H.members.remove(eid)
         del self.at[u][eid], self.at[v][eid]
-        wdeg, deg = H.wdeg, H.deg
+        wdeg, deg, load, unit = H.wdeg, H.deg, self.load, self.unit
         wdeg[u] -= w
         wdeg[v] -= w
         deg[u] -= 1
         deg[v] -= 1
+        load[u] -= w * unit[u]
+        load[v] -= w * unit[v]
 
     def repair(self, u: int, v: int) -> list[tuple[int, int, int, int, int]]:
         """After an insertion at (u, v), remove the members at u or v over
-        their bound in ascending id order, each re-checked at its turn, and
-        return (id, x, y, w, excess) per removal, x its end at u or v.
+        their bound in ascending id order, each re-checked with
+        :func:`_excess` at its turn, and return (id, x, y, w, excess) per
+        removal, x its end at u or v.
 
-        Before the insertion every member was within its bound, so only
-        members at u or v can be over it now, and removals only lower
-        degrees: one pass leaves every member within it.  A parallel (u, v)
-        member is tested from both ends, hence the set."""
-        wdeg, caps, at, weight, beta = self.H.wdeg, self.caps, self.at, self.weight, self.beta
-        over: set[int] = set()
-        for x in (u, v):
-            dx, bx = wdeg[x], caps[x]
-            over.update([i for i, y in at[x].items()
-                         if _excess(dx, wdeg[y], bx, caps[y], weight[i], beta) > 0])
+        The candidates are found with the loads: a member (x, y, w) is
+        over its bound exactly when load[x] + load[y] > beta * w * L, the
+        sign of its excess.  Before the insertion every member was within
+        its bound, so only members at u or v can be over it now, and
+        removals only lower degrees: one pass leaves every member within
+        it.  A parallel (u, v) member is tested from both ends, hence the
+        set."""
+        load, at, weight = self.load, self.at, self.weight
+        limit = self.beta * self.L
+        lu, lv = load[u], load[v]
+        over = [i for i, y in at[u].items() if lu + load[y] > limit * weight[i]]
+        over += [i for i, y in at[v].items() if lv + load[y] > limit * weight[i]]
+        if not over:
+            return []
+        wdeg, caps, beta = self.H.wdeg, self.caps, self.beta
         removed = []
-        for i in sorted(over):
+        for i in sorted(set(over)):
             x = u if i in at[u] else v
             y, w = at[x][i], weight[i]
             e = _excess(wdeg[x], wdeg[y], caps[x], caps[y], w, beta)
@@ -402,10 +429,12 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     queues it, empties the list), so this is exactly the set a scan of u's
     and v's adjacency for edges neither queued nor members would find.
 
-    Each pop tests its edge with :func:`_excess`, and a step takes its
-    gain from that excess (:func:`_step_gain`).  The potential is summed in
-    integers, one sum per denominator b_u * b_v, and becomes a single
-    ``Fraction`` at the end.
+    Each pop tests its edge with the ledger's loads, load[u] + load[v]
+    against beta_minus * w * L, which has the sign of the edge's
+    :func:`_excess` over beta_minus (see :class:`_Ledger`); an insertion
+    takes its gain from that excess (:func:`_step_gain`).  The potential
+    is summed in integers, one sum per denominator b_u * b_v, and becomes
+    a single ``Fraction`` at the end.
     """
     beta, beta_minus = params.beta, params.beta_minus
     m = G.m
@@ -416,14 +445,13 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     caps = b.b
     ledger = _Ledger(G, b, beta, ew)
     H = ledger.H
-    wdeg, deg, members = H.wdeg, H.deg, H.members
+    wdeg, deg, members, load = H.wdeg, H.deg, H.members, ledger.load
+    minus_L = beta_minus * ledger.L  # underfull: load[u] + load[v] < minus_L * w
     idle: list[list[int]] = [[] for _ in range(G.n)]
     steps = insertions = removals = 0
     # per denominator b_u * b_v: the summed and the smallest scaled gain
     gain_sum: dict[int, int] = {}
     gain_min: dict[int, int] = {}
-
-    excess = _excess  # a local name: called once per queue pop
 
     def note_gain(gain_scaled: int, w: int, bu: int, bv: int):
         # a step on edge (u, v, w) gains at least the floor
@@ -444,12 +472,12 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         eid = q_lower.popleft()
         in_lower[eid] = 0
         u, v, w = eu[eid], ev[eid], ew[eid]
-        bu, bv = caps[u], caps[v]
-        e = excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
-        if e >= 0:
+        if load[u] + load[v] >= minus_L * w:
             idle[u].append(eid)
             idle[v].append(eid)
             continue
+        bu, bv = caps[u], caps[v]
+        e = _excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
         ledger.insert(eid, u, v, w)
         steps += 1
         insertions += 1

@@ -14,13 +14,13 @@ copies of a pair in H (:func:`run_single_pass`); ``variant`` is an input
 contract, not a second algorithm.
 
 Phase 1 is sequential, one loop over levels read edge by edge.  Against
-the frozen H, phase 2 and the relevant store of :func:`run_with_fallbacks`
-are evaluated as arrays over chunks of stream positions (the graph's edge
-columns, H's frozen degrees, and the store's size after every position),
-with the same outcome, counters and peak as an edge-at-a-time pass.  The
-random order itself is a seeded Fisher-Yates shuffle whose swaps
-:func:`make_stream` resolves as arrays too, by pointer jumping, with the
-order the swaps one at a time would give.
+the frozen H, phase 2 is one mask over the graph's edge columns, and the
+relevant store of :func:`run_with_fallbacks` and the peak are evaluated as
+arrays over chunks of stream positions (the store's size after every
+position), with the same outcome, counters and peak as an edge-at-a-time
+pass.  The random order itself is a seeded Fisher-Yates shuffle whose
+swaps :func:`make_stream` resolves as arrays too, by pointer jumping, with
+the order the swaps one at a time would give.
 
 Two degenerate regimes are handled explicitly:
 
@@ -39,7 +39,6 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -253,10 +252,52 @@ def _store_sizes(G: MultiGraph, b: Capacities, order: np.ndarray,
     return sizes, True
 
 
-def _extract(H: Subgraph, X: set[int], stats: StreamRunStats, b: Capacities,
+def _phase2_keep(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams,
+                 collect_all: bool) -> np.ndarray:
+    """Per edge id, whether phase 2 adds the edge to X if it arrives after
+    phase 1: against the frozen H that depends on the edge alone.
+
+    An edge of a pair that H holds min(b_u, b_v) copies of joins X when
+    strictly heavier than the lightest copy; any other edge when it is
+    underfull.  Under ``alpha_zero`` (``collect_all``) every edge joins.
+    The mask is computed over G's columns in id chunks of ``_CHUNK``, so
+    the temporaries stay bounded."""
+    m = G.m
+    if collect_all:
+        return np.ones(m, dtype=bool)
+    pair = G.pair
+    beta_minus = params.beta_minus
+    terms = _degree_terms(H.wdeg, b, beta_minus * params.W)
+    # per pair id: the lightest weight H holds at a full pair, else 0
+    held = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
+    held_pair = pair[held]
+    caps = np.asarray(b.b)
+    full = np.bincount(held_pair)[held_pair] >= np.minimum(caps[G.u[held]], caps[G.v[held]])
+    held_pair, held_w = held_pair[full], G.w[held[full]]
+    full_lightest = np.zeros(int(pair.max()) + 1, dtype=G.w.dtype)
+    full_lightest[held_pair] = held_w  # some held weight, lowered to the lightest next
+    np.minimum.at(full_lightest, held_pair, held_w)
+    keep = np.empty(m, dtype=bool)
+    for lo in range(0, m, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        w = G.w[part]
+        lhs, scaled = terms(G.u[part], G.v[part], w)
+        lightest = full_lightest[pair[part]]
+        keep[part] = np.where(lightest > 0, lightest < w,
+                              np.asarray(lhs < scaled * beta_minus, dtype=bool))
+    return keep
+
+
+def _with_members(H: Subgraph, X: np.ndarray) -> np.ndarray:
+    """The ids of H | X in one array: H's members, then X."""
+    return np.concatenate((np.fromiter(H.members, dtype=np.int64, count=len(H.members)), X))
+
+
+def _extract(H: Subgraph, X: Iterable[int], stats: StreamRunStats, b: Capacities,
              edge_ids: Iterable[int], oracle_budget: int) -> StreamRunResult:
     """Best b-matching restricted to ``edge_ids``, recorded in ``stats``:
-    exact when the solver budget allows, greedy otherwise."""
+    exact when the solver budget allows, greedy otherwise.  ``X`` holds
+    the ids of the side set."""
     G = H.parent
     sub, old_ids = G.restrict(edge_ids)
     try:
@@ -298,12 +339,12 @@ def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsil
     """
     H, X, stats, _ = _two_phase_pass(stream, b, params, _checked_epsilon(epsilon), variant,
                                      check_invariants, None)
-    return _extract(H, X, stats, b, chain(H.members, X), oracle_budget)
+    return _extract(H, X, stats, b, _with_members(H, X), oracle_budget)
 
 
 def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: Fraction,
                     variant: int, check_invariants: bool, store_cap: float | None,
-                    ) -> tuple[Subgraph, set[int], StreamRunStats, bool]:
+                    ) -> tuple[Subgraph, np.ndarray, StreamRunStats, bool]:
     """Phases 1 and 2 of :func:`run_single_pass` at the checked epsilon
     ``eps``, with a relevant store capped at ``store_cap`` alongside when
     that is not None; returns H, X, the stats without an extraction, and
@@ -313,10 +354,11 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     is recorded in the stats.  Phase 1 is one loop over levels, each a run
     of epochs of alpha_i edges, and changes H only through the builder's
     insert, remove and repair (:class:`~wedcs.edcs._Ledger`).  Once H is
-    frozen, phase 2 and the store are arrays over chunks of stream
-    positions: the underfull test of a chunk is one vector expression over
-    the frozen degrees, and the peak is |H| plus the running |X| plus the
-    store's size series."""
+    frozen, whether an edge joins X depends only on the edge, so phase 2
+    is one mask over G's edge ids (:func:`_phase2_keep`) read at the
+    remaining stream positions, and X is an array of ids in stream order.
+    The peak is |H| plus the running |X| plus the store's size series,
+    over chunks of positions."""
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
@@ -434,35 +476,20 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
             f"phase 1 consumed {pos} edges, beyond ceil(eps*m)={budget}")
 
     # ---- phase 2: H is frozen ----------------------------------------
-    X: set[int] = set()
+    X = order[:0]
     if pos < m:
-        pair = G.pair
+        keep = _phase2_keep(G, b, H, params, stats.fallback_used == "alpha_zero")
         h_size, x_size = len(H.members), 0
-        terms = _degree_terms(wdeg, b, beta_minus * W)
-        # per pair id: the lightest weight H holds at a full pair, else 0
-        held = np.fromiter(H.members, dtype=np.int64, count=h_size)
-        held_pair = pair[held]
-        caps = np.asarray(b.b)
-        full = np.bincount(held_pair)[held_pair] >= np.minimum(caps[G.u[held]], caps[G.v[held]])
-        held_pair, held_w = held_pair[full], G.w[held[full]]
-        full_lightest = np.zeros(int(pair.max()) + 1, dtype=G.w.dtype)
-        full_lightest[held_pair] = held_w  # some held weight, lowered to the lightest next
-        np.minimum.at(full_lightest, held_pair, held_w)
+        parts = []
         for lo in range(pos, m, _CHUNK):
             ids = order[lo:lo + _CHUNK]
-            if stats.fallback_used == "alpha_zero":
-                keep = np.ones(len(ids), dtype=bool)
-            else:
-                w = G.w[ids]
-                lhs, scaled = terms(G.u[ids], G.v[ids], w)
-                keep = np.asarray(lhs < scaled * beta_minus, dtype=bool)
-                lightest = full_lightest[pair[ids]]
-                keep = np.where(lightest > 0, lightest < w, keep)
-            x_count = x_size + np.cumsum(keep)
+            kept = keep[ids]
+            x_count = x_size + np.cumsum(kept)
             stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(ids)]
             peak = max(peak, h_size + int(stored.max()))
-            X.update(ids[keep].tolist())
+            parts.append(ids[kept])
             x_size = int(x_count[-1])
+        X = np.concatenate(parts)
 
     stats.underfull_collected = len(X)
     stats.peak_stored_edges = peak
@@ -490,5 +517,5 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
         stats.fallback_used = "small_output"
         edge_ids = _relevant_ids(G, b)
     else:
-        edge_ids = chain(H.members, X)
+        edge_ids = _with_members(H, X)
     return _extract(H, X, stats, b, edge_ids, oracle_budget)

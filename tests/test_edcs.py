@@ -462,6 +462,74 @@ def test_builder_matches_reference(name, check):
     assert trace.to_json_dict() == trace_ref.to_json_dict()
 
 
+def _large_capacity_cases() -> dict[str, tuple]:
+    """Seeded builder inputs with capacities up to 50 or 200, by name:
+    (graph, capacities, params).  The ledger's common denominator
+    L = lcm(b) is 43 to 140 bits wide here; weights cap at W in
+    {1, 3, 127}, and beta_minus is beta - 2 or 0."""
+    cases: dict[str, tuple] = {}
+    for seed in range(8):
+        b_max, W = (50, 200)[seed % 2], (1, 3, 127)[seed % 3]
+        beta = (3, 4, 6)[seed % 3]
+        beta_minus = 0 if seed >= 6 else beta - 2
+        G, b = make_random(500 + seed, n=40, m=400, W=W, b_max=b_max)
+        cases[f"b{b_max}-W{W}-{seed}"] = (G, b, EdcsParams(W, beta, beta_minus))
+    return cases
+
+
+_LARGE_CAPACITY_CASES = _large_capacity_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_CAPACITY_CASES))
+def test_builder_matches_reference_at_large_capacities(name, monkeypatch):
+    # wide common denominators: the builder still takes the reference's
+    # steps, and after every repair each vertex's load is wdeg * (L // b)
+    # and every member's load test has the sign of its _excess, at beta
+    # and at beta_minus
+    from wedcs import edcs
+
+    G, b, params = _LARGE_CAPACITY_CASES[name]
+    repair = edcs._Ledger.repair
+    repairs = []
+
+    def checked_repair(ledger, u, v):
+        removed = repair(ledger, u, v)
+        load, L, wdeg, weight = ledger.load, ledger.L, ledger.H.wdeg, ledger.weight
+        assert load == [d * (L // c) for d, c in zip(wdeg, b.b)]
+        for x, ends in enumerate(ledger.at):
+            for i, y in ends.items():
+                w = weight[i]
+                for k in (params.beta, params.beta_minus):
+                    by_load = load[x] + load[y] - k * w * L
+                    e = _excess(wdeg[x], wdeg[y], b[x], b[y], w, k)
+                    assert (by_load > 0) == (e > 0) and (by_load < 0) == (e < 0)
+        repairs.append(len(removed))
+        return removed
+
+    monkeypatch.setattr(edcs._Ledger, "repair", checked_repair)
+    H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=True)
+    H, trace = build_wb_edcs(G, b, params)
+    assert H.members == H_ref.members
+    assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
+    assert trace.to_json_dict() == trace_ref.to_json_dict()
+    assert len(repairs) == trace.insertions and sum(repairs) == trace.removals
+
+
+def test_large_capacity_cases_cover_wide_denominators():
+    kinds = {}
+    for G, b, params in _LARGE_CAPACITY_CASES.values():
+        kinds.setdefault("W", set()).add(params.W)
+        kinds.setdefault("b_max", set()).add(max(b.b))
+        kinds.setdefault("beta_minus", set()).add(params.beta_minus == 0)
+        kinds.setdefault("bits", set()).add(math.lcm(*b.b).bit_length())
+        kinds.setdefault("removals", set()).add(build_wb_edcs(G, b, params)[1].removals > 0)
+    assert len(_LARGE_CAPACITY_CASES) >= 6
+    assert kinds["W"] == {1, 3, 127} and kinds["beta_minus"] == {True, False}
+    assert any(40 < x <= 50 for x in kinds["b_max"]) and max(kinds["b_max"]) > 150
+    assert min(kinds["bits"]) > 40 and max(kinds["bits"]) > 128
+    assert kinds["removals"] == {True, False}
+
+
 def test_reference_cases_cover_the_input_space():
     kinds = {}
     for G, b, params, unit in _REFERENCE_CASES.values():
@@ -555,3 +623,35 @@ def test_builder_ledger_states(name):
                         wdeg[ev[j]] -= ew[j]
             assert members == held and s["wdeg"] == wdeg
         previous = s
+
+
+@pytest.mark.parametrize("name", sorted(n for n in _REFERENCE_CASES if n != "large"))
+def test_repair_rechecks_only_members_over_their_bound(name, monkeypatch):
+    # the loads pick exactly the members over their bound when a repair
+    # starts: one at its bound (excess 0) is no candidate, so the repair
+    # calls _excess once per member over it
+    from wedcs import edcs
+
+    G, b, params, _ = _REFERENCE_CASES[name]
+    repair, excess = edcs._Ledger.repair, edcs._excess
+    calls = []
+    counts = []
+
+    def counted(*args):
+        calls.append(args)
+        return excess(*args)
+
+    def checked_repair(ledger, u, v):
+        wdeg, weight = ledger.H.wdeg, ledger.weight
+        over = {i for x in (u, v) for i, y in ledger.at[x].items()
+                if excess(wdeg[x], wdeg[y], b[x], b[y], weight[i], params.beta) > 0}
+        before = len(calls)
+        removed = repair(ledger, u, v)
+        assert len(calls) - before == len(over)
+        counts.append(len(over))
+        return removed
+
+    monkeypatch.setattr(edcs, "_excess", counted)
+    monkeypatch.setattr(edcs._Ledger, "repair", checked_repair)
+    _, trace = edcs._local_search(G, b, params)
+    assert len(counts) == trace.insertions

@@ -205,6 +205,31 @@ def test_variants_agree_without_parallel_edges(seed, runner, check_invariants):
     assert d1 == d3
 
 
+@pytest.mark.parametrize("seed, runner, check_invariants", [
+    pytest.param(seed, runner, check, id=f"{seed}{suffix}")
+    for seed in range(8)
+    for runner, check, suffix in ((run_single_pass, False, ""),
+                                  (run_with_fallbacks, False, "-fallbacks"),
+                                  (run_single_pass, True, "-checked"),
+                                  (run_with_fallbacks, True, "-fallbacks-checked"))])
+def test_variants_agree_through_phase_1(seed, runner, check_invariants):
+    # long enough a stream for a positive interval size: both variants run
+    # phase 1 on an uncrowded graph and must agree on everything
+    G, b = make_random(seed, n=100, m=1500, W=1, b_max=3, bipartite=True)
+    params = EdcsParams(W=1, beta=3, beta_minus=1)
+    r1, r3 = (runner(make_stream(G, seed), b, params, "0.3", variant=variant,
+                     check_invariants=check_invariants) for variant in (1, 3))
+    assert r1.stats.phase1_edges_consumed > 0 and r3.stats.phase1_edges_consumed > 0
+    if runner is run_single_pass:
+        assert r1.stats.fallback_used == "none"
+    assert r1.H.members == r3.H.members
+    assert r1.X.members == r3.X.members
+    assert r1.matching.edge_ids == r3.matching.edge_ids
+    d1, d3 = r1.stats.to_json_dict(), r3.stats.to_json_dict()
+    d1.pop("variant"), d3.pop("variant")
+    assert d1 == d3
+
+
 def test_variant3_replacement_trace():
     # lighter parallel edge (0,1,1) arrives first, heavier (0,1,3) replaces
     # it; the stream is padded with duplicates on a disjoint pair so that
