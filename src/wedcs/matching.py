@@ -6,6 +6,11 @@ bipartite instances (detected by 2-coloring) go through a weight-level
 primal-dual method that stays exact at sizes branch-and-bound cannot
 reach and proves each answer with a König–Egerváry dual certificate,
 checked in integers.  Both are deterministic.
+
+The primal-dual method keeps one CSR of arcs over its classes, built
+once, runs its breadth-first searches as array steps over the round's
+tight arcs, and leaves to Python only the depth-first augmentations,
+over the layered arcs that lead to a free vertex.
 """
 
 from __future__ import annotations
@@ -276,136 +281,166 @@ def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[list[int],
     full, and left loads never fall.  A free left vertex is a source of
     every search, so it loses one unit per round and ends at 0; the
     invariants then are complementary slackness.
-    """
-    cap = [b[v] for v in range(n)]
-    # endpoints through one shared int object per vertex (tolist would
-    # make one per class) and class ids likewise, one per class
-    vertex = np.array(range(n), dtype=object)
-    cu, cv = vertex[classes[:, 0]].tolist(), vertex[classes[:, 1]].tolist()
-    mult = classes[:, 3].tolist()
-    class_id = np.array(range(len(classes)), dtype=object)
-    x = [0] * len(cu)
-    y = [0] * n
-    load = [0] * n
-    lefts = np.flatnonzero(np.bincount(classes[:, 0], minlength=n)).tolist()
-    w_max = int(classes[:, 2].max())
-    for u in lefts:
-        y[u] = w_max
 
-    # the classes by left and by right endpoint, in class order at each
-    ends = [classes[:, k] for k in (0, 1)]
-    by_end = [np.argsort(end.astype(_int_type(n)), kind="stable") for end in ends]
+    Every class is an arc at both its endpoints: forward (residual
+    mult - x) at its left vertex, backward (residual x) at its right one.
+    A vertex is on one side only, so one CSR over all vertices, in class
+    order at each, holds both roles; each round selects its tight arcs
+    with one mask.  The BFS runs a level at a time in array steps, left
+    vertices at even depth and right ones at odd, and scans a level in
+    full before it tests for a right vertex with room, so the depths and
+    the reached set that moves the labels do not depend on scan order.
+    """
+    u, v, w, mult = (classes[:, k] for k in range(4))
+    w_max = int(w.max())
+    mult = mult.astype(_int_type(int(mult.max())))
+    x = np.zeros_like(mult)
+    y = np.zeros(n, dtype=_int_type(2 * w_max))     # a type that holds y_u + y_v
+    lefts = np.flatnonzero(np.bincount(u, minlength=n))
+    y[lefts] = w_max
+    u, v, w = u.astype(_int_type(n)), v.astype(_int_type(n)), w.astype(y.dtype)
+    cap = np.array(b.b[:n], dtype=np.int64)
+    load = np.zeros(n, dtype=np.int64)
+
+    # the arcs by tail, class order at each (argsort is stable)
+    tails = np.concatenate([u, v])
+    order = np.argsort(tails, kind="stable")
+    arc_head = np.concatenate([v, u])[order]
+    arc_cls = order.astype(np.int32)
+    arc_cls[arc_cls >= len(u)] -= len(u)
+    del order
+    arc_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=arc_ptr[1:])
+    del tails
 
     for _ in range(w_max):
-        # labels are fixed within a round, so the tight classes are too;
-        # tight[a] lists them at vertex a in class order
-        labels = np.asarray(y)
-        is_tight = labels[ends[0]] + labels[ends[1]] == classes[:, 2]
-        tight: list = [()] * n
-        for end, order in zip(ends, by_end):
-            ids = order[is_tight[order]]
-            grouped = class_id[ids].tolist()
-            lo = 0
-            for a, hi in enumerate(np.cumsum(np.bincount(end[ids], minlength=n)).tolist()):
-                if hi > lo:
-                    tight[a] = grouped[lo:hi]
-                lo = hi
+        # labels are fixed within a round, so the tight arcs are too
+        on = (y.take(u) + y.take(v) == w).take(arc_cls).nonzero()[0]
+        t_cls, t_head = arc_cls[on], arc_head[on]
+        t_ptr = np.searchsorted(on, arc_ptr)
+        t_end, t_cnt = t_ptr[1:], np.diff(t_ptr)
         while True:
-            # BFS layers over the tight residual graph: left vertices at even
-            # depth (forward arcs, x < mult), right ones at odd (backward, x > 0)
-            dist = [-1] * n
-            frontier = [u for u in lefts if load[u] < cap[u]]
-            for u in frontier:
-                dist[u] = 0
-            sources = frontier
-            reached = list(frontier)
-            depth = 0
+            room, spare = cap - load, mult - x
+            dist = np.full(n, -1, dtype=np.int64)
+            f = lefts[room[lefts].nonzero()[0]]
+            dist[f] = 0
+            levels = []     # per level: tails, their arc counts, arcs' class, head, residual
             found = False
-            while frontier:
-                rights: list[int] = []
-                for u in frontier:
-                    for c in tight[u]:
-                        v = cv[c]
-                        if dist[v] < 0 and x[c] < mult[c]:
-                            dist[v] = depth + 1
-                            rights.append(v)
-                            if load[v] < cap[v]:
-                                found = True
-                reached += rights
-                if found:
+            while f.size:
+                depth = len(levels)
+                cnt = t_cnt[f]
+                at = (t_end[f] - np.add.accumulate(cnt)).repeat(cnt)
+                at += np.arange(len(at))
+                c, h = t_cls[at].astype(np.intp), t_head[at].astype(np.intp)
+                r = (x if depth & 1 else spare)[c]
+                fresh = h[(r.astype(bool) & (dist[h] < 0)).nonzero()[0]]
+                dist[fresh] = depth + 1
+                levels.append((f, cnt, c, h, r))
+                f = np.bincount(fresh, minlength=n).nonzero()[0]
+                if not depth & 1 and np.count_nonzero(room[f]):
+                    found = True
                     break
-                frontier = []
-                for v in rights:
-                    for c in tight[v]:
-                        u = cu[c]
-                        if dist[u] < 0 and x[c] > 0:
-                            dist[u] = depth + 2
-                            frontier.append(u)
-                reached += frontier
-                depth += 2
             if not found:
                 break
-            _blocking_flow(sources, dist, tight, cu, cv, mult, x, load, cap)
-        for a in reached:
-            y[a] += 1 if dist[a] & 1 else -1
-    return x, y
+            load = cap - _blocking_flow(levels, dist, room, x)
+        reached = (dist >= 0).nonzero()[0]
+        y[reached] += (dist[reached] & 1) * 2 - 1
+    return x.tolist(), y.tolist()
 
 
-def _blocking_flow(sources: list[int], dist: list[int], tight: list[list[int]],
-                   cu: list[int], cv: list[int], mult: list[int], x: list[int],
-                   load: list[int], cap: list[int]) -> None:
-    """Augment along layered shortest paths until none is left.
+def _blocking_flow(levels: list, dist: np.ndarray, room: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Augment along layered shortest paths until none is left; updates x
+    and returns the vertices' room after the phase.
 
-    Iterative depth-first search with a current-arc pointer per vertex
-    (paths can be as long as the graph); a vertex with no way forward is
-    marked dead (``dist = -2``) for the rest of the phase.
+    ``levels`` is the BFS of the phase, one (tails, arc counts, class,
+    head, residual) tuple per level, each tail's arcs in class order.  The
+    search gets only layered arcs, those with residual into the next
+    level.  A BFS level is complete, so an arc with residual never skips
+    a level: it leads one level deeper or back.  Residuals and the room
+    of the free right vertices of the last level (the sinks) only fall
+    during a phase, so a vertex with no layered path to a sink at the
+    start never gets one.  When the last level is deeper than 1, one
+    backward pass marks the sinks, then level by level every vertex with
+    an arc into a marked vertex, and keeps only the arcs into marked
+    vertices: the layered arcs, less those into vertices that a
+    depth-first search would enter, find no way on from and leave.  Given
+    only the rest, the search below makes the same choices.  When the last
+    level is 1, every arc with residual is layered.
+
+    The search is iterative (paths can be as long as the graph), with a
+    current-arc pointer per vertex, over flat lists of heads and pointers;
+    it lowers the residual and room arrays in place through memoryviews.
+    A vertex is dead once its pointer has passed its last arc, and a sink
+    once its room is gone.  Each class leads one level deeper in at most
+    one direction, so x takes the phase's flow back in one fancy-indexed
+    step.
     """
-    ptr = [0] * len(dist)
+    f, cnt, c, h, r = (np.concatenate(col) for col in zip(*levels))
+    tail = f.repeat(cnt)
+    padded = np.zeros(len(h) + 1, dtype=bool)
+    keep = padded[1:]                   # the arcs the search gets
+    np.not_equal(r, 0, out=keep)
+    alive = room.astype(bool)           # at last level 1, the sinks are the vertices with room
+    if len(levels) > 1:
+        alive &= dist == len(levels)
+        hi = len(h)
+        for lev in reversed(levels):
+            lo = hi - len(lev[2])
+            ok = keep[lo:hi]
+            ok &= alive[h[lo:hi]]
+            alive[tail[lo:hi][ok.nonzero()[0]]] = True
+            hi = lo
+    # vertex a's arcs are head[ptr[a]:end[a]], in class order
+    before = np.add.accumulate(padded, dtype=np.int64)     # kept arcs before each position
+    ends = np.add.accumulate(cnt)
+    ptr, end = np.zeros((2, len(dist)), dtype=np.int64)
+    ptr[f], end[f] = before[ends - cnt], before[ends]
+    keep = keep.nonzero()[0]
+    c, r, level = c[keep], r[keep].astype(np.int64), dist[tail[keep]]
+    residual = r.copy()                 # lowered in place by the search, through res
+    first = levels[0][0]
+    sources = first[(ptr[first] < end[first]).nonzero()[0]].tolist()
+    ptr, end, alive, head = ptr.tolist(), end.tolist(), alive.tolist(), h[keep].tolist()
+    res, free = memoryview(residual), memoryview(room)
+    flow = 0
     for s in sources:
-        while load[s] < cap[s]:
-            stack = [s]
+        while free[s]:
             path: list[int] = []
-            while stack:
-                a = stack[-1]
-                da = dist[a]
-                if da & 1 and load[a] < cap[a]:
-                    break  # a right vertex with room: the sink
-                arcs = tight[a]
-                i = ptr[a]
-                nxt = -1
-                if da & 1:
-                    while i < len(arcs):
-                        c = arcs[i]
-                        if x[c] > 0 and dist[cu[c]] == da + 1:
-                            nxt = cu[c]
-                            break
-                        i += 1
-                else:
-                    while i < len(arcs):
-                        c = arcs[i]
-                        if x[c] < mult[c] and dist[cv[c]] == da + 1:
-                            nxt = cv[c]
-                            break
-                        i += 1
+            a = s
+            while True:
+                i, e = ptr[a], end[a]
+                while i < e and not (res[i] and alive[head[i]]):
+                    i += 1
                 ptr[a] = i
-                if nxt < 0:
-                    dist[a] = -2
-                    stack.pop()
-                    if path:
-                        path.pop()
+                if i < e:
+                    path.append(i)
+                    a = head[i]
+                    if free[a]:
+                        break  # a free right vertex of the last level: the sink
                 else:
-                    stack.append(nxt)
-                    path.append(arcs[i])
-            if not stack:
+                    alive[a] = False  # for the rest of the phase
+                    if not path:
+                        break
+                    path.pop()
+                    a = head[path[-1]] if path else s
+            if not path:
                 break
-            t = stack[-1]
-            delta = min(cap[s] - load[s], cap[t] - load[t])
-            for j, c in enumerate(path):
-                delta = min(delta, x[c] if j & 1 else mult[c] - x[c])
-            for j, c in enumerate(path):
-                x[c] += -delta if j & 1 else delta
-            load[s] += delta
-            load[t] += delta
+            delta = min(free[s], free[a])
+            for i in path:
+                if res[i] < delta:
+                    delta = res[i]
+            for i in path:
+                res[i] -= delta
+            free[s] -= delta
+            free[a] -= delta
+            alive[a] = free[a] > 0
+            flow += delta
+    if not flow:
+        # the BFS found a shortest augmenting path, so the search must too
+        raise RuntimeError("a primal-dual phase augmented nothing")  # pragma: no cover
+    used = r - residual
+    x[c] += np.where(level & 1, -used, used)
+    return room
 
 
 def _check_certificate(classes, x: Sequence[int], y: Sequence[int], b: Capacities) -> int:

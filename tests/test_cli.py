@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import wedcs
 from wedcs.cli import main
 
 TIGHT_SPEC = {"kind": "tight", "k": 1, "W": 1, "beta_minus": 2}
@@ -302,12 +303,22 @@ def test_stream_as_is_order(tmp_path, capsys):
     assert report["runs"][0]["prng"] == "as-is"
 
 
+def _child_env(**extra) -> dict:
+    """The environment for a ``python -m wedcs.cli`` child: this one, with
+    the directory that holds the imported ``wedcs`` package first on
+    ``PYTHONPATH``, so the child imports the same package without an
+    install."""
+    root = os.path.dirname(os.path.dirname(wedcs.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def test_cli_module_entry_point(tmp_path):
     graph = tmp_path / "g.txt"
     graph.write_text("g 2 1 1\ne 0 1 1\n")
     proc = subprocess.run(
         [sys.executable, "-m", "wedcs.cli", "build", str(graph), "--beta", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["validator"]["clean"]
 
@@ -317,7 +328,7 @@ def test_cli_log_env_var(tmp_path):
     graph.write_text("g 2 1 1\ne 0 1 1\n")
     proc = subprocess.run(
         [sys.executable, "-m", "wedcs.cli", "build", str(graph), "--beta", "4"],
-        capture_output=True, text=True, env={**os.environ, "EDCS_LOG": "debug"})
+        capture_output=True, text=True, env=_child_env(EDCS_LOG="debug"))
     assert proc.returncode == 0
 
 
