@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _pair_limits
+from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _pair_caps
 
 __all__ = [
     "EdcsParams",
@@ -385,7 +385,7 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams):
     """
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    crowded = _first_crowded_pair(G, _pair_limits(G, b))
+    crowded = _first_crowded_pair(G, _pair_caps(G, b))
     if crowded is not None:
         eid, count = crowded
         u, v, _ = G.triple(eid)

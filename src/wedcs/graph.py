@@ -74,14 +74,14 @@ class MultiGraph:
     ``edges``, :meth:`edge`, ``adjacency`` and :meth:`incident` give the
     same graph as :class:`WeightedEdge` objects and tuples.  They are built
     on first use, for callers outside the package; nothing inside it reads
-    them.  Apart from those views and the :attr:`pair` cache, instances
+    them.  Apart from those views and the pair caches, instances
     never change after construction and are safe to share across threads
     (two threads racing on a first call build equal values and one is
     kept).
     """
 
     __slots__ = ("n", "W", "u", "v", "w", "indptr", "adj_edges", "adj_nbrs",
-                 "_pair", "_edges", "_adjacency")
+                 "_pair", "_pair_ends", "_edges", "_adjacency")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         self._setup(n, *_triple_columns(list(edges)), W)
@@ -133,6 +133,7 @@ class MultiGraph:
         np.cumsum(np.bincount(self.u, minlength=n) + np.bincount(self.v, minlength=n),
                   out=self.indptr[1:])
         self._pair: np.ndarray | None = None
+        self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
         self._edges: tuple[WeightedEdge, ...] | None = None
         self._adjacency: tuple[tuple[int, ...], ...] | None = None
 
@@ -175,17 +176,32 @@ class MultiGraph:
         (min, max) order, as an array of the smallest signed integer type
         that holds them; built on first use."""
         if self._pair is None:
-            # number the distinct keys min(u, v) * n + max(u, v) in order
-            key = np.minimum(self.u, self.v, dtype=np.int64)
-            key *= self.n
-            key += np.maximum(self.u, self.v)
-            by = np.argsort(key)
-            fresh = _run_starts(key[by])
-            del key
-            pair = np.empty(self.m, dtype=_int_type(int(fresh.sum())))
-            pair[by] = np.cumsum(fresh, dtype=pair.dtype) - 1
-            self._pair = pair
+            self._number_pairs()
         return self._pair
+
+    @property
+    def pair_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(min, max) endpoint arrays indexed by pair id; built with
+        :attr:`pair`."""
+        if self._pair_ends is None:
+            self._number_pairs()
+        return self._pair_ends
+
+    def _number_pairs(self) -> None:
+        # number the distinct keys min(u, v) * n + max(u, v) in order
+        # (int32 where they fit: argsort is slowest on narrower keys)
+        key = np.minimum(self.u, self.v, dtype=np.int32 if self.n**2 < 2**31 else np.int64)
+        key *= self.n
+        key += np.maximum(self.u, self.v)
+        by = np.argsort(key)
+        key = key[by]
+        fresh = _run_starts(key)
+        lo, hi = np.divmod(key[fresh], max(self.n, 1))
+        del key
+        self._pair_ends = lo.astype(self.u.dtype), hi.astype(self.u.dtype)
+        pair = np.empty(self.m, dtype=_int_type(len(lo)))
+        pair[by] = np.cumsum(fresh, dtype=pair.dtype) - 1
+        self._pair = pair
 
     def pair_groups(self) -> dict[tuple[int, int], list[int]]:
         """Edge ids grouped by unordered endpoint pair, each group in id order."""
@@ -342,13 +358,14 @@ class Subgraph:
         return f"Subgraph({len(self.members)} of {self.parent!r})"
 
 
-def _pair_limits(G: MultiGraph, b: Capacities) -> np.ndarray:
-    """min(b_u, b_v) for every edge: how many edges of its pair a
+def _pair_caps(G: MultiGraph, b: Capacities) -> np.ndarray:
+    """min(b_u, b_v) for every pair id: how many edges of the pair a
     b-matching can use."""
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
     caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
-    return np.minimum(caps[G.u], caps[G.v])
+    lo, hi = G.pair_ends
+    return np.minimum(caps[lo], caps[hi])
 
 
 def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
@@ -367,24 +384,23 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> list[int]:
 
     One stable sort by (pair, -w) ranks the edges of each pair, so edges
     of equal weight keep their id order."""
-    limit = _pair_limits(G, b)
     by = np.lexsort((-G.w, G.pair))
     keep = np.zeros(G.m, dtype=bool)
-    keep[by] = _rank_in_runs(G.pair[by]) < limit[by]
+    keep[by] = _rank_in_runs(G.pair[by]) < _pair_caps(G, b)[G.pair[by]]
     return np.flatnonzero(keep).tolist()
 
 
 def _first_crowded_pair(G: MultiGraph, limit) -> tuple[int, int] | None:
     """The smallest edge id whose unordered pair has more than ``limit``
-    edges (a number, or one per edge), with that pair's edge count; None
-    when no pair does.  That edge is its pair's first, and its pair the
-    first to appear among the crowded ones."""
+    edges (a number, or one per pair id), with that pair's edge count;
+    None when no pair does.  That edge is its pair's first, and its pair
+    the first to appear among the crowded ones."""
     if not G.m:
         return None
     pair = G.pair
-    count = np.bincount(pair)[pair]
-    over = np.flatnonzero(count > limit)
-    return (int(over[0]), int(count[over[0]])) if over.size else None
+    count = np.bincount(pair)
+    over = np.flatnonzero((count > limit)[pair])
+    return (int(over[0]), int(count[pair[over[0]]])) if over.size else None
 
 
 def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _int_type, _pair_limits
+from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _int_type, _pair_caps
 
 __all__ = [
     "BMatching",
@@ -563,7 +563,7 @@ def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching) -> S
         raise ValueError("H must be a subgraph of G")
     if not M.verify(G, b):
         raise ValueError("M is not a b-matching of G")
-    crowded = _first_crowded_pair(G, _pair_limits(G, b))
+    crowded = _first_crowded_pair(G, _pair_caps(G, b))
     if crowded is not None:
         u, v, _ = G.triple(crowded[0])
         raise ValueError(f"pair ({min(u, v)}, {max(u, v)}) exceeds min(b_u, b_v) parallel edges")

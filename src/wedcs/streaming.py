@@ -14,13 +14,13 @@ copies of a pair in H (:func:`run_single_pass`); ``variant`` is an input
 contract, not a second algorithm.
 
 Phase 1 is sequential, one loop over levels read edge by edge.  Against
-the frozen H, phase 2 is one mask over the graph's edge columns, and the
-relevant store of :func:`run_with_fallbacks` and the peak are evaluated as
-arrays over chunks of stream positions (the store's size after every
-position), with the same outcome, counters and peak as an edge-at-a-time
-pass.  The random order itself is a seeded Fisher-Yates shuffle whose
-swaps :func:`make_stream` resolves as arrays too, by pointer jumping, with
-the order the swaps one at a time would give.
+the frozen H an edge's fate depends only on its pair and weight, so
+phase 2 is one threshold per pair.  The relevant store of
+:func:`run_with_fallbacks` only grows, so whether it survives is known up
+front; its size series is computed over chunks of stream positions only
+where the peak needs it.  Outcome, counters and peak are those of an
+edge-at-a-time pass.  :func:`make_stream` resolves the seeded
+Fisher-Yates swaps as arrays, by pointer jumping.
 
 Two degenerate regimes are handled explicitly:
 
@@ -56,9 +56,10 @@ from .graph import (
     MultiGraph,
     Subgraph,
     _first_crowded_pair,
-    _pair_limits,
+    _pair_caps,
     _rank_in_runs,
     _relevant_ids,
+    _run_starts,
 )
 from .matching import (
     BMatching,
@@ -125,58 +126,61 @@ def _order_type(m: int) -> type:
 
 def make_stream(G: MultiGraph, seed: int) -> EdgeStream:
     """Uniformly random edge order from a seeded generator; same seed,
-    same order.
+    same order.  (:func:`_shuffled` frees its temporaries before the
+    order is checked.)"""
+    return EdgeStream(G, _shuffled(G.m, seed), seed, PRNG_ID)
 
-    The order is the Fisher-Yates shuffle that, for i = m-1 down to 1,
-    swaps position i with a uniform j[i] <= i.  Step i freezes position i
-    with what position j[i] held just before it, and position q holds q
-    until a step k writes it (j[k] == q), after which it holds what
-    position k held just before step k.  So with succ[i] the smallest
-    k > i with j[k] == j[i], and nxt[q] the smallest k > q with j[k] == q,
-    the final order is resolved by pointer jumping along nxt instead of
-    m swaps: position i ends with root[succ[i]] where succ[i] exists and
-    j[i] otherwise, and position 0 with root[0], where root follows nxt
-    to its end."""
+
+def _shuffled(m: int, seed: int) -> np.ndarray:
+    """0..m-1 after the Fisher-Yates shuffle that, for i = m-1 down to 1,
+    swaps position i with a uniform j[i] <= i.
+
+    Step i freezes position i with what position j[i] held just before
+    it; position q holds q until a step k with j[k] == q writes it, and
+    then what position k held just before step k.  With the steps sorted
+    by (j[i], i), step i's successor is the next sorted step if it has
+    the same partner, and nxt[q] is the first step of q's group.  Pointer
+    jumping along nxt gives root[q], the end of q's chain: position i
+    ends with root[successor], or j[i] without one, and position 0 with
+    root[0]."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    m = G.m
     dtype = _order_type(m)
-    ids = np.arange(m, dtype=dtype)
-    j = np.zeros(m, dtype=dtype)
     # an array of bounds draws each j[i] exactly as one scalar call per i
-    # would, from i = m-1 down
+    # would, from i = m-1 down; the keys j[i]*m + i fit int64 below 3e9
+    # edges
+    key = np.empty(max(m - 1, 0), dtype=np.int64)
     for hi in range(m, 1, -_CHUNK):
         lo = max(hi - _CHUNK, 1)
-        j[lo:hi] = rng.integers(0, np.arange(hi, lo, -1))[::-1]
-    # the steps grouped by partner j, each group by ascending i: one sort
-    # of the unique keys j*m + i (which fit int64 below 3e9 edges)
-    key = j[1:].astype(np.int64)
-    key *= m
-    key += ids[1:]
+        np.multiply(rng.integers(0, np.arange(hi, lo, -1))[::-1], m, out=key[lo - 1:hi - 1])
+        key[lo - 1:hi - 1] += np.arange(lo, hi)
     key.sort()
-    by_j = (key // m).astype(dtype)
-    by_i = (key % m).astype(dtype)
+    by_i = np.empty_like(key)
+    np.divmod(key, m, out=(key, by_i))  # the partners replace the keys
+    first = np.flatnonzero(_run_starts(key))
+    partner = key[first]
     del key
-    same = by_j[1:] == by_j[:-1]
-    succ = np.full(m, -1, dtype=dtype)
-    succ[by_i[:-1]] = np.where(same, by_i[1:], -1)
-    # nxt[q]: the first step of q's group.  Where that is q's own
-    # self-swap, root[q] stays q, which is never read: no succ[i]
-    # (j[i] <= i < q = j[q]) and no other nxt[x] (j[q] = q) is such a q
-    first = np.flatnonzero(np.diff(by_j, prepend=-1))
-    live = by_j[first]
-    root = ids.copy()
-    root[live] = by_i[first]
-    del by_j, by_i, same, first
+    # where the first step of q's group is q's own self-swap, root[q]
+    # stays q, which is never read: no successor i (j[i] <= i < q = j[q])
+    # and no other nxt[x] (j[q] = q) is such a q
+    root = np.arange(m, dtype=dtype)
+    root[partner] = by_i[first]
+    live = partner
     while live.size:
         up = root[live]
         up2 = root[up]
-        moved = up2 != up
+        moved = np.flatnonzero(up2 != up)
         live = live[moved]
         root[live] = up2[moved]
-    # root[-1] where succ is missing is read but not used
-    order = np.where(succ >= 0, root[succ], j)
+    # indices are in range, so "clip" only spares take its buffer
+    end = np.empty(len(by_i), dtype=dtype)
+    np.take(root, by_i[1:], out=end[:-1], mode="clip")
+    end[first[1:] - 1] = partner[:-1]
+    end[-1:] = partner[-1:]
+    del first, partner
+    order = np.empty(m, dtype=dtype)
+    order[by_i] = end
     order[:1] = root[:1]
-    return EdgeStream(G, order, seed, PRNG_ID)
+    return order
 
 
 def file_order_stream(G: MultiGraph) -> EdgeStream:
@@ -215,77 +219,94 @@ class StreamRunResult(NamedTuple):
     stats: StreamRunStats
 
 
-def _store_sizes(G: MultiGraph, b: Capacities, order: np.ndarray,
-                 cap: float) -> tuple[np.ndarray, bool]:
-    """Size of the relevant store after every stream position, and whether
-    the store lived to the end of the stream.
+class _RelevantStore:
+    """The relevant store's size after each stream position, computed a
+    chunk of ``_CHUNK`` positions at a time when first read.
 
     The store keeps the heaviest min(b_u, b_v) edges seen so far of every
     pair, so an arrival grows it by one exactly when fewer than
-    min(b_u, b_v) edges of its pair arrived before it, and otherwise
-    evicts one.  It dies at the first position where its size reaches
-    ``cap`` (at once when ``cap < 1``) and has size 0 from there on.  A
-    store that lives holds the relevant subgraph of the whole graph."""
-    m = len(order)
-    sizes = np.zeros(m, dtype=np.int32)
-    if cap < 1:
-        return sizes, False
-    limit = _pair_limits(G, b)
-    seen = np.zeros(int(G.pair.max()) + 1 if m else 0, dtype=np.int64)
-    size = 0
-    for lo in range(0, m, _CHUNK):
-        ids = order[lo:lo + _CHUNK]
-        pair = G.pair[ids]
+    min(b_u, b_v) edges of its pair arrived before it.  It dies at the
+    first position where its size reaches ``cap`` (at once when
+    ``cap < 1``) and has size 0 from there on.  Its size only grows, to
+    ``final`` = |relevant subgraph|, so it survives (``alive``) exactly
+    when cap >= 1 and final < cap."""
+
+    def __init__(self, G: MultiGraph, b: Capacities, order: np.ndarray, cap: float):
+        self.pair, self.order, self.cap = G.pair, order, cap
+        self.limit = _pair_caps(G, b)
+        count = np.bincount(self.pair, minlength=len(self.limit))
+        self.final = int(np.minimum(count, self.limit).sum())
+        self.alive = cap >= 1 and self.final < cap
+        self.death = 0 if cap < 1 else len(order)  # the first position of size 0
+        self.seen = np.zeros(len(self.limit), dtype=np.int64)
+        self.lo = self.hi = 0  # the positions of ``sizes``
+        self.sizes = np.zeros(0, dtype=np.int64)
+
+    def _next_chunk(self) -> None:
+        lo = self.hi
+        pair = self.pair[self.order[lo:lo + _CHUNK]]
         # rank of each arrival among its pair's arrivals so far
         by = np.argsort(pair, kind="stable")
-        rank = np.empty(len(ids), dtype=np.int64)
+        rank = np.empty(len(pair), dtype=np.int64)
         rank[by] = _rank_in_runs(pair[by])
-        rank += seen[pair]
-        np.add.at(seen, pair, 1)
-        run = size + np.cumsum(rank < limit[ids])
-        full = np.flatnonzero(run >= cap)
+        rank += self.seen[pair]
+        np.add.at(self.seen, pair, 1)
+        run = np.cumsum(rank < self.limit[pair])
+        run += self.sizes[-1] if len(self.sizes) else 0
+        full = np.flatnonzero(run >= self.cap)
         if full.size:
-            sizes[lo:lo + full[0]] = run[:full[0]]
-            return sizes, False
-        sizes[lo:lo + len(ids)] = run
-        size = int(run[-1])
-    return sizes, True
+            self.death = lo + int(full[0])
+        self.lo, self.hi, self.sizes = lo, lo + len(pair), run
+
+    def size_at(self, k: int) -> int:
+        """The store's size after the arrival at position ``k``; positions
+        are read in ascending order."""
+        while self.hi <= k < self.death:
+            self._next_chunk()
+        return int(self.sizes[k - self.lo]) if k < self.death else 0
+
+    def peak_with(self, pos: int, kept: np.ndarray) -> int:
+        """max over positions t >= ``pos`` before the store's death of its
+        size plus ``kept[:t - pos + 1].sum()``; 0 when there is none."""
+        best = x = 0
+        t = pos
+        while True:
+            self.size_at(t)
+            hi = min(self.hi, self.death)
+            if hi <= t:
+                return best
+            x_run = np.cumsum(kept[t - pos:hi - pos])
+            best = max(best, x + int((x_run + self.sizes[t - self.lo:hi - self.lo]).max()))
+            x += int(x_run[-1])
+            t = hi
 
 
 def _phase2_keep(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams,
                  collect_all: bool) -> np.ndarray:
     """Per edge id, whether phase 2 adds the edge to X if it arrives after
-    phase 1: against the frozen H that depends on the edge alone.
+    phase 1: when its weight exceeds its pair's threshold against the
+    frozen H.  Under ``alpha_zero`` (``collect_all``) every edge joins.
 
-    An edge of a pair that H holds min(b_u, b_v) copies of joins X when
-    strictly heavier than the lightest copy; any other edge when it is
-    underfull.  Under ``alpha_zero`` (``collect_all``) every edge joins.
-    The mask is computed over G's columns in id chunks of ``_CHUNK``, so
-    the temporaries stay bounded."""
-    m = G.m
+    At a pair that H holds min(b_u, b_v) copies of, the threshold is the
+    lightest held weight.  Elsewhere an edge joins when underfull,
+    lhs < beta_minus * b_u * b_v * w, which for an integer w is
+    w > floor(lhs / (beta_minus * b_u * b_v)); with beta_minus = 0 no edge
+    is.  Thresholds are clipped to [0, W], in w's type."""
     if collect_all:
-        return np.ones(m, dtype=bool)
-    pair = G.pair
-    beta_minus = params.beta_minus
-    terms = _degree_terms(H.wdeg, b, beta_minus * params.W)
-    # per pair id: the lightest weight H holds at a full pair, else 0
+        return np.ones(G.m, dtype=bool)
+    lo, hi = G.pair_ends
+    if params.beta_minus:
+        lhs, scaled = _degree_terms(H.wdeg, b, params.beta_minus * params.W)(lo, hi, 1)
+        thr = np.minimum(lhs // (scaled * params.beta_minus), G.W).astype(G.w.dtype)
+    else:
+        thr = np.full(len(lo), G.W, dtype=G.w.dtype)
     held = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
-    held_pair = pair[held]
-    caps = np.asarray(b.b)
-    full = np.bincount(held_pair)[held_pair] >= np.minimum(caps[G.u[held]], caps[G.v[held]])
+    held_pair = G.pair[held]
+    full = np.bincount(held_pair, minlength=len(lo))[held_pair] >= _pair_caps(G, b)[held_pair]
     held_pair, held_w = held_pair[full], G.w[held[full]]
-    full_lightest = np.zeros(int(pair.max()) + 1, dtype=G.w.dtype)
-    full_lightest[held_pair] = held_w  # some held weight, lowered to the lightest next
-    np.minimum.at(full_lightest, held_pair, held_w)
-    keep = np.empty(m, dtype=bool)
-    for lo in range(0, m, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        w = G.w[part]
-        lhs, scaled = terms(G.u[part], G.v[part], w)
-        lightest = full_lightest[pair[part]]
-        keep[part] = np.where(lightest > 0, lightest < w,
-                              np.asarray(lhs < scaled * beta_minus, dtype=bool))
-    return keep
+    thr[held_pair] = held_w  # some held weight, lowered to the lightest next
+    np.minimum.at(thr, held_pair, held_w)
+    return np.asarray(G.w > thr[G.pair], dtype=bool)
 
 
 def _with_members(H: Subgraph, X: np.ndarray) -> np.ndarray:
@@ -357,8 +378,9 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     frozen, whether an edge joins X depends only on the edge, so phase 2
     is one mask over G's edge ids (:func:`_phase2_keep`) read at the
     remaining stream positions, and X is an array of ids in stream order.
-    The peak is |H| plus the running |X| plus the store's size series,
-    over chunks of positions."""
+    The peak is |H| plus the running |X| plus the store's size.  In
+    phase 2 all three only grow until the store dies, so the peak there
+    is at the end, or, for a store that dies, possibly before its death."""
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
@@ -378,22 +400,19 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     peak = 0
 
     if variant == 1:
-        crowded = _first_crowded_pair(G, _pair_limits(G, b))
+        crowded = _first_crowded_pair(G, _pair_caps(G, b))
         if crowded is not None:
             u, v, _ = G.triple(crowded[0])
             raise ValueError(
                 f"pair ({min(u, v)}, {max(u, v)}) has more than min(b_u, b_v) parallel edges; "
                 "use variant=3 for raw multiplicity streams")
 
-    if store_cap is None:
-        store_sizes, store_alive = None, False
-    else:
-        store_sizes, store_alive = _store_sizes(G, b, order, store_cap)
+    store = None if store_cap is None else _RelevantStore(G, b, order, store_cap)
 
     def track(k: int) -> None:
         # in phase 1, where X is empty, after the edge at position k arrived
         nonlocal peak
-        size = len(H.members) + (int(store_sizes[k]) if store_sizes is not None else 0)
+        size = len(H.members) + (store.size_at(k) if store is not None else 0)
         if size > peak:
             peak = size
 
@@ -458,7 +477,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
             found_underfull = False
             batch = order[pos:pos + alpha_i].tolist()
             for k, eid in enumerate(batch, pos):
-                if store_sizes is not None:
+                if store is not None:
                     track(k)
                 if process_phase1_edge(eid, k):
                     found_underfull = True
@@ -476,20 +495,16 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
             f"phase 1 consumed {pos} edges, beyond ceil(eps*m)={budget}")
 
     # ---- phase 2: H is frozen ----------------------------------------
+    store_alive = store is not None and store.alive
     X = order[:0]
     if pos < m:
-        keep = _phase2_keep(G, b, H, params, stats.fallback_used == "alpha_zero")
-        h_size, x_size = len(H.members), 0
-        parts = []
-        for lo in range(pos, m, _CHUNK):
-            ids = order[lo:lo + _CHUNK]
-            kept = keep[ids]
-            x_count = x_size + np.cumsum(kept)
-            stored = x_count if store_sizes is None else x_count + store_sizes[lo:lo + len(ids)]
-            peak = max(peak, h_size + int(stored.max()))
-            parts.append(ids[kept])
-            x_size = int(x_count[-1])
-        X = np.concatenate(parts)
+        rest = order[pos:]
+        kept = _phase2_keep(G, b, H, params, stats.fallback_used == "alpha_zero")[rest]
+        X = rest[kept]
+        h_size = len(H.members)
+        peak = max(peak, h_size + len(X) + (store.final if store_alive else 0))
+        if store is not None and not store_alive:
+            peak = max(peak, h_size + store.peak_with(pos, kept))
 
     stats.underfull_collected = len(X)
     stats.peak_stored_edges = peak

@@ -1,0 +1,67 @@
+"""Traced-memory bounds for the stream pass on a 2e5-edge raw-multiplicity
+graph (n=100, W=3, b <= 3, the stream-multiplicity shape).
+
+Each bound sits between two measurements taken with numpy 2.4 and noted
+at the test: the peak of the per-edge and per-position forms the package
+first shipped, and that of the per-pair forms that replaced them.  A bound
+fails when an m-length int64 temporary (1.6 MB here) comes back.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+
+import wedcs.streaming as streaming
+from wedcs import Capacities, EdcsParams, MultiGraph, make_stream
+
+MB = 2**20
+
+
+def _graph() -> tuple[MultiGraph, Capacities]:
+    rng = np.random.default_rng(5)
+    m, n = 200_000, 100
+    u, v = rng.integers(0, 50, m), rng.integers(50, 100, m)
+    G = MultiGraph.from_columns(n, u, v, rng.integers(1, 4, m), W=3)
+    return G, Capacities(rng.integers(1, 4, n).tolist())
+
+
+def _traced_peak(f) -> int:
+    """Peak traced memory while ``f()`` runs, above what was traced before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_pair_numbering_peak():
+    # 4.77 MB per edge (int64 keys), 3.05 MB with int32 keys and pair ends
+    G, _ = _graph()
+    assert _traced_peak(lambda: G.pair) < 3.9 * MB
+
+
+def test_make_stream_peak():
+    # 7.06 MB with the successor scatter, 5.53 MB resolved in sorted space
+    G, _ = _graph()
+    assert _traced_peak(lambda: make_stream(G, 3)) < 6.3 * MB
+
+
+def test_two_phase_pass_with_surviving_store_peak():
+    # 2.60 MB with the per-edge mask and the m-length store series,
+    # 1.56 MB with per-pair thresholds and the store read for phase 1 only
+    G, b = _graph()
+    stream = make_stream(G, 3)
+    G.pair
+    params = EdcsParams(W=3, beta=3, beta_minus=1)
+    out = []
+    peak = _traced_peak(lambda: out.append(streaming._two_phase_pass(
+        stream, b, params, Fraction(49, 100), 3, False, 10**9)))
+    _, X, stats, alive = out[0]
+    assert alive and stats.phase1_edges_consumed > 0 and len(X) > 0
+    assert peak < 2.1 * MB

@@ -2,8 +2,9 @@
 to the per-edge and per-position forms the package first shipped.
 
 ``reference_make_stream``, ``reference_store_sizes`` and
-``reference_phase2_keep`` are those functions kept verbatim (with their
-own chunk size, so monkeypatching the package's does not reach them).
+``reference_phase2_keep`` are those functions kept verbatim, with the
+per-edge ``_pair_limits`` they used and a chunk size of their own (so
+monkeypatching the package's does not reach them).
 Every test here asserts that the package's code gives exactly their
 output: the same order, the same mask, the same store size after every
 position and the same survival, and through ``_two_phase_pass`` the same
@@ -21,12 +22,19 @@ import helpers
 import wedcs.streaming as streaming
 from wedcs import Capacities, EdcsParams, MultiGraph, Subgraph, relevant_subgraph
 from wedcs.edcs import _degree_terms
-from wedcs.graph import _pair_limits, _rank_in_runs
+from wedcs.graph import _int_type, _rank_in_runs
 from wedcs.streaming import PRNG_ID, EdgeStream, _order_type, make_stream
 
 from helpers import ScalarRelevantStore, make_random, scalar_stream_run
 
 _CHUNK = 1 << 15
+
+
+def _pair_limits(G: MultiGraph, b: Capacities) -> np.ndarray:
+    if len(b) != G.n:
+        raise ValueError("capacity vector length does not match vertex count")
+    caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
+    return np.minimum(caps[G.u], caps[G.v])
 
 
 def reference_make_stream(G: MultiGraph, seed: int) -> EdgeStream:
@@ -131,8 +139,8 @@ def reference_phase2_keep(G: MultiGraph, b: Capacities, H: Subgraph, params: Edc
 def store_series(G: MultiGraph, b: Capacities, order: np.ndarray,
                  cap: float) -> tuple[list[int], bool]:
     """The package's store size after every position, and survival."""
-    sizes, alive = streaming._store_sizes(G, b, order, cap)
-    return sizes.tolist(), alive
+    store = streaming._RelevantStore(G, b, order, cap)
+    return [store.size_at(k) for k in range(len(order))], store.alive
 
 
 def _graph(m: int) -> MultiGraph:
@@ -236,32 +244,57 @@ def test_store_series_matches_reference(monkeypatch, chunk):
             assert store_series(G, b, stream.order, cap) == (sizes.tolist(), alive), name
 
 
+def _pass_matches_reference(monkeypatch, stream, b, params, cap) -> bool:
+    """Runs ``_two_phase_pass`` with its store at ``cap`` against the
+    edge-at-a-time run with its store at that cap; returns whether the
+    store survived."""
+    monkeypatch.setattr(helpers, "ScalarRelevantStore",
+                        lambda G, b, _: ScalarRelevantStore(G, b, cap))
+    want = scalar_stream_run(stream, b, params, "0.49", variant=3, with_store=True)
+    G, eps = stream.graph, Fraction(49, 100)
+    H, X, stats, alive = streaming._two_phase_pass(stream, b, params, eps, 3, False, cap)
+    assert alive == (want.stats.fallback_used == "small_output")
+    stats.fallback_used = want.stats.fallback_used
+    stats.result_weight = want.stats.result_weight
+    assert stats == want.stats
+    assert sorted(H.members) == sorted(want.H.members)
+    rest = stream.order[stats.phase1_edges_consumed:]
+    collect_all = stats.fallback_used == "alpha_zero"
+    assert X.tolist() == rest[reference_phase2_keep(G, b, H, params, collect_all)[rest]].tolist()
+    assert sorted(X.tolist()) == sorted(want.X.members)
+    return alive
+
+
 @pytest.mark.parametrize("chunk", [4, 1 << 15])
 def test_two_phase_pass_matches_reference_at_every_cap(monkeypatch, chunk):
     # phase 1 reads past the first chunk of 4 positions; the store dies at
     # once, in phase 1, in phase 2, or survives, and H, X, the stats and
     # the peak match the edge-at-a-time run with its store at that cap
+    # (with beta_minus = 0, X is empty and the store alone sets the peak)
     monkeypatch.setattr(streaming, "_CHUNK", chunk)
     ends = set()
-    for seed in range(2):
+    for seed, beta_minus in ((0, 1), (1, 1), (0, 0)):
         G, b, params, stream = _store_case(seed)
-        eps = Fraction(49, 100)
-        pos = streaming._two_phase_pass(stream, b, params, eps, 3, False,
+        params = EdcsParams(W=1, beta=3, beta_minus=beta_minus)
+        pos = streaming._two_phase_pass(stream, b, params, Fraction(49, 100), 3, False,
                                         None)[2].phase1_edges_consumed
-        assert pos > chunk or chunk > 4
+        assert pos > chunk or chunk > 4 or beta_minus == 0
         for name, cap in _caps(G, b, stream.order, pos).items():
-            monkeypatch.setattr(helpers, "ScalarRelevantStore",
-                                lambda G, b, _, cap=cap: ScalarRelevantStore(G, b, cap))
-            want = scalar_stream_run(stream, b, params, "0.49", variant=3, with_store=True)
-            H, X, stats, alive = streaming._two_phase_pass(stream, b, params, eps, 3, False, cap)
-            assert alive == (want.stats.fallback_used == "small_output"), name
-            stats.fallback_used, stats.extraction = want.stats.fallback_used, "exact"
-            stats.result_weight = want.stats.result_weight
-            assert stats == want.stats, name
-            assert sorted(H.members) == sorted(want.H.members)
-            rest = stream.order[pos:]
-            assert X.tolist() == rest[reference_phase2_keep(G, b, H, params, False)[rest]].tolist()
-            assert sorted(X.tolist()) == sorted(want.X.members)
-            ends.add((name, alive))
+            ends.add((name, _pass_matches_reference(monkeypatch, stream, b, params, cap)))
     assert ends == {("half", False), ("one", False), ("phase 1", False), ("phase 2", False),
                     ("survives", True)}
+
+
+@pytest.mark.parametrize("chunk", [4, 1 << 15])
+def test_two_phase_pass_matches_reference_under_alpha_zero(monkeypatch, chunk):
+    # phase 2 starts at position 0, where a store capped at 1 dies at once
+    monkeypatch.setattr(streaming, "_CHUNK", chunk)
+    G, b = make_random(2, n=10, m=600, W=3, b_max=4, bipartite=True, allow_parallel=True)
+    params = EdcsParams(W=3, beta=3, beta_minus=1)
+    stream = make_stream(G, 2)
+    stats = streaming._two_phase_pass(stream, b, params, Fraction(49, 100), 3, False, None)[2]
+    assert stats.fallback_used == "alpha_zero"
+    final = len(relevant_subgraph(G, b))
+    alive = [_pass_matches_reference(monkeypatch, stream, b, params, cap)
+             for cap in (0.5, 1, 2, final // 2, final, final + 1)]
+    assert alive == [False] * 5 + [True]

@@ -409,16 +409,16 @@ def test_relevant_store_tracks_relevant_subgraph(monkeypatch):
                              allow_parallel=True),
                  make_random(5, n=9, m=40, W=2, b_max=3)):
         order = make_stream(G, 4).order
-        sizes, alive = streaming._store_sizes(G, b, order, cap=10**9)
-        assert alive
+        series = streaming._RelevantStore(G, b, order, cap=10**9)
+        assert series.alive
         store = ScalarRelevantStore(G, b, cap=10**9)
         seen: dict[tuple[int, int], int] = {}
         for t, eid in enumerate(order):
             pair = G.edges[eid].pair()
             seen[pair] = seen.get(pair, 0) + 1
             store.observe(eid)
-            assert sizes[t] == store.size == sum(min(k, b[p], b[q])
-                                                 for (p, q), k in seen.items())
+            assert series.size_at(t) == store.size == sum(min(k, b[p], b[q])
+                                                          for (p, q), k in seen.items())
         assert store.edge_ids() == sorted(relevant_subgraph(G, b).members)
 
 
@@ -429,14 +429,43 @@ def test_store_size_series_dies_like_the_scalar_store(monkeypatch, cap):
     monkeypatch.setattr(streaming, "_CHUNK", 5)
     G, b = make_random(3, n=6, m=80, W=3, b_max=3, allow_parallel=True)
     order = make_stream(G, 1).order
-    sizes, alive = streaming._store_sizes(G, b, order, cap)
+    series = streaming._RelevantStore(G, b, order, cap)
     store = ScalarRelevantStore(G, b, cap)
     expected = []
     for eid in order:
         store.observe(eid)
         expected.append(store.size)
-    assert sizes.tolist() == expected
-    assert alive == store.alive
+    assert [series.size_at(t) for t in range(len(order))] == expected
+    assert series.alive == store.alive
+
+
+def test_surviving_store_computes_no_phase2_chunk(monkeypatch):
+    # a store that survives is known to end at the relevant subgraph's
+    # size, so phase 2 reads none of its chunks; one that dies does
+    import wedcs.streaming as streaming
+    from wedcs import relevant_subgraph
+
+    monkeypatch.setattr(streaming, "_CHUNK", 4)
+    computed = []
+    kernel = streaming._RelevantStore._next_chunk
+
+    def spy(self):
+        computed.append(self.hi)
+        kernel(self)
+
+    monkeypatch.setattr(streaming._RelevantStore, "_next_chunk", spy)
+    G, b = make_random(1, n=10, m=3000, W=1, b_min=6, b_max=8, bipartite=True,
+                       allow_parallel=True)
+    params = EdcsParams(W=1, beta=3, beta_minus=1)
+    stream = make_stream(G, 1)
+    got = run_with_fallbacks(stream, b, params, "0.49", variant=3)
+    pos = got.stats.phase1_edges_consumed
+    assert got.stats.fallback_used == "small_output" and pos > 8
+    assert computed == list(range(0, pos, 4))
+    computed.clear()
+    final = len(relevant_subgraph(G, b))
+    *_, alive = streaming._two_phase_pass(stream, b, params, Fraction(49, 100), 3, False, final)
+    assert not alive and computed[-1] >= pos
 
 
 @pytest.fixture
