@@ -385,8 +385,9 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> list[int]:
     One stable sort by (pair, -w) ranks the edges of each pair, so edges
     of equal weight keep their id order."""
     by = np.lexsort((-G.w, G.pair))
+    pair = G.pair[by]
     keep = np.zeros(G.m, dtype=bool)
-    keep[by] = _rank_in_runs(G.pair[by]) < _pair_caps(G, b)[G.pair[by]]
+    keep[by] = _rank_in_runs(pair) < _pair_caps(G, b)[pair]
     return np.flatnonzero(keep).tolist()
 
 
