@@ -216,10 +216,10 @@ def test_phase2_keep_matches_reference_on_variant3_full_pairs():
 
 # ---------------------------------------------------------- relevant store
 
-def _store_case(seed: int):
+def _store_case(seed: int, beta_minus: int = 1):
     G, b = make_random(seed, n=10, m=3000, W=1, b_min=6, b_max=8, bipartite=True,
                        allow_parallel=True)
-    return G, b, EdcsParams(W=1, beta=3, beta_minus=1), make_stream(G, seed)
+    return G, b, EdcsParams(W=1, beta=3, beta_minus=beta_minus), make_stream(G, seed)
 
 
 def _caps(G, b, order, pos):
@@ -274,8 +274,7 @@ def test_two_phase_pass_matches_reference_at_every_cap(monkeypatch, chunk):
     monkeypatch.setattr(streaming, "_CHUNK", chunk)
     ends = set()
     for seed, beta_minus in ((0, 1), (1, 1), (0, 0)):
-        G, b, params, stream = _store_case(seed)
-        params = EdcsParams(W=1, beta=3, beta_minus=beta_minus)
+        G, b, params, stream = _store_case(seed, beta_minus)
         pos = streaming._two_phase_pass(stream, b, params, Fraction(49, 100), 3, False,
                                         None)[2].phase1_edges_consumed
         assert pos > chunk or chunk > 4 or beta_minus == 0
