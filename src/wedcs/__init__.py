@@ -25,7 +25,6 @@ from .graph import (
     Capacities,
     MultiGraph,
     Subgraph,
-    WeightedEdge,
     relevant_subgraph,
 )
 from .graph_io import GraphFormatError, format_graph, parse_graph, read_graph, write_graph
@@ -73,7 +72,6 @@ __all__ = [
     "Subgraph",
     "TightInstance",
     "ViolationReport",
-    "WeightedEdge",
     "bipartite_b_matching",
     "bipartition_sides",
     "branch_and_bound_b_matching",

@@ -426,8 +426,8 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     member, marked ``in_lower`` as it is collected so that parallel edges
     and stale copies come once, sorted.  An idle edge at x is always in
     ``idle[x]`` (it was appended at its pop, and only a refill at x, which
-    queues it, empties the list), so this is exactly the set a scan of u's
-    and v's adjacency for edges neither queued nor members would find.
+    queues it, empties the list), so this is exactly the set a scan of all
+    edges at u and v for those neither queued nor members would find.
 
     Each pop tests its edge with the ledger's loads, load[u] + load[v]
     against beta_minus * w * L, which has the sign of the edge's

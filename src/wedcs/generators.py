@@ -110,6 +110,27 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     return MultiGraph.from_columns(n, us[picked], vs[picked], weights, W=spec.W), b
 
 
+def _six_blocks(k: int, l: int, starts: tuple[int, ...], w: int, w_cd: int):
+    """The edges (u, v, weight, kept) of one six-block gadget whose blocks
+    A..F start at ``starts``, A, B, E, F of size k and C, D of size l: the
+    A-B perfect matching, complete B-C, the C-D perfect matching (weight
+    ``w_cd``, left out of the sparsifier), complete D-E and the E-F
+    perfect matching, all kept at weight ``w``, in that order."""
+    a, b, c, d, e, f = starts
+    yield from ((a + i, b + i, w, True) for i in range(k))
+    yield from ((b + i, c + j, w, True) for i in range(k) for j in range(l))
+    yield from ((c + j, d + j, w_cd, False) for j in range(l))
+    yield from ((d + j, e + i, w, True) for j in range(l) for i in range(k))
+    yield from ((e + i, f + i, w, True) for i in range(k))
+
+
+def _gadget_graph(n: int, W: int, rows) -> tuple[MultiGraph, list[int]]:
+    """The graph of gadget edges (u, v, weight, kept) and its kept ids."""
+    rows = list(rows)
+    graph = MultiGraph(n, [row[:3] for row in rows], W=W)
+    return graph, [i for i, row in enumerate(rows) if row[3]]
+
+
 @dataclass
 class TightInstance:
     """Worst-case family instance: ``edcs`` is a valid sparsifier of
@@ -163,33 +184,9 @@ def tight_instance(k: int | None = None, W: int = 1,
     beta = beta_minus + 2
     l = beta - k - 1
 
-    a0, b0 = 0, k
-    c0, d0 = 2 * k, 2 * k + l
-    e0, f0 = 2 * k + 2 * l, 3 * k + 2 * l
     n = 4 * k + 2 * l
-
-    triples: list[tuple[int, int, int]] = []
-    solid: list[int] = []
-
-    def emit(u: int, v: int, w: int, in_sparsifier: bool) -> None:
-        if in_sparsifier:
-            solid.append(len(triples))
-        triples.append((u, v, w))
-
-    for i in range(k):
-        emit(a0 + i, b0 + i, W, True)
-    for i in range(k):
-        for j in range(l):
-            emit(b0 + i, c0 + j, W, True)
-    for j in range(l):
-        emit(c0 + j, d0 + j, 1, False)
-    for j in range(l):
-        for i in range(k):
-            emit(d0 + j, e0 + i, W, True)
-    for i in range(k):
-        emit(e0 + i, f0 + i, W, True)
-
-    graph = MultiGraph(n, triples, W=W)
+    starts = (0, k, 2 * k, 2 * k + l, 2 * k + 2 * l, 3 * k + 2 * l)
+    graph, solid = _gadget_graph(n, W, _six_blocks(k, l, starts, W, 1))
     params = EdcsParams(W=W, beta=beta, beta_minus=beta_minus)
     return TightInstance(
         graph=graph,
@@ -233,42 +230,12 @@ def multicopy_instance(k: int = 1, W: int = 2) -> MulticopyInstance:
     """
     if k < 1 or W < 2:
         raise ValueError("need k >= 1 and W >= 2")
-    blk = k
-    a0 = 0
-    b0 = W * blk
-    c0 = (W + 1) * blk
-    d0 = (2 * W + 1) * blk
-    e0 = (3 * W + 1) * blk
-    f0 = (3 * W + 2) * blk
-    n = (4 * W + 2) * blk
-
-    triples: list[tuple[int, int, int]] = []
-    solid: list[int] = []
-
-    def emit(u: int, v: int, w: int, in_union: bool) -> None:
-        if in_union:
-            solid.append(len(triples))
-        triples.append((u, v, w))
-
-    for i in range(1, W + 1):
-        ai = a0 + (i - 1) * blk
-        ci = c0 + (i - 1) * blk
-        di = d0 + (i - 1) * blk
-        fi = f0 + (i - 1) * blk
-        for j in range(blk):
-            emit(ai + j, b0 + j, i, True)
-        for j1 in range(blk):
-            for j2 in range(blk):
-                emit(b0 + j1, ci + j2, i, True)
-        for j in range(blk):
-            emit(ci + j, di + j, i, False)
-        for j1 in range(blk):
-            for j2 in range(blk):
-                emit(di + j1, e0 + j2, i, True)
-        for j in range(blk):
-            emit(e0 + j, fi + j, i, True)
-
-    graph = MultiGraph(n, triples, W=W)
+    # class i's A_i, C_i, D_i, F_i are the i-th k-blocks of their regions
+    b0, c0, d0, e0, f0 = W * k, (W + 1) * k, (2 * W + 1) * k, (3 * W + 1) * k, (3 * W + 2) * k
+    n = (4 * W + 2) * k
+    graph, solid = _gadget_graph(n, W, [
+        row for i in range(W) for row in _six_blocks(
+            k, k, (i * k, b0, c0 + i * k, d0 + i * k, e0, f0 + i * k), i + 1, i + 1)])
     return MulticopyInstance(
         graph=graph,
         capacities=Capacities.uniform(n),

@@ -7,46 +7,16 @@ all operations are deterministic for a fixed input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "WeightedEdge",
     "MultiGraph",
     "Capacities",
     "Subgraph",
     "relevant_subgraph",
 ]
-
-
-@dataclass(frozen=True)
-class WeightedEdge:
-    """One edge of a multigraph, as :attr:`MultiGraph.edges` hands it out:
-    endpoints ``u < v`` is *not* required, but ``u != v`` is (no
-    self-loops) and the integer weight lies in ``[1, W]`` for the owning
-    graph's weight cap ``W``."""
-
-    id: int
-    u: int
-    v: int
-    w: int
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-    def other(self, x: int) -> int:
-        """The endpoint that is not ``x``."""
-        if x == self.u:
-            return self.v
-        if x == self.v:
-            return self.u
-        raise ValueError(f"vertex {x} is not an endpoint of edge {self.id}")
-
-    def pair(self) -> tuple[int, int]:
-        """Unordered endpoint pair, normalized to (min, max)."""
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
 def _int_type(top: int) -> np.dtype:
@@ -67,21 +37,14 @@ class MultiGraph:
     Edge ``i`` joins ``u[i]`` and ``v[i]`` with weight ``w[i]``; each column
     is an array of the smallest signed integer type that holds its values.
     Parallel edges and repeated (endpoints, weight) triples are allowed.
-    The adjacency is in CSR form: the edges incident to vertex ``x`` are
-    ``adj_edges[indptr[x]:indptr[x + 1]]`` in id order, and
-    ``adj_nbrs`` holds the other endpoint of each.
-
-    ``edges``, :meth:`edge`, ``adjacency`` and :meth:`incident` give the
-    same graph as :class:`WeightedEdge` objects and tuples.  They are built
-    on first use, for callers outside the package; nothing inside it reads
-    them.  Apart from those views and the pair caches, instances
-    never change after construction and are safe to share across threads
-    (two threads racing on a first call build equal values and one is
-    kept).
+    The columns are the whole graph: code that needs per-vertex sums or
+    neighbours derives them from the columns where it runs.  Apart from
+    the pair caches, instances never change after construction and are
+    safe to share across threads (two threads racing on a first call build
+    equal values and one is kept).
     """
 
-    __slots__ = ("n", "W", "u", "v", "w", "indptr", "adj_edges", "adj_nbrs",
-                 "_pair", "_pair_ends", "_edges", "_adjacency")
+    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         self._setup(n, *_triple_columns(list(edges)), W)
@@ -118,53 +81,12 @@ class MultiGraph:
         self.u = u.astype(_int_type(n))
         self.v = v.astype(_int_type(n))
         self.w = w.astype(_int_type(W))
-        # CSR: endpoint slots 2i and 2i + 1 belong to edge i, so a stable
-        # sort by vertex lists every vertex's edges in id order
-        ends = np.empty(2 * m, dtype=self.u.dtype)
-        ends[0::2], ends[1::2] = self.u, self.v
-        slots = np.argsort(ends, kind="stable")
-        del ends
-        self.adj_edges = (slots >> 1).astype(_int_type(m))
-        nbrs = np.empty(2 * m, dtype=self.u.dtype)
-        nbrs[0::2], nbrs[1::2] = self.v, self.u
-        self.adj_nbrs = nbrs[slots]
-        del slots, nbrs
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.u, minlength=n) + np.bincount(self.v, minlength=n),
-                  out=self.indptr[1:])
         self._pair: np.ndarray | None = None
         self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
-        self._edges: tuple[WeightedEdge, ...] | None = None
-        self._adjacency: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def m(self) -> int:
         return len(self.u)
-
-    @property
-    def edges(self) -> tuple[WeightedEdge, ...]:
-        """Every edge as a :class:`WeightedEdge`, in id order; built on
-        first use."""
-        if self._edges is None:
-            self._edges = tuple(map(WeightedEdge, range(self.m), self.u.tolist(),
-                                    self.v.tolist(), self.w.tolist()))
-        return self._edges
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """``adjacency[x]``: ids of the edges incident to ``x``, in id order;
-        built on first use."""
-        if self._adjacency is None:
-            ids, ptr = self.adj_edges.tolist(), self.indptr.tolist()
-            self._adjacency = tuple(tuple(ids[ptr[x]:ptr[x + 1]]) for x in range(self.n))
-        return self._adjacency
-
-    def edge(self, eid: int) -> WeightedEdge:
-        return self.edges[eid]
-
-    def incident(self, v: int) -> tuple[int, ...]:
-        """Ids of edges incident to ``v``, in id order."""
-        return self.adjacency[v]
 
     def triple(self, eid: int) -> tuple[int, int, int]:
         """``(u, v, w)`` of edge ``eid`` as Python ints."""

@@ -74,10 +74,14 @@ def bipartition_sides(G: MultiGraph) -> list[int] | None:
     """2-coloring of the vertices, or None if some component is odd.
 
     The smallest vertex of every component gets color 0, and the rest the
-    parity of their distance from it.  Breadth-first search over the CSR
-    adjacency, one array step per level: every vertex of a level has the
-    same color, so an edge inside a level is an odd cycle."""
-    ptr, nbrs = G.indptr, G.adj_nbrs
+    parity of their distance from it.  Breadth-first search over the
+    neighbour lists, built here from the columns (a stable sort of the
+    endpoint slots), one array step per level: every vertex of a level has
+    the same color, so an edge inside a level is an odd cycle."""
+    ends = np.concatenate((G.u, G.v))
+    nbrs = np.concatenate((G.v, G.u))[np.argsort(ends, kind="stable")]
+    ptr = np.zeros(G.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=G.n), out=ptr[1:])
     color = np.full(G.n, -1, dtype=np.int8)
     color[ptr[1:] == ptr[:-1]] = 0  # isolated vertices
     for start in np.flatnonzero(color < 0).tolist():
@@ -137,6 +141,10 @@ def branch_and_bound_b_matching(G: MultiGraph, b: Capacities, budget: int) -> BM
     the capacity-truncated incident weight sum (each vertex can absorb at
     most its residual capacity of heaviest remaining edges, each edge is
     counted at both endpoints).  The greedy solution seeds the incumbent.
+    The search nests one call per edge it has decided, so a search that
+    runs deeper than the interpreter's recursion limit also raises
+    :class:`OracleBudgetExceeded`; one that prunes early stays shallow
+    however many edges the graph has.
     """
     m = G.m
     if m == 0:
@@ -197,7 +205,11 @@ def branch_and_bound_b_matching(G: MultiGraph, b: Capacities, budget: int) -> BM
             residual[v] += 1
         dfs(k + 1, cur)
 
-    dfs(0, 0)
+    try:
+        dfs(0, 0)
+    except RecursionError:
+        raise OracleBudgetExceeded(
+            f"search deeper than the interpreter's recursion limit ({m} edges)") from None
     return BMatching(best_set, best_weight)
 
 
@@ -227,7 +239,7 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     x, y = _primal_dual(classes, b, G.n)
     weight = _check_certificate(classes, x, y, b)
     # each class takes its x lowest ids
-    result = BMatching(np.flatnonzero(rank < np.asarray(x)[cls]).tolist(), weight)
+    result = BMatching(np.flatnonzero(rank < x[cls]).tolist(), weight)
     if not result.verify(G, b):
         raise RuntimeError("primal-dual solution failed verification")  # pragma: no cover
     return result
@@ -271,10 +283,10 @@ def _classes(G: MultiGraph, sides: Sequence[int]) -> tuple[np.ndarray, np.ndarra
     return classes, cls, rank
 
 
-def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[list[int], list[int]]:
-    """Class counts x and vertex labels y for :func:`bipartite_b_matching`;
-    row c of ``classes`` is (left vertex, right vertex, weight,
-    multiplicity).
+def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class counts x and vertex labels y, as arrays, for
+    :func:`bipartite_b_matching`; row c of ``classes`` is (left vertex,
+    right vertex, weight, multiplicity).
 
     Invariants: a class below its multiplicity has y_u + y_v >= w, a class
     in use has y_u + y_v <= w, a right vertex with a positive label is
@@ -345,7 +357,7 @@ def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[list[int],
             load = cap - _blocking_flow(levels, dist, room, x)
         reached = (dist >= 0).nonzero()[0]
         y[reached] += (dist[reached] & 1) * 2 - 1
-    return x.tolist(), y.tolist()
+    return x, y
 
 
 def _blocking_flow(levels: list, dist: np.ndarray, room: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -456,8 +468,7 @@ def _check_certificate(classes, x: Sequence[int], y: Sequence[int], b: Capacitie
     any mismatch.
     """
     u, v, w, mult = np.asarray(classes, dtype=np.int64).reshape(-1, 4).T
-    taken = np.asarray(x, dtype=np.int64)
-    labels = np.asarray(y, dtype=np.int64)
+    taken, labels = np.asarray(x), np.asarray(y)
     bad = np.flatnonzero((taken < 0) | (taken > mult))
     if bad.size:
         c = bad[0]
@@ -469,9 +480,9 @@ def _check_certificate(classes, x: Sequence[int], y: Sequence[int], b: Capacitie
         a = bad[0]
         if load[a] > b[a]:
             raise RuntimeError(f"vertex {a} carries {int(load[a])} edges, capacity {b[a]}")
-        raise RuntimeError(f"vertex {a} has negative label {y[a]}")
+        raise RuntimeError(f"vertex {a} has negative label {labels[a]}")
     primal = int((w * taken).sum())
-    dual = sum(bv * yv for bv, yv in zip(b.b, y))
+    dual = sum(bv * yv for bv, yv in zip(b.b, labels.tolist()))
     dual += int((mult * np.maximum(0, w - labels[u] - labels[v])).sum())
     if dual != primal:
         raise RuntimeError(f"dual bound {dual} does not certify matching weight {primal}")

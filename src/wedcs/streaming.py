@@ -36,7 +36,6 @@ Everything is deterministic given (graph, seed, parameters).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -417,16 +416,18 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
             peak = size
 
     def assert_bounded() -> None:
-        for eid in H.members:
-            u, v, w = G.triple(eid)
-            if _excess(wdeg[u], wdeg[v], b[u], b[v], w, beta) > 0:
-                raise StreamInvariantError(
-                    f"H lost its bounded weighted edge-degree at edge {eid}")
-        for u, ends in enumerate(at):
-            for v, count in Counter(ends.values()).items():
-                if u < v and count > min(b[u], b[v]):
-                    raise StreamInvariantError(
-                        f"H holds too many parallel edges between {u} and {v}")
+        ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
+        lhs, scaled = _degree_terms(wdeg, b, beta * G.W)(G.u[ids], G.v[ids], G.w[ids])
+        over = ids[np.asarray(lhs > scaled * beta, dtype=bool)]
+        if over.size:
+            raise StreamInvariantError(
+                f"H lost its bounded weighted edge-degree at edge {over.min()}")
+        caps = _pair_caps(G, b)
+        crowded = np.flatnonzero(np.bincount(G.pair[ids], minlength=len(caps)) > caps)
+        if crowded.size:
+            lo, hi = G.pair_ends
+            raise StreamInvariantError(f"H holds too many parallel edges between "
+                                       f"{lo[crowded[0]]} and {hi[crowded[0]]}")
 
     def process_phase1_edge(eid: int, k: int) -> bool:
         """Returns True when the edge at position k triggered an insertion

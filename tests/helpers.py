@@ -27,13 +27,13 @@ def brute_force_b_matching_weight(G: MultiGraph, b: Capacities) -> int:
         ok = True
         for i in range(m):
             if mask >> i & 1:
-                e = G.edges[i]
-                load[e.u] += 1
-                load[e.v] += 1
-                if load[e.u] > b[e.u] or load[e.v] > b[e.v]:
+                u, v, w = G.triple(i)
+                load[u] += 1
+                load[v] += 1
+                if load[u] > b[u] or load[v] > b[v]:
                     ok = False
                     break
-                weight += e.w
+                weight += w
         if ok and weight > best:
             best = weight
     return best
@@ -47,9 +47,10 @@ def brute_force_min_cover_weight(G: MultiGraph) -> int:
     """
     assert G.n <= 8, "cover enumeration is for tiny instances"
     max_w = [0] * G.n
-    for e in G.edges:
-        max_w[e.u] = max(max_w[e.u], e.w)
-        max_w[e.v] = max(max_w[e.v], e.w)
+    edges = triples(G)
+    for u, v, w in edges:
+        max_w[u] = max(max_w[u], w)
+        max_w[v] = max(max_w[v], w)
 
     best = sum(max_w)  # certainly a cover
 
@@ -58,7 +59,7 @@ def brute_force_min_cover_weight(G: MultiGraph) -> int:
         if total >= best:
             return
         if v == G.n:
-            if all(e.w <= alpha[e.u] + alpha[e.v] for e in G.edges):
+            if all(w <= alpha[u] + alpha[v] for u, v, w in edges):
                 best = total
             return
         for value in range(max_w[v] + 1):
@@ -79,11 +80,25 @@ def primal_dual_cover(G: MultiGraph, sides) -> list[int]:
     from wedcs.matching import _classes, _primal_dual
 
     classes, _, _ = _classes(G, sides)
-    _, y = _primal_dual(classes, Capacities.uniform(G.n), G.n)
+    y = _primal_dual(classes, Capacities.uniform(G.n), G.n)[1].tolist()
     alpha = list(y)
     for u, v, w, _ in classes.tolist():
         alpha[u] += max(0, w - y[u] - y[v])
     return alpha
+
+
+def triples(G: MultiGraph) -> list[tuple[int, int, int]]:
+    """Every edge as a (u, v, w) tuple of Python ints, in id order."""
+    return list(zip(G.u.tolist(), G.v.tolist(), G.w.tolist()))
+
+
+def incident_ids(G: MultiGraph) -> list[list[int]]:
+    """Ids of the edges at every vertex, in id order, read off the columns."""
+    at: list[list[int]] = [[] for _ in range(G.n)]
+    for eid, (u, v) in enumerate(zip(G.u.tolist(), G.v.tolist())):
+        at[u].append(eid)
+        at[v].append(eid)
+    return at
 
 
 def make_random(seed: int, n: int, m: int, W: int, b_max: int = 1, *,
@@ -163,19 +178,19 @@ class ScalarRelevantStore:
     def __init__(self, G: MultiGraph, b: Capacities, cap: float):
         self.G, self.b, self.cap = G, b, cap
         self.alive = cap >= 1
-        self.groups: dict[tuple[int, int], list[int]] = {}
+        self.groups: dict[int, list[int]] = {}
         self.size = 0
 
     def observe(self, eid: int) -> None:
         if not self.alive:
             return
-        e = self.G.edges[eid]
-        group = self.groups.setdefault(e.pair(), [])
+        u, v, _ = self.G.triple(eid)
+        group = self.groups.setdefault(int(self.G.pair[eid]), [])
         group.append(eid)
         self.size += 1
-        if len(group) > min(self.b[e.u], self.b[e.v]):
+        if len(group) > min(self.b[u], self.b[v]):
             # evict the lightest stored edge, dropping larger ids first on ties
-            group.remove(min(group, key=lambda i: (self.G.edges[i].w, -i)))
+            group.remove(min(group, key=lambda i: (self.G.triple(i)[2], -i)))
             self.size -= 1
         if self.size >= self.cap:
             self.alive, self.groups, self.size = False, {}, 0
@@ -209,7 +224,8 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
     H = Subgraph(G)
     wdeg = H.wdeg
     X: set[int] = set()
-    pair_h: dict[tuple[int, int], set[int]] = {}
+    pair, ew, at = G.pair.tolist(), G.w.tolist(), incident_ids(G)
+    pair_h: dict[int, set[int]] = {}
     peak = 0
 
     def track():
@@ -218,54 +234,55 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
 
     def h_add(eid):
         H.add(eid)
-        pair_h.setdefault(G.edges[eid].pair(), set()).add(eid)
+        pair_h.setdefault(pair[eid], set()).add(eid)
 
     def h_remove(eid):
         H.remove(eid)
-        pair_h[G.edges[eid].pair()].discard(eid)
+        pair_h[pair[eid]].discard(eid)
 
-    def degree_underfull(e):
-        bu, bv = b[e.u], b[e.v]
-        return wdeg[e.u] * bv + wdeg[e.v] * bu < beta_minus * e.w * bu * bv
+    def degree_underfull(eid):
+        u, v, w = G.triple(eid)
+        bu, bv = b[u], b[v]
+        return wdeg[u] * bv + wdeg[v] * bu < beta_minus * w * bu * bv
 
-    def full_pair_lightest(e):
-        held = pair_h.get(e.pair()) if variant == 3 else None
-        if held and len(held) >= min(b[e.u], b[e.v]):
-            return min(G.edges[i].w for i in held)
+    def full_pair_lightest(eid):
+        held = pair_h.get(pair[eid]) if variant == 3 else None
+        u, v, _ = G.triple(eid)
+        if held and len(held) >= min(b[u], b[v]):
+            return min(ew[i] for i in held)
         return None
 
     def repair_upper(u0, v0):
-        pending = deque(sorted(i for i in set(G.incident(u0)) | set(G.incident(v0))
-                               if i in H.members))
+        pending = deque(sorted(i for i in set(at[u0]) | set(at[v0]) if i in H.members))
         queued = set(pending)
         while pending:
             cand = pending.popleft()
             queued.discard(cand)
             if cand not in H.members:
                 continue
-            ce = G.edges[cand]
-            cbu, cbv = b[ce.u], b[ce.v]
-            if wdeg[ce.u] * cbv + wdeg[ce.v] * cbu <= beta * ce.w * cbu * cbv:
+            cu, cv, cw = G.triple(cand)
+            cbu, cbv = b[cu], b[cv]
+            if wdeg[cu] * cbv + wdeg[cv] * cbu <= beta * cw * cbu * cbv:
                 continue
             h_remove(cand)
-            for i in sorted(x for x in set(G.incident(ce.u)) | set(G.incident(ce.v))
+            for i in sorted(x for x in set(at[cu]) | set(at[cv])
                             if x in H.members and x not in queued):
                 pending.append(i)
                 queued.add(i)
 
     def phase1_edge(eid):
-        e = G.edges[eid]
-        if not degree_underfull(e):
+        u, v, w = G.triple(eid)
+        if not degree_underfull(eid):
             return False
-        if full_pair_lightest(e) is not None:
-            held = pair_h[e.pair()]
-            lightest = min(held, key=lambda i: (G.edges[i].w, i))
-            if e.w <= G.edges[lightest].w:
+        if full_pair_lightest(eid) is not None:
+            held = pair_h[pair[eid]]
+            lightest = min(held, key=lambda i: (ew[i], i))
+            if w <= ew[lightest]:
                 return False
             h_remove(lightest)
             stats.replacement_count += 1
         h_add(eid)
-        repair_upper(e.u, e.v)
+        repair_upper(u, v)
         track()
         return True
 
@@ -308,9 +325,8 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
         if store:
             store.observe(eid)
             track()
-        e = G.edges[eid]
-        lightest = full_pair_lightest(e)
-        if collect_all or (degree_underfull(e) if lightest is None else lightest < e.w):
+        lightest = full_pair_lightest(eid)
+        if collect_all or (degree_underfull(eid) if lightest is None else lightest < ew[eid]):
             X.add(eid)
             track()
 
@@ -329,7 +345,7 @@ def reference_local_search(G: MultiGraph, b: Capacities, params, *,
     """The builder's local search as first written, kept as the reference
     for ``wedcs.edcs._local_search``: the same steps in the same order,
     with the queue refills read straight off the structures.  After a
-    removal it scans both endpoints' CSR adjacency for non-members not
+    removal it scans both endpoints' incident edges for non-members not
     queued; after an insertion it sorts the union of both endpoints'
     member sets and queues those over their bound.  Returns ``(H, trace)``
     exactly as the builder does."""
@@ -341,7 +357,7 @@ def reference_local_search(G: MultiGraph, b: Capacities, params, *,
     in_lower = bytearray(b"\x01") * m
 
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
-    adj, ptr = G.adj_edges.tolist(), G.indptr.tolist()
+    at = incident_ids(G)
     caps = b.b
     wdeg, deg, members = H.wdeg, H.deg, H.members
     h_at: list[set[int]] = [set() for _ in range(G.n)]
@@ -387,8 +403,8 @@ def reference_local_search(G: MultiGraph, b: Capacities, params, *,
             steps += 1
             removals += 1
             note_gain(_step_gain(params, False, e, w, bu, bv), w, bu, bv)
-            near = set(adj[ptr[u]:ptr[u + 1]])
-            near.update(adj[ptr[v]:ptr[v + 1]])
+            near = set(at[u])
+            near.update(at[v])
             for i in sorted(i for i in near if not in_lower[i] and i not in members):
                 in_lower[i] = 1
                 q_lower.append(i)

@@ -46,6 +46,7 @@ from helpers import (
     pair_count,
     primal_dual_cover,
     random_distribution_input,
+    triples,
 )
 
 
@@ -130,12 +131,12 @@ def test_criterion_1_per_step_gain_spec_constant(corpus):
     for i, G, b, _, _, trace in corpus:
         if trace.min_gain is None:
             continue
-        floor = min(_gain_floor(b[e.u], b[e.v], e.w) for e in G.edges)
+        floor = min(_gain_floor(b[u], b[v], w) for u, v, w in triples(G))
         if trace.min_gain < floor:
             below_floor.append((i, trace.min_gain, floor))
         if trace.min_gain < Fraction(3, 2):
-            weak_pair = any(e.w == 1 and min(b[e.u], b[e.v]) == 1
-                            and max(b[e.u], b[e.v]) >= 3 for e in G.edges)
+            weak_pair = any(w == 1 and min(b[u], b[v]) == 1
+                            and max(b[u], b[v]) >= 3 for u, v, w in triples(G))
             below_literal.append((i, trace.min_gain, weak_pair))
     unexplained = [(i, g) for i, g, weak_pair in below_literal if not weak_pair]
     ok = not below_floor and not unexplained

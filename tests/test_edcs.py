@@ -25,7 +25,7 @@ from wedcs import (
 
 from wedcs.edcs import _degree_terms, _excess, _step_gain
 
-from helpers import make_random, reference_local_search
+from helpers import make_random, reference_local_search, triples
 
 
 # ---------------------------------------------------------------- params
@@ -123,13 +123,13 @@ def test_validate_matches_fraction_arithmetic(seed):
 def _fraction_violations(G, b, H, params):
     """Both properties evaluated in rationals, edge by edge."""
     upper, lower = [], []
-    for e in G.edges:
-        total = Fraction(H.wdeg[e.u], b[e.u]) + Fraction(H.wdeg[e.v], b[e.v])
-        if e.id in H.members:
-            if total > params.beta * e.w:
-                upper.append(e.id)
-        elif total < params.beta_minus * e.w:
-            lower.append(e.id)
+    for eid, (u, v, w) in enumerate(triples(G)):
+        total = Fraction(H.wdeg[u], b[u]) + Fraction(H.wdeg[v], b[v])
+        if eid in H.members:
+            if total > params.beta * w:
+                upper.append(eid)
+        elif total < params.beta_minus * w:
+            lower.append(eid)
     return upper, lower
 
 

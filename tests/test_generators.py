@@ -14,6 +14,8 @@ from wedcs import (
     validate,
 )
 
+from helpers import triples
+
 
 def test_random_empty():
     G, b = random_instance(GenSpec(kind="random", seed=0, n=5, m=0, W=2))
@@ -24,7 +26,7 @@ def test_random_same_seed_identical():
     spec = GenSpec(kind="random", seed=9, n=12, m=30, W=3, b_min=1, b_max=3)
     G1, b1 = random_instance(spec)
     G2, b2 = random_instance(spec)
-    assert [(e.u, e.v, e.w) for e in G1.edges] == [(e.u, e.v, e.w) for e in G2.edges]
+    assert triples(G1) == triples(G2)
     assert b1 == b2
 
 
@@ -54,7 +56,7 @@ def test_random_infeasible_spec_errors():
 def test_random_bipartite_sides():
     G, _ = random_instance(GenSpec(kind="random", seed=2, n=10, m=20, W=2,
                                    b_min=1, b_max=2, bipartite=True))
-    assert all(e.u < 5 <= e.v for e in G.edges)
+    assert all(u < 5 <= v for u, v, _ in triples(G))
     assert bipartition_sides(G) is not None
 
 
@@ -145,17 +147,17 @@ def test_multicopy_per_class_structure(k, W):
     inst = multicopy_instance(k=k, W=W)
     G = inst.graph
     for weight_class in range(1, W + 1):
-        class_ids = [e.id for e in G.edges if e.w == weight_class]
+        class_ids = [i for i in range(G.m) if G.triple(i)[2] == weight_class]
         kept = [i for i in class_ids if i in inst.union_edcs.members]
         wdeg = [0] * G.n
         for i in kept:
-            e = G.edges[i]
-            wdeg[e.u] += e.w
-            wdeg[e.v] += e.w
+            u, v, w = G.triple(i)
+            wdeg[u] += w
+            wdeg[v] += w
         for i in class_ids:
-            e = G.edges[i]
-            total = wdeg[e.u] + wdeg[e.v]
+            u, v, w = G.triple(i)
+            total = wdeg[u] + wdeg[v]
             if i in inst.union_edcs.members:
-                assert total <= (2 * k + 1) * e.w
+                assert total <= (2 * k + 1) * w
             else:
-                assert total >= 2 * k * e.w
+                assert total >= 2 * k * w

@@ -12,7 +12,8 @@ than 2 * 2**15 edges whose relevant store dies after the first 2**15
 positions, so that a pass over chunks of positions crosses chunk
 boundaries in both phases of the store.  Builder cases pin ``BuildTrace.to_json_dict()`` and H.
 Generator cases pin ``random_instance``'s edge triples and capacities for
-bipartite, general and raw-multiplicity specs.
+bipartite, general and raw-multiplicity specs, and gadget cases the edge
+triples and sparsifier ids of ``tight_instance`` and ``multicopy_instance``.
 
 The bipartite cases' ``matching`` digests were replaced once, when the
 bipartite solver changed from min-cost flow to the primal-dual method:
@@ -39,12 +40,14 @@ from wedcs import (
     build_wb_edcs,
     file_order_stream,
     make_stream,
+    multicopy_instance,
     random_instance,
     run_single_pass,
     run_with_fallbacks,
+    tight_instance,
 )
 
-from helpers import make_random
+from helpers import make_random, triples
 
 
 def _digest(obj) -> str:
@@ -128,6 +131,16 @@ GENERATOR_CASES = {
                                        allow_parallel=True),
 }
 
+# name -> (instance, its sparsifier)
+GADGET_CASES = {
+    "tight-k1-W1": lambda: (inst := tight_instance(k=1, W=1), inst.edcs),
+    "tight-k2-W3": lambda: (inst := tight_instance(k=2, W=3), inst.edcs),
+    "tight-k3-W2": lambda: (inst := tight_instance(W=2, beta_minus=12), inst.edcs),
+    "multicopy-k1-W2": lambda: (inst := multicopy_instance(k=1, W=2), inst.union_edcs),
+    "multicopy-k2-W4": lambda: (inst := multicopy_instance(k=2, W=4), inst.union_edcs),
+    "multicopy-k3-W3": lambda: (inst := multicopy_instance(k=3, W=3), inst.union_edcs),
+}
+
 STREAM_GOLDEN: dict[str, dict[str, str]] = {
     "single-v1-phase1": {
         "order": "19795e495603118ed76418ce226b6b840ad57ced484fd79d4e17e70387c07840",
@@ -209,6 +222,16 @@ GENERATOR_GOLDEN: dict[str, str] = {
 }
 
 
+GADGET_GOLDEN: dict[str, str] = {
+    "tight-k1-W1": "68884963344d016d3c3ad84e62033b5c1529eb7a18c6ec890f52715700036c15",
+    "tight-k2-W3": "cfb995aa6e82a49a68cd6ca8fe1727c80c573a4cbc513f0a41ca902d576aaac1",
+    "tight-k3-W2": "ff781a9327dd21f3b95b7e77bbfab7e707deccd76a68304b64066b780e1c0fa1",
+    "multicopy-k1-W2": "e8a96684a07c4d58b1a4986be654a42bf71fdaeaa5e9fde3a2e74daf3655b652",
+    "multicopy-k2-W4": "0fa13c378e85989526540a6eb3dfc8aa39fc82a4f02799c8d74a99482c46769c",
+    "multicopy-k3-W3": "da5dfb5d50f1b268763e37f4eff8d84f097bbd5407f31f0d99fb1b6199da20bb",
+}
+
+
 def _stream_run(name: str):
     runner, instance, params, epsilon, seed, variant, _ = STREAM_CASES[name]
     G, b = instance()
@@ -235,8 +258,14 @@ def _build_digests(name: str) -> dict[str, str]:
 
 def _generator_digest(name: str) -> str:
     G, b = random_instance(GENERATOR_CASES[name])
-    return _digest({"n": G.n, "triples": [[e.u, e.v, e.w] for e in G.edges],
-                    "b": list(b.b)})
+    return _digest({"n": G.n, "triples": [list(t) for t in triples(G)], "b": list(b.b)})
+
+
+def _gadget_digest(name: str) -> str:
+    inst, sparsifier = GADGET_CASES[name]()
+    G = inst.graph
+    return _digest({"n": G.n, "triples": [list(t) for t in triples(G)],
+                    "kept": sorted(sparsifier.members)})
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
@@ -257,6 +286,11 @@ def test_generator_replays_golden(name):
     assert _generator_digest(name) == GENERATOR_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(GADGET_CASES))
+def test_gadget_replays_golden(name):
+    assert _gadget_digest(name) == GADGET_GOLDEN[name]
+
+
 if __name__ == "__main__":
     import pprint
 
@@ -268,3 +302,5 @@ if __name__ == "__main__":
     print("GENERATOR_GOLDEN = ", end="")
     pprint.pprint({name: _generator_digest(name) for name in GENERATOR_CASES},
                   sort_dicts=False)
+    print("GADGET_GOLDEN = ", end="")
+    pprint.pprint({name: _gadget_digest(name) for name in GADGET_CASES}, sort_dicts=False)

@@ -3,6 +3,8 @@ import pytest
 from wedcs import Capacities, GraphFormatError, MultiGraph, format_graph, parse_graph
 from wedcs.graph_io import match_subgraph_edges
 
+from helpers import triples
+
 
 def test_round_trip():
     G = MultiGraph(4, [(0, 1, 2), (1, 2, 1), (0, 3, 4)], W=4)
@@ -10,7 +12,7 @@ def test_round_trip():
     text = format_graph(G, b)
     G2, b2 = parse_graph(text)
     assert G2.n == 4 and G2.W == 4
-    assert [(e.u, e.v, e.w) for e in G2.edges] == [(e.u, e.v, e.w) for e in G.edges]
+    assert triples(G2) == triples(G)
     assert b2 == b
 
 
@@ -169,5 +171,5 @@ def test_missing_header_and_bad_header_values():
 ])
 def test_unusual_but_valid_layouts(text):
     G, b = parse_graph(text)
-    assert [(e.u, e.v, e.w) for e in G.edges] == [(0, 1, 2), (1, 2, 1)]
+    assert triples(G) == [(0, 1, 2), (1, 2, 1)]
     assert b[2] == (4 if "b 2 4" in text else 1)

@@ -136,6 +136,30 @@ def test_branch_and_bound_budget_error():
         branch_and_bound_b_matching(G, b, budget=5)
 
 
+def test_branch_and_bound_search_deeper_than_the_stack_exceeds_the_budget():
+    # per gadget a-b and c-d of weight 2, then b-c of weight 3: in id order
+    # the search takes both 2s while greedy takes the 3, so its first path
+    # runs to full depth, one nested call per edge; a triangle at the end
+    # makes the graph general
+    gadgets = sys.getrecursionlimit() // 3 + 1
+    triples = [t for g in range(gadgets)
+               for t in ((4 * g, 4 * g + 1, 2), (4 * g + 2, 4 * g + 3, 2), (4 * g + 1, 4 * g + 2, 3))]
+    n = 4 * gadgets
+    G = MultiGraph(n + 3, triples + [(n, n + 1, 1), (n + 1, n + 2, 1), (n, n + 2, 1)])
+    with pytest.raises(OracleBudgetExceeded, match="recursion limit"):
+        branch_and_bound_b_matching(G, Capacities.uniform(G.n), budget=10**6)
+
+
+def test_branch_and_bound_prunes_a_large_easy_graph_without_going_deep():
+    # a triangle and more disjoint edges than the interpreter has frames:
+    # greedy is optimal, so the bounds prune at once
+    pairs = sys.getrecursionlimit()
+    triples = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
+    triples += [(3 + 2 * i, 4 + 2 * i, 1) for i in range(pairs)]
+    G = MultiGraph(3 + 2 * pairs, triples)
+    assert branch_and_bound_b_matching(G, Capacities.uniform(G.n), budget=10**6).weight == 1 + pairs
+
+
 # ----------------------------------------------------------------- greedy
 
 def test_greedy_shared_vertex_path():
@@ -268,7 +292,7 @@ def test_split_oracle_relations(seed):
     ones = Capacities.uniform(Gp.n)
 
     # the (normalized) matching survives as a simple matching of equal weight
-    mapped_weight = sum(Gp.edges[j].w for j in result.matched_split_ids)
+    mapped_weight = sum(Gp.triple(j)[2] for j in result.matched_split_ids)
     assert mapped_weight == M.weight
     assert BMatching(result.matched_split_ids, mapped_weight).verify(Gp, ones)
 

@@ -1,5 +1,6 @@
-"""Traced-memory bounds for the stream pass on a 2e5-edge raw-multiplicity
-graph (n=100, W=3, b <= 3, the stream-multiplicity shape).
+"""Traced-memory bounds for graph construction and the stream pass on a
+2e5-edge raw-multiplicity graph (n=100, W=3, b <= 3, the
+stream-multiplicity shape).
 
 Each bound sits between two measurements taken with numpy 2.4 and noted
 at the test: the peak of the per-edge and per-position forms the package
@@ -65,3 +66,12 @@ def test_two_phase_pass_with_surviving_store_peak():
     _, X, stats, alive = out[0]
     assert alive and stats.phase1_edges_consumed > 0 and len(X) > 0
     assert peak < 2.1 * MB
+
+
+def test_graph_construction_peak():
+    # 8.78 MB with the CSR adjacency built at construction, 1.15 MB for
+    # the narrowed columns alone
+    rng = np.random.default_rng(5)
+    m, n = 200_000, 100
+    u, v, w = rng.integers(0, 50, m), rng.integers(50, 100, m), rng.integers(1, 4, m)
+    assert _traced_peak(lambda: MultiGraph.from_columns(n, u, v, w, W=3)) < 3 * MB

@@ -7,17 +7,20 @@ from wedcs import (
     Capacities,
     EdcsParams,
     EdgeStream,
+    GenSpec,
     MultiGraph,
     Subgraph,
     build_wb_edcs,
     file_order_stream,
     make_stream,
     max_weight_b_matching_exact,
+    random_instance,
     run_single_pass,
     run_with_fallbacks,
     validate,
 )
-from wedcs.edcs import _excess
+from wedcs.edcs import _excess, _Ledger
+from wedcs.streaming import StreamInvariantError
 
 from helpers import (
     ScalarRelevantStore,
@@ -25,6 +28,7 @@ from helpers import (
     pair_count,
     scalar_fisher_yates,
     scalar_stream_run,
+    triples,
 )
 
 P41 = EdcsParams(W=1, beta=6, beta_minus=4)
@@ -125,10 +129,10 @@ def _is_underfull(H, b, eid, params) -> bool:
     return _excess(H.wdeg[u], H.wdeg[v], b[u], b[v], w, params.beta_minus) < 0
 
 
-def _underfull_direct(H, b, e, params) -> bool:
+def _underfull_direct(H, b, eid, params) -> bool:
     """wdeg(u)/b_u + wdeg(v)/b_v < beta_minus * w, in rationals."""
-    return (Fraction(H.wdeg[e.u], b[e.u]) + Fraction(H.wdeg[e.v], b[e.v])
-            < params.beta_minus * e.w)
+    u, v, w = H.parent.triple(eid)
+    return Fraction(H.wdeg[u], b[u]) + Fraction(H.wdeg[v], b[v]) < params.beta_minus * w
 
 
 def test_is_underfull_empty_H():
@@ -151,11 +155,10 @@ def test_is_underfull_matches_direct_formula(seed):
     G, b = make_random(seed, n=8, m=20, W=3, b_max=3)
     H = Subgraph(G, [eid for eid in range(G.m) if eid % 3 == 0])
     params = EdcsParams(W=3, beta=8, beta_minus=5)
-    for e in G.edges:
-        u, v = e.u, e.v
-        over = (Fraction(H.wdeg[u], b[u]) + Fraction(H.wdeg[v], b[v]) > params.beta * e.w)
-        assert (_excess(H.wdeg[u], H.wdeg[v], b[u], b[v], e.w, params.beta) > 0) == over
-        assert _is_underfull(H, b, e.id, params) == _underfull_direct(H, b, e, params)
+    for eid, (u, v, w) in enumerate(triples(G)):
+        over = (Fraction(H.wdeg[u], b[u]) + Fraction(H.wdeg[v], b[v]) > params.beta * w)
+        assert (_excess(H.wdeg[u], H.wdeg[v], b[u], b[v], w, params.beta) > 0) == over
+        assert _is_underfull(H, b, eid, params) == _underfull_direct(H, b, eid, params)
 
 
 # ------------------------------------------------------------------- runs
@@ -316,7 +319,8 @@ def test_variant3_random_raw_stream_respects_pair_caps(seed):
                           variant=3, check_invariants=True)
     held: dict[tuple[int, int], int] = {}
     for eid in res.H.members:
-        pair = G.edges[eid].pair()
+        u, v, _ = G.triple(eid)
+        pair = (min(u, v), max(u, v))
         held[pair] = held.get(pair, 0) + 1
         assert held[pair] <= min(b[pair[0]], b[pair[1]])
 
@@ -340,7 +344,7 @@ def test_phase1_runs_for_real_at_small_parameters():
     # X is exactly the underfull part of the late stream w.r.t. the final H
     late = make_stream(G, 1234).order[stats.phase1_edges_consumed:]
     expected = {eid for eid in late
-                if _underfull_direct(res.H, b, G.edges[eid], P41)}
+                if _underfull_direct(res.H, b, eid, P41)}
     assert res.X.members == expected
     assert stats.peak_stored_edges >= len(res.H) + len(res.X)
     assert stats.extraction == "exact"
@@ -366,8 +370,8 @@ def _offline_combination(seed: int, params: EdcsParams, n: int, m: int, W: int,
     first_half, _ = G.restrict(range(G.m // 2))
     H_half, _ = build_wb_edcs(first_half, b, params)
     H = Subgraph(G, H_half.members)  # same ids: restriction preserved prefix ids
-    X = {e.id for e in G.edges
-         if e.id not in H.members and _underfull_direct(H, b, e, params)}
+    X = {eid for eid in range(G.m)
+         if eid not in H.members and _underfull_direct(H, b, eid, params)}
     union, _ = G.restrict(H.members | X)
     got = max_weight_b_matching_exact(union, b).weight
     opt = max_weight_b_matching_exact(G, b).weight
@@ -414,7 +418,8 @@ def test_relevant_store_tracks_relevant_subgraph(monkeypatch):
         store = ScalarRelevantStore(G, b, cap=10**9)
         seen: dict[tuple[int, int], int] = {}
         for t, eid in enumerate(order):
-            pair = G.edges[eid].pair()
+            u, v, _ = G.triple(eid)
+            pair = (min(u, v), max(u, v))
             seen[pair] = seen.get(pair, 0) + 1
             store.observe(eid)
             assert series.size_at(t) == store.size == sum(min(k, b[p], b[q])
@@ -645,3 +650,28 @@ def test_phase1_repair_rechecks_each_member_at_its_turn():
     want = scalar_stream_run(stream, b, params, "0.49", variant=3, with_store=False)
     assert got.stats.phase1_edges_consumed > 0
     assert _outcome(got) == _outcome(want)
+
+
+def test_invariant_check_fires_without_repair(monkeypatch):
+    # alpha_0 = floor(.49*10000 / (14*325)) = 1: the weight-2 edge joins at
+    # vertex 0 in the second epoch and pushes the weight-1 member (0, 1) one
+    # over its bound, 3 + 1 > beta * 1, which repair removes; with repair
+    # switched off, check_invariants must catch it
+    G = MultiGraph(3, [(0, 1, 1), (0, 2, 2)] + [(1, 2, 1)] * 9998, W=3)
+    b, params = Capacities.uniform(3), EdcsParams(W=3, beta=3, beta_minus=1)
+    stream = file_order_stream(G)
+    res = run_single_pass(stream, b, params, "0.49", variant=3, check_invariants=True)
+    assert res.stats.phase1_edges_consumed >= 2 and 0 not in res.H
+    monkeypatch.setattr(_Ledger, "repair", lambda self, u, v: [])
+    with pytest.raises(StreamInvariantError, match="bounded weighted edge-degree at edge 0"):
+        run_single_pass(stream, b, params, "0.49", variant=3, check_invariants=True)
+
+
+def test_general_graph_too_deep_for_branch_and_bound_falls_back_to_greedy():
+    # alpha_0 floors to zero, so all 2,000 edges are solved at once; the
+    # graph is not bipartite, and branch-and-bound nests one call per edge
+    G, b = random_instance(GenSpec(seed=11, n=100, m=2000, W=3, b_max=3, allow_parallel=True))
+    res = run_single_pass(make_stream(G, 1), b, EdcsParams(W=3, beta=3, beta_minus=1),
+                          Fraction(49, 100), variant=3)
+    assert res.stats.extraction == "greedy"
+    assert res.matching.verify(G, b)
