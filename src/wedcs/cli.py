@@ -168,6 +168,15 @@ def _worker(seed) -> dict:
     return _stream_one(*_worker_args, seed)
 
 
+def _oracle_weight(graph: MultiGraph, caps: Capacities, args) -> int | None:
+    """The exact optimum, or None when the oracle's budget runs out."""
+    try:
+        return max_weight_b_matching_exact(graph, caps, args.oracle_budget).weight
+    except OracleBudgetExceeded:
+        log.info("exact oracle infeasible for %s; ratios omitted", args.graph)
+        return None
+
+
 def cmd_stream(args) -> int:
     if args.jobs < 1:
         raise InputError("--jobs must be >= 1")
@@ -178,21 +187,20 @@ def cmd_stream(args) -> int:
     if params.epsilon is None:
         raise InputError("stream requires --epsilon")
 
-    try:
-        oracle = max_weight_b_matching_exact(graph, caps, args.oracle_budget)
-        oracle_weight = oracle.weight
-    except OracleBudgetExceeded:
-        oracle_weight = None
-        log.info("exact oracle infeasible for %s; ratios omitted", args.graph)
-
     shared = (graph, caps, params, args.epsilon, args.variant, args.oracle_budget)
     if args.jobs > 1 and len(seeds) > 1:
         # workers get the parsed graph through the initializer (inherited,
-        # not pickled, under fork) and never read the file again
+        # not pickled, under fork) and never read the file again.  Under
+        # fork the pool starts every worker at the first submit, so they
+        # stream while the parent solves the oracle.
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=_init_worker, initargs=shared) as pool:
-            runs = list(pool.map(_worker, seeds))
+                max_workers=min(args.jobs, len(seeds)),
+                initializer=_init_worker, initargs=shared) as pool:
+            pending = pool.map(_worker, seeds)
+            oracle_weight = _oracle_weight(graph, caps, args)
+            runs = list(pending)
     else:
+        oracle_weight = _oracle_weight(graph, caps, args)
         runs = [_stream_one(*shared, seed) for seed in seeds]
 
     threshold = 1.0 / float(2 - Fraction(1, 2 * params.W) + params.epsilon)

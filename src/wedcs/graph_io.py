@@ -12,6 +12,8 @@ order used when a stream is replayed "as-is".
 from __future__ import annotations
 
 import io
+import os
+import stat
 from typing import TextIO
 
 import numpy as np
@@ -30,23 +32,37 @@ class GraphFormatError(ValueError):
 
 
 def parse_graph(text: str) -> tuple[MultiGraph, Capacities]:
-    return read_graph(io.StringIO(text))
+    return _parse(text, None)
+
+
+#: The suffixes of the files that ``np.loadtxt`` decompresses.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_graph(source: TextIO | str) -> tuple[MultiGraph, Capacities]:
     """Parse a graph file from a path or open text stream.
 
     Lines go one at a time up to the first edge line.  From there on the
-    edge lines of a well-formed file are read as arrays in one pass; if
-    that pass meets anything but plain ``e <u> <v> <w>`` lines, the rest
-    of the file is parsed line by line instead, which accepts exactly the
+    edge lines of a well-formed file are read as arrays in one pass: from
+    the file itself, by ``np.loadtxt``'s block reader, when ``source`` names
+    a regular file that numpy would not decompress by its name, else from
+    a copy of the text.  If that pass meets anything but plain
+    ``e <u> <v> <w>`` lines, or the file cannot be opened again, the rest
+    of the text is parsed line by line instead, which accepts exactly the
     same files and reports the line number of an error.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_graph(fh)
+    if not isinstance(source, str):
+        return _parse(source.read(), None)
+    with open(source, "r", encoding="utf-8") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        text = fh.read()
+    reread = regular and not source.endswith(_COMPRESSED)
+    return _parse(text, source if reread else None)
 
-    text = source.read()
+
+def _parse(text: str, path: str | None) -> tuple[MultiGraph, Capacities]:
+    """The graph in ``text``; ``path`` names a file that numpy may read
+    the same text from, or is None."""
     state = _ParseState()
     columns = None  # the edge columns, when read as arrays
     tried = False
@@ -59,7 +75,7 @@ def read_graph(source: TextIO | str) -> tuple[MultiGraph, Capacities]:
         line = text[pos:end]
         if not tried and state.header is not None and line.split()[:1] == ["e"]:
             tried = True
-            columns = _edge_columns(text[pos:])
+            columns = _edge_columns(text, pos, line_no - 1, path)
             if columns is not None:
                 break
         state.parse(line_no, line)
@@ -131,18 +147,25 @@ class _ParseState:
 _EDGE_LINE = np.dtype([("kind", "U2"), ("u", np.int64), ("v", np.int64), ("w", np.int64)])
 
 
-def _edge_columns(payload: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``u``, ``v`` and ``w`` of a text made of ``e <u> <v> <w>`` lines and
+def _edge_columns(text: str, pos: int, skip: int,
+                  path: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``u``, ``v`` and ``w`` of the lines from ``text[pos]`` on, which
+    start at line ``skip + 1``, when they are ``e <u> <v> <w>`` lines and
     blank lines only, or None for any other text.
 
     ``np.loadtxt`` splits lines and fields much as the line parser does;
     a carriage return, which it may take for a line break, sends the text
-    to the line parser."""
-    if "\r" in payload:
+    to the line parser.  Given the ``path`` of a regular file that holds
+    ``text``, numpy's C reader pulls the file in blocks, past its first
+    ``skip`` lines.  Otherwise it reads a ``StringIO`` copy of the lines,
+    one at a time, at about 4 bytes a character."""
+    if text.find("\r", pos) >= 0:
         return None
+    source, skip = (path, skip) if path is not None else (io.StringIO(text[pos:]), 0)
     try:
-        rows = np.loadtxt(io.StringIO(payload), dtype=_EDGE_LINE, comments=None, ndmin=1)
-    except ValueError:
+        rows = np.loadtxt(source, dtype=_EDGE_LINE, comments=None, ndmin=1,
+                          skiprows=skip, encoding="utf-8")
+    except (ValueError, OSError):
         return None
     if not (rows["kind"] == "e").all():
         return None
@@ -156,8 +179,52 @@ def format_graph(G: MultiGraph, b: Capacities | None = None) -> str:
         for v in range(G.n):
             if b[v] != 1:
                 out.append(f"b {v} {b[v]}\n")
-    out += map("e {} {} {}\n".format, G.u.tolist(), G.v.tolist(), G.w.tolist())
+    out.append(_edge_lines(G.u, G.v, G.w))
     return "".join(out)
+
+
+def _edge_lines(*columns: np.ndarray) -> str:
+    """The ``e <u> <v> <w>`` lines of the non-negative ``u``, ``v`` and
+    ``w`` columns.
+
+    The digits go into one byte buffer by array steps, one step per digit
+    position; the steps are exact on object columns too (weights beyond
+    int64 under a huge cap)."""
+    if not len(columns[0]):
+        return ""
+    widths = [_decimal_widths(col) for col in columns]
+    at = np.cumsum(5 + sum(widths), dtype=np.int64)
+    buf = np.full(at[-1], ord(" "), dtype=np.uint8)
+    # walk each line from its end: newline, then each field's digits right
+    # to left and the space before them, then the "e"
+    at -= 1
+    buf[at] = ord("\n")
+    for col, width in zip(reversed(columns), reversed(widths)):
+        at -= 1
+        _put_digits(buf, col, at)
+        at -= width
+    buf[at - 1] = ord("e")
+    return buf.tobytes().decode("ascii")
+
+
+def _decimal_widths(values: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each non-negative integer."""
+    width = np.ones(len(values), dtype=np.int32)
+    top, power = int(values.max()), 10
+    while power <= top:
+        width += values >= power
+        power *= 10
+    return width
+
+
+def _put_digits(buf: np.ndarray, values: np.ndarray, last: np.ndarray) -> None:
+    """Write the decimal digits of each non-negative integer into ``buf``,
+    its last digit at ``last``."""
+    while len(values):
+        buf[last] = values % 10 + ord("0")
+        values = values // 10
+        more = values > 0
+        values, last = values[more], last[more] - 1
 
 
 def write_graph(path: str, G: MultiGraph, b: Capacities | None = None) -> None:

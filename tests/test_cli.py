@@ -294,6 +294,49 @@ def test_stream_ratio_omitted_when_oracle_infeasible(tmp_path, capsys):
     assert report["aggregate"]["ratio_min"] is None
 
 
+def test_stream_ratio_omitted_when_oracle_infeasible_under_the_pool(tmp_path, capsys):
+    # the parent's oracle runs out of budget while the workers stream
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 5 5 2\ne 0 1 2\ne 1 2 2\ne 2 3 2\ne 3 4 2\ne 4 0 2\n")
+    args = ["stream", str(graph), "--seeds", "0-1", "--epsilon", "0.2", "--beta", "6",
+            "--oracle-budget", "1"]
+    assert main(args + ["--jobs", "1", "--out", str(tmp_path / "serial")]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "pool")]) == 0
+    pooled = (tmp_path / "pool.json").read_bytes()
+    assert pooled == (tmp_path / "serial.json").read_bytes()
+    report = json.loads(pooled)
+    assert report["oracle_weight"] is None
+    assert [run["ratio"] for run in report["runs"]] == [None, None]
+
+
+def test_stream_jobs_start_one_worker_per_seed(tmp_path, capsys, monkeypatch):
+    # under fork a pool starts all of its max_workers at the first submit;
+    # the recording pool refuses more than two before any process starts
+    import concurrent.futures
+
+    sizes, spawned = [], []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            if max_workers is None or max_workers > 2:
+                raise AssertionError(f"a pool of {max_workers} workers for two seeds")
+            super().__init__(max_workers, **kwargs)
+
+        def _spawn_process(self):
+            spawned.append(1)
+            super()._spawn_process()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 4 3 2\ne 0 1 2\ne 1 2 1\ne 2 3 2\n")
+    args = ["stream", str(graph), "--seeds", "0-1", "--epsilon", "0.2", "--beta", "6"]
+    assert main(args + ["--jobs", "4", "--out", str(tmp_path / "pool")]) == 0
+    assert (sizes, len(spawned)) == ([2], 2)
+    assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+    assert (tmp_path / "pool.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
 def test_stream_as_is_order(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("g 3 2 2\ne 0 1 2\ne 1 2 1\n")

@@ -1,6 +1,11 @@
+import os
+import sys
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from wedcs import Capacities, GraphFormatError, MultiGraph, format_graph, parse_graph
+from wedcs import Capacities, GraphFormatError, MultiGraph, format_graph, parse_graph, read_graph
 from wedcs.graph_io import match_subgraph_edges
 
 from helpers import triples
@@ -173,3 +178,114 @@ def test_unusual_but_valid_layouts(text):
     G, b = parse_graph(text)
     assert triples(G) == [(0, 1, 2), (1, 2, 1)]
     assert b[2] == (4 if "b 2 4" in text else 1)
+
+
+def _write_file(path, text: str) -> str:
+    """Write ``text`` byte for byte (no newline translation) and return the path."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return str(path)
+
+
+class TestReadGraphFromAFile:
+    """The error-path and layout cases above, through ``read_graph(path)``
+    on a file that holds the same bytes, where numpy reads the edge lines
+    from the file itself."""
+
+    @pytest.fixture(autouse=True)
+    def _from_a_file(self, tmp_path, monkeypatch):
+        def parse(text):
+            return read_graph(_write_file(tmp_path / "g.txt", text))
+        monkeypatch.setattr(sys.modules[__name__], "parse_graph", parse)
+
+    test_malformed_edge_line_deep_in_a_big_file = staticmethod(
+        test_malformed_edge_line_deep_in_a_big_file)
+    test_field_errors = staticmethod(test_field_errors)
+    test_edge_value_errors_name_the_first_bad_edge = staticmethod(
+        test_edge_value_errors_name_the_first_bad_edge)
+    test_edge_count_mismatch = staticmethod(test_edge_count_mismatch)
+    test_unusual_but_valid_layouts = staticmethod(test_unusual_but_valid_layouts)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_file_with_a_compressed_name(tmp_path, suffix):
+    # numpy would decompress a file by this name; the file is plain text
+    text = "\n".join(_big_file(m=300)) + "\n"
+    G, b = read_graph(_write_file(tmp_path / f"g.txt{suffix}", text))
+    G0, b0 = parse_graph(text)
+    assert triples(G) == triples(G0) and b == b0
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_graph_from_a_pipe():
+    # a pipe can be read once, so its edge lines must not be read again by name
+    text = "\n".join(_big_file(m=300)) + "\n"
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode())
+        os.close(w)
+        G, b = read_graph(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    G0, b0 = parse_graph(text)
+    assert triples(G) == triples(G0) and b == b0
+
+
+# ------------------------------------------------------------ the writer
+
+def _format_reference(G: MultiGraph, b: Capacities | None = None) -> str:
+    """The writer as one ``str.format`` call per edge line."""
+    out = [f"g {G.n} {G.m} {G.W}\n"]
+    if b is not None:
+        out += [f"b {v} {b[v]}\n" for v in range(G.n) if b[v] != 1]
+    out += map("e {} {} {}\n".format, G.u.tolist(), G.v.tolist(), G.w.tolist())
+    return "".join(out)
+
+
+@pytest.mark.parametrize("n, W, dtype", [
+    (100, 3, np.int8),
+    (30_000, 20_000, np.int16),
+    (100_000, 2**31 - 1, np.int32),
+    (50, 2**70, object),
+])
+def test_format_graph_matches_the_reference(n, W, dtype):
+    rng = np.random.default_rng(n)
+    m = 3_000
+    u = rng.integers(0, n, m)
+    v = (u + rng.integers(1, n, m)) % n
+    w = rng.integers(1, min(W, 2**62), m, endpoint=True).astype(object)
+    # each side of a new digit, and the cap
+    ends = [x for x in (1, 9, 10, 99, 100, 10**20, W - 1, W) if x <= W]
+    w[:len(ends)] = ends
+    G = MultiGraph.from_columns(n, u, v, w, W=W)
+    assert G.w.dtype == dtype
+    b = Capacities([1 + x % 3 for x in range(n)])
+    for caps in (None, b):
+        assert format_graph(G, caps) == _format_reference(G, caps)
+
+
+def test_format_graph_edge_cases():
+    for G, b in [(MultiGraph(3, []), None), (MultiGraph(3, []), Capacities([2, 1, 1])),
+                 (MultiGraph(1, []), Capacities([5])),
+                 (MultiGraph(11, [(0, 10, 1), (9, 10, 1)]), None)]:
+        assert format_graph(G, b) == _format_reference(G, b)
+    top = np.iinfo(np.int64).max  # 19 digits in every column
+    G = MultiGraph.from_columns(top, [0, 9, top - 1], [top - 1, 10, 1], [top, 1, 10], W=top)
+    assert G.u.dtype == G.w.dtype == np.int64
+    assert format_graph(G) == _format_reference(G)
+
+
+def test_format_graph_peak_memory():
+    # traced peak at m=2e5 (n=100, W=3): 9.9 MB, against 18.2 MB for the
+    # reference writer's strings
+    rng = np.random.default_rng(7)
+    m = 200_000
+    u = rng.integers(0, 50, m)
+    G = MultiGraph.from_columns(100, u, u + 50, rng.integers(1, 4, m), W=3)
+    peaks = []
+    for writer in (format_graph, _format_reference):
+        tracemalloc.start()
+        writer(G)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
