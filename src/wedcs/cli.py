@@ -19,14 +19,10 @@ from fractions import Fraction
 
 from .edcs import EdcsParams, _checked_epsilon, build_wb_edcs, parameters_for, validate
 from .generators import GenSpec, multicopy_instance, random_instance, tight_instance
-from .graph import Capacities, MultiGraph, Subgraph
+from .graph import Capacities, MultiGraph, Subgraph, _relevant_ids
 from .graph_io import (GraphFormatError, match_subgraph_edges, read_graph, write_graph,
                        write_subgraph)
-from .matching import (
-    DEFAULT_ORACLE_BUDGET,
-    OracleBudgetExceeded,
-    max_weight_b_matching_exact,
-)
+from .matching import DEFAULT_ORACLE_BUDGET, OracleBudgetExceeded, optimum_weight
 from .streaming import file_order_stream, make_stream, run_with_fallbacks
 
 log = logging.getLogger("wedcs")
@@ -171,7 +167,7 @@ def _worker(seed) -> dict:
 def _oracle_weight(graph: MultiGraph, caps: Capacities, args) -> int | None:
     """The exact optimum, or None when the oracle's budget runs out."""
     try:
-        return max_weight_b_matching_exact(graph, caps, args.oracle_budget).weight
+        return optimum_weight(graph, caps, args.oracle_budget)
     except OracleBudgetExceeded:
         log.info("exact oracle infeasible for %s; ratios omitted", args.graph)
         return None
@@ -186,6 +182,10 @@ def cmd_stream(args) -> int:
     params = _params_from_args(args, graph.W)
     if params.epsilon is None:
         raise InputError("stream requires --epsilon")
+    # the pair numbering and the relevant ids, cached on the graph: every
+    # stream and the oracle read them, forked workers inherit them, and
+    # serial seeds reuse them
+    _relevant_ids(graph, caps)
 
     shared = (graph, caps, params, args.epsilon, args.variant, args.oracle_budget)
     if args.jobs > 1 and len(seeds) > 1:

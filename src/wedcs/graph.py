@@ -39,12 +39,14 @@ class MultiGraph:
     Parallel edges and repeated (endpoints, weight) triples are allowed.
     The columns are the whole graph: code that needs per-vertex sums or
     neighbours derives them from the columns where it runs.  Apart from
-    the pair caches, instances never change after construction and are
-    safe to share across threads (two threads racing on a first call build
-    equal values and one is kept).
+    the pair caches and the cached relevant ids (one entry, for the last
+    capacities asked, see :func:`_relevant_ids`), instances never change
+    after construction and are safe to share across threads (two threads
+    racing on a first call build equal values and one is kept).  A
+    forked process inherits whatever the caches hold at the fork.
     """
 
-    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends")
+    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_relevant")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         self._setup(n, *_triple_columns(list(edges)), W)
@@ -83,6 +85,7 @@ class MultiGraph:
         self.w = w.astype(_int_type(W))
         self._pair: np.ndarray | None = None
         self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
+        self._relevant: tuple[tuple[int, ...], np.ndarray] | None = None
 
     @property
     def m(self) -> int:
@@ -133,16 +136,17 @@ class MultiGraph:
             groups.setdefault(key, []).append(eid)
         return groups
 
-    def restrict(self, edge_ids: Iterable[int]) -> tuple["MultiGraph", list[int]]:
+    def restrict(self, edge_ids: Iterable[int]) -> tuple["MultiGraph", np.ndarray]:
         """New graph over the same vertices containing only ``edge_ids``.
 
         Edges keep their relative id order; returns the new graph and the
-        list mapping new edge ids back to the originals.
+        int64 array mapping new edge ids back to the originals (ascending,
+        so ``old_ids[ids]`` maps ascending new ids to ascending old ones).
         """
         ids = np.sort(_id_array(edge_ids))
         ids = ids[_run_starts(ids)]
         graph = MultiGraph.from_columns(self.n, self.u[ids], self.v[ids], self.w[ids], W=self.W)
-        return graph, ids.tolist()
+        return graph, ids
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m}, W={self.W})"
@@ -216,9 +220,11 @@ class Subgraph:
 
     ``wdeg[v]`` caches the weighted degree (sum of member-edge weights at
     ``v``) and ``deg[v]`` the plain degree, both lists of Python ints; the
-    constructor counts them over the parent's columns in one pass.
-    Single-writer: mutate from one thread only; concurrent readers are
-    fine between mutations.
+    constructor counts them over the parent's columns in one pass.  The
+    builder's ledger (:class:`wedcs.edcs._Ledger`) is the one writer that
+    changes ``members`` and the degrees after construction.  Single-writer:
+    mutate from one thread only; concurrent readers are fine between
+    mutations.
     """
 
     __slots__ = ("parent", "members", "wdeg", "deg")
@@ -231,26 +237,6 @@ class Subgraph:
         if ids.size and not (ids.min() >= 0 and ids.max() < parent.m):
             raise IndexError(f"edge ids must lie in [0, {parent.m})")
         self.wdeg, self.deg = _vertex_sums(parent, ids)
-
-    def add(self, eid: int) -> None:
-        if eid in self.members:
-            raise ValueError(f"edge {eid} already in subgraph")
-        u, v, w = self.parent.triple(eid)
-        self.members.add(eid)
-        self.wdeg[u] += w
-        self.wdeg[v] += w
-        self.deg[u] += 1
-        self.deg[v] += 1
-
-    def remove(self, eid: int) -> None:
-        if eid not in self.members:
-            raise ValueError(f"edge {eid} not in subgraph")
-        u, v, w = self.parent.triple(eid)
-        self.members.remove(eid)
-        self.wdeg[u] -= w
-        self.wdeg[v] -= w
-        self.deg[u] -= 1
-        self.deg[v] -= 1
 
     def weighted_degree(self, v: int) -> int:
         """Sum of weights of member edges incident to ``v``; O(1)."""
@@ -300,17 +286,38 @@ def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _relevant_ids(G: MultiGraph, b: Capacities) -> list[int]:
-    """Ids of the relevant subgraph, ascending: for every unordered pair,
-    its min(b_u, b_v) heaviest edges, smaller ids first on equal weights.
+def _relevant_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
+    """Ids of the relevant subgraph as a read-only int64 array, ascending:
+    for every unordered pair, its min(b_u, b_v) heaviest edges, smaller
+    ids first on equal weights.
 
-    One stable sort by (pair, -w) ranks the edges of each pair, so edges
-    of equal weight keep their id order."""
-    by = np.lexsort((-G.w, G.pair))
-    pair = G.pair[by]
-    keep = np.zeros(G.m, dtype=bool)
-    keep[by] = _rank_in_runs(pair) < _pair_caps(G, b)[pair]
-    return np.flatnonzero(keep).tolist()
+    Cached on ``G`` for the capacities of the last call, so every caller
+    after the first (the stream runner's store, its ``small_output``
+    extraction, the oracle) reads the same array; ``wedcs stream`` fills
+    the cache before its workers fork."""
+    cached = G._relevant
+    if cached is None or cached[0] != b.b:
+        cached = G._relevant = b.b, _select_relevant(G, _pair_caps(G, b))
+    return cached[1]
+
+
+def _select_relevant(G: MultiGraph, caps: np.ndarray) -> np.ndarray:
+    """:func:`_relevant_ids` computed, given min(b_u, b_v) per pair id.
+
+    When no pair holds more than its cap, that is every edge, found with
+    one count over the pairs.  Otherwise one stable sort by (pair, -w)
+    ranks the edges of each pair, so edges of equal weight keep their id
+    order."""
+    if (np.bincount(G.pair, minlength=len(caps)) <= caps).all():
+        ids = np.arange(G.m)
+    else:
+        by = np.lexsort((-G.w, G.pair))
+        pair = G.pair[by]
+        keep = np.zeros(G.m, dtype=bool)
+        keep[by] = _rank_in_runs(pair) < caps[pair]
+        ids = np.flatnonzero(keep)
+    ids.flags.writeable = False
+    return ids
 
 
 def _first_crowded_pair(G: MultiGraph, limit) -> tuple[int, int] | None:

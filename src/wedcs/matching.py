@@ -5,7 +5,9 @@ against.  Non-bipartite instances go through a budgeted branch-and-bound;
 bipartite instances (detected by 2-coloring) go through a weight-level
 primal-dual method that stays exact at sizes branch-and-bound cannot
 reach and proves each answer with a König–Egerváry dual certificate,
-checked in integers.  Both are deterministic.
+checked in integers.  Both are deterministic.  :func:`optimum_weight`,
+the weight-only oracle, solves the relevant subgraph and lifts the
+certificate's labels until it covers every edge of the input.
 
 The primal-dual method keeps one CSR of arcs over its classes, built
 once, runs its breadth-first searches as array steps over the round's
@@ -20,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _int_type, _pair_caps
+from .graph import (Capacities, MultiGraph, Subgraph, _first_crowded_pair, _int_type,
+                    _pair_caps, _relevant_ids)
 
 __all__ = [
     "BMatching",
@@ -28,6 +31,7 @@ __all__ = [
     "DEFAULT_ORACLE_BUDGET",
     "bipartition_sides",
     "max_weight_b_matching_exact",
+    "optimum_weight",
     "branch_and_bound_b_matching",
     "bipartite_b_matching",
     "max_weight_b_matching_greedy",
@@ -115,6 +119,85 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
     if sides is not None:
         return bipartite_b_matching(G, b, sides)
     return branch_and_bound_b_matching(G, b, budget)
+
+
+def optimum_weight(G: MultiGraph, b: Capacities, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
+    """The weight of a maximum-weight b-matching of G, solved on G's
+    relevant subgraph R (every pair's min(b_u, b_v) heaviest edges).
+
+    R has every pair of G, so it is bipartite exactly when G is.  On
+    bipartite input the primal-dual method solves R with its certificate;
+    the labels are then lifted (:func:`_lifted_labels`) and the value
+    sum(b_v * y_v) + sum_e max(0, w_e - y_u - y_v) over every edge of G
+    must equal the weight, proved in integers.  Other input goes to
+    branch-and-bound on R within ``budget`` nodes, without a certificate.
+    Either way the matching, mapped to G's ids, must pass
+    :meth:`BMatching.verify` on G.  On bipartite input the certificate
+    reads every edge of G, so a wrong relevant set raises
+    ``RuntimeError`` instead of agreeing with a stream extraction that
+    read the same ids.  When R is all of G, G is solved without a copy
+    and its own certificate covers it.
+    """
+    keep = _relevant_ids(G, b)
+    R = G if len(keep) == G.m else G.restrict(keep)[0]
+    if not R.m:
+        return 0
+    sides = bipartition_sides(R)
+    if sides is None:
+        found = branch_and_bound_b_matching(R, b, budget)
+        ids, weight = np.asarray(found.edge_ids, dtype=np.int64), found.weight
+    else:
+        ids, weight, y = _certified_solve(R, b, sides)
+        if R is not G:
+            _check_cover(G, b, _lifted_labels(G, b, keep, y), weight)
+    if not BMatching(keep[ids].tolist(), weight).verify(G, b):
+        raise RuntimeError("the relevant subgraph's matching fails verification on G")
+    return weight
+
+
+def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Optimal labels y of the relevant subgraph R (edge ids ``keep``),
+    raised so that they cover the edges G has outside R; as int64.
+
+    At every pair with edges outside R, let w_min be the lightest weight
+    R keeps of it (no dropped edge is heavier) and s the endpoint of
+    smaller capacity (the smaller id on equal ones).  s is raised by
+    delta = max(0, w_min - y_u - y_v).  The dual value does not change:
+    delta > 0 means every kept copy has y_u + y_v < w, so by
+    complementary slackness all min(b_u, b_v) = b_s of them are taken,
+    s is full with this pair alone and no other class at s carries flow.
+    The label term grows by b_s * delta and the b_s kept copies' slacks
+    fall by delta each; no other slack at s was positive.  So at most
+    one pair lifts a vertex, but the lifts are added with ``np.add.at``
+    all the same: a fancy ``+=`` keeps one write per vertex, and a zero
+    lift of another pair at s could overwrite the real one."""
+    caps = _pair_caps(G, b)
+    cut = np.bincount(G.pair, minlength=len(caps)) > caps
+    kept_pair = G.pair[keep]
+    on_cut = cut[kept_pair]
+    w_min = np.full(len(caps), G.W, dtype=np.int64)
+    np.minimum.at(w_min, kept_pair[on_cut], G.w[keep[on_cut]])
+    lo, hi = (ends[cut] for ends in G.pair_ends)
+    y = y.astype(np.int64)
+    delta = np.maximum(w_min[cut] - y[lo] - y[hi], 0)
+    cap = np.asarray(b.b)
+    s = np.where(cap[hi] < cap[lo], hi, lo)
+    np.add.at(y, s, delta)
+    return y
+
+
+def _check_cover(G: MultiGraph, b: Capacities, y: np.ndarray, weight: int) -> None:
+    """Prove in integers that no b-matching of G weighs more than
+    ``weight``: y is non-negative and, with z = max(0, w - y_u - y_v) per
+    edge of G, (y, z) is a feasible dual whose value sum(b_v * y_v) +
+    sum(z) equals ``weight``.  Raises ``RuntimeError`` otherwise."""
+    if (y < 0).any():
+        raise RuntimeError(f"vertex {int(np.flatnonzero(y < 0)[0])} has a negative label")
+    slack = G.w - y[G.u] - y[G.v]
+    dual = sum(bv * yv for bv, yv in zip(b.b, y.tolist()))
+    dual += int(np.maximum(slack, 0).sum())
+    if dual != weight:
+        raise RuntimeError(f"lifted dual bound {dual} does not certify weight {weight} on G")
 
 
 def max_weight_b_matching_greedy(G: MultiGraph, b: Capacities) -> BMatching:
@@ -233,16 +316,25 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
         sides = bipartition_sides(G)
         if sides is None:
             raise ValueError("graph is not bipartite")
-    classes, cls, rank = _classes(G, sides)
     if G.m == 0:
         return BMatching([], 0)
-    x, y = _primal_dual(classes, b, G.n)
-    weight = _check_certificate(classes, x, y, b)
-    # each class takes its x lowest ids
-    result = BMatching(np.flatnonzero(rank < x[cls]).tolist(), weight)
+    ids, weight, _ = _certified_solve(G, b, sides)
+    result = BMatching(ids.tolist(), weight)
     if not result.verify(G, b):
         raise RuntimeError("primal-dual solution failed verification")  # pragma: no cover
     return result
+
+
+def _certified_solve(G: MultiGraph, b: Capacities,
+                     sides: Sequence[int]) -> tuple[np.ndarray, int, np.ndarray]:
+    """The primal-dual method on G (at least one edge): the ids of an
+    optimal b-matching, its weight once the certificate has proven it,
+    and the certificate's labels y."""
+    classes, cls, rank = _classes(G, sides)
+    x, y = _primal_dual(classes, b, G.n)
+    weight = _check_certificate(classes, x, y, b)
+    # each class takes its x lowest ids
+    return np.flatnonzero(rank < x[cls]), weight, y
 
 
 def _classes(G: MultiGraph, sides: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

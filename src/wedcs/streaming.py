@@ -114,9 +114,17 @@ class EdgeStream:
         ids = np.asarray(self.order)
         if ids.ndim != 1 or len(ids) != m or m > 0 and not (
                 ids.dtype.kind in "iu" and ids.min() >= 0 and ids.max() < m
-                and np.bincount(ids, minlength=m).all()):
+                and _hits_all(ids, m)):
             raise ValueError("order must be a permutation of all edge ids")
         object.__setattr__(self, "order", ids.astype(_order_type(m), copy=False))
+
+
+def _hits_all(ids: np.ndarray, m: int) -> bool:
+    """Whether ids, all in [0, m), hit every id of [0, m): one bool
+    scatter, where a count would take m int64s."""
+    hit = np.zeros(m, dtype=bool)
+    hit[ids] = True
+    return bool(hit.all())
 
 
 def _order_type(m: int) -> type:
@@ -212,8 +220,11 @@ class StreamRunStats:
 
 
 class StreamRunResult(NamedTuple):
+    """H as a ledger-backed subgraph; X as the int array of its edge ids,
+    in stream order."""
+
     H: Subgraph
-    X: Subgraph
+    X: np.ndarray
     matching: BMatching
     stats: StreamRunStats
 
@@ -227,14 +238,14 @@ class _RelevantStore:
     min(b_u, b_v) edges of its pair arrived before it.  It dies at the
     first position where its size reaches ``cap`` (at once when
     ``cap < 1``) and has size 0 from there on.  Its size only grows, to
-    ``final`` = |relevant subgraph|, so it survives (``alive``) exactly
-    when cap >= 1 and final < cap."""
+    ``final`` = |relevant subgraph| (the length of the graph's cached
+    relevant ids), so it survives (``alive``) exactly when cap >= 1 and
+    final < cap."""
 
     def __init__(self, G: MultiGraph, b: Capacities, order: np.ndarray, cap: float):
         self.pair, self.order, self.cap = G.pair, order, cap
         self.limit = _pair_caps(G, b)
-        count = np.bincount(self.pair, minlength=len(self.limit))
-        self.final = int(np.minimum(count, self.limit).sum())
+        self.final = len(_relevant_ids(G, b))
         self.alive = cap >= 1 and self.final < cap
         self.death = 0 if cap < 1 else len(order)  # the first position of size 0
         self.seen = np.zeros(len(self.limit), dtype=np.int64)
@@ -313,22 +324,23 @@ def _with_members(H: Subgraph, X: np.ndarray) -> np.ndarray:
     return np.concatenate((np.fromiter(H.members, dtype=np.int64, count=len(H.members)), X))
 
 
-def _extract(H: Subgraph, X: Iterable[int], stats: StreamRunStats, b: Capacities,
+def _extract(H: Subgraph, X: np.ndarray, stats: StreamRunStats, b: Capacities,
              edge_ids: Iterable[int], oracle_budget: int) -> StreamRunResult:
     """Best b-matching restricted to ``edge_ids``, recorded in ``stats``:
-    exact when the solver budget allows, greedy otherwise.  ``X`` holds
-    the ids of the side set."""
-    G = H.parent
-    sub, old_ids = G.restrict(edge_ids)
+    exact when the solver budget allows, greedy otherwise.  ``X``, the
+    side set's id array, is returned as given.  The solver's ids map back
+    to G's through ``restrict``'s id array in one gather."""
+    sub, old_ids = H.parent.restrict(edge_ids)
     try:
         found = max_weight_b_matching_exact(sub, b, oracle_budget)
         stats.extraction = "exact"
     except OracleBudgetExceeded:
         found = max_weight_b_matching_greedy(sub, b)
         stats.extraction = "greedy"
-    matching = BMatching(sorted(old_ids[j] for j in found.edge_ids), found.weight)
+    ids = np.sort(old_ids[np.asarray(found.edge_ids, dtype=np.int64)])
+    matching = BMatching(ids.tolist(), found.weight)
     stats.result_weight = matching.weight
-    return StreamRunResult(H, Subgraph(G, X), matching, stats)
+    return StreamRunResult(H, X, matching, stats)
 
 
 def run_single_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon, *,

@@ -87,6 +87,31 @@ def primal_dual_cover(G: MultiGraph, sides) -> list[int]:
     return alpha
 
 
+def add_edge(H: Subgraph, eid: int) -> None:
+    """Add edge ``eid`` to H, keeping its degree caches; the package's
+    own writer is the builder's ledger."""
+    if eid in H.members:
+        raise ValueError(f"edge {eid} already in subgraph")
+    u, v, w = H.parent.triple(eid)
+    H.members.add(eid)
+    H.wdeg[u] += w
+    H.wdeg[v] += w
+    H.deg[u] += 1
+    H.deg[v] += 1
+
+
+def remove_edge(H: Subgraph, eid: int) -> None:
+    """Remove edge ``eid`` from H, keeping its degree caches."""
+    if eid not in H.members:
+        raise ValueError(f"edge {eid} not in subgraph")
+    u, v, w = H.parent.triple(eid)
+    H.members.remove(eid)
+    H.wdeg[u] -= w
+    H.wdeg[v] -= w
+    H.deg[u] -= 1
+    H.deg[v] -= 1
+
+
 def triples(G: MultiGraph) -> list[tuple[int, int, int]]:
     """Every edge as a (u, v, w) tuple of Python ints, in id order."""
     return list(zip(G.u.tolist(), G.v.tolist(), G.w.tolist()))
@@ -206,7 +231,8 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
     (``with_store=True``).  Phase 1 follows the runner's level and epoch
     schedule; phase 2 tests every later edge against the frozen H, and
     the peak counts |H| + |X| + the store's size after every tracked step.
-    Returns the same ``StreamRunResult`` the runner does."""
+    Returns the same ``StreamRunResult`` the runner does, with X as its
+    ids in ascending order."""
     import math
     from wedcs import StreamRunStats, Subgraph
     from wedcs.edcs import _checked_epsilon
@@ -233,11 +259,11 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
         peak = max(peak, len(H.members) + len(X) + (store.size if store else 0))
 
     def h_add(eid):
-        H.add(eid)
+        add_edge(H, eid)
         pair_h.setdefault(pair[eid], set()).add(eid)
 
     def h_remove(eid):
-        H.remove(eid)
+        remove_edge(H, eid)
         pair_h[pair[eid]].discard(eid)
 
     def degree_underfull(eid):
@@ -337,7 +363,8 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
         edge_ids = store.edge_ids()
     else:
         edge_ids = sorted(H.members | X)
-    return _extract(H, X, stats, b, edge_ids, DEFAULT_ORACLE_BUDGET)
+    return _extract(H, np.array(sorted(X), dtype=np.int64), stats, b, edge_ids,
+                    DEFAULT_ORACLE_BUDGET)
 
 
 def reference_local_search(G: MultiGraph, b: Capacities, params, *,

@@ -327,7 +327,7 @@ def test_criterion_9_replacement_variant():
         G, b = make_random(85_000 + seed, n=14, m=50, W=3, b_max=3)
         r1 = run_single_pass(make_stream(G, seed), b, params_a, "0.3", variant=1)
         r3 = run_single_pass(make_stream(G, seed), b, params_a, "0.3", variant=3)
-        assert r1.H.members == r3.H.members and r1.X.members == r3.X.members
+        assert r1.H.members == r3.H.members and set(r1.X.tolist()) == set(r3.X.tolist())
         assert r1.matching.edge_ids == r3.matching.edge_ids
         d1, d3 = r1.stats.to_json_dict(), r3.stats.to_json_dict()
         d1.pop("variant"), d3.pop("variant")

@@ -146,7 +146,7 @@ def test_stream_rejects_bad_epsilon_before_the_oracle(tmp_path, capsys, monkeypa
     def no_oracle(*args):
         raise AssertionError("the oracle ran before epsilon was checked")
 
-    monkeypatch.setattr(cli, "max_weight_b_matching_exact", no_oracle)
+    monkeypatch.setattr(cli, "optimum_weight", no_oracle)
     graph = tmp_path / "g.txt"
     graph.write_text("g 2 1 1\ne 0 1 1\n")
     assert main(["stream", str(graph), "--seeds", "0-3", f"--epsilon={epsilon}",
@@ -170,7 +170,7 @@ def test_stream_rejects_bad_seeds_before_the_oracle(tmp_path, capsys, monkeypatc
     def no_oracle(*args):
         raise AssertionError("the oracle ran before the seeds were checked")
 
-    monkeypatch.setattr(cli, "max_weight_b_matching_exact", no_oracle)
+    monkeypatch.setattr(cli, "optimum_weight", no_oracle)
     graph = tmp_path / "g.txt"
     graph.write_text("g 2 1 1\ne 0 1 1\n")
     assert main(["stream", str(graph), f"--seeds={seeds}", "--epsilon", "0.2",
@@ -257,6 +257,64 @@ def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
                      "--jobs", jobs]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
+    # the pair numbering and the relevant ids are built once, in the
+    # parent, before the pool forks: a worker that built them would
+    # raise, and the parent builds each exactly once for four streams
+    # and the oracle
+    import wedcs.cli as cli
+    import wedcs.graph as graph
+
+    spec = _write_spec(tmp_path, {"kind": "random", "seed": 11, "n": 10, "m": 200, "W": 3,
+                                  "b_min": 1, "b_max": 2, "bipartite": True,
+                                  "allow_parallel": True})
+    path = str(tmp_path / "g.txt")
+    main(["gen", "--spec", spec, "--out", path])
+    parent = os.getpid()
+    calls = {"pairs": 0, "relevant": 0}
+
+    def once(name, build):
+        def spy(*args):
+            if os.getpid() != parent:
+                raise RuntimeError(f"a worker built the {name} again")
+            calls[name] += 1
+            return build(*args)
+        return spy
+
+    monkeypatch.setattr(graph.MultiGraph, "_number_pairs",
+                        once("pairs", graph.MultiGraph._number_pairs))
+    monkeypatch.setattr(graph, "_select_relevant", once("relevant", graph._select_relevant))
+    outputs = []
+    for jobs in ("2", "1"):
+        assert main(["stream", path, "--seeds", "0-3", "--epsilon", "0.2", "--beta", "6",
+                     "--variant", "3", "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert calls == {"pairs": 1, "relevant": 1}, jobs
+        calls.update(pairs=0, relevant=0)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("bipartite, n, m, weight", [(True, 10, 200, 21), (False, 9, 120, 18)],
+                         ids=["bipartite", "general"])
+def test_stream_oracle_solves_the_relevant_subgraph(tmp_path, capsys, bipartite, n, m, weight):
+    # raw multiplicities: the oracle solves a relevant subgraph smaller
+    # than G and reports G's optimum
+    from wedcs import max_weight_b_matching_exact, read_graph
+    from wedcs.graph import _relevant_ids
+
+    spec = _write_spec(tmp_path, {"kind": "random", "seed": 11, "n": n, "m": m, "W": 3,
+                                  "b_min": 1, "b_max": 2, "bipartite": bipartite,
+                                  "allow_parallel": True})
+    path = str(tmp_path / "g.txt")
+    main(["gen", "--spec", spec, "--out", path])
+    G, b = read_graph(path)
+    assert len(_relevant_ids(G, b)) < G.m
+    assert max_weight_b_matching_exact(G, b, 10**7).weight == weight
+    assert main(["stream", path, "--seeds", "0-1", "--epsilon", "0.2", "--beta", "6",
+                 "--variant", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["oracle_weight"] == weight
 
 
 def test_stream_outputs_are_byte_identical(tmp_path, capsys):

@@ -245,7 +245,7 @@ def _stream_digests(stream, result) -> dict[str, str]:
         "stats": _digest(result.stats.to_json_dict()),
         "matching": _digest({"edge_ids": list(result.matching.edge_ids),
                              "weight": result.matching.weight}),
-        "sets": _digest({"H": sorted(result.H.members), "X": sorted(result.X.members)}),
+        "sets": _digest({"H": sorted(result.H.members), "X": sorted(result.X.tolist())}),
     }
 
 

@@ -9,7 +9,7 @@ from wedcs import (
     relevant_subgraph,
 )
 
-from helpers import make_random, triples
+from helpers import add_edge, make_random, pair_count, remove_edge, triples
 
 
 def test_weighted_degree_empty_subgraph():
@@ -69,9 +69,9 @@ def test_cache_coherence_random_edit_script(data):
     ops = data.draw(st.lists(st.integers(0, G.m - 1), max_size=60))
     for eid in ops:
         if eid in H:
-            H.remove(eid)
+            remove_edge(H, eid)
         else:
-            H.add(eid)
+            add_edge(H, eid)
     # fresh recount from the member set alone
     wdeg = [0] * G.n
     deg = [0] * G.n
@@ -113,6 +113,51 @@ def test_relevant_subgraph_idempotent(seed):
     assert sorted(old_ids[j] for j in R2.members) == sorted(R1.members)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_relevant_ids_match_a_per_pair_reference(seed):
+    # every pair's min(b_u, b_v) heaviest edges, smaller ids first on ties
+    from wedcs.graph import _relevant_ids
+
+    n, raw = 2 + seed % 9, seed % 2 == 0
+    m = 5 * seed + 1 if raw else min(5 * seed + 1, pair_count(n, False))
+    G, b = make_random(seed, n=n, m=m, W=3, b_max=3, allow_parallel=raw)
+    want = []
+    for (u, v), ids in G.pair_groups().items():
+        want += sorted(ids, key=lambda i: (-G.triple(i)[2], i))[:min(b[u], b[v])]
+    assert _relevant_ids(G, b).tolist() == sorted(want)
+
+
+def test_relevant_ids_are_cached_for_the_last_capacities():
+    from wedcs.graph import _relevant_ids
+
+    G = MultiGraph(3, [(0, 1, 1), (0, 1, 2), (1, 2, 3)])
+    one, two = Capacities.uniform(3), Capacities.uniform(3, 2)
+    ids = _relevant_ids(G, one)
+    assert ids.tolist() == [1, 2] and not ids.flags.writeable
+    assert _relevant_ids(G, Capacities.uniform(3)) is ids
+    assert _relevant_ids(G, two).tolist() == [0, 1, 2]
+    assert _relevant_ids(G, one) is not ids
+    assert _relevant_ids(G, one).tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        _relevant_ids(G, Capacities.uniform(2))
+
+
+def test_relevant_ids_skip_the_sort_when_no_pair_is_crowded(monkeypatch):
+    import numpy as np
+
+    from wedcs.graph import _relevant_ids
+
+    G, b = make_random(4, n=30, m=60, W=3, b_max=3)
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    assert _relevant_ids(G, b).tolist() == list(range(G.m))
+    assert calls == []
+    crowded = MultiGraph(2, [(0, 1, 1), (0, 1, 2)])
+    assert _relevant_ids(crowded, Capacities.uniform(2)).tolist() == [1]
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_relevant_subgraph_preserves_optimum(seed):
     G, b = make_random(seed, n=6, m=14, W=4, b_max=3, allow_parallel=True)
@@ -126,7 +171,7 @@ def test_relevant_subgraph_preserves_optimum(seed):
 def test_restrict_maps_ids():
     G = MultiGraph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
     sub, old = G.restrict([2, 0])
-    assert old == [0, 2]
+    assert old.tolist() == [0, 2]
     assert triples(sub) == [(0, 1, 1), (0, 2, 3)]
 
 
@@ -134,7 +179,7 @@ def test_subgraph_add_remove_errors():
     G = MultiGraph(2, [(0, 1, 1)])
     H = Subgraph(G)
     with pytest.raises(ValueError):
-        H.remove(0)
-    H.add(0)
+        remove_edge(H, 0)
+    add_edge(H, 0)
     with pytest.raises(ValueError):
-        H.add(0)
+        add_edge(H, 0)

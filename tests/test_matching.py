@@ -21,6 +21,7 @@ from wedcs import (
     distribute_edges,
     max_weight_b_matching_exact,
     max_weight_b_matching_greedy,
+    optimum_weight,
     split_vertices,
 )
 from wedcs.matching import _check_certificate
@@ -30,6 +31,7 @@ from helpers import (
     brute_force_min_cover_weight,
     check_distribution_properties,
     make_random,
+    pair_count,
     primal_dual_cover,
     random_distribution_input,
 )
@@ -320,3 +322,136 @@ def test_split_rejects_bad_matching():
     b = Capacities.uniform(2)
     with pytest.raises(ValueError):
         split_vertices(G, b, Subgraph(G), BMatching([0, 0], 2))
+
+
+# ------------------------------------------------------- the weight oracle
+
+def _oracle_cases(bipartite: bool, count: int, simple: tuple[int, int],
+                  raw: tuple[int, int]):
+    """Seeded instances for :func:`optimum_weight`, alternately simple
+    graphs of up to ``simple`` = (n, m) vertices and edges and raw
+    multiplicities of up to ``raw`` = (n, m), whose crowded pairs make
+    the relevant subgraph drop edges."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n_max, m_max = raw if seed % 2 == 0 else simple
+        n = int(rng.integers(2, n_max + 1))
+        m = int(rng.integers(1, m_max + 1))
+        if seed % 2:
+            m = min(m, pair_count(n, bipartite))
+        yield seed, make_random(seed, n=n, m=m, W=int(rng.integers(1, 5)),
+                                b_max=int(rng.integers(1, 6)), bipartite=bipartite,
+                                allow_parallel=seed % 2 == 0)
+
+
+#: 300 simple and 300 raw-multiplicity bipartite instances
+BIPARTITE_CASES = dict(bipartite=True, count=600, simple=(60, 800), raw=(30, 300))
+
+
+def _lift_counts(monkeypatch) -> list[int]:
+    """Per call of ``_lifted_labels`` from now on, how many labels it raised."""
+    import wedcs.matching as matching
+
+    lifted = matching._lifted_labels
+    lifts = []
+
+    def spy(G, b, keep, y):
+        raised = lifted(G, b, keep, y)
+        lifts.append(int((raised > y).sum()))
+        return raised
+
+    monkeypatch.setattr(matching, "_lifted_labels", spy)
+    return lifts
+
+
+def test_optimum_weight_matches_the_exact_solver_on_bipartite_graphs(monkeypatch):
+    from wedcs.matching import _relevant_ids
+
+    lifts = _lift_counts(monkeypatch)
+    smaller = 0
+    for seed, (G, b) in _oracle_cases(**BIPARTITE_CASES):
+        smaller += len(_relevant_ids(G, b)) < G.m
+        assert optimum_weight(G, b) == max_weight_b_matching_exact(G, b).weight, seed
+    assert smaller == len(lifts) > 250
+    assert sum(1 for k in lifts if k) >= 15
+
+
+def test_optimum_weight_fails_its_check_without_the_lift(monkeypatch):
+    # only instances that take a positive lift can fail without it, and
+    # some do
+    import wedcs.matching as matching
+
+    lifts = _lift_counts(monkeypatch)
+    needs_lift = set()
+    for seed, (G, b) in _oracle_cases(**BIPARTITE_CASES):
+        optimum_weight(G, b)
+        if lifts and lifts.pop():
+            needs_lift.add(seed)
+    monkeypatch.setattr(matching, "_lifted_labels", lambda G, b, keep, y: y.astype(np.int64))
+    failed = set()
+    for seed, (G, b) in _oracle_cases(**BIPARTITE_CASES):
+        try:
+            optimum_weight(G, b)
+        except RuntimeError as exc:
+            assert "does not certify" in str(exc)
+            failed.add(seed)
+    assert failed <= needs_lift and len(failed) >= 5
+
+
+def test_lifted_labels_add_every_lift_at_a_shared_endpoint():
+    # vertex 0 is the smaller-capacity end of two crowded pairs: (0, 1)
+    # needs a lift of 3 and (0, 2), listed after it, one of 0; a fancy
+    # ``+=`` would keep the second write and lose the first
+    from wedcs.matching import _lifted_labels, _relevant_ids
+
+    G = MultiGraph(3, [(0, 1, 3), (0, 1, 3), (0, 2, 1), (0, 2, 1)], W=3)
+    b = Capacities([1, 2, 2])
+    keep = _relevant_ids(G, b)
+    assert keep.tolist() == [0, 2]
+    y = np.array([0, 0, 1], dtype=np.int8)
+    assert _lifted_labels(G, b, keep, y).tolist() == [3, 0, 1]
+
+
+def test_lifted_labels_raise_the_smaller_id_on_equal_capacities():
+    from wedcs.matching import _lifted_labels, _relevant_ids
+
+    G = MultiGraph(2, [(1, 0, 2), (0, 1, 1)], W=2)
+    b = Capacities([1, 1])
+    y = np.zeros(2, dtype=np.int8)
+    assert _lifted_labels(G, b, _relevant_ids(G, b), y).tolist() == [2, 0]
+    b = Capacities([2, 1])
+    assert _lifted_labels(G, b, _relevant_ids(G, b), y).tolist() == [0, 2]
+
+
+def test_optimum_weight_matches_branch_and_bound_on_general_graphs():
+    from wedcs.matching import _relevant_ids
+
+    checked = smaller = 0
+    for seed, (G, b) in _oracle_cases(False, 120, simple=(12, 30), raw=(12, 30)):
+        if bipartition_sides(G) is not None:
+            continue
+        assert optimum_weight(G, b) == branch_and_bound_b_matching(G, b, 10**7).weight, seed
+        checked += 1
+        smaller += len(_relevant_ids(G, b)) < G.m
+    assert checked > 50 and smaller > 20
+
+
+def test_optimum_weight_raises_on_a_wrong_relevant_set(monkeypatch):
+    # a relevant set that drops a heavier copy than it keeps agrees with
+    # nothing on G: the lifted labels cover only the kept weight
+    import wedcs.matching as matching
+
+    G = MultiGraph(2, [(0, 1, 1), (0, 1, 3)], W=3)
+    b = Capacities([1, 1])
+    assert optimum_weight(G, b) == 3
+    monkeypatch.setattr(matching, "_relevant_ids", lambda G, b: np.array([0]))
+    with pytest.raises(RuntimeError, match="does not certify"):
+        optimum_weight(G, b)
+
+
+def test_optimum_weight_budget_applies_on_general_graphs():
+    G, b = make_random(2, n=10, m=30, W=4, b_max=2)  # contains odd cycles
+    with pytest.raises(OracleBudgetExceeded):
+        optimum_weight(G, b, budget=5)
+    assert optimum_weight(G, b) == branch_and_bound_b_matching(G, b, 10**7).weight
+    assert optimum_weight(MultiGraph(4, []), Capacities.uniform(4)) == 0

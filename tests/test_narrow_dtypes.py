@@ -71,7 +71,7 @@ def _stream_digest(G, b) -> str:
     result = run_single_pass(make_stream(G, 3), b, PARAMS, "0.49", variant=3)
     return _digest({"stats": result.stats.to_json_dict(),
                     "matching": [list(result.matching.edge_ids), result.matching.weight],
-                    "H": sorted(result.H.members), "X": sorted(result.X.members)})
+                    "H": sorted(result.H.members), "X": sorted(result.X.tolist())})
 
 
 def _exact_digest(G, b) -> str:

@@ -47,6 +47,15 @@ def test_first_pair_numbering_peak():
     assert _traced_peak(lambda: G.pair) < 3.9 * MB
 
 
+def test_first_relevant_ids_peak():
+    # 3.82 MB with the lexsort by (pair, -w) over the numbered pairs
+    from wedcs.graph import _relevant_ids
+
+    G, b = _graph()
+    G.pair
+    assert _traced_peak(lambda: _relevant_ids(G, b)) < 4.5 * MB
+
+
 def test_make_stream_peak():
     # 7.06 MB with the successor scatter, 5.53 MB resolved in sorted space
     G, _ = _graph()
@@ -55,10 +64,15 @@ def test_make_stream_peak():
 
 def test_two_phase_pass_with_surviving_store_peak():
     # 2.60 MB with the per-edge mask and the m-length store series,
-    # 1.56 MB with per-pair thresholds and the store read for phase 1 only
+    # 1.56 MB with per-pair thresholds and the store read for phase 1 only;
+    # the pair numbering and the relevant ids are per-graph caches, built
+    # before the pass as ``wedcs stream`` builds them (their peaks are
+    # bounded above)
+    from wedcs.graph import _relevant_ids
+
     G, b = _graph()
     stream = make_stream(G, 3)
-    G.pair
+    _relevant_ids(G, b)
     params = EdcsParams(W=3, beta=3, beta_minus=1)
     out = []
     peak = _traced_peak(lambda: out.append(streaming._two_phase_pass(
