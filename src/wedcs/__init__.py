@@ -38,7 +38,6 @@ from .matching import (
     distribute_edges,
     max_weight_b_matching_exact,
     max_weight_b_matching_greedy,
-    optimum_weight,
     split_vertices,
 )
 from .streaming import (
@@ -85,7 +84,6 @@ __all__ = [
     "max_weight_b_matching_exact",
     "max_weight_b_matching_greedy",
     "multicopy_instance",
-    "optimum_weight",
     "parameters_for",
     "parse_graph",
     "potential",

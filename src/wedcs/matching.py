@@ -6,8 +6,8 @@ bipartite instances (detected by 2-coloring) go through a weight-level
 primal-dual method that stays exact at sizes branch-and-bound cannot
 reach and proves each answer with a König–Egerváry dual certificate,
 checked in integers.  Both are deterministic.  :func:`optimum_weight`,
-the weight-only oracle, solves the relevant subgraph and lifts the
-certificate's labels until it covers every edge of the input.
+the weight-only oracle, solves a bipartite input's relevant subgraph and
+lifts the certificate's labels until it covers every edge of the input.
 
 The primal-dual method keeps one CSR of arcs over its classes, built
 once, runs its breadth-first searches as array steps over the round's
@@ -122,34 +122,33 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
 
 
 def optimum_weight(G: MultiGraph, b: Capacities, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """The weight of a maximum-weight b-matching of G, solved on G's
-    relevant subgraph R (every pair's min(b_u, b_v) heaviest edges).
+    """The weight of :func:`max_weight_b_matching_exact` on G; on
+    bipartite input it is solved on G's relevant subgraph R (every pair's
+    min(b_u, b_v) heaviest edges).
 
     R has every pair of G, so it is bipartite exactly when G is.  On
     bipartite input the primal-dual method solves R with its certificate;
     the labels are then lifted (:func:`_lifted_labels`) and the value
     sum(b_v * y_v) + sum_e max(0, w_e - y_u - y_v) over every edge of G
-    must equal the weight, proved in integers.  Other input goes to
-    branch-and-bound on R within ``budget`` nodes, without a certificate.
-    Either way the matching, mapped to G's ids, must pass
-    :meth:`BMatching.verify` on G.  On bipartite input the certificate
+    must equal the weight, proved in integers, and the matching, mapped
+    to G's ids, must pass :meth:`BMatching.verify` on G.  The certificate
     reads every edge of G, so a wrong relevant set raises
     ``RuntimeError`` instead of agreeing with a stream extraction that
     read the same ids.  When R is all of G, G is solved without a copy
-    and its own certificate covers it.
+    and its own certificate covers it.  Other input goes to
+    branch-and-bound on G within ``budget`` nodes, as in
+    :func:`max_weight_b_matching_exact`.
     """
     keep = _relevant_ids(G, b)
     R = G if len(keep) == G.m else G.restrict(keep)[0]
-    if not R.m:
-        return 0
     sides = bipartition_sides(R)
     if sides is None:
-        found = branch_and_bound_b_matching(R, b, budget)
-        ids, weight = np.asarray(found.edge_ids, dtype=np.int64), found.weight
-    else:
-        ids, weight, y = _certified_solve(R, b, sides)
-        if R is not G:
-            _check_cover(G, b, _lifted_labels(G, b, keep, y), weight)
+        return branch_and_bound_b_matching(G, b, budget).weight
+    if not R.m:
+        return 0
+    ids, weight, y = _certified_solve(R, b, sides)
+    if R is not G:
+        _check_cover(G, b, _lifted_labels(G, b, keep, y), weight)
     if not BMatching(keep[ids].tolist(), weight).verify(G, b):
         raise RuntimeError("the relevant subgraph's matching fails verification on G")
     return weight
@@ -171,13 +170,16 @@ def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray
     one pair lifts a vertex, but the lifts are added with ``np.add.at``
     all the same: a fancy ``+=`` keeps one write per vertex, and a zero
     lift of another pair at s could overwrite the real one."""
-    caps = _pair_caps(G, b)
-    cut = np.bincount(G.pair, minlength=len(caps)) > caps
+    dropped = np.ones(G.m, dtype=bool)
+    dropped[keep] = False
+    lo, hi = G.pair_ends
+    cut = np.zeros(len(lo), dtype=bool)  # the pairs with edges outside R
+    cut[G.pair[dropped]] = True
     kept_pair = G.pair[keep]
     on_cut = cut[kept_pair]
-    w_min = np.full(len(caps), G.W, dtype=np.int64)
+    w_min = np.full(len(lo), G.W, dtype=np.int64)
     np.minimum.at(w_min, kept_pair[on_cut], G.w[keep[on_cut]])
-    lo, hi = (ends[cut] for ends in G.pair_ends)
+    lo, hi = lo[cut], hi[cut]
     y = y.astype(np.int64)
     delta = np.maximum(w_min[cut] - y[lo] - y[hi], 0)
     cap = np.asarray(b.b)

@@ -238,14 +238,14 @@ class _RelevantStore:
     min(b_u, b_v) edges of its pair arrived before it.  It dies at the
     first position where its size reaches ``cap`` (at once when
     ``cap < 1``) and has size 0 from there on.  Its size only grows, to
-    ``final`` = |relevant subgraph| (the length of the graph's cached
-    relevant ids), so it survives (``alive``) exactly when cap >= 1 and
-    final < cap."""
+    ``final`` = |relevant subgraph|, so it survives (``alive``) exactly
+    when cap >= 1 and final < cap."""
 
     def __init__(self, G: MultiGraph, b: Capacities, order: np.ndarray, cap: float):
         self.pair, self.order, self.cap = G.pair, order, cap
         self.limit = _pair_caps(G, b)
-        self.final = len(_relevant_ids(G, b))
+        count = np.bincount(self.pair, minlength=len(self.limit))
+        self.final = int(np.minimum(count, self.limit).sum())
         self.alive = cap >= 1 and self.final < cap
         self.death = 0 if cap < 1 else len(order)  # the first position of size 0
         self.seen = np.zeros(len(self.limit), dtype=np.int64)

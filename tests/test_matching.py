@@ -21,10 +21,9 @@ from wedcs import (
     distribute_edges,
     max_weight_b_matching_exact,
     max_weight_b_matching_greedy,
-    optimum_weight,
     split_vertices,
 )
-from wedcs.matching import _check_certificate
+from wedcs.matching import _check_certificate, optimum_weight
 
 from helpers import (
     brute_force_b_matching_weight,
@@ -423,17 +422,29 @@ def test_lifted_labels_raise_the_smaller_id_on_equal_capacities():
     assert _lifted_labels(G, b, _relevant_ids(G, b), y).tolist() == [0, 2]
 
 
+def _outcome(solve):
+    try:
+        return solve()
+    except OracleBudgetExceeded:
+        return None
+
+
 def test_optimum_weight_matches_branch_and_bound_on_general_graphs():
+    # general input searches G itself, so a small budget runs out exactly
+    # where branch-and-bound on G runs out, crowded pairs or not
     from wedcs.matching import _relevant_ids
 
-    checked = smaller = 0
+    checked = smaller = ran_out = 0
     for seed, (G, b) in _oracle_cases(False, 120, simple=(12, 30), raw=(12, 30)):
         if bipartition_sides(G) is not None:
             continue
         assert optimum_weight(G, b) == branch_and_bound_b_matching(G, b, 10**7).weight, seed
+        small = _outcome(lambda: optimum_weight(G, b, 40))
+        assert small == _outcome(lambda: branch_and_bound_b_matching(G, b, 40).weight), seed
         checked += 1
         smaller += len(_relevant_ids(G, b)) < G.m
-    assert checked > 50 and smaller > 20
+        ran_out += small is None and len(_relevant_ids(G, b)) < G.m
+    assert checked > 50 and smaller > 20 and ran_out > 5
 
 
 def test_optimum_weight_raises_on_a_wrong_relevant_set(monkeypatch):

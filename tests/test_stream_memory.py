@@ -64,15 +64,10 @@ def test_make_stream_peak():
 
 def test_two_phase_pass_with_surviving_store_peak():
     # 2.60 MB with the per-edge mask and the m-length store series,
-    # 1.56 MB with per-pair thresholds and the store read for phase 1 only;
-    # the pair numbering and the relevant ids are per-graph caches, built
-    # before the pass as ``wedcs stream`` builds them (their peaks are
-    # bounded above)
-    from wedcs.graph import _relevant_ids
-
+    # 1.56 MB with per-pair thresholds and the store read for phase 1 only
     G, b = _graph()
     stream = make_stream(G, 3)
-    _relevant_ids(G, b)
+    G.pair
     params = EdcsParams(W=3, beta=3, beta_minus=1)
     out = []
     peak = _traced_peak(lambda: out.append(streaming._two_phase_pass(
