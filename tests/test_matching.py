@@ -363,6 +363,51 @@ def _lift_counts(monkeypatch) -> list[int]:
     return lifts
 
 
+def _direct_solve(G: MultiGraph, b: Capacities) -> tuple[list[int], int]:
+    """The primal-dual method run on G's own classes, each taking its x
+    lowest ids: the ids and weight of a solve that never forms the
+    relevant subgraph."""
+    from wedcs.matching import _classes, _primal_dual
+
+    classes, cls, rank = _classes(G, bipartition_sides(G))
+    x, _ = _primal_dual(classes, b, G.n)
+    return np.flatnonzero(rank < x[cls]).tolist(), int((classes[:, 2] * x).sum())
+
+
+def test_exact_solver_matches_a_direct_solve_of_the_graph():
+    # the same ids, not only the same weight, on crowded and simple input
+    from wedcs.graph import _relevant_ids
+
+    crowded = 0
+    for seed, (G, b) in _oracle_cases(**BIPARTITE_CASES):
+        got = max_weight_b_matching_exact(G, b)
+        assert (got.edge_ids, got.weight) == _direct_solve(G, b), seed
+        crowded += len(_relevant_ids(G, b)) < G.m
+    assert crowded > 250
+
+
+def test_exact_solver_matches_branch_and_bound_on_general_graphs():
+    # general input searches G itself: the same ids under a full budget,
+    # and a small budget runs out exactly where branch-and-bound on G does
+    from wedcs.graph import _relevant_ids
+
+    def ids_and_weight(solve):
+        found = _outcome(solve)
+        return found and (found.edge_ids, found.weight)
+
+    checked = crowded = ran_out = 0
+    for seed, (G, b) in _oracle_cases(False, 120, simple=(12, 30), raw=(12, 30)):
+        if bipartition_sides(G) is not None:
+            continue
+        for budget in (10**7, 40):
+            got = ids_and_weight(lambda: max_weight_b_matching_exact(G, b, budget))
+            assert got == ids_and_weight(lambda: branch_and_bound_b_matching(G, b, budget)), seed
+        checked += 1
+        crowded += len(_relevant_ids(G, b)) < G.m
+        ran_out += got is None and len(_relevant_ids(G, b)) < G.m
+    assert checked > 50 and crowded > 20 and ran_out > 5
+
+
 def test_optimum_weight_matches_the_exact_solver_on_bipartite_graphs(monkeypatch):
     from wedcs.matching import _relevant_ids
 
