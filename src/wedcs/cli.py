@@ -22,7 +22,7 @@ from .generators import GenSpec, multicopy_instance, random_instance, tight_inst
 from .graph import Capacities, MultiGraph, Subgraph, _relevant_ids
 from .graph_io import (GraphFormatError, match_subgraph_edges, read_graph, write_graph,
                        write_subgraph)
-from .matching import DEFAULT_ORACLE_BUDGET, OracleBudgetExceeded, optimum_weight
+from .matching import DEFAULT_ORACLE_BUDGET, OracleBudgetExceeded, max_weight_b_matching_exact
 from .streaming import file_order_stream, make_stream, run_with_fallbacks
 
 log = logging.getLogger("wedcs")
@@ -167,7 +167,7 @@ def _worker(seed) -> dict:
 def _oracle_weight(graph: MultiGraph, caps: Capacities, args) -> int | None:
     """The exact optimum, or None when the oracle's budget runs out."""
     try:
-        return optimum_weight(graph, caps, args.oracle_budget)
+        return max_weight_b_matching_exact(graph, caps, args.oracle_budget).weight
     except OracleBudgetExceeded:
         log.info("exact oracle infeasible for %s; ratios omitted", args.graph)
         return None

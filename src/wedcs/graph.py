@@ -137,14 +137,18 @@ class MultiGraph:
         return groups
 
     def restrict(self, edge_ids: Iterable[int]) -> tuple["MultiGraph", np.ndarray]:
-        """New graph over the same vertices containing only ``edge_ids``.
+        """The graph over the same vertices containing only ``edge_ids``.
 
-        Edges keep their relative id order; returns the new graph and the
-        int64 array mapping new edge ids back to the originals (ascending,
+        Edges keep their relative id order; returns the graph and the
+        int64 array mapping its edge ids back to the originals (ascending,
         so ``old_ids[ids]`` maps ascending new ids to ascending old ones).
+        When the ids are every edge, the graph is this one, with its
+        caches: its columns never change, so nothing needs a copy.
         """
         ids = np.sort(_id_array(edge_ids))
         ids = ids[_run_starts(ids)]
+        if len(ids) == self.m and (not ids.size or ids[0] == 0 and ids[-1] == self.m - 1):
+            return self, ids
         graph = MultiGraph.from_columns(self.n, self.u[ids], self.v[ids], self.w[ids], W=self.W)
         return graph, ids
 

@@ -4,10 +4,10 @@ The exact solver is the yardstick the rest of the package is measured
 against.  Non-bipartite instances go through a budgeted branch-and-bound;
 bipartite instances (detected by 2-coloring) go through a weight-level
 primal-dual method that stays exact at sizes branch-and-bound cannot
-reach and proves each answer with a König–Egerváry dual certificate,
-checked in integers.  Both are deterministic.  :func:`optimum_weight`,
-the weight-only oracle, solves a bipartite input's relevant subgraph and
-lifts the certificate's labels until it covers every edge of the input.
+reach.  It solves the input's relevant subgraph, lifts the labels of its
+König–Egerváry dual until they cover every edge of the input, and proves
+each answer with them over the caller's graph, in integers.  Both are
+deterministic.
 
 The primal-dual method keeps one CSR of arcs over its classes, built
 once, runs its breadth-first searches as array steps over the round's
@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_ORACLE_BUDGET",
     "bipartition_sides",
     "max_weight_b_matching_exact",
-    "optimum_weight",
     "branch_and_bound_b_matching",
     "bipartite_b_matching",
     "max_weight_b_matching_greedy",
@@ -111,47 +110,17 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
                                 budget: int = DEFAULT_ORACLE_BUDGET) -> BMatching:
     """Exact maximum-weight b-matching.
 
-    Bipartite inputs are solved by the certified primal-dual method
-    regardless of size; everything else by branch-and-bound within ``budget`` search
-    nodes (raising :class:`OracleBudgetExceeded` beyond it).
+    G's relevant subgraph R (:func:`_relevant_ids`) keeps at least one
+    edge of every pair of G, so its 2-coloring is G's; it is found on R.
+    Bipartite inputs are solved by :func:`bipartite_b_matching` regardless
+    of size, and proven on G; everything else by branch-and-bound on G
+    within ``budget`` search nodes (raising :class:`OracleBudgetExceeded`
+    beyond it).
     """
-    sides = bipartition_sides(G)
+    sides = bipartition_sides(G.restrict(_relevant_ids(G, b))[0])
     if sides is not None:
         return bipartite_b_matching(G, b, sides)
     return branch_and_bound_b_matching(G, b, budget)
-
-
-def optimum_weight(G: MultiGraph, b: Capacities, budget: int = DEFAULT_ORACLE_BUDGET) -> int:
-    """The weight of :func:`max_weight_b_matching_exact` on G; on
-    bipartite input it is solved on G's relevant subgraph R (every pair's
-    min(b_u, b_v) heaviest edges).
-
-    R has every pair of G, so it is bipartite exactly when G is.  On
-    bipartite input the primal-dual method solves R with its certificate;
-    the labels are then lifted (:func:`_lifted_labels`) and the value
-    sum(b_v * y_v) + sum_e max(0, w_e - y_u - y_v) over every edge of G
-    must equal the weight, proved in integers, and the matching, mapped
-    to G's ids, must pass :meth:`BMatching.verify` on G.  The certificate
-    reads every edge of G, so a wrong relevant set raises
-    ``RuntimeError`` instead of agreeing with a stream extraction that
-    read the same ids.  When R is all of G, G is solved without a copy
-    and its own certificate covers it.  Other input goes to
-    branch-and-bound on G within ``budget`` nodes, as in
-    :func:`max_weight_b_matching_exact`.
-    """
-    keep = _relevant_ids(G, b)
-    R = G if len(keep) == G.m else G.restrict(keep)[0]
-    sides = bipartition_sides(R)
-    if sides is None:
-        return branch_and_bound_b_matching(G, b, budget).weight
-    if not R.m:
-        return 0
-    ids, weight, y = _certified_solve(R, b, sides)
-    if R is not G:
-        _check_cover(G, b, _lifted_labels(G, b, keep, y), weight)
-    if not BMatching(keep[ids].tolist(), weight).verify(G, b):
-        raise RuntimeError("the relevant subgraph's matching fails verification on G")
-    return weight
 
 
 def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -188,18 +157,31 @@ def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray
     return y
 
 
-def _check_cover(G: MultiGraph, b: Capacities, y: np.ndarray, weight: int) -> None:
-    """Prove in integers that no b-matching of G weighs more than
-    ``weight``: y is non-negative and, with z = max(0, w - y_u - y_v) per
-    edge of G, (y, z) is a feasible dual whose value sum(b_v * y_v) +
-    sum(z) equals ``weight``.  Raises ``RuntimeError`` otherwise."""
+def _proven(G: MultiGraph, b: Capacities, ids: np.ndarray, y: np.ndarray) -> BMatching:
+    """The b-matching of G on edge ``ids``, once labels y prove it maximum.
+
+    The ids must pass :meth:`BMatching.verify` on G and y must be
+    non-negative; with z = max(0, w_e - y_u - y_v) per edge of G, (y, z)
+    is then a feasible dual, so sum(b_v * y_v) + sum(z) bounds every
+    b-matching's weight, and equality with the ids' weight proves them
+    optimal.  Each w_e - y_u - y_v is formed in the smallest type that
+    holds it, the edge terms are summed in int64, where
+    :func:`bipartite_b_matching`'s limit keeps them, and the label term in
+    Python integers.  Raises ``RuntimeError`` on any mismatch."""
+    found = BMatching(ids.tolist(), int(G.w[ids].sum(dtype=np.int64)))
+    if not found.verify(G, b):
+        raise RuntimeError("the matching fails verification on G")
     if (y < 0).any():
         raise RuntimeError(f"vertex {int(np.flatnonzero(y < 0)[0])} has a negative label")
-    slack = G.w - y[G.u] - y[G.v]
+    y = y.astype(_int_type(G.W + 2 * int(y.max(initial=0))))
+    slack = G.w - y[G.u]
+    slack -= y[G.v]
     dual = sum(bv * yv for bv, yv in zip(b.b, y.tolist()))
-    dual += int(np.maximum(slack, 0).sum())
-    if dual != weight:
-        raise RuntimeError(f"lifted dual bound {dual} does not certify weight {weight} on G")
+    dual += int(np.maximum(slack, 0, out=slack).sum(dtype=np.int64))
+    if dual != found.weight:
+        raise RuntimeError(
+            f"dual bound {dual} does not certify matching weight {found.weight} on G")
+    return found
 
 
 def max_weight_b_matching_greedy(G: MultiGraph, b: Capacities) -> BMatching:
@@ -209,7 +191,7 @@ def max_weight_b_matching_greedy(G: MultiGraph, b: Capacities) -> BMatching:
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
     chosen: list[int] = []
     weight = 0
-    for eid in np.argsort(-G.w.astype(np.int64), kind="stable").tolist():
+    for eid in np.argsort(-G.w, kind="stable").tolist():
         u, v = eu[eid], ev[eid]
         if residual[u] > 0 and residual[v] > 0:
             residual[u] -= 1
@@ -301,42 +283,37 @@ def branch_and_bound_b_matching(G: MultiGraph, b: Capacities, budget: int) -> BM
 def bipartite_b_matching(G: MultiGraph, b: Capacities,
                          sides: Sequence[int] | None = None) -> BMatching:
     """Exact solver for bipartite multigraphs by a weight-level primal-dual
-    method that checks its own König–Egerváry certificate.
+    method, run on G's relevant subgraph R and proven on G.
 
-    Edges collapse into the classes of :func:`_classes`; a class may
+    R's edges collapse into the classes of :func:`_classes`; a class may
     take at most its multiplicity of edges, and takes its lowest ids.
     Every left vertex with an edge starts at label W (the heaviest class
     weight), every right vertex at 0.  Each of W rounds augments a
     maximum flow along shortest paths of tight classes (y_u + y_v = w),
     then lowers the labels of the left vertices the last search reached
-    and raises those of the right vertices it reached.  The labels y, with
-    z = max(0, w - y_u - y_v) per class, are the certificate: a dual
-    solution whose value sum(b_v * y_v) + sum(mult * z) equals the
-    matching's weight, checked in integers before returning.
+    and raises those of the right vertices it reached.  When R is not G,
+    the ids map back through R's ids and the labels are lifted to cover
+    G's other edges (:func:`_lifted_labels`).  The labels are the
+    certificate, checked by :func:`_proven` over every edge of G before
+    returning.  The method works in int64, so it needs m * W < 2**62 on
+    G, and raises ``ValueError`` beyond that.
     """
+    if G.m * G.W >= 2**62:
+        raise ValueError(f"the bipartite solver needs m * W < 2**62, got m={G.m}, W={G.W}")
+    keep = _relevant_ids(G, b)
+    R = G.restrict(keep)[0]
     if sides is None:
-        sides = bipartition_sides(G)
+        sides = bipartition_sides(R)
         if sides is None:
             raise ValueError("graph is not bipartite")
-    if G.m == 0:
+    if R.m == 0:
         return BMatching([], 0)
-    ids, weight, _ = _certified_solve(G, b, sides)
-    result = BMatching(ids.tolist(), weight)
-    if not result.verify(G, b):
-        raise RuntimeError("primal-dual solution failed verification")  # pragma: no cover
-    return result
-
-
-def _certified_solve(G: MultiGraph, b: Capacities,
-                     sides: Sequence[int]) -> tuple[np.ndarray, int, np.ndarray]:
-    """The primal-dual method on G (at least one edge): the ids of an
-    optimal b-matching, its weight once the certificate has proven it,
-    and the certificate's labels y."""
-    classes, cls, rank = _classes(G, sides)
-    x, y = _primal_dual(classes, b, G.n)
-    weight = _check_certificate(classes, x, y, b)
-    # each class takes its x lowest ids
-    return np.flatnonzero(rank < x[cls]), weight, y
+    classes, cls, rank = _classes(R, sides)
+    x, y = _primal_dual(classes, b, R.n)
+    ids = np.flatnonzero(rank < x[cls])     # each class takes its x lowest ids
+    if R is not G:
+        ids, y = keep[ids], _lifted_labels(G, b, keep, y)
+    return _proven(G, b, ids, y)
 
 
 def _classes(G: MultiGraph, sides: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -547,40 +524,6 @@ def _blocking_flow(levels: list, dist: np.ndarray, room: np.ndarray, x: np.ndarr
     used = r - residual
     x[c] += np.where(level & 1, -used, used)
     return room
-
-
-def _check_certificate(classes, x: Sequence[int], y: Sequence[int], b: Capacities) -> int:
-    """The matching's weight, once (x, y) is proven optimal in integers.
-
-    ``classes`` holds one row (u, v, w, multiplicity) per class.  x must be
-    feasible (0 <= x <= mult per class, load <= b per vertex) and y
-    non-negative; with z = max(0, w - y_u - y_v) per class, (y, z) is then
-    a feasible dual, so sum(b_v * y_v) + sum(mult * z) bounds every
-    b-matching's weight, and equality with x's weight proves x optimal.
-    The class terms are summed in int64, where they are bounded by
-    m * W; the label term in Python integers.  Raises ``RuntimeError`` on
-    any mismatch.
-    """
-    u, v, w, mult = np.asarray(classes, dtype=np.int64).reshape(-1, 4).T
-    taken, labels = np.asarray(x), np.asarray(y)
-    bad = np.flatnonzero((taken < 0) | (taken > mult))
-    if bad.size:
-        c = bad[0]
-        raise RuntimeError(f"class ({u[c]}, {v[c]}, {w[c]}) takes {taken[c]} of its {mult[c]} edges")
-    n = len(y)
-    load = np.bincount(u, taken, minlength=n) + np.bincount(v, taken, minlength=n)
-    bad = np.flatnonzero((load > np.asarray(b.b[:n])) | (labels < 0))
-    if bad.size:
-        a = bad[0]
-        if load[a] > b[a]:
-            raise RuntimeError(f"vertex {a} carries {int(load[a])} edges, capacity {b[a]}")
-        raise RuntimeError(f"vertex {a} has negative label {labels[a]}")
-    primal = int((w * taken).sum())
-    dual = sum(bv * yv for bv, yv in zip(b.b, labels.tolist()))
-    dual += int((mult * np.maximum(0, w - labels[u] - labels[v])).sum())
-    if dual != primal:
-        raise RuntimeError(f"dual bound {dual} does not certify matching weight {primal}")
-    return primal
 
 
 def distribute_edges(groups: Sequence[Sequence[tuple[int, int, bool]]],

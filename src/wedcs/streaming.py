@@ -277,18 +277,16 @@ class _RelevantStore:
 
     def peak_with(self, pos: int, kept: np.ndarray) -> int:
         """max over positions t >= ``pos`` before the store's death of its
-        size plus ``kept[:t - pos + 1].sum()``; 0 when there is none."""
-        best = x = 0
-        t = pos
-        while True:
-            self.size_at(t)
-            hi = min(self.hi, self.death)
-            if hi <= t:
-                return best
-            x_run = np.cumsum(kept[t - pos:hi - pos])
-            best = max(best, x + int((x_run + self.sizes[t - self.lo:hi - self.lo]).max()))
-            x += int(x_run[-1])
-            t = hi
+        size plus ``kept[:t - pos + 1].sum()``; 0 when there is none.
+
+        Before the death both terms only grow, so the maximum is at the
+        last position before it, where the size is ceil(cap) - 1: one
+        arrival later it first reaches cap."""
+        while self.hi < self.death:
+            self._next_chunk()
+        if self.death <= pos:
+            return 0
+        return math.ceil(self.cap) - 1 + int(kept[:self.death - pos].sum())
 
 
 def _phase2_keep(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams,

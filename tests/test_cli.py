@@ -146,7 +146,7 @@ def test_stream_rejects_bad_epsilon_before_the_oracle(tmp_path, capsys, monkeypa
     def no_oracle(*args):
         raise AssertionError("the oracle ran before epsilon was checked")
 
-    monkeypatch.setattr(cli, "optimum_weight", no_oracle)
+    monkeypatch.setattr(cli, "max_weight_b_matching_exact", no_oracle)
     graph = tmp_path / "g.txt"
     graph.write_text("g 2 1 1\ne 0 1 1\n")
     assert main(["stream", str(graph), "--seeds", "0-3", f"--epsilon={epsilon}",
@@ -170,7 +170,7 @@ def test_stream_rejects_bad_seeds_before_the_oracle(tmp_path, capsys, monkeypatc
     def no_oracle(*args):
         raise AssertionError("the oracle ran before the seeds were checked")
 
-    monkeypatch.setattr(cli, "optimum_weight", no_oracle)
+    monkeypatch.setattr(cli, "max_weight_b_matching_exact", no_oracle)
     graph = tmp_path / "g.txt"
     graph.write_text("g 2 1 1\ne 0 1 1\n")
     assert main(["stream", str(graph), f"--seeds={seeds}", "--epsilon", "0.2",
@@ -260,10 +260,11 @@ def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
 
 
 def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
-    # the pair numbering and the relevant ids are built once, in the
-    # parent, before the pool forks: a worker that built them would
-    # raise, and the parent builds each exactly once for four streams
-    # and the oracle
+    # G's pair numbering and relevant ids are built once, in the parent,
+    # before the pool forks: a worker that built them would raise, and the
+    # parent builds each exactly once for four streams and the oracle.
+    # The spies count G only, known by its m: each stream's restricted
+    # graph numbers its own pairs, per-stream work on its own edges.
     import wedcs.cli as cli
     import wedcs.graph as graph
 
@@ -276,11 +277,12 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
     calls = {"pairs": 0, "relevant": 0}
 
     def once(name, build):
-        def spy(*args):
-            if os.getpid() != parent:
-                raise RuntimeError(f"a worker built the {name} again")
-            calls[name] += 1
-            return build(*args)
+        def spy(G, *args):
+            if G.m == 200:
+                if os.getpid() != parent:
+                    raise RuntimeError(f"a worker built the {name} again")
+                calls[name] += 1
+            return build(G, *args)
         return spy
 
     monkeypatch.setattr(graph.MultiGraph, "_number_pairs",
@@ -315,6 +317,19 @@ def test_stream_oracle_solves_the_relevant_subgraph(tmp_path, capsys, bipartite,
     assert main(["stream", path, "--seeds", "0-1", "--epsilon", "0.2", "--beta", "6",
                  "--variant", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["oracle_weight"] == weight
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stream_rejects_bipartite_weights_beyond_the_solver(tmp_path, capsys, jobs):
+    # 2**70 fits no integer array: the bipartite solver names its limit and
+    # the command fails as an input error, not with a traceback
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"g 4 3 {2**70}\ne 0 1 {2**70}\ne 1 2 5\ne 2 3 7\n")
+    assert main(["stream", str(graph), "--seeds", "0-1", "--epsilon", "0.2", "--beta", "6",
+                 "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the bipartite solver needs m * W < 2**62, got m=3, W={2**70}\n"
+    assert captured.out == ""
 
 
 def test_stream_outputs_are_byte_identical(tmp_path, capsys):

@@ -22,7 +22,7 @@ from wedcs import (
     max_weight_b_matching_exact,
     random_instance,
 )
-from wedcs.matching import BMatching, _check_certificate, _primal_dual
+from wedcs.matching import BMatching, _primal_dual, _proven
 
 from helpers import incident_ids, make_random, triples
 
@@ -87,9 +87,8 @@ def reference_bipartite_b_matching(G: MultiGraph, b: Capacities, sides) -> BMatc
         groups.setdefault((u, v, w), []).append(eid)
     classes = [(u, v, w, len(ids)) for (u, v, w), ids in groups.items()]
     x, y = _primal_dual(np.array(classes, dtype=np.int64), b, G.n)
-    weight = _check_certificate(classes, x, y, b)
     chosen = [i for ids, taken in zip(groups.values(), x) for i in ids[:taken]]
-    return BMatching(sorted(chosen), weight)
+    return _proven(G, b, np.array(sorted(chosen), dtype=np.int64), y)
 
 
 def _path_and_cycles(k: int) -> MultiGraph:

@@ -23,7 +23,7 @@ from wedcs import (
     max_weight_b_matching_greedy,
     split_vertices,
 )
-from wedcs.matching import _check_certificate, optimum_weight
+from wedcs.matching import _proven
 
 from helpers import (
     brute_force_b_matching_weight,
@@ -89,23 +89,26 @@ def test_bipartite_long_augmenting_path():
     assert best.weight == k and best.verify(G, Capacities.uniform(G.n))
 
 
-# left vertex 0 (capacity 1) and two weight-2 classes to right vertices 1, 2
-CERT_CLASSES = [(0, 1, 2, 1), (0, 2, 2, 1)]
+# left vertex 0 (capacity 1) and two weight-2 edges to right vertices 1, 2
+CERT_GRAPH = MultiGraph(3, [(0, 1, 2), (0, 2, 2)])
 
 
 def test_certificate_accepts_optimal_pair():
-    assert _check_certificate(CERT_CLASSES, [1, 0], [2, 0, 0], Capacities.uniform(3)) == 2
+    found = _proven(CERT_GRAPH, Capacities.uniform(3), np.array([0]), np.array([2, 0, 0]))
+    assert (found.edge_ids, found.weight) == ([0], 2)
 
 
 @pytest.mark.parametrize("x, y, message", [
-    ([1, 0], [1, 0, 0], "dual bound 3 does not certify matching weight 2"),  # y_0 one short
-    ([2, 0], [2, 0, 0], "takes 2 of its 1 edges"),
-    ([1, 1], [2, 0, 0], "vertex 0 carries 2 edges"),
-    ([1, 0], [3, -1, 0], "negative label"),
+    ([0], [1, 0, 0], "dual bound 3 does not certify matching weight 2"),  # y_0 one short
+    ([0, 0], [2, 0, 0], "fails verification"),      # an edge taken twice
+    ([0, 1], [2, 0, 0], "fails verification"),      # vertex 0 over its capacity
+    ([0], [3, -1, 0], "negative label"),
+    # the edge terms alone reject it: without them the dual would be 0
+    ([], [0, 0, 0], "dual bound 4 does not certify matching weight 0"),
 ])
 def test_certificate_rejects(x, y, message):
     with pytest.raises(RuntimeError, match=message):
-        _check_certificate(CERT_CLASSES, x, y, Capacities.uniform(3))
+        _proven(CERT_GRAPH, Capacities.uniform(3), np.array(x, dtype=np.int64), np.array(y))
 
 
 def test_import_leaves_networkx_out():
@@ -128,6 +131,20 @@ def test_exact_dispatch_prefers_flow_for_bipartite():
     G, b = make_random(5, n=20, m=60, W=3, b_max=3, bipartite=True)
     best = max_weight_b_matching_exact(G, b, budget=10)
     assert best.verify(G, b)
+
+
+def test_bipartite_solver_names_its_int64_limit():
+    # m * W must stay below 2**62, checked before any solving; general
+    # input runs branch-and-bound and greedy in Python integers, at any
+    # weight
+    b = Capacities.uniform(4)
+    for G in (MultiGraph(4, [(0, 1, 2**61)] * 2),
+              MultiGraph(4, [(0, 1, 2**70), (1, 2, 5), (2, 3, 7)])):
+        with pytest.raises(ValueError, match=rf"needs m \* W < 2\*\*62, got m={G.m}, W={G.W}"):
+            max_weight_b_matching_exact(G, b)
+    triangle = MultiGraph(3, [(0, 1, 2**70), (1, 2, 5), (0, 2, 7)])
+    assert max_weight_b_matching_exact(triangle, Capacities.uniform(3)).weight == 2**70
+    assert max_weight_b_matching_greedy(triangle, Capacities.uniform(3)).edge_ids == [0]
 
 
 def test_branch_and_bound_budget_error():
@@ -323,11 +340,11 @@ def test_split_rejects_bad_matching():
         split_vertices(G, b, Subgraph(G), BMatching([0, 0], 2))
 
 
-# ------------------------------------------------------- the weight oracle
+# ------------------------------------------------------- the exact oracle
 
 def _oracle_cases(bipartite: bool, count: int, simple: tuple[int, int],
                   raw: tuple[int, int]):
-    """Seeded instances for :func:`optimum_weight`, alternately simple
+    """Seeded instances for the exact solver, alternately simple
     graphs of up to ``simple`` = (n, m) vertices and edges and raw
     multiplicities of up to ``raw`` = (n, m), whose crowded pairs make
     the relevant subgraph drop edges."""
@@ -374,16 +391,19 @@ def _direct_solve(G: MultiGraph, b: Capacities) -> tuple[list[int], int]:
     return np.flatnonzero(rank < x[cls]).tolist(), int((classes[:, 2] * x).sum())
 
 
-def test_exact_solver_matches_a_direct_solve_of_the_graph():
-    # the same ids, not only the same weight, on crowded and simple input
+def test_exact_solver_matches_a_direct_solve_of_the_graph(monkeypatch):
+    # the same ids, not only the same weight, on crowded and simple input;
+    # every crowded instance lifts its labels, and some lifts are positive
     from wedcs.graph import _relevant_ids
 
+    lifts = _lift_counts(monkeypatch)
     crowded = 0
     for seed, (G, b) in _oracle_cases(**BIPARTITE_CASES):
         got = max_weight_b_matching_exact(G, b)
         assert (got.edge_ids, got.weight) == _direct_solve(G, b), seed
         crowded += len(_relevant_ids(G, b)) < G.m
-    assert crowded > 250
+    assert crowded == len(lifts) > 250
+    assert sum(1 for k in lifts if k) >= 15
 
 
 def test_exact_solver_matches_branch_and_bound_on_general_graphs():
@@ -408,34 +428,23 @@ def test_exact_solver_matches_branch_and_bound_on_general_graphs():
     assert checked > 50 and crowded > 20 and ran_out > 5
 
 
-def test_optimum_weight_matches_the_exact_solver_on_bipartite_graphs(monkeypatch):
-    from wedcs.matching import _relevant_ids
-
-    lifts = _lift_counts(monkeypatch)
-    smaller = 0
-    for seed, (G, b) in _oracle_cases(**BIPARTITE_CASES):
-        smaller += len(_relevant_ids(G, b)) < G.m
-        assert optimum_weight(G, b) == max_weight_b_matching_exact(G, b).weight, seed
-    assert smaller == len(lifts) > 250
-    assert sum(1 for k in lifts if k) >= 15
-
-
 def test_optimum_weight_fails_its_check_without_the_lift(monkeypatch):
-    # only instances that take a positive lift can fail without it, and
-    # some do
+    # the exact solver's weight on crowded input is proven on G only with
+    # the lifted labels: only instances that take a positive lift can fail
+    # without it, and some do
     import wedcs.matching as matching
 
     lifts = _lift_counts(monkeypatch)
     needs_lift = set()
     for seed, (G, b) in _oracle_cases(**BIPARTITE_CASES):
-        optimum_weight(G, b)
+        max_weight_b_matching_exact(G, b)
         if lifts and lifts.pop():
             needs_lift.add(seed)
     monkeypatch.setattr(matching, "_lifted_labels", lambda G, b, keep, y: y.astype(np.int64))
     failed = set()
     for seed, (G, b) in _oracle_cases(**BIPARTITE_CASES):
         try:
-            optimum_weight(G, b)
+            max_weight_b_matching_exact(G, b)
         except RuntimeError as exc:
             assert "does not certify" in str(exc)
             failed.add(seed)
@@ -474,24 +483,6 @@ def _outcome(solve):
         return None
 
 
-def test_optimum_weight_matches_branch_and_bound_on_general_graphs():
-    # general input searches G itself, so a small budget runs out exactly
-    # where branch-and-bound on G runs out, crowded pairs or not
-    from wedcs.matching import _relevant_ids
-
-    checked = smaller = ran_out = 0
-    for seed, (G, b) in _oracle_cases(False, 120, simple=(12, 30), raw=(12, 30)):
-        if bipartition_sides(G) is not None:
-            continue
-        assert optimum_weight(G, b) == branch_and_bound_b_matching(G, b, 10**7).weight, seed
-        small = _outcome(lambda: optimum_weight(G, b, 40))
-        assert small == _outcome(lambda: branch_and_bound_b_matching(G, b, 40).weight), seed
-        checked += 1
-        smaller += len(_relevant_ids(G, b)) < G.m
-        ran_out += small is None and len(_relevant_ids(G, b)) < G.m
-    assert checked > 50 and smaller > 20 and ran_out > 5
-
-
 def test_optimum_weight_raises_on_a_wrong_relevant_set(monkeypatch):
     # a relevant set that drops a heavier copy than it keeps agrees with
     # nothing on G: the lifted labels cover only the kept weight
@@ -499,15 +490,15 @@ def test_optimum_weight_raises_on_a_wrong_relevant_set(monkeypatch):
 
     G = MultiGraph(2, [(0, 1, 1), (0, 1, 3)], W=3)
     b = Capacities([1, 1])
-    assert optimum_weight(G, b) == 3
+    assert max_weight_b_matching_exact(G, b).weight == 3
     monkeypatch.setattr(matching, "_relevant_ids", lambda G, b: np.array([0]))
     with pytest.raises(RuntimeError, match="does not certify"):
-        optimum_weight(G, b)
+        max_weight_b_matching_exact(G, b)
 
 
 def test_optimum_weight_budget_applies_on_general_graphs():
     G, b = make_random(2, n=10, m=30, W=4, b_max=2)  # contains odd cycles
     with pytest.raises(OracleBudgetExceeded):
-        optimum_weight(G, b, budget=5)
-    assert optimum_weight(G, b) == branch_and_bound_b_matching(G, b, 10**7).weight
-    assert optimum_weight(MultiGraph(4, []), Capacities.uniform(4)) == 0
+        max_weight_b_matching_exact(G, b, budget=5)
+    assert max_weight_b_matching_exact(G, b).weight == branch_and_bound_b_matching(G, b, 10**7).weight
+    assert max_weight_b_matching_exact(MultiGraph(4, []), Capacities.uniform(4)).weight == 0
