@@ -117,9 +117,11 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
     within ``budget`` search nodes (raising :class:`OracleBudgetExceeded`
     beyond it).
     """
-    sides = bipartition_sides(G.restrict(_relevant_ids(G, b))[0])
+    keep = _relevant_ids(G, b)
+    R = G.restrict(keep)[0]
+    sides = bipartition_sides(R)
     if sides is not None:
-        return bipartite_b_matching(G, b, sides)
+        return _bipartite_on_relevant(G, b, keep, R, sides)
     return branch_and_bound_b_matching(G, b, budget)
 
 
@@ -166,8 +168,8 @@ def _proven(G: MultiGraph, b: Capacities, ids: np.ndarray, y: np.ndarray) -> BMa
     b-matching's weight, and equality with the ids' weight proves them
     optimal.  Each w_e - y_u - y_v is formed in the smallest type that
     holds it, the edge terms are summed in int64, where
-    :func:`bipartite_b_matching`'s limit keeps them, and the label term in
-    Python integers.  Raises ``RuntimeError`` on any mismatch."""
+    :func:`bipartite_b_matching`'s limit keeps them, and the label term by
+    :func:`_label_term`.  Raises ``RuntimeError`` on any mismatch."""
     found = BMatching(ids.tolist(), int(G.w[ids].sum(dtype=np.int64)))
     if not found.verify(G, b):
         raise RuntimeError("the matching fails verification on G")
@@ -176,12 +178,21 @@ def _proven(G: MultiGraph, b: Capacities, ids: np.ndarray, y: np.ndarray) -> BMa
     y = y.astype(_int_type(G.W + 2 * int(y.max(initial=0))))
     slack = G.w - y[G.u]
     slack -= y[G.v]
-    dual = sum(bv * yv for bv, yv in zip(b.b, y.tolist()))
+    dual = _label_term(b, y)
     dual += int(np.maximum(slack, 0, out=slack).sum(dtype=np.int64))
     if dual != found.weight:
         raise RuntimeError(
             f"dual bound {dual} does not certify matching weight {found.weight} on G")
     return found
+
+
+def _label_term(b: Capacities, y: np.ndarray) -> int:
+    """sum(b_v * y_v) for non-negative labels y: an int64 dot product
+    where sum(b) * max(y) < 2**63 makes it exact, Python integers
+    beyond."""
+    if sum(b.b) * max(int(y.max(initial=0)), 1) < 2**63:
+        return int(np.dot(np.asarray(b.b, dtype=np.int64), y.astype(np.int64)))
+    return sum(bv * yv for bv, yv in zip(b.b, y.tolist()))
 
 
 def max_weight_b_matching_greedy(G: MultiGraph, b: Capacities) -> BMatching:
@@ -291,21 +302,30 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     weight), every right vertex at 0.  Each of W rounds augments a
     maximum flow along shortest paths of tight classes (y_u + y_v = w),
     then lowers the labels of the left vertices the last search reached
-    and raises those of the right vertices it reached.  When R is not G,
+    and raises those of the right vertices it reached; rounds that would
+    repeat that search are taken at once (:func:`_primal_dual`).  When R
+    is not G,
     the ids map back through R's ids and the labels are lifted to cover
     G's other edges (:func:`_lifted_labels`).  The labels are the
     certificate, checked by :func:`_proven` over every edge of G before
     returning.  The method works in int64, so it needs m * W < 2**62 on
     G, and raises ``ValueError`` beyond that.
     """
-    if G.m * G.W >= 2**62:
-        raise ValueError(f"the bipartite solver needs m * W < 2**62, got m={G.m}, W={G.W}")
     keep = _relevant_ids(G, b)
     R = G.restrict(keep)[0]
     if sides is None:
         sides = bipartition_sides(R)
         if sides is None:
             raise ValueError("graph is not bipartite")
+    return _bipartite_on_relevant(G, b, keep, R, sides)
+
+
+def _bipartite_on_relevant(G: MultiGraph, b: Capacities, keep: np.ndarray, R: MultiGraph,
+                           sides: Sequence[int]) -> BMatching:
+    """:func:`bipartite_b_matching` on R = ``G.restrict(keep)[0]``, the
+    relevant subgraph its caller has already cut out."""
+    if G.m * G.W >= 2**62:
+        raise ValueError(f"the bipartite solver needs m * W < 2**62, got m={G.m}, W={G.W}")
     if R.m == 0:
         return BMatching([], 0)
     classes, cls, rank = _classes(R, sides)
@@ -373,6 +393,17 @@ def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[np.ndarray
     vertices at even depth and right ones at odd, and scans a level in
     full before it tests for a right vertex with room, so the depths and
     the reached set that moves the labels do not depend on scan order.
+
+    A move keeps every arc inside the reached set as tight as it was and
+    brings each arc out of it one unit closer to tight: a forward class
+    from a reached left vertex to an unreached right one with spare room,
+    at gap y_u + y_v - w, or a backward class from a reached right vertex
+    to an unreached left one in use, at gap w - y_u - y_v.  Each such gap
+    is at least 1, else the search would have crossed the arc, and until
+    one reaches 0 every round repeats the last failed search and its move.
+    So a round moves the labels min(gap) times at once, at most as many
+    times as rounds are left, and weights up to 2**62 take as many rounds
+    as the searches need, not W.
     """
     u, v, w, mult = (classes[:, k] for k in range(4))
     w_max = int(w.max())
@@ -396,7 +427,8 @@ def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[np.ndarray
     np.cumsum(np.bincount(tails, minlength=n), out=arc_ptr[1:])
     del tails
 
-    for _ in range(w_max):
+    rounds = w_max
+    while rounds:
         # labels are fixed within a round, so the tight arcs are too
         on = (y.take(u) + y.take(v) == w).take(arc_cls).nonzero()[0]
         t_cls, t_head = arc_cls[on], arc_head[on]
@@ -427,7 +459,17 @@ def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[np.ndarray
                 break
             load = cap - _blocking_flow(levels, dist, room, x)
         reached = (dist >= 0).nonzero()[0]
-        y[reached] += (dist[reached] & 1) * 2 - 1
+        moves = 1
+        if rounds > 1:
+            # the rounds that repeat this failed search and its move: min
+            # gap of an arc out of the reached set, at most the rounds left
+            seen = dist >= 0
+            s = y.take(u) + y.take(v) - w
+            gap = np.concatenate((s[seen[u] & ~seen[v] & (x < mult)],
+                                  -s[seen[v] & ~seen[u] & (x > 0)]))
+            moves = min(int(gap.min(initial=rounds)), rounds)
+        y[reached] += ((dist[reached] & 1) * 2 - 1) * moves
+        rounds -= moves
     return x, y
 
 

@@ -332,6 +332,17 @@ def test_stream_rejects_bipartite_weights_beyond_the_solver(tmp_path, capsys, jo
     assert captured.out == ""
 
 
+def test_stream_solves_bipartite_weights_of_2_40(tmp_path, capsys):
+    # the oracle's primal-dual rounds follow its searches, not W
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"g 4 3 {2**40}\ne 0 1 {2**40}\ne 1 2 5\ne 2 3 7\n")
+    assert main(["stream", str(graph), "--seeds", "0-1", "--epsilon", "0.2",
+                 "--beta", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["oracle_weight"] == 2**40 + 7
+    assert [run["ratio"] for run in report["runs"]] == [1.0, 1.0]
+
+
 def test_stream_outputs_are_byte_identical(tmp_path, capsys):
     spec = _write_spec(tmp_path, {"kind": "random", "seed": 2, "n": 10, "m": 20,
                                   "W": 2, "b_min": 1, "b_max": 2})

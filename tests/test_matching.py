@@ -502,3 +502,76 @@ def test_optimum_weight_budget_applies_on_general_graphs():
         max_weight_b_matching_exact(G, b, budget=5)
     assert max_weight_b_matching_exact(G, b).weight == branch_and_bound_b_matching(G, b, 10**7).weight
     assert max_weight_b_matching_exact(MultiGraph(4, []), Capacities.uniform(4)).weight == 0
+
+
+# ------------------------------------------- weights and capacities near 2**62
+
+def test_exact_single_edge_near_the_int64_limit_solves_in_one_round():
+    # label moves that repeat a failed search are taken at once, so the
+    # round count follows the searches, not W
+    import time
+
+    G = MultiGraph(2, [(0, 1, 2**62 - 1)])
+    start = time.perf_counter()
+    best = max_weight_b_matching_exact(G, Capacities([2, 1]))
+    assert time.perf_counter() - start < 1
+    assert (best.edge_ids, best.weight) == ([0], 2**62 - 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bipartite_solver_scales_with_the_weights(seed):
+    # weights times 2**40 plus a small offset: the optimum scales with
+    # them, and the solve takes as many rounds as its searches need
+    G, b = make_random(seed, n=12, m=40, W=4, b_max=3, bipartite=True, allow_parallel=True)
+    big = MultiGraph.from_columns(G.n, G.u, G.v, G.w.astype(np.int64) << 40)
+    small = max_weight_b_matching_exact(G, b)
+    found = max_weight_b_matching_exact(big, b)
+    assert found.weight == small.weight << 40
+    assert found.verify(big, b)
+
+
+def test_label_term_leaves_int64_when_it_could_wrap():
+    from wedcs.matching import _label_term
+
+    assert _label_term(Capacities([3, 1, 2]), np.array([2, 0, 5], dtype=np.int8)) == 16
+    # an int64 dot product would wrap 2**64 to 0
+    assert _label_term(Capacities([2**62, 2**62]), np.array([2, 2])) == 2**64
+
+
+def test_exact_solver_with_a_capacity_near_2_62(monkeypatch):
+    # sum(b) * max(y) passes 2**63: the label term is summed in Python
+    # integers, and the answer is that of capacities cut to the degrees
+    import wedcs.matching as matching
+
+    G, b = make_random(3, n=10, m=20, W=5, b_max=2, bipartite=True)
+    huge = Capacities([2**62 - 7] + list(b.b[1:]))
+    beyond = []
+    label_term = matching._label_term
+
+    def spy(b, y):
+        beyond.append(sum(b.b) * int(y.max()) >= 2**63)
+        return label_term(b, y)
+
+    monkeypatch.setattr(matching, "_label_term", spy)
+    found = max_weight_b_matching_exact(G, huge)
+    assert beyond == [True]
+    cut = max_weight_b_matching_exact(G, Capacities([min(cap, G.m) for cap in huge.b]))
+    assert (found.edge_ids, found.weight) == (cut.edge_ids, cut.weight)
+
+
+def test_exact_solver_restricts_once(monkeypatch):
+    # the relevant subgraph is cut out once, coloured, and solved
+    calls = []
+    restrict = MultiGraph.restrict
+
+    def spy(self, ids):
+        calls.append(self)
+        return restrict(self, ids)
+
+    monkeypatch.setattr(MultiGraph, "restrict", spy)
+    G, b = make_random(0, n=8, m=200, W=3, b_max=2, bipartite=True, allow_parallel=True)
+    max_weight_b_matching_exact(G, b)
+    assert calls == [G]
+    calls.clear()
+    assert bipartite_b_matching(G, b).weight == max_weight_b_matching_exact(G, b).weight
+    assert calls == [G, G]
