@@ -19,8 +19,8 @@ phase 2 is one threshold per pair.  The relevant store of
 :func:`run_with_fallbacks` only grows, so whether it survives is known up
 front; its size series is computed over chunks of stream positions only
 where the peak needs it.  Outcome, counters and peak are those of an
-edge-at-a-time pass.  :func:`make_stream` resolves the seeded
-Fisher-Yates swaps as arrays, by pointer jumping.
+edge-at-a-time pass.  :func:`make_stream` draws each order with numpy's
+own seeded Fisher-Yates shuffle.
 
 Two degenerate regimes are handled explicitly:
 
@@ -58,7 +58,6 @@ from .graph import (
     _pair_caps,
     _rank_in_runs,
     _relevant_ids,
-    _run_starts,
 )
 from .matching import (
     BMatching,
@@ -80,12 +79,15 @@ __all__ = [
     "run_with_fallbacks",
 ]
 
-#: Stream permutations come from an explicit Fisher-Yates shuffle driven by
-#: numpy's PCG64 so that seeds replay identically across platforms.
-PRNG_ID = "pcg64-fisher-yates"
+#: Stream permutations come from numpy's ``Generator.permutation`` over
+#: PCG64: a Fisher-Yates shuffle that, for i = m-1 down to 1, swaps
+#: position i with j <= i drawn by masked rejection from PCG64's 32-bit
+#: output halves, low half first.  Seeds replay identically across
+#: platforms.  Runs recorded as ``pcg64-fisher-yates`` drew j by Lemire's
+#: method instead; replaying them needs the package from before this id.
+PRNG_ID = "pcg64-permutation"
 
-#: Stream positions per array step: Fisher-Yates draws per generator call,
-#: and positions per step of the relevant store and of phase 2.
+#: Stream positions per array step of the relevant store and of phase 2.
 _CHUNK = 1 << 15
 
 
@@ -133,61 +135,12 @@ def _order_type(m: int) -> type:
 
 def make_stream(G: MultiGraph, seed: int) -> EdgeStream:
     """Uniformly random edge order from a seeded generator; same seed,
-    same order.  (:func:`_shuffled` frees its temporaries before the
-    order is checked.)"""
-    return EdgeStream(G, _shuffled(G.m, seed), seed, PRNG_ID)
-
-
-def _shuffled(m: int, seed: int) -> np.ndarray:
-    """0..m-1 after the Fisher-Yates shuffle that, for i = m-1 down to 1,
-    swaps position i with a uniform j[i] <= i.
-
-    Step i freezes position i with what position j[i] held just before
-    it; position q holds q until a step k with j[k] == q writes it, and
-    then what position k held just before step k.  With the steps sorted
-    by (j[i], i), step i's successor is the next sorted step if it has
-    the same partner, and nxt[q] is the first step of q's group.  Pointer
-    jumping along nxt gives root[q], the end of q's chain: position i
-    ends with root[successor], or j[i] without one, and position 0 with
-    root[0]."""
+    same order: numpy's Fisher-Yates ``permutation`` of the edge ids over
+    PCG64 (see :data:`PRNG_ID`).  The int64 permutation is freed before
+    the narrowed order is checked."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    dtype = _order_type(m)
-    # an array of bounds draws each j[i] exactly as one scalar call per i
-    # would, from i = m-1 down; the keys j[i]*m + i fit int64 below 3e9
-    # edges
-    key = np.empty(max(m - 1, 0), dtype=np.int64)
-    for hi in range(m, 1, -_CHUNK):
-        lo = max(hi - _CHUNK, 1)
-        np.multiply(rng.integers(0, np.arange(hi, lo, -1))[::-1], m, out=key[lo - 1:hi - 1])
-        key[lo - 1:hi - 1] += np.arange(lo, hi)
-    key.sort()
-    by_i = np.empty_like(key)
-    np.divmod(key, m, out=(key, by_i))  # the partners replace the keys
-    first = np.flatnonzero(_run_starts(key))
-    partner = key[first]
-    del key
-    # where the first step of q's group is q's own self-swap, root[q]
-    # stays q, which is never read: no successor i (j[i] <= i < q = j[q])
-    # and no other nxt[x] (j[q] = q) is such a q
-    root = np.arange(m, dtype=dtype)
-    root[partner] = by_i[first]
-    live = partner
-    while live.size:
-        up = root[live]
-        up2 = root[up]
-        moved = np.flatnonzero(up2 != up)
-        live = live[moved]
-        root[live] = up2[moved]
-    # indices are in range, so "clip" only spares take its buffer
-    end = np.empty(len(by_i), dtype=dtype)
-    np.take(root, by_i[1:], out=end[:-1], mode="clip")
-    end[first[1:] - 1] = partner[:-1]
-    end[-1:] = partner[-1:]
-    del first, partner
-    order = np.empty(m, dtype=dtype)
-    order[by_i] = end
-    order[:1] = root[:1]
-    return order
+    return EdgeStream(G, rng.permutation(G.m).astype(_order_type(G.m), copy=False), seed,
+                      PRNG_ID)
 
 
 def file_order_stream(G: MultiGraph) -> EdgeStream:

@@ -135,13 +135,28 @@ def make_random(seed: int, n: int, m: int, W: int, b_max: int = 1, *,
     return random_instance(spec)
 
 
-def scalar_fisher_yates(m: int, seed: int) -> tuple[int, ...]:
-    """The stream order of ``make_stream`` drawn one index per generator
-    call: for i = m-1 down to 1, swap position i with a uniform j <= i."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+def scalar_fisher_yates(m: int, seed: int, *, high_first: bool = False) -> tuple[int, ...]:
+    """The stream order of ``make_stream`` drawn one index at a time, in
+    pure Python over ``PCG64(seed).random_raw()``: for i = m-1 down to 1,
+    swap position i with j <= i, where j is the next 32-bit half of the
+    raw words (low half first), masked to i's bit length, until j <= i.
+    ``high_first`` takes each word's high half first, for mutation checks;
+    only m <= 2**32 is covered."""
+    bits = np.random.PCG64(seed)
+
+    def halves():
+        while True:
+            for word in bits.random_raw(1024).tolist():
+                low, high = word & 0xFFFFFFFF, word >> 32
+                yield from ((high, low) if high_first else (low, high))
+
+    u32 = halves().__next__
     order = list(range(m))
     for i in range(m - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+        mask = (1 << i.bit_length()) - 1
+        j = u32() & mask
+        while j > i:
+            j = u32() & mask
         order[i], order[j] = order[j], order[i]
     return tuple(order)
 

@@ -7,6 +7,7 @@ import pytest
 
 import wedcs
 from wedcs.cli import main
+from wedcs.streaming import PRNG_ID
 
 TIGHT_SPEC = {"kind": "tight", "k": 1, "W": 1, "beta_minus": 2}
 RANDOM_SPEC = {"kind": "random", "seed": 5, "n": 12, "m": 30, "W": 3,
@@ -101,6 +102,13 @@ def test_stream_small_graph_small_output(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["runs"][0]["fallback_used"] == "small_output"
     assert report["runs"][0]["ratio"] == 1.0
+
+
+def test_stream_records_the_prng_of_a_seeded_order(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 3 2 2\ne 0 1 1\ne 1 2 2\n")
+    assert main(["stream", str(graph), "--seeds", "4", "--epsilon", "0.2", "--beta", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["runs"][0]["prng"] == PRNG_ID
 
 
 def test_stream_requires_seeds(tmp_path, capsys):

@@ -143,20 +143,20 @@ GADGET_CASES = {
 
 STREAM_GOLDEN: dict[str, dict[str, str]] = {
     "single-v1-phase1": {
-        "order": "19795e495603118ed76418ce226b6b840ad57ced484fd79d4e17e70387c07840",
-        "stats": "86251c4b4ba69ce05befc64959a3acc5fa4c9a8033ccac3a2f6d2a6e1517be9f",
-        "matching": "5abe68dd75e13b91d662da194c27e53c21432a8921246387f18b6f788696613a",
-        "sets": "8512ed363c21ad45cb079a01d99ef0cb6200d843c2867f12c943190883e486fb",
+        "order": "1a2700c3d891c6e2523cc20be6307e41f44e82bbc0e2d32f80cd10effb5bee63",
+        "stats": "20c232ed7c3d428fc36d7cb1e23f47530aa28ec4573e7feb1b0d7a8eaddc5342",
+        "matching": "992dd4c489ae02ab620dbe376549c0faa573bd31b6faf45853ca6e42eaaf9d4f",
+        "sets": "f75fa0831c47b1d427f1457cab627282b0cfc6f3679f473445b88b855a95845f",
     },
     "single-v1-random": {
-        "order": "37873c4a3f8b5d9dafa81c4329bc89f78a282092908d909cab6cfeebd647c343",
-        "stats": "b72ed9c1897d2dbf71cc41bc3ab039edc6e5f83aeef9f485cd1afa8f6461e445",
+        "order": "d590313c54f06e9833bdba6216f048f9e3d09991a8e7eca5c1db1da3369ec674",
+        "stats": "ba6e1f24cad9c28d3efbbff2c6cb22e1461cb7f347e2e3720136be1c45e9b4fe",
         "matching": "68f47fd0de5699720ae26e6826ebd2d4bc34a5d208534b4170d963d97d5dc533",
         "sets": "e918fd5ccbbce2415e72375d38f62c4248b0ac47fad30197033613980291641c",
     },
     "single-v3-raw": {
-        "order": "d709b014801fdbadb1644fa05cdcfad0b5cbc592e16bba129936f4a888d355ed",
-        "stats": "63666aa0d95086ea130fda677e62026b688dc19f61f935adb2ce8221786c4578",
+        "order": "88292aaaf8bddcab8f19ac97132b0202b4e77a6b0b4c521a0cb71da2487906c1",
+        "stats": "eaa884f643ef8df26aa6c93daed52b82f72716056de755e27236b074aa4b8b3b",
         "matching": "58605fc35ec45cddccaeab133990973bc6768781e36d8306b1dd2d07a581d24c",
         "sets": "151192a18c7ed6f4d5e1122e189f25e78bca3c6153daeef2fc8c9e4f1ce053eb",
     },
@@ -167,34 +167,34 @@ STREAM_GOLDEN: dict[str, dict[str, str]] = {
         "sets": "b4809ea400c8c0874aaaff4ca0f4017e941ebdf4ac65e06a11e9e3dc3388c143",
     },
     "fallbacks-none": {
-        "order": "39343460561979b564cfdce4d5252829e2e0b9b5dccbd1288ad2aa1ae44c802b",
-        "stats": "e7e70b6d4ebf6f8fbea81d8413206bcc8f1b4bdab2f189cd7b22b7e6fcdadfa6",
-        "matching": "d104c4b572095dc2f782832f60baa7e103fae41017e459fab4ae57ae09457e69",
-        "sets": "e4eda477b94eefb40fc71e1bf7c4843dbed13d2daacdc5519d6ff431bc51c4d8",
+        "order": "f7f62add6996d6fa308c41473f1c9abf8fbc5aef28ab09449ecf63f880b0151a",
+        "stats": "1c21d0a8df86eec5f73634010765039e4ba6252f565b76f73877385bbe7e30aa",
+        "matching": "135fef5535f38620efcef278936b41ce4647d781c4c96e6b53887bb40508f0cc",
+        "sets": "d954b5f6a0ac5efbf1b05fb0b991031539ae701a67f7e5f7616e9451503fd137",
     },
     "fallbacks-alpha-zero": {
-        "order": "4dd515a67eb28cf9a74a986e21e3f20b62c8e6dcf8e725f812a98470342ce4b2",
-        "stats": "9a59bcabc794ab67b93f285296fa45e7366a3d039b826ec81688f166822ab02a",
+        "order": "bc9fad76fddd9de644fec5964251f2fda7e88574037ce94970b0f48dd1034c57",
+        "stats": "20962d7006eba3e154baa85fd7d6f415676eb63686234f201ac2824934c3b9c9",
         "matching": "94c99928e4eccb57f517c63595b67398ffa2b4c0dd836ac7aa14800795fd8c12",
         "sets": "a27f0644925299ce9b5e6c6b349df338988d08ffb8edf959bdbb6e8bd9441947",
     },
     "fallbacks-small-output": {
-        "order": "eed43a9369521d83d990b2f973be160562828e4d6e31cd1b71aa6f5f3911cd29",
-        "stats": "99b2f5a2deddbc7af6992dcfc3bfc588ecf6c722dc229bc39f65cdae44bae22b",
+        "order": "c1254a342d0580e52c140ab0469c950e637dcefad27368b2f7252462774265c5",
+        "stats": "30dc7b5e752ff6ba424cb8c6f37a99316c0720d7bc02406f621693fcee70d74f",
         "matching": "a7d321087b328604da6141636eaf28577bb0beed47a3dcfb80f5eca8e2c282ef",
         "sets": "728359f6cf478f4712b02c4d29520c06cbf21a627dc77970fb36a0fc2c534926",
     },
     "fallbacks-small-output-v3": {
-        "order": "d709b014801fdbadb1644fa05cdcfad0b5cbc592e16bba129936f4a888d355ed",
-        "stats": "489694ef7775e0b172a1959db1ca0e54998f0bc34fd5475d0010315bf105a2bf",
+        "order": "88292aaaf8bddcab8f19ac97132b0202b4e77a6b0b4c521a0cb71da2487906c1",
+        "stats": "da6e456b9f925adf57d44c10e1d312a9fabdba23da9977e88e21ade772c4c3c3",
         "matching": "58605fc35ec45cddccaeab133990973bc6768781e36d8306b1dd2d07a581d24c",
         "sets": "151192a18c7ed6f4d5e1122e189f25e78bca3c6153daeef2fc8c9e4f1ce053eb",
     },
     "fallbacks-v3-chunks": {
-        "order": "e26fb9c56f941bc351d5510247e863cd705ad7926d14dd6cbd154814c52f3619",
-        "stats": "6e0f36be8a4737b9f5b126febbeed49607e72635c531760f9e866fa42cf9c0c6",
-        "matching": "56a301b9e90be28b4e73d2b70043526ddd8d77b2d3035dee99b1d4e51ef9a9fc",
-        "sets": "31e9f414b63dd35ece481010488c90612f521e4bff327597bb640bbed5f3df7a",
+        "order": "12bd149d0b3400d8d7ee194625152966d518978b21e40ba1ef53267a129e28c1",
+        "stats": "1ec289eb99008f4f9abc002ffd748ab313d7449f375e997f3215b6a9c9844b6d",
+        "matching": "bf3b9f36a97fb778837e003a51f0dd7e1eebb96ea95ab3d6760ea1becb74186a",
+        "sets": "01b5599235d1d97f4d39fac47f5cbb01ac270399332824c6c391896a5aec4806",
     },
 }
 

@@ -1,10 +1,12 @@
 """The stream pass's order, phase-2 mask and relevant-store series, pinned
-to the per-edge and per-position forms the package first shipped.
+to independent references.
 
-``reference_make_stream``, ``reference_store_sizes`` and
-``reference_phase2_keep`` are those functions kept verbatim, with the
-per-edge ``_pair_limits`` they used and a chunk size of their own (so
-monkeypatching the package's does not reach them).
+The order is pinned to ``helpers.scalar_fisher_yates``, a pure-Python
+Fisher-Yates draw over PCG64's raw words that shares no code with numpy's
+``Generator``.  ``reference_store_sizes`` and ``reference_phase2_keep``
+are the per-edge and per-position forms the package first shipped, kept
+verbatim, with the per-edge ``_pair_limits`` they used and a chunk size
+of their own (so monkeypatching the package's does not reach them).
 Every test here asserts that the package's code gives exactly their
 output: the same order, the same mask, the same store size after every
 position and the same survival, and through ``_two_phase_pass`` the same
@@ -23,7 +25,7 @@ import wedcs.streaming as streaming
 from wedcs import Capacities, EdcsParams, MultiGraph, Subgraph, relevant_subgraph
 from wedcs.edcs import _degree_terms
 from wedcs.graph import _int_type, _rank_in_runs
-from wedcs.streaming import PRNG_ID, EdgeStream, _order_type, make_stream
+from wedcs.streaming import PRNG_ID, _order_type, make_stream
 
 from helpers import ScalarRelevantStore, make_random, scalar_stream_run
 
@@ -35,49 +37,6 @@ def _pair_limits(G: MultiGraph, b: Capacities) -> np.ndarray:
         raise ValueError("capacity vector length does not match vertex count")
     caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
     return np.minimum(caps[G.u], caps[G.v])
-
-
-def reference_make_stream(G: MultiGraph, seed: int) -> EdgeStream:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    m = G.m
-    dtype = _order_type(m)
-    ids = np.arange(m, dtype=dtype)
-    j = np.zeros(m, dtype=dtype)
-    # an array of bounds draws each j[i] exactly as one scalar call per i
-    # would, from i = m-1 down
-    for hi in range(m, 1, -_CHUNK):
-        lo = max(hi - _CHUNK, 1)
-        j[lo:hi] = rng.integers(0, np.arange(hi, lo, -1))[::-1]
-    # the steps grouped by partner j, each group by ascending i: one sort
-    # of the unique keys j*m + i (which fit int64 below 3e9 edges)
-    key = j[1:].astype(np.int64)
-    key *= m
-    key += ids[1:]
-    key.sort()
-    by_j = (key // m).astype(dtype)
-    by_i = (key % m).astype(dtype)
-    del key
-    same = by_j[1:] == by_j[:-1]
-    succ = np.full(m, -1, dtype=dtype)
-    succ[by_i[:-1]] = np.where(same, by_i[1:], -1)
-    # nxt[q]: the first step of q's group.  Where that is q's own
-    # self-swap, root[q] stays q, which is never read: no succ[i]
-    # (j[i] <= i < q = j[q]) and no other nxt[x] (j[q] = q) is such a q
-    first = np.flatnonzero(np.diff(by_j, prepend=-1))
-    live = by_j[first]
-    root = ids.copy()
-    root[live] = by_i[first]
-    del by_j, by_i, same, first
-    while live.size:
-        up = root[live]
-        up2 = root[up]
-        moved = up2 != up
-        live = live[moved]
-        root[live] = up2[moved]
-    # root[-1] where succ is missing is read but not used
-    order = np.where(succ >= 0, root[succ], j)
-    order[:1] = root[:1]
-    return EdgeStream(G, order, seed, PRNG_ID)
 
 
 def reference_store_sizes(G: MultiGraph, b: Capacities, order: np.ndarray,
@@ -165,19 +124,21 @@ def _raw_instance(seed: int, W: int, b_max: int, n: int = 9, m: int = 600):
 
 @pytest.mark.parametrize("chunk", [5, 1 << 15])
 def test_make_stream_matches_reference(monkeypatch, chunk):
+    # the order does not depend on the pass's chunk size
     monkeypatch.setattr(streaming, "_CHUNK", chunk)
     for m in (0, 1, 2, 3, 4, 5, 6, 17, 100, 1000, (1 << 15) + 3):
         G = _graph(m)
         for seed in range(4 if m < 2000 else 1):
-            got, want = make_stream(G, seed), reference_make_stream(G, seed)
-            assert got.order.dtype == want.order.dtype
-            assert got.order.tolist() == want.order.tolist(), (m, seed)
+            got = make_stream(G, seed)
+            assert got.order.dtype == _order_type(m) and got.prng == PRNG_ID
+            assert tuple(got.order.tolist()) == helpers.scalar_fisher_yates(m, seed), (m, seed)
 
 
 def test_make_stream_matches_reference_beyond_two_chunks():
     G = _graph(70_001)
     for seed in (0, 7, 2**40):
-        assert np.array_equal(make_stream(G, seed).order, reference_make_stream(G, seed).order)
+        assert tuple(make_stream(G, seed).order.tolist()) == \
+            helpers.scalar_fisher_yates(G.m, seed)
 
 
 # ------------------------------------------------------------ phase 2 mask

@@ -43,7 +43,7 @@ def test_make_stream_deterministic():
     s3 = make_stream(G, 8)
     assert s1.order.tolist() == s2.order.tolist()
     assert s1.order.tolist() != s3.order.tolist()
-    assert s1.prng == "pcg64-fisher-yates"
+    assert s1.prng == "pcg64-permutation"
 
 
 def test_make_stream_tiny():
@@ -58,6 +58,15 @@ def test_make_stream_matches_scalar_draws_across_chunks(seed):
     # 70,001 edges span three chunks of 2**15 draws
     G = MultiGraph(2, [(0, 1, 1)] * 70_001)
     assert tuple(make_stream(G, seed).order.tolist()) == scalar_fisher_yates(G.m, seed)
+
+
+def test_make_stream_is_not_the_high_half_first_draw():
+    # mutation check: the scalar draw that reads each raw word's high half
+    # first gives other orders, so the pins below see the word split
+    for m in (257, 5000):
+        for seed in range(4):
+            assert tuple(make_stream(_parallel_edges(m), seed).order.tolist()) != \
+                scalar_fisher_yates(m, seed, high_first=True)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 10, 1000])
@@ -606,6 +615,16 @@ def test_array_pass_matches_scalar_reference(monkeypatch):
                                  with_store=runner is run_with_fallbacks)
         assert _outcome(got) == _outcome(want), seed
         reached.add((runner.__name__, variant, got.stats.fallback_used))
+        replaced = replaced or got.stats.replacement_count > 0
+    # random orders of these cases seldom replace; ascending parallel pairs
+    # in file order replace at every round
+    stream = file_order_stream(_ascending_parallel_stream(pairs=50, W=3, m=20000))
+    b, params = Capacities.uniform(stream.graph.n), EdcsParams(W=3, beta=4, beta_minus=2)
+    for runner in (run_single_pass, run_with_fallbacks):
+        got = runner(stream, b, params, "0.49", variant=3)
+        want = scalar_stream_run(stream, b, params, "0.49", variant=3,
+                                 with_store=runner is run_with_fallbacks)
+        assert _outcome(got) == _outcome(want), runner.__name__
         replaced = replaced or got.stats.replacement_count > 0
     for end in ("none", "alpha_zero"):
         for variant in (1, 3):
