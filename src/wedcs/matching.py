@@ -304,9 +304,8 @@ def bipartite_b_matching(G: MultiGraph, b: Capacities,
     then lowers the labels of the left vertices the last search reached
     and raises those of the right vertices it reached; rounds that would
     repeat that search are taken at once (:func:`_primal_dual`).  When R
-    is not G,
-    the ids map back through R's ids and the labels are lifted to cover
-    G's other edges (:func:`_lifted_labels`).  The labels are the
+    is not G, the ids map back through R's ids and the labels are lifted
+    to cover G's other edges (:func:`_lifted_labels`).  The labels are the
     certificate, checked by :func:`_proven` over every edge of G before
     returning.  The method works in int64, so it needs m * W < 2**62 on
     G, and raises ``ValueError`` beyond that.

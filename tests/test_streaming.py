@@ -55,7 +55,7 @@ def test_make_stream_tiny():
 
 @pytest.mark.parametrize("seed", [5, 2024])
 def test_make_stream_matches_scalar_draws_across_chunks(seed):
-    # 70,001 edges span three chunks of 2**15 draws
+    # 70,001 edges: draws under masks of every bit length up to 17
     G = MultiGraph(2, [(0, 1, 1)] * 70_001)
     assert tuple(make_stream(G, seed).order.tolist()) == scalar_fisher_yates(G.m, seed)
 
@@ -82,14 +82,16 @@ def _parallel_edges(m):
 
 
 def test_make_stream_matches_scalar_swaps_small():
-    # every length up to 300 meets self-swaps and length-1 chains
+    # every length up to 300: self-swaps and rejections under every mask
+    # up to 9 bits
     for m in range(301):
         G = _parallel_edges(m)
         for seed in range(5):
             assert tuple(make_stream(G, seed).order.tolist()) == scalar_fisher_yates(m, seed), m
 
 
-# chunk edges, two seeds each, and the benchmark's stream length
+# lengths at the 2**15 and 2**16 mask edges, two seeds each, and the
+# benchmark's stream length
 @pytest.mark.parametrize("m, seed", [(m, seed) for m in (2**15 - 1, 2**15, 2**15 + 1, 2**16 + 1)
                                      for seed in (3, 77)] + [(200_000, 8101)])
 def test_make_stream_matches_scalar_swaps_large(m, seed):
