@@ -31,14 +31,10 @@ from .graph_io import GraphFormatError, format_graph, parse_graph, read_graph, w
 from .matching import (
     BMatching,
     OracleBudgetExceeded,
-    SplitResult,
-    bipartite_b_matching,
     bipartition_sides,
     branch_and_bound_b_matching,
-    distribute_edges,
     max_weight_b_matching_exact,
     max_weight_b_matching_greedy,
-    split_vertices,
 )
 from .streaming import (
     EdgeStream,
@@ -65,19 +61,16 @@ __all__ = [
     "MultiGraph",
     "MulticopyInstance",
     "OracleBudgetExceeded",
-    "SplitResult",
     "StreamInvariantError",
     "StreamRunResult",
     "StreamRunStats",
     "Subgraph",
     "TightInstance",
     "ViolationReport",
-    "bipartite_b_matching",
     "bipartition_sides",
     "branch_and_bound_b_matching",
     "build_w_edcs",
     "build_wb_edcs",
-    "distribute_edges",
     "file_order_stream",
     "format_graph",
     "make_stream",
@@ -92,7 +85,6 @@ __all__ = [
     "relevant_subgraph",
     "run_single_pass",
     "run_with_fallbacks",
-    "split_vertices",
     "tight_instance",
     "validate",
     "write_graph",

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .edcs import EdcsParams, _checked_epsilon, build_wb_edcs, parameters_for, validate
 from .generators import GenSpec, multicopy_instance, random_instance, tight_instance
-from .graph import Capacities, MultiGraph, Subgraph, _relevant_ids
+from .graph import Capacities, MultiGraph, Subgraph, _reject_crowded, _relevant_ids
 from .graph_io import (GraphFormatError, match_subgraph_edges, read_graph, write_graph,
                        write_subgraph)
 from .matching import DEFAULT_ORACLE_BUDGET, OracleBudgetExceeded, max_weight_b_matching_exact
@@ -178,10 +178,13 @@ def cmd_stream(args) -> int:
         raise InputError("--jobs must be >= 1")
     seeds = _parse_seeds(args.seeds)
     graph, caps = _load_graph(args.graph)
-    # a bad epsilon fails here, before the oracle and any worker
+    # a bad epsilon or a crowded pair under variant 1 fails here, before
+    # the oracle and any worker
     params = _params_from_args(args, graph.W)
     if params.epsilon is None:
         raise InputError("stream requires --epsilon")
+    if args.variant == 1:
+        _reject_crowded(graph, caps, "use --variant 3 for raw multiplicity streams")
     # the pair numbering and the relevant ids, cached on the graph: every
     # stream and the oracle read them, forked workers inherit them, and
     # serial seeds reuse them

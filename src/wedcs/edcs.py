@@ -23,8 +23,9 @@ insertion repairs the members pushed over their bound.  The ledger also
 keeps every weighted degree over one common denominator L = lcm(b), as
 the integer load wdeg_H(x) * (L // b_x).  An edge's two loads summed and
 compared with k * w * L give the sign of its :func:`_excess` at k, so the
-builder's queue pops and the repair's search for members over their bound
-test an edge with two list reads and an add.
+builder's queue pops, phase 1's underfull test and the repair's search for
+members over their bound test an edge with two list reads and an add;
+:func:`_excess` itself runs only where a step's gain needs its value.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _pair_caps
+from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _reject_crowded
 
 __all__ = [
     "EdcsParams",
@@ -383,17 +384,7 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams):
     unit-capacity endpoint to a capacity >= 3 one, and 2w in the all-unit
     case; termination follows because the potential is bounded.
     """
-    if len(b) != G.n:
-        raise ValueError("capacity vector length does not match vertex count")
-    crowded = _first_crowded_pair(G, _pair_caps(G, b))
-    if crowded is not None:
-        eid, count = crowded
-        u, v, _ = G.triple(eid)
-        u, v = min(u, v), max(u, v)
-        raise ValueError(
-            f"pair ({u}, {v}) has {count} parallel edges, more than min(b_u, b_v)="
-            f"{min(b[u], b[v])}; reduce to the relevant subgraph first"
-        )
+    _reject_crowded(G, b, "reduce to the relevant subgraph first")
     return _local_search(G, b, params)
 
 

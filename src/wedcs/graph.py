@@ -337,6 +337,19 @@ def _first_crowded_pair(G: MultiGraph, limit) -> tuple[int, int] | None:
     return (int(over[0]), int(count[pair[over[0]]])) if over.size else None
 
 
+def _reject_crowded(G: MultiGraph, b: Capacities, advice: str) -> None:
+    """Raise ``ValueError`` naming the first pair (see
+    :func:`_first_crowded_pair`) with more than min(b_u, b_v) parallel
+    edges, its edge count and that cap, followed by ``advice``."""
+    crowded = _first_crowded_pair(G, _pair_caps(G, b))
+    if crowded is not None:
+        eid, count = crowded
+        u, v, _ = G.triple(eid)
+        u, v = min(u, v), max(u, v)
+        raise ValueError(f"pair ({u}, {v}) has {count} parallel edges, more than "
+                         f"min(b_u, b_v)={min(b[u], b[v])}; {advice}")
+
+
 def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:
     """Keep, for every unordered vertex pair, the min(b_u, b_v) heaviest
     parallel edges (ties by smaller edge id).

@@ -1,13 +1,14 @@
-"""Maximum-weight b-matching solvers and supporting constructions.
+"""Maximum-weight b-matching solvers.
 
-The exact solver is the yardstick the rest of the package is measured
-against.  Non-bipartite instances go through a budgeted branch-and-bound;
-bipartite instances (detected by 2-coloring) go through a weight-level
-primal-dual method that stays exact at sizes branch-and-bound cannot
-reach.  It solves the input's relevant subgraph, lifts the labels of its
-König–Egerváry dual until they cover every edge of the input, and proves
-each answer with them over the caller's graph, in integers.  Both are
-deterministic.
+The exact solver, :func:`max_weight_b_matching_exact`, is the yardstick
+the rest of the package is measured against, and the one entry into both
+exact routes.  Non-bipartite instances go through a budgeted
+branch-and-bound; bipartite instances (detected by 2-coloring) go through
+a weight-level primal-dual method that stays exact at sizes
+branch-and-bound cannot reach.  It solves the input's relevant subgraph,
+lifts the labels of its König–Egerváry dual until they cover every edge
+of the input, and proves each answer with them over the caller's graph,
+in integers.  Both are deterministic.
 
 The primal-dual method keeps one CSR of arcs over its classes, built
 once, runs its breadth-first searches as array steps over the round's
@@ -17,13 +18,12 @@ over the layered arcs that lead to a free vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graph import (Capacities, MultiGraph, Subgraph, _first_crowded_pair, _int_type,
-                    _pair_caps, _relevant_ids)
+from .graph import Capacities, MultiGraph, _int_type, _relevant_ids
 
 __all__ = [
     "BMatching",
@@ -32,11 +32,7 @@ __all__ = [
     "bipartition_sides",
     "max_weight_b_matching_exact",
     "branch_and_bound_b_matching",
-    "bipartite_b_matching",
     "max_weight_b_matching_greedy",
-    "distribute_edges",
-    "split_vertices",
-    "SplitResult",
 ]
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
@@ -112,17 +108,40 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
 
     G's relevant subgraph R (:func:`_relevant_ids`) keeps at least one
     edge of every pair of G, so its 2-coloring is G's; it is found on R.
-    Bipartite inputs are solved by :func:`bipartite_b_matching` regardless
-    of size, and proven on G; everything else by branch-and-bound on G
-    within ``budget`` search nodes (raising :class:`OracleBudgetExceeded`
-    beyond it).
+    Non-bipartite inputs run branch-and-bound on G within ``budget``
+    search nodes (raising :class:`OracleBudgetExceeded` beyond it).
+
+    Bipartite inputs, whatever their size, run a weight-level primal-dual
+    method on R and are proven on G.  R's edges collapse into the classes
+    of :func:`_classes`; a class may take at most its multiplicity of
+    edges, and takes its lowest ids.  Every left vertex with an edge
+    starts at label W (the heaviest class weight), every right vertex at
+    0.  Each of W rounds augments a maximum flow along shortest paths of
+    tight classes (y_u + y_v = w), then lowers the labels of the left
+    vertices the last search reached and raises those of the right
+    vertices it reached; rounds that would repeat that search are taken
+    at once (:func:`_primal_dual`).  When R is not G, the ids map back
+    through R's ids and the labels are lifted to cover G's other edges
+    (:func:`_lifted_labels`).  The labels are the certificate, checked by
+    :func:`_proven` over every edge of G before returning.  The method
+    works in int64, so it needs m * W < 2**62 on G, and raises
+    ``ValueError`` beyond that.
     """
     keep = _relevant_ids(G, b)
     R = G.restrict(keep)[0]
     sides = bipartition_sides(R)
-    if sides is not None:
-        return _bipartite_on_relevant(G, b, keep, R, sides)
-    return branch_and_bound_b_matching(G, b, budget)
+    if sides is None:
+        return branch_and_bound_b_matching(G, b, budget)
+    if G.m * G.W >= 2**62:
+        raise ValueError(f"the bipartite solver needs m * W < 2**62, got m={G.m}, W={G.W}")
+    if R.m == 0:
+        return BMatching([], 0)
+    classes, cls, rank = _classes(R, sides)
+    x, y = _primal_dual(classes, b, R.n)
+    ids = np.flatnonzero(rank < x[cls])     # each class takes its x lowest ids
+    if R is not G:
+        ids, y = keep[ids], _lifted_labels(G, b, keep, y)
+    return _proven(G, b, ids, y)
 
 
 def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,9 +186,10 @@ def _proven(G: MultiGraph, b: Capacities, ids: np.ndarray, y: np.ndarray) -> BMa
     is then a feasible dual, so sum(b_v * y_v) + sum(z) bounds every
     b-matching's weight, and equality with the ids' weight proves them
     optimal.  Each w_e - y_u - y_v is formed in the smallest type that
-    holds it, the edge terms are summed in int64, where
-    :func:`bipartite_b_matching`'s limit keeps them, and the label term by
-    :func:`_label_term`.  Raises ``RuntimeError`` on any mismatch."""
+    holds it, the edge terms are summed in int64, where the bipartite
+    route's limit in :func:`max_weight_b_matching_exact` keeps them, and
+    the label term by :func:`_label_term`.  Raises ``RuntimeError`` on
+    any mismatch."""
     found = BMatching(ids.tolist(), int(G.w[ids].sum(dtype=np.int64)))
     if not found.verify(G, b):
         raise RuntimeError("the matching fails verification on G")
@@ -291,50 +311,6 @@ def branch_and_bound_b_matching(G: MultiGraph, b: Capacities, budget: int) -> BM
     return BMatching(best_set, best_weight)
 
 
-def bipartite_b_matching(G: MultiGraph, b: Capacities,
-                         sides: Sequence[int] | None = None) -> BMatching:
-    """Exact solver for bipartite multigraphs by a weight-level primal-dual
-    method, run on G's relevant subgraph R and proven on G.
-
-    R's edges collapse into the classes of :func:`_classes`; a class may
-    take at most its multiplicity of edges, and takes its lowest ids.
-    Every left vertex with an edge starts at label W (the heaviest class
-    weight), every right vertex at 0.  Each of W rounds augments a
-    maximum flow along shortest paths of tight classes (y_u + y_v = w),
-    then lowers the labels of the left vertices the last search reached
-    and raises those of the right vertices it reached; rounds that would
-    repeat that search are taken at once (:func:`_primal_dual`).  When R
-    is not G, the ids map back through R's ids and the labels are lifted
-    to cover G's other edges (:func:`_lifted_labels`).  The labels are the
-    certificate, checked by :func:`_proven` over every edge of G before
-    returning.  The method works in int64, so it needs m * W < 2**62 on
-    G, and raises ``ValueError`` beyond that.
-    """
-    keep = _relevant_ids(G, b)
-    R = G.restrict(keep)[0]
-    if sides is None:
-        sides = bipartition_sides(R)
-        if sides is None:
-            raise ValueError("graph is not bipartite")
-    return _bipartite_on_relevant(G, b, keep, R, sides)
-
-
-def _bipartite_on_relevant(G: MultiGraph, b: Capacities, keep: np.ndarray, R: MultiGraph,
-                           sides: Sequence[int]) -> BMatching:
-    """:func:`bipartite_b_matching` on R = ``G.restrict(keep)[0]``, the
-    relevant subgraph its caller has already cut out."""
-    if G.m * G.W >= 2**62:
-        raise ValueError(f"the bipartite solver needs m * W < 2**62, got m={G.m}, W={G.W}")
-    if R.m == 0:
-        return BMatching([], 0)
-    classes, cls, rank = _classes(R, sides)
-    x, y = _primal_dual(classes, b, R.n)
-    ids = np.flatnonzero(rank < x[cls])     # each class takes its x lowest ids
-    if R is not G:
-        ids, y = keep[ids], _lifted_labels(G, b, keep, y)
-    return _proven(G, b, ids, y)
-
-
 def _classes(G: MultiGraph, sides: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G's edges collapsed into (u, v, w) classes with u on the left
     (``sides[u] == 0``), grouped by one sort of the columns.
@@ -374,9 +350,9 @@ def _classes(G: MultiGraph, sides: Sequence[int]) -> tuple[np.ndarray, np.ndarra
 
 
 def _primal_dual(classes: np.ndarray, b: Capacities, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Class counts x and vertex labels y, as arrays, for
-    :func:`bipartite_b_matching`; row c of ``classes`` is (left vertex,
-    right vertex, weight, multiplicity).
+    """Class counts x and vertex labels y, as arrays, for the bipartite
+    route of :func:`max_weight_b_matching_exact`; row c of ``classes`` is
+    (left vertex, right vertex, weight, multiplicity).
 
     Invariants: a class below its multiplicity has y_u + y_v >= w, a class
     in use has y_u + y_v <= w, a right vertex with a positive label is
@@ -565,155 +541,3 @@ def _blocking_flow(levels: list, dist: np.ndarray, room: np.ndarray, x: np.ndarr
     used = r - residual
     x[c] += np.where(level & 1, -used, used)
     return room
-
-
-def distribute_edges(groups: Sequence[Sequence[tuple[int, int, bool]]],
-                     bucket_count: int) -> list[list[tuple[int, int, bool]]]:
-    """Distribute grouped incident edges into ``bucket_count`` buckets.
-
-    ``groups`` holds one list per neighboring vertex; each item is
-    ``(edge_id, weight, is_matched)`` with the matched edges first and
-    weights non-increasing.  Two greedy passes per group: matched edges go
-    to the lightest buckets that never received a matched edge, remaining
-    edges to the lightest other buckets.  The result satisfies
-
-      * at most one matched edge per bucket,
-      * at most one edge per (bucket, group) pair,
-      * bucket weights spread over at most twice the maximum edge weight.
-    """
-    if bucket_count < 1:
-        raise ValueError("bucket_count must be >= 1")
-    total_matched = 0
-    for g in groups:
-        if len(g) > bucket_count:
-            raise ValueError(f"group of size {len(g)} exceeds bucket count {bucket_count}")
-        past_matched = False
-        for j, (eid, w, matched) in enumerate(g):
-            if j > 0 and g[j - 1][1] < w:
-                raise ValueError("group weights must be non-increasing")
-            if matched and past_matched:
-                raise ValueError("matched edges must form a prefix of their group")
-            if not matched:
-                past_matched = True
-        total_matched += sum(1 for item in g if item[2])
-    if total_matched > bucket_count:
-        raise ValueError("more matched edges than buckets")
-
-    buckets: list[list[tuple[int, int, bool]]] = [[] for _ in range(bucket_count)]
-    load = [0] * bucket_count
-    used_for_matching = [False] * bucket_count
-    for g in groups:
-        m_u = sum(1 for item in g if item[2])
-        fresh = sorted((i for i in range(bucket_count) if not used_for_matching[i]),
-                       key=lambda i: (load[i], i))[:m_u]
-        for j in range(m_u):
-            i = fresh[j]
-            buckets[i].append(g[j])
-            load[i] += g[j][1]
-            used_for_matching[i] = True
-        taken = set(fresh)
-        rest = sorted((i for i in range(bucket_count) if i not in taken),
-                      key=lambda i: (load[i], i))[:len(g) - m_u]
-        for j in range(m_u, len(g)):
-            i = rest[j - m_u]
-            buckets[i].append(g[j])
-            load[i] += g[j][1]
-    return buckets
-
-
-@dataclass
-class SplitResult:
-    """Outcome of :func:`split_vertices`.
-
-    ``vertex_map[x]`` gives ``(original vertex, copy index)`` for split
-    vertex ``x``; ``edge_origin[j]`` the original edge id behind split
-    edge ``j``; ``matched_split_ids`` the split edges carrying the
-    (normalized) input matching, which form a simple matching.
-    """
-
-    graph: MultiGraph
-    subgraph: Subgraph
-    vertex_map: list[tuple[int, int]]
-    edge_origin: list[int]
-    matched_split_ids: list[int] = field(default_factory=list)
-
-
-def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching) -> SplitResult:
-    """Expand each vertex v into b_v copies and spread H and M's edges
-    over the copies so that the result is a simple graph.
-
-    Any matching of the split subgraph folds back to a b-matching of H of
-    equal weight, and the input matching survives as a simple matching.
-    Within each parallel class the matched labels are first normalized
-    onto the heaviest edges (a swap between same-endpoint edges, so for a
-    maximum-weight M this keeps the weight unchanged).
-    """
-    if H.parent is not G:
-        raise ValueError("H must be a subgraph of G")
-    if not M.verify(G, b):
-        raise ValueError("M is not a b-matching of G")
-    crowded = _first_crowded_pair(G, _pair_caps(G, b))
-    if crowded is not None:
-        u, v, _ = G.triple(crowded[0])
-        raise ValueError(f"pair ({min(u, v)}, {max(u, v)}) exceeds min(b_u, b_v) parallel edges")
-
-    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
-    union_ids = sorted(H.members | set(M.edge_ids))
-    in_matching = set(M.edge_ids)
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for eid in union_ids:
-        by_pair.setdefault((min(eu[eid], ev[eid]), max(eu[eid], ev[eid])), []).append(eid)
-    matched_norm: set[int] = set()
-    for ids in by_pair.values():
-        k = sum(1 for i in ids if i in in_matching)
-        ranked = sorted(ids, key=lambda i: (-ew[i], i))
-        matched_norm.update(ranked[:k])
-
-    union_at: list[list[int]] = [[] for _ in range(G.n)]
-    for eid in union_ids:
-        union_at[eu[eid]].append(eid)
-        union_at[ev[eid]].append(eid)
-
-    copy_of: dict[tuple[int, int], int] = {}
-    for v in range(G.n):
-        by_neighbor: dict[int, list[int]] = {}
-        for eid in union_at[v]:
-            by_neighbor.setdefault(eu[eid] + ev[eid] - v, []).append(eid)
-        groups = []
-        for u in sorted(by_neighbor):
-            ids = sorted(by_neighbor[u],
-                         key=lambda i: (i not in matched_norm, -ew[i], i))
-            groups.append([(i, ew[i], i in matched_norm) for i in ids])
-        buckets = distribute_edges(groups, b[v])
-        for i, bucket in enumerate(buckets):
-            for eid, _, _ in bucket:
-                copy_of[(eid, v)] = i
-
-    offsets = [0] * (G.n + 1)
-    for v in range(G.n):
-        offsets[v + 1] = offsets[v] + b[v]
-    vertex_map = [(v, i) for v in range(G.n) for i in range(b[v])]
-    triples = []
-    edge_origin = []
-    for eid in union_ids:
-        u, v = eu[eid], ev[eid]
-        triples.append((offsets[u] + copy_of[(eid, u)], offsets[v] + copy_of[(eid, v)], ew[eid]))
-        edge_origin.append(eid)
-    split_graph = MultiGraph(offsets[-1], triples, W=G.W)
-    split_sub = Subgraph(split_graph,
-                         [j for j, eid in enumerate(edge_origin) if eid in H.members])
-    matched_split = [j for j, eid in enumerate(edge_origin) if eid in matched_norm]
-
-    if _first_crowded_pair(split_graph, 1) is not None:
-        raise RuntimeError("split graph is not simple")
-    if max(Subgraph(split_graph, matched_split).deg, default=0) > 1:
-        raise RuntimeError("matching did not map to a simple matching")
-    W = G.W
-    split_wdeg = Subgraph(split_graph, range(split_graph.m)).wdeg
-    for x, total in enumerate(split_wdeg):
-        v, _ = vertex_map[x]
-        # full distributed weight: wdeg_H(v)/b_v - 2W <= . <= wdeg_H(v)/b_v + 3W
-        if not (H.wdeg[v] - 2 * W * b[v] <= total * b[v] <= H.wdeg[v] + 3 * W * b[v]):
-            raise RuntimeError(f"split copy {x} outside its weighted-degree window")
-
-    return SplitResult(split_graph, split_sub, vertex_map, edge_origin, matched_split)

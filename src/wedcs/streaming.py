@@ -54,9 +54,9 @@ from .graph import (
     Capacities,
     MultiGraph,
     Subgraph,
-    _first_crowded_pair,
     _pair_caps,
     _rank_in_runs,
+    _reject_crowded,
     _relevant_ids,
 )
 from .matching import (
@@ -356,18 +356,14 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     stats = StreamRunStats(seed=stream.seed, m=m, variant=variant, prng=stream.prng)
     weight: dict[int, int] = {}
     ledger = _Ledger(G, b, beta, weight)
-    H, at = ledger.H, ledger.at
+    H, at, load = ledger.H, ledger.at, ledger.load
+    minus_L = beta_minus * ledger.L  # underfull: load[u] + load[v] < minus_L * w
     order = stream.order
     wdeg = H.wdeg
     peak = 0
 
     if variant == 1:
-        crowded = _first_crowded_pair(G, _pair_caps(G, b))
-        if crowded is not None:
-            u, v, _ = G.triple(crowded[0])
-            raise ValueError(
-                f"pair ({min(u, v)}, {max(u, v)}) has more than min(b_u, b_v) parallel edges; "
-                "use variant=3 for raw multiplicity streams")
+        _reject_crowded(G, b, "use variant=3 for raw multiplicity streams")
 
     store = None if store_cap is None else _RelevantStore(G, b, order, store_cap)
 
@@ -396,9 +392,9 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         """Returns True when the edge at position k triggered an insertion
         (or replacement)."""
         u, v, w = G.triple(eid)
-        bu, bv = b[u], b[v]
-        if _excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus) >= 0:
+        if load[u] + load[v] >= minus_L * w:
             return False
+        bu, bv = b[u], b[v]
         # the pair's copies in H: at most beta * b_u + 1 members at u
         held = [i for i, y in at[u].items() if y == v]
         if len(held) >= min(bu, bv):

@@ -1,4 +1,6 @@
-"""Shared test utilities: brute-force oracles and instance shorthands.
+"""Shared test utilities: brute-force oracles, instance shorthands, and
+the vertex-splitting reduction of b-matching to simple matching (the
+paper's analysis device, which no run of the package needs).
 
 The brute-force solvers here are deliberately independent of the package's
 solvers (plain subset enumeration) so they can act as ground truth.
@@ -7,13 +9,16 @@ solvers (plain subset enumeration) so they can act as ground truth.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from wedcs import Capacities, GenSpec, MultiGraph, Subgraph, random_instance
+from wedcs import BMatching, Capacities, GenSpec, MultiGraph, Subgraph, random_instance
 from wedcs.edcs import BuildTrace, LocalSearchError, _excess, _step_gain, potential, validate
+from wedcs.graph import _first_crowded_pair, _reject_crowded
 
 
 def brute_force_b_matching_weight(G: MultiGraph, b: Capacities) -> int:
@@ -200,6 +205,155 @@ def check_distribution_properties(groups, in_h, buckets, bucket_count: int, W: i
     for load in loads:
         assert wdeg_h - 2 * W * bucket_count <= load * bucket_count \
             <= wdeg_h + 3 * W * bucket_count
+
+
+def distribute_edges(groups: Sequence[Sequence[tuple[int, int, bool]]],
+                     bucket_count: int) -> list[list[tuple[int, int, bool]]]:
+    """Distribute grouped incident edges into ``bucket_count`` buckets.
+
+    ``groups`` holds one list per neighboring vertex; each item is
+    ``(edge_id, weight, is_matched)`` with the matched edges first and
+    weights non-increasing.  Two greedy passes per group: matched edges go
+    to the lightest buckets that never received a matched edge, remaining
+    edges to the lightest other buckets.  The result satisfies
+
+      * at most one matched edge per bucket,
+      * at most one edge per (bucket, group) pair,
+      * bucket weights spread over at most twice the maximum edge weight.
+    """
+    if bucket_count < 1:
+        raise ValueError("bucket_count must be >= 1")
+    total_matched = 0
+    for g in groups:
+        if len(g) > bucket_count:
+            raise ValueError(f"group of size {len(g)} exceeds bucket count {bucket_count}")
+        past_matched = False
+        for j, (eid, w, matched) in enumerate(g):
+            if j > 0 and g[j - 1][1] < w:
+                raise ValueError("group weights must be non-increasing")
+            if matched and past_matched:
+                raise ValueError("matched edges must form a prefix of their group")
+            if not matched:
+                past_matched = True
+        total_matched += sum(1 for item in g if item[2])
+    if total_matched > bucket_count:
+        raise ValueError("more matched edges than buckets")
+
+    buckets: list[list[tuple[int, int, bool]]] = [[] for _ in range(bucket_count)]
+    load = [0] * bucket_count
+    used_for_matching = [False] * bucket_count
+    for g in groups:
+        m_u = sum(1 for item in g if item[2])
+        fresh = sorted((i for i in range(bucket_count) if not used_for_matching[i]),
+                       key=lambda i: (load[i], i))[:m_u]
+        for j in range(m_u):
+            i = fresh[j]
+            buckets[i].append(g[j])
+            load[i] += g[j][1]
+            used_for_matching[i] = True
+        taken = set(fresh)
+        rest = sorted((i for i in range(bucket_count) if i not in taken),
+                      key=lambda i: (load[i], i))[:len(g) - m_u]
+        for j in range(m_u, len(g)):
+            i = rest[j - m_u]
+            buckets[i].append(g[j])
+            load[i] += g[j][1]
+    return buckets
+
+
+@dataclass
+class SplitResult:
+    """Outcome of :func:`split_vertices`.
+
+    ``vertex_map[x]`` gives ``(original vertex, copy index)`` for split
+    vertex ``x``; ``edge_origin[j]`` the original edge id behind split
+    edge ``j``; ``matched_split_ids`` the split edges carrying the
+    (normalized) input matching, which form a simple matching.
+    """
+
+    graph: MultiGraph
+    subgraph: Subgraph
+    vertex_map: list[tuple[int, int]]
+    edge_origin: list[int]
+    matched_split_ids: list[int] = field(default_factory=list)
+
+
+def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching) -> SplitResult:
+    """Expand each vertex v into b_v copies and spread H and M's edges
+    over the copies so that the result is a simple graph.
+
+    Any matching of the split subgraph folds back to a b-matching of H of
+    equal weight, and the input matching survives as a simple matching.
+    Within each parallel class the matched labels are first normalized
+    onto the heaviest edges (a swap between same-endpoint edges, so for a
+    maximum-weight M this keeps the weight unchanged).
+    """
+    if H.parent is not G:
+        raise ValueError("H must be a subgraph of G")
+    if not M.verify(G, b):
+        raise ValueError("M is not a b-matching of G")
+    _reject_crowded(G, b, "reduce to the relevant subgraph first")
+
+    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
+    union_ids = sorted(H.members | set(M.edge_ids))
+    in_matching = set(M.edge_ids)
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for eid in union_ids:
+        by_pair.setdefault((min(eu[eid], ev[eid]), max(eu[eid], ev[eid])), []).append(eid)
+    matched_norm: set[int] = set()
+    for ids in by_pair.values():
+        k = sum(1 for i in ids if i in in_matching)
+        ranked = sorted(ids, key=lambda i: (-ew[i], i))
+        matched_norm.update(ranked[:k])
+
+    union_at: list[list[int]] = [[] for _ in range(G.n)]
+    for eid in union_ids:
+        union_at[eu[eid]].append(eid)
+        union_at[ev[eid]].append(eid)
+
+    copy_of: dict[tuple[int, int], int] = {}
+    for v in range(G.n):
+        by_neighbor: dict[int, list[int]] = {}
+        for eid in union_at[v]:
+            by_neighbor.setdefault(eu[eid] + ev[eid] - v, []).append(eid)
+        groups = []
+        for u in sorted(by_neighbor):
+            ids = sorted(by_neighbor[u],
+                         key=lambda i: (i not in matched_norm, -ew[i], i))
+            groups.append([(i, ew[i], i in matched_norm) for i in ids])
+        buckets = distribute_edges(groups, b[v])
+        for i, bucket in enumerate(buckets):
+            for eid, _, _ in bucket:
+                copy_of[(eid, v)] = i
+
+    offsets = [0] * (G.n + 1)
+    for v in range(G.n):
+        offsets[v + 1] = offsets[v] + b[v]
+    vertex_map = [(v, i) for v in range(G.n) for i in range(b[v])]
+    triples = []
+    edge_origin = []
+    for eid in union_ids:
+        u, v = eu[eid], ev[eid]
+        triples.append((offsets[u] + copy_of[(eid, u)], offsets[v] + copy_of[(eid, v)], ew[eid]))
+        edge_origin.append(eid)
+    split_graph = MultiGraph(offsets[-1], triples, W=G.W)
+    split_sub = Subgraph(split_graph,
+                         [j for j, eid in enumerate(edge_origin) if eid in H.members])
+    matched_split = [j for j, eid in enumerate(edge_origin) if eid in matched_norm]
+
+    if _first_crowded_pair(split_graph, 1) is not None:
+        raise RuntimeError("split graph is not simple")
+    if max(Subgraph(split_graph, matched_split).deg, default=0) > 1:
+        raise RuntimeError("matching did not map to a simple matching")
+    W = G.W
+    split_wdeg = Subgraph(split_graph, range(split_graph.m)).wdeg
+    for x, total in enumerate(split_wdeg):
+        v, _ = vertex_map[x]
+        # full distributed weight: wdeg_H(v)/b_v - 2W <= . <= wdeg_H(v)/b_v + 3W
+        if not (H.wdeg[v] - 2 * W * b[v] <= total * b[v] <= H.wdeg[v] + 3 * W * b[v]):
+            raise RuntimeError(f"split copy {x} outside its weighted-degree window")
+
+    return SplitResult(split_graph, split_sub, vertex_map, edge_origin, matched_split)
 
 
 def pair_count(n: int, bipartite: bool) -> int:

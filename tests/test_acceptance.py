@@ -30,7 +30,6 @@ from wedcs import (
     branch_and_bound_b_matching,
     build_w_edcs,
     build_wb_edcs,
-    distribute_edges,
     make_stream,
     max_weight_b_matching_exact,
     multicopy_instance,
@@ -42,6 +41,7 @@ from wedcs import (
 
 from helpers import (
     check_distribution_properties,
+    distribute_edges,
     make_random,
     pair_count,
     primal_dual_cover,

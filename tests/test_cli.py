@@ -340,6 +340,26 @@ def test_stream_rejects_bipartite_weights_beyond_the_solver(tmp_path, capsys, jo
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stream_rejects_variant_1_crowding_before_the_oracle(tmp_path, capsys, monkeypatch,
+                                                            jobs):
+    # two parallel edges at unit capacities break variant 1's promise: the
+    # command fails on its input checks, before the oracle and any worker
+    import wedcs.cli
+
+    calls = []
+    monkeypatch.setattr(wedcs.cli, "max_weight_b_matching_exact",
+                        lambda *args: calls.append(args))
+    graph = tmp_path / "g.txt"
+    graph.write_text("g 2 2 3\ne 0 1 1\ne 0 1 3\n")
+    assert main(["stream", str(graph), "--seeds", "0-1", "--epsilon", "0.2", "--beta", "6",
+                 "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: pair (0, 1) has 2 parallel edges, more than "
+                            "min(b_u, b_v)=1; use --variant 3 for raw multiplicity streams\n")
+    assert captured.out == "" and calls == []
+
+
 def test_stream_solves_bipartite_weights_of_2_40(tmp_path, capsys):
     # the oracle's primal-dual rounds follow its searches, not W
     graph = tmp_path / "g.txt"

@@ -17,7 +17,6 @@ from wedcs import (
     Capacities,
     GenSpec,
     MultiGraph,
-    bipartite_b_matching,
     bipartition_sides,
     max_weight_b_matching_exact,
     random_instance,
@@ -120,9 +119,8 @@ def test_class_grouping_matches_the_dict_reference(seed):
     G, b = make_random(seed, n=20 + seed, m=40 * (seed + 1) if parallel else 90,
                        W=1 + seed % 4, b_max=1 + seed % 5, bipartite=True,
                        allow_parallel=parallel)
-    sides = bipartition_sides(G)
-    got = bipartite_b_matching(G, b, sides)
-    want = reference_bipartite_b_matching(G, b, sides)
+    got = max_weight_b_matching_exact(G, b)
+    want = reference_bipartite_b_matching(G, b, bipartition_sides(G))
     assert (got.edge_ids, got.weight) == (want.edge_ids, want.weight)
 
 

@@ -14,14 +14,11 @@ from wedcs import (
     MultiGraph,
     OracleBudgetExceeded,
     Subgraph,
-    bipartite_b_matching,
     bipartition_sides,
     branch_and_bound_b_matching,
     build_wb_edcs,
-    distribute_edges,
     max_weight_b_matching_exact,
     max_weight_b_matching_greedy,
-    split_vertices,
 )
 from wedcs.matching import _proven
 
@@ -29,10 +26,12 @@ from helpers import (
     brute_force_b_matching_weight,
     brute_force_min_cover_weight,
     check_distribution_properties,
+    distribute_edges,
     make_random,
     pair_count,
     primal_dual_cover,
     random_distribution_input,
+    split_vertices,
 )
 
 
@@ -68,9 +67,8 @@ def test_flow_matches_branch_and_bound(seed):
     # weights up to 5, capacities up to 5, raw multiplicities on odd seeds
     G, b = make_random(seed, n=8, m=14, W=1 + seed % 5, b_max=1 + seed // 10,
                        bipartite=True, allow_parallel=seed % 2 == 1)
-    sides = bipartition_sides(G)
-    assert sides is not None
-    flow = bipartite_b_matching(G, b, sides)
+    assert bipartition_sides(G) is not None
+    flow = max_weight_b_matching_exact(G, b)
     bnb = branch_and_bound_b_matching(G, b, budget=10**6)
     assert flow.verify(G, b)
     assert flow.weight == bnb.weight
@@ -85,7 +83,7 @@ def test_bipartite_long_augmenting_path():
     triples = [(left[i + 1], right[i], 1) for i in range(k - 1)]
     triples += [(left[i], right[i], 1) for i in range(k)]
     G = MultiGraph(2 * k, triples)
-    best = bipartite_b_matching(G, Capacities.uniform(G.n))
+    best = max_weight_b_matching_exact(G, Capacities.uniform(G.n))
     assert best.weight == k and best.verify(G, Capacities.uniform(G.n))
 
 
@@ -109,6 +107,16 @@ def test_certificate_accepts_optimal_pair():
 def test_certificate_rejects(x, y, message):
     with pytest.raises(RuntimeError, match=message):
         _proven(CERT_GRAPH, Capacities.uniform(3), np.array(x, dtype=np.int64), np.array(y))
+
+
+def test_export_list_resolves_and_keeps_one_exact_entry():
+    # every exported name exists; the splitting device lives in the
+    # tests, and the primal-dual route is reached only through the
+    # exact solver
+    assert all(hasattr(wedcs, name) for name in wedcs.__all__)
+    gone = {"bipartite_b_matching", "split_vertices", "distribute_edges", "SplitResult"}
+    assert not gone & set(wedcs.__all__)
+    assert not gone & set(wedcs.matching.__all__)
 
 
 def test_import_leaves_networkx_out():
@@ -572,6 +580,3 @@ def test_exact_solver_restricts_once(monkeypatch):
     G, b = make_random(0, n=8, m=200, W=3, b_max=2, bipartite=True, allow_parallel=True)
     max_weight_b_matching_exact(G, b)
     assert calls == [G]
-    calls.clear()
-    assert bipartite_b_matching(G, b).weight == max_weight_b_matching_exact(G, b).weight
-    assert calls == [G, G]
