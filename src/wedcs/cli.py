@@ -37,8 +37,9 @@ class InputError(Exception):
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("EDCS_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a logging attribute that is not an int (BASIC_FORMAT, say) names no level
+    level = getattr(logging, os.environ.get("EDCS_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
 

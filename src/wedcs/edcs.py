@@ -13,19 +13,18 @@ Property (i) keeps H sparse (each vertex ends up with degree at most
 beta * b_v); property (ii) guarantees H retains a near-optimal b-matching.
 Both are one comparison in exact integer arithmetic; the termination
 argument lives on slacks of 1/(b_u * b_v) that floating point would
-destroy.  Per edge, and over edge columns, the comparison is
-cross-multiplied by b_u * b_v; it and the potential's change per step are
-written once, here, for the builder, the validator and the stream runner:
-:func:`_excess` per edge, :func:`_degree_terms` over edge columns, and
-:func:`_step_gain`.  The builder and the stream runner's phase 1 change H
-only through one :class:`_Ledger`, which inserts, removes, and after an
-insertion repairs the members pushed over their bound.  The ledger also
-keeps every weighted degree over one common denominator L = lcm(b), as
-the integer load wdeg_H(x) * (L // b_x).  An edge's two loads summed and
-compared with k * w * L give the sign of its :func:`_excess` at k, so the
-builder's queue pops, phase 1's underfull test and the repair's search for
-members over their bound test an edge with two list reads and an add;
-:func:`_excess` itself runs only where a step's gain needs its value.
+destroy.  The builder and the stream runner's phase 1 change H only
+through one :class:`_Ledger`, which inserts, removes, and after an
+insertion repairs the members pushed over their bound.  The ledger keeps
+every weighted degree over one common denominator L = lcm(b), as the
+integer load wdeg_H(x) * (L // b_x), and is the one place that tests the
+rule for one edge and prices a step: an edge's two loads summed and
+compared with k * w * L decide the builder's queue pops, phase 1's
+underfull test and the repair's removals, and each insertion or removal
+returns L times its change of :func:`potential`.  Over edge columns,
+:func:`_degree_terms` cross-multiplies the rule by b_u * b_v instead,
+which keeps its arrays within int64 where L would not; :func:`validate`,
+phase 2 and the stream's invariant check use it.
 """
 
 from __future__ import annotations
@@ -184,116 +183,101 @@ def parameters_for(epsilon, W: int) -> EdcsParams:
     return EdcsParams(W=W, epsilon=eps, lam=lam, beta=lo, beta_minus=beta_minus(lo))
 
 
-def _excess(wdeg_u: int, wdeg_v: int, bu: int, bv: int, w: int, k: int) -> int:
-    """The degree rule for one edge (u, v, w): the scaled excess
-    b_u * b_v * (wdeg_u/b_u + wdeg_v/b_v - k * w), an integer.
-
-    At k = beta a positive excess breaks property (i); at k = beta_minus a
-    negative one breaks property (ii) (the edge is underfull).  Zero
-    breaks neither."""
-    return wdeg_u * bv + wdeg_v * bu - k * w * bu * bv
-
-
-def _step_gain(params: EdcsParams, insert: bool, excess: int, w: int, bu: int, bv: int) -> int:
-    """b_u * b_v times the change of :func:`potential` when an edge
-    (u, v, w) enters H (``insert``) or leaves it, given its
-    :func:`_excess` before the step: over beta_minus for an insertion,
-    over beta for a removal.
-
-    Insertion gains w^2 ((2 beta - 2 - 2 beta_minus) b_u b_v - b_u - b_v)
-    - 2w E, removal w^2 (2 b_u b_v - b_u - b_v) + 2w E.  A step that fixes
-    a violation has E <= -1 or E >= 1, and beta_minus <= beta - 2, so it
-    gains at least w^2 (2 b_u b_v - b_u - b_v) + 2w, the per-step floor."""
-    if insert:
-        c = 2 * params.beta - 2 - 2 * params.beta_minus
-        return w * w * (c * bu * bv - bu - bv) - 2 * w * excess
-    return w * w * (2 * bu * bv - bu - bv) + 2 * w * excess
-
-
 class _Ledger:
     """H with a per-vertex member map, kept under property (i): the only
-    code that changes the H of the builder or of the stream's phase 1.
+    code that changes the H of the builder or of the stream's phase 1, and
+    the one place that tests the degree rule for one edge and prices a
+    step.
 
     ``at[x]`` maps each member at x to its other endpoint.  ``weight[i]``
-    is member i's weight, from a mapping the caller keeps: the builder's
-    weight column, or the dict phase 1 fills at each insertion.
+    is member i's weight, which :meth:`insert` records in a mapping the
+    caller gives: the builder's weight column, or a dict phase 1 reads its
+    held copies' weights from.
 
     ``load[x]`` is wdeg_H(x) * (L // b_x), with L = lcm of all capacities:
-    the weighted degrees over one common denominator.  An edge's
-    :func:`_excess` at k is (b_u * b_v / L) * (load[u] + load[v] - k * w * L),
-    so ``load[u] + load[v]`` compared with ``k * w * L`` has the sign of
-    that excess: property (i) is ``load[u] + load[v] > beta * w * L``
-    broken, and the edge is underfull when the sum is below
-    ``beta_minus * w * L``.  That is two list reads and an add per test.
-    L can be wide; Python integers just grow.
+    the weighted degrees over one common denominator.  For an edge
+    (u, v, w), E = load[u] + load[v] - k * w * L is L times
+    wdeg_u/b_u + wdeg_v/b_v - k * w: property (i) is broken when E > 0 at
+    k = beta, and the edge is underfull when E < 0 at k = beta_minus.
+    That is two list reads and an add per test.
+
+    :meth:`insert` and :meth:`remove` return L times the step's change of
+    :func:`potential`, from E taken before the step, at beta_minus for an
+    insertion and at beta for a removal.  An insertion gains
+    w^2 ((2 beta - 2 - 2 beta_minus) L - L/b_u - L/b_v) - 2w E, a removal
+    w^2 (2L - L/b_u - L/b_v) + 2w E.  A step that fixes a violation has
+    |E| >= L / (b_u * b_v), and beta_minus <= beta - 2, so it gains at
+    least L times w^2 (2 - 1/b_u - 1/b_v) + 2w / (b_u * b_v), the
+    per-step floor.  L can be wide; Python integers just grow.
     """
 
-    __slots__ = ("H", "at", "weight", "caps", "beta", "L", "unit", "load")
+    __slots__ = ("H", "at", "weight", "L", "unit", "load", "beta_L", "minus_L", "grow_L")
 
-    def __init__(self, G: MultiGraph, b: Capacities, beta: int, weight):
+    def __init__(self, G: MultiGraph, b: Capacities, params: EdcsParams, weight):
         self.H = Subgraph(G)
         self.at: list[dict[int, int]] = [{} for _ in range(G.n)]
         self.weight = weight
-        self.caps = b.b
-        self.beta = beta
-        self.L = math.lcm(*b.b)
-        self.unit = [self.L // c for c in b.b]
+        L = self.L = math.lcm(*b.b)
+        self.unit = [L // c for c in b.b]
         self.load = [0] * G.n
+        self.beta_L = params.beta * L
+        self.minus_L = params.beta_minus * L
+        self.grow_L = (2 * params.beta - 2 - 2 * params.beta_minus) * L
 
-    def insert(self, eid: int, u: int, v: int, w: int) -> None:
+    def insert(self, eid: int, u: int, v: int, w: int) -> int:
         H = self.H
         H.members.add(eid)
         self.at[u][eid] = v
         self.at[v][eid] = u
+        self.weight[eid] = w
         wdeg, deg, load, unit = H.wdeg, H.deg, self.load, self.unit
+        e = load[u] + load[v] - self.minus_L * w
         wdeg[u] += w
         wdeg[v] += w
         deg[u] += 1
         deg[v] += 1
         load[u] += w * unit[u]
         load[v] += w * unit[v]
+        return w * (w * (self.grow_L - unit[u] - unit[v]) - 2 * e)
 
-    def remove(self, eid: int, u: int, v: int, w: int) -> None:
+    def remove(self, eid: int, u: int, v: int, w: int) -> int:
         H = self.H
         H.members.remove(eid)
         del self.at[u][eid], self.at[v][eid]
         wdeg, deg, load, unit = H.wdeg, H.deg, self.load, self.unit
+        e = load[u] + load[v] - self.beta_L * w
         wdeg[u] -= w
         wdeg[v] -= w
         deg[u] -= 1
         deg[v] -= 1
         load[u] -= w * unit[u]
         load[v] -= w * unit[v]
+        return w * (w * (2 * self.L - unit[u] - unit[v]) + 2 * e)
 
     def repair(self, u: int, v: int) -> list[tuple[int, int, int, int, int]]:
         """After an insertion at (u, v), remove the members at u or v over
-        their bound in ascending id order, each re-checked with
-        :func:`_excess` at its turn, and return (id, x, y, w, excess) per
-        removal, x its end at u or v.
+        their bound in ascending id order, each re-checked with the loads
+        at its turn, and return (id, x, y, w, gain) per removal, x its end
+        at u or v and gain as :meth:`remove` returns it.
 
-        The candidates are found with the loads: a member (x, y, w) is
-        over its bound exactly when load[x] + load[y] > beta * w * L, the
-        sign of its excess.  Before the insertion every member was within
-        its bound, so only members at u or v can be over it now, and
-        removals only lower degrees: one pass leaves every member within
-        it.  A parallel (u, v) member is tested from both ends, hence the
-        set."""
-        load, at, weight = self.load, self.at, self.weight
-        limit = self.beta * self.L
+        A member (x, y, w) is over its bound exactly when
+        load[x] + load[y] > beta * w * L.  Before the insertion every
+        member was within its bound, so only members at u or v can be over
+        it now, and removals only lower degrees: one pass leaves every
+        member within it.  A parallel (u, v) member is tested from both
+        ends, hence the set."""
+        load, at, weight, limit = self.load, self.at, self.weight, self.beta_L
         lu, lv = load[u], load[v]
         over = [i for i, y in at[u].items() if lu + load[y] > limit * weight[i]]
         over += [i for i, y in at[v].items() if lv + load[y] > limit * weight[i]]
         if not over:
             return []
-        wdeg, caps, beta = self.H.wdeg, self.caps, self.beta
         removed = []
         for i in sorted(set(over)):
             x = u if i in at[u] else v
             y, w = at[x][i], weight[i]
-            e = _excess(wdeg[x], wdeg[y], caps[x], caps[y], w, beta)
-            if e > 0:
-                self.remove(i, x, y, w)
-                removed.append((i, x, y, w, e))
+            if load[x] + load[y] > limit * w:
+                removed.append((i, x, y, w, self.remove(i, x, y, w)))
         return removed
 
 
@@ -303,8 +287,11 @@ def _degree_terms(wdeg: list[int], b: Capacities, coef: int):
     Returns a function of column arrays (u, v, w) that gives
     wdeg_u * b_v + wdeg_v * b_u and b_u * b_v * w per edge; property (i)
     or (ii) compares the first with beta or beta_minus times the second.
-    Given ``coef`` >= k * w for every edge and every k compared with, the
-    arrays are int64 unless a term could reach 2**62, and Python integers
+    The rule is cross-multiplied by each edge's own b_u * b_v, not by the
+    ledger's L = lcm(b), because these arrays must fit int64: L can be
+    hundreds of bits wide where every b_u * b_v is small.  Given ``coef``
+    >= k * w for every edge and every k compared with, the arrays are
+    int64 unless a term could reach 2**62, and Python integers
     (``object``) beyond that.  ``wdeg`` and ``b`` are converted once, here.
     """
     b_max = max(b.b, default=1)
@@ -345,18 +332,16 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
     capacity-normalized sum of squared weighted degrees.
 
     Strictly increases with every local-search step, which is what bounds
-    construction time.  The degree sum is taken in integers per distinct
-    capacity, one ``Fraction`` per capacity value.
+    construction time.  The whole sum is taken in integers over the
+    ledger's denominator L = lcm(b), each squared degree times L // b_x,
+    and becomes one ``Fraction``.
     """
     G = H.parent
     ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
     sq = sum(w * w for w in G.w[ids].tolist())
-    by_cap: dict[int, int] = {}
-    for d, c in zip(H.wdeg, b.b, strict=True):
-        if d:
-            by_cap[c] = by_cap.get(c, 0) + d * d
-    return Fraction((2 * params.beta - 2) * sq) - sum(
-        (Fraction(total, c) for c, total in by_cap.items()), Fraction(0))
+    L = math.lcm(*b.b)
+    degrees = sum(d * d * (L // c) for d, c in zip(H.wdeg, b.b, strict=True) if d)
+    return Fraction((2 * params.beta - 2) * sq * L - degrees, L)
 
 
 def build_w_edcs(G: MultiGraph, params: EdcsParams):
@@ -421,41 +406,40 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     edges at u and v for those neither queued nor members would find.
 
     Each pop tests its edge with the ledger's loads, load[u] + load[v]
-    against beta_minus * w * L, which has the sign of the edge's
-    :func:`_excess` over beta_minus (see :class:`_Ledger`); an insertion
-    takes its gain from that excess (:func:`_step_gain`).  The potential
-    is summed in integers, one sum per denominator b_u * b_v, and becomes
-    a single ``Fraction`` at the end.
+    against beta_minus * w * L (see :class:`_Ledger`), and every step's
+    gain is the one its ledger insertion or removal returns, over L.  The
+    gains are summed, and their minimum kept, as integers over L; each is
+    checked against its edge's per-step floor by cross-multiplying, and
+    the sum becomes one ``Fraction`` at the end.
     """
-    beta, beta_minus = params.beta, params.beta_minus
-    m = G.m
+    beta, m = params.beta, G.m
     q_lower: deque[int] = deque(range(m))
     in_lower = bytearray(b"\x01") * m
 
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
     caps = b.b
-    ledger = _Ledger(G, b, beta, ew)
-    H = ledger.H
-    wdeg, deg, members, load = H.wdeg, H.deg, H.members, ledger.load
-    minus_L = beta_minus * ledger.L  # underfull: load[u] + load[v] < minus_L * w
+    ledger = _Ledger(G, b, params, ew)
+    H, L = ledger.H, ledger.L
+    deg, members, load = H.deg, H.members, ledger.load
+    minus_L = ledger.minus_L  # underfull: load[u] + load[v] < minus_L * w
     idle: list[list[int]] = [[] for _ in range(G.n)]
-    steps = insertions = removals = 0
-    # per denominator b_u * b_v: the summed and the smallest scaled gain
-    gain_sum: dict[int, int] = {}
-    gain_min: dict[int, int] = {}
+    insertions = removals = 0
+    gain_sum, gain_min = 0, None  # over L: the summed and the smallest gain
 
-    def note_gain(gain_scaled: int, w: int, bu: int, bv: int):
+    def note_gain(gain: int, w: int, bu: int, bv: int):
         # a step on edge (u, v, w) gains at least the floor
-        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), scaled here by b_u b_v
-        # (see _step_gain); at unit capacities g = 2w, the classic 2
+        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), here scaled by b_u b_v
+        # and compared with the gain over L; at unit capacities g = 2w,
+        # the classic 2
+        nonlocal gain_sum, gain_min
+        gain_sum += gain
+        if gain_min is None or gain < gain_min:
+            gain_min = gain
         denom = bu * bv
-        gain_sum[denom] = gain_sum.get(denom, 0) + gain_scaled
-        if gain_scaled < gain_min.get(denom, gain_scaled + 1):
-            gain_min[denom] = gain_scaled
         floor_scaled = w * w * (2 * denom - bu - bv) + 2 * w
-        if gain_scaled < floor_scaled:
+        if gain * denom < floor_scaled * L:
             raise LocalSearchError(
-                f"potential gain {Fraction(gain_scaled, denom)} below the per-step floor "
+                f"potential gain {Fraction(gain, L)} below the per-step floor "
                 f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor_scaled, denom)} "
                 f"for w={w}, b_u={bu}, b_v={bv}")
 
@@ -467,12 +451,8 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             idle[u].append(eid)
             idle[v].append(eid)
             continue
-        bu, bv = caps[u], caps[v]
-        e = _excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
-        ledger.insert(eid, u, v, w)
-        steps += 1
         insertions += 1
-        note_gain(_step_gain(params, True, e, w, bu, bv), w, bu, bv)
+        note_gain(ledger.insert(eid, u, v, w), w, caps[u], caps[v])
         for x in (u, v):
             cap = beta * caps[x] + 1
             if deg[x] > cap:
@@ -482,11 +462,9 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         # earlier removal's refill skips it, as it skipped a member
         for r in removed:
             in_lower[r[0]] = 1
-        for eid, u, v, w, e in removed:
-            bu, bv = caps[u], caps[v]
-            steps += 1
-            removals += 1
-            note_gain(_step_gain(params, False, e, w, bu, bv), w, bu, bv)
+        removals += len(removed)
+        for eid, u, v, w, gain in removed:
+            note_gain(gain, w, caps[u], caps[v])
             # the removed edge and every idle edge at u or v, each once
             fresh = [eid]
             for x in (u, v):
@@ -498,10 +476,9 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             fresh.sort()
             q_lower.extend(fresh)
 
-    phi = sum((Fraction(total, denom) for denom, total in gain_sum.items()), Fraction(0))
-    min_seen = min((Fraction(low, denom) for denom, low in gain_min.items()), default=None)
-    trace = BuildTrace(steps=steps, insertions=insertions, removals=removals,
-                       phi_final=phi, min_gain=min_seen)
+    phi = Fraction(gain_sum, L)
+    trace = BuildTrace(steps=insertions + removals, insertions=insertions, removals=removals,
+                       phi_final=phi, min_gain=None if gain_min is None else Fraction(gain_min, L))
     report = validate(G, b, H, params)
     if not report.is_clean:
         raise LocalSearchError(f"construction left violations: {report}")

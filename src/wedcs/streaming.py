@@ -42,14 +42,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .edcs import (
-    EdcsParams,
-    _checked_epsilon,
-    _degree_terms,
-    _excess,
-    _Ledger,
-    _step_gain,
-)
+from .edcs import EdcsParams, _checked_epsilon, _degree_terms, _Ledger
 from .graph import (
     Capacities,
     MultiGraph,
@@ -350,16 +343,15 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         raise ValueError(f"graph weight cap {G.W} exceeds parameter W={params.W}")
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    beta, beta_minus, W = params.beta, params.beta_minus, params.W
+    beta, W = params.beta, params.W
     m = stream.m
 
     stats = StreamRunStats(seed=stream.seed, m=m, variant=variant, prng=stream.prng)
     weight: dict[int, int] = {}
-    ledger = _Ledger(G, b, beta, weight)
-    H, at, load = ledger.H, ledger.at, ledger.load
-    minus_L = beta_minus * ledger.L  # underfull: load[u] + load[v] < minus_L * w
+    ledger = _Ledger(G, b, params, weight)
+    H, at, load, L = ledger.H, ledger.at, ledger.load, ledger.L
+    minus_L = ledger.minus_L  # underfull: load[u] + load[v] < minus_L * w
     order = stream.order
-    wdeg = H.wdeg
     peak = 0
 
     if variant == 1:
@@ -376,7 +368,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
 
     def assert_bounded() -> None:
         ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
-        lhs, scaled = _degree_terms(wdeg, b, beta * G.W)(G.u[ids], G.v[ids], G.w[ids])
+        lhs, scaled = _degree_terms(H.wdeg, b, beta * G.W)(G.u[ids], G.v[ids], G.w[ids])
         over = ids[np.asarray(lhs > scaled * beta, dtype=bool)]
         if over.size:
             raise StreamInvariantError(
@@ -394,27 +386,22 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         u, v, w = G.triple(eid)
         if load[u] + load[v] >= minus_L * w:
             return False
-        bu, bv = b[u], b[v]
         # the pair's copies in H: at most beta * b_u + 1 members at u
         held = [i for i, y in at[u].items() if y == v]
-        if len(held) >= min(bu, bv):
+        if len(held) < min(b[u], b[v]):
+            ledger.insert(eid, u, v, w)
+        else:
             lightest = min(held, key=lambda i: (weight[i], i))
             lw = weight[lightest]
             if w <= lw:
                 return False  # irrelevant duplicate, ignore
-            # remove the held copy, then insert: both edges join u and v,
-            # so one denominator b_u * b_v serves both gains
-            e_out = _excess(wdeg[u], wdeg[v], bu, bv, lw, beta)
-            e_in = _excess(wdeg[u] - lw, wdeg[v] - lw, bu, bv, w, beta_minus)
-            gain = (_step_gain(params, False, e_out, lw, bu, bv)
-                    + _step_gain(params, True, e_in, w, bu, bv))
-            if gain < bu * bv:
+            # the held copy leaves, then the edge enters: the two steps'
+            # gains over L together
+            gain = ledger.remove(lightest, u, v, lw) + ledger.insert(eid, u, v, w)
+            if gain < L:
                 raise StreamInvariantError(
-                    f"replacement changed the potential by {Fraction(gain, bu * bv)} < 1")
-            ledger.remove(lightest, u, v, lw)
+                    f"replacement changed the potential by {Fraction(gain, L)} < 1")
             stats.replacement_count += 1
-        weight[eid] = w
-        ledger.insert(eid, u, v, w)
         ledger.repair(u, v)
         if check_invariants:
             assert_bounded()

@@ -1,4 +1,6 @@
-"""Shared test utilities: brute-force oracles, instance shorthands, and
+"""Shared test utilities: brute-force oracles, instance shorthands,
+reference implementations (the degree rule and step gain over each
+edge's b_u * b_v, and the builder and stream run as first written), and
 the vertex-splitting reduction of b-matching to simple matching (the
 paper's analysis device, which no run of the package needs).
 
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from wedcs import BMatching, Capacities, GenSpec, MultiGraph, Subgraph, random_instance
-from wedcs.edcs import BuildTrace, LocalSearchError, _excess, _step_gain, potential, validate
+from wedcs.edcs import BuildTrace, EdcsParams, LocalSearchError, potential, validate
 from wedcs.graph import _first_crowded_pair, _reject_crowded
 
 
@@ -534,6 +536,32 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
         edge_ids = sorted(H.members | X)
     return _extract(H, np.array(sorted(X), dtype=np.int64), stats, b, edge_ids,
                     DEFAULT_ORACLE_BUDGET)
+
+
+def _excess(wdeg_u: int, wdeg_v: int, bu: int, bv: int, w: int, k: int) -> int:
+    """The degree rule for one edge (u, v, w): the scaled excess
+    b_u * b_v * (wdeg_u/b_u + wdeg_v/b_v - k * w), an integer.
+
+    At k = beta a positive excess breaks property (i); at k = beta_minus a
+    negative one breaks property (ii) (the edge is underfull).  Zero
+    breaks neither."""
+    return wdeg_u * bv + wdeg_v * bu - k * w * bu * bv
+
+
+def _step_gain(params: EdcsParams, insert: bool, excess: int, w: int, bu: int, bv: int) -> int:
+    """b_u * b_v times the change of :func:`potential` when an edge
+    (u, v, w) enters H (``insert``) or leaves it, given its
+    :func:`_excess` before the step: over beta_minus for an insertion,
+    over beta for a removal.
+
+    Insertion gains w^2 ((2 beta - 2 - 2 beta_minus) b_u b_v - b_u - b_v)
+    - 2w E, removal w^2 (2 b_u b_v - b_u - b_v) + 2w E.  A step that fixes
+    a violation has E <= -1 or E >= 1, and beta_minus <= beta - 2, so it
+    gains at least w^2 (2 b_u b_v - b_u - b_v) + 2w, the per-step floor."""
+    if insert:
+        c = 2 * params.beta - 2 - 2 * params.beta_minus
+        return w * w * (c * bu * bv - bu - bv) - 2 * w * excess
+    return w * w * (2 * bu * bv - bu - bv) + 2 * w * excess
 
 
 def reference_local_search(G: MultiGraph, b: Capacities, params, *,

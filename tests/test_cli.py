@@ -479,12 +479,17 @@ def test_cli_module_entry_point(tmp_path):
 
 
 def test_cli_log_env_var(tmp_path):
+    # basic_format names a string attribute of logging, not a level: it
+    # falls back to WARNING.  Only a child process shows this, since
+    # basicConfig does nothing while pytest's handlers are installed.
     graph = tmp_path / "g.txt"
     graph.write_text("g 2 1 1\ne 0 1 1\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "wedcs.cli", "build", str(graph), "--beta", "4"],
-        capture_output=True, text=True, env=_child_env(EDCS_LOG="debug"))
-    assert proc.returncode == 0
+    for value in ("debug", "basic_format"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wedcs.cli", "build", str(graph), "--beta", "4"],
+            capture_output=True, text=True, env=_child_env(EDCS_LOG=value))
+        assert proc.returncode == 0, (value, proc.stderr)
+        assert "Traceback" not in proc.stderr, value
 
 
 def test_cli_theorem_params(tmp_path, capsys):

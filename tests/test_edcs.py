@@ -23,9 +23,9 @@ from wedcs import (
     validate,
 )
 
-from wedcs.edcs import _degree_terms, _excess, _step_gain
+from wedcs.edcs import _degree_terms, _Ledger
 
-from helpers import add_edge, make_random, reference_local_search, remove_edge, triples
+from helpers import _excess, _step_gain, make_random, reference_local_search, triples
 
 
 # ---------------------------------------------------------------- params
@@ -222,42 +222,62 @@ def test_degree_terms_match_scalar_excess(scale):
 # ------------------------------------------------------- potential delta
 
 def _gain(H, b, params, eid, insert):
-    """The kernel's scaled gain for edge ``eid`` entering or leaving H."""
+    """The reference gain for edge ``eid`` entering or leaving H, over
+    b_u * b_v."""
     u, v, w = H.parent.triple(eid)
     k = params.beta_minus if insert else params.beta
     excess = _excess(H.wdeg[u], H.wdeg[v], b[u], b[v], w, k)
-    return _step_gain(params, insert, excess, w, b[u], b[v])
+    return Fraction(_step_gain(params, insert, excess, w, b[u], b[v]), b[u] * b[v])
 
 
-@pytest.mark.parametrize("seed", range(8))
+def _ledger_holding(G, b, params, members):
+    """A ledger over G whose H holds ``members``."""
+    ledger = _Ledger(G, b, params, G.w.tolist())
+    for eid in members:
+        ledger.insert(eid, *G.triple(eid))
+    return ledger
+
+
+@pytest.mark.parametrize("seed", [*range(8), "b200-W127-5"])
 def test_step_gains_match_potential_differences(seed):
-    G, b = make_random(seed, n=9, m=25, W=4, b_max=3)
-    params = EdcsParams(W=4, beta=5, beta_minus=3)
-    H = Subgraph(G, [eid for eid in range(G.m) if (eid * 5 + seed) % 3 == 0])
+    # the named case takes its graph and capacities from the large-capacity
+    # cases, where L = lcm(b) is past 2**64
+    if isinstance(seed, str):
+        G, b, params = _LARGE_CAPACITY_CASES[seed]
+        assert math.lcm(*b.b) > 2**64
+        picked = 0
+    else:
+        G, b = make_random(seed, n=9, m=25, W=4, b_max=3)
+        params = EdcsParams(W=4, beta=5, beta_minus=3)
+        picked = seed
+    ledger = _ledger_holding(G, b, params, [eid for eid in range(G.m)
+                                            if (eid * 5 + picked) % 3 == 0])
+    H, L = ledger.H, ledger.L
     before = potential(H, b, params)
     for eid in range(G.m):
-        u, v, _ = G.triple(eid)
         insert = eid not in H.members
-        gain = _gain(H, b, params, eid, insert)
-        (add_edge if insert else remove_edge)(H, eid)
-        assert gain == b[u] * b[v] * (potential(H, b, params) - before), eid
-        (remove_edge if insert else add_edge)(H, eid)
+        reference = _gain(H, b, params, eid, insert)
+        step, undo = (ledger.insert, ledger.remove) if insert else (ledger.remove, ledger.insert)
+        gain = step(eid, *G.triple(eid))
+        assert Fraction(gain, L) == potential(H, b, params) - before == reference, eid
+        undo(eid, *G.triple(eid))
 
 
 def test_replacement_gain_matches_potential_difference():
     # a variant-3 replacement swaps the held copy of a full pair (here the
     # pair {0, 1} at capacities (1, 2)) for a heavier arrival given in the
-    # other orientation; both steps share the denominator b_u*b_v
+    # other orientation; the ledger prices both steps over L = lcm(b)
     G = MultiGraph(4, [(0, 1, 1), (1, 0, 3), (0, 2, 2), (1, 3, 3)], W=3)
     b = Capacities([1, 2, 3, 1])
     params = EdcsParams(W=3, beta=6, beta_minus=4)
-    H = Subgraph(G, [0, 2, 3])
+    ledger = _ledger_holding(G, b, params, [0, 2, 3])
+    H = ledger.H
     before = potential(H, b, params)
-    gain = _gain(H, b, params, 0, False)
-    remove_edge(H, 0)
-    gain += _gain(H, b, params, 1, True)
-    add_edge(H, 1)
-    assert gain == b[0] * b[1] * (potential(H, b, params) - before)
+    reference = _gain(H, b, params, 0, False)
+    gain = ledger.remove(0, *G.triple(0))
+    reference += _gain(H, b, params, 1, True)
+    gain += ledger.insert(1, *G.triple(1))
+    assert Fraction(gain, ledger.L) == potential(H, b, params) - before == reference
 
 
 # ---------------------------------------------------------------- builders
@@ -561,7 +581,7 @@ def _loop_states(G, b, params) -> list[dict]:
             f = frame.f_locals
             states.append({
                 "q_lower": list(f["q_lower"]), "in_lower": bytes(f["in_lower"]),
-                "members": set(f["members"]), "wdeg": list(f["wdeg"]),
+                "members": set(f["members"]), "wdeg": list(f["ledger"].H.wdeg),
                 "idle": [list(x) for x in f["idle"]],
                 "at": [dict(x) for x in f["ledger"].at],
             })
@@ -627,31 +647,39 @@ def test_builder_ledger_states(name):
 
 @pytest.mark.parametrize("name", sorted(n for n in _REFERENCE_CASES if n != "large"))
 def test_repair_rechecks_only_members_over_their_bound(name, monkeypatch):
-    # the loads pick exactly the members over their bound when a repair
-    # starts: one at its bound (excess 0) is no candidate, so the repair
-    # calls _excess once per member over it
+    # each repair removes exactly the members at the inserted edge's ends
+    # that are over their bound at their turn, by the reference excess, in
+    # ascending id order: one at its bound (excess 0) stays
     from wedcs import edcs
 
     G, b, params, _ = _REFERENCE_CASES[name]
-    repair, excess = edcs._Ledger.repair, edcs._excess
-    calls = []
+    repair, remove = edcs._Ledger.repair, edcs._Ledger.remove
+    spied = []
     counts = []
 
-    def counted(*args):
-        calls.append(args)
-        return excess(*args)
+    def spied_remove(ledger, eid, u, v, w):
+        wdeg = ledger.H.wdeg
+        assert _excess(wdeg[u], wdeg[v], b[u], b[v], w, params.beta) > 0, eid
+        spied.append(eid)
+        return remove(ledger, eid, u, v, w)
 
     def checked_repair(ledger, u, v):
-        wdeg, weight = ledger.H.wdeg, ledger.weight
-        over = {i for x in (u, v) for i, y in ledger.at[x].items()
-                if excess(wdeg[x], wdeg[y], b[x], b[y], weight[i], params.beta) > 0}
-        before = len(calls)
+        wdeg, at, weight = list(ledger.H.wdeg), ledger.at, ledger.weight
+        expected = []
+        for i in sorted({i for x in (u, v) for i in at[x]}):
+            x = u if i in at[u] else v
+            y, w = at[x][i], weight[i]
+            if _excess(wdeg[x], wdeg[y], b[x], b[y], w, params.beta) > 0:
+                expected.append(i)
+                wdeg[x] -= w
+                wdeg[y] -= w
+        spied.clear()
         removed = repair(ledger, u, v)
-        assert len(calls) - before == len(over)
-        counts.append(len(over))
+        assert spied == expected == [r[0] for r in removed]
+        counts.append(len(expected))
         return removed
 
-    monkeypatch.setattr(edcs, "_excess", counted)
+    monkeypatch.setattr(edcs._Ledger, "remove", spied_remove)
     monkeypatch.setattr(edcs._Ledger, "repair", checked_repair)
     _, trace = edcs._local_search(G, b, params)
-    assert len(counts) == trace.insertions
+    assert len(counts) == trace.insertions and sum(counts) == trace.removals

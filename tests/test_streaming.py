@@ -19,11 +19,12 @@ from wedcs import (
     run_with_fallbacks,
     validate,
 )
-from wedcs.edcs import _excess, _Ledger
+from wedcs.edcs import _Ledger
 from wedcs.streaming import StreamInvariantError
 
 from helpers import (
     ScalarRelevantStore,
+    _excess,
     make_random,
     pair_count,
     scalar_fisher_yates,
