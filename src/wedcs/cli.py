@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import logging
 import os
@@ -151,20 +152,6 @@ def _stream_one(graph: MultiGraph, caps: Capacities, params: EdcsParams,
     return record
 
 
-#: The leading arguments of :func:`_stream_one`, set once in each ``--jobs``
-#: worker by its pool initializer.
-_worker_args: tuple = ()
-
-
-def _init_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _worker(seed) -> dict:
-    return _stream_one(*_worker_args, seed)
-
-
 def _oracle_weight(graph: MultiGraph, caps: Capacities, args) -> int | None:
     """The exact optimum, or None when the oracle's budget runs out."""
     try:
@@ -180,32 +167,26 @@ def cmd_stream(args) -> int:
     seeds = _parse_seeds(args.seeds)
     graph, caps = _load_graph(args.graph)
     # a bad epsilon or a crowded pair under variant 1 fails here, before
-    # the oracle and any worker
+    # the oracle and any stream
     params = _params_from_args(args, graph.W)
     if params.epsilon is None:
         raise InputError("stream requires --epsilon")
     if args.variant == 1:
         _reject_crowded(graph, caps, "use --variant 3 for raw multiplicity streams")
-    # the pair numbering and the relevant ids, cached on the graph: every
-    # stream and the oracle read them, forked workers inherit them, and
-    # serial seeds reuse them
+    # the pair numbering, pair caps and relevant ids, cached on the graph:
+    # every stream and the oracle read them, on every thread
     _relevant_ids(graph, caps)
 
-    shared = (graph, caps, params, args.epsilon, args.variant, args.oracle_budget)
-    if args.jobs > 1 and len(seeds) > 1:
-        # workers get the parsed graph through the initializer (inherited,
-        # not pickled, under fork) and never read the file again.  Under
-        # fork the pool starts every worker at the first submit, so they
-        # stream while the parent solves the oracle.
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(args.jobs, len(seeds)),
-                initializer=_init_worker, initargs=shared) as pool:
-            pending = pool.map(_worker, seeds)
-            oracle_weight = _oracle_weight(graph, caps, args)
-            runs = list(pending)
-    else:
+    # the pool's threads stream while this one solves the oracle; an error
+    # cancels the seeds that have not started
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(args.jobs, len(seeds)))
+    try:
+        pending = pool.map(functools.partial(_stream_one, graph, caps, params, args.epsilon,
+                                             args.variant, args.oracle_budget), seeds)
         oracle_weight = _oracle_weight(graph, caps, args)
-        runs = [_stream_one(*shared, seed) for seed in seeds]
+        runs = list(pending)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     threshold = 1.0 / float(2 - Fraction(1, 2 * params.W) + params.epsilon)
     ratios = []
@@ -324,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. '7', '0-99', '1,5,9', or 'as-is' for file order")
     p.add_argument("--variant", type=int, choices=(1, 3), default=1,
                    help="3 = replacement rule for raw-multiplicity streams")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="parallel threads")
     p.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     p.add_argument("--out", help="prefix for <out>.json and <out>.csv")
     p.add_argument("--fail-below", type=float,

@@ -39,11 +39,11 @@ class MultiGraph:
     Parallel edges and repeated (endpoints, weight) triples are allowed.
     The columns are the whole graph: code that needs per-vertex sums or
     neighbours derives them from the columns where it runs.  Apart from
-    the pair caches and the cached relevant ids (one entry, for the last
-    capacities asked, see :func:`_relevant_ids`), instances never change
-    after construction and are safe to share across threads (two threads
-    racing on a first call build equal values and one is kept).  A
-    forked process inherits whatever the caches hold at the fork.
+    the pair caches and the cached pair caps and relevant ids (one entry,
+    for the last capacities asked, see :func:`_pair_caps`), instances
+    never change after construction and are safe to share across threads
+    (two threads racing on a first call build equal values and one is
+    kept).
     """
 
     __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_relevant")
@@ -85,7 +85,7 @@ class MultiGraph:
         self.w = w.astype(_int_type(W))
         self._pair: np.ndarray | None = None
         self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
-        self._relevant: tuple[tuple[int, ...], np.ndarray] | None = None
+        self._relevant: tuple[tuple[int, ...], np.ndarray, np.ndarray | None] | None = None
 
     @property
     def m(self) -> int:
@@ -271,13 +271,25 @@ class Subgraph:
 
 
 def _pair_caps(G: MultiGraph, b: Capacities) -> np.ndarray:
-    """min(b_u, b_v) for every pair id: how many edges of the pair a
-    b-matching can use."""
+    """min(b_u, b_v) for every pair id, as a read-only array: how many
+    edges of the pair a b-matching can use."""
+    return _capacity_entry(G, b)[1]
+
+
+def _capacity_entry(G: MultiGraph, b: Capacities) -> tuple:
+    """``G``'s cache entry for the capacities ``b``: ``b.b``, the pair caps
+    and the relevant ids, None until :func:`_relevant_ids` asks.  One entry,
+    for the capacities of the last call, replaced whole."""
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
-    lo, hi = G.pair_ends
-    return np.minimum(caps[lo], caps[hi])
+    cached = G._relevant
+    if cached is None or cached[0] != b.b:
+        caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
+        lo, hi = G.pair_ends
+        caps = np.minimum(caps[lo], caps[hi])
+        caps.flags.writeable = False
+        cached = G._relevant = b.b, caps, None
+    return cached
 
 
 def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
@@ -298,11 +310,11 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
     Cached on ``G`` for the capacities of the last call, so every caller
     after the first (the stream runner's store, its ``small_output``
     extraction, the oracle) reads the same array; ``wedcs stream`` fills
-    the cache before its workers fork."""
-    cached = G._relevant
-    if cached is None or cached[0] != b.b:
-        cached = G._relevant = b.b, _select_relevant(G, _pair_caps(G, b))
-    return cached[1]
+    the cache before its pool's threads start."""
+    cached = _capacity_entry(G, b)
+    if cached[2] is None:
+        cached = G._relevant = *cached[:2], _select_relevant(G, cached[1])
+    return cached[2]
 
 
 def _select_relevant(G: MultiGraph, caps: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -238,7 +239,7 @@ def test_stream_jobs_do_not_change_output(tmp_path, capsys):
 
 
 def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
-    # forked workers inherit the parent's call count of 1, so a worker that
+    # the pool's threads share the spy's call count of 1, so a thread that
     # read the graph file again would make the second call and fail the run
     import wedcs.cli as cli
 
@@ -268,9 +269,9 @@ def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
 
 
 def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
-    # G's pair numbering and relevant ids are built once, in the parent,
-    # before the pool forks: a worker that built them would raise, and the
-    # parent builds each exactly once for four streams and the oracle.
+    # G's pair numbering and relevant ids are built once, on the main
+    # thread, before the pool starts: a pool thread that built them would
+    # raise, and each is built exactly once for four streams and the oracle.
     # The spies count G only, known by its m: each stream's restricted
     # graph numbers its own pairs, per-stream work on its own edges.
     import wedcs.cli as cli
@@ -281,14 +282,13 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
                                   "allow_parallel": True})
     path = str(tmp_path / "g.txt")
     main(["gen", "--spec", spec, "--out", path])
-    parent = os.getpid()
     calls = {"pairs": 0, "relevant": 0}
 
     def once(name, build):
         def spy(G, *args):
             if G.m == 200:
-                if os.getpid() != parent:
-                    raise RuntimeError(f"a worker built the {name} again")
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError(f"a pool thread built the {name} again")
                 calls[name] += 1
             return build(G, *args)
         return spy
@@ -340,11 +340,52 @@ def test_stream_rejects_bipartite_weights_beyond_the_solver(tmp_path, capsys, jo
     assert captured.out == ""
 
 
+def test_stream_oracle_error_cancels_queued_seeds(tmp_path, capsys, monkeypatch):
+    # two pool threads hold seeds 0 and 1 until the pool shuts down; the
+    # oracle fails once both have started, and the shutdown cancels the 48
+    # seeds still queued before it lets the two run on
+    import concurrent.futures
+
+    import wedcs.cli as cli
+
+    calls, started, release = [], threading.Event(), threading.Event()
+    stream_one, oracle = cli._stream_one, cli.max_weight_b_matching_exact
+    shutdown = concurrent.futures.ThreadPoolExecutor.shutdown
+
+    def held_stream(*args):
+        calls.append(args[-1])
+        if len(calls) == 2:
+            started.set()
+        release.wait()
+        return stream_one(*args)
+
+    def late_oracle(*args):
+        assert started.wait(timeout=60)
+        return oracle(*args)
+
+    def releasing_shutdown(self, wait=True, *, cancel_futures=False):
+        shutdown(self, wait=False, cancel_futures=cancel_futures)
+        release.set()
+        shutdown(self, wait=wait)
+
+    monkeypatch.setattr(cli, "_stream_one", held_stream)
+    monkeypatch.setattr(cli, "max_weight_b_matching_exact", late_oracle)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "shutdown", releasing_shutdown)
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"g 4 3 {2**70}\ne 0 1 {2**70}\ne 1 2 5\ne 2 3 7\n")
+    assert main(["stream", str(graph), "--seeds", "0-49", "--epsilon", "0.2", "--beta", "6",
+                 "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the bipartite solver needs m * W < 2**62, got m=3, W={2**70}\n"
+    assert captured.out == ""
+    assert sorted(calls) == [0, 1]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_stream_rejects_variant_1_crowding_before_the_oracle(tmp_path, capsys, monkeypatch,
                                                             jobs):
     # two parallel edges at unit capacities break variant 1's promise: the
-    # command fails on its input checks, before the oracle and any worker
+    # command fails on its input checks, before the oracle and any stream
     import wedcs.cli
 
     calls = []
@@ -407,7 +448,7 @@ def test_stream_ratio_omitted_when_oracle_infeasible(tmp_path, capsys):
 
 
 def test_stream_ratio_omitted_when_oracle_infeasible_under_the_pool(tmp_path, capsys):
-    # the parent's oracle runs out of budget while the workers stream
+    # the calling thread's oracle runs out of budget while the pool streams
     graph = tmp_path / "g.txt"
     graph.write_text("g 5 5 2\ne 0 1 2\ne 1 2 2\ne 2 3 2\ne 3 4 2\ne 4 0 2\n")
     args = ["stream", str(graph), "--seeds", "0-1", "--epsilon", "0.2", "--beta", "6",
@@ -422,29 +463,22 @@ def test_stream_ratio_omitted_when_oracle_infeasible_under_the_pool(tmp_path, ca
 
 
 def test_stream_jobs_start_one_worker_per_seed(tmp_path, capsys, monkeypatch):
-    # under fork a pool starts all of its max_workers at the first submit;
-    # the recording pool refuses more than two before any process starts
+    # the pool gets at most one thread per seed: two for --jobs 4 and two seeds
     import concurrent.futures
 
-    sizes, spawned = [], []
+    sizes = []
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
-            if max_workers is None or max_workers > 2:
-                raise AssertionError(f"a pool of {max_workers} workers for two seeds")
             super().__init__(max_workers, **kwargs)
 
-        def _spawn_process(self):
-            spawned.append(1)
-            super()._spawn_process()
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     graph = tmp_path / "g.txt"
     graph.write_text("g 4 3 2\ne 0 1 2\ne 1 2 1\ne 2 3 2\n")
     args = ["stream", str(graph), "--seeds", "0-1", "--epsilon", "0.2", "--beta", "6"]
     assert main(args + ["--jobs", "4", "--out", str(tmp_path / "pool")]) == 0
-    assert (sizes, len(spawned)) == ([2], 2)
+    assert sizes == [2]
     assert main(args + ["--out", str(tmp_path / "serial")]) == 0
     assert (tmp_path / "pool.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 

@@ -1,3 +1,6 @@
+import concurrent.futures
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -509,6 +512,36 @@ def test_small_output_fallback_tiny_graph(exact_calls):
     assert res.matching.weight == max_weight_b_matching_exact(G, b).weight
     # one extraction per stream: the store's graph, never H | X as well
     assert len(exact_calls) == 1
+
+
+def test_streams_share_a_cold_graph_across_threads():
+    # four threads race on G's first pair numbering, pair caps and relevant
+    # ids; each stream must match its run on a fresh copy of G, one at a time
+    G, b = make_random(11, n=400, m=10000, W=3, b_max=2, bipartite=True, allow_parallel=True)
+    fresh = MultiGraph.from_columns(G.n, G.u, G.v, G.w, W=G.W)
+    assert G._pair is None and G._relevant is None
+    params = EdcsParams(W=3, beta=6, beta_minus=4)
+    start = threading.Barrier(4)
+
+    def run(G, seed):
+        return run_with_fallbacks(make_stream(G, seed), b, params, "0.2", variant=3)
+
+    def raced(seed):
+        start.wait()
+        return run(G, seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            shared = list(pool.map(raced, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [run(fresh, seed) for seed in range(4)]
+    assert "small_output" in {res.stats.fallback_used for res in serial}
+    for got, want in zip(shared, serial):
+        assert got.stats.to_json_dict() == want.stats.to_json_dict()
+        assert got.matching == want.matching
 
 
 def test_alpha_zero_on_dense_high_capacity_graph(exact_calls):
