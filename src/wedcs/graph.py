@@ -7,6 +7,7 @@ all operations are deterministic for a fixed input order.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,14 +40,14 @@ class MultiGraph:
     Parallel edges and repeated (endpoints, weight) triples are allowed.
     The columns are the whole graph: code that needs per-vertex sums or
     neighbours derives them from the columns where it runs.  Apart from
-    the pair caches and the cached pair caps and relevant ids (one entry,
-    for the last capacities asked, see :func:`_pair_caps`), instances
-    never change after construction and are safe to share across threads
-    (two threads racing on a first call build equal values and one is
-    kept).
+    the pair caches and the capacity entry (pair caps, relevant ids and
+    exact answer for the last capacities asked, see :func:`_capacity_entry`),
+    instances never change after construction and are safe to share
+    across threads (racing threads build equal pair caches and one is
+    kept; the entry is filled under the graph's lock, each value once).
     """
 
-    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_relevant")
+    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_relevant", "_lock")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         self._setup(n, *_triple_columns(list(edges)), W)
@@ -85,7 +86,8 @@ class MultiGraph:
         self.w = w.astype(_int_type(W))
         self._pair: np.ndarray | None = None
         self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
-        self._relevant: tuple[tuple[int, ...], np.ndarray, np.ndarray | None] | None = None
+        self._relevant: tuple | None = None
+        self._lock = threading.RLock()
 
     @property
     def m(self) -> int:
@@ -277,19 +279,38 @@ def _pair_caps(G: MultiGraph, b: Capacities) -> np.ndarray:
 
 
 def _capacity_entry(G: MultiGraph, b: Capacities) -> tuple:
-    """``G``'s cache entry for the capacities ``b``: ``b.b``, the pair caps
-    and the relevant ids, None until :func:`_relevant_ids` asks.  One entry,
-    for the capacities of the last call, replaced whole."""
+    """``G``'s cache entry for the capacities ``b``: ``b.b``, the pair caps,
+    the relevant ids and the exact answer, the last two None until
+    :func:`_entry_value` fills them.  One entry, for the capacities of the
+    last call, replaced whole; readers take no lock."""
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
     cached = G._relevant
     if cached is None or cached[0] != b.b:
-        caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
-        lo, hi = G.pair_ends
-        caps = np.minimum(caps[lo], caps[hi])
-        caps.flags.writeable = False
-        cached = G._relevant = b.b, caps, None
+        with G._lock:
+            cached = G._relevant
+            if cached is None or cached[0] != b.b:
+                caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
+                lo, hi = G.pair_ends
+                caps = np.minimum(caps[lo], caps[hi])
+                caps.flags.writeable = False
+                cached = G._relevant = b.b, caps, None, None
     return cached
+
+
+def _entry_value(G: MultiGraph, b: Capacities, slot: int, build) -> object:
+    """Slot ``slot`` of ``G``'s entry for ``b``, built by ``build()`` on
+    first use under ``G``'s lock: callers that arrive meanwhile wait and
+    read the same value.  A build that raises stores nothing."""
+    cached = _capacity_entry(G, b)
+    if cached[slot] is None:
+        with G._lock:
+            if _capacity_entry(G, b)[slot] is None:
+                value = build()
+                cached = _capacity_entry(G, b)  # the build may fill earlier slots
+                G._relevant = *cached[:slot], value, *cached[slot + 1:]
+            cached = G._relevant
+    return cached[slot]
 
 
 def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
@@ -307,14 +328,10 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
     for every unordered pair, its min(b_u, b_v) heaviest edges, smaller
     ids first on equal weights.
 
-    Cached on ``G`` for the capacities of the last call, so every caller
-    after the first (the stream runner's store, its ``small_output``
-    extraction, the oracle) reads the same array; ``wedcs stream`` fills
-    the cache before its pool's threads start."""
-    cached = _capacity_entry(G, b)
-    if cached[2] is None:
-        cached = G._relevant = *cached[:2], _select_relevant(G, cached[1])
-    return cached[2]
+    Cached on ``G`` for the capacities of the last call, for the stream
+    runner's store and the exact solver; ``wedcs stream`` fills it before
+    its pool's threads start."""
+    return _entry_value(G, b, 2, lambda: _select_relevant(G, _pair_caps(G, b)))
 
 
 def _select_relevant(G: MultiGraph, caps: np.ndarray) -> np.ndarray:

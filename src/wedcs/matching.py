@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, _int_type, _relevant_ids
+from .graph import Capacities, MultiGraph, _entry_value, _int_type, _relevant_ids
 
 __all__ = [
     "BMatching",
@@ -126,22 +126,45 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
     :func:`_proven` over every edge of G before returning.  The method
     works in int64, so it needs m * W < 2**62 on G, and raises
     ``ValueError`` beyond that.
+
+    G's capacity entry keeps the answer (:func:`_bipartite_answer`): G is
+    solved once per capacities vector, each call gets a fresh BMatching.
     """
+    found = _bipartite_answer(G, b)
+    return branch_and_bound_b_matching(G, b, budget) if found is None else found
+
+
+def _bipartite_answer(G: MultiGraph, b: Capacities) -> BMatching | None:
+    """The bipartite route's answer on G, None when G is not bipartite;
+    solved once per graph and capacities (:func:`_entry_value`) and kept
+    as a read-only id array and the weight, or False."""
+    solved = _entry_value(G, b, 3, lambda: _solve_bipartite(G, b))
+    return BMatching(solved[0].tolist(), solved[1]) if solved else None
+
+
+def _solve_bipartite(G: MultiGraph, b: Capacities) -> tuple[np.ndarray, int] | bool:
+    """:func:`_bipartite_answer`, solved and proven."""
     keep = _relevant_ids(G, b)
-    R = G.restrict(keep)[0]
+    R = G if len(keep) == G.m else G.restrict(keep)[0]
     sides = bipartition_sides(R)
     if sides is None:
-        return branch_and_bound_b_matching(G, b, budget)
-    if G.m * G.W >= 2**62:
+        return False
+    if not _fits_int64(G):
         raise ValueError(f"the bipartite solver needs m * W < 2**62, got m={G.m}, W={G.W}")
     if R.m == 0:
-        return BMatching([], 0)
+        return keep, 0
     classes, cls, rank = _classes(R, sides)
     x, y = _primal_dual(classes, b, R.n)
     ids = np.flatnonzero(rank < x[cls])     # each class takes its x lowest ids
     if R is not G:
         ids, y = keep[ids], _lifted_labels(G, b, keep, y)
-    return _proven(G, b, ids, y)
+    ids.flags.writeable = False
+    return ids, _proven(G, b, ids, y).weight
+
+
+def _fits_int64(G: MultiGraph) -> bool:
+    """Whether the bipartite route's int64 arithmetic holds G: m * W < 2**62."""
+    return G.m * G.W < 2**62
 
 
 def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ Two degenerate regimes are handled explicitly:
   short for the parameters); all remaining edges are stored verbatim.
 * ``small_output`` -- a parallel store of the relevant subgraph never
   exceeded its cap, so the stored graph is solved in place of H | X
-  (:func:`run_with_fallbacks` only; each stream is still solved once).
+  (:func:`run_with_fallbacks` only).  It is G's relevant subgraph for
+  every seed: on bipartite G, streams and oracle share one cached solve.
 
 Everything is deterministic given (graph, seed, parameters).
 """
@@ -56,6 +57,8 @@ from .matching import (
     BMatching,
     OracleBudgetExceeded,
     DEFAULT_ORACLE_BUDGET,
+    _bipartite_answer,
+    _fits_int64,
     max_weight_b_matching_exact,
     max_weight_b_matching_greedy,
 )
@@ -269,20 +272,21 @@ def _with_members(H: Subgraph, X: np.ndarray) -> np.ndarray:
 
 
 def _extract(H: Subgraph, X: np.ndarray, stats: StreamRunStats, b: Capacities,
-             edge_ids: Iterable[int], oracle_budget: int) -> StreamRunResult:
-    """Best b-matching restricted to ``edge_ids``, recorded in ``stats``:
-    exact when the solver budget allows, greedy otherwise.  ``X``, the
-    side set's id array, is returned as given.  The solver's ids map back
-    to G's through ``restrict``'s id array in one gather."""
-    sub, old_ids = H.parent.restrict(edge_ids)
+             edge_ids: Iterable[int] | None, oracle_budget: int) -> StreamRunResult:
+    """Best b-matching restricted to ``edge_ids`` (G itself when None),
+    recorded in ``stats``: exact when the solver budget allows, greedy
+    otherwise.  ``X``, the side set's id array, is returned as given.  The
+    solver's ids map back to G's through ``restrict``'s id array."""
+    sub, old_ids = (H.parent, None) if edge_ids is None else H.parent.restrict(edge_ids)
     try:
-        found = max_weight_b_matching_exact(sub, b, oracle_budget)
+        matching = max_weight_b_matching_exact(sub, b, oracle_budget)
         stats.extraction = "exact"
     except OracleBudgetExceeded:
-        found = max_weight_b_matching_greedy(sub, b)
+        matching = max_weight_b_matching_greedy(sub, b)
         stats.extraction = "greedy"
-    ids = np.sort(old_ids[np.asarray(found.edge_ids, dtype=np.int64)])
-    matching = BMatching(ids.tolist(), found.weight)
+    if old_ids is not None:
+        ids = np.sort(old_ids[np.asarray(matching.edge_ids, dtype=np.int64)])
+        matching = BMatching(ids.tolist(), matching.weight)
     stats.result_weight = matching.weight
     return StreamRunResult(H, X, matching, stats)
 
@@ -477,7 +481,9 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
                                                check_invariants, cap)
     if store_alive:
         stats.fallback_used = "small_output"
-        edge_ids = _relevant_ids(G, b)
+        # the store is the R that G's exact solve solves: on bipartite G,
+        # read its cached answer (past the int64 limit on G, R may fit it)
+        edge_ids = None if _fits_int64(G) and _bipartite_answer(G, b) else _relevant_ids(G, b)
     else:
         edge_ids = _with_members(H, X)
     return _extract(H, X, stats, b, edge_ids, oracle_budget)

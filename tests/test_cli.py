@@ -273,9 +273,11 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
     # thread, before the pool starts: a pool thread that built them would
     # raise, and each is built exactly once for four streams and the oracle.
     # The spies count G only, known by its m: each stream's restricted
-    # graph numbers its own pairs, per-stream work on its own edges.
-    import wedcs.cli as cli
+    # graph numbers its own pairs, per-stream work on its own edges.  Every
+    # stream ends in small_output, so G's one exact solve, on whichever
+    # thread asks first, answers the oracle and all four streams.
     import wedcs.graph as graph
+    import wedcs.matching as matching
 
     spec = _write_spec(tmp_path, {"kind": "random", "seed": 11, "n": 10, "m": 200, "W": 3,
                                   "b_min": 1, "b_max": 2, "bipartite": True,
@@ -296,13 +298,21 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(graph.MultiGraph, "_number_pairs",
                         once("pairs", graph.MultiGraph._number_pairs))
     monkeypatch.setattr(graph, "_select_relevant", once("relevant", graph._select_relevant))
+    solves = []
+    primal_dual = matching._primal_dual
+    monkeypatch.setattr(matching, "_primal_dual",
+                        lambda *args: solves.append(args[2]) or primal_dual(*args))
     outputs = []
     for jobs in ("2", "1"):
         assert main(["stream", path, "--seeds", "0-3", "--epsilon", "0.2", "--beta", "6",
                      "--variant", "3", "--jobs", jobs]) == 0
         outputs.append(capsys.readouterr().out)
         assert calls == {"pairs": 1, "relevant": 1}, jobs
+        assert solves == [10], jobs
         calls.update(pairs=0, relevant=0)
+        solves.clear()
+    runs = json.loads(outputs[0])["runs"]
+    assert [run["fallback_used"] for run in runs] == ["small_output"] * 4
     assert outputs[0] == outputs[1]
 
 

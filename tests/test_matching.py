@@ -499,9 +499,54 @@ def test_optimum_weight_raises_on_a_wrong_relevant_set(monkeypatch):
     G = MultiGraph(2, [(0, 1, 1), (0, 1, 3)], W=3)
     b = Capacities([1, 1])
     assert max_weight_b_matching_exact(G, b).weight == 3
+    # G keeps its proven answer, so the patched solve runs on a fresh copy
+    fresh = MultiGraph.from_columns(G.n, G.u, G.v, G.w, W=G.W)
     monkeypatch.setattr(matching, "_relevant_ids", lambda G, b: np.array([0]))
     with pytest.raises(RuntimeError, match="does not certify"):
-        max_weight_b_matching_exact(G, b)
+        max_weight_b_matching_exact(fresh, b)
+
+
+def _counted_primal_dual(monkeypatch) -> list:
+    """The capacities of every primal-dual solve from now on."""
+    import wedcs.matching as matching
+
+    solves = []
+    primal_dual = matching._primal_dual
+    monkeypatch.setattr(matching, "_primal_dual",
+                        lambda *args: solves.append(args[1]) or primal_dual(*args))
+    return solves
+
+
+def test_exact_answer_is_kept_per_capacities(monkeypatch):
+    # one G under two capacity vectors gets each vector's own answer, equal
+    # to a fresh graph's; a repeated vector reads G's entry, and going back
+    # to the first vector, which the second replaced, solves it again
+    G, b1 = make_random(5, n=30, m=200, W=3, b_max=3, bipartite=True, allow_parallel=True)
+    b2 = Capacities.uniform(G.n)
+    solves = _counted_primal_dual(monkeypatch)
+    answers = [max_weight_b_matching_exact(G, b) for b in (b1, b2, b2, b1)]
+    assert solves == [b1, b2, b1]
+    assert answers[0].weight != answers[1].weight
+    for b, got in zip((b1, b2, b2, b1), answers):
+        assert got == max_weight_b_matching_exact(MultiGraph.from_columns(G.n, G.u, G.v, G.w), b)
+        assert got.verify(G, b)
+
+
+def test_exact_answer_is_a_fresh_matching_per_call(monkeypatch):
+    # the kept answer is a read-only id array: what a caller does to the
+    # BMatching it got never reaches the next caller
+    G, b = make_random(6, n=30, m=200, W=3, b_max=3, bipartite=True, allow_parallel=True)
+    solves = _counted_primal_dual(monkeypatch)
+    first = max_weight_b_matching_exact(G, b)
+    want = BMatching(list(first.edge_ids), first.weight)
+    first.edge_ids[0] = -1
+    first.edge_ids.append(G.m)
+    first.weight = 0
+    assert max_weight_b_matching_exact(G, b) == want
+    assert len(solves) == 1
+    ids = G._relevant[3][0]
+    with pytest.raises(ValueError, match="read-only"):
+        ids[0] = -1
 
 
 def test_optimum_weight_budget_applies_on_general_graphs():

@@ -514,9 +514,12 @@ def test_small_output_fallback_tiny_graph(exact_calls):
     assert len(exact_calls) == 1
 
 
-def test_streams_share_a_cold_graph_across_threads():
-    # four threads race on G's first pair numbering, pair caps and relevant
-    # ids; each stream must match its run on a fresh copy of G, one at a time
+def test_streams_share_a_cold_graph_across_threads(monkeypatch):
+    # four threads race on G's first pair numbering, pair caps, relevant
+    # ids and exact solve; each stream must match its run on a fresh copy
+    # of G, one at a time, and the four small_output streams solve G once
+    import wedcs.matching as matching
+
     G, b = make_random(11, n=400, m=10000, W=3, b_max=2, bipartite=True, allow_parallel=True)
     fresh = MultiGraph.from_columns(G.n, G.u, G.v, G.w, W=G.W)
     assert G._pair is None and G._relevant is None
@@ -530,18 +533,75 @@ def test_streams_share_a_cold_graph_across_threads():
         start.wait()
         return run(G, seed)
 
+    solves = []
+    primal_dual = matching._primal_dual
+    monkeypatch.setattr(matching, "_primal_dual",
+                        lambda *args: solves.append(args[2]) or primal_dual(*args))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            shared = list(pool.map(raced, range(4)))
+            shared = list(pool.map(raced, range(4), timeout=120))
     finally:
         sys.setswitchinterval(interval)
+    assert len(solves) == 1
     serial = [run(fresh, seed) for seed in range(4)]
-    assert "small_output" in {res.stats.fallback_used for res in serial}
+    assert {res.stats.fallback_used for res in serial} == {"small_output"}
     for got, want in zip(shared, serial):
         assert got.stats.to_json_dict() == want.stats.to_json_dict()
         assert got.matching == want.matching
+
+
+def test_general_small_output_streams_search_per_seed(monkeypatch):
+    # non-bipartite G keeps no answer: every small_output stream runs
+    # branch-and-bound on G's relevant subgraph, as on a fresh graph
+    import wedcs.matching as matching
+    from wedcs.graph import _relevant_ids
+
+    G, b = make_random(3, n=12, m=60, W=3, b_max=2, allow_parallel=True)
+    relevant = len(_relevant_ids(G, b))
+    assert relevant < G.m
+    params = EdcsParams(W=3, beta=6, beta_minus=4)
+    searched = []
+    search = matching.branch_and_bound_b_matching
+    monkeypatch.setattr(matching, "branch_and_bound_b_matching",
+                        lambda G, *args: searched.append(G.m) or search(G, *args))
+
+    def run(G, seed):
+        return run_with_fallbacks(make_stream(G, seed), b, params, "0.2", variant=3)
+
+    shared = [run(G, seed) for seed in range(3)]
+    assert searched == [relevant] * 3
+    for seed, got in enumerate(shared):
+        want = run(MultiGraph.from_columns(G.n, G.u, G.v, G.w, W=G.W), seed)
+        assert got.stats.fallback_used == "small_output"
+        assert got.stats.to_json_dict() == want.stats.to_json_dict()
+        assert got.matching == want.matching
+
+
+def test_a_solve_that_raises_keeps_nothing():
+    # past the bipartite route's int64 limit every call raises alike and
+    # G's entry keeps no answer; a stream whose relevant subgraph is within
+    # the limit still solves that subgraph, as before answers were kept
+    b = Capacities.uniform(4)
+    G = MultiGraph(4, [(0, 1, 2**70), (1, 2, 5), (2, 3, 7)])
+    params = EdcsParams(W=G.W, beta=6, beta_minus=4)
+    message = rf"needs m \* W < 2\*\*62, got m=3, W={2**70}"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            max_weight_b_matching_exact(G, b)
+        assert G._relevant[3] is None
+    with pytest.raises(ValueError, match=message):
+        run_with_fallbacks(make_stream(G, 0), b, params, "0.2", variant=3)
+    assert G._relevant[3] is None
+    G = MultiGraph(4, [(0, 1, 2**61)] * 2)
+    params = EdcsParams(W=G.W, beta=6, beta_minus=4)
+    with pytest.raises(ValueError, match="needs m"):
+        max_weight_b_matching_exact(G, b)
+    res = run_with_fallbacks(make_stream(G, 0), b, params, "0.2", variant=3)
+    assert res.stats.fallback_used == "small_output"
+    assert res.matching.edge_ids == [0] and res.matching.weight == 2**61
+    assert G._relevant[3] is None
 
 
 def test_alpha_zero_on_dense_high_capacity_graph(exact_calls):
