@@ -61,6 +61,11 @@ class GenSpec:
         return cls(**data)
 
 
+#: edges drawn per generator call; any size gives the same instance, this
+#: one holds the per-edge int64 temporaries to a few MB
+_CHUNK = 1 << 16
+
+
 def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     """Seeded random multigraph with capacities.
 
@@ -70,10 +75,19 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     without replacement from the multiset of capacity slots); raw
     multiplicities are for exercising the replacement-rule stream variant.
 
-    Per-edge draws are made in one generator call with an array of bounds,
-    which consumes PCG64 exactly as repeated scalar calls with the same
-    bounds would; raw multiplicities interleave each edge's pair index and
-    weight in that array.
+    The draws are those of one ``integers`` call with an array of
+    per-edge bounds (for raw multiplicities each edge's pair index and
+    weight, interleaved) and, for capped pairs, of ``permutation`` over
+    every slot before the weights.  Array bounds consume PCG64 exactly as
+    repeated scalar calls would, so the call is made ``_CHUNK`` edges at
+    a time; ``permutation(total)`` is ``shuffle`` of ``arange(total)``,
+    whose draws do not depend on the item size, so the slots are shuffled
+    in the smallest type that holds their count (int32 at desk scale).
+    Capped pairs cost one such integer per vertex pair (the running slot
+    count) and one per slot; raw multiplicities hold nothing per pair.
+    Pair indices become endpoints by arithmetic, in the pairs' order:
+    (0, half), (0, half+1), ... for bipartite specs, the rows of the
+    upper triangle for general ones.
     """
     if spec.kind != "random":
         raise ValueError("random_instance needs a spec with kind='random'")
@@ -82,32 +96,76 @@ def random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
     b = Capacities([int(x) for x in rng.integers(spec.b_min, spec.b_max + 1, size=n)]) \
         if n else Capacities([])
 
-    # every vertex pair, in the graph's smallest vertex type
-    vertex = _int_type(n)
-    if spec.bipartite:
-        half = n // 2
-        us = np.repeat(np.arange(half, dtype=vertex), n - half)
-        vs = np.tile(np.arange(half, n, dtype=vertex), half)
-    else:
-        us, vs = (ends.astype(vertex) for ends in np.triu_indices(n, 1))
-
+    half = n // 2
+    # pair index first[i] starts row i of the upper triangle
+    first = np.arange(n, dtype=np.int64)
+    first = first * (2 * n - 1 - first) // 2
+    pairs = half * (n - half) if spec.bipartite else n * (n - 1) // 2
     if spec.allow_parallel:
-        if m > 0 and not len(us):
-            raise ValueError("no vertex pairs available for the requested edges")
-        draws = rng.integers(np.tile([0, 1], m), np.tile([len(us), spec.W + 1], m))
-        picked, weights = draws[0::2], draws[1::2]
+        chunks = _raw_draws(rng, m, pairs, spec.W)
     else:
-        # pair p owns capacity slots [cum[p-1], cum[p]), in pair order
         caps = np.asarray(b.b, dtype=_int_type(spec.b_max))
-        cum = np.cumsum(np.minimum(caps[us], caps[vs]), dtype=np.int64)
-        total = int(cum[-1]) if len(cum) else 0
-        if m > total:
-            raise ValueError(
-                f"infeasible spec: {m} edges requested but only {total} "
-                "capacity-respecting slots exist")
-        picked = np.searchsorted(cum, rng.permutation(total)[:m], side="right")
-        weights = rng.integers(1, np.full(m, spec.W + 1))
-    return MultiGraph.from_columns(n, us[picked], vs[picked], weights, W=spec.W), b
+        chunks = _capped_draws(rng, m, _slot_ends(caps, pairs, first, spec.bipartite), spec.W)
+
+    u, v = np.empty(m, dtype=_int_type(n)), np.empty(m, dtype=_int_type(n))
+    w = np.empty(m, dtype=_int_type(spec.W))
+    lo = 0
+    for pair, weight in chunks:
+        hi = lo + len(pair)
+        w[lo:hi] = weight
+        if spec.bipartite:
+            u[lo:hi], v[lo:hi] = np.divmod(pair, n - half)
+            v[lo:hi] += half
+        else:
+            row = np.searchsorted(first, pair, side="right") - 1
+            u[lo:hi] = row
+            v[lo:hi] = pair - first[row] + row + 1
+        lo = hi
+    return MultiGraph.from_columns(n, u, v, w, W=spec.W), b
+
+
+def _raw_draws(rng: np.random.Generator, m: int, pairs: int, W: int):
+    """``m`` (pair index, weight) draws with replacement, in chunks."""
+    if m > 0 and not pairs:
+        raise ValueError("no vertex pairs available for the requested edges")
+    size = min(m, _CHUNK)
+    low, high = np.tile([0, 1], size), np.tile([pairs, W + 1], size)
+    for lo in range(0, m, _CHUNK):
+        k = 2 * min(_CHUNK, m - lo)
+        draws = rng.integers(low[:k], high[:k])
+        yield draws[0::2], draws[1::2]
+
+
+def _slot_ends(caps: np.ndarray, pairs: int, first: np.ndarray,
+               bipartite: bool) -> np.ndarray:
+    """Each vertex pair's end in the running count of capacity slots, in
+    pair order: pair p owns slots [ends[p-1], ends[p]), min(b_u, b_v) of
+    them.  The count is kept in the smallest type that holds pairs * max(b)."""
+    n = len(caps)
+    half = n // 2
+    ends = np.empty(pairs, dtype=_int_type(pairs * int(caps.max(initial=0))))
+    if bipartite:
+        np.minimum.outer(caps[:half], caps[half:], out=ends.reshape(half, n - half))
+    else:
+        for i in range(n - 1):
+            np.minimum(caps[i], caps[i + 1:], out=ends[first[i]:first[i + 1]])
+    return np.cumsum(ends, dtype=ends.dtype, out=ends)
+
+
+def _capped_draws(rng: np.random.Generator, m: int, ends: np.ndarray, W: int):
+    """``m`` (pair index, weight) draws: the pairs of the first m slots
+    of a uniform shuffle of all slots, then the weights, in chunks."""
+    total = int(ends[-1]) if len(ends) else 0
+    if m > total:
+        raise ValueError(
+            f"infeasible spec: {m} edges requested but only {total} "
+            "capacity-respecting slots exist")
+    slots = np.arange(total, dtype=ends.dtype)
+    rng.shuffle(slots)
+    high = np.full(min(m, _CHUNK), W + 1)
+    for lo in range(0, m, _CHUNK):
+        picked = slots[lo:min(m, lo + _CHUNK)]
+        yield np.searchsorted(ends, picked, side="right"), rng.integers(1, high[:len(picked)])
 
 
 def _six_blocks(k: int, l: int, starts: tuple[int, ...], w: int, w_cd: int):

@@ -133,7 +133,10 @@ def make_stream(G: MultiGraph, seed: int) -> EdgeStream:
     """Uniformly random edge order from a seeded generator; same seed,
     same order: numpy's Fisher-Yates ``permutation`` of the edge ids over
     PCG64 (see :data:`PRNG_ID`).  The int64 permutation is freed before
-    the narrowed order is checked."""
+    the narrowed order is checked.  ``shuffle`` of an int32 ``arange``
+    would draw the same order in half the memory, but numpy swaps 8-byte
+    items on a specialised path: at 2e5 ids the int32 shuffle took 5.4 ms
+    against 3.1 ms for the int64 permutation (numpy 2.4, 2-CPU host)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     return EdgeStream(G, rng.permutation(G.m).astype(_order_type(G.m), copy=False), seed,
                       PRNG_ID)

@@ -1,8 +1,9 @@
 """Shared test utilities: brute-force oracles, instance shorthands,
 reference implementations (the degree rule and step gain over each
-edge's b_u * b_v, and the builder and stream run as first written), and
-the vertex-splitting reduction of b-matching to simple matching (the
-paper's analysis device, which no run of the package needs).
+edge's b_u * b_v, and the generator, builder and stream run as first
+written), a traced-memory probe, and the vertex-splitting reduction of
+b-matching to simple matching (the paper's analysis device, which no run
+of the package needs).
 
 The brute-force solvers here are deliberately independent of the package's
 solvers (plain subset enumeration) so they can act as ground truth.
@@ -10,6 +11,7 @@ solvers (plain subset enumeration) so they can act as ground truth.
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +22,7 @@ import numpy as np
 
 from wedcs import BMatching, Capacities, GenSpec, MultiGraph, Subgraph, random_instance
 from wedcs.edcs import BuildTrace, EdcsParams, LocalSearchError, potential, validate
-from wedcs.graph import _first_crowded_pair, _reject_crowded
+from wedcs.graph import _first_crowded_pair, _int_type, _reject_crowded
 
 
 def brute_force_b_matching_weight(G: MultiGraph, b: Capacities) -> int:
@@ -140,6 +142,58 @@ def make_random(seed: int, n: int, m: int, W: int, b_max: int = 1, *,
                    b_min=b_min, b_max=b_max, bipartite=bipartite,
                    allow_parallel=allow_parallel)
     return random_instance(spec)
+
+
+def reference_random_instance(spec: GenSpec) -> tuple[MultiGraph, Capacities]:
+    """``random_instance`` as first written, kept as the reference for the
+    bounded-memory generator: every vertex pair's ends as an array, the
+    capacity slots' int64 running count, one int64 ``permutation`` over
+    every slot, and one generator call for all raw-multiplicity draws."""
+    if spec.kind != "random":
+        raise ValueError("random_instance needs a spec with kind='random'")
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    n, m = spec.n, spec.m
+    b = Capacities([int(x) for x in rng.integers(spec.b_min, spec.b_max + 1, size=n)]) \
+        if n else Capacities([])
+
+    # every vertex pair, in the graph's smallest vertex type
+    vertex = _int_type(n)
+    if spec.bipartite:
+        half = n // 2
+        us = np.repeat(np.arange(half, dtype=vertex), n - half)
+        vs = np.tile(np.arange(half, n, dtype=vertex), half)
+    else:
+        us, vs = (ends.astype(vertex) for ends in np.triu_indices(n, 1))
+
+    if spec.allow_parallel:
+        if m > 0 and not len(us):
+            raise ValueError("no vertex pairs available for the requested edges")
+        draws = rng.integers(np.tile([0, 1], m), np.tile([len(us), spec.W + 1], m))
+        picked, weights = draws[0::2], draws[1::2]
+    else:
+        # pair p owns capacity slots [cum[p-1], cum[p]), in pair order
+        caps = np.asarray(b.b, dtype=_int_type(spec.b_max))
+        cum = np.cumsum(np.minimum(caps[us], caps[vs]), dtype=np.int64)
+        total = int(cum[-1]) if len(cum) else 0
+        if m > total:
+            raise ValueError(
+                f"infeasible spec: {m} edges requested but only {total} "
+                "capacity-respecting slots exist")
+        picked = np.searchsorted(cum, rng.permutation(total)[:m], side="right")
+        weights = rng.integers(1, np.full(m, spec.W + 1))
+    return MultiGraph.from_columns(n, us[picked], vs[picked], weights, W=spec.W), b
+
+
+def traced_peak(f) -> int:
+    """Peak traced memory while ``f()`` runs, above what was traced before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def scalar_fisher_yates(m: int, seed: int, *, high_first: bool = False) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +15,10 @@ from wedcs import (
     tight_instance,
     validate,
 )
+from wedcs.generators import _CHUNK
+from wedcs.graph_io import format_graph
 
-from helpers import triples
+from helpers import pair_count, reference_random_instance, triples
 
 
 def test_random_empty():
@@ -58,6 +62,48 @@ def test_random_bipartite_sides():
                                    b_min=1, b_max=2, bipartite=True))
     assert all(u < 5 <= v for u, v, _ in triples(G))
     assert bipartition_sides(G) is not None
+
+
+def _slot_total(spec: GenSpec) -> int:
+    """The capacity slots of ``spec``'s graph: min(b_u, b_v) summed over
+    its vertex pairs."""
+    _, b = reference_random_instance(replace(spec, m=0))
+    n, half = spec.n, spec.n // 2
+    pairs = ([(x, y) for x in range(half) for y in range(half, n)] if spec.bipartite
+             else combinations(range(n), 2))
+    return sum(min(b[x], b[y]) for x, y in pairs)
+
+
+def _outcome(make, spec: GenSpec):
+    """What ``make(spec)`` gives: the columns with their dtypes, the
+    capacities and the file text, or the text of its ``ValueError``."""
+    try:
+        G, b = make(spec)
+    except ValueError as err:
+        return str(err)
+    return [(col.dtype, col.tolist()) for col in (G.u, G.v, G.w)], b.b, format_graph(G, b)
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 11])
+@pytest.mark.parametrize("shape", ["raw", "full", "over", "sparse"])
+def test_random_instance_matches_the_reference(shape, n, bipartite):
+    # raw: three whole chunks and a part; full: every capacity slot, b up
+    # to 250 as in the narrow-dtype spec; over: one edge past the slots;
+    # sparse: few edges of many slots, where numpy's choice without
+    # replacement would draw differently from a shuffle
+    spec = GenSpec(seed=n + 20 * bipartite, n=n, W=127, b_max=4, bipartite=bipartite)
+    if shape == "raw":
+        spec = replace(spec, m=3 * _CHUNK + 17, allow_parallel=True)
+    elif shape == "sparse":
+        spec = replace(spec, n=30 * n + 1, m=n)
+    else:
+        spec = replace(spec, b_min=150, b_max=250)
+        spec = replace(spec, m=_slot_total(spec) + (shape == "over"))
+    expected = _outcome(reference_random_instance, spec)
+    assert _outcome(random_instance, spec) == expected
+    no_pairs = shape == "raw" and not pair_count(n, bipartite)
+    assert isinstance(expected, str) == (shape == "over" or no_pairs)
 
 
 def test_genspec_json_round_trip():

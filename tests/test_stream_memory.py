@@ -10,13 +10,14 @@ fails when an m-length int64 temporary (1.6 MB here) comes back.
 
 from __future__ import annotations
 
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
 import wedcs.streaming as streaming
 from wedcs import Capacities, EdcsParams, MultiGraph, make_stream
+
+from helpers import traced_peak
 
 MB = 2**20
 
@@ -29,22 +30,10 @@ def _graph() -> tuple[MultiGraph, Capacities]:
     return G, Capacities(rng.integers(1, 4, n).tolist())
 
 
-def _traced_peak(f) -> int:
-    """Peak traced memory while ``f()`` runs, above what was traced before."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        f()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_first_pair_numbering_peak():
     # 4.77 MB per edge (int64 keys), 3.05 MB with int32 keys and pair ends
     G, _ = _graph()
-    assert _traced_peak(lambda: G.pair) < 3.9 * MB
+    assert traced_peak(lambda: G.pair) < 3.9 * MB
 
 
 def test_first_relevant_ids_peak():
@@ -53,14 +42,14 @@ def test_first_relevant_ids_peak():
 
     G, b = _graph()
     G.pair
-    assert _traced_peak(lambda: _relevant_ids(G, b)) < 4.5 * MB
+    assert traced_peak(lambda: _relevant_ids(G, b)) < 4.5 * MB
 
 
 def test_make_stream_peak():
     # 5.53 MB with the swaps resolved in sorted space, 2.29 MB with numpy's
     # permutation narrowed to int32
     G, _ = _graph()
-    assert _traced_peak(lambda: make_stream(G, 3)) < 3.2 * MB
+    assert traced_peak(lambda: make_stream(G, 3)) < 3.2 * MB
 
 
 def test_two_phase_pass_with_surviving_store_peak():
@@ -71,7 +60,7 @@ def test_two_phase_pass_with_surviving_store_peak():
     G.pair
     params = EdcsParams(W=3, beta=3, beta_minus=1)
     out = []
-    peak = _traced_peak(lambda: out.append(streaming._two_phase_pass(
+    peak = traced_peak(lambda: out.append(streaming._two_phase_pass(
         stream, b, params, Fraction(49, 100), 3, False, 10**9)))
     _, X, stats, alive = out[0]
     assert alive and stats.phase1_edges_consumed > 0 and len(X) > 0
@@ -84,4 +73,4 @@ def test_graph_construction_peak():
     rng = np.random.default_rng(5)
     m, n = 200_000, 100
     u, v, w = rng.integers(0, 50, m), rng.integers(50, 100, m), rng.integers(1, 4, m)
-    assert _traced_peak(lambda: MultiGraph.from_columns(n, u, v, w, W=3)) < 3 * MB
+    assert traced_peak(lambda: MultiGraph.from_columns(n, u, v, w, W=3)) < 3 * MB
