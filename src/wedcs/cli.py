@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .edcs import EdcsParams, _checked_epsilon, build_wb_edcs, parameters_for, validate
 from .generators import GenSpec, multicopy_instance, random_instance, tight_instance
-from .graph import Capacities, MultiGraph, Subgraph, _reject_crowded, _relevant_ids
+from .graph import Capacities, MultiGraph, Subgraph, _reject_crowded
 from .graph_io import (GraphFormatError, match_subgraph_edges, read_graph, write_graph,
                        write_subgraph)
 from .matching import DEFAULT_ORACLE_BUDGET, OracleBudgetExceeded, max_weight_b_matching_exact
@@ -173,18 +173,15 @@ def cmd_stream(args) -> int:
         raise InputError("stream requires --epsilon")
     if args.variant == 1:
         _reject_crowded(graph, caps, "use --variant 3 for raw multiplicity streams")
-    # the pair numbering, pair caps and relevant ids, cached on the graph:
-    # every stream and the oracle read them, on every thread
-    _relevant_ids(graph, caps)
-
-    # the pool's threads stream while this one solves the oracle; an error
-    # cancels the seeds that have not started
+    # the oracle fills the graph's caches on this thread (the pair
+    # numbering, pair caps, relevant ids and the bipartite answer), so the
+    # pool's threads only read them; an error in a seed cancels the seeds
+    # that have not started
+    oracle_weight = _oracle_weight(graph, caps, args)
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(args.jobs, len(seeds)))
     try:
-        pending = pool.map(functools.partial(_stream_one, graph, caps, params, args.epsilon,
-                                             args.variant, args.oracle_budget), seeds)
-        oracle_weight = _oracle_weight(graph, caps, args)
-        runs = list(pending)
+        runs = list(pool.map(functools.partial(_stream_one, graph, caps, params, args.epsilon,
+                                               args.variant, args.oracle_budget), seeds))
     finally:
         pool.shutdown(cancel_futures=True)
 

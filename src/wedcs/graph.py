@@ -7,7 +7,6 @@ all operations are deterministic for a fixed input order.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,12 +41,13 @@ class MultiGraph:
     neighbours derives them from the columns where it runs.  Apart from
     the pair caches and the capacity entry (pair caps, relevant ids and
     exact answer for the last capacities asked, see :func:`_capacity_entry`),
-    instances never change after construction and are safe to share
-    across threads (racing threads build equal pair caches and one is
-    kept; the entry is filled under the graph's lock, each value once).
+    instances never change after construction.  The caches are filled
+    without a lock: threads that race on a cold graph may each build equal
+    values, and one of them is kept.  A caller that wants each built once
+    fills them before it starts its threads, as ``wedcs stream`` does.
     """
 
-    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_relevant", "_lock")
+    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_relevant")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         self._setup(n, *_triple_columns(list(edges)), W)
@@ -68,12 +68,14 @@ class MultiGraph:
             W = int(w.max()) if m else 1
         if W < 1:
             raise ValueError("weight cap W must be at least 1")
-        loop = u == v
-        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        heavy = (w < 1) | (w > W)
-        bad = np.flatnonzero(loop | outside | heavy)
-        if bad.size:
-            i = int(bad[0])
+        # reductions first: the per-edge masks, m bytes each, are built
+        # only to name the first bad edge
+        if m and not (0 <= u.min() and u.max() < n and 0 <= v.min() and v.max() < n
+                      and 1 <= w.min() and w.max() <= W and not (u == v).any()):
+            loop = u == v
+            outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+            heavy = (w < 1) | (w > W)
+            i = int(np.flatnonzero(loop | outside | heavy)[0])
             if loop[i]:
                 raise ValueError(f"edge {i}: self-loops are not allowed")
             if outside[i]:
@@ -87,7 +89,6 @@ class MultiGraph:
         self._pair: np.ndarray | None = None
         self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
         self._relevant: tuple | None = None
-        self._lock = threading.RLock()
 
     @property
     def m(self) -> int:
@@ -282,35 +283,29 @@ def _capacity_entry(G: MultiGraph, b: Capacities) -> tuple:
     """``G``'s cache entry for the capacities ``b``: ``b.b``, the pair caps,
     the relevant ids and the exact answer, the last two None until
     :func:`_entry_value` fills them.  One entry, for the capacities of the
-    last call, replaced whole; readers take no lock."""
+    last call, replaced whole and without a lock (see :class:`MultiGraph`)."""
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
     cached = G._relevant
     if cached is None or cached[0] != b.b:
-        with G._lock:
-            cached = G._relevant
-            if cached is None or cached[0] != b.b:
-                caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
-                lo, hi = G.pair_ends
-                caps = np.minimum(caps[lo], caps[hi])
-                caps.flags.writeable = False
-                cached = G._relevant = b.b, caps, None, None
+        caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
+        lo, hi = G.pair_ends
+        caps = np.minimum(caps[lo], caps[hi])
+        caps.flags.writeable = False
+        cached = G._relevant = b.b, caps, None, None
     return cached
 
 
 def _entry_value(G: MultiGraph, b: Capacities, slot: int, build) -> object:
     """Slot ``slot`` of ``G``'s entry for ``b``, built by ``build()`` on
-    first use under ``G``'s lock: callers that arrive meanwhile wait and
-    read the same value.  A build that raises stores nothing."""
-    cached = _capacity_entry(G, b)
-    if cached[slot] is None:
-        with G._lock:
-            if _capacity_entry(G, b)[slot] is None:
-                value = build()
-                cached = _capacity_entry(G, b)  # the build may fill earlier slots
-                G._relevant = *cached[:slot], value, *cached[slot + 1:]
-            cached = G._relevant
-    return cached[slot]
+    first use.  Threads that race on an empty slot each build it, and the
+    last to finish is kept; a build that raises stores nothing."""
+    value = _capacity_entry(G, b)[slot]
+    if value is None:
+        value = build()
+        cached = _capacity_entry(G, b)  # the build may fill earlier slots
+        G._relevant = *cached[:slot], value, *cached[slot + 1:]
+    return value
 
 
 def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
@@ -329,8 +324,8 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
     ids first on equal weights.
 
     Cached on ``G`` for the capacities of the last call, for the stream
-    runner's store and the exact solver; ``wedcs stream`` fills it before
-    its pool's threads start."""
+    runner's store and the exact solver; ``wedcs stream`` fills it, with
+    its oracle, before it starts its pool's threads."""
     return _entry_value(G, b, 2, lambda: _select_relevant(G, _pair_caps(G, b)))
 
 

@@ -374,3 +374,30 @@ def test_criterion_10_memory_scaling():
     _line(10, ok, f"peak/max(|M|,n) stays <= {MEMORY_BASELINE * 1.5:.1f} "
                   f"(worst {worst:.2f}; {', '.join(rows)})")
     assert ok
+
+
+def test_criterion_12_streaming_reaches_phase_1():
+    # criterion 8's parameters floor level 0's interval to zero, so its
+    # streams never run phase 1; at W=1, beta=4/2 and m=2e4 the interval
+    # is positive and every stream ends phase 1 by itself
+    params = EdcsParams(W=1, beta=4, beta_minus=2)
+    eps = Fraction(1, 10)
+    threshold = Fraction(1) / (2 - Fraction(1, 2) + eps)
+    consumed = []
+    worst = Fraction(1)
+    for seed in range(20):
+        G, b = make_random(seed, n=200, m=20_000, W=1, b_min=1, b_max=4, bipartite=True,
+                           allow_parallel=True)
+        res = run_single_pass(make_stream(G, seed), b, params, eps, variant=3,
+                              check_invariants=True)
+        stats = res.stats
+        budget = -((-eps.numerator * stats.m) // eps.denominator)
+        assert stats.fallback_used == "none", f"seed {seed}"
+        assert 0 < stats.phase1_edges_consumed <= budget, f"seed {seed}"
+        ratio = Fraction(res.matching.weight, max_weight_b_matching_exact(G, b).weight)
+        assert ratio >= threshold, f"seed {seed}"
+        consumed.append(stats.phase1_edges_consumed)
+        worst = min(worst, ratio)
+    _line(12, True, f"20 raw-multiplicity streams (n=200, m=2e4, W=1, beta=4/2) end phase 1 "
+                    f"by themselves after {min(consumed)}-{max(consumed)} edges; "
+                    f"ratio min {float(worst):.4f} >= {float(threshold):.4f}")

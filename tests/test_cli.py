@@ -269,13 +269,14 @@ def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
 
 
 def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
-    # G's pair numbering and relevant ids are built once, on the main
-    # thread, before the pool starts: a pool thread that built them would
-    # raise, and each is built exactly once for four streams and the oracle.
-    # The spies count G only, known by its m: each stream's restricted
-    # graph numbers its own pairs, per-stream work on its own edges.  Every
-    # stream ends in small_output, so G's one exact solve, on whichever
-    # thread asks first, answers the oracle and all four streams.
+    # G's pair numbering, relevant ids and exact solve are built once, on
+    # the main thread, by the oracle before the pool starts: a pool thread
+    # that built one of them would raise, and each is built exactly once
+    # for four streams and the oracle.  The pair and relevant-id spies
+    # count G only, known by its m: each stream's restricted graph numbers
+    # its own pairs, per-stream work on its own edges.  Every stream ends
+    # in small_output, so G's one exact solve answers the oracle and all
+    # four streams.
     import wedcs.graph as graph
     import wedcs.matching as matching
 
@@ -286,11 +287,14 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
     main(["gen", "--spec", spec, "--out", path])
     calls = {"pairs": 0, "relevant": 0}
 
+    def on_main_thread(name):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"a pool thread built the {name} again")
+
     def once(name, build):
         def spy(G, *args):
             if G.m == 200:
-                if threading.current_thread() is not threading.main_thread():
-                    raise RuntimeError(f"a pool thread built the {name} again")
+                on_main_thread(name)
                 calls[name] += 1
             return build(G, *args)
         return spy
@@ -300,8 +304,13 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(graph, "_select_relevant", once("relevant", graph._select_relevant))
     solves = []
     primal_dual = matching._primal_dual
-    monkeypatch.setattr(matching, "_primal_dual",
-                        lambda *args: solves.append(args[2]) or primal_dual(*args))
+
+    def solve(*args):
+        on_main_thread("exact answer")
+        solves.append(args[2])
+        return primal_dual(*args)
+
+    monkeypatch.setattr(matching, "_primal_dual", solve)
     outputs = []
     for jobs in ("2", "1"):
         assert main(["stream", path, "--seeds", "0-3", "--epsilon", "0.2", "--beta", "6",
@@ -350,28 +359,53 @@ def test_stream_rejects_bipartite_weights_beyond_the_solver(tmp_path, capsys, jo
     assert captured.out == ""
 
 
-def test_stream_oracle_error_cancels_queued_seeds(tmp_path, capsys, monkeypatch):
-    # two pool threads hold seeds 0 and 1 until the pool shuts down; the
-    # oracle fails once both have started, and the shutdown cancels the 48
-    # seeds still queued before it lets the two run on
+def test_stream_oracle_error_starts_no_stream(tmp_path, capsys, monkeypatch):
+    # the oracle runs before the pool: its error ends the command before
+    # any seed streams
+    import wedcs.cli as cli
+
+    calls = []
+    stream_one = cli._stream_one
+    monkeypatch.setattr(cli, "_stream_one",
+                        lambda *args: calls.append(args[-1]) or stream_one(*args))
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"g 4 3 {2**70}\ne 0 1 {2**70}\ne 1 2 5\ne 2 3 7\n")
+    assert main(["stream", str(graph), "--seeds", "0-49", "--epsilon", "0.2", "--beta", "6",
+                 "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the bipartite solver needs m * W < 2**62, got m=3, W={2**70}\n"
+    assert captured.out == ""
+    assert calls == []
+
+
+def test_stream_seed_error_cancels_queued_seeds(tmp_path, capsys, monkeypatch):
+    # two pool threads hold seeds 0 and 1 until the pool shuts down; seed 0
+    # fails once seed 1 has started, and its thread takes no next seed
+    # before the shutdown has cancelled the 48 seeds still queued
     import concurrent.futures
 
     import wedcs.cli as cli
 
     calls, started, release = [], threading.Event(), threading.Event()
-    stream_one, oracle = cli._stream_one, cli.max_weight_b_matching_exact
+    stream_one = cli._stream_one
+    submit = concurrent.futures.ThreadPoolExecutor.submit
     shutdown = concurrent.futures.ThreadPoolExecutor.shutdown
 
     def held_stream(*args):
         calls.append(args[-1])
-        if len(calls) == 2:
-            started.set()
+        if args[-1] == 0:
+            assert started.wait(timeout=60)
+            raise ValueError("seed 0 failed")
+        started.set()
         release.wait()
         return stream_one(*args)
 
-    def late_oracle(*args):
-        assert started.wait(timeout=60)
-        return oracle(*args)
+    def holding_submit(self, *args):
+        # a failed seed's callbacks run on its thread once the error is set
+        future = submit(self, *args)
+        future.add_done_callback(
+            lambda done: not done.cancelled() and done.exception() and release.wait())
+        return future
 
     def releasing_shutdown(self, wait=True, *, cancel_futures=False):
         shutdown(self, wait=False, cancel_futures=cancel_futures)
@@ -379,14 +413,14 @@ def test_stream_oracle_error_cancels_queued_seeds(tmp_path, capsys, monkeypatch)
         shutdown(self, wait=wait)
 
     monkeypatch.setattr(cli, "_stream_one", held_stream)
-    monkeypatch.setattr(cli, "max_weight_b_matching_exact", late_oracle)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", holding_submit)
     monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "shutdown", releasing_shutdown)
     graph = tmp_path / "g.txt"
-    graph.write_text(f"g 4 3 {2**70}\ne 0 1 {2**70}\ne 1 2 5\ne 2 3 7\n")
+    graph.write_text("g 4 3 7\ne 0 1 3\ne 1 2 5\ne 2 3 7\n")
     assert main(["stream", str(graph), "--seeds", "0-49", "--epsilon", "0.2", "--beta", "6",
                  "--jobs", "2"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: the bipartite solver needs m * W < 2**62, got m=3, W={2**70}\n"
+    assert captured.err == "error: seed 0 failed\n"
     assert captured.out == ""
     assert sorted(calls) == [0, 1]
 

@@ -1,4 +1,5 @@
-"""Traced-memory bounds for ``random_instance`` at three benchmark shapes.
+"""Traced-memory bounds for ``random_instance`` at three benchmark shapes,
+and for the graph constructor it ends with.
 
 Each bound sits between two measurements taken with numpy 2.4 and noted
 at the test: the peak of the generator the package first shipped (every
@@ -10,7 +11,9 @@ endpoint array, an int64 slot array or an m-length int64 draw comes back.
 
 from __future__ import annotations
 
-from wedcs import GenSpec, random_instance
+import numpy as np
+
+from wedcs import GenSpec, MultiGraph, random_instance
 
 from helpers import traced_peak
 
@@ -38,3 +41,13 @@ def test_raw_multiplicities_at_ten_million_edges_peak():
     spec = GenSpec(seed=7, n=4000, m=10_000_000, W=1, b_max=4, bipartite=True,
                    allow_parallel=True)
     assert traced_peak(lambda: random_instance(spec)) < 200 * MB
+
+
+def test_from_columns_at_ten_million_edges_peak():
+    # 76.3 MB with four m-long bool masks for the checks, 47.7 MB testing
+    # them with reductions first (the narrow copies of the columns)
+    rng = np.random.Generator(np.random.PCG64(7))
+    u = rng.integers(0, 2000, size=10_000_000, dtype=np.int16)
+    v = u + 2000
+    w = np.ones(len(u), dtype=np.int8)
+    assert traced_peak(lambda: MultiGraph.from_columns(4000, u, v, w, W=1)) < 60 * MB

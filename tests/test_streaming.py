@@ -514,12 +514,10 @@ def test_small_output_fallback_tiny_graph(exact_calls):
     assert len(exact_calls) == 1
 
 
-def test_streams_share_a_cold_graph_across_threads(monkeypatch):
+def test_streams_share_a_cold_graph_across_threads():
     # four threads race on G's first pair numbering, pair caps, relevant
-    # ids and exact solve; each stream must match its run on a fresh copy
-    # of G, one at a time, and the four small_output streams solve G once
-    import wedcs.matching as matching
-
+    # ids and exact solve, with no lock: each may build them, and each
+    # stream must still match its run on a fresh copy of G, one at a time
     G, b = make_random(11, n=400, m=10000, W=3, b_max=2, bipartite=True, allow_parallel=True)
     fresh = MultiGraph.from_columns(G.n, G.u, G.v, G.w, W=G.W)
     assert G._pair is None and G._relevant is None
@@ -533,10 +531,6 @@ def test_streams_share_a_cold_graph_across_threads(monkeypatch):
         start.wait()
         return run(G, seed)
 
-    solves = []
-    primal_dual = matching._primal_dual
-    monkeypatch.setattr(matching, "_primal_dual",
-                        lambda *args: solves.append(args[2]) or primal_dual(*args))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -544,7 +538,6 @@ def test_streams_share_a_cold_graph_across_threads(monkeypatch):
             shared = list(pool.map(raced, range(4), timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert len(solves) == 1
     serial = [run(fresh, seed) for seed in range(4)]
     assert {res.stats.fallback_used for res in serial} == {"small_output"}
     for got, want in zip(shared, serial):
