@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .edcs import EdcsParams, _checked_epsilon, build_wb_edcs, parameters_for, validate
 from .generators import GenSpec, multicopy_instance, random_instance, tight_instance
-from .graph import Capacities, MultiGraph, Subgraph, _reject_crowded
+from .graph import Capacities, MultiGraph, Subgraph, _reject_crowded, _relevant_ids
 from .graph_io import (GraphFormatError, match_subgraph_edges, read_graph, write_graph,
                        write_subgraph)
 from .matching import DEFAULT_ORACLE_BUDGET, OracleBudgetExceeded, max_weight_b_matching_exact
@@ -143,10 +143,10 @@ def cmd_verify(args) -> int:
 
 
 def _stream_one(graph: MultiGraph, caps: Capacities, params: EdcsParams,
-                epsilon: str, variant: int, budget: int, seed) -> dict:
+                epsilon: str, variant: int, budget: int, solved, seed) -> dict:
     stream = file_order_stream(graph) if seed == "as-is" else make_stream(graph, int(seed))
     result = run_with_fallbacks(stream, caps, params, epsilon,
-                                variant=variant, oracle_budget=budget)
+                                variant=variant, oracle_budget=budget, solved=solved)
     record = result.stats.to_json_dict()
     record["matching"] = result.matching.to_json_dict(graph)
     return record
@@ -173,16 +173,20 @@ def cmd_stream(args) -> int:
         raise InputError("stream requires --epsilon")
     if args.variant == 1:
         _reject_crowded(graph, caps, "use --variant 3 for raw multiplicity streams")
-    # the oracle fills the graph's caches on this thread (the pair
-    # numbering, pair caps, relevant ids and the bipartite answer), so the
-    # pool's threads only read them; an error in a seed cancels the seeds
-    # that have not started
-    oracle_weight = _oracle_weight(graph, caps, args)
+    # one writer for the graph's caches: this thread fills what every stream
+    # reads before the pool starts, then solves the oracle while the pool
+    # streams; streams wait for its answer, and an error cancels queued seeds
+    _relevant_ids(graph, caps)
+    solved = concurrent.futures.Future()
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(args.jobs, len(seeds)))
     try:
-        runs = list(pool.map(functools.partial(_stream_one, graph, caps, params, args.epsilon,
-                                               args.variant, args.oracle_budget), seeds))
+        pending = pool.map(functools.partial(_stream_one, graph, caps, params, args.epsilon,
+                                             args.variant, args.oracle_budget, solved), seeds)
+        oracle_weight = _oracle_weight(graph, caps, args)
+        solved.set_result(oracle_weight)
+        runs = list(pending)
     finally:
+        solved.cancel()  # after an oracle error, the waiting streams stop
         pool.shutdown(cancel_futures=True)
 
     threshold = 1.0 / float(2 - Fraction(1, 2 * params.W) + params.epsilon)

@@ -44,7 +44,7 @@ class MultiGraph:
     instances never change after construction.  The caches are filled
     without a lock: threads that race on a cold graph may each build equal
     values, and one of them is kept.  A caller that wants each built once
-    fills them before it starts its threads, as ``wedcs stream`` does.
+    fills them before other threads read them, as ``wedcs stream`` does.
     """
 
     __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_relevant")
@@ -324,8 +324,8 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
     ids first on equal weights.
 
     Cached on ``G`` for the capacities of the last call, for the stream
-    runner's store and the exact solver; ``wedcs stream`` fills it, with
-    its oracle, before it starts its pool's threads."""
+    runner's store and the exact solver; ``wedcs stream`` fills it before
+    its pool's threads start."""
     return _entry_value(G, b, 2, lambda: _select_relevant(G, _pair_caps(G, b)))
 
 

@@ -467,7 +467,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
 
 def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon, *,
                        variant: int = 1, oracle_budget: int = DEFAULT_ORACLE_BUDGET,
-                       check_invariants: bool = False) -> StreamRunResult:
+                       check_invariants: bool = False, solved=None) -> StreamRunResult:
     """The full product: the single-pass runner plus the store-everything
     shortcut for small outputs, with one extraction per stream.
 
@@ -476,6 +476,10 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
     decision picks what to solve: the stored graph if the store survived
     (``fallback_used = small_output``), otherwise H | X as in
     :func:`run_single_pass`.  Peak memory counts both structures.
+
+    ``solved``, if given, is a ``concurrent.futures.Future`` that another
+    thread completes once it has solved G; a stream whose store survived
+    waits for it before it reads G's answer, and raises if it is cancelled.
     """
     G = stream.graph
     eps = _checked_epsilon(epsilon)
@@ -484,6 +488,8 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
                                                check_invariants, cap)
     if store_alive:
         stats.fallback_used = "small_output"
+        if solved is not None:
+            solved.result()
         # the store is the R that G's exact solve solves: on bipartite G,
         # read its cached answer (past the int64 limit on G, R may fit it)
         edge_ids = None if _fits_int64(G) and _bipartite_answer(G, b) else _relevant_ids(G, b)

@@ -269,14 +269,14 @@ def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
 
 
 def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
-    # G's pair numbering, relevant ids and exact solve are built once, on
-    # the main thread, by the oracle before the pool starts: a pool thread
-    # that built one of them would raise, and each is built exactly once
-    # for four streams and the oracle.  The pair and relevant-id spies
-    # count G only, known by its m: each stream's restricted graph numbers
-    # its own pairs, per-stream work on its own edges.  Every stream ends
-    # in small_output, so G's one exact solve answers the oracle and all
-    # four streams.
+    # G's pair numbering and relevant ids are built once, on the main
+    # thread, before the pool starts, and its exact solve once, by the
+    # oracle on the main thread, while the streams wait for it: a pool
+    # thread that built one of them would raise.  The pair and relevant-id
+    # spies count G only, known by its m: each stream's restricted graph
+    # numbers its own pairs, per-stream work on its own edges.  Every
+    # stream ends in small_output, so G's one exact solve answers the
+    # oracle and all four streams.
     import wedcs.graph as graph
     import wedcs.matching as matching
 
@@ -325,6 +325,47 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_stream_seeds_stream_beside_the_oracle(tmp_path, capsys, monkeypatch, jobs):
+    # the oracle starts only once a seed's pass is over, so the pass ran
+    # beside it; the stream then waits for the oracle's solve instead of
+    # solving G on its pool thread
+    import wedcs.cli as cli
+    import wedcs.matching as matching
+    import wedcs.streaming as streaming
+
+    spec = _write_spec(tmp_path, {"kind": "random", "seed": 11, "n": 10, "m": 200, "W": 3,
+                                  "b_min": 1, "b_max": 2, "bipartite": True,
+                                  "allow_parallel": True})
+    path = str(tmp_path / "g.txt")
+    main(["gen", "--spec", spec, "--out", path])
+    passed = threading.Event()
+    two_phase_pass, oracle = streaming._two_phase_pass, cli.max_weight_b_matching_exact
+    primal_dual = matching._primal_dual
+
+    def signalling_pass(*args):
+        result = two_phase_pass(*args)
+        passed.set()
+        return result
+
+    def late_oracle(*args):
+        assert passed.wait(timeout=30)
+        return oracle(*args)
+
+    def solve(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("a pool thread solved G")
+        return primal_dual(*args)
+
+    monkeypatch.setattr(streaming, "_two_phase_pass", signalling_pass)
+    monkeypatch.setattr(cli, "max_weight_b_matching_exact", late_oracle)
+    monkeypatch.setattr(matching, "_primal_dual", solve)
+    assert main(["stream", path, "--seeds", "0-3", "--epsilon", "0.2", "--beta", "6",
+                 "--variant", "3", "--jobs", jobs]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [run["fallback_used"] for run in runs] == ["small_output"] * 4
+
+
 @pytest.mark.parametrize("bipartite, n, m, weight", [(True, 10, 200, 21), (False, 9, 120, 18)],
                          ids=["bipartite", "general"])
 def test_stream_oracle_solves_the_relevant_subgraph(tmp_path, capsys, bipartite, n, m, weight):
@@ -359,15 +400,37 @@ def test_stream_rejects_bipartite_weights_beyond_the_solver(tmp_path, capsys, jo
     assert captured.out == ""
 
 
-def test_stream_oracle_error_starts_no_stream(tmp_path, capsys, monkeypatch):
-    # the oracle runs before the pool: its error ends the command before
-    # any seed streams
+def test_stream_oracle_error_cancels_queued_seeds(tmp_path, capsys, monkeypatch):
+    # two pool threads hold seeds 0 and 1 until the pool shuts down; the
+    # oracle fails once both have started, and the shutdown cancels the 48
+    # seeds still queued before it lets the two run on
+    import concurrent.futures
+
     import wedcs.cli as cli
 
-    calls = []
-    stream_one = cli._stream_one
-    monkeypatch.setattr(cli, "_stream_one",
-                        lambda *args: calls.append(args[-1]) or stream_one(*args))
+    calls, started, release = [], threading.Event(), threading.Event()
+    stream_one, oracle = cli._stream_one, cli.max_weight_b_matching_exact
+    shutdown = concurrent.futures.ThreadPoolExecutor.shutdown
+
+    def held_stream(*args):
+        calls.append(args[-1])
+        if len(calls) == 2:
+            started.set()
+        release.wait()
+        return stream_one(*args)
+
+    def late_oracle(*args):
+        assert started.wait(timeout=60)
+        return oracle(*args)
+
+    def releasing_shutdown(self, wait=True, *, cancel_futures=False):
+        shutdown(self, wait=False, cancel_futures=cancel_futures)
+        release.set()
+        shutdown(self, wait=wait)
+
+    monkeypatch.setattr(cli, "_stream_one", held_stream)
+    monkeypatch.setattr(cli, "max_weight_b_matching_exact", late_oracle)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "shutdown", releasing_shutdown)
     graph = tmp_path / "g.txt"
     graph.write_text(f"g 4 3 {2**70}\ne 0 1 {2**70}\ne 1 2 5\ne 2 3 7\n")
     assert main(["stream", str(graph), "--seeds", "0-49", "--epsilon", "0.2", "--beta", "6",
@@ -375,13 +438,15 @@ def test_stream_oracle_error_starts_no_stream(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == f"error: the bipartite solver needs m * W < 2**62, got m=3, W={2**70}\n"
     assert captured.out == ""
-    assert calls == []
+    assert sorted(calls) == [0, 1]
 
 
 def test_stream_seed_error_cancels_queued_seeds(tmp_path, capsys, monkeypatch):
-    # two pool threads hold seeds 0 and 1 until the pool shuts down; seed 0
-    # fails once seed 1 has started, and its thread takes no next seed
-    # before the shutdown has cancelled the 48 seeds still queued
+    # a failing seed cancels the seeds still queued: two pool threads take
+    # seeds 0 and 1, seed 0 fails once seed 1 has started, and seed 1 is
+    # held until the pool shuts down.  The failed seed's thread is held
+    # too, by a done-callback, so it cannot take seed 2 before the error
+    # reaches the calling thread
     import concurrent.futures
 
     import wedcs.cli as cli
