@@ -217,7 +217,7 @@ class _Ledger:
         self.H = Subgraph(G)
         self.at: list[dict[int, int]] = [{} for _ in range(G.n)]
         self.weight = weight
-        L = self.L = math.lcm(*b.b)
+        L = self.L = math.lcm(*set(b.b))
         self.unit = [L // c for c in b.b]
         self.load = [0] * G.n
         self.beta_L = params.beta * L
@@ -339,7 +339,7 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
     G = H.parent
     ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
     sq = sum(w * w for w in G.w[ids].tolist())
-    L = math.lcm(*b.b)
+    L = math.lcm(*set(b.b))
     degrees = sum(d * d * (L // c) for d, c in zip(H.wdeg, b.b, strict=True) if d)
     return Fraction((2 * params.beta - 2) * sq * L - degrees, L)
 

@@ -364,8 +364,15 @@ def _first_crowded_pair(G: MultiGraph, limit) -> tuple[int, int] | None:
 def _reject_crowded(G: MultiGraph, b: Capacities, advice: str) -> None:
     """Raise ``ValueError`` naming the first pair (see
     :func:`_first_crowded_pair`) with more than min(b_u, b_v) parallel
-    edges, its edge count and that cap, followed by ``advice``."""
-    crowded = _first_crowded_pair(G, _pair_caps(G, b))
+    edges, its edge count and that cap, followed by ``advice``.
+
+    When G's entry for ``b`` already holds the relevant ids, no pair is
+    crowded exactly when they are all m edges, and nothing is counted; the
+    check never fills the entry (the ids are 8 bytes per edge)."""
+    _, caps, relevant, _ = _capacity_entry(G, b)
+    if relevant is not None and len(relevant) == G.m:
+        return
+    crowded = _first_crowded_pair(G, caps)
     if crowded is not None:
         eid, count = crowded
         u, v, _ = G.triple(eid)

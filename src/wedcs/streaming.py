@@ -150,7 +150,16 @@ def file_order_stream(G: MultiGraph) -> EdgeStream:
 
 @dataclass
 class StreamRunStats:
-    """Per-run instrumentation; everything needed to audit a run."""
+    """Per-run instrumentation; everything needed to audit a run.
+
+    ``peak_stored_edges`` is the most edges the pass holds at once: |H|,
+    plus |X|, plus the relevant store's size for
+    :func:`run_with_fallbacks`.  Under ``alpha_zero`` X holds every edge,
+    and a store that survives (``small_output``) holds the relevant
+    subgraph besides, so the peak reads about 2m.  Both count because a
+    one-pass run holds both: whether the store survives is known only at
+    the end of the stream, and this package knows it sooner only because
+    it holds all of G."""
 
     seed: int | None
     m: int
@@ -172,8 +181,8 @@ class StreamRunStats:
 
 
 class StreamRunResult(NamedTuple):
-    """H as a ledger-backed subgraph; X as the int array of its edge ids,
-    in stream order."""
+    """H as a subgraph (empty when phase 1 read no edge); X as the int
+    array of its edge ids, in stream order."""
 
     H: Subgraph
     X: np.ndarray
@@ -227,9 +236,10 @@ class _RelevantStore:
             self._next_chunk()
         return int(self.sizes[k - self.lo]) if k < self.death else 0
 
-    def peak_with(self, pos: int, kept: np.ndarray) -> int:
+    def peak_with(self, pos: int, kept: np.ndarray | None) -> int:
         """max over positions t >= ``pos`` before the store's death of its
-        size plus ``kept[:t - pos + 1].sum()``; 0 when there is none.
+        size plus ``kept[:t - pos + 1].sum()``, where ``kept`` None keeps
+        every position; 0 when there is none.
 
         Before the death both terms only grow, so the maximum is at the
         last position before it, where the size is ceil(cap) - 1: one
@@ -238,22 +248,20 @@ class _RelevantStore:
             self._next_chunk()
         if self.death <= pos:
             return 0
-        return math.ceil(self.cap) - 1 + int(kept[:self.death - pos].sum())
+        before = self.death - pos
+        return math.ceil(self.cap) - 1 + (before if kept is None else int(kept[:before].sum()))
 
 
-def _phase2_keep(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams,
-                 collect_all: bool) -> np.ndarray:
+def _phase2_keep(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams) -> np.ndarray:
     """Per edge id, whether phase 2 adds the edge to X if it arrives after
-    phase 1: when its weight exceeds its pair's threshold against the
-    frozen H.  Under ``alpha_zero`` (``collect_all``) every edge joins.
+    a phase 1 that ended by itself: when its weight exceeds its pair's
+    threshold against the frozen H.
 
     At a pair that H holds min(b_u, b_v) copies of, the threshold is the
     lightest held weight.  Elsewhere an edge joins when underfull,
     lhs < beta_minus * b_u * b_v * w, which for an integer w is
     w > floor(lhs / (beta_minus * b_u * b_v)); with beta_minus = 0 no edge
     is.  Thresholds are clipped to [0, W], in w's type."""
-    if collect_all:
-        return np.ones(G.m, dtype=bool)
     lo, hi = G.pair_ends
     if params.beta_minus:
         lhs, scaled = _degree_terms(H.wdeg, b, params.beta_minus * params.W)(lo, hi, 1)
@@ -334,15 +342,18 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     whether the store survived.
 
     ``variant`` only selects the up-front rejection of crowded pairs and
-    is recorded in the stats.  Phase 1 is one loop over levels, each a run
-    of epochs of alpha_i edges, and changes H only through the builder's
-    insert, remove and repair (:class:`~wedcs.edcs._Ledger`).  Once H is
-    frozen, whether an edge joins X depends only on the edge, so phase 2
-    is one mask over G's edge ids (:func:`_phase2_keep`) read at the
-    remaining stream positions, and X is an array of ids in stream order.
-    The peak is |H| plus the running |X| plus the store's size.  In
-    phase 2 all three only grow until the store dies, so the peak there
-    is at the end, or, for a store that dies, possibly before its death."""
+    is recorded in the stats.  Phase 1 (:func:`_phase1`) is one loop over
+    levels, each a run of epochs of alpha_i edges.  alpha_i never grows
+    with i, so when alpha_0 is 0 phase 1 reads no edge: such an
+    ``alpha_zero`` stream builds no ledger, H stays empty, and X is a copy
+    of the whole order.  Once H is frozen, whether an edge joins X depends
+    only on the edge, so phase 2 is one mask over G's edge ids
+    (:func:`_phase2_keep`) read at the remaining stream positions, and X
+    is an array of ids in stream order; after an ``alpha_zero`` end every
+    remaining edge joins, without a mask.  The peak is |H| plus the
+    running |X| plus the store's size.  In phase 2 all three only grow
+    until the store dies, so the peak there is at the end, or, for a store
+    that dies, possibly before its death."""
     if variant not in (1, 3):
         raise ValueError("variant must be 1 or 3")
     G = stream.graph
@@ -350,21 +361,72 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         raise ValueError(f"graph weight cap {G.W} exceeds parameter W={params.W}")
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    beta, W = params.beta, params.W
     m = stream.m
-
     stats = StreamRunStats(seed=stream.seed, m=m, variant=variant, prng=stream.prng)
-    weight: dict[int, int] = {}
-    ledger = _Ledger(G, b, params, weight)
-    H, at, load, L = ledger.H, ledger.at, ledger.load, ledger.L
-    minus_L = ledger.minus_L  # underfull: load[u] + load[v] < minus_L * w
     order = stream.order
-    peak = 0
 
     if variant == 1:
         _reject_crowded(G, b, "use variant=3 for raw multiplicity streams")
 
     store = None if store_cap is None else _RelevantStore(G, b, order, store_cap)
+
+    if _interval(params, eps, m, 0):
+        H, pos, peak = _phase1(stream, b, params, eps, stats, store, check_invariants)
+    else:  # phase 1 stops at level 0 before it reads an edge
+        H, pos, peak = Subgraph(G), 0, 0
+        if m:
+            stats.fallback_used = "alpha_zero"
+
+    # ---- phase 2: H is frozen ----------------------------------------
+    store_alive = store is not None and store.alive
+    X = order[:0]
+    if pos < m:
+        rest = order[pos:]
+        if stats.fallback_used == "alpha_zero":
+            kept, X = None, rest.copy()
+        else:
+            kept = _phase2_keep(G, b, H, params)[rest]
+            X = rest[kept]
+        h_size = len(H.members)
+        peak = max(peak, h_size + len(X) + (store.final if store_alive else 0))
+        if store is not None and not store_alive:
+            peak = max(peak, h_size + store.peak_with(pos, kept))
+
+    stats.underfull_collected = len(X)
+    stats.peak_stored_edges = peak
+    return H, X, stats, store_alive
+
+
+def _interval(params: EdcsParams, eps: Fraction, m: int, i: int) -> int:
+    """alpha_i, level i's interval size, with ceil(log2 m) in the
+    denominator; 0 for m <= 1."""
+    logden = (m - 1).bit_length() if m else 0  # ceil(log2 m)
+    if not logden:
+        return 0
+    return (eps.numerator * m) // (eps.denominator * logden * _epoch_limit(params, i))
+
+
+def _epoch_limit(params: EdcsParams, i: int) -> int:
+    """The most epochs level i runs: 2^(i+2) * beta^2 * W^2 + 1."""
+    return (1 << (i + 2)) * (params.beta * params.W) ** 2 + 1
+
+
+def _phase1(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: Fraction,
+            stats: StreamRunStats, store: _RelevantStore | None, check_invariants: bool,
+            ) -> tuple[Subgraph, int, int]:
+    """Phase 1 of :func:`_two_phase_pass` on a stream whose alpha_0 is
+    positive; returns H, the positions read and the peak so far, and
+    records its counters in ``stats``.
+
+    H changes only through the builder's insert, remove and repair
+    (:class:`~wedcs.edcs._Ledger`)."""
+    G = stream.graph
+    beta, m, order = params.beta, stream.m, stream.order
+    weight: dict[int, int] = {}
+    ledger = _Ledger(G, b, params, weight)
+    H, at, load, L = ledger.H, ledger.at, ledger.load, ledger.L
+    minus_L = ledger.minus_L  # underfull: load[u] + load[v] < minus_L * w
+    peak = 0
 
     def track(k: int) -> None:
         # in phase 1, where X is empty, after the edge at position k arrived
@@ -415,18 +477,15 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         track(k)
         return True
 
-    # ---- phase 1: levels i = 0 .. floor(log2 m) ------------------------
+    # levels i = 0 .. floor(log2 m)
     pos = 0
-    logden = (m - 1).bit_length() if m else 0  # ceil(log2 m); 0 for m <= 1
-    bw2 = beta * beta * W * W
     for i in range(m.bit_length()):
-        epoch_limit = (1 << (i + 2)) * bw2 + 1
-        alpha_i = (eps.numerator * m) // (eps.denominator * logden * epoch_limit) if logden else 0
+        alpha_i = _interval(params, eps, m, i)
         stats.final_guess_i = i
         if alpha_i == 0:
             stats.fallback_used = "alpha_zero"
             break
-        for _ in range(epoch_limit):
+        for _ in range(_epoch_limit(params, i)):
             stats.epoch_count += 1
             found_underfull = False
             batch = order[pos:pos + alpha_i].tolist()
@@ -447,22 +506,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     if stats.fallback_used == "none" and pos > budget:
         raise StreamInvariantError(
             f"phase 1 consumed {pos} edges, beyond ceil(eps*m)={budget}")
-
-    # ---- phase 2: H is frozen ----------------------------------------
-    store_alive = store is not None and store.alive
-    X = order[:0]
-    if pos < m:
-        rest = order[pos:]
-        kept = _phase2_keep(G, b, H, params, stats.fallback_used == "alpha_zero")[rest]
-        X = rest[kept]
-        h_size = len(H.members)
-        peak = max(peak, h_size + len(X) + (store.final if store_alive else 0))
-        if store is not None and not store_alive:
-            peak = max(peak, h_size + store.peak_with(pos, kept))
-
-    stats.underfull_collected = len(X)
-    stats.peak_stored_edges = peak
-    return H, X, stats, store_alive
+    return H, pos, peak
 
 
 def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon, *,

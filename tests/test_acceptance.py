@@ -401,3 +401,28 @@ def test_criterion_12_streaming_reaches_phase_1():
     _line(12, True, f"20 raw-multiplicity streams (n=200, m=2e4, W=1, beta=4/2) end phase 1 "
                     f"by themselves after {min(consumed)}-{max(consumed)} edges; "
                     f"ratio min {float(worst):.4f} >= {float(threshold):.4f}")
+
+
+@pytest.mark.slow
+def test_criterion_12_streaming_reaches_phase_1_at_scale():
+    # the ledger path at a million edges: phase 1 runs past level 0, and
+    # the space stored is read next to criterion 10's small-n ratios
+    params = EdcsParams(W=1, beta=4, beta_minus=2)
+    eps = Fraction(1, 10)
+    threshold = Fraction(1) / (2 - Fraction(1, 2) + eps)
+    G, b = make_random(7, n=4000, m=1_000_000, W=1, b_min=1, b_max=4, bipartite=True,
+                       allow_parallel=True)
+    res = run_single_pass(make_stream(G, 1), b, params, eps, variant=3)
+    stats = res.stats
+    budget = -((-eps.numerator * stats.m) // eps.denominator)
+    assert stats.fallback_used == "none"
+    assert 0 < stats.phase1_edges_consumed <= budget
+    best = max_weight_b_matching_exact(G, b)
+    ratio = Fraction(res.matching.weight, best.weight)
+    assert ratio >= threshold
+    stored = stats.peak_stored_edges
+    _line(12, True, f"at scale: one raw-multiplicity stream (n=4000, m=1e6, W=1, beta=4/2) "
+                    f"ends phase 1 at level {stats.final_guess_i} after "
+                    f"{stats.phase1_edges_consumed} edges; ratio {float(ratio):.4f} >= "
+                    f"{float(threshold):.4f}; stored/m {stored / stats.m:.4f}, "
+                    f"stored/max(|M|,n) {stored / max(len(best.edge_ids), G.n):.2f}")

@@ -3,10 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from wedcs import (
     Capacities,
+    EdcsParams,
     MultiGraph,
     Subgraph,
     branch_and_bound_b_matching,
+    build_wb_edcs,
+    make_stream,
     relevant_subgraph,
+    run_single_pass,
 )
 
 from helpers import add_edge, make_random, pair_count, remove_edge, triples
@@ -156,6 +160,46 @@ def test_relevant_ids_skip_the_sort_when_no_pair_is_crowded(monkeypatch):
     crowded = MultiGraph(2, [(0, 1, 1), (0, 1, 2)])
     assert _relevant_ids(crowded, Capacities.uniform(2)).tolist() == [1]
     assert calls == [1]
+
+
+def _crowded_verdict(G, b):
+    from wedcs.graph import _reject_crowded
+
+    try:
+        _reject_crowded(G, b, "advice")
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_reject_crowded_answers_alike_from_a_cold_and_a_warm_cache(monkeypatch):
+    # a cold check counts and leaves the relevant ids uncached; a warm one
+    # reads them, and counts only on a crowded graph, to name the pair
+    import wedcs.graph as graph
+
+    G = MultiGraph(3, [(0, 1, 1), (1, 2, 1), (2, 1, 3)])
+    b = Capacities.uniform(3)
+    text = "pair (1, 2) has 2 parallel edges, more than min(b_u, b_v)=1; advice"
+    assert _crowded_verdict(G, b) == text and G._relevant[2] is None
+    graph._relevant_ids(G, b)
+    assert _crowded_verdict(G, b) == text
+    params = EdcsParams(W=3, beta=6, beta_minus=4)
+    with pytest.raises(ValueError, match=r"\(1, 2\) has 2 .*; use variant=3"):
+        run_single_pass(make_stream(G, 0), b, params, "0.3", variant=1)
+    with pytest.raises(ValueError, match=r"\(1, 2\) has 2 .*; reduce to the relevant"):
+        build_wb_edcs(G, b, params)
+    verdicts = set()
+    for seed in range(12):
+        G, b = make_random(seed, n=8, m=20, W=3, b_max=3, allow_parallel=seed % 3 > 0)
+        cold = _crowded_verdict(G, b)
+        assert G._relevant[2] is None
+        graph._relevant_ids(G, b)
+        with monkeypatch.context() as patched:
+            if cold is None:
+                patched.setattr(graph, "_first_crowded_pair", None)  # no count
+            assert _crowded_verdict(G, b) == cold, seed
+        verdicts.add(cold is None)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("seed", range(12))

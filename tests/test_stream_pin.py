@@ -152,10 +152,9 @@ def test_phase2_keep_matches_reference(W, beta_minus):
         rng = np.random.default_rng(100 + seed)
         for share in (0.0, 0.05, 0.3, 1.0):
             H = Subgraph(G, np.flatnonzero(rng.random(G.m) < share))
-            for collect_all in (False, True):
-                got = streaming._phase2_keep(G, b, H, params, collect_all)
-                want = reference_phase2_keep(G, b, H, params, collect_all)
-                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (seed, share)
+            got = streaming._phase2_keep(G, b, H, params)
+            want = reference_phase2_keep(G, b, H, params, False)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (seed, share)
 
 
 def test_phase2_keep_matches_reference_on_variant3_full_pairs():
@@ -171,7 +170,7 @@ def test_phase2_keep_matches_reference_on_variant3_full_pairs():
         full = np.bincount(G.pair[held])[G.pair[held]] >= _pair_limits(G, b)[held]
         light_full += int((G.w[held[full]] == 1).sum())
         want = reference_phase2_keep(G, b, H, params, False)
-        assert streaming._phase2_keep(G, b, H, params, False).tolist() == want.tolist()
+        assert streaming._phase2_keep(G, b, H, params).tolist() == want.tolist()
     assert light_full > 0
 
 
@@ -247,8 +246,10 @@ def test_two_phase_pass_matches_reference_at_every_cap(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [4, 1 << 15])
 def test_two_phase_pass_matches_reference_under_alpha_zero(monkeypatch, chunk):
-    # phase 2 starts at position 0, where a store capped at 1 dies at once
+    # phase 2 starts at position 0, where a store capped at 1 dies at once;
+    # phase 1 reads no edge, so the pass builds no ledger
     monkeypatch.setattr(streaming, "_CHUNK", chunk)
+    monkeypatch.setattr(streaming, "_Ledger", None)
     G, b = make_random(2, n=10, m=600, W=3, b_max=4, bipartite=True, allow_parallel=True)
     params = EdcsParams(W=3, beta=3, beta_minus=1)
     stream = make_stream(G, 2)

@@ -609,6 +609,51 @@ def test_alpha_zero_on_dense_high_capacity_graph(exact_calls):
     assert res.matching.weight >= (1 - 2 * Fraction(1, 10)) * opt
 
 
+@pytest.mark.parametrize("runner", [run_single_pass, run_with_fallbacks])
+def test_alpha_zero_stream_builds_no_ledger(monkeypatch, runner):
+    # alpha_0 floors to zero, so phase 1 reads no edge: the pass builds no
+    # ledger, and X is an owned copy of the whole order, as the
+    # edge-at-a-time reference keeps it
+    import wedcs.streaming as streaming
+
+    def no_ledger(*args):
+        raise AssertionError("an alpha_zero stream built a ledger")
+
+    monkeypatch.setattr(streaming, "_Ledger", no_ledger)
+    cases = [(make_random(8, n=8, m=120, W=2, b_max=8, b_min=8, bipartite=True),
+              EdcsParams(W=2, beta=6, beta_minus=4), "0.1", 1),
+             (make_random(2, n=10, m=600, W=3, b_max=4, bipartite=True, allow_parallel=True),
+              EdcsParams(W=3, beta=3, beta_minus=1), "0.49", 3)]
+    for (G, b), params, epsilon, variant in cases:
+        stream = make_stream(G, 21)
+        got = runner(stream, b, params, epsilon, variant=variant)
+        want = scalar_stream_run(stream, b, params, epsilon, variant=variant,
+                                 with_store=runner is run_with_fallbacks)
+        assert got.stats.fallback_used in ("alpha_zero", "small_output")
+        assert got.stats.phase1_edges_consumed == 0 and len(got.H) == 0
+        assert _outcome(got) == _outcome(want), variant
+        assert got.X.tolist() == stream.order.tolist()
+        assert not np.shares_memory(got.X, stream.order)
+
+
+@pytest.mark.parametrize("runner", [run_single_pass, run_with_fallbacks])
+def test_stream_through_phase_1_builds_one_ledger(monkeypatch, runner):
+    import wedcs.streaming as streaming
+
+    built = []
+
+    class CountedLedger(_Ledger):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(streaming, "_Ledger", CountedLedger)
+    G, b = make_random(3, n=100, m=1500, W=1, b_max=3, bipartite=True)
+    res = runner(make_stream(G, 3), b, EdcsParams(W=1, beta=3, beta_minus=1), "0.3")
+    assert res.stats.phase1_edges_consumed > 0
+    assert built == [1]
+
+
 def test_fallback_none_on_standard_instance(exact_calls):
     # large enough that the relevant-graph store dies (cap ~ 39700 < m) and
     # phase 1 goes quiet while its interval size is still positive
