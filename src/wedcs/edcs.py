@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, Subgraph, _first_crowded_pair, _reject_crowded
+from .graph import Capacities, MultiGraph, Subgraph, _reject_crowded
 
 __all__ = [
     "EdcsParams",
@@ -351,7 +351,7 @@ def build_w_edcs(G: MultiGraph, params: EdcsParams):
     step increases the potential by at least 2, so the step count is at
     most half the final potential (and at most beta^2 W^2 n overall).
     """
-    if _first_crowded_pair(G, 1) is not None:
+    if (G.pair_count > 1).any():
         raise ValueError("graph must be simple (parallel edges found)")
     b = Capacities.uniform(G.n)
     return _local_search(G, b, params)

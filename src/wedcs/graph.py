@@ -39,15 +39,16 @@ class MultiGraph:
     Parallel edges and repeated (endpoints, weight) triples are allowed.
     The columns are the whole graph: code that needs per-vertex sums or
     neighbours derives them from the columns where it runs.  Apart from
-    the pair caches and the capacity entry (pair caps, relevant ids and
-    exact answer for the last capacities asked, see :func:`_capacity_entry`),
-    instances never change after construction.  The caches are filled
-    without a lock: threads that race on a cold graph may each build equal
-    values, and one of them is kept.  A caller that wants each built once
-    fills them before other threads read them, as ``wedcs stream`` does.
+    the pair caches (ids, ends and edge counts) and the capacity entry
+    (pair caps, relevant ids and exact answer for the last capacities
+    asked, see :func:`_capacity_entry`), instances never change after
+    construction.  The caches are filled without a lock: threads that
+    race on a cold graph may each build equal values, and one of them is
+    kept.  A caller that wants each built once fills them before other
+    threads read them, as ``wedcs stream`` does.
     """
 
-    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_relevant")
+    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_pair_count", "_relevant")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         self._setup(n, *_triple_columns(list(edges)), W)
@@ -88,6 +89,7 @@ class MultiGraph:
         self.w = w.astype(_int_type(W))
         self._pair: np.ndarray | None = None
         self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
+        self._pair_count: np.ndarray | None = None
         self._relevant: tuple | None = None
 
     @property
@@ -115,6 +117,14 @@ class MultiGraph:
             self._number_pairs()
         return self._pair_ends
 
+    @property
+    def pair_count(self) -> np.ndarray:
+        """Edge count of every pair, indexed by pair id, in the smallest
+        signed integer type that holds them; built with :attr:`pair`."""
+        if self._pair_count is None:
+            self._number_pairs()
+        return self._pair_count
+
     def _number_pairs(self) -> None:
         # number the distinct keys min(u, v) * n + max(u, v) in order
         # (int32 where they fit: argsort is slowest on narrower keys)
@@ -127,6 +137,8 @@ class MultiGraph:
         lo, hi = np.divmod(key[fresh], max(self.n, 1))
         del key
         self._pair_ends = lo.astype(self.u.dtype), hi.astype(self.u.dtype)
+        count = np.diff(np.flatnonzero(fresh), append=self.m)
+        self._pair_count = count.astype(_int_type(int(count.max(initial=0))))
         pair = np.empty(self.m, dtype=_int_type(len(lo)))
         pair[by] = np.cumsum(fresh, dtype=pair.dtype) - 1
         self._pair = pair
@@ -287,7 +299,7 @@ def _capacity_entry(G: MultiGraph, b: Capacities) -> tuple:
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
     cached = G._relevant
-    if cached is None or cached[0] != b.b:
+    if cached is None or cached[0] is not b.b and cached[0] != b.b:
         caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
         lo, hi = G.pair_ends
         caps = np.minimum(caps[lo], caps[hi])
@@ -332,11 +344,10 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
 def _select_relevant(G: MultiGraph, caps: np.ndarray) -> np.ndarray:
     """:func:`_relevant_ids` computed, given min(b_u, b_v) per pair id.
 
-    When no pair holds more than its cap, that is every edge, found with
-    one count over the pairs.  Otherwise one stable sort by (pair, -w)
-    ranks the edges of each pair, so edges of equal weight keep their id
-    order."""
-    if (np.bincount(G.pair, minlength=len(caps)) <= caps).all():
+    When no pair's edge count exceeds its cap, that is every edge.
+    Otherwise one stable sort by (pair, -w) ranks the edges of each pair,
+    so edges of equal weight keep their id order."""
+    if (G.pair_count <= caps).all():
         ids = np.arange(G.m)
     else:
         by = np.lexsort((-G.w, G.pair))
@@ -348,17 +359,13 @@ def _select_relevant(G: MultiGraph, caps: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _first_crowded_pair(G: MultiGraph, limit) -> tuple[int, int] | None:
-    """The smallest edge id whose unordered pair has more than ``limit``
-    edges (a number, or one per pair id), with that pair's edge count;
-    None when no pair does.  That edge is its pair's first, and its pair
-    the first to appear among the crowded ones."""
-    if not G.m:
-        return None
-    pair = G.pair
-    count = np.bincount(pair)
-    over = np.flatnonzero((count > limit)[pair])
-    return (int(over[0]), int(count[pair[over[0]]])) if over.size else None
+def _first_crowded_pair(G: MultiGraph, caps: np.ndarray) -> tuple[int, int]:
+    """The smallest edge id whose unordered pair has more edges than its
+    cap in ``caps`` (one per pair id), with that pair's edge count, on a
+    graph where some pair does.  That edge is its pair's first, and its
+    pair the first to appear among the crowded ones."""
+    eid = int(np.argmax((G.pair_count > caps)[G.pair]))
+    return eid, int(G.pair_count[G.pair[eid]])
 
 
 def _reject_crowded(G: MultiGraph, b: Capacities, advice: str) -> None:
@@ -366,17 +373,12 @@ def _reject_crowded(G: MultiGraph, b: Capacities, advice: str) -> None:
     :func:`_first_crowded_pair`) with more than min(b_u, b_v) parallel
     edges, its edge count and that cap, followed by ``advice``.
 
-    When G's entry for ``b`` already holds the relevant ids, no pair is
-    crowded exactly when they are all m edges, and nothing is counted; the
-    check never fills the entry (the ids are 8 bytes per edge)."""
-    _, caps, relevant, _ = _capacity_entry(G, b)
-    if relevant is not None and len(relevant) == G.m:
-        return
-    crowded = _first_crowded_pair(G, caps)
-    if crowded is not None:
-        eid, count = crowded
-        u, v, _ = G.triple(eid)
-        u, v = min(u, v), max(u, v)
+    One compare of the pair counts with the caps decides; the pair is
+    looked for, over the edges, only once one is crowded."""
+    caps = _pair_caps(G, b)
+    if (G.pair_count > caps).any():
+        eid, count = _first_crowded_pair(G, caps)
+        u, v = sorted(G.triple(eid)[:2])
         raise ValueError(f"pair ({u}, {v}) has {count} parallel edges, more than "
                          f"min(b_u, b_v)={min(b[u], b[v])}; {advice}")
 

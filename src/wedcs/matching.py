@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, _entry_value, _int_type, _relevant_ids
+from .graph import Capacities, MultiGraph, _entry_value, _int_type, _pair_caps, _relevant_ids
 
 __all__ = [
     "BMatching",
@@ -131,15 +131,15 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
     solved once per capacities vector, each call gets a fresh BMatching.
     """
     found = _bipartite_answer(G, b)
-    return branch_and_bound_b_matching(G, b, budget) if found is None else found
+    return (BMatching(found[0].tolist(), found[1]) if found
+            else branch_and_bound_b_matching(G, b, budget))
 
 
-def _bipartite_answer(G: MultiGraph, b: Capacities) -> BMatching | None:
-    """The bipartite route's answer on G, None when G is not bipartite;
-    solved once per graph and capacities (:func:`_entry_value`) and kept
-    as a read-only id array and the weight, or False."""
-    solved = _entry_value(G, b, 3, lambda: _solve_bipartite(G, b))
-    return BMatching(solved[0].tolist(), solved[1]) if solved else None
+def _bipartite_answer(G: MultiGraph, b: Capacities) -> tuple[np.ndarray, int] | bool:
+    """The bipartite route's answer on G as a read-only id array and the
+    weight, False when G is not bipartite; solved once per graph and
+    capacities (:func:`_entry_value`)."""
+    return _entry_value(G, b, 3, lambda: _solve_bipartite(G, b))
 
 
 def _solve_bipartite(G: MultiGraph, b: Capacities) -> tuple[np.ndarray, int] | bool:
@@ -171,9 +171,10 @@ def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray
     """Optimal labels y of the relevant subgraph R (edge ids ``keep``),
     raised so that they cover the edges G has outside R; as int64.
 
-    At every pair with edges outside R, let w_min be the lightest weight
-    R keeps of it (no dropped edge is heavier) and s the endpoint of
-    smaller capacity (the smaller id on equal ones).  s is raised by
+    G has edges outside R at the pairs with more than min(b_u, b_v)
+    edges.  At each, let w_min be the lightest weight R keeps of it (no
+    dropped edge is heavier) and s the endpoint of smaller capacity (the
+    smaller id on equal ones).  s is raised by
     delta = max(0, w_min - y_u - y_v).  The dual value does not change:
     delta > 0 means every kept copy has y_u + y_v < w, so by
     complementary slackness all min(b_u, b_v) = b_s of them are taken,
@@ -183,16 +184,12 @@ def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray
     one pair lifts a vertex, but the lifts are added with ``np.add.at``
     all the same: a fancy ``+=`` keeps one write per vertex, and a zero
     lift of another pair at s could overwrite the real one."""
-    dropped = np.ones(G.m, dtype=bool)
-    dropped[keep] = False
-    lo, hi = G.pair_ends
-    cut = np.zeros(len(lo), dtype=bool)  # the pairs with edges outside R
-    cut[G.pair[dropped]] = True
+    cut = G.pair_count > _pair_caps(G, b)  # the pairs with edges outside R
     kept_pair = G.pair[keep]
     on_cut = cut[kept_pair]
-    w_min = np.full(len(lo), G.W, dtype=np.int64)
+    w_min = np.full(len(cut), G.W, dtype=np.int64)
     np.minimum.at(w_min, kept_pair[on_cut], G.w[keep[on_cut]])
-    lo, hi = lo[cut], hi[cut]
+    lo, hi = (end[cut] for end in G.pair_ends)
     y = y.astype(np.int64)
     delta = np.maximum(w_min[cut] - y[lo] - y[hi], 0)
     cap = np.asarray(b.b)

@@ -22,7 +22,7 @@ import numpy as np
 
 from wedcs import BMatching, Capacities, GenSpec, MultiGraph, Subgraph, random_instance
 from wedcs.edcs import BuildTrace, EdcsParams, LocalSearchError, potential, validate
-from wedcs.graph import _first_crowded_pair, _int_type, _reject_crowded
+from wedcs.graph import _int_type, _reject_crowded
 
 
 def brute_force_b_matching_weight(G: MultiGraph, b: Capacities) -> int:
@@ -397,7 +397,7 @@ def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching) -> S
                          [j for j, eid in enumerate(edge_origin) if eid in H.members])
     matched_split = [j for j, eid in enumerate(edge_origin) if eid in matched_norm]
 
-    if _first_crowded_pair(split_graph, 1) is not None:
+    if (split_graph.pair_count > 1).any():
         raise RuntimeError("split graph is not simple")
     if max(Subgraph(split_graph, matched_split).deg, default=0) > 1:
         raise RuntimeError("matching did not map to a simple matching")

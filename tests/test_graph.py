@@ -119,16 +119,25 @@ def test_relevant_subgraph_idempotent(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_relevant_ids_match_a_per_pair_reference(seed):
-    # every pair's min(b_u, b_v) heaviest edges, smaller ids first on ties
-    from wedcs.graph import _relevant_ids
+    # every pair's min(b_u, b_v) heaviest edges, smaller ids first on ties;
+    # and every pair's edge count, in the smallest type that holds them
+    import numpy as np
 
-    n, raw = 2 + seed % 9, seed % 2 == 0
-    m = 5 * seed + 1 if raw else min(5 * seed + 1, pair_count(n, False))
-    G, b = make_random(seed, n=n, m=m, W=3, b_max=3, allow_parallel=raw)
+    from wedcs.graph import _int_type, _relevant_ids
+
+    n, raw, bipartite = seed % 9, seed % 2 == 0, seed % 3 == 0
+    room = pair_count(n, bipartite)
+    m = 0 if seed < 3 or not room else 5 * seed + 1 if raw else min(5 * seed + 1, room)
+    G, b = make_random(seed, n=n, m=m, W=3, b_max=3, bipartite=bipartite,
+                       allow_parallel=raw)
     want = []
     for (u, v), ids in G.pair_groups().items():
         want += sorted(ids, key=lambda i: (-G.triple(i)[2], i))[:min(b[u], b[v])]
     assert _relevant_ids(G, b).tolist() == sorted(want)
+    count = np.bincount(G.pair, minlength=len(G.pair_ends[0]))
+    assert G.pair_count.tolist() == count.tolist()
+    assert G.pair_count.dtype == _int_type(int(count.max(initial=0)))
+    assert sorted(G.pair_count.tolist()) == sorted(map(len, G.pair_groups().values()))
 
 
 def test_relevant_ids_are_cached_for_the_last_capacities():
@@ -173,8 +182,9 @@ def _crowded_verdict(G, b):
 
 
 def test_reject_crowded_answers_alike_from_a_cold_and_a_warm_cache(monkeypatch):
-    # a cold check counts and leaves the relevant ids uncached; a warm one
-    # reads them, and counts only on a crowded graph, to name the pair
+    # cold or warm, the check compares the pair counts with the caps and
+    # leaves the relevant ids uncached; it looks for the pair over the
+    # edges only on a crowded graph, to name it
     import wedcs.graph as graph
 
     G = MultiGraph(3, [(0, 1, 1), (1, 2, 1), (2, 1, 3)])
@@ -191,13 +201,15 @@ def test_reject_crowded_answers_alike_from_a_cold_and_a_warm_cache(monkeypatch):
     verdicts = set()
     for seed in range(12):
         G, b = make_random(seed, n=8, m=20, W=3, b_max=3, allow_parallel=seed % 3 > 0)
-        cold = _crowded_verdict(G, b)
-        assert G._relevant[2] is None
-        graph._relevant_ids(G, b)
+        crowded = any(len(ids) > min(b[u], b[v]) for (u, v), ids in G.pair_groups().items())
         with monkeypatch.context() as patched:
-            if cold is None:
-                patched.setattr(graph, "_first_crowded_pair", None)  # no count
+            if not crowded:
+                patched.setattr(graph, "_first_crowded_pair", None)  # no search
+            cold = _crowded_verdict(G, b)
+            assert G._relevant[2] is None
+            graph._relevant_ids(G, b)
             assert _crowded_verdict(G, b) == cold, seed
+        assert (cold is None) == (not crowded), seed
         verdicts.add(cold is None)
     assert verdicts == {True, False}
 
