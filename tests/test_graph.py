@@ -117,7 +117,14 @@ def test_relevant_subgraph_idempotent(seed):
     assert sorted(old_ids[j] for j in R2.members) == sorted(R1.members)
 
 
-@pytest.mark.parametrize("seed", range(20))
+# (n, m, bipartite, raw) past the 20 seeded general graphs: edgeless graphs
+# at n = 0, 1, 2, bipartite and general, capped and raw; then bipartite ones
+_MORE_PAIRS = ([(n, 0, bipartite, raw) for n in (0, 1, 2)
+                for bipartite in (False, True) for raw in (False, True)]
+               + [(n, 40, True, raw) for n in (5, 9) for raw in (False, True)])
+
+
+@pytest.mark.parametrize("seed", range(20 + len(_MORE_PAIRS)))
 def test_relevant_ids_match_a_per_pair_reference(seed):
     # every pair's min(b_u, b_v) heaviest edges, smaller ids first on ties;
     # and every pair's edge count, in the smallest type that holds them
@@ -125,9 +132,11 @@ def test_relevant_ids_match_a_per_pair_reference(seed):
 
     from wedcs.graph import _int_type, _relevant_ids
 
-    n, raw, bipartite = seed % 9, seed % 2 == 0, seed % 3 == 0
-    room = pair_count(n, bipartite)
-    m = 0 if seed < 3 or not room else 5 * seed + 1 if raw else min(5 * seed + 1, room)
+    if seed < 20:
+        n, m, bipartite, raw = 2 + seed % 9, 5 * seed + 1, False, seed % 2 == 0
+    else:
+        n, m, bipartite, raw = _MORE_PAIRS[seed - 20]
+    m = m if raw else min(m, pair_count(n, bipartite))
     G, b = make_random(seed, n=n, m=m, W=3, b_max=3, bipartite=bipartite,
                        allow_parallel=raw)
     want = []
