@@ -19,6 +19,11 @@ __all__ = [
 ]
 
 
+#: The widest packed sort key of :meth:`MultiGraph._number_pairs`: an
+#: int64 that stays non-negative.
+_KEY_BITS = 63
+
+
 def _int_type(top: int) -> np.dtype:
     """The smallest signed integer type that holds 0..top (and -top)."""
     return np.min_scalar_type(-top - 1)
@@ -39,16 +44,18 @@ class MultiGraph:
     Parallel edges and repeated (endpoints, weight) triples are allowed.
     The columns are the whole graph: code that needs per-vertex sums or
     neighbours derives them from the columns where it runs.  Apart from
-    the pair caches (ids, ends and edge counts) and the capacity entry
-    (pair caps, relevant ids and exact answer for the last capacities
-    asked, see :func:`_capacity_entry`), instances never change after
-    construction.  The caches are filled without a lock: threads that
-    race on a cold graph may each build equal values, and one of them is
-    kept.  A caller that wants each built once fills them before other
-    threads read them, as ``wedcs stream`` does.
+    the pair caches (ids, ends, edge counts and each edge's rank in its
+    pair, all from one sort, see :meth:`_number_pairs`) and the capacity
+    entry (pair caps, relevant ids and exact answer for the last
+    capacities asked, see :func:`_capacity_entry`), instances never
+    change after construction.  The caches are filled without a lock:
+    threads that race on a cold graph may each build equal values, and
+    one of them is kept.  A caller that wants each built once fills them
+    on one thread before the others read them, as ``wedcs stream`` does.
     """
 
-    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_pair_count", "_relevant")
+    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_pair_count", "_pair_rank",
+                 "_relevant")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         self._setup(n, *_triple_columns(list(edges)), W)
@@ -90,6 +97,7 @@ class MultiGraph:
         self._pair: np.ndarray | None = None
         self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
         self._pair_count: np.ndarray | None = None
+        self._pair_rank: np.ndarray | None = None
         self._relevant: tuple | None = None
 
     @property
@@ -125,22 +133,61 @@ class MultiGraph:
             self._number_pairs()
         return self._pair_count
 
+    @property
+    def pair_rank(self) -> np.ndarray:
+        """Every edge's rank within its pair, heaviest first and the
+        smaller id first on equal weights, in :attr:`pair_count`'s type;
+        built with :attr:`pair`.  The relevant subgraph is the edges whose
+        rank is below their pair's cap."""
+        if self._pair_rank is None:
+            self._number_pairs()
+        return self._pair_rank
+
     def _number_pairs(self) -> None:
-        # number the distinct keys min(u, v) * n + max(u, v) in order
-        # (int32 where they fit: argsort is slowest on narrower keys)
-        key = np.minimum(self.u, self.v, dtype=np.int32 if self.n**2 < 2**31 else np.int64)
-        key *= self.n
-        key += np.maximum(self.u, self.v)
-        by = np.argsort(key)
-        key = key[by]
-        fresh = _run_starts(key)
-        lo, hi = np.divmod(key[fresh], max(self.n, 1))
-        del key
-        self._pair_ends = lo.astype(self.u.dtype), hi.astype(self.u.dtype)
-        count = np.diff(np.flatnonzero(fresh), append=self.m)
+        """Fill :attr:`pair`, :attr:`pair_ends`, :attr:`pair_count` and
+        :attr:`pair_rank` from one sort of the edges by (min(u, v),
+        max(u, v), -w, id): numpy's in-place sort of one int64 key per
+        edge packing the four fields (W - w for -w) when they fit in
+        ``_KEY_BITS``, one stable ``np.lexsort`` otherwise (object weights
+        among them).  The key is unpacked in place into narrow arrays,
+        and the ends are read at the runs' first edges."""
+        # ``by`` lists the edge ids in sorted order, ``fresh`` marks where
+        # each pair's run starts
+        m, u, v = self.m, self.u, self.v
+        n_bits, w_bits, id_bits = (max(top - 1, 0).bit_length() for top in (self.n, self.W, m))
+        by = np.arange(m, dtype=_int_type(m))
+        if 2 * n_bits + w_bits + id_bits <= _KEY_BITS:
+            key = np.minimum(u, v, dtype=np.int64)
+            key <<= n_bits
+            key |= np.maximum(u, v)
+            key <<= w_bits
+            key += self.W - self.w
+            key <<= id_bits
+            key |= by
+            key.sort()
+            np.bitwise_and(key, (1 << id_bits) - 1, out=by, casting="unsafe")
+            key >>= w_bits + id_bits  # the pair's bits alone
+            fresh = _run_starts(key)
+            del key
+        else:  # keys beyond 63 bits, object weights among them
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            by[:] = np.lexsort((-self.w, hi, lo))
+            fresh = _run_starts(lo[by]) | _run_starts(hi[by])
+        starts = np.flatnonzero(fresh).astype(by.dtype)
+        first = by[starts]  # each pair's heaviest edge, for its ends
+        self._pair_ends = np.minimum(u[first], v[first]), np.maximum(u[first], v[first])
+        del first
+        count = np.diff(starts, append=by.dtype.type(m))
         self._pair_count = count.astype(_int_type(int(count.max(initial=0))))
-        pair = np.empty(self.m, dtype=_int_type(len(lo)))
-        pair[by] = np.cumsum(fresh, dtype=pair.dtype) - 1
+        del starts, count
+        sorted_pair = np.cumsum(fresh, dtype=_int_type(len(self._pair_count)))
+        sorted_pair -= 1
+        del fresh
+        rank = np.empty(m, dtype=self._pair_count.dtype)
+        rank[by] = _rank_in_runs(sorted_pair)
+        pair = np.empty(m, dtype=sorted_pair.dtype)
+        pair[by] = sorted_pair
+        self._pair_rank = rank
         self._pair = pair
 
     def pair_groups(self) -> dict[tuple[int, int], list[int]]:
@@ -336,25 +383,16 @@ def _relevant_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
     ids first on equal weights.
 
     Cached on ``G`` for the capacities of the last call, for the stream
-    runner's store and the exact solver; ``wedcs stream`` fills it before
-    its pool's threads start."""
+    runner's store and the exact solver; ``wedcs stream`` fills it while
+    its oracle solves G."""
     return _entry_value(G, b, 2, lambda: _select_relevant(G, _pair_caps(G, b)))
 
 
 def _select_relevant(G: MultiGraph, caps: np.ndarray) -> np.ndarray:
-    """:func:`_relevant_ids` computed, given min(b_u, b_v) per pair id.
-
-    When no pair's edge count exceeds its cap, that is every edge.
-    Otherwise one stable sort by (pair, -w) ranks the edges of each pair,
-    so edges of equal weight keep their id order."""
-    if (G.pair_count <= caps).all():
-        ids = np.arange(G.m)
-    else:
-        by = np.lexsort((-G.w, G.pair))
-        pair = G.pair[by]
-        keep = np.zeros(G.m, dtype=bool)
-        keep[by] = _rank_in_runs(pair) < caps[pair]
-        ids = np.flatnonzero(keep)
+    """:func:`_relevant_ids` computed, given min(b_u, b_v) per pair id:
+    the edges whose :attr:`~MultiGraph.pair_rank` is below their pair's
+    cap.  The ranks come with the pair numbering, so this sorts nothing."""
+    ids = np.flatnonzero(G.pair_rank < caps[G.pair])
     ids.flags.writeable = False
     return ids
 

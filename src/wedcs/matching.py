@@ -172,9 +172,10 @@ def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray
     raised so that they cover the edges G has outside R; as int64.
 
     G has edges outside R at the pairs with more than min(b_u, b_v)
-    edges.  At each, let w_min be the lightest weight R keeps of it (no
-    dropped edge is heavier) and s the endpoint of smaller capacity (the
-    smaller id on equal ones).  s is raised by
+    edges.  At each, let w_min be the lightest weight R keeps of it, that
+    of its kept edge of :attr:`~wedcs.graph.MultiGraph.pair_rank`
+    min(b_u, b_v) - 1 (no dropped edge is heavier), and s the endpoint of
+    smaller capacity (the smaller id on equal ones).  s is raised by
     delta = max(0, w_min - y_u - y_v).  The dual value does not change:
     delta > 0 means every kept copy has y_u + y_v < w, so by
     complementary slackness all min(b_u, b_v) = b_s of them are taken,
@@ -184,14 +185,14 @@ def _lifted_labels(G: MultiGraph, b: Capacities, keep: np.ndarray, y: np.ndarray
     one pair lifts a vertex, but the lifts are added with ``np.add.at``
     all the same: a fancy ``+=`` keeps one write per vertex, and a zero
     lift of another pair at s could overwrite the real one."""
-    cut = G.pair_count > _pair_caps(G, b)  # the pairs with edges outside R
+    caps = _pair_caps(G, b)
     kept_pair = G.pair[keep]
-    on_cut = cut[kept_pair]
-    w_min = np.full(len(cut), G.W, dtype=np.int64)
-    np.minimum.at(w_min, kept_pair[on_cut], G.w[keep[on_cut]])
-    lo, hi = (end[cut] for end in G.pair_ends)
+    # the pairs with edges outside R, each by its lightest kept edge
+    last = (G.pair_rank[keep] == caps[kept_pair] - 1) & (G.pair_count > caps)[kept_pair]
+    lightest, pair = keep[last], kept_pair[last]
+    lo, hi = (end[pair] for end in G.pair_ends)
     y = y.astype(np.int64)
-    delta = np.maximum(w_min[cut] - y[lo] - y[hi], 0)
+    delta = np.maximum(G.w[lightest] - y[lo] - y[hi], 0)
     cap = np.asarray(b.b)
     s = np.where(cap[hi] < cap[lo], hi, lo)
     np.add.at(y, s, delta)

@@ -83,8 +83,11 @@ __all__ = [
 #: method instead; replaying them needs the package from before this id.
 PRNG_ID = "pcg64-permutation"
 
-#: Stream positions per array step of the relevant store and of phase 2.
+#: Stream positions per array step of the relevant store: the first step
+#: takes ``_FIRST_CHUNK`` of them, each later one as many as came before
+#: it, up to ``_CHUNK``; a store read only for a short phase 1 ranks few.
 _CHUNK = 1 << 15
+_FIRST_CHUNK = 1 << 10
 
 
 class StreamInvariantError(RuntimeError):
@@ -192,7 +195,7 @@ class StreamRunResult(NamedTuple):
 
 class _RelevantStore:
     """The relevant store's size after each stream position, computed a
-    chunk of ``_CHUNK`` positions at a time when first read.
+    chunk of positions at a time when first read (see :data:`_CHUNK`).
 
     The store keeps the heaviest min(b_u, b_v) edges seen so far of every
     pair, so an arrival grows it by one exactly when fewer than
@@ -201,7 +204,8 @@ class _RelevantStore:
     ``cap < 1``) and has size 0 from there on.  Its size only grows, to
     ``final`` = |relevant subgraph|, the sum of min(edge count, cap) over
     the pairs, so it survives (``alive``) exactly when cap >= 1 and
-    final < cap."""
+    final < cap.  It reads G's pair numbering and pair caps, never the
+    relevant ids, so a pass can run while another thread fills those."""
 
     def __init__(self, G: MultiGraph, b: Capacities, order: np.ndarray, cap: float):
         self.pair, self.order, self.cap = G.pair, order, cap
@@ -215,7 +219,7 @@ class _RelevantStore:
 
     def _next_chunk(self) -> None:
         lo = self.hi
-        pair = self.pair[self.order[lo:lo + _CHUNK]]
+        pair = self.pair[self.order[lo:lo + min(_CHUNK, max(_FIRST_CHUNK, lo))]]
         # rank of each arrival among its pair's arrivals so far
         by = np.argsort(pair, kind="stable")
         rank = np.empty(len(pair), dtype=np.int64)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -270,13 +271,18 @@ def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
 
 def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
     # G's pair numbering and relevant ids are built once, on the main
-    # thread, before the pool starts, and its exact solve once, by the
-    # oracle on the main thread, while the streams wait for it: a pool
-    # thread that built one of them would raise.  The pair and relevant-id
-    # spies count G only, known by its m: each stream's restricted graph
-    # numbers its own pairs, per-stream work on its own edges.  Every
-    # stream ends in small_output, so G's one exact solve answers the
-    # oracle and all four streams.
+    # thread, and its exact solve once, by the oracle on the main thread:
+    # a pool thread that built one of them would raise.  The pool starts
+    # first and its seeds draw their orders meanwhile, but no stream's
+    # pass starts before the numbering has ended; the relevant ids come
+    # with the oracle, which the streams wait for.  The pair and
+    # relevant-id spies count G only, known by its m: each stream's
+    # restricted graph numbers its own pairs, per-stream work on its own
+    # edges.  Every stream ends in small_output, so G's one exact solve
+    # answers the oracle and all four streams; --jobs 4 runs more threads
+    # than cores.  A pair-cap fill that raises fails the command as an
+    # input error, frees the waiting seeds and starts no queued one.
+    import wedcs.cli as cli
     import wedcs.graph as graph
     import wedcs.matching as matching
 
@@ -286,6 +292,7 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "g.txt")
     main(["gen", "--spec", spec, "--out", path])
     calls = {"pairs": 0, "relevant": 0}
+    numbered = threading.Event()
 
     def on_main_thread(name):
         if threading.current_thread() is not threading.main_thread():
@@ -299,9 +306,25 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
             return build(G, *args)
         return spy
 
-    monkeypatch.setattr(graph.MultiGraph, "_number_pairs",
-                        once("pairs", graph.MultiGraph._number_pairs))
+    number_pairs = once("pairs", graph.MultiGraph._number_pairs)
+
+    def numbering(G):
+        if G.m == 200:
+            time.sleep(0.1)  # a stream that does not wait gets there first
+        number_pairs(G)
+        if G.m == 200:
+            numbered.set()
+
+    run_with_fallbacks = cli.run_with_fallbacks
+
+    def after_numbering(*args, **kwargs):
+        if not numbered.is_set():
+            raise RuntimeError("a stream's pass started before G's pairs were numbered")
+        return run_with_fallbacks(*args, **kwargs)
+
+    monkeypatch.setattr(graph.MultiGraph, "_number_pairs", numbering)
     monkeypatch.setattr(graph, "_select_relevant", once("relevant", graph._select_relevant))
+    monkeypatch.setattr(cli, "run_with_fallbacks", after_numbering)
     solves = []
     primal_dual = matching._primal_dual
 
@@ -312,17 +335,50 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(matching, "_primal_dual", solve)
     outputs = []
-    for jobs in ("2", "1"):
-        assert main(["stream", path, "--seeds", "0-3", "--epsilon", "0.2", "--beta", "6",
-                     "--variant", "3", "--jobs", jobs]) == 0
-        outputs.append(capsys.readouterr().out)
-        assert calls == {"pairs": 1, "relevant": 1}, jobs
-        assert solves == [10], jobs
-        calls.update(pairs=0, relevant=0)
-        solves.clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # --jobs 4: more threads than cores, switching often
+    try:
+        for jobs in ("2", "1", "4"):
+            assert main(["stream", path, "--seeds", "0-3", "--epsilon", "0.2", "--beta", "6",
+                         "--variant", "3", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+            assert calls == {"pairs": 1, "relevant": 1}, jobs
+            assert solves == [10], jobs
+            calls.update(pairs=0, relevant=0)
+            solves.clear()
+            numbered.clear()
+    finally:
+        sys.setswitchinterval(switch)
     runs = json.loads(outputs[0])["runs"]
     assert [run["fallback_used"] for run in runs] == ["small_output"] * 4
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+    # the two pool threads have drawn seeds 0 and 1 when the fill fails
+    drawn, started = [], threading.Event()
+    make_stream = cli.make_stream
+
+    def drawing(G, seed):
+        drawn.append(seed)
+        if len(drawn) == 2:
+            started.set()
+        return make_stream(G, seed)
+
+    def failing_caps(G, b):
+        assert started.wait(timeout=60)
+        raise ValueError("no pair caps")
+
+    monkeypatch.setattr(cli, "make_stream", drawing)
+    monkeypatch.setattr(cli, "_pair_caps", failing_caps)
+    code = []
+    command = threading.Thread(target=lambda: code.append(main(
+        ["stream", path, "--seeds", "0-49", "--epsilon", "0.2", "--beta", "6",
+         "--variant", "3", "--jobs", "2"])))
+    command.start()
+    command.join(timeout=60)
+    assert not command.is_alive() and code == [2]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no pair caps\n")
+    assert sorted(drawn) == [0, 1]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

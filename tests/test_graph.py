@@ -124,29 +124,87 @@ _MORE_PAIRS = ([(n, 0, bipartite, raw) for n in (0, 1, 2)
                + [(n, 40, True, raw) for n in (5, 9) for raw in (False, True)])
 
 
-@pytest.mark.parametrize("seed", range(20 + len(_MORE_PAIRS)))
-def test_relevant_ids_match_a_per_pair_reference(seed):
-    # every pair's min(b_u, b_v) heaviest edges, smaller ids first on ties;
-    # and every pair's edge count, in the smallest type that holds them
-    import numpy as np
-
-    from wedcs.graph import _int_type, _relevant_ids
-
+def _pair_case(seed):
+    """Case ``seed`` of the per-pair reference tests: 20 seeded general
+    graphs, then those of ``_MORE_PAIRS``."""
     if seed < 20:
         n, m, bipartite, raw = 2 + seed % 9, 5 * seed + 1, False, seed % 2 == 0
     else:
         n, m, bipartite, raw = _MORE_PAIRS[seed - 20]
     m = m if raw else min(m, pair_count(n, bipartite))
-    G, b = make_random(seed, n=n, m=m, W=3, b_max=3, bipartite=bipartite,
-                       allow_parallel=raw)
-    want = []
+    return make_random(seed, n=n, m=m, W=3, b_max=3, bipartite=bipartite, allow_parallel=raw)
+
+
+def _assert_pairs_match_the_reference(G, b):
+    # every pair's ids sorted by (-w, id): an edge's position there is its
+    # rank, and the first min(b_u, b_v) are relevant; and every pair's edge
+    # count, rank and relevant ids in the smallest type that holds them
+    import numpy as np
+
+    from wedcs.graph import _int_type, _relevant_ids
+
+    rank, want = [None] * G.m, []
     for (u, v), ids in G.pair_groups().items():
-        want += sorted(ids, key=lambda i: (-G.triple(i)[2], i))[:min(b[u], b[v])]
+        ranked = sorted(ids, key=lambda i: (-G.triple(i)[2], i))
+        for r, i in enumerate(ranked):
+            rank[i] = r
+        want += ranked[:min(b[u], b[v])]
+    assert G.pair_rank.tolist() == rank
     assert _relevant_ids(G, b).tolist() == sorted(want)
     count = np.bincount(G.pair, minlength=len(G.pair_ends[0]))
     assert G.pair_count.tolist() == count.tolist()
-    assert G.pair_count.dtype == _int_type(int(count.max(initial=0)))
+    assert G.pair_count.dtype == G.pair_rank.dtype == _int_type(int(count.max(initial=0)))
     assert sorted(G.pair_count.tolist()) == sorted(map(len, G.pair_groups().values()))
+
+
+@pytest.mark.parametrize("seed", range(20 + len(_MORE_PAIRS)))
+def test_relevant_ids_match_a_per_pair_reference(seed):
+    _assert_pairs_match_the_reference(*_pair_case(seed))
+
+
+def _numbered(G):
+    """G's pair ids, pair ends, pair counts and pair ranks."""
+    return G.pair, *G.pair_ends, G.pair_count, G.pair_rank
+
+
+@pytest.mark.parametrize("seed", range(20 + len(_MORE_PAIRS)))
+def test_lexsort_numbers_pairs_as_the_packed_key_does(monkeypatch, seed):
+    # a bit budget of -1 fits no key, so every graph takes the lexsort
+    import numpy as np
+
+    import wedcs.graph as graph
+
+    G, b = _pair_case(seed)
+    packed = MultiGraph.from_columns(G.n, G.u, G.v, G.w, W=G.W)
+    want = _numbered(packed) + (graph._relevant_ids(packed, b),)
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    monkeypatch.setattr(graph, "_KEY_BITS", -1)
+    got = _numbered(G) + (graph._relevant_ids(G, b),)
+    assert calls == [1]
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.tolist() == y.tolist()
+
+
+@pytest.mark.parametrize("W", [2**60, 2**70], ids=["2**60", "2**70"])
+def test_pairs_beyond_a_packed_key_match_the_reference(monkeypatch, W):
+    # 2**60 leaves a packed key 65 bits wide; 2**70 fits no integer array,
+    # so the weights are Python integers (the graph of test_cli's
+    # bipartite-solver test, with heavy parallel copies added)
+    import numpy as np
+
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    edges = [(0, 1, W), (1, 2, 5), (2, 3, 7), (1, 0, W - 1), (0, 1, W), (3, 2, W),
+             (2, 3, 7), (1, 2, 1)]
+    G = MultiGraph(4, edges, W=W)
+    assert (G.w.dtype == object) == (W > 2**63)
+    b = Capacities([2, 1, 2, 1])
+    _assert_pairs_match_the_reference(G, b)
+    assert calls == [1]
+    assert G.pair_rank.tolist() == [0, 0, 1, 2, 1, 0, 2, 1]
 
 
 def test_relevant_ids_are_cached_for_the_last_capacities():
@@ -164,20 +222,49 @@ def test_relevant_ids_are_cached_for_the_last_capacities():
         _relevant_ids(G, Capacities.uniform(2))
 
 
-def test_relevant_ids_skip_the_sort_when_no_pair_is_crowded(monkeypatch):
+def _sort_calls(monkeypatch, f) -> list[str]:
+    """The sorts ``f()`` calls: ``np.lexsort`` and ``np.argsort`` through
+    spies, and the ``ndarray.sort`` and ``argsort`` methods (called by
+    ``np.sort`` too) through a profile hook on this thread."""
+    import sys
+
     import numpy as np
 
+    calls = []
+    for name in ("lexsort", "argsort"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *args, _name=name, _real=real, **kwargs:
+                            calls.append(_name) or _real(*args, **kwargs))
+
+    def hook(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray) \
+                and arg.__name__ in ("sort", "argsort"):
+            calls.append(f"ndarray.{arg.__name__}")
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        f()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_relevant_ids_skip_the_sort_when_no_pair_is_crowded(monkeypatch):
+    # the ranks come with the pair numbering, whose packed key is the one
+    # sort: after it the relevant ids sort nothing, crowded pairs or not
     from wedcs.graph import _relevant_ids
 
     G, b = make_random(4, n=30, m=60, W=3, b_max=3)
-    calls = []
-    lexsort = np.lexsort
-    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
-    assert _relevant_ids(G, b).tolist() == list(range(G.m))
-    assert calls == []
     crowded = MultiGraph(2, [(0, 1, 1), (0, 1, 2)])
-    assert _relevant_ids(crowded, Capacities.uniform(2)).tolist() == [1]
-    assert calls == [1]
+    assert _sort_calls(monkeypatch, lambda: G.pair) == ["ndarray.sort"]
+    crowded.pair
+    got = []
+    assert _sort_calls(monkeypatch, lambda: got.append(_relevant_ids(G, b))) == []
+    assert got[0].tolist() == list(range(G.m))
+    assert _sort_calls(monkeypatch, lambda: got.append(
+        _relevant_ids(crowded, Capacities.uniform(2)))) == []
+    assert got[1].tolist() == [1]
 
 
 def _crowded_verdict(G, b):
