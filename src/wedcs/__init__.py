@@ -7,7 +7,6 @@ from .edcs import (
     EdcsParams,
     LocalSearchError,
     ViolationReport,
-    build_w_edcs,
     build_wb_edcs,
     parameters_for,
     potential,
@@ -69,7 +68,6 @@ __all__ = [
     "ViolationReport",
     "bipartition_sides",
     "branch_and_bound_b_matching",
-    "build_w_edcs",
     "build_wb_edcs",
     "file_order_stream",
     "format_graph",

@@ -33,8 +33,8 @@ EXIT_GUARANTEE = 1
 EXIT_INPUT = 2
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Bad command input; :func:`main` reports it as any ``ValueError``."""
 
 
 def _configure_logging() -> None:
@@ -58,10 +58,7 @@ def _params_from_args(args, graph_W: int) -> EdcsParams:
         raise InputError("give --beta (with optional --beta-minus) or --theorem-params")
     beta_minus = args.beta_minus if args.beta_minus is not None else args.beta - 2
     epsilon = _checked_epsilon(args.epsilon) if args.epsilon is not None else None
-    try:
-        return EdcsParams(W=W, beta=args.beta, beta_minus=beta_minus, epsilon=epsilon)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return EdcsParams(W=W, beta=args.beta, beta_minus=beta_minus, epsilon=epsilon)
 
 
 def _load_graph(path: str) -> tuple[MultiGraph, Capacities]:
@@ -109,10 +106,7 @@ def cmd_gen(args) -> int:
 def cmd_build(args) -> int:
     graph, caps = _load_graph(args.graph)
     params = _params_from_args(args, graph.W)
-    try:
-        H, trace = build_wb_edcs(graph, caps, params)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    H, trace = build_wb_edcs(graph, caps, params)
     report = validate(graph, caps, H, params)
     if args.out:
         write_subgraph(args.out, H, caps)
@@ -132,10 +126,7 @@ def cmd_verify(args) -> int:
         sub_graph, _ = read_graph(args.subgraph)
     except (OSError, GraphFormatError) as exc:
         raise InputError(f"{args.subgraph}: {exc}") from exc
-    try:
-        member_ids = match_subgraph_edges(graph, sub_graph)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    member_ids = match_subgraph_edges(graph, sub_graph)
     params = _params_from_args(args, graph.W)
     report = validate(graph, caps, Subgraph(graph, member_ids), params)
     _emit_json(report.to_json_dict(), args.report)
@@ -178,9 +169,9 @@ def cmd_stream(args) -> int:
     # one writer for the graph's caches: the pool's streams draw their
     # orders while this thread numbers G's pairs and fills its pair caps,
     # and wait for ``ready`` before their passes read them; this thread
-    # then solves the oracle, filling the relevant ids and the exact
-    # answer, which a stream waits for through ``solved``.  An error
-    # cancels the queued seeds before it frees the waiting ones
+    # then solves the oracle, keeping the exact answer, which a stream
+    # waits for through ``solved``.  An error cancels the queued seeds
+    # before it frees the waiting ones
     ready, solved = concurrent.futures.Future(), concurrent.futures.Future()
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=min(args.jobs, len(seeds)))
     try:
@@ -329,9 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -46,7 +46,6 @@ __all__ = [
     "parameters_for",
     "validate",
     "potential",
-    "build_w_edcs",
     "build_wb_edcs",
 ]
 
@@ -342,19 +341,6 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
     L = math.lcm(*set(b.b))
     degrees = sum(d * d * (L // c) for d, c in zip(H.wdeg, b.b, strict=True) if d)
     return Fraction((2 * params.beta - 2) * sq * L - degrees, L)
-
-
-def build_w_edcs(G: MultiGraph, params: EdcsParams):
-    """Local-search construction for a simple weighted graph (all b_v = 1).
-
-    Returns ``(H, trace)`` where H validates with zero violations.  Every
-    step increases the potential by at least 2, so the step count is at
-    most half the final potential (and at most beta^2 W^2 n overall).
-    """
-    if (G.pair_count > 1).any():
-        raise ValueError("graph must be simple (parallel edges found)")
-    b = Capacities.uniform(G.n)
-    return _local_search(G, b, params)
 
 
 def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams):

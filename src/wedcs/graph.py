@@ -43,19 +43,19 @@ class MultiGraph:
     is an array of the smallest signed integer type that holds its values.
     Parallel edges and repeated (endpoints, weight) triples are allowed.
     The columns are the whole graph: code that needs per-vertex sums or
-    neighbours derives them from the columns where it runs.  Apart from
-    the pair caches (ids, ends, edge counts and each edge's rank in its
-    pair, all from one sort, see :meth:`_number_pairs`) and the capacity
-    entry (pair caps, relevant ids and exact answer for the last
-    capacities asked, see :func:`_capacity_entry`), instances never
-    change after construction.  The caches are filled without a lock:
-    threads that race on a cold graph may each build equal values, and
-    one of them is kept.  A caller that wants each built once fills them
-    on one thread before the others read them, as ``wedcs stream`` does.
+    neighbours derives them from the columns where it runs.  Two caches
+    keep what costs a sort or a solve, and apart from them instances never
+    change after construction: the pair numbering (ids, ends, edge counts
+    and each edge's rank in its pair, all from one sort, see
+    :meth:`_number_pairs`) and the capacity entry (pair caps and exact
+    answer for the last capacities asked, see :func:`_capacity_entry`).
+    They are filled without a lock: threads that race on a cold graph may
+    each build equal values, and one of them is kept.  A caller that wants
+    each built once fills them on one thread before the others read them,
+    as ``wedcs stream`` does.
     """
 
-    __slots__ = ("n", "W", "u", "v", "w", "_pair", "_pair_ends", "_pair_count", "_pair_rank",
-                 "_relevant")
+    __slots__ = ("n", "W", "u", "v", "w", "_pairs", "_entry")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]], W: int | None = None):
         self._setup(n, *_triple_columns(list(edges)), W)
@@ -72,6 +72,11 @@ class MultiGraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         m = len(u)
+        (u, bad_u), (v, bad_v), (w, bad_w) = map(_as_integers, (u, v, w))
+        i, name, col = min((bad_u, "endpoint", u), (bad_v, "endpoint", v), (bad_w, "weight", w),
+                           key=lambda check: check[0])
+        if i < m:
+            raise ValueError(f"edge {i}: {name} {col[i:i + 1].tolist()[0]!r} is not an integer")
         if W is None:
             W = int(w.max()) if m else 1
         if W < 1:
@@ -94,11 +99,8 @@ class MultiGraph:
         self.u = u.astype(_int_type(n))
         self.v = v.astype(_int_type(n))
         self.w = w.astype(_int_type(W))
-        self._pair: np.ndarray | None = None
-        self._pair_ends: tuple[np.ndarray, np.ndarray] | None = None
-        self._pair_count: np.ndarray | None = None
-        self._pair_rank: np.ndarray | None = None
-        self._relevant: tuple | None = None
+        self._pairs: tuple | None = None
+        self._entry: tuple | None = None
 
     @property
     def m(self) -> int:
@@ -113,25 +115,19 @@ class MultiGraph:
         """Dense id of every edge's unordered pair {u, v}, pairs numbered in
         (min, max) order, as an array of the smallest signed integer type
         that holds them; built on first use."""
-        if self._pair is None:
-            self._number_pairs()
-        return self._pair
+        return self._numbering()[0]
 
     @property
     def pair_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) endpoint arrays indexed by pair id; built with
         :attr:`pair`."""
-        if self._pair_ends is None:
-            self._number_pairs()
-        return self._pair_ends
+        return self._numbering()[1]
 
     @property
     def pair_count(self) -> np.ndarray:
         """Edge count of every pair, indexed by pair id, in the smallest
         signed integer type that holds them; built with :attr:`pair`."""
-        if self._pair_count is None:
-            self._number_pairs()
-        return self._pair_count
+        return self._numbering()[2]
 
     @property
     def pair_rank(self) -> np.ndarray:
@@ -139,18 +135,21 @@ class MultiGraph:
         smaller id first on equal weights, in :attr:`pair_count`'s type;
         built with :attr:`pair`.  The relevant subgraph is the edges whose
         rank is below their pair's cap."""
-        if self._pair_rank is None:
+        return self._numbering()[3]
+
+    def _numbering(self) -> tuple:
+        if self._pairs is None:
             self._number_pairs()
-        return self._pair_rank
+        return self._pairs
 
     def _number_pairs(self) -> None:
-        """Fill :attr:`pair`, :attr:`pair_ends`, :attr:`pair_count` and
-        :attr:`pair_rank` from one sort of the edges by (min(u, v),
-        max(u, v), -w, id): numpy's in-place sort of one int64 key per
-        edge packing the four fields (W - w for -w) when they fit in
-        ``_KEY_BITS``, one stable ``np.lexsort`` otherwise (object weights
-        among them).  The key is unpacked in place into narrow arrays,
-        and the ends are read at the runs' first edges."""
+        """Fill the one slot that :attr:`pair`, :attr:`pair_ends`,
+        :attr:`pair_count` and :attr:`pair_rank` read, from one sort of
+        the edges by (min(u, v), max(u, v), -w, id): numpy's in-place sort
+        of one int64 key per edge packing the four fields (W - w for -w)
+        when they fit in ``_KEY_BITS``, one stable ``np.lexsort`` otherwise
+        (object weights among them).  The key is unpacked in place into
+        narrow arrays, and the ends are read at the runs' first edges."""
         # ``by`` lists the edge ids in sorted order, ``fresh`` marks where
         # each pair's run starts
         m, u, v = self.m, self.u, self.v
@@ -175,20 +174,19 @@ class MultiGraph:
             fresh = _run_starts(lo[by]) | _run_starts(hi[by])
         starts = np.flatnonzero(fresh).astype(by.dtype)
         first = by[starts]  # each pair's heaviest edge, for its ends
-        self._pair_ends = np.minimum(u[first], v[first]), np.maximum(u[first], v[first])
+        ends = np.minimum(u[first], v[first]), np.maximum(u[first], v[first])
         del first
         count = np.diff(starts, append=by.dtype.type(m))
-        self._pair_count = count.astype(_int_type(int(count.max(initial=0))))
-        del starts, count
-        sorted_pair = np.cumsum(fresh, dtype=_int_type(len(self._pair_count)))
+        count = count.astype(_int_type(int(count.max(initial=0))))
+        del starts
+        sorted_pair = np.cumsum(fresh, dtype=_int_type(len(count)))
         sorted_pair -= 1
         del fresh
-        rank = np.empty(m, dtype=self._pair_count.dtype)
+        rank = np.empty(m, dtype=count.dtype)
         rank[by] = _rank_in_runs(sorted_pair)
         pair = np.empty(m, dtype=sorted_pair.dtype)
         pair[by] = sorted_pair
-        self._pair_rank = rank
-        self._pair = pair
+        self._pairs = pair, ends, count, rank
 
     def pair_groups(self) -> dict[tuple[int, int], list[int]]:
         """Edge ids grouped by unordered endpoint pair, each group in id order."""
@@ -219,15 +217,36 @@ class MultiGraph:
 
 
 def _triple_columns(triples: list[tuple[int, int, int]]):
-    """The ``u``, ``v`` and ``w`` columns of a list of triples, in int64;
-    Python integers beyond int64 stay Python integers, for the range
-    checks to reject or, for weights under a huge cap, keep."""
-    try:
-        table = np.array(triples, dtype=np.int64)
-    except OverflowError:
+    """The ``u``, ``v`` and ``w`` columns of a list of triples, in int64
+    when every value fits it; otherwise the values as given, for
+    :func:`_as_integers` to check (Python integers beyond int64 stay, for
+    the range checks to reject or, for weights under a huge cap, keep)."""
+    table = np.array(triples)
+    if table.dtype.kind != "i":
         table = np.array(triples, dtype=object)
     table = table.reshape(len(triples), 3)
     return table[:, 0], table[:, 1], table[:, 2]
+
+
+def _integral(x) -> bool:
+    """Whether ``x`` is a number equal to an integer: ``2`` and ``2.0``
+    are, ``2.5``, ``nan`` and ``'2'`` are not."""
+    try:
+        return bool(x == int(x))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _as_integers(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """``col`` with integer values, and the index of its first value that
+    is not an integer (``len(col)`` when none is).  A column of an integer
+    type is not looked at; another is read value by value into Python
+    integers, in an object array."""
+    if col.dtype.kind in "biu":
+        return col, len(col)
+    values = col.tolist()
+    bad = next((i for i, x in enumerate(values) if not _integral(x)), len(col))
+    return col if bad < len(col) else np.array([int(x) for x in values], dtype=object), bad
 
 
 def _id_array(edge_ids: Iterable[int]) -> np.ndarray:
@@ -258,11 +277,13 @@ class Capacities:
     __slots__ = ("b",)
 
     def __init__(self, b: Sequence[int]):
-        b = tuple(int(x) for x in b)
+        b = tuple(b)
         for v, bv in enumerate(b):
+            if not _integral(bv):
+                raise ValueError(f"capacity of vertex {v} must be an integer, got {bv!r}")
             if bv < 1:
                 raise ValueError(f"capacity of vertex {v} must be >= 1, got {bv}")
-        self.b = b
+        self.b = tuple(map(int, b))
 
     @classmethod
     def uniform(cls, n: int, value: int = 1) -> "Capacities":
@@ -339,32 +360,31 @@ def _pair_caps(G: MultiGraph, b: Capacities) -> np.ndarray:
 
 
 def _capacity_entry(G: MultiGraph, b: Capacities) -> tuple:
-    """``G``'s cache entry for the capacities ``b``: ``b.b``, the pair caps,
-    the relevant ids and the exact answer, the last two None until
-    :func:`_entry_value` fills them.  One entry, for the capacities of the
-    last call, replaced whole and without a lock (see :class:`MultiGraph`)."""
+    """``G``'s cache entry for the capacities ``b``: ``b.b``, the pair caps
+    and the exact answer, the answer None until :func:`_kept_answer`
+    fills it.  One entry, for the capacities of the last call, replaced whole
+    and without a lock (see :class:`MultiGraph`)."""
     if len(b) != G.n:
         raise ValueError("capacity vector length does not match vertex count")
-    cached = G._relevant
+    cached = G._entry
     if cached is None or cached[0] is not b.b and cached[0] != b.b:
         caps = np.asarray(b.b, dtype=_int_type(max(b.b, default=1)))
         lo, hi = G.pair_ends
         caps = np.minimum(caps[lo], caps[hi])
         caps.flags.writeable = False
-        cached = G._relevant = b.b, caps, None, None
+        cached = G._entry = b.b, caps, None
     return cached
 
 
-def _entry_value(G: MultiGraph, b: Capacities, slot: int, build) -> object:
-    """Slot ``slot`` of ``G``'s entry for ``b``, built by ``build()`` on
-    first use.  Threads that race on an empty slot each build it, and the
-    last to finish is kept; a build that raises stores nothing."""
-    value = _capacity_entry(G, b)[slot]
-    if value is None:
-        value = build()
-        cached = _capacity_entry(G, b)  # the build may fill earlier slots
-        G._relevant = *cached[:slot], value, *cached[slot + 1:]
-    return value
+def _kept_answer(G: MultiGraph, b: Capacities, solve) -> object:
+    """The exact answer in ``G``'s entry for ``b``, solved by ``solve()``
+    on first use.  Threads that race on an empty entry each solve, and the
+    last to finish is kept; a solve that raises keeps nothing."""
+    answer = _capacity_entry(G, b)[2]
+    if answer is None:
+        answer = solve()
+        G._entry = *_capacity_entry(G, b)[:2], answer
+    return answer
 
 
 def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
@@ -378,23 +398,13 @@ def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
 
 
 def _relevant_ids(G: MultiGraph, b: Capacities) -> np.ndarray:
-    """Ids of the relevant subgraph as a read-only int64 array, ascending:
-    for every unordered pair, its min(b_u, b_v) heaviest edges, smaller
-    ids first on equal weights.
-
-    Cached on ``G`` for the capacities of the last call, for the stream
-    runner's store and the exact solver; ``wedcs stream`` fills it while
-    its oracle solves G."""
-    return _entry_value(G, b, 2, lambda: _select_relevant(G, _pair_caps(G, b)))
-
-
-def _select_relevant(G: MultiGraph, caps: np.ndarray) -> np.ndarray:
-    """:func:`_relevant_ids` computed, given min(b_u, b_v) per pair id:
-    the edges whose :attr:`~MultiGraph.pair_rank` is below their pair's
-    cap.  The ranks come with the pair numbering, so this sorts nothing."""
-    ids = np.flatnonzero(G.pair_rank < caps[G.pair])
-    ids.flags.writeable = False
-    return ids
+    """Ids of the relevant subgraph as an int64 array, ascending: for every
+    unordered pair, its min(b_u, b_v) heaviest edges, smaller ids first on
+    equal weights.  Those are the edges whose
+    :attr:`~MultiGraph.pair_rank` is below their pair's cap; the ranks
+    come with the pair numbering, so this is one compare over the edges,
+    made afresh on every call and kept nowhere."""
+    return np.flatnonzero(G.pair_rank < _pair_caps(G, b)[G.pair])
 
 
 def _first_crowded_pair(G: MultiGraph, caps: np.ndarray) -> tuple[int, int]:
@@ -427,5 +437,7 @@ def relevant_subgraph(G: MultiGraph, b: Capacities) -> Subgraph:
 
     Dropping the rest never changes the best achievable b-matching, since
     a b-matching can use at most min(b_u, b_v) edges between u and v.
+    The ids are one compare over G's pair ranks (:func:`_relevant_ids`),
+    made on every call: G does not keep them, the subgraph does.
     """
     return Subgraph(G, _relevant_ids(G, b))

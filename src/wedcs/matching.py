@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Capacities, MultiGraph, _entry_value, _int_type, _pair_caps, _relevant_ids
+from .graph import Capacities, MultiGraph, _int_type, _kept_answer, _pair_caps, _relevant_ids
 
 __all__ = [
     "BMatching",
@@ -138,8 +138,8 @@ def max_weight_b_matching_exact(G: MultiGraph, b: Capacities,
 def _bipartite_answer(G: MultiGraph, b: Capacities) -> tuple[np.ndarray, int] | bool:
     """The bipartite route's answer on G as a read-only id array and the
     weight, False when G is not bipartite; solved once per graph and
-    capacities (:func:`_entry_value`)."""
-    return _entry_value(G, b, 3, lambda: _solve_bipartite(G, b))
+    capacities (:func:`_kept_answer`)."""
+    return _kept_answer(G, b, lambda: _solve_bipartite(G, b))
 
 
 def _solve_bipartite(G: MultiGraph, b: Capacities) -> tuple[np.ndarray, int] | bool:

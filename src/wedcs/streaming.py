@@ -204,8 +204,8 @@ class _RelevantStore:
     ``cap < 1``) and has size 0 from there on.  Its size only grows, to
     ``final`` = |relevant subgraph|, the sum of min(edge count, cap) over
     the pairs, so it survives (``alive``) exactly when cap >= 1 and
-    final < cap.  It reads G's pair numbering and pair caps, never the
-    relevant ids, so a pass can run while another thread fills those."""
+    final < cap.  It reads G's pair numbering and pair caps alone, so a
+    pass can run while another thread solves G."""
 
     def __init__(self, G: MultiGraph, b: Capacities, order: np.ndarray, cap: float):
         self.pair, self.order, self.cap = G.pair, order, cap
@@ -539,7 +539,8 @@ def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, ep
         if solved is not None:
             solved.result()
         # the store is the R that G's exact solve solves: on bipartite G,
-        # read its cached answer (past the int64 limit on G, R may fit it)
+        # read its kept answer (past the int64 limit on G, R may fit it);
+        # otherwise compute R, one compare over the edges, and solve it
         edge_ids = None if _fits_int64(G) and _bipartite_answer(G, b) else _relevant_ids(G, b)
     else:
         edge_ids = _with_members(H, X)

@@ -28,7 +28,6 @@ from wedcs import (
     OracleBudgetExceeded,
     bipartition_sides,
     branch_and_bound_b_matching,
-    build_w_edcs,
     build_wb_edcs,
     make_stream,
     max_weight_b_matching_exact,
@@ -96,7 +95,7 @@ def test_criterion_1_validity_and_termination(corpus):
         G, _ = make_random(40_000 + i, n=n, m=m, W=1 + i % 4)
         params = EdcsParams(W=1 + i % 4, beta=(6, 10, 14)[i % 3],
                             beta_minus=(6, 10, 14)[i % 3] - 2)
-        H, trace = build_w_edcs(G, params)
+        H, trace = build_wb_edcs(G, Capacities.uniform(G.n), params)
         assert validate(G, Capacities.uniform(G.n), H, params).is_clean
         assert trace.steps <= trace.phi_final / 2
         if trace.min_gain is not None:

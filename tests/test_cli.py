@@ -270,18 +270,19 @@ def test_stream_jobs_parse_the_graph_once(tmp_path, capsys, monkeypatch):
 
 
 def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
-    # G's pair numbering and relevant ids are built once, on the main
+    # G's pair numbering and relevant ids are computed once, on the main
     # thread, and its exact solve once, by the oracle on the main thread:
-    # a pool thread that built one of them would raise.  The pool starts
-    # first and its seeds draw their orders meanwhile, but no stream's
-    # pass starts before the numbering has ended; the relevant ids come
-    # with the oracle, which the streams wait for.  The pair and
-    # relevant-id spies count G only, known by its m: each stream's
-    # restricted graph numbers its own pairs, per-stream work on its own
-    # edges.  Every stream ends in small_output, so G's one exact solve
-    # answers the oracle and all four streams; --jobs 4 runs more threads
-    # than cores.  A pair-cap fill that raises fails the command as an
-    # input error, frees the waiting seeds and starts no queued one.
+    # a pool thread that computed one of them would raise.  The pool
+    # starts first and its seeds draw their orders meanwhile, but no
+    # stream's pass starts before the numbering has ended; the relevant
+    # ids come with the oracle's solve, whose kept answer the streams wait
+    # for and read.  The pair and relevant-id spies count G only, known by
+    # its m: each stream's restricted graph numbers its own pairs,
+    # per-stream work on its own edges.  Every stream ends in
+    # small_output, so G's one exact solve answers the oracle and all four
+    # streams; --jobs 4 runs more threads than cores.  A pair-cap fill
+    # that raises fails the command as an input error, frees the waiting
+    # seeds and starts no queued one.
     import wedcs.cli as cli
     import wedcs.graph as graph
     import wedcs.matching as matching
@@ -323,7 +324,7 @@ def test_stream_jobs_build_per_graph_work_once(tmp_path, capsys, monkeypatch):
         return run_with_fallbacks(*args, **kwargs)
 
     monkeypatch.setattr(graph.MultiGraph, "_number_pairs", numbering)
-    monkeypatch.setattr(graph, "_select_relevant", once("relevant", graph._select_relevant))
+    monkeypatch.setattr(matching, "_relevant_ids", once("relevant", matching._relevant_ids))
     monkeypatch.setattr(cli, "run_with_fallbacks", after_numbering)
     solves = []
     primal_dual = matching._primal_dual

@@ -37,6 +37,9 @@ def test_from_columns_checks_as_the_constructor_does():
         ([(0, 1, 1), (0, 1, 0)], None, "edge 1: weight 0 outside [1, 1]"),
         ([(0, 1, 1)], 0, "weight cap W must be at least 1"),
         ([(0, 1, 2**70)], 3, f"edge 0: weight {2**70} outside [1, 3]"),
+        ([(0, 1, 1.5), (1, 2, 2)], None, "edge 0: weight 1.5 is not an integer"),
+        ([(0, 1, 2.9), (1, 2, 1.0)], None, "edge 0: weight 2.9 is not an integer"),
+        ([(0, 1, 2), (1, 2.5, 2)], None, "edge 1: endpoint 2.5 is not an integer"),
     ]:
         with pytest.raises(ValueError) as built:
             MultiGraph(3, triples, W=W)

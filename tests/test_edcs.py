@@ -14,7 +14,6 @@ from wedcs import (
     LocalSearchError,
     MultiGraph,
     Subgraph,
-    build_w_edcs,
     build_wb_edcs,
     max_weight_b_matching_exact,
     parameters_for,
@@ -284,13 +283,13 @@ def test_replacement_gain_matches_potential_difference():
 
 def test_build_empty_graph():
     G = MultiGraph(0, [])
-    H, trace = build_w_edcs(G, EdcsParams(W=1, beta=4, beta_minus=2))
+    H, trace = build_wb_edcs(G, Capacities.uniform(G.n), EdcsParams(W=1, beta=4, beta_minus=2))
     assert len(H) == 0 and trace.steps == 0
 
 
 def test_build_single_edge_one_step():
     G = MultiGraph(2, [(0, 1, 1)])
-    H, trace = build_w_edcs(G, EdcsParams(W=1, beta=4, beta_minus=2))
+    H, trace = build_wb_edcs(G, Capacities.uniform(G.n), EdcsParams(W=1, beta=4, beta_minus=2))
     assert sorted(H.members) == [0]
     assert trace.steps == 1
 
@@ -298,18 +297,9 @@ def test_build_single_edge_one_step():
 def test_build_star_degree_bounded():
     G = MultiGraph(7, [(0, i, 1) for i in range(1, 7)])
     params = EdcsParams(W=1, beta=4, beta_minus=2)
-    H, _ = build_w_edcs(G, params)
+    H, _ = build_wb_edcs(G, Capacities.uniform(G.n), params)
     assert H.degree(0) <= 4
     assert validate(G, Capacities.uniform(7), H, params).is_clean
-
-
-def test_build_w_and_wb_agree_when_unit():
-    G, _ = make_random(11, n=10, m=20, W=1)
-    params = EdcsParams(W=1, beta=4, beta_minus=2)
-    H1, t1 = build_w_edcs(G, params)
-    H2, t2 = build_wb_edcs(G, Capacities.uniform(G.n), params)
-    assert H1.members == H2.members
-    assert t1.steps == t2.steps
 
 
 def test_build_triangle_all_capacity_two():
@@ -330,8 +320,6 @@ def test_build_rejects_multiplicity_violation():
     G = MultiGraph(2, [(0, 1, 1), (0, 1, 2)])
     with pytest.raises(ValueError):
         build_wb_edcs(G, Capacities.uniform(2), EdcsParams(W=2, beta=4, beta_minus=2))
-    with pytest.raises(ValueError):
-        build_w_edcs(G, EdcsParams(W=2, beta=4, beta_minus=2))
 
 
 def test_theorem_scale_params_keep_everything():
@@ -418,7 +406,7 @@ def test_builder_fuzz_always_clean(data):
 def test_simple_build_min_gain_two():
     G, _ = make_random(21, n=12, m=30, W=4)
     params = EdcsParams(W=4, beta=8, beta_minus=6)
-    H, trace = build_w_edcs(G, params)
+    H, trace = build_wb_edcs(G, Capacities.uniform(G.n), params)
     assert trace.min_gain is None or trace.min_gain >= 2
     assert trace.steps <= trace.phi_final / 2
     # plain degree bound for the unit-capacity case
@@ -429,10 +417,10 @@ def test_simple_build_min_gain_two():
 
 def _reference_cases() -> dict[str, tuple]:
     """Seeded builder inputs, by name: (graph, capacities, params, unit),
-    where ``unit`` marks simple unit-capacity graphs built through
-    ``build_w_edcs``.  Weights cap at W in {1, 3, 127} (int8 columns),
-    capacities lie in [1, 4], pairs carry up to min(b_u, b_v) parallel
-    edges, and beta_minus is beta - 2 or 0."""
+    where ``unit`` marks simple graphs under unit capacities.  Weights cap
+    at W in {1, 3, 127} (int8 columns), capacities lie in [1, 4], pairs
+    carry up to min(b_u, b_v) parallel edges, and beta_minus is beta - 2
+    or 0."""
     from wedcs.graph import _relevant_ids
 
     cases: dict[str, tuple] = {}
@@ -471,12 +459,9 @@ def test_builder_matches_reference(name, check):
     # same steps in the same order: the same members and the same trace,
     # whatever bookkeeping the builder keeps to find its next step; the
     # builder always runs its checks, the reference with or without its own
-    G, b, params, unit = _REFERENCE_CASES[name]
+    G, b, params, _ = _REFERENCE_CASES[name]
     H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=check)
-    if unit:
-        H, trace = build_w_edcs(G, params)
-    else:
-        H, trace = build_wb_edcs(G, b, params)
+    H, trace = build_wb_edcs(G, b, params)
     assert H.members == H_ref.members
     assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
     assert trace.to_json_dict() == trace_ref.to_json_dict()

@@ -59,9 +59,19 @@ def test_multigraph_rejects_bad_edges():
 
 
 def test_capacities_validation():
-    with pytest.raises(ValueError):
-        Capacities([1, 0])
+    import numpy as np
+
+    for b, message in [
+        ([1, 0], "capacity of vertex 1 must be >= 1, got 0"),
+        ([1.9, 2], "capacity of vertex 0 must be an integer, got 1.9"),
+        (["3"], "capacity of vertex 0 must be an integer, got '3'"),
+    ]:
+        with pytest.raises(ValueError) as raised:
+            Capacities(b)
+        assert str(raised.value) == message
     assert Capacities.uniform(3, 2)[1] == 2
+    assert Capacities(np.array([2, 3], dtype=np.int8)).b == (2, 3)
+    assert Capacities([2**70]).b == (2**70,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,16 +217,16 @@ def test_pairs_beyond_a_packed_key_match_the_reference(monkeypatch, W):
     assert G.pair_rank.tolist() == [0, 0, 1, 2, 1, 0, 2, 1]
 
 
-def test_relevant_ids_are_cached_for_the_last_capacities():
+def test_relevant_ids_follow_the_capacities_asked():
+    # computed on every call from the pair ranks and the caps of the
+    # capacities asked, so going back to a replaced vector gives its ids
     from wedcs.graph import _relevant_ids
 
     G = MultiGraph(3, [(0, 1, 1), (0, 1, 2), (1, 2, 3)])
     one, two = Capacities.uniform(3), Capacities.uniform(3, 2)
-    ids = _relevant_ids(G, one)
-    assert ids.tolist() == [1, 2] and not ids.flags.writeable
-    assert _relevant_ids(G, Capacities.uniform(3)) is ids
+    assert _relevant_ids(G, one).tolist() == [1, 2]
+    assert _relevant_ids(G, Capacities.uniform(3)).tolist() == [1, 2]
     assert _relevant_ids(G, two).tolist() == [0, 1, 2]
-    assert _relevant_ids(G, one) is not ids
     assert _relevant_ids(G, one).tolist() == [1, 2]
     with pytest.raises(ValueError):
         _relevant_ids(G, Capacities.uniform(2))
@@ -279,14 +289,15 @@ def _crowded_verdict(G, b):
 
 def test_reject_crowded_answers_alike_from_a_cold_and_a_warm_cache(monkeypatch):
     # cold or warm, the check compares the pair counts with the caps and
-    # leaves the relevant ids uncached; it looks for the pair over the
-    # edges only on a crowded graph, to name it
+    # solves nothing; it looks for the pair over the edges only on a
+    # crowded graph, to name it
     import wedcs.graph as graph
 
     G = MultiGraph(3, [(0, 1, 1), (1, 2, 1), (2, 1, 3)])
     b = Capacities.uniform(3)
     text = "pair (1, 2) has 2 parallel edges, more than min(b_u, b_v)=1; advice"
-    assert _crowded_verdict(G, b) == text and G._relevant[2] is None
+    assert G._pairs is None and G._entry is None
+    assert _crowded_verdict(G, b) == text and G._entry[2] is None
     graph._relevant_ids(G, b)
     assert _crowded_verdict(G, b) == text
     params = EdcsParams(W=3, beta=6, beta_minus=4)
@@ -301,8 +312,9 @@ def test_reject_crowded_answers_alike_from_a_cold_and_a_warm_cache(monkeypatch):
         with monkeypatch.context() as patched:
             if not crowded:
                 patched.setattr(graph, "_first_crowded_pair", None)  # no search
+            assert G._pairs is None and G._entry is None
             cold = _crowded_verdict(G, b)
-            assert G._relevant[2] is None
+            assert G._entry[2] is None
             graph._relevant_ids(G, b)
             assert _crowded_verdict(G, b) == cold, seed
         assert (cold is None) == (not crowded), seed

@@ -544,7 +544,7 @@ def test_exact_answer_is_a_fresh_matching_per_call(monkeypatch):
     first.weight = 0
     assert max_weight_b_matching_exact(G, b) == want
     assert len(solves) == 1
-    ids = G._relevant[3][0]
+    ids = G._entry[2][0]
     with pytest.raises(ValueError, match="read-only"):
         ids[0] = -1
 

@@ -1,6 +1,6 @@
 """Traced-memory bounds for graph construction and the stream pass on a
 2e5-edge raw-multiplicity graph (n=100, W=3, b <= 3, the
-stream-multiplicity shape).
+stream-multiplicity shape), and for what a solved graph keeps.
 
 Each bound sits between two measurements taken with numpy 2.4 and noted
 at the test: the peak of the per-edge and per-position forms the package
@@ -10,14 +10,15 @@ fails when an m-length int64 temporary (1.6 MB here) comes back.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 
 import wedcs.streaming as streaming
-from wedcs import Capacities, EdcsParams, MultiGraph, make_stream
+from wedcs import Capacities, EdcsParams, MultiGraph, make_stream, max_weight_b_matching_exact
 
-from helpers import traced_peak
+from helpers import make_random, traced_peak
 
 MB = 2**20
 
@@ -76,3 +77,18 @@ def test_graph_construction_peak():
     m, n = 200_000, 100
     u, v, w = rng.integers(0, 50, m), rng.integers(50, 100, m), rng.integers(1, 4, m)
     assert traced_peak(lambda: MultiGraph.from_columns(n, u, v, w, W=3)) < 3 * MB
+
+
+def test_solved_graph_retains():
+    # what G keeps after its exact solve (bipartite, n=4000, m=2e5, raw
+    # multiplicities, W=1, b <= 4): 4.77 MB with the relevant ids cached
+    # beside the answer, 3.26 MB with the pair numbering, caps and answer
+    G, b = make_random(7, n=4000, m=200_000, W=1, b_max=4, bipartite=True, allow_parallel=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        max_weight_b_matching_exact(G, b)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 3.8 * MB

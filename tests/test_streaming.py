@@ -515,12 +515,12 @@ def test_small_output_fallback_tiny_graph(exact_calls):
 
 
 def test_streams_share_a_cold_graph_across_threads():
-    # four threads race on G's first pair numbering, pair caps, relevant
-    # ids and exact solve, with no lock: each may build them, and each
-    # stream must still match its run on a fresh copy of G, one at a time
+    # four threads race on G's first pair numbering, pair caps and exact
+    # solve, with no lock: each may build them, and each stream must
+    # still match its run on a fresh copy of G, one at a time
     G, b = make_random(11, n=400, m=10000, W=3, b_max=2, bipartite=True, allow_parallel=True)
     fresh = MultiGraph.from_columns(G.n, G.u, G.v, G.w, W=G.W)
-    assert G._pair is None and G._relevant is None
+    assert G._pairs is None and G._entry is None
     params = EdcsParams(W=3, beta=6, beta_minus=4)
     start = threading.Barrier(4)
 
@@ -583,10 +583,10 @@ def test_a_solve_that_raises_keeps_nothing():
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             max_weight_b_matching_exact(G, b)
-        assert G._relevant[3] is None
+        assert G._entry[2] is None
     with pytest.raises(ValueError, match=message):
         run_with_fallbacks(make_stream(G, 0), b, params, "0.2", variant=3)
-    assert G._relevant[3] is None
+    assert G._entry[2] is None
     G = MultiGraph(4, [(0, 1, 2**61)] * 2)
     params = EdcsParams(W=G.W, beta=6, beta_minus=4)
     with pytest.raises(ValueError, match="needs m"):
@@ -594,7 +594,7 @@ def test_a_solve_that_raises_keeps_nothing():
     res = run_with_fallbacks(make_stream(G, 0), b, params, "0.2", variant=3)
     assert res.stats.fallback_used == "small_output"
     assert res.matching.edge_ids == [0] and res.matching.weight == 2**61
-    assert G._relevant[3] is None
+    assert G._entry[2] is None
 
 
 def test_alpha_zero_on_dense_high_capacity_graph(exact_calls):
