@@ -7,13 +7,17 @@
 
 The ``e`` lines define edge ids 0..m-1 in file order, which is also the
 order used when a stream is replayed "as-is".
+
+Fields may be separated by any whitespace, and blank lines and comments
+may come anywhere.  Edge lines as :func:`format_graph` writes them, ``e``
+and three fields of 1 to 18 digits, each after one blank, are read with
+array steps over their bytes; an edge block with any other line in it is
+read one line at a time, to the same graph and the same errors.
 """
 
 from __future__ import annotations
 
-import io
 import os
-import stat
 from typing import TextIO
 
 import numpy as np
@@ -32,37 +36,30 @@ class GraphFormatError(ValueError):
 
 
 def parse_graph(text: str) -> tuple[MultiGraph, Capacities]:
-    return _parse(text, None)
+    return _parse(text)
 
 
-#: The suffixes of the files that ``np.loadtxt`` decompresses.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+def read_graph(source: TextIO | str | os.PathLike) -> tuple[MultiGraph, Capacities]:
+    """Parse a graph file from a path (``str`` or ``os.PathLike``) or an
+    open text stream.
 
-
-def read_graph(source: TextIO | str) -> tuple[MultiGraph, Capacities]:
-    """Parse a graph file from a path or open text stream.
-
-    Lines go one at a time up to the first edge line.  From there on the
-    edge lines of a well-formed file are read as arrays in one pass: from
-    the file itself, by ``np.loadtxt``'s block reader, when ``source`` names
-    a regular file that numpy would not decompress by its name, else from
-    a copy of the text.  If that pass meets anything but plain
-    ``e <u> <v> <w>`` lines, or the file cannot be opened again, the rest
-    of the text is parsed line by line instead, which accepts exactly the
-    same files and reports the line number of an error.
+    The text is read once and parsed as :func:`parse_graph` parses it:
+    lines go one at a time up to the first edge line, and from there on
+    the edge lines in the layout :func:`format_graph` writes are read as
+    arrays, a bounded chunk at a time.  A file with anything else among
+    its edge lines is parsed line by line from its first edge line, which
+    accepts the same files and reports the line number of an error.
     """
-    if not isinstance(source, str):
-        return _parse(source.read(), None)
-    with open(source, "r", encoding="utf-8") as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        text = fh.read()
-    reread = regular and not source.endswith(_COMPRESSED)
-    return _parse(text, source if reread else None)
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = source.read()
+    return _parse(text)
 
 
-def _parse(text: str, path: str | None) -> tuple[MultiGraph, Capacities]:
-    """The graph in ``text``; ``path`` names a file that numpy may read
-    the same text from, or is None."""
+def _parse(text: str) -> tuple[MultiGraph, Capacities]:
+    """The graph and capacities in ``text``, the whole of a file."""
     state = _ParseState()
     columns = None  # the edge columns, when read as arrays
     tried = False
@@ -75,7 +72,7 @@ def _parse(text: str, path: str | None) -> tuple[MultiGraph, Capacities]:
         line = text[pos:end]
         if not tried and state.header is not None and line.split()[:1] == ["e"]:
             tried = True
-            columns = _edge_columns(text, pos, line_no - 1, path)
+            columns = _edge_columns(text, pos, state.header[1])
             if columns is not None:
                 break
         state.parse(line_no, line)
@@ -142,34 +139,91 @@ class _ParseState:
             raise GraphFormatError(line_no, f"unknown record type {kind!r}")
 
 
-#: One edge line read as a record; "U2" keeps any kind longer than "e"
-#: distinct from it.
-_EDGE_LINE = np.dtype([("kind", "U2"), ("u", np.int64), ("v", np.int64), ("w", np.int64)])
+#: The characters of edge-line text read as arrays at a time, cut back
+#: to the last line end: about 64 KiB a chunk.
+_CHUNK = 1 << 16
+
+#: The bytes other than digits of every line ``format_graph`` writes, and
+#: which of them end a field, so that digits come right before them.
+_LAYOUT = b"e   \n"
+_ENDS_FIELD = bytes([0, 0, 1, 1, 1])
+
+#: The most digits of a field read as an array; 18 digits always fit int64.
+_MAX_DIGITS = 18
 
 
-def _edge_columns(text: str, pos: int, skip: int,
-                  path: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``u``, ``v`` and ``w`` of the lines from ``text[pos]`` on, which
-    start at line ``skip + 1``, when they are ``e <u> <v> <w>`` lines and
-    blank lines only, or None for any other text.
+def _edge_columns(text: str, pos: int,
+                  m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``u``, ``v`` and ``w`` of the lines from ``text[pos]`` on, when they
+    are at most ``m`` edge lines in the layout ``format_graph`` writes (the
+    last newline may be missing), or None for any other text.
 
-    ``np.loadtxt`` splits lines and fields much as the line parser does;
-    a carriage return, which it may take for a line break, sends the text
-    to the line parser.  Given the ``path`` of a regular file that holds
-    ``text``, numpy's C reader pulls the file in blocks, past its first
-    ``skip`` lines.  Otherwise it reads a ``StringIO`` copy of the lines,
-    one at a time, at about 4 bytes a character."""
-    if text.find("\r", pos) >= 0:
+    The text goes a chunk of about ``_CHUNK`` characters at a time.  The
+    int64 columns are sized from what the text can hold, 8 or more
+    characters a line, so a header's ``m`` sizes nothing beyond that."""
+    cap = max(0, min(m, (len(text) - pos + 1) // 8))
+    out = np.empty((3, cap), dtype=np.int64)
+    count = 0
+    while pos < len(text):
+        if len(text) - pos <= _CHUNK:
+            end = len(text)
+        else:
+            end = text.rfind("\n", pos, pos + _CHUNK) + 1
+            if end <= pos:
+                return None  # a line longer than a chunk
+        try:
+            chunk = text[pos:end].encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"
+        rows = _edge_rows(np.frombuffer(chunk, dtype=np.uint8))
+        if rows is None or count + len(rows) > cap:
+            return None
+        out[:, count:count + len(rows)] = rows.T
+        count += len(rows)
+        pos = end
+        del chunk, rows  # before the next chunk's
+    return out[0, :count], out[1, :count], out[2, :count]
+
+
+def _edge_rows(text: np.ndarray) -> np.ndarray | None:
+    """The ``(u, v, w)`` rows of ASCII bytes that are whole
+    ``e <u> <v> <w>`` lines, with one blank before each field and 1 to
+    ``_MAX_DIGITS`` digits in it, or None for any other bytes.
+
+    The bytes other than digits, the marks, must run ``e``, blank, blank,
+    blank, newline, line after line, with digits right before each of
+    the last three only.  Each mark gets the value of the digits between
+    it and the mark before it, read two digits at a time."""
+    other = text - ord("0") > 9
+    marks = np.flatnonzero(other)
+    if len(marks) % 5:
         return None
-    source, skip = (path, skip) if path is not None else (io.StringIO(text[pos:]), 0)
-    try:
-        rows = np.loadtxt(source, dtype=_EDGE_LINE, comments=None, ndmin=1,
-                          skiprows=skip, encoding="utf-8")
-    except (ValueError, OSError):
+    gaps = np.diff(marks, prepend=-1)
+    lines = len(marks) // 5
+    if (text[marks].tobytes() != _LAYOUT * lines
+            or (gaps > 1).tobytes() != _ENDS_FIELD * lines
+            or gaps.max() > _MAX_DIGITS + 1):
         return None
-    if not (rows["kind"] == "e").all():
-        return None
-    return rows["u"], rows["v"], rows["w"]
+    width = (gaps - 1).astype(np.uint8)  # the digits before each mark
+    del gaps
+    digits = (text - ord("0")) * ~other  # 0 at the marks
+    pairs = digits[:-1] * np.uint8(10) + digits[1:]  # from the digits at i, i + 1
+    del other, digits
+    # Horner's rule over the pairs that end k + 1 bytes before each mark,
+    # k = ..., 2, 0: a pair that starts on the mark before holds its 0
+    # there, and one wholly before it (width <= k, or before the chunk,
+    # which wraps) is masked to 0
+    k = 2 * ((int(width.max()) - 1) // 2)
+    at = np.subtract(marks, 2 + k, out=marks)
+    values = (pairs.take(at, mode="wrap") * (width > k)).astype(np.int64)
+    while k:
+        k -= 2
+        at += 2
+        values *= 100
+        values += pairs.take(at, mode="wrap") * (width > k)
+    return values.reshape(-1, 5)[:, 2:]
 
 
 def format_graph(G: MultiGraph, b: Capacities | None = None) -> str:
@@ -227,12 +281,12 @@ def _put_digits(buf: np.ndarray, values: np.ndarray, last: np.ndarray) -> None:
         values, last = values[more], last[more] - 1
 
 
-def write_graph(path: str, G: MultiGraph, b: Capacities | None = None) -> None:
+def write_graph(path: str | os.PathLike, G: MultiGraph, b: Capacities | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_graph(G, b))
 
 
-def write_subgraph(path: str, H: Subgraph, b: Capacities | None = None) -> None:
+def write_subgraph(path: str | os.PathLike, H: Subgraph, b: Capacities | None = None) -> None:
     """Write a subgraph as a standalone graph file (same n and W)."""
     G = H.parent
     restricted, _ = G.restrict(H.members)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from wedcs import Capacities, GraphFormatError, MultiGraph, format_graph, parse_graph, read_graph
+import wedcs.graph_io as graph_io
 from wedcs.graph_io import match_subgraph_edges
 
-from helpers import triples
+from helpers import make_random, triples
 
 
 def test_round_trip():
@@ -149,10 +150,30 @@ def test_edge_value_errors_name_the_first_bad_edge(edit, message):
     (lambda lines: lines + ["e 0 25 1"], "header declares m=12000 but file has 12001 edge lines"),
     (lambda lines: lines[:1] + ["g 50 0 3"] + lines[2:],
      "header declares m=0 but file has 12000 edge lines"),
+    # more and fewer lines than declared, by more than one chunk of text
+    (lambda lines: lines[:1] + ["g 50 2000 3"] + lines[2:],
+     "header declares m=2000 but file has 12000 edge lines"),
+    (lambda lines: lines[:1] + ["g 50 30000 3"] + lines[2:],
+     "header declares m=30000 but file has 12000 edge lines"),
+    (lambda lines: lines[:1] + ["g 50 10000000000000 3"] + lines[2:],
+     "header declares m=10000000000000 but file has 12000 edge lines"),
 ])
 def test_edge_count_mismatch(edit, message):
     err = _parse_error(edit(_big_file()))
     assert (err.line_no, str(err)) == (1, f"line 1: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("g 3 10000000000000 1\ne 0 1 1\n",
+     "header declares m=10000000000000 but file has 1 edge lines"),
+    ("g 3 -1 1\ne 0 1 1\n", "header declares m=-1 but file has 1 edge lines"),
+])
+def test_header_m_sizes_nothing(text, message):
+    # the edge columns are sized from the text, so a huge m is no
+    # MemoryError but the count error
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert (exc.value.line_no, str(exc.value)) == (1, f"line 1: {message}")
 
 
 def test_missing_header_and_bad_header_values():
@@ -189,8 +210,8 @@ def _write_file(path, text: str) -> str:
 
 class TestReadGraphFromAFile:
     """The error-path and layout cases above, through ``read_graph(path)``
-    on a file that holds the same bytes, where numpy reads the edge lines
-    from the file itself."""
+    on a file that holds the same bytes, which reads the text once and
+    parses it as ``parse_graph`` does."""
 
     @pytest.fixture(autouse=True)
     def _from_a_file(self, tmp_path, monkeypatch):
@@ -204,16 +225,27 @@ class TestReadGraphFromAFile:
     test_edge_value_errors_name_the_first_bad_edge = staticmethod(
         test_edge_value_errors_name_the_first_bad_edge)
     test_edge_count_mismatch = staticmethod(test_edge_count_mismatch)
+    test_header_m_sizes_nothing = staticmethod(test_header_m_sizes_nothing)
     test_unusual_but_valid_layouts = staticmethod(test_unusual_but_valid_layouts)
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
 def test_plain_text_file_with_a_compressed_name(tmp_path, suffix):
-    # numpy would decompress a file by this name; the file is plain text
+    # a compressed file's name does not change how the plain text is read
     text = "\n".join(_big_file(m=300)) + "\n"
     G, b = read_graph(_write_file(tmp_path / f"g.txt{suffix}", text))
     G0, b0 = parse_graph(text)
     assert triples(G) == triples(G0) and b == b0
+
+
+def test_read_graph_takes_a_path_object(tmp_path):
+    text = "\n".join(_big_file(m=300)) + "\n"
+    path = tmp_path / "g.txt"
+    _write_file(path, text)
+    G, b = read_graph(path)
+    G0, b0 = read_graph(str(path))
+    assert triples(G) == triples(G0) and b == b0
+    assert (G.n, G.W) == (G0.n, G0.W)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -229,6 +261,157 @@ def test_read_graph_from_a_pipe():
         os.close(r)
     G0, b0 = parse_graph(text)
     assert triples(G) == triples(G0) and b == b0
+
+
+# ------------------------------------------- the writer's layout, as arrays
+# ``read_graph`` reads the edge lines that ``format_graph`` writes with
+# array steps and sends any other text to the line parser; both routes
+# must give the same columns, dtypes and errors.
+
+#: Each side of a new digit, and the largest value read as an array.
+_WIDTH_EDGES = [0, 1, 9, 10, 99, 100, 10**17 - 1, 10**17, 10**18 - 1]
+
+
+def _writer_text(seed: int, m: int, n: int = 10**18, W: int = 10**18 - 1) -> str:
+    """A graph file from ``format_graph`` whose ``m`` edges have fields of
+    1 to 18 digits (fewer where ``n`` or ``W`` cap them), the width edges
+    first.  Its header's n is too large to build capacities for, so the
+    edge lines are compared as columns."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for top in (n - 1, n - 1, W):
+        digits = rng.integers(1, len(str(top)) + 1, m)
+        low = np.where(digits == 1, 0, 10 ** (digits - 1))
+        col = np.minimum(rng.integers(low, 10**digits), top)
+        ends = [x for x in _WIDTH_EDGES if x <= top]
+        col[:len(ends)] = ends[:m]
+        cols.append(col)
+    u, v, w = cols
+    v = np.where(u == v, (v + 1) % n, v)
+    w = np.maximum(w, 1)
+    return format_graph(MultiGraph.from_columns(n, u, v, w, W=W))
+
+
+def _line_parser_columns(lines: str) -> list:
+    """The line parser's edge columns of edge lines, as dtype and values."""
+    state = graph_io._ParseState()
+    state.header = (0, 0, 1)
+    for line_no, line in enumerate(lines.split("\n"), 1):
+        state.parse(line_no, line)
+    return [(col.dtype, col.tolist()) for col in graph_io._triple_columns(state.triples)]
+
+
+def _array_columns(lines: str, m: int) -> list | None:
+    """The array path's edge columns of edge lines, as dtype and values, or
+    None when it declines them."""
+    columns = graph_io._edge_columns(lines, 0, m)
+    return None if columns is None else [(col.dtype, col.tolist()) for col in columns]
+
+
+@pytest.mark.parametrize("seed, m", [(0, 1), (1, 2), (2, 9), (3, 1_000), (4, 8_000)])
+def test_array_path_matches_the_line_parser(seed, m):
+    lines = _writer_text(seed, m).split("\n", 1)[1]
+    expected = _line_parser_columns(lines)
+    assert expected[0][0] == np.int64
+    assert _array_columns(lines, m) == expected
+    assert _array_columns(lines.rstrip("\n"), m) == expected  # no final newline
+    assert _array_columns(lines, m - 1) is None  # more lines than m
+
+
+def test_array_path_reads_leading_zeros():
+    lines = "e 007 1 2\ne 000000000000000001 0 000000000000000000\ne 0 00 9\n"
+    assert _array_columns(lines, 3) == _line_parser_columns(lines)
+    assert _array_columns(lines, 3)[0][1] == [7, 1, 0]
+
+
+def test_array_path_cuts_chunks_at_every_line_offset(monkeypatch):
+    # lines of 8 to 23 characters; over these chunk sizes, some chunk's
+    # window ends at each offset of a line of each length
+    lines = _writer_text(8, 600, n=10**6, W=10**5).split("\n", 1)[1]
+    expected = _line_parser_columns(lines)
+    longest = max(map(len, lines.split("\n"))) + 1
+    for chunk in range(longest, 2 * longest + 1):
+        monkeypatch.setattr(graph_io, "_CHUNK", chunk)
+        assert _array_columns(lines, 600) == expected
+    monkeypatch.setattr(graph_io, "_CHUNK", longest - 1)
+    assert _array_columns(lines, 600) is None  # a line longer than a chunk
+
+
+@pytest.mark.parametrize("value", [10**18, 2**63 - 1, 10**22 + 7])
+def test_array_path_declines_over_18_digits(value):
+    lines = f"e 0 1 2\ne 3 4 {value}\ne {value} 5 6\n"
+    assert _array_columns(lines, 3) is None
+    expected = _line_parser_columns(lines)
+    assert expected[2][1] == [2, value, 6]
+    assert expected[2][0] == (np.int64 if value < 2**63 else object)
+
+
+def _outcome(text: str):
+    """What ``parse_graph`` makes of ``text``: the graph's fields and
+    columns with their dtypes, or its error."""
+    try:
+        G, b = parse_graph(text)
+    except GraphFormatError as exc:
+        return exc.line_no, str(exc)
+    return (G.n, G.W, list(b), [(col.dtype, col.tolist()) for col in (G.u, G.v, G.w)])
+
+
+def _both_routes(monkeypatch, text: str):
+    """``parse_graph``'s outcome on ``text``, whether the array path gave
+    the edge columns each time it was tried, and the outcome with the
+    array path turned off, which is the line parser's."""
+    real = graph_io._edge_columns
+    gave = []
+
+    def spy(*args):
+        columns = real(*args)
+        gave.append(columns is not None)
+        return columns
+    monkeypatch.setattr(graph_io, "_edge_columns", spy)
+    outcome = _outcome(text)
+    monkeypatch.setattr(graph_io, "_edge_columns", lambda *args: None)
+    line_parsed = _outcome(text)
+    monkeypatch.setattr(graph_io, "_edge_columns", real)
+    return outcome, gave, line_parsed
+
+
+@pytest.mark.parametrize("seed, m", [(6, 1), (7, 3_000)])
+def test_writer_files_take_the_array_path(monkeypatch, seed, m):
+    G, b = make_random(seed, n=2000, m=m, W=10**18 - 1, b_max=3)
+    text = format_graph(G, b)
+    outcome, gave, line_parsed = _both_routes(monkeypatch, text)
+    assert gave == [True]
+    assert outcome == line_parsed
+    assert outcome[3] == [(col.dtype, col.tolist()) for col in (G.u, G.v, G.w)]
+
+
+def test_a_file_without_edge_lines_never_tries_arrays(monkeypatch):
+    outcome, gave, line_parsed = _both_routes(monkeypatch, "g 5 0 3\nb 1 2\n")
+    assert gave == [] and outcome == line_parsed
+    assert outcome[:3] == (5, 3, [1, 2, 1, 1, 1])
+
+
+@pytest.mark.parametrize("odd", [
+    "e 3\t30 1", "e 3  30 1", " e 3 30 1", "e 3 30 1 ", "", "# a comment", "e 3 30 +1",
+    "e 3 30 1\r", "e 3 30 \u0661", "e 3 30 1_0", "b 3 2", "e 3 30", "e 3 30 x",
+    "e 3 30 0000000000000000001", "e 3 30 10000000000000000000000",
+    "e 3 30 \x0be 3 30 1", "e 3 30 1\x0ce 3 30 1", "e 3 30 1\x1c", "e\x00 3 30 1",
+])
+def test_any_other_line_sends_the_edge_block_to_the_line_parser(monkeypatch, odd):
+    lines = _big_file(m=20_000)
+    lines[12_000] = odd  # in mid-file, chunks after the first
+    outcome, gave, line_parsed = _both_routes(monkeypatch, "\n".join(lines) + "\n")
+    assert gave == [False]
+    assert outcome == line_parsed
+
+
+@pytest.mark.parametrize("bad", ["e 3 99 1", "e 30 30 1", "e 3 30 0", "e 3 30 4"])
+def test_bad_values_in_the_writer_layout_fail_alike(monkeypatch, bad):
+    lines = _big_file(m=20_000)
+    lines[12_000] = bad
+    outcome, gave, line_parsed = _both_routes(monkeypatch, "\n".join(lines) + "\n")
+    assert gave == [True]
+    assert outcome == line_parsed and outcome[0] == 1
 
 
 # ------------------------------------------------------------ the writer

@@ -1,5 +1,5 @@
-"""Traced-memory bounds for graph construction and the stream pass on a
-2e5-edge raw-multiplicity graph (n=100, W=3, b <= 3, the
+"""Traced-memory bounds for graph construction, reading its file and the
+stream pass on a 2e5-edge raw-multiplicity graph (n=100, W=3, b <= 3, the
 stream-multiplicity shape), and for what a solved graph keeps.
 
 Each bound sits between two measurements taken with numpy 2.4 and noted
@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 import wedcs.streaming as streaming
-from wedcs import Capacities, EdcsParams, MultiGraph, make_stream, max_weight_b_matching_exact
+from wedcs import (Capacities, EdcsParams, MultiGraph, make_stream,
+                   max_weight_b_matching_exact, read_graph, write_graph)
 
 from helpers import make_random, traced_peak
 
@@ -77,6 +78,16 @@ def test_graph_construction_peak():
     m, n = 200_000, 100
     u, v, w = rng.integers(0, 50, m), rng.integers(50, 100, m), rng.integers(1, 4, m)
     assert traced_peak(lambda: MultiGraph.from_columns(n, u, v, w, W=3)) < 3 * MB
+
+
+def test_read_graph_peak(tmp_path):
+    # reading the graph's file (bipartite random_instance, b <= 3, 1.96 MB
+    # of text): 9.08 MB with np.loadtxt over a copy of the edge lines,
+    # 7.38 MB with array steps over 2^16-character chunks
+    G, b = make_random(5, n=100, m=200_000, W=3, b_max=3, bipartite=True, allow_parallel=True)
+    path = tmp_path / "g.txt"
+    write_graph(path, G, b)
+    assert traced_peak(lambda: read_graph(path)) < 8 * MB
 
 
 def test_solved_graph_retains():
