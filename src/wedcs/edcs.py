@@ -13,24 +13,19 @@ Property (i) keeps H sparse (each vertex ends up with degree at most
 beta * b_v); property (ii) guarantees H retains a near-optimal b-matching.
 Both are one comparison in exact integer arithmetic; the termination
 argument lives on slacks of 1/(b_u * b_v) that floating point would
-destroy.  The builder and the stream runner's phase 1 change H only
-through one :class:`_Ledger`, which inserts, removes, and after an
-insertion repairs the members pushed over their bound.  The ledger keeps
-every weighted degree over one common denominator L = lcm(b), as the
-integer load wdeg_H(x) * (L // b_x), and is the one place that tests the
-rule for one edge and prices a step: an edge's two loads summed and
-compared with k * w * L decide the builder's queue pops, phase 1's
-underfull test and the repair's removals, and each insertion or removal
-returns L times its change of :func:`potential`.  Over edge columns,
-:func:`_degree_terms` cross-multiplies the rule by b_u * b_v instead,
-which keeps its arrays within int64 where L would not; :func:`validate`,
-phase 2 and the stream's invariant check use it.
+destroy.  The rule has two kernels, one per scale.  Over edge columns,
+:func:`_degree_terms` cross-multiplies it by each edge's b_u * b_v, which
+keeps its arrays within int64; the offline builder's rounds,
+:func:`validate`, phase 2 and the stream's invariant check use it.  For
+one edge at a time, the stream runner's phase 1 changes H only through a
+:class:`_Ledger`, which keeps every weighted degree over one common
+denominator L = lcm(b), inserts, removes, and after an insertion repairs
+the members pushed over their bound, pricing each step.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,6 +34,7 @@ import numpy as np
 from .graph import Capacities, MultiGraph, Subgraph, _reject_crowded
 
 __all__ = [
+    "BUILDER_ID",
     "EdcsParams",
     "ViolationReport",
     "BuildTrace",
@@ -107,15 +103,34 @@ class ViolationReport:
         }
 
 
+#: Names the offline builder in every :class:`BuildTrace`: the local search
+#: takes its steps in rounds of vertex-disjoint edges, which every vertex
+#: picks by least priority id * 0x9E3779B97F4A7C15 mod 2**64.
+BUILDER_ID = "disjoint-rounds-fib64"
+
+#: An odd multiplier, so id -> id * _SCRAMBLE mod 2**64 is a bijection and
+#: no two edges share a priority; _UNSCRAMBLE is its inverse.  _LAST, the
+#: largest priority, is edge 0x0e217c1e66c88cc3's, past any graph's ids.
+_SCRAMBLE = np.uint64(0x9E3779B97F4A7C15)
+_UNSCRAMBLE = np.uint64(pow(0x9E3779B97F4A7C15, -1, 2**64))
+_LAST = np.uint64(2**64 - 1)
+_ONE = np.uint64(1)
+
+
 @dataclass
 class BuildTrace:
-    """Summary of one local-search construction."""
+    """Summary of one local-search construction.
+
+    ``rounds`` counts insertion rounds and removal sub-rounds together;
+    ``builder`` is :data:`BUILDER_ID`."""
 
     steps: int
     insertions: int
     removals: int
     phi_final: Fraction
     min_gain: Fraction | None  # smallest potential increase over all steps
+    rounds: int = 0
+    builder: str = BUILDER_ID
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,6 +139,8 @@ class BuildTrace:
             "removals": self.removals,
             "phi_final": str(self.phi_final),
             "min_gain": None if self.min_gain is None else str(self.min_gain),
+            "rounds": self.rounds,
+            "builder": self.builder,
         }
 
 
@@ -184,14 +201,12 @@ def parameters_for(epsilon, W: int) -> EdcsParams:
 
 class _Ledger:
     """H with a per-vertex member map, kept under property (i): the only
-    code that changes the H of the builder or of the stream's phase 1, and
-    the one place that tests the degree rule for one edge and prices a
-    step.
+    code that changes the H of the stream's phase 1, and the one place that
+    tests the degree rule for one edge and prices a step.
 
-    ``at[x]`` maps each member at x to its other endpoint.  ``weight[i]``
-    is member i's weight, which :meth:`insert` records in a mapping the
-    caller gives: the builder's weight column, or a dict phase 1 reads its
-    held copies' weights from.
+    ``at[x]`` maps each member at x to its other endpoint, and
+    ``weight[i]`` is member i's weight, which :meth:`insert` records and
+    phase 1 reads its held copies' weights from.
 
     ``load[x]`` is wdeg_H(x) * (L // b_x), with L = lcm of all capacities:
     the weighted degrees over one common denominator.  For an edge
@@ -212,10 +227,10 @@ class _Ledger:
 
     __slots__ = ("H", "at", "weight", "L", "unit", "load", "beta_L", "minus_L", "grow_L")
 
-    def __init__(self, G: MultiGraph, b: Capacities, params: EdcsParams, weight):
+    def __init__(self, G: MultiGraph, b: Capacities, params: EdcsParams):
         self.H = Subgraph(G)
         self.at: list[dict[int, int]] = [{} for _ in range(G.n)]
-        self.weight = weight
+        self.weight: dict[int, int] = {}
         L = self.L = math.lcm(*set(b.b))
         self.unit = [L // c for c in b.b]
         self.load = [0] * G.n
@@ -280,7 +295,7 @@ class _Ledger:
         return removed
 
 
-def _degree_terms(wdeg: list[int], b: Capacities, coef: int):
+def _degree_terms(wdeg, b: Capacities, coef: int = 0):
     """The degree rule over edge columns, for the degrees ``wdeg``.
 
     Returns a function of column arrays (u, v, w) that gives
@@ -288,14 +303,22 @@ def _degree_terms(wdeg: list[int], b: Capacities, coef: int):
     or (ii) compares the first with beta or beta_minus times the second.
     The rule is cross-multiplied by each edge's own b_u * b_v, not by the
     ledger's L = lcm(b), because these arrays must fit int64: L can be
-    hundreds of bits wide where every b_u * b_v is small.  Given ``coef``
-    >= k * w for every edge and every k compared with, the arrays are
-    int64 unless a term could reach 2**62, and Python integers
-    (``object``) beyond that.  ``wdeg`` and ``b`` are converted once, here.
+    hundreds of bits wide where every b_u * b_v is small.
+
+    ``wdeg`` is either a list of Python ints, converted once, here, or an
+    integer or ``object`` array, which the function reads in place, so
+    that its terms follow the caller's later updates.  For a list, given
+    ``coef`` >= k * w for every edge and every k compared with, the
+    arrays are int64 unless a term could reach 2**62, and Python integers
+    (``object``) beyond that.  An array keeps its own dtype, and its
+    caller answers for the range of every term.
     """
-    b_max = max(b.b, default=1)
-    big = max(2 * max(wdeg, default=0), coef * b_max) * b_max >= 2**62
-    dtype = object if big else np.int64
+    if isinstance(wdeg, np.ndarray):
+        dtype = wdeg.dtype
+    else:
+        b_max = max(b.b, default=1)
+        big = max(2 * max(wdeg, default=0), coef * b_max) * b_max >= 2**62
+        dtype = object if big else np.int64
     caps = np.asarray(b.b, dtype=dtype)
     wd = np.asarray(wdeg, dtype=dtype)
 
@@ -353,118 +376,219 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams):
     which the builder checks per step.  So every step gains at least
     1 + 1/(b_u * b_v), at least 3/2 unless a w = 1 edge joins a
     unit-capacity endpoint to a capacity >= 3 one, and 2w in the all-unit
-    case; termination follows because the potential is bounded.
+    case; termination follows because the potential is bounded.  The
+    steps are taken in rounds of vertex-disjoint edges
+    (:data:`BUILDER_ID`), which gain exactly what they would one by one.
     """
     _reject_crowded(G, b, "reduce to the relevant subgraph first")
     return _local_search(G, b, params)
 
 
+def _priority(ids: np.ndarray) -> np.ndarray:
+    """The edges' priorities: id * 0x9E3779B97F4A7C15 mod 2**64."""
+    return ids.astype(np.uint64) * _SCRAMBLE
+
+
+def _matched(prio: np.ndarray, u: np.ndarray, v: np.ndarray, eu: np.ndarray, ev: np.ndarray,
+             n: int) -> np.ndarray:
+    """The ids of the edges that both of their endpoints propose, among
+    the edges (u, v) with priorities ``prio``, where every vertex proposes
+    its edge of least priority and ``_LAST`` marks an edge out of the
+    running.  Priorities are distinct, so these edges are vertex-disjoint.
+    A vertex's least priority names its edge, through the inverse
+    scramble, so the mutual test takes one step per vertex."""
+    best = np.full(n, _LAST, dtype=np.uint64)
+    np.minimum.at(best, u, prio)
+    np.minimum.at(best, v, prio)
+    x = np.flatnonzero(best != _LAST)
+    e = (best[x] * _UNSCRAMBLE).astype(np.intp)
+    return e[(eu[e] == x) & (best[ev[e]] == best[x])]
+
+
 def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
-    """Fix violations until none remain.
+    """Fix violations in rounds until none remain.
 
-    One FIFO queue of edges to test for property (ii), each re-verified on
-    pop.  A pop that finds its edge underfull inserts it, and
-    :meth:`_Ledger.repair` at once removes the members it pushed over their
-    bound, so vertex degrees stay within beta * b_v + 1 at all times.
-    These are the removals a second queue for property (i), drained before
-    every pop, would make, in its order: an insertion would find that
-    queue empty and fill it with exactly the members ``repair`` walks,
-    ascending, and removals would add nothing to it.  Each removal queues,
-    in id order, only the edges whose status can have changed: those
-    incident to the removed edge's endpoints.
+    An insertion round tests property (ii) over the candidate non-members
+    at the degrees before the round.  Every vertex proposes its underfull
+    edge of least priority, and the edges that both endpoints propose, a
+    matching, enter H together.  :func:`potential` is a sum of one term
+    per member and one per vertex, so steps on vertex-disjoint edges gain
+    the sum of their single-step gains, each taken at the degrees before
+    the round, and each fixes a violation, so each gains at least its
+    floor.  A vertex gains one member a round, so degrees stay within
+    beta * b_v + 1.  Only members at the round's endpoints can then be
+    over their bound.  Removal sub-rounds take out the least-priority
+    mutual proposals among them together and re-test the rest at the new
+    degrees, until none is over; removals only lower degrees, so no member
+    joins that set.  The next round's candidates are the underfull edges
+    left out and every non-member at a vertex that lost a member, since
+    elsewhere degrees only rose.  The search ends when no candidate is
+    underfull, and then no member is over its bound.
 
-    Every edge is in one of three states: a member of H, queued
-    (``in_lower``), or idle, which is an edge popped and found not
-    underfull.  A queued edge is never a member, since insertions happen
-    only at pops; so an edge turns idle only at a pop, and stops being
-    idle only when a refill at one of its endpoints queues it again.
-    ``idle[x]``, a plain list, tracks this: a pop that finds its edge not
-    underfull appends it at both endpoints.  Entries go stale (the edge
-    was queued from its other end, or is a member by now) and are cleaned
-    lazily: a refill at x skips them and empties the list.
+    The priority of edge i is i * 0x9E3779B97F4A7C15 mod 2**64, a fixed
+    scramble: with the ids themselves, a path given in id order would take
+    one insertion a round.
 
-    After a removal of (u, v) the queue gets the removed edge and every
-    entry of ``idle[u]`` and ``idle[v]`` that is neither queued nor a
-    member, marked ``in_lower`` as it is collected so that parallel edges
-    and stale copies come once, sorted.  An idle edge at x is always in
-    ``idle[x]`` (it was appended at its pop, and only a refill at x, which
-    queues it, empties the list), so this is exactly the set a scan of all
-    edges at u and v for those neither queued nor members would find.
-
-    Each pop tests its edge with the ledger's loads, load[u] + load[v]
-    against beta_minus * w * L (see :class:`_Ledger`), and every step's
-    gain is the one its ledger insertion or removal returns, over L.  The
-    gains are summed, and their minimum kept, as integers over L; each is
-    checked against its edge's per-step floor by cross-multiplying, and
-    the sum becomes one ``Fraction`` at the end.
+    The rule is tested and the steps priced over b_u * b_v through
+    :func:`_degree_terms`: with lhs and scaled its two terms before the
+    step, an insertion gains w ((2 beta - 2) scaled - w (b_u + b_v)
+    - 2 lhs) / (b_u b_v) and a removal w (2 lhs - (2 beta - 2) scaled
+    - w (b_u + b_v)) / (b_u b_v).  Each gain is checked against its edge's
+    floor as it is taken.  A round's arithmetic is int32 where every term
+    fits, int64 where it fits that, and Python integers beyond.  At the
+    end the gains are summed per denominator b_u * b_v, exactly, and the
+    sums become one ``Fraction``.
     """
-    beta, m = params.beta, G.m
-    q_lower: deque[int] = deque(range(m))
-    in_lower = bytearray(b"\x01") * m
+    n, m, beta, beta_minus = G.n, G.m, params.beta, params.beta_minus
+    b_max = max(b.b, default=1)
+    # every term of a round stays within top, and the gains summed over
+    # the edges of one denominator within m * top
+    top = 12 * beta * G.W**2 * b_max**2
+    dtype = np.int32 if top < 2**31 else np.int64 if top < 2**62 else object
+    sum_type = np.int64 if top * (m + 1) < 2**62 else object
+    wdeg = np.zeros(n, dtype=dtype)
+    deg = np.zeros(n, dtype=np.int64)
+    terms = _degree_terms(wdeg, b)
+    caps = np.asarray(b.b, dtype=dtype)
+    eu, ev, ew = G.u, G.v, G.w
+    member = np.zeros(m, dtype=bool)
+    # the ids of the edges at each vertex x, at[start[x]:start[x + 1]]
+    at = np.argsort(np.concatenate((eu, ev)), kind="stable")
+    at %= max(m, 1)
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n), out=start[1:])
+    # the candidates, the first k entries of each column: every underfull
+    # non-member and, until a compaction drops them, edges found not
+    # underfull and members; listed marks the edges they hold, so an edge
+    # has at most one entry
+    k = m
+    cid = np.arange(m)
+    cu, cv, cw, cp = eu.astype(np.intp), ev.astype(np.intp), ew.copy(), _priority(cid)
+    listed = np.ones(m, dtype=bool)
+    hid = hu = hv = np.zeros(0, dtype=np.intp)  # the members and their ends
+    taken = []  # per round, the edges stepped on and their scaled gains
+    insertions = removals = rounds = 0
 
-    eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
-    caps = b.b
-    ledger = _Ledger(G, b, params, ew)
-    H, L = ledger.H, ledger.L
-    deg, members, load = H.deg, H.members, ledger.load
-    minus_L = ledger.minus_L  # underfull: load[u] + load[v] < minus_L * w
-    idle: list[list[int]] = [[] for _ in range(G.n)]
-    insertions = removals = 0
-    gain_sum, gain_min = 0, None  # over L: the summed and the smallest gain
-
-    def note_gain(gain: int, w: int, bu: int, bv: int):
+    def take(ids, u, v, w, gain):
         # a step on edge (u, v, w) gains at least the floor
-        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), here scaled by b_u b_v
-        # and compared with the gain over L; at unit capacities g = 2w,
-        # the classic 2
-        nonlocal gain_sum, gain_min
-        gain_sum += gain
-        if gain_min is None or gain < gain_min:
-            gain_min = gain
-        denom = bu * bv
-        floor_scaled = w * w * (2 * denom - bu - bv) + 2 * w
-        if gain * denom < floor_scaled * L:
+        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), here scaled by b_u b_v;
+        # at unit capacities g = 2w, the classic 2
+        bu, bv = caps[u], caps[v]
+        floor = w * (w * (2 * bu * bv - bu - bv) + 2)
+        low = np.flatnonzero(gain < floor)
+        if low.size:
+            j = low[np.argmin(ids[low])]
+            denom, fw, fb_u, fb_v = int(bu[j] * bv[j]), int(w[j]), int(bu[j]), int(bv[j])
             raise LocalSearchError(
-                f"potential gain {Fraction(gain, L)} below the per-step floor "
-                f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor_scaled, denom)} "
-                f"for w={w}, b_u={bu}, b_v={bv}")
+                f"potential gain {Fraction(int(gain[j]), denom)} below the per-step floor "
+                f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(int(floor[j]), denom)} "
+                f"for w={fw}, b_u={fb_u}, b_v={fb_v}")
+        taken.append((ids, gain))
 
-    while q_lower:
-        eid = q_lower.popleft()
-        in_lower[eid] = 0
-        u, v, w = eu[eid], ev[eid], ew[eid]
-        if load[u] + load[v] >= minus_L * w:
-            idle[u].append(eid)
-            idle[v].append(eid)
-            continue
-        insertions += 1
-        note_gain(ledger.insert(eid, u, v, w), w, caps[u], caps[v])
-        for x in (u, v):
-            cap = beta * caps[x] + 1
-            if deg[x] > cap:
-                raise LocalSearchError(f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
-        removed = ledger.repair(u, v)
-        # each removed edge is queued by its own refill; marked now, an
-        # earlier removal's refill skips it, as it skipped a member
-        for r in removed:
-            in_lower[r[0]] = 1
-        removals += len(removed)
-        for eid, u, v, w, gain in removed:
-            note_gain(gain, w, caps[u], caps[v])
-            # the removed edge and every idle edge at u or v, each once
-            fresh = [eid]
-            for x in (u, v):
-                for i in idle[x]:
-                    if not in_lower[i] and i not in members:
-                        in_lower[i] = 1
-                        fresh.append(i)
-                idle[x].clear()
-            fresh.sort()
-            q_lower.extend(fresh)
+    def ends(ids):
+        return eu[ids].astype(np.intp), ev[ids].astype(np.intp)
 
-    phi = Fraction(gain_sum, L)
+    while True:
+        lhs, scaled = terms(cu[:k], cv[:k], cw[:k])
+        under = lhs < scaled * beta_minus
+        under &= ~member[cid[:k]]
+        count = np.count_nonzero(under)
+        if not count:
+            break
+        if 4 * count <= 3 * k:
+            listed[cid[:k][~under]] = False
+            keep = np.flatnonzero(under)
+            for col in (cid, cu, cv, cw, cp):
+                col[:count] = col[keep]
+            k = count
+            ids = _matched(cp[:k], cu[:k], cv[:k], eu, ev, n)
+        else:
+            # an edge not underfull gets priority _LAST, all ones
+            ids = _matched(cp[:k] | (under.astype(np.uint64) - _ONE), cu[:k], cv[:k], eu, ev, n)
+        u, v = ends(ids)
+        w = ew[ids].astype(dtype)
+        lhs, scaled = terms(u, v, w)
+        take(ids, u, v, w, w * ((2 * beta - 2) * scaled - w * (caps[u] + caps[v]) - 2 * lhs))
+        member[ids] = True
+        hid, hu, hv = np.concatenate((hid, ids)), np.concatenate((hu, u)), np.concatenate((hv, v))
+        wdeg[u] += w
+        wdeg[v] += w
+        deg[u] += 1
+        deg[v] += 1
+        rounds += 1
+        insertions += ids.size
+        touched = np.concatenate((u, v))
+        cap = beta * caps[touched] + 1
+        bad = np.flatnonzero(deg[touched] > cap)
+        if bad.size:
+            x = touched[bad[0]]
+            raise LocalSearchError(
+                f"mid-build degree {deg[x]} at vertex {x} exceeds {cap[bad[0]]}")
+
+        # only members at the touched vertices can be over their bound
+        hit = np.zeros(n, dtype=bool)
+        hit[touched] = True
+        at_hit = np.flatnonzero(hit[hu] | hit[hv])
+        over, u, v = hid[at_hit], hu[at_hit], hv[at_hit]
+        freed = []
+        while True:
+            lhs, scaled = terms(u, v, ew[over])
+            still = np.flatnonzero(lhs > scaled * beta)
+            if not still.size:
+                break
+            over, u, v = over[still], u[still], v[still]
+            ids = _matched(_priority(over), u, v, eu, ev, n)
+            x, y = ends(ids)
+            w = ew[ids].astype(dtype)
+            lhs, scaled = terms(x, y, w)
+            take(ids, x, y, w, w * (2 * lhs - (2 * beta - 2) * scaled - w * (caps[x] + caps[y])))
+            member[ids] = False
+            wdeg[x] -= w
+            wdeg[y] -= w
+            deg[x] -= 1
+            deg[y] -= 1
+            rounds += 1
+            removals += ids.size
+            freed += (x, y)
+            still = np.flatnonzero(member[over])
+            over, u, v = over[still], u[still], v[still]
+        if freed:
+            keep = np.flatnonzero(member[hid])
+            hid, hu, hv = hid[keep], hu[keep], hv[keep]
+            # list the underfull non-members at the freed vertices that have
+            # no entry, each once
+            xs = np.concatenate(freed)
+            lo = start[xs]
+            size = start[xs + 1] - lo
+            first = np.cumsum(size) - size
+            near = at[np.repeat(lo - first, size) + np.arange(first[-1] + size[-1])]
+            near = near[np.flatnonzero(~(listed[near] | member[near]))]
+            u, v = ends(near)
+            lhs, scaled = terms(u, v, ew[near])
+            under = np.flatnonzero(lhs < scaled * beta_minus)
+            near, once = np.unique(near[under], return_index=True)
+            listed[near] = True
+            for col, values in ((cid, near), (cu, u[under][once]), (cv, v[under][once]),
+                                (cw, ew[near]), (cp, _priority(near))):
+                col[k:k + near.size] = values
+            k += near.size
+
+    del cid, cu, cv, cw, cp, listed, at
+    ids = np.concatenate([ids for ids, _ in taken]) if taken else np.zeros(0, dtype=np.intp)
+    gains = np.concatenate([gain for _, gain in taken]) if taken else np.zeros(0, dtype=dtype)
+    gains = gains.astype(sum_type)
+    denoms, group = np.unique(caps[eu[ids]] * caps[ev[ids]], return_inverse=True)
+    sums = np.zeros(len(denoms), dtype=sum_type)
+    np.add.at(sums, group, gains)
+    lows = np.full(len(denoms), top, dtype=sum_type)
+    np.minimum.at(lows, group, gains)
+    denoms = denoms.tolist()
+    phi = sum(map(Fraction, sums.tolist(), denoms), Fraction(0))
+    H = Subgraph(G, np.flatnonzero(member))
     trace = BuildTrace(steps=insertions + removals, insertions=insertions, removals=removals,
-                       phi_final=phi, min_gain=None if gain_min is None else Fraction(gain_min, L))
+                       phi_final=phi, min_gain=min(map(Fraction, lows.tolist(), denoms),
+                                                   default=None),
+                       rounds=rounds)
     report = validate(G, b, H, params)
     if not report.is_clean:
         raise LocalSearchError(f"construction left violations: {report}")

@@ -308,7 +308,8 @@ class Subgraph:
     ``wdeg[v]`` caches the weighted degree (sum of member-edge weights at
     ``v``) and ``deg[v]`` the plain degree, both lists of Python ints; the
     constructor counts them over the parent's columns in one pass.  The
-    builder's ledger (:class:`wedcs.edcs._Ledger`) is the one writer that
+    offline builder returns its H built this way from its member ids; the
+    stream's ledger (:class:`wedcs.edcs._Ledger`) is the one writer that
     changes ``members`` and the degrees after construction.  Single-writer:
     mutate from one thread only; concurrent readers are fine between
     mutations.

@@ -422,13 +422,12 @@ def _phase1(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: Fraction
     positive; returns H, the positions read and the peak so far, and
     records its counters in ``stats``.
 
-    H changes only through the builder's insert, remove and repair
+    H changes only through the ledger's insert, remove and repair
     (:class:`~wedcs.edcs._Ledger`)."""
     G = stream.graph
     beta, m, order = params.beta, stream.m, stream.order
-    weight: dict[int, int] = {}
-    ledger = _Ledger(G, b, params, weight)
-    H, at, load, L = ledger.H, ledger.at, ledger.load, ledger.L
+    ledger = _Ledger(G, b, params)
+    H, at, weight, load, L = ledger.H, ledger.at, ledger.weight, ledger.load, ledger.L
     minus_L = ledger.minus_L  # underfull: load[u] + load[v] < minus_L * w
     peak = 0
 

@@ -618,112 +618,109 @@ def _step_gain(params: EdcsParams, insert: bool, excess: int, w: int, bu: int, b
     return w * w * (2 * bu * bv - bu - bv) + 2 * w * excess
 
 
-def reference_local_search(G: MultiGraph, b: Capacities, params, *,
-                           check_invariants: bool):
-    """The builder's local search as first written, kept as the reference
-    for ``wedcs.edcs._local_search``: the same steps in the same order,
-    with the queue refills read straight off the structures.  After a
-    removal it scans both endpoints' incident edges for non-members not
-    queued; after an insertion it sorts the union of both endpoints'
-    member sets and queues those over their bound.  Returns ``(H, trace)``
-    exactly as the builder does."""
+_PRIORITY_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invariants: bool,
+                           rounds_out: list | None = None):
+    """The builder's rounds one edge at a time, in ``_excess`` and
+    ``Fraction`` arithmetic: the reference for ``wedcs.edcs._local_search``.
+
+    Edge i has priority i * 0x9E3779B97F4A7C15 mod 2**64.  An insertion
+    round tests every non-member at the degrees before it; every vertex
+    proposes its underfull edge of least priority, and the edges that both
+    endpoints propose enter H together, each priced at the degrees before
+    the round.  Removal sub-rounds follow, over the members at the
+    inserted edges' ends that are over their bound: the mutual proposals
+    among them leave together, priced at the degrees before the sub-round,
+    and the rest are re-tested, until none is over.  The search ends when
+    no non-member is underfull.  Returns ``(H, trace)`` exactly as the
+    builder does; with ``rounds_out``, appends to it per round the kind
+    (``"insert"`` or ``"remove"``), the ids stepped on, ascending, the
+    members and weighted degrees after it and the gains summed so far."""
     beta, beta_minus = params.beta, params.beta_minus
     m = G.m
     H = Subgraph(G)
-    q_upper: deque[int] = deque()
-    q_lower: deque[int] = deque(range(m))
-    in_lower = bytearray(b"\x01") * m
-
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
-    at = incident_ids(G)
     caps = b.b
     wdeg, deg, members = H.wdeg, H.deg, H.members
-    h_at: list[set[int]] = [set() for _ in range(G.n)]
-    steps = insertions = removals = 0
+    prio = [i * _PRIORITY_MULTIPLIER % 2**64 for i in range(m)]
+    steps = insertions = removals = rounds = 0
     # per denominator b_u * b_v: the summed and the smallest scaled gain
     gain_sum: dict[int, int] = {}
     gain_min: dict[int, int] = {}
 
-    excess = _excess  # a local name: called once per queue pop
+    def excess(i: int, k: int) -> int:
+        u, v = eu[i], ev[i]
+        return _excess(wdeg[u], wdeg[v], caps[u], caps[v], ew[i], k)
 
-    def note_gain(gain_scaled: int, w: int, bu: int, bv: int):
-        # a step on edge (u, v, w) gains at least the floor
-        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), scaled here by b_u b_v
-        # (see _step_gain); at unit capacities g = 2w, the classic 2
-        denom = bu * bv
-        gain_sum[denom] = gain_sum.get(denom, 0) + gain_scaled
-        if gain_scaled < gain_min.get(denom, gain_scaled + 1):
-            gain_min[denom] = gain_scaled
-        floor_scaled = w * w * (2 * denom - bu - bv) + 2 * w
-        if check_invariants and gain_scaled < floor_scaled:
-            raise LocalSearchError(
-                f"potential gain {Fraction(gain_scaled, denom)} below the per-step floor "
-                f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor_scaled, denom)} "
-                f"for w={w}, b_u={bu}, b_v={bv}")
+    def mutual(edges: list[int]) -> list[int]:
+        best: dict[int, int] = {}
+        for i in edges:
+            for x in (eu[i], ev[i]):
+                if x not in best or prio[i] < prio[best[x]]:
+                    best[x] = i
+        return sorted(i for i in edges if best[eu[i]] == i == best[ev[i]])
 
-    while q_upper or q_lower:
-        if q_upper:
-            eid = q_upper.popleft()
-            if eid not in members:
-                continue
-            u, v, w = eu[eid], ev[eid], ew[eid]
+    def step(picked: list[int], insert: bool):
+        nonlocal steps
+        k = beta_minus if insert else beta
+        priced = [(i, excess(i, k)) for i in picked]  # all at the degrees before
+        for i, e in priced:
+            u, v, w = eu[i], ev[i], ew[i]
             bu, bv = caps[u], caps[v]
-            e = excess(wdeg[u], wdeg[v], bu, bv, w, beta)
-            if e <= 0:
-                continue  # repaired in the meantime
-            members.remove(eid)
-            h_at[u].remove(eid)
-            h_at[v].remove(eid)
-            wdeg[u] -= w
-            wdeg[v] -= w
-            deg[u] -= 1
-            deg[v] -= 1
-            steps += 1
-            removals += 1
-            note_gain(_step_gain(params, False, e, w, bu, bv), w, bu, bv)
-            near = set(at[u])
-            near.update(at[v])
-            for i in sorted(i for i in near if not in_lower[i] and i not in members):
-                in_lower[i] = 1
-                q_lower.append(i)
-        else:
-            eid = q_lower.popleft()
-            in_lower[eid] = 0
-            if eid in members:
-                continue
-            u, v, w = eu[eid], ev[eid], ew[eid]
-            bu, bv = caps[u], caps[v]
-            e = excess(wdeg[u], wdeg[v], bu, bv, w, beta_minus)
-            if e >= 0:
-                continue
-            members.add(eid)
-            h_at[u].add(eid)
-            h_at[v].add(eid)
-            wdeg[u] += w
-            wdeg[v] += w
-            deg[u] += 1
-            deg[v] += 1
-            steps += 1
-            insertions += 1
-            note_gain(_step_gain(params, True, e, w, bu, bv), w, bu, bv)
-            if check_invariants:
-                for x in (u, v):
-                    cap = beta * caps[x] + 1
-                    if deg[x] > cap:
-                        raise LocalSearchError(
-                            f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
-            # an insertion happens only with q_upper empty, and until it
-            # drains only removals follow, which only lower degrees: a member
-            # not over its bound now is still not over it when it would be
-            # popped, and none is queued twice
-            q_upper.extend(i for i in sorted(h_at[u] | h_at[v])
-                           if excess(wdeg[eu[i]], wdeg[ev[i]], caps[eu[i]], caps[ev[i]],
-                                     ew[i], beta) > 0)
+            gain = _step_gain(params, insert, e, w, bu, bv)
+            denom = bu * bv
+            gain_sum[denom] = gain_sum.get(denom, 0) + gain
+            if gain < gain_min.get(denom, gain + 1):
+                gain_min[denom] = gain
+            floor = w * w * (2 * denom - bu - bv) + 2 * w
+            if check_invariants and gain < floor:
+                raise LocalSearchError(
+                    f"potential gain {Fraction(gain, denom)} below the per-step floor "
+                    f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor, denom)} "
+                    f"for w={w}, b_u={bu}, b_v={bv}")
+            sign = 1 if insert else -1
+            (members.add if insert else members.remove)(i)
+            for x in (u, v):
+                wdeg[x] += sign * w
+                deg[x] += sign
+        steps += len(picked)
+        if rounds_out is not None:
+            phi = sum((Fraction(t, d) for d, t in gain_sum.items()), Fraction(0))
+            rounds_out.append(("insert" if insert else "remove", picked, set(members),
+                               list(wdeg), phi))
+
+    while True:
+        under = [i for i in range(m) if i not in members and excess(i, beta_minus) < 0]
+        if not under:
+            break
+        picked = mutual(under)
+        step(picked, True)
+        rounds += 1
+        insertions += len(picked)
+        ends = {x for i in picked for x in (eu[i], ev[i])}
+        if check_invariants:
+            for x in sorted(ends):
+                cap = beta * caps[x] + 1
+                if deg[x] > cap:
+                    raise LocalSearchError(
+                        f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
+        over = sorted(i for i in members if {eu[i], ev[i]} & ends)
+        while True:
+            over = [i for i in over if excess(i, beta) > 0]
+            if not over:
+                break
+            picked = mutual(over)
+            step(picked, False)
+            rounds += 1
+            removals += len(picked)
+            over = [i for i in over if i in members]
 
     phi = sum((Fraction(total, denom) for denom, total in gain_sum.items()), Fraction(0))
     min_seen = min((Fraction(low, denom) for denom, low in gain_min.items()), default=None)
     trace = BuildTrace(steps=steps, insertions=insertions, removals=removals,
-                       phi_final=phi, min_gain=min_seen)
+                       phi_final=phi, min_gain=min_seen, rounds=rounds)
     if check_invariants:
         report = validate(G, b, H, params)
         if not report.is_clean:

@@ -1,6 +1,4 @@
-import inspect
 import math
-import sys
 import warnings
 from fractions import Fraction
 
@@ -11,20 +9,23 @@ from hypothesis import given, settings, strategies as st
 from wedcs import (
     Capacities,
     EdcsParams,
+    GenSpec,
     LocalSearchError,
     MultiGraph,
     Subgraph,
     build_wb_edcs,
+    make_stream,
     max_weight_b_matching_exact,
     parameters_for,
     potential,
+    random_instance,
     tight_instance,
     validate,
 )
 
 from wedcs.edcs import _degree_terms, _Ledger
 
-from helpers import _excess, _step_gain, make_random, reference_local_search, triples
+from helpers import _excess, _step_gain, make_random, reference_round_search, triples
 
 
 # ---------------------------------------------------------------- params
@@ -231,7 +232,7 @@ def _gain(H, b, params, eid, insert):
 
 def _ledger_holding(G, b, params, members):
     """A ledger over G whose H holds ``members``."""
-    ledger = _Ledger(G, b, params, G.w.tolist())
+    ledger = _Ledger(G, b, params)
     for eid in members:
         ledger.insert(eid, *G.triple(eid))
     return ledger
@@ -360,13 +361,14 @@ def test_boundary_step_gain_four_thirds():
 
 def test_builder_rejects_step_below_its_edge_floor():
     # with beta_minus forced to beta - 1, past the beta - 2 the floor needs,
-    # a step gains 5/4: above the uniform 1 + 1/(b_u b_v) but below its own
-    # edge's floor w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) >= 3/2
-    G = MultiGraph(5, [(0, 1, 1), (0, 2, 3), (0, 3, 1), (0, 4, 2), (1, 3, 2), (1, 4, 1)], W=3)
-    b = Capacities([4, 2, 1, 2, 4])
+    # a step on a w=1 edge at capacities (4, 3) gains 17/12: above the
+    # uniform 1 + 1/(b_u b_v) = 13/12 but below its own edge's floor
+    # w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = 19/12
+    G = MultiGraph(5, [(0, 1, 3), (0, 4, 2), (1, 3, 1), (0, 2, 1), (0, 4, 2), (0, 3, 1)], W=3)
+    b = Capacities([4, 3, 3, 4, 3])
     params = EdcsParams(W=3, beta=4, beta_minus=2)
     object.__setattr__(params, "beta_minus", 3)
-    with pytest.raises(LocalSearchError, match="per-step floor"):
+    with pytest.raises(LocalSearchError, match="potential gain 17/12 below the per-step floor"):
         build_wb_edcs(G, b, params)
 
 
@@ -382,6 +384,39 @@ def test_size_bound_vs_oracle(seed):
     limit = Fraction(8, 3) * params.beta**2 * params.W**2 * max(cardinality, 1)
     if trace.steps > limit:
         warnings.warn(f"steps {trace.steps} exceeded the matching-size bound {limit}")
+
+
+@pytest.mark.parametrize("n,m,beta_minus", [(0, 0, 2), (6, 0, 2), (9, 20, 0)],
+                         ids=["no-vertex", "no-edge", "beta-minus-0"])
+def test_build_with_nothing_underfull(n, m, beta_minus):
+    # no edge, or beta_minus = 0, where no edge is ever underfull: no round
+    G, b = make_random(5, n=n, m=m, W=2, b_max=3) if m else (MultiGraph(n, []), None)
+    b = b or Capacities.uniform(n)
+    H, trace = build_wb_edcs(G, b, EdcsParams(W=2, beta=4, beta_minus=beta_minus))
+    assert len(H) == 0 and trace.rounds == trace.steps == 0
+    assert trace.phi_final == 0 and trace.min_gain is None
+
+
+def test_path_in_id_order_takes_few_rounds():
+    # a path whose edges come in id order: with the ids themselves as
+    # priorities, each vertex would propose its lower edge and one edge a
+    # round would enter, 19,999 rounds; the scrambled priorities take few
+    n = 20_000
+    G = MultiGraph(n, [(i, i + 1, 1) for i in range(n - 1)], W=1)
+    H, trace = build_wb_edcs(G, Capacities.uniform(n), EdcsParams(W=1, beta=4, beta_minus=2))
+    assert validate(G, Capacities.uniform(n), H, EdcsParams(W=1, beta=4, beta_minus=2)).is_clean
+    assert trace.rounds <= 64
+
+
+def test_sorted_edge_list_takes_no_more_rounds():
+    # the offline-build bench shape, and a copy with its edge list sorted by
+    # (u, v): the rounds depend on the priorities, not on the edge order
+    G, b = random_instance(GenSpec(seed=7, n=2000, m=50_000, W=3, b_max=4, bipartite=True))
+    order = np.lexsort((G.v, G.u))
+    S = MultiGraph.from_columns(G.n, G.u[order], G.v[order], G.w[order], W=G.W)
+    params = EdcsParams(W=3, beta=12, beta_minus=10)
+    rounds = build_wb_edcs(G, b, params)[1].rounds
+    assert build_wb_edcs(S, b, params)[1].rounds <= 1.25 * rounds
 
 
 @settings(max_examples=40, deadline=None)
@@ -456,11 +491,11 @@ _REFERENCE_CASES = _reference_cases()
 @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
 @pytest.mark.parametrize("name", sorted(_REFERENCE_CASES))
 def test_builder_matches_reference(name, check):
-    # same steps in the same order: the same members and the same trace,
-    # whatever bookkeeping the builder keeps to find its next step; the
-    # builder always runs its checks, the reference with or without its own
+    # the same rounds: the same members and the same trace, whatever
+    # bookkeeping the builder keeps to find its candidates; the builder
+    # always runs its checks, the reference with or without its own
     G, b, params, _ = _REFERENCE_CASES[name]
-    H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=check)
+    H_ref, trace_ref = reference_round_search(G, b, params, check_invariants=check)
     H, trace = build_wb_edcs(G, b, params)
     assert H.members == H_ref.members
     assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
@@ -486,38 +521,32 @@ _LARGE_CAPACITY_CASES = _large_capacity_cases()
 
 
 @pytest.mark.parametrize("name", sorted(_LARGE_CAPACITY_CASES))
-def test_builder_matches_reference_at_large_capacities(name, monkeypatch):
-    # wide common denominators: the builder still takes the reference's
-    # steps, and after every repair each vertex's load is wdeg * (L // b)
-    # and every member's load test has the sign of its _excess, at beta
-    # and at beta_minus
-    from wedcs import edcs
-
+def test_builder_matches_reference_at_large_capacities(name):
+    # where L = lcm(b) is 43 to 140 bits wide, the rule cross-multiplied by
+    # each edge's b_u * b_v stays in int64, and the builder still takes the
+    # reference's rounds
     G, b, params = _LARGE_CAPACITY_CASES[name]
-    repair = edcs._Ledger.repair
-    repairs = []
-
-    def checked_repair(ledger, u, v):
-        removed = repair(ledger, u, v)
-        load, L, wdeg, weight = ledger.load, ledger.L, ledger.H.wdeg, ledger.weight
-        assert load == [d * (L // c) for d, c in zip(wdeg, b.b)]
-        for x, ends in enumerate(ledger.at):
-            for i, y in ends.items():
-                w = weight[i]
-                for k in (params.beta, params.beta_minus):
-                    by_load = load[x] + load[y] - k * w * L
-                    e = _excess(wdeg[x], wdeg[y], b[x], b[y], w, k)
-                    assert (by_load > 0) == (e > 0) and (by_load < 0) == (e < 0)
-        repairs.append(len(removed))
-        return removed
-
-    monkeypatch.setattr(edcs._Ledger, "repair", checked_repair)
-    H_ref, trace_ref = reference_local_search(G, b, params, check_invariants=True)
+    H_ref, trace_ref = reference_round_search(G, b, params, check_invariants=True)
     H, trace = build_wb_edcs(G, b, params)
     assert H.members == H_ref.members
     assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
     assert trace.to_json_dict() == trace_ref.to_json_dict()
-    assert len(repairs) == trace.insertions and sum(repairs) == trace.removals
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_builder_matches_reference_in_python_integers(seed):
+    # weights near 2**40 put the builder's terms past 2**62, so its rounds
+    # run over Python integers
+    G0, b = make_random(600 + seed, n=30, m=150, W=3, b_max=4)
+    scale = 2**40 - 1
+    G = MultiGraph.from_columns(G0.n, G0.u, G0.v, G0.w.astype(np.int64) * scale, W=3 * scale)
+    params = EdcsParams(W=G.W, beta=5, beta_minus=3)
+    H_ref, trace_ref = reference_round_search(G, b, params, check_invariants=True)
+    H, trace = build_wb_edcs(G, b, params)
+    assert trace.removals > 0
+    assert H.members == H_ref.members
+    assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
+    assert trace.to_json_dict() == trace_ref.to_json_dict()
 
 
 def test_large_capacity_cases_cover_wide_denominators():
@@ -551,104 +580,97 @@ def test_reference_cases_cover_the_input_space():
     assert max(G.m for G, *_ in _REFERENCE_CASES.values()) >= 50_000
 
 
-def _loop_states(G, b, params) -> list[dict]:
-    """The builder's queue, idle lists and ledger at every turn of its work
-    loop, copied out of its frame by a line tracer."""
-    from wedcs import edcs
+def _mutual_proposals(pool, G):
+    """The edges of ``pool`` that both ends propose, ascending, each vertex
+    proposing its edge of least priority id * 0x9E3779B97F4A7C15 mod 2**64."""
+    def priority(i):
+        return i * 0x9E3779B97F4A7C15 % 2**64
 
-    search = edcs._local_search
-    lines, first = inspect.getsourcelines(search)
-    loop = first + next(k for k, text in enumerate(lines) if text.strip() == "while q_lower:")
-    states = []
-
-    def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == loop:
-            f = frame.f_locals
-            states.append({
-                "q_lower": list(f["q_lower"]), "in_lower": bytes(f["in_lower"]),
-                "members": set(f["members"]), "wdeg": list(f["ledger"].H.wdeg),
-                "idle": [list(x) for x in f["idle"]],
-                "at": [dict(x) for x in f["ledger"].at],
-            })
-        return local
-
-    before = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is search.__code__ else None)
-    try:
-        search(G, b, params)
-    finally:
-        sys.settrace(before)
-    return states
+    best = {}
+    for i in pool:
+        for x in G.triple(i)[:2]:
+            if x not in best or priority(i) < priority(best[x]):
+                best[x] = i
+    return sorted(i for i in pool if best[G.triple(i)[0]] == i == best[G.triple(i)[1]])
 
 
 @pytest.mark.parametrize("name", sorted(n for n in _REFERENCE_CASES if n != "large"))
 def test_builder_ledger_states(name):
-    # at every turn of the loop: each edge is a member, queued once, or
-    # idle and listed in both of its endpoints' idle lists; every member is
-    # within its bound; a removal empties both endpoints' lists; and the
-    # members removed since the previous turn are those over their bound at
-    # the inserted edge's endpoints, taken in ascending order and each
-    # re-checked at its turn
+    # after each round of the reference: an insertion round inserted exactly
+    # the mutual proposals among the non-members underfull before it, and a
+    # removal sub-round removed exactly those among the members over their
+    # bound before it; the edges of a round share no vertex; every member
+    # is within its bound after the sub-rounds end; and the gains summed so
+    # far equal the potential recount
     G, b, params, _ = _REFERENCE_CASES[name]
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
 
     def excess(wdeg, j, k):
         return _excess(wdeg[eu[j]], wdeg[ev[j]], b[eu[j]], b[ev[j]], ew[j], k)
 
-    states = _loop_states(G, b, params)
-    assert states
-    previous = None
-    for s in states:
-        members, q_lower, in_lower, idle = s["members"], s["q_lower"], s["in_lower"], s["idle"]
-        assert len(set(q_lower)) == len(q_lower) and not members.intersection(q_lower)
-        assert {i for i in range(G.m) if in_lower[i]} == set(q_lower)
-        for i in range(G.m):
-            if i not in members and not in_lower[i]:
-                assert i in idle[eu[i]] and i in idle[ev[i]]
-        at = [{} for _ in range(G.n)]
-        for i in members:
-            at[eu[i]][i], at[ev[i]][i] = ev[i], eu[i]
-        assert s["at"] == at
-        assert all(excess(s["wdeg"], i, params.beta) <= 0 for i in members)
-        if previous is not None:
-            for i in previous["members"] - members:
-                assert idle[eu[i]] == [] and idle[ev[i]] == []
-            held, wdeg = set(previous["members"]), list(previous["wdeg"])
-            popped = previous["q_lower"][0]
-            if excess(wdeg, popped, params.beta_minus) < 0:
-                ends = {eu[popped], ev[popped]}
-                for x in ends:
-                    wdeg[x] += ew[popped]
-                held.add(popped)
-                for j in sorted(j for j in held
-                                if {eu[j], ev[j]} & ends and excess(wdeg, j, params.beta) > 0):
-                    if excess(wdeg, j, params.beta) > 0:
-                        held.remove(j)
-                        wdeg[eu[j]] -= ew[j]
-                        wdeg[ev[j]] -= ew[j]
-            assert members == held and s["wdeg"] == wdeg
-        previous = s
+    rounds = []
+    H, trace = reference_round_search(G, b, params, check_invariants=True, rounds_out=rounds)
+    assert len(rounds) == trace.rounds
+    members, wdeg = set(), [0] * G.n
+    for r, (kind, ids, members_after, wdeg_after, phi) in enumerate(rounds):
+        if kind == "insert":
+            if r:  # the sub-rounds before this round left none over its bound
+                assert all(excess(wdeg, j, params.beta) <= 0 for j in members)
+            pool = [j for j in range(G.m) if j not in members
+                    and excess(wdeg, j, params.beta_minus) < 0]
+        else:
+            pool = [j for j in members if excess(wdeg, j, params.beta) > 0]
+        assert ids and ids == _mutual_proposals(pool, G)
+        assert len({x for j in ids for x in (eu[j], ev[j])}) == 2 * len(ids)
+        sign = 1 if kind == "insert" else -1
+        for j in ids:
+            (members.add if kind == "insert" else members.remove)(j)
+            wdeg[eu[j]] += sign * ew[j]
+            wdeg[ev[j]] += sign * ew[j]
+        assert members == members_after and wdeg == wdeg_after
+        assert phi == potential(Subgraph(G, members), b, params)
+    assert members == H.members
+    assert all(excess(wdeg, j, params.beta_minus) >= 0 for j in range(G.m) if j not in members)
 
 
-@pytest.mark.parametrize("name", sorted(n for n in _REFERENCE_CASES if n != "large"))
-def test_repair_rechecks_only_members_over_their_bound(name, monkeypatch):
-    # each repair removes exactly the members at the inserted edge's ends
-    # that are over their bound at their turn, by the reference excess, in
-    # ascending id order: one at its bound (excess 0) stays
-    from wedcs import edcs
-
+def _phase1_case(name):
+    """(G, b, params, stream seed, epsilon, alpha) of a phase-1 run: a
+    reference case read three edges an epoch, or the golden hubs stream at
+    its own interval sizes (alpha None)."""
+    if name == "hubs":
+        G = MultiGraph(4 + 1250, [(i % 4, 4 + i // 4, 1) for i in range(5000)], W=1)
+        return G, Capacities.uniform(G.n), EdcsParams(W=1, beta=6, beta_minus=4), 1234, \
+            Fraction(2, 5), None
     G, b, params, _ = _REFERENCE_CASES[name]
+    return G, b, params, 7, Fraction(1), 3
+
+
+@pytest.mark.parametrize("name", [*sorted(n for n in _REFERENCE_CASES if n != "large"), "hubs"])
+def test_repair_rechecks_only_members_over_their_bound(name, monkeypatch):
+    # stream phase 1 inserts through the ledger and repairs after each
+    # insertion: each repair removes exactly the members at the inserted
+    # edge's ends that are over their bound at their turn, by the
+    # reference excess, in ascending id order; one at its bound (excess 0)
+    # stays.  The reference cases are read three edges an epoch, where
+    # their own interval sizes would be zero
+    from wedcs import edcs, streaming
+
+    G, b, params, seed, eps, alpha = _phase1_case(name)
+    if alpha is not None:
+        monkeypatch.setattr(streaming, "_interval", lambda params, eps, m, i: alpha)
     repair, remove = edcs._Ledger.repair, edcs._Ledger.remove
-    spied = []
-    counts = []
+    spied, counts = [], []
+    repairing = False
 
     def spied_remove(ledger, eid, u, v, w):
-        wdeg = ledger.H.wdeg
-        assert _excess(wdeg[u], wdeg[v], b[u], b[v], w, params.beta) > 0, eid
-        spied.append(eid)
+        if repairing:
+            wdeg = ledger.H.wdeg
+            assert _excess(wdeg[u], wdeg[v], b[u], b[v], w, params.beta) > 0, eid
+            spied.append(eid)
         return remove(ledger, eid, u, v, w)
 
     def checked_repair(ledger, u, v):
+        nonlocal repairing
         wdeg, at, weight = list(ledger.H.wdeg), ledger.at, ledger.weight
         expected = []
         for i in sorted({i for x in (u, v) for i in at[x]}):
@@ -659,12 +681,17 @@ def test_repair_rechecks_only_members_over_their_bound(name, monkeypatch):
                 wdeg[x] -= w
                 wdeg[y] -= w
         spied.clear()
+        repairing = True
         removed = repair(ledger, u, v)
+        repairing = False
         assert spied == expected == [r[0] for r in removed]
         counts.append(len(expected))
         return removed
 
     monkeypatch.setattr(edcs._Ledger, "remove", spied_remove)
     monkeypatch.setattr(edcs._Ledger, "repair", checked_repair)
-    _, trace = edcs._local_search(G, b, params)
-    assert len(counts) == trace.insertions and sum(counts) == trace.removals
+    stats = streaming.StreamRunStats(seed=seed, m=G.m, variant=3, prng=streaming.PRNG_ID)
+    H, pos, _ = streaming._phase1(make_stream(G, seed), b, params, eps, stats, None, True)
+    assert pos > 0 and (counts or params.beta_minus == 0)
+    if name == "hubs":  # unit capacities and W = 1: no repair removes
+        assert stats.fallback_used == "none" and len(counts) == 8

@@ -1,6 +1,7 @@
 """Traced-memory bounds for graph construction, reading its file and the
 stream pass on a 2e5-edge raw-multiplicity graph (n=100, W=3, b <= 3, the
-stream-multiplicity shape), and for what a solved graph keeps.
+stream-multiplicity shape), for what a solved graph keeps, and for the
+offline build on the offline-build shape.
 
 Each bound sits between two measurements taken with numpy 2.4 and noted
 at the test: the peak of the per-edge and per-position forms the package
@@ -16,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 import wedcs.streaming as streaming
-from wedcs import (Capacities, EdcsParams, MultiGraph, make_stream,
-                   max_weight_b_matching_exact, read_graph, write_graph)
+from wedcs import (Capacities, EdcsParams, GenSpec, MultiGraph, build_wb_edcs, make_stream,
+                   max_weight_b_matching_exact, random_instance, read_graph, write_graph)
 
 from helpers import make_random, traced_peak
 
@@ -103,3 +104,13 @@ def test_solved_graph_retains():
     finally:
         tracemalloc.stop()
     assert retained < 3.8 * MB
+
+
+def test_build_peak():
+    # the offline-build shape (bipartite random_instance, seed 7, n=2000,
+    # m=5e4, W=3, b <= 4, beta 12/10): 9.98 MB with the one-edge loop over
+    # Python lists, 4.78 MB with the rounds over candidate columns
+    G, b = random_instance(GenSpec(seed=7, n=2000, m=50_000, W=3, b_max=4, bipartite=True))
+    G.pair
+    params = EdcsParams(W=3, beta=12, beta_minus=10)
+    assert traced_peak(lambda: build_wb_edcs(G, b, params)) < 7.5 * MB
