@@ -19,6 +19,10 @@ The bipartite cases' ``matching`` digests were replaced once, when the
 bipartite solver changed from min-cost flow to the primal-dual method:
 among optimal matchings that tie on weight the two pick different edges.
 Their ``stats`` digests, which hold ``result_weight``, did not change.
+The build cases' digests were replaced once, when the builder changed
+from one queued edge at a time to rounds of vertex-disjoint steps
+(``edcs.BUILDER_ID``): the rounds keep another H, and the trace gained
+its ``rounds`` and ``builder`` fields.
 
 A digest changes only when behaviour does.  A change that means to alter
 a seeded output must say why and replace the digest; print the current
@@ -200,16 +204,16 @@ STREAM_GOLDEN: dict[str, dict[str, str]] = {
 
 BUILD_GOLDEN: dict[str, dict[str, str]] = {
     "build-n14-beta6": {
-        "trace": "bef0d8c14993069884c176158f6b2079fd3f416d25e0645f576017bcf6eeda6b",
-        "H": "b0033a21d33dca252d2d4ec6fb48e34b77758a5c7ae37fe53c007de4fb3a60a2",
+        "trace": "4fe56ee2c3e36a73648d4389c5e5985c643f1d0076af16be0a45faf242167113",
+        "H": "58b04302f43b36ed063064da6d788c1d443745478b676856b7b1edd68ad645f3",
     },
     "build-n14-beta10": {
-        "trace": "21dd7856717d83aa1de703fdedeed63ff88cb3b5cbc600143403fe6ea7beab21",
-        "H": "1ffaad671182a46f9786013c516d25593c01305d5bbe6f14602ae6f7803c6eaa",
+        "trace": "5debed8b0d4ef7a44619f9c1507eadd17e6bf6893c2860f61eb9265ce78b677a",
+        "H": "4770cd29fe5c14abb2f33a1733b5aceac43e5615f30fa1576b1e804ffd50f25d",
     },
     "build-n60-beta12": {
-        "trace": "885482bf7a43c3c4db989ba4512ede586cdadaded13094c7c4144137eb4986ed",
-        "H": "79a136c1a8ceb266170e1310833896e4a4e12cfb573d9eda0cf23f1e18476abe",
+        "trace": "7e7a69f2815bf0f4039f412808a3e23d510a519e0020777f9826a1602bd22733",
+        "H": "f50b252ad888ba32f5173d1a88e1e90c89e1f8cdef085c5677b5aedd8532b4ea",
     },
 }
 

@@ -38,7 +38,7 @@ PARAMS = EdcsParams(W=127, beta=4, beta_minus=2)
 
 GOLDEN = {
     "validate": "72b89a2d2f4fd2ab5def387c2e7db3efc2ab211b290a0a011db38465bf41cdf5",
-    "build": "59909a55c6a1d2008e4c9948d13f200517877f8106f97f034d0fa9ccff18d36d",
+    "build": "18117a9b0fef8753bf983dc9f05782311c596152a5da650a1c5bc17f65a6fd71",
     "stream": "50d2e1b879a8b14e583b75ad855b003168222978150b26819b64f7a80bab313f",
     "exact": "88d380dc3247d7714f4ee67dd6cdf7381962313b5cf450acf0d15ad9945eef61",
 }
