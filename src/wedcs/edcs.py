@@ -421,9 +421,9 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     mutual proposals among them together and re-test the rest at the new
     degrees, until none is over; removals only lower degrees, so no member
     joins that set.  The next round's candidates are the underfull edges
-    left out and every non-member at a vertex that lost a member, since
-    elsewhere degrees only rose.  The search ends when no candidate is
-    underfull, and then no member is over its bound.
+    left out and the non-members that a removal at one of their ends made
+    underfull, since elsewhere degrees only rose.  The search ends when no
+    candidate is underfull, and then no member is over its bound.
 
     The priority of edge i is i * 0x9E3779B97F4A7C15 mod 2**64, a fixed
     scramble: with the ids themselves, a path given in id order would take
