@@ -573,7 +573,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
                 col[k:k + near.size] = values
             k += near.size
 
-    del cid, cu, cv, cw, cp, listed, at
+    del cid, cu, cv, cw, cp, listed, at  # before the final checks allocate
     ids = np.concatenate([ids for ids, _ in taken]) if taken else np.zeros(0, dtype=np.intp)
     gains = np.concatenate([gain for _, gain in taken]) if taken else np.zeros(0, dtype=dtype)
     gains = gains.astype(sum_type)

@@ -639,8 +639,8 @@ def _phase1_case(name):
     its own interval sizes (alpha None)."""
     if name == "hubs":
         G = MultiGraph(4 + 1250, [(i % 4, 4 + i // 4, 1) for i in range(5000)], W=1)
-        return G, Capacities.uniform(G.n), EdcsParams(W=1, beta=6, beta_minus=4), 1234, \
-            Fraction(2, 5), None
+        params = EdcsParams(W=1, beta=6, beta_minus=4)
+        return G, Capacities.uniform(G.n), params, 1234, Fraction(2, 5), None
     G, b, params, _ = _REFERENCE_CASES[name]
     return G, b, params, 7, Fraction(1), 3
 
