@@ -104,9 +104,9 @@ class ViolationReport:
 
 
 #: Names the offline builder in every :class:`BuildTrace`: the local search
-#: takes its steps in rounds of vertex-disjoint edges, which every vertex
-#: picks by least priority id * 0x9E3779B97F4A7C15 mod 2**64.
-BUILDER_ID = "disjoint-rounds-fib64"
+#: takes its steps in rounds, each the greedy matching of its violating
+#: edges in priority order, id * 0x9E3779B97F4A7C15 mod 2**64.
+BUILDER_ID = "greedy-rounds-fib64"
 
 #: An odd multiplier, so id -> id * _SCRAMBLE mod 2**64 is a bijection and
 #: no two edges share a priority; _UNSCRAMBLE is its inverse.  _LAST, the
@@ -377,8 +377,9 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams):
     1 + 1/(b_u * b_v), at least 3/2 unless a w = 1 edge joins a
     unit-capacity endpoint to a capacity >= 3 one, and 2w in the all-unit
     case; termination follows because the potential is bounded.  The
-    steps are taken in rounds of vertex-disjoint edges
-    (:data:`BUILDER_ID`), which gain exactly what they would one by one.
+    steps are taken in rounds, each the greedy matching in priority order
+    of the edges that violate a property (:data:`BUILDER_ID`); steps on
+    vertex-disjoint edges gain exactly what they would one by one.
     """
     _reject_crowded(G, b, "reduce to the relevant subgraph first")
     return _local_search(G, b, params)
@@ -405,29 +406,58 @@ def _matched(prio: np.ndarray, u: np.ndarray, v: np.ndarray, eu: np.ndarray, ev:
     return e[(eu[e] == x) & (best[ev[e]] == best[x])]
 
 
+def _greedy(prio: np.ndarray, u: np.ndarray, v: np.ndarray, eu: np.ndarray, ev: np.ndarray,
+            n: int) -> np.ndarray:
+    """The greedy matching in priority order of the edges (u, v) with
+    priorities ``prio``, ``_LAST`` marking an edge out of the running: the
+    ids of the edges that, taken by ascending priority, meet no edge taken
+    before them.
+
+    An edge whose priority is least at both its ends is taken by the greedy
+    pass, and every edge at one of its ends is not.  So :func:`_matched`
+    repeated over the edges whose two ends are still free, until none is,
+    takes the same edges.  Only the first pass reads the whole pool; on a
+    star nothing is left after it."""
+    ids = _matched(prio, u, v, eu, ev, n)
+    parts = [ids]
+    free = np.ones(n, dtype=bool)
+    left = prio != _LAST
+    while True:
+        free[eu[ids]] = False
+        free[ev[ids]] = False
+        rest = np.flatnonzero(left & free[u] & free[v])
+        if not rest.size:
+            return np.concatenate(parts)
+        prio, u, v = prio[rest], u[rest], v[rest]
+        ids = _matched(prio, u, v, eu, ev, n)
+        parts.append(ids)
+        left = True  # every edge left is in the running
+
+
 def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     """Fix violations in rounds until none remain.
 
     An insertion round tests property (ii) over the candidate non-members
-    at the degrees before the round.  Every vertex proposes its underfull
-    edge of least priority, and the edges that both endpoints propose, a
-    matching, enter H together.  :func:`potential` is a sum of one term
-    per member and one per vertex, so steps on vertex-disjoint edges gain
-    the sum of their single-step gains, each taken at the degrees before
-    the round, and each fixes a violation, so each gains at least its
-    floor.  A vertex gains one member a round, so degrees stay within
-    beta * b_v + 1.  Only members at the round's endpoints can then be
-    over their bound.  Removal sub-rounds take out the least-priority
-    mutual proposals among them together and re-test the rest at the new
-    degrees, until none is over; removals only lower degrees, so no member
-    joins that set.  The next round's candidates are the underfull edges
+    at the degrees before the round, and the greedy matching of the
+    underfull ones in priority order enters H together: taken by ascending
+    priority, each edge that meets none taken before it (:func:`_greedy`).
+    :func:`potential` is a sum of one term per member and one per vertex,
+    so steps on vertex-disjoint edges gain the sum of their single-step
+    gains, each taken at the degrees before the round, and each fixes a
+    violation, so each gains at least its floor.  A vertex gains one member
+    a round, so degrees stay within beta * b_v + 1.  Only members at the
+    round's endpoints can then be over their bound.  Removal sub-rounds
+    take out the greedy matching of those over it together and re-test the
+    rest at the new degrees, until none is over; removals only lower
+    degrees, so no member joins that set.  The next round's candidates are the underfull edges
     left out and the non-members that a removal at one of their ends made
     underfull, since elsewhere degrees only rose.  The search ends when no
     candidate is underfull, and then no member is over its bound.
 
     The priority of edge i is i * 0x9E3779B97F4A7C15 mod 2**64, a fixed
-    scramble: with the ids themselves, a path given in id order would take
-    one insertion a round.
+    scramble: with the ids themselves, a path given in id order would hold
+    one mutual proposal at a time, and its greedy matching would take a
+    pass of :func:`_matched` per edge.
 
     The rule is tested and the steps priced over b_u * b_v through
     :func:`_degree_terms`: with lhs and scaled its two terms before the
@@ -501,10 +531,10 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             for col in (cid, cu, cv, cw, cp):
                 col[:count] = col[keep]
             k = count
-            ids = _matched(cp[:k], cu[:k], cv[:k], eu, ev, n)
+            ids = _greedy(cp[:k], cu[:k], cv[:k], eu, ev, n)
         else:
             # an edge not underfull gets priority _LAST, all ones
-            ids = _matched(cp[:k] | (under.astype(np.uint64) - _ONE), cu[:k], cv[:k], eu, ev, n)
+            ids = _greedy(cp[:k] | (under.astype(np.uint64) - _ONE), cu[:k], cv[:k], eu, ev, n)
         u, v = ends(ids)
         w = ew[ids].astype(dtype)
         lhs, scaled = terms(u, v, w)
@@ -537,7 +567,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             if not still.size:
                 break
             over, u, v = over[still], u[still], v[still]
-            ids = _matched(_priority(over), u, v, eu, ev, n)
+            ids = _greedy(_priority(over), u, v, eu, ev, n)
             x, y = ends(ids)
             w = ew[ids].astype(dtype)
             lhs, scaled = terms(x, y, w)

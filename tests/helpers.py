@@ -627,17 +627,18 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
     ``Fraction`` arithmetic: the reference for ``wedcs.edcs._local_search``.
 
     Edge i has priority i * 0x9E3779B97F4A7C15 mod 2**64.  An insertion
-    round tests every non-member at the degrees before it; every vertex
-    proposes its underfull edge of least priority, and the edges that both
-    endpoints propose enter H together, each priced at the degrees before
-    the round.  Removal sub-rounds follow, over the members at the
-    inserted edges' ends that are over their bound: the mutual proposals
-    among them leave together, priced at the degrees before the sub-round,
-    and the rest are re-tested, until none is over.  The search ends when
-    no non-member is underfull.  Returns ``(H, trace)`` exactly as the
-    builder does; with ``rounds_out``, appends to it per round the kind
-    (``"insert"`` or ``"remove"``), the ids stepped on, ascending, the
-    members and weighted degrees after it and the gains summed so far."""
+    round tests every non-member at the degrees before it; the underfull
+    ones are taken by ascending priority, each unless it meets an edge
+    already taken in the round, and the taken edges enter H together, each
+    priced at the degrees before the round.  Removal sub-rounds follow,
+    over the members at the inserted edges' ends that are over their
+    bound: the same greedy pass picks those that leave together, priced at
+    the degrees before the sub-round, and the rest are re-tested, until
+    none is over.  The search ends when no non-member is underfull.
+    Returns ``(H, trace)`` exactly as the builder does; with
+    ``rounds_out``, appends to it per round the kind (``"insert"`` or
+    ``"remove"``), the ids stepped on, ascending, the members and weighted
+    degrees after it and the gains summed so far."""
     beta, beta_minus = params.beta, params.beta_minus
     m = G.m
     H = Subgraph(G)
@@ -654,13 +655,14 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
         u, v = eu[i], ev[i]
         return _excess(wdeg[u], wdeg[v], caps[u], caps[v], ew[i], k)
 
-    def mutual(edges: list[int]) -> list[int]:
-        best: dict[int, int] = {}
-        for i in edges:
-            for x in (eu[i], ev[i]):
-                if x not in best or prio[i] < prio[best[x]]:
-                    best[x] = i
-        return sorted(i for i in edges if best[eu[i]] == i == best[ev[i]])
+    def greedy(edges: list[int]) -> list[int]:
+        taken: set[int] = set()
+        picked = []
+        for i in sorted(edges, key=prio.__getitem__):
+            if eu[i] not in taken and ev[i] not in taken:
+                taken.update((eu[i], ev[i]))
+                picked.append(i)
+        return sorted(picked)
 
     def step(picked: list[int], insert: bool):
         nonlocal steps
@@ -695,7 +697,7 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
         under = [i for i in range(m) if i not in members and excess(i, beta_minus) < 0]
         if not under:
             break
-        picked = mutual(under)
+        picked = greedy(under)
         step(picked, True)
         rounds += 1
         insertions += len(picked)
@@ -711,7 +713,7 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
             over = [i for i in over if excess(i, beta) > 0]
             if not over:
                 break
-            picked = mutual(over)
+            picked = greedy(over)
             step(picked, False)
             rounds += 1
             removals += len(picked)

@@ -23,7 +23,7 @@ from wedcs import (
     validate,
 )
 
-from wedcs.edcs import _degree_terms, _Ledger
+from wedcs.edcs import _LAST, _degree_terms, _greedy, _Ledger, _matched, _priority
 
 from helpers import _excess, _step_gain, make_random, reference_round_search, triples
 
@@ -580,26 +580,69 @@ def test_reference_cases_cover_the_input_space():
     assert max(G.m for G, *_ in _REFERENCE_CASES.values()) >= 50_000
 
 
-def _mutual_proposals(pool, G):
-    """The edges of ``pool`` that both ends propose, ascending, each vertex
-    proposing its edge of least priority id * 0x9E3779B97F4A7C15 mod 2**64."""
-    def priority(i):
-        return i * 0x9E3779B97F4A7C15 % 2**64
+def _greedy_in_priority_order(pool, G):
+    """The edges of ``pool`` taken by ascending priority
+    id * 0x9E3779B97F4A7C15 mod 2**64, each unless it meets one taken
+    before it, ascending."""
+    taken, picked = set(), []
+    for i in sorted(pool, key=lambda i: i * 0x9E3779B97F4A7C15 % 2**64):
+        u, v, _ = G.triple(i)
+        if u not in taken and v not in taken:
+            taken.update((u, v))
+            picked.append(i)
+    return sorted(picked)
 
-    best = {}
-    for i in pool:
-        for x in G.triple(i)[:2]:
-            if x not in best or priority(i) < priority(best[x]):
-                best[x] = i
-    return sorted(i for i in pool if best[G.triple(i)[0]] == i == best[G.triple(i)[1]])
+
+def _greedy_pool(name):
+    """(graph, the pool's edge ids, which of them are out of the running)
+    for one ``_greedy`` test pool."""
+    path = MultiGraph(40, [(i, i + 1, 1) for i in range(39)], W=1)
+    if name == "empty":
+        return path, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
+    if name == "all-last":
+        return path, np.arange(path.m), np.ones(path.m, dtype=bool)
+    if name == "path":
+        return path, np.arange(path.m), np.zeros(path.m, dtype=bool)
+    if name == "star":
+        G = MultiGraph(41, [(0, i, 1) for i in range(1, 41)], W=1)
+        return G, np.arange(G.m), np.zeros(G.m, dtype=bool)
+    if name == "parallel":
+        # every pair carries two or three parallel edges, in both directions
+        edges = [(x, y, 1) for x, y in [(0, 1), (2, 3), (1, 2), (3, 0), (4, 5), (5, 0)]] * 2
+        G = MultiGraph(6, edges + [(1, 0, 1), (4, 5, 1)], W=1)
+        return G, np.arange(G.m), np.zeros(G.m, dtype=bool)
+    # a random graph's pool, as an insertion round leaves it before its
+    # candidates are compacted: a subset of the edges, the rest out
+    G, _ = make_random(77, n=30, m=200, W=3, b_max=4, allow_parallel=True)
+    ids = np.random.default_rng(3).permutation(G.m)[:150]
+    return G, ids, np.random.default_rng(4).random(ids.size) < 0.3
+
+
+@pytest.mark.parametrize("name", ["empty", "all-last", "parallel", "star", "path", "random"])
+def test_greedy_matches_one_edge_at_a_time(name):
+    # the vectorised greedy matching, repeated mutual proposals over the
+    # edges whose two ends are free, takes the edges that a pass one edge at
+    # a time in priority order takes
+    G, ids, out = _greedy_pool(name)
+    prio = _priority(ids)
+    prio[out] = _LAST
+    u, v = G.u[ids].astype(np.intp), G.v[ids].astype(np.intp)
+    got = _greedy(prio, u, v, G.u, G.v, G.n)
+    assert len(set(got.tolist())) == got.size
+    assert sorted(got.tolist()) == _greedy_in_priority_order(ids[~out].tolist(), G)
+    if name == "star":
+        assert got.size == 1
+    if name in ("parallel", "random"):  # the mutual proposals alone take fewer
+        assert _matched(prio, u, v, G.u, G.v, G.n).size < got.size
 
 
 @pytest.mark.parametrize("name", sorted(n for n in _REFERENCE_CASES if n != "large"))
 def test_builder_ledger_states(name):
     # after each round of the reference: an insertion round inserted exactly
-    # the mutual proposals among the non-members underfull before it, and a
-    # removal sub-round removed exactly those among the members over their
-    # bound before it; the edges of a round share no vertex; every member
+    # the greedy matching in priority order of the non-members underfull
+    # before it, and a removal sub-round removed exactly that of the members
+    # over their bound before it; the edges of a round share no vertex, and
+    # every edge of its pool left out meets one of them; every member
     # is within its bound after the sub-rounds end; and the gains summed so
     # far equal the potential recount
     G, b, params, _ = _REFERENCE_CASES[name]
@@ -620,8 +663,11 @@ def test_builder_ledger_states(name):
                     and excess(wdeg, j, params.beta_minus) < 0]
         else:
             pool = [j for j in members if excess(wdeg, j, params.beta) > 0]
-        assert ids and ids == _mutual_proposals(pool, G)
-        assert len({x for j in ids for x in (eu[j], ev[j])}) == 2 * len(ids)
+        assert ids and ids == _greedy_in_priority_order(pool, G)
+        ends = {x for j in ids for x in (eu[j], ev[j])}
+        assert len(ends) == 2 * len(ids)
+        # maximal: every edge of the pool left out meets a taken one
+        assert all(eu[j] in ends or ev[j] in ends for j in pool if j not in ids)
         sign = 1 if kind == "insert" else -1
         for j in ids:
             (members.add if kind == "insert" else members.remove)(j)
