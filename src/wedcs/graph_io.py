@@ -13,6 +13,10 @@ may come anywhere.  Edge lines as :func:`format_graph` writes them, ``e``
 and three fields of 1 to 18 digits, each after one blank, are read with
 array steps over their bytes; an edge block with any other line in it is
 read one line at a time, to the same graph and the same errors.
+
+The header's ``n`` is at most 2**31 - 1, so that every vertex id fits
+int32; a larger ``n`` fails on the header's line, before anything is
+sized by it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ import numpy as np
 from .graph import Capacities, MultiGraph, Subgraph, _triple_columns
 
 __all__ = ["GraphFormatError", "read_graph", "write_graph", "parse_graph", "format_graph"]
+
+
+#: The largest vertex count a header may declare.
+_MAX_VERTICES = 2**31 - 1
 
 
 class GraphFormatError(ValueError):
@@ -117,6 +125,9 @@ class _ParseState:
                 raise GraphFormatError(line_no, "duplicate header")
             if len(values) != 3:
                 raise GraphFormatError(line_no, "header needs exactly: g <n> <m> <W>")
+            if values[0] > _MAX_VERTICES:
+                raise GraphFormatError(
+                    line_no, f"vertex count {values[0]} exceeds {_MAX_VERTICES}")
             self.header = (values[0], values[1], values[2])
         elif kind == "b":
             if self.header is None:

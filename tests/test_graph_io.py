@@ -176,6 +176,24 @@ def test_header_m_sizes_nothing(text, message):
     assert (exc.value.line_no, str(exc.value)) == (1, f"line 1: {message}")
 
 
+@pytest.mark.parametrize("text, line_no", [
+    ("g 99999999999999999999 0 1\n", 1),
+    ("# n one past the limit\ng 2147483648 0 1\n", 2),
+])
+def test_header_n_past_the_vertex_limit_fails_at_once(text, line_no):
+    # nothing is sized by such an n: the header's own line reports it
+    n = text.split()[-3]
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert (exc.value.line_no, str(exc.value)) == (
+        line_no, f"line {line_no}: vertex count {n} exceeds 2147483647")
+
+
+def test_large_n_without_edges_reads():
+    G, b = parse_graph("g 1000000 0 1\nb 999999 3\n")
+    assert (G.n, G.m, len(b), b[999_999], b[0]) == (1_000_000, 0, 1_000_000, 3, 1)
+
+
 def test_missing_header_and_bad_header_values():
     for text, message in [("", "missing header line 'g <n> <m> <W>'"),
                           ("# only a comment\n", "missing header line 'g <n> <m> <W>'"),
