@@ -19,10 +19,13 @@ The bipartite cases' ``matching`` digests were replaced once, when the
 bipartite solver changed from min-cost flow to the primal-dual method:
 among optimal matchings that tie on weight the two pick different edges.
 Their ``stats`` digests, which hold ``result_weight``, did not change.
-The build cases' digests were replaced once, when the builder changed
-from one queued edge at a time to rounds of vertex-disjoint steps
+The build cases' digests were replaced twice.  First, when the builder
+changed from one queued edge at a time to rounds of vertex-disjoint steps
 (``edcs.BUILDER_ID``): the rounds keep another H, and the trace gained
-its ``rounds`` and ``builder`` fields.
+its ``rounds`` and ``builder`` fields.  Then, when each round came to take
+the greedy matching of its violating edges in priority order, not only
+the mutual least-priority proposals: H, the round count and the builder
+name changed again.
 
 A digest changes only when behaviour does.  A change that means to alter
 a seeded output must say why and replace the digest; print the current
@@ -204,16 +207,16 @@ STREAM_GOLDEN: dict[str, dict[str, str]] = {
 
 BUILD_GOLDEN: dict[str, dict[str, str]] = {
     "build-n14-beta6": {
-        "trace": "4fe56ee2c3e36a73648d4389c5e5985c643f1d0076af16be0a45faf242167113",
-        "H": "58b04302f43b36ed063064da6d788c1d443745478b676856b7b1edd68ad645f3",
+        "trace": "f135fc7c4384821ffbc498765c70344d1880afa37ed1068ea350bdb032fcc515",
+        "H": "fdee642a51a3adc38733f1da40978997b6e37c687265b8b0e02dcf68e634c334",
     },
     "build-n14-beta10": {
-        "trace": "5debed8b0d4ef7a44619f9c1507eadd17e6bf6893c2860f61eb9265ce78b677a",
+        "trace": "289364d5db84cdbda5a6a5bac7d89165dcce5ce08de5ab9dab30495da7f281bd",
         "H": "4770cd29fe5c14abb2f33a1733b5aceac43e5615f30fa1576b1e804ffd50f25d",
     },
     "build-n60-beta12": {
-        "trace": "7e7a69f2815bf0f4039f412808a3e23d510a519e0020777f9826a1602bd22733",
-        "H": "f50b252ad888ba32f5173d1a88e1e90c89e1f8cdef085c5677b5aedd8532b4ea",
+        "trace": "1e4759f0a2b730053c648bd8fc930a18d3301e8cfffdac3f09f03252351adab7",
+        "H": "47117bce5164ecea3ea01248ff7f16aa415d979f02c5248cb4a4c3e9c47cd977",
     },
 }
 

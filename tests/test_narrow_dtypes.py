@@ -9,8 +9,10 @@ degrees between 1,400 and 1,850, so weighted degrees and every
 cross-multiplied degree test leave int8 and int16 range many times over.
 
 The digests were computed with the object-per-edge graph, before the
-columns replaced it, and must replay unchanged; print the current ones
-with ``PYTHONPATH=src python tests/test_narrow_dtypes.py``.
+columns replaced it, and must replay unchanged, except the build digest,
+which follows the builder's round rule (``edcs.BUILDER_ID``) and was
+replaced with it; print the current ones with
+``PYTHONPATH=src python tests/test_narrow_dtypes.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ PARAMS = EdcsParams(W=127, beta=4, beta_minus=2)
 
 GOLDEN = {
     "validate": "72b89a2d2f4fd2ab5def387c2e7db3efc2ab211b290a0a011db38465bf41cdf5",
-    "build": "18117a9b0fef8753bf983dc9f05782311c596152a5da650a1c5bc17f65a6fd71",
+    "build": "62abbbb1719b095373a1212d7fd986e078049c5221e198162a2566183d3ecd5e",
     "stream": "50d2e1b879a8b14e583b75ad855b003168222978150b26819b64f7a80bab313f",
     "exact": "88d380dc3247d7714f4ee67dd6cdf7381962313b5cf450acf0d15ad9945eef61",
 }
