@@ -114,7 +114,6 @@ BUILDER_ID = "greedy-rounds-fib64"
 _SCRAMBLE = np.uint64(0x9E3779B97F4A7C15)
 _UNSCRAMBLE = np.uint64(pow(0x9E3779B97F4A7C15, -1, 2**64))
 _LAST = np.uint64(2**64 - 1)
-_ONE = np.uint64(1)
 
 
 @dataclass
@@ -407,31 +406,37 @@ def _matched(prio: np.ndarray, u: np.ndarray, v: np.ndarray, eu: np.ndarray, ev:
 
 
 def _greedy(prio: np.ndarray, u: np.ndarray, v: np.ndarray, eu: np.ndarray, ev: np.ndarray,
-            n: int) -> np.ndarray:
+            n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The greedy matching in priority order of the edges (u, v) with
     priorities ``prio``, ``_LAST`` marking an edge out of the running: the
     ids of the edges that, taken by ascending priority, meet no edge taken
-    before them.
+    before them, and their ends in ``eu`` and ``ev``, as ``intp``.
 
     An edge whose priority is least at both its ends is taken by the greedy
     pass, and every edge at one of its ends is not.  So :func:`_matched`
     repeated over the edges whose two ends are still free, until none is,
     takes the same edges.  Only the first pass reads the whole pool; on a
     star nothing is left after it."""
-    ids = _matched(prio, u, v, eu, ev, n)
-    parts = [ids]
     free = np.ones(n, dtype=bool)
-    left = prio != _LAST
-    while True:
-        free[eu[ids]] = False
-        free[ev[ids]] = False
-        rest = np.flatnonzero(left & free[u] & free[v])
-        if not rest.size:
-            return np.concatenate(parts)
-        prio, u, v = prio[rest], u[rest], v[rest]
+    parts = []
+
+    def one_pass(prio, u, v):
+        # takes the mutual proposals; returns the positions of the edges
+        # whose two ends stay free
         ids = _matched(prio, u, v, eu, ev, n)
-        parts.append(ids)
-        left = True  # every edge left is in the running
+        x, y = eu[ids].astype(np.intp), ev[ids].astype(np.intp)
+        parts.append((ids, x, y))
+        free[x] = False
+        free[y] = False
+        return np.nonzero(free[u] & free[v])[0]
+
+    rest = one_pass(prio, u, v)
+    if rest.size:  # only the first pass holds edges out of the running
+        rest = rest[prio[rest] != _LAST]
+    while rest.size:
+        prio, u, v = prio[rest], u[rest], v[rest]
+        rest = one_pass(prio, u, v)
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
@@ -449,10 +454,11 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     round's endpoints can then be over their bound.  Removal sub-rounds
     take out the greedy matching of those over it together and re-test the
     rest at the new degrees, until none is over; removals only lower
-    degrees, so no member joins that set.  The next round's candidates are the underfull edges
-    left out and the non-members that a removal at one of their ends made
-    underfull, since elsewhere degrees only rose.  The search ends when no
-    candidate is underfull, and then no member is over its bound.
+    degrees, so no member joins that set.  The next round's candidates are
+    the underfull edges left out and the non-members that a removal at one
+    of their ends made underfull, since elsewhere degrees only rose.  The
+    search ends when no candidate is underfull, and then no member is over
+    its bound.
 
     The priority of edge i is i * 0x9E3779B97F4A7C15 mod 2**64, a fixed
     scramble: with the ids themselves, a path given in id order would hold
@@ -515,9 +521,6 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
                 f"for w={fw}, b_u={fb_u}, b_v={fb_v}")
         taken.append((ids, gain))
 
-    def ends(ids):
-        return eu[ids].astype(np.intp), ev[ids].astype(np.intp)
-
     while True:
         lhs, scaled = terms(cu[:k], cv[:k], cw[:k])
         under = lhs < scaled * beta_minus
@@ -531,11 +534,10 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             for col in (cid, cu, cv, cw, cp):
                 col[:count] = col[keep]
             k = count
-            ids = _greedy(cp[:k], cu[:k], cv[:k], eu, ev, n)
+            ids, u, v = _greedy(cp[:k], cu[:k], cv[:k], eu, ev, n)
         else:
-            # an edge not underfull gets priority _LAST, all ones
-            ids = _greedy(cp[:k] | (under.astype(np.uint64) - _ONE), cu[:k], cv[:k], eu, ev, n)
-        u, v = ends(ids)
+            # an edge not underfull gets priority _LAST
+            ids, u, v = _greedy(np.where(under, cp[:k], _LAST), cu[:k], cv[:k], eu, ev, n)
         w = ew[ids].astype(dtype)
         lhs, scaled = terms(u, v, w)
         take(ids, u, v, w, w * ((2 * beta - 2) * scaled - w * (caps[u] + caps[v]) - 2 * lhs))
@@ -567,8 +569,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             if not still.size:
                 break
             over, u, v = over[still], u[still], v[still]
-            ids = _greedy(_priority(over), u, v, eu, ev, n)
-            x, y = ends(ids)
+            ids, x, y = _greedy(_priority(over), u, v, eu, ev, n)
             w = ew[ids].astype(dtype)
             lhs, scaled = terms(x, y, w)
             take(ids, x, y, w, w * (2 * lhs - (2 * beta - 2) * scaled - w * (caps[x] + caps[y])))
@@ -593,7 +594,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             first = np.cumsum(size) - size
             near = at[np.repeat(lo - first, size) + np.arange(first[-1] + size[-1])]
             near = near[np.flatnonzero(~(listed[near] | member[near]))]
-            u, v = ends(near)
+            u, v = eu[near].astype(np.intp), ev[near].astype(np.intp)
             lhs, scaled = terms(u, v, ew[near])
             under = np.flatnonzero(lhs < scaled * beta_minus)
             near, once = np.unique(near[under], return_index=True)

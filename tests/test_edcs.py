@@ -627,7 +627,8 @@ def test_greedy_matches_one_edge_at_a_time(name):
     prio = _priority(ids)
     prio[out] = _LAST
     u, v = G.u[ids].astype(np.intp), G.v[ids].astype(np.intp)
-    got = _greedy(prio, u, v, G.u, G.v, G.n)
+    got, x, y = _greedy(prio, u, v, G.u, G.v, G.n)
+    assert x.tolist() == G.u[got].tolist() and y.tolist() == G.v[got].tolist()
     assert len(set(got.tolist())) == got.size
     assert sorted(got.tolist()) == _greedy_in_priority_order(ids[~out].tolist(), G)
     if name == "star":
