@@ -111,8 +111,9 @@ def test_build_peak():
     # m=5e4, W=3, b <= 4, beta 12/10): 9.98 MB with the one-edge loop over
     # Python lists, 4.63 MB with rounds over candidate columns that take
     # the mutual proposals, 4.69 MB with rounds that take the greedy
-    # matching.  The first take 361 rounds and the second 130; the round
-    # bound, half of 361, fails if rounds go back to the mutual proposals
+    # matching.  Rounds of mutual proposals number 361 here, greedy rounds
+    # 130; the round bound, half of 361, fails if rounds go back to the
+    # mutual proposals
     G, b = random_instance(GenSpec(seed=7, n=2000, m=50_000, W=3, b_max=4, bipartite=True))
     G.pair
     params = EdcsParams(W=3, beta=12, beta_minus=10)
