@@ -104,16 +104,14 @@ class ViolationReport:
 
 
 #: Names the offline builder in every :class:`BuildTrace`: the local search
-#: takes its steps in rounds, each the greedy matching of its violating
-#: edges in priority order, id * 0x9E3779B97F4A7C15 mod 2**64.
-BUILDER_ID = "greedy-rounds-fib64"
+#: takes its steps in rounds, and a round takes, in priority order
+#: id * 0x9E3779B97F4A7C15 mod 2**64, each violating edge that still
+#: violates with every earlier violating edge at its ends stepped on.
+BUILDER_ID = "prefix-rounds-fib64"
 
 #: An odd multiplier, so id -> id * _SCRAMBLE mod 2**64 is a bijection and
-#: no two edges share a priority; _UNSCRAMBLE is its inverse.  _LAST, the
-#: largest priority, is edge 0x0e217c1e66c88cc3's, past any graph's ids.
+#: no two edges share a priority.
 _SCRAMBLE = np.uint64(0x9E3779B97F4A7C15)
-_UNSCRAMBLE = np.uint64(pow(0x9E3779B97F4A7C15, -1, 2**64))
-_LAST = np.uint64(2**64 - 1)
 
 
 @dataclass
@@ -355,13 +353,23 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
     Strictly increases with every local-search step, which is what bounds
     construction time.  The whole sum is taken in integers over the
     ledger's denominator L = lcm(b), each squared degree times L // b_x,
-    and becomes one ``Fraction``.
+    and becomes one ``Fraction``; each of its two sums is an int64 dot
+    product where every term and the sum fit, and a Python sum beyond.
     """
     G = H.parent
     ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
-    sq = sum(w * w for w in G.w[ids].tolist())
+    w = G.w[ids]
+    if G.W**2 * ids.size < 2**63:
+        w = w.astype(np.int64)
+        sq = int(w @ w)
+    else:
+        sq = sum(x * x for x in w.tolist())
     L = math.lcm(*set(b.b))
-    degrees = sum(d * d * (L // c) for d, c in zip(H.wdeg, b.b, strict=True) if d)
+    if max(max(H.wdeg, default=0), 1) ** 2 * L * G.n < 2**63:
+        d = np.asarray(H.wdeg, dtype=np.int64)
+        degrees = int(d * d @ (L // np.asarray(b.b, dtype=np.int64)))
+    else:
+        degrees = sum(d * d * (L // c) for d, c in zip(H.wdeg, b.b, strict=True) if d)
     return Fraction((2 * params.beta - 2) * sq * L - degrees, L)
 
 
@@ -376,9 +384,10 @@ def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams):
     1 + 1/(b_u * b_v), at least 3/2 unless a w = 1 edge joins a
     unit-capacity endpoint to a capacity >= 3 one, and 2w in the all-unit
     case; termination follows because the potential is bounded.  The
-    steps are taken in rounds, each the greedy matching in priority order
-    of the edges that violate a property (:data:`BUILDER_ID`); steps on
-    vertex-disjoint edges gain exactly what they would one by one.
+    steps are taken in rounds (:data:`BUILDER_ID`): in priority order, a
+    round takes each edge that violates a property and still would with
+    every earlier violating edge at its ends stepped on, so each step
+    fixes a violation at its own moment, as if taken one by one.
     """
     _reject_crowded(G, b, "reduce to the relevant subgraph first")
     return _local_search(G, b, params)
@@ -389,101 +398,88 @@ def _priority(ids: np.ndarray) -> np.ndarray:
     return ids.astype(np.uint64) * _SCRAMBLE
 
 
-def _matched(prio: np.ndarray, u: np.ndarray, v: np.ndarray, eu: np.ndarray, ev: np.ndarray,
-             n: int) -> np.ndarray:
-    """The ids of the edges that both of their endpoints propose, among
-    the edges (u, v) with priorities ``prio``, where every vertex proposes
-    its edge of least priority and ``_LAST`` marks an edge out of the
-    running.  Priorities are distinct, so these edges are vertex-disjoint.
-    A vertex's least priority names its edge, through the inverse
-    scramble, so the mutual test takes one step per vertex."""
-    best = np.full(n, _LAST, dtype=np.uint64)
-    np.minimum.at(best, u, prio)
-    np.minimum.at(best, v, prio)
-    x = np.flatnonzero(best != _LAST)
-    e = (best[x] * _UNSCRAMBLE).astype(np.intp)
-    return e[(eu[e] == x) & (best[ev[e]] == best[x])]
+def _earlier(x: np.ndarray, y: np.ndarray, sum_type):
+    """For a pool of p edges (x, y) listed in priority order: a function
+    of per-edge values c that returns, for every edge, the sums of c over
+    the earlier edges of the pool at its x end and at its y end, as
+    ``sum_type``; an earlier edge parallel to it counts at both.
 
+    The 2p ends are sorted once by (vertex, rank), and each call is an
+    exclusive prefix sum over that order, restarted at every vertex."""
+    p = x.size
+    ends = np.empty(2 * p, dtype=np.int64)
+    ends[0::2], ends[1::2] = x, y  # entry 2r + j is end j of the r-th edge
+    order = np.argsort(ends * (2 * p) + np.arange(2 * p))
+    first = np.flatnonzero(np.diff(ends[order], prepend=-1))
+    size = np.diff(first, append=2 * p)
 
-def _greedy(prio: np.ndarray, u: np.ndarray, v: np.ndarray, eu: np.ndarray, ev: np.ndarray,
-            n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The greedy matching in priority order of the edges (u, v) with
-    priorities ``prio``, ``_LAST`` marking an edge out of the running: the
-    ids of the edges that, taken by ascending priority, meet no edge taken
-    before them, and their ends in ``eu`` and ``ev``, as ``intp``.
+    def sums(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = c[order >> 1]
+        run = np.cumsum(c, dtype=sum_type)
+        run -= c
+        run -= np.repeat(run[first], size)
+        out = np.empty(2 * p, dtype=sum_type)
+        out[order] = run
+        return out[0::2], out[1::2]
 
-    An edge whose priority is least at both its ends is taken by the greedy
-    pass, and every edge at one of its ends is not.  So :func:`_matched`
-    repeated over the edges whose two ends are still free, until none is,
-    takes the same edges.  Only the first pass reads the whole pool; on a
-    star nothing is left after it."""
-    free = np.ones(n, dtype=bool)
-    parts = []
-
-    def one_pass(prio, u, v):
-        # takes the mutual proposals; returns the positions of the edges
-        # whose two ends stay free
-        ids = _matched(prio, u, v, eu, ev, n)
-        x, y = eu[ids].astype(np.intp), ev[ids].astype(np.intp)
-        parts.append((ids, x, y))
-        free[x] = False
-        free[y] = False
-        return np.nonzero(free[u] & free[v])[0]
-
-    rest = one_pass(prio, u, v)
-    if rest.size:  # only the first pass holds edges out of the running
-        rest = rest[prio[rest] != _LAST]
-    while rest.size:
-        prio, u, v = prio[rest], u[rest], v[rest]
-        rest = one_pass(prio, u, v)
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    return sums
 
 
 def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     """Fix violations in rounds until none remain.
 
-    An insertion round tests property (ii) over the candidate non-members
-    at the degrees before the round, and the greedy matching of the
-    underfull ones in priority order enters H together: taken by ascending
-    priority, each edge that meets none taken before it (:func:`_greedy`).
-    :func:`potential` is a sum of one term per member and one per vertex,
-    so steps on vertex-disjoint edges gain the sum of their single-step
-    gains, each taken at the degrees before the round, and each fixes a
-    violation, so each gains at least its floor.  A vertex gains one member
-    a round, so degrees stay within beta * b_v + 1.  Only members at the
-    round's endpoints can then be over their bound.  Removal sub-rounds
-    take out the greedy matching of those over it together and re-test the
-    rest at the new degrees, until none is over; removals only lower
-    degrees, so no member joins that set.  The next round's candidates are
-    the underfull edges left out and the non-members that a removal at one
-    of their ends made underfull, since elsewhere degrees only rose.  The
-    search ends when no candidate is underfull, and then no member is over
-    its bound.
+    A round's pool is its violating edges in priority order.  An insertion
+    round's pool is the underfull non-members at the degrees before it, and
+    it takes each edge (u, v, w) that stays underfull when the weights A_u
+    and A_v of all earlier pool edges at u and at v, taken or not, are
+    added to those degrees: lhs + A_u b_v + A_v b_u < beta_minus * scaled
+    (:func:`_earlier`).  The taken edges enter H together.  Degrees only
+    rise within the round, so were it played one edge at a time in
+    priority order, each taken edge would be underfull at its own moment,
+    when only the earlier taken edges at its ends count: a round is that
+    many single steps, each fixing a violation, and the potential argument
+    holds step by step.  Each step is priced at that moment, from a second
+    prefix sum over the taken edges alone, and checked to violate then.
+    A pool's first edge is always taken.  An edge taken at x had
+    wdeg_x + A_x < beta_minus * W * b_x, A_x counting every edge taken at x
+    before it, so weighted degrees stay within (beta_minus b_x + 1) W - 1,
+    which the builder checks after every insertion round.
+
+    Only members at the round's endpoints can then be over their bound.
+    Removal sub-rounds play the mirrored rule on those: a member leaves if
+    it is still over its bound with every earlier over-member at its ends
+    removed, and the rest are re-tested at the new degrees, until none is
+    over; degrees only fall there, so no member joins that set.  The next
+    round's candidates are the underfull edges left out and the
+    non-members that a removal at one of their ends made underfull, since
+    elsewhere degrees only rose.  The search ends when no candidate is
+    underfull, and then no member is over its bound.
 
     The priority of edge i is i * 0x9E3779B97F4A7C15 mod 2**64, a fixed
-    scramble: with the ids themselves, a path given in id order would hold
-    one mutual proposal at a time, and its greedy matching would take a
-    pass of :func:`_matched` per edge.
+    scramble, so the order of the input's edge list does not decide which
+    edges a round takes.
 
     The rule is tested and the steps priced over b_u * b_v through
-    :func:`_degree_terms`: with lhs and scaled its two terms before the
-    step, an insertion gains w ((2 beta - 2) scaled - w (b_u + b_v)
-    - 2 lhs) / (b_u b_v) and a removal w (2 lhs - (2 beta - 2) scaled
-    - w (b_u + b_v)) / (b_u b_v).  Each gain is checked against its edge's
-    floor as it is taken.  A round's arithmetic is int32 where every term
-    fits, int64 where it fits that, and Python integers beyond.  At the
-    end the gains are summed per denominator b_u * b_v, exactly, and the
-    sums become one ``Fraction``.
+    :func:`_degree_terms`.  With gap how far an edge violates at its
+    moment, beta_minus * scaled - lhs for an insertion and
+    lhs - beta * scaled for a removal, a step gains
+    w (c scaled + 2 gap - w (b_u + b_v)) / (b_u b_v), c = 2 beta - 2 -
+    2 beta_minus for an insertion and 2 for a removal, and each gain is
+    checked against its edge's floor as it is taken.  A round's arithmetic
+    is int32 where every term fits, int64 where it fits that, and Python
+    integers beyond.  At the end the gains are summed per denominator
+    b_u * b_v, exactly, and the sums become one ``Fraction``.
     """
-    n, m, beta, beta_minus = G.n, G.m, params.beta, params.beta_minus
+    n, m, W, beta, beta_minus = G.n, G.m, G.W, params.beta, params.beta_minus
     b_max = max(b.b, default=1)
-    # every term of a round stays within top, and the gains summed over
-    # the edges of one denominator within m * top
-    top = 12 * beta * G.W**2 * b_max**2
+    # degrees stay within beta * W * b, and the earlier pool weights are
+    # clipped below that, so every term of a round stays within top; the
+    # gains summed over the edges of one denominator, and the prefix sums
+    # of pool weights, stay within m * top
+    top = 12 * beta * W**2 * b_max**2
     dtype = np.int32 if top < 2**31 else np.int64 if top < 2**62 else object
     sum_type = np.int64 if top * (m + 1) < 2**62 else object
     wdeg = np.zeros(n, dtype=dtype)
-    deg = np.zeros(n, dtype=np.int64)
     terms = _degree_terms(wdeg, b)
     caps = np.asarray(b.b, dtype=dtype)
     eu, ev, ew = G.u, G.v, G.w
@@ -493,69 +489,77 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     at %= max(m, 1)
     start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n), out=start[1:])
-    # the candidates, the first k entries of each column: every underfull
-    # non-member and, until a compaction drops them, edges found not
-    # underfull and members; listed marks the edges they hold, so an edge
-    # has at most one entry
-    k = m
-    cid = np.arange(m)
-    cu, cv, cw, cp = eu.astype(np.intp), ev.astype(np.intp), ew.copy(), _priority(cid)
+    # the candidates in priority order: every underfull non-member, and
+    # edges that were underfull when last tested; listed marks them
+    cid = np.argsort(_priority(np.arange(m)))
+    cu, cv, cw = eu[cid].astype(np.intp), ev[cid].astype(np.intp), ew[cid].astype(dtype)
     listed = np.ones(m, dtype=bool)
     hid = hu = hv = np.zeros(0, dtype=np.intp)  # the members and their ends
     taken = []  # per round, the edges stepped on and their scaled gains
     insertions = removals = rounds = 0
 
-    def take(ids, u, v, w, gain):
-        # a step on edge (u, v, w) gains at least the floor
-        # g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), here scaled by b_u b_v;
-        # at unit capacities g = 2w, the classic 2
+    def play(ids, u, v, w, lhs, scaled, insert):
+        # steps on the edges of a pool in priority order, (u, v, w) with
+        # their terms before the round, that pass the rule; returns which
+        k = beta_minus if insert else beta
+        gap = k * scaled - lhs if insert else lhs - k * scaled
         bu, bv = caps[u], caps[v]
+        earlier = _earlier(u, v, sum_type)
+        # k * W * b_x of earlier weight at an end x stops an insertion by
+        # itself, and a removal's never reaches it, so the clip decides nothing
+        au, av = (np.minimum(a, k * W * c).astype(dtype) for a, c in zip(earlier(w), (bu, bv)))
+        go = gap > au * bv + av * bu
+        if not go[0]:  # nothing comes before it, so a round always makes progress
+            raise LocalSearchError(f"a round left out its pool's first edge {int(ids[0])}")
+        tu, tv = (a[go].astype(dtype) for a in earlier(np.where(go, w, 0)))
+        ids, w, bu, bv = ids[go], w[go], bu[go], bv[go]
+        gap = gap[go] - tu * bv - tv * bu
+        c = 2 * beta - 2 - 2 * beta_minus if insert else 2
+        gain = w * (c * scaled[go] + 2 * gap - w * (bu + bv))
+        # a step on edge (u, v, w) that fixes a violation gains at least the
+        # floor g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), here scaled by
+        # b_u b_v; at unit capacities g = 2w, the classic 2
         floor = w * (w * (2 * bu * bv - bu - bv) + 2)
-        low = np.flatnonzero(gain < floor)
+        low = np.flatnonzero((gap <= 0) | (gain < floor))
         if low.size:
-            j = low[np.argmin(ids[low])]
+            j = low[0]
             denom, fw, fb_u, fb_v = int(bu[j] * bv[j]), int(w[j]), int(bu[j]), int(bv[j])
+            if gap[j] <= 0:
+                raise LocalSearchError(
+                    f"step on edge {int(ids[j])} fixes no violation at its moment: it is "
+                    f"{Fraction(int(gap[j]), denom)} past its bound")
             raise LocalSearchError(
                 f"potential gain {Fraction(int(gain[j]), denom)} below the per-step floor "
                 f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(int(floor[j]), denom)} "
                 f"for w={fw}, b_u={fb_u}, b_v={fb_v}")
         taken.append((ids, gain))
+        return go
 
     while True:
-        lhs, scaled = terms(cu[:k], cv[:k], cw[:k])
+        lhs, scaled = terms(cu, cv, cw)
         under = lhs < scaled * beta_minus
-        under &= ~member[cid[:k]]
-        count = np.count_nonzero(under)
-        if not count:
+        listed[cid[~under]] = False
+        pool = np.flatnonzero(under)
+        if not pool.size:
             break
-        if 4 * count <= 3 * k:
-            listed[cid[:k][~under]] = False
-            keep = np.flatnonzero(under)
-            for col in (cid, cu, cv, cw, cp):
-                col[:count] = col[keep]
-            k = count
-            ids, u, v = _greedy(cp[:k], cu[:k], cv[:k], eu, ev, n)
-        else:
-            # an edge not underfull gets priority _LAST
-            ids, u, v = _greedy(np.where(under, cp[:k], _LAST), cu[:k], cv[:k], eu, ev, n)
-        w = ew[ids].astype(dtype)
-        lhs, scaled = terms(u, v, w)
-        take(ids, u, v, w, w * ((2 * beta - 2) * scaled - w * (caps[u] + caps[v]) - 2 * lhs))
+        cid, cu, cv, cw, lhs, scaled = (a[pool] for a in (cid, cu, cv, cw, lhs, scaled))
+        go = play(cid, cu, cv, cw, lhs, scaled, True)
+        ids, u, v, w = cid[go], cu[go], cv[go], cw[go]
+        cid, cu, cv, cw = (a[~go] for a in (cid, cu, cv, cw))
+        listed[ids] = False
         member[ids] = True
         hid, hu, hv = np.concatenate((hid, ids)), np.concatenate((hu, u)), np.concatenate((hv, v))
-        wdeg[u] += w
-        wdeg[v] += w
-        deg[u] += 1
-        deg[v] += 1
+        np.add.at(wdeg, u, w)
+        np.add.at(wdeg, v, w)
         rounds += 1
         insertions += ids.size
         touched = np.concatenate((u, v))
-        cap = beta * caps[touched] + 1
-        bad = np.flatnonzero(deg[touched] > cap)
+        cap = (beta_minus * caps[touched] + 1) * W - 1
+        bad = np.flatnonzero(wdeg[touched] > cap)
         if bad.size:
             x = touched[bad[0]]
             raise LocalSearchError(
-                f"mid-build degree {deg[x]} at vertex {x} exceeds {cap[bad[0]]}")
+                f"mid-build weighted degree {wdeg[x]} at vertex {x} exceeds {cap[bad[0]]}")
 
         # only members at the touched vertices can be over their bound
         hit = np.zeros(n, dtype=bool)
@@ -564,47 +568,42 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         over, u, v = hid[at_hit], hu[at_hit], hv[at_hit]
         freed = []
         while True:
-            lhs, scaled = terms(u, v, ew[over])
+            w = ew[over].astype(dtype)
+            lhs, scaled = terms(u, v, w)
             still = np.flatnonzero(lhs > scaled * beta)
             if not still.size:
                 break
-            over, u, v = over[still], u[still], v[still]
-            ids, x, y = _greedy(_priority(over), u, v, eu, ev, n)
-            w = ew[ids].astype(dtype)
-            lhs, scaled = terms(x, y, w)
-            take(ids, x, y, w, w * (2 * lhs - (2 * beta - 2) * scaled - w * (caps[x] + caps[y])))
-            member[ids] = False
-            wdeg[x] -= w
-            wdeg[y] -= w
-            deg[x] -= 1
-            deg[y] -= 1
+            still = still[np.argsort(_priority(over[still]))]
+            over, u, v, w, lhs, scaled = (a[still] for a in (over, u, v, w, lhs, scaled))
+            go = play(over, u, v, w, lhs, scaled, False)
+            x, y, w = u[go], v[go], w[go]
+            member[over[go]] = False
+            np.subtract.at(wdeg, x, w)
+            np.subtract.at(wdeg, y, w)
             rounds += 1
-            removals += ids.size
+            removals += x.size
             freed += (x, y)
-            still = np.flatnonzero(member[over])
-            over, u, v = over[still], u[still], v[still]
+            over, u, v = over[~go], u[~go], v[~go]
         if freed:
             keep = np.flatnonzero(member[hid])
             hid, hu, hv = hid[keep], hu[keep], hv[keep]
             # list the underfull non-members at the freed vertices that have
-            # no entry, each once
-            xs = np.concatenate(freed)
+            # no entry, each once, in priority order among the candidates
+            xs = np.unique(np.concatenate(freed))
             lo = start[xs]
             size = start[xs + 1] - lo
             first = np.cumsum(size) - size
             near = at[np.repeat(lo - first, size) + np.arange(first[-1] + size[-1])]
             near = near[np.flatnonzero(~(listed[near] | member[near]))]
-            u, v = eu[near].astype(np.intp), ev[near].astype(np.intp)
-            lhs, scaled = terms(u, v, ew[near])
-            under = np.flatnonzero(lhs < scaled * beta_minus)
-            near, once = np.unique(near[under], return_index=True)
+            lhs, scaled = terms(eu[near].astype(np.intp), ev[near].astype(np.intp), ew[near])
+            near = np.unique(near[lhs < scaled * beta_minus])
+            near = near[np.argsort(_priority(near))]
             listed[near] = True
-            for col, values in ((cid, near), (cu, u[under][once]), (cv, v[under][once]),
-                                (cw, ew[near]), (cp, _priority(near))):
-                col[k:k + near.size] = values
-            k += near.size
+            spot = np.searchsorted(_priority(cid), _priority(near))
+            cid, cu, cv, cw = (np.insert(col, spot, values) for col, values in
+                               ((cid, near), (cu, eu[near]), (cv, ev[near]), (cw, ew[near])))
 
-    del cid, cu, cv, cw, cp, listed, at  # before the final checks allocate
+    del cid, cu, cv, cw, listed, at  # before the final checks allocate
     ids = np.concatenate([ids for ids, _ in taken]) if taken else np.zeros(0, dtype=np.intp)
     gains = np.concatenate([gain for _, gain in taken]) if taken else np.zeros(0, dtype=dtype)
     gains = gains.astype(sum_type)

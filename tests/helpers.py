@@ -627,15 +627,16 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
     ``Fraction`` arithmetic: the reference for ``wedcs.edcs._local_search``.
 
     Edge i has priority i * 0x9E3779B97F4A7C15 mod 2**64.  An insertion
-    round tests every non-member at the degrees before it; the underfull
-    ones are taken by ascending priority, each unless it meets an edge
-    already taken in the round, and the taken edges enter H together, each
-    priced at the degrees before the round.  Removal sub-rounds follow,
-    over the members at the inserted edges' ends that are over their
-    bound: the same greedy pass picks those that leave together, priced at
-    the degrees before the sub-round, and the rest are re-tested, until
-    none is over.  The search ends when no non-member is underfull.
-    Returns ``(H, trace)`` exactly as the builder does; with
+    round's pool is every non-member underfull at the degrees before it.
+    The pool is walked by ascending priority, and an edge is taken when it
+    is still underfull with the weights of every earlier pool edge at its
+    ends, taken or not, added to the degrees before the round; a taken
+    edge enters H at once and is priced at the degrees of that moment.
+    Removal sub-rounds follow, over the members at the inserted edges'
+    ends that are over their bound: the same walk, with the earlier pool
+    edges' weights taken off, removes those still over it, and the rest are
+    re-tested, until none is over.  The search ends when no non-member is
+    underfull.  Returns ``(H, trace)`` exactly as the builder does; with
     ``rounds_out``, appends to it per round the kind (``"insert"`` or
     ``"remove"``), the ids stepped on, ascending, the members and weighted
     degrees after it and the gains summed so far."""
@@ -655,24 +656,29 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
         u, v = eu[i], ev[i]
         return _excess(wdeg[u], wdeg[v], caps[u], caps[v], ew[i], k)
 
-    def greedy(edges: list[int]) -> list[int]:
-        taken: set[int] = set()
-        picked = []
-        for i in sorted(edges, key=prio.__getitem__):
-            if eu[i] not in taken and ev[i] not in taken:
-                taken.update((eu[i], ev[i]))
-                picked.append(i)
-        return sorted(picked)
-
-    def step(picked: list[int], insert: bool):
+    def play(pool: list[int], insert: bool) -> list[int]:
         nonlocal steps
         k = beta_minus if insert else beta
-        priced = [(i, excess(i, k)) for i in picked]  # all at the degrees before
-        for i, e in priced:
+        sign = 1 if insert else -1
+        before = list(wdeg)
+        passed: dict[int, int] = {}  # the weight of the pool walked so far, per vertex
+        picked = []
+        for i in sorted(pool, key=prio.__getitem__):
             u, v, w = eu[i], ev[i], ew[i]
             bu, bv = caps[u], caps[v]
-            gain = _step_gain(params, insert, e, w, bu, bv)
+            rule = _excess(before[u] + sign * passed.get(u, 0), before[v] + sign * passed.get(v, 0),
+                           bu, bv, w, k)
+            passed[u] = passed.get(u, 0) + w
+            passed[v] = passed.get(v, 0) + w
+            if (rule >= 0) if insert else (rule <= 0):
+                continue
+            e = excess(i, k)  # at this step's moment
             denom = bu * bv
+            if check_invariants and ((e >= 0) if insert else (e <= 0)):
+                raise LocalSearchError(
+                    f"step on edge {i} fixes no violation at its moment: it is "
+                    f"{Fraction(-e if insert else e, denom)} past its bound")
+            gain = _step_gain(params, insert, e, w, bu, bv)
             gain_sum[denom] = gain_sum.get(denom, 0) + gain
             if gain < gain_min.get(denom, gain + 1):
                 gain_min[denom] = gain
@@ -682,39 +688,39 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
                     f"potential gain {Fraction(gain, denom)} below the per-step floor "
                     f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(floor, denom)} "
                     f"for w={w}, b_u={bu}, b_v={bv}")
-            sign = 1 if insert else -1
             (members.add if insert else members.remove)(i)
             for x in (u, v):
                 wdeg[x] += sign * w
                 deg[x] += sign
+            picked.append(i)
+        picked.sort()
         steps += len(picked)
         if rounds_out is not None:
             phi = sum((Fraction(t, d) for d, t in gain_sum.items()), Fraction(0))
             rounds_out.append(("insert" if insert else "remove", picked, set(members),
                                list(wdeg), phi))
+        return picked
 
     while True:
         under = [i for i in range(m) if i not in members and excess(i, beta_minus) < 0]
         if not under:
             break
-        picked = greedy(under)
-        step(picked, True)
+        picked = play(under, True)
         rounds += 1
         insertions += len(picked)
         ends = {x for i in picked for x in (eu[i], ev[i])}
         if check_invariants:
             for x in sorted(ends):
-                cap = beta * caps[x] + 1
-                if deg[x] > cap:
+                cap = (beta_minus * caps[x] + 1) * G.W - 1
+                if wdeg[x] > cap:
                     raise LocalSearchError(
-                        f"mid-build degree {deg[x]} at vertex {x} exceeds {cap}")
+                        f"mid-build weighted degree {wdeg[x]} at vertex {x} exceeds {cap}")
         over = sorted(i for i in members if {eu[i], ev[i]} & ends)
         while True:
             over = [i for i in over if excess(i, beta) > 0]
             if not over:
                 break
-            picked = greedy(over)
-            step(picked, False)
+            picked = play(over, False)
             rounds += 1
             removals += len(picked)
             over = [i for i in over if i in members]

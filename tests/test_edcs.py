@@ -23,7 +23,7 @@ from wedcs import (
     validate,
 )
 
-from wedcs.edcs import _LAST, _degree_terms, _greedy, _Ledger, _matched, _priority
+from wedcs.edcs import _degree_terms, _earlier, _Ledger, _priority
 
 from helpers import _excess, _step_gain, make_random, reference_round_search, triples
 
@@ -398,14 +398,43 @@ def test_build_with_nothing_underfull(n, m, beta_minus):
 
 
 def test_path_in_id_order_takes_few_rounds():
-    # a path whose edges come in id order: with the ids themselves as
-    # priorities, each vertex would propose its lower edge and one edge a
-    # round would enter, 19,999 rounds; the scrambled priorities take few
+    # a path whose edges come in id order: a round that took a matching of
+    # proposals by id, one edge per vertex, would take 19,999 rounds; in the
+    # prefix rule an edge meets at most two earlier pool edges, of weight 1,
+    # and stays underfull, so one round takes them all
     n = 20_000
     G = MultiGraph(n, [(i, i + 1, 1) for i in range(n - 1)], W=1)
     H, trace = build_wb_edcs(G, Capacities.uniform(n), EdcsParams(W=1, beta=4, beta_minus=2))
     assert validate(G, Capacities.uniform(n), H, EdcsParams(W=1, beta=4, beta_minus=2)).is_clean
-    assert trace.rounds <= 64
+    assert trace.rounds == 1
+
+
+def _hub_instance(name):
+    """A star whose centre has capacity 50 and 5,000 leaves of capacity 1,
+    or 20 hubs of capacity 40 joined to the same 2,639 leaves of capacity
+    1 to 4 (a complete bipartite graph, 52,780 edges); W = 3."""
+    rng = np.random.default_rng(0)
+    if name == "star":
+        u, v, hubs, hub_b, leaf_b = np.zeros(5000), np.arange(1, 5001), 1, 50, np.ones(5000)
+    else:
+        hubs, hub_b, leaf_b = 20, 40, rng.integers(1, 5, 2639)
+        u, v = np.repeat(np.arange(hubs), 2639), hubs + np.tile(np.arange(2639), hubs)
+    G = MultiGraph.from_columns(hubs + leaf_b.size, u.astype(np.int64), v.astype(np.int64),
+                                rng.integers(1, 4, u.size), W=3)
+    return G, Capacities([hub_b] * hubs + leaf_b.astype(int).tolist())
+
+
+@pytest.mark.parametrize("name,bound", [("star", 10), ("shared-hubs", 150)])
+def test_hubs_build_in_few_rounds(name, bound):
+    # a round that took one edge per vertex needed 1,082 rounds for the
+    # star and 1,609 for the shared hubs: a hub gains one member a round.
+    # The prefix rule takes a hub's edges while its earlier pool weight
+    # leaves them underfull, many a round
+    G, b = _hub_instance(name)
+    params = EdcsParams(W=3, beta=12, beta_minus=10)
+    H, trace = build_wb_edcs(G, b, params)
+    assert validate(G, b, H, params).is_clean
+    assert trace.rounds <= bound
 
 
 def test_sorted_edge_list_takes_no_more_rounds():
@@ -580,72 +609,78 @@ def test_reference_cases_cover_the_input_space():
     assert max(G.m for G, *_ in _REFERENCE_CASES.values()) >= 50_000
 
 
-def _greedy_in_priority_order(pool, G):
-    """The edges of ``pool`` taken by ascending priority
-    id * 0x9E3779B97F4A7C15 mod 2**64, each unless it meets one taken
-    before it, ascending."""
-    taken, picked = set(), []
-    for i in sorted(pool, key=lambda i: i * 0x9E3779B97F4A7C15 % 2**64):
-        u, v, _ = G.triple(i)
-        if u not in taken and v not in taken:
-            taken.update((u, v))
-            picked.append(i)
-    return sorted(picked)
-
-
-def _greedy_pool(name):
-    """(graph, the pool's edge ids, which of them are out of the running)
-    for one ``_greedy`` test pool."""
-    path = MultiGraph(40, [(i, i + 1, 1) for i in range(39)], W=1)
-    if name == "empty":
-        return path, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
-    if name == "all-last":
-        return path, np.arange(path.m), np.ones(path.m, dtype=bool)
-    if name == "path":
-        return path, np.arange(path.m), np.zeros(path.m, dtype=bool)
-    if name == "star":
-        G = MultiGraph(41, [(0, i, 1) for i in range(1, 41)], W=1)
-        return G, np.arange(G.m), np.zeros(G.m, dtype=bool)
-    if name == "parallel":
+def _prefix_pool(name):
+    """(x, y, c) of one ``_earlier`` test pool, listed in priority order."""
+    if name in ("empty", "path"):
+        G = MultiGraph(40, [(i, i + 1, 1) for i in range(39)] if name == "path" else [], W=1)
+    elif name == "star":
+        # the centre is the first end of some edges and the second of others
+        G = MultiGraph(41, [(0, i, 1) if i % 2 else (i, 0, 1) for i in range(1, 41)], W=1)
+    elif name == "parallel":
         # every pair carries two or three parallel edges, in both directions
         edges = [(x, y, 1) for x, y in [(0, 1), (2, 3), (1, 2), (3, 0), (4, 5), (5, 0)]] * 2
         G = MultiGraph(6, edges + [(1, 0, 1), (4, 5, 1)], W=1)
-        return G, np.arange(G.m), np.zeros(G.m, dtype=bool)
-    # a random graph's pool, as an insertion round leaves it before its
-    # candidates are compacted: a subset of the edges, the rest out
-    G, _ = make_random(77, n=30, m=200, W=3, b_max=4, allow_parallel=True)
-    ids = np.random.default_rng(3).permutation(G.m)[:150]
-    return G, ids, np.random.default_rng(4).random(ids.size) < 0.3
+    elif name == "wide":
+        # the centre's earlier weight passes 2**31
+        W = 2**22
+        G = MultiGraph(1001, [(0, i, W - i) for i in range(1, 1001)], W=W)
+    else:
+        G, _ = make_random(77, n=30, m=200, W=3, b_max=4, allow_parallel=True)
+    ids = np.arange(G.m)
+    ids = ids[np.argsort(_priority(ids))]
+    return G.u[ids].astype(np.intp), G.v[ids].astype(np.intp), G.w[ids].astype(np.int64)
 
 
-@pytest.mark.parametrize("name", ["empty", "all-last", "parallel", "star", "path", "random"])
-def test_greedy_matches_one_edge_at_a_time(name):
-    # the vectorised greedy matching, repeated mutual proposals over the
-    # edges whose two ends are free, takes the edges that a pass one edge at
-    # a time in priority order takes
-    G, ids, out = _greedy_pool(name)
-    prio = _priority(ids)
-    prio[out] = _LAST
-    u, v = G.u[ids].astype(np.intp), G.v[ids].astype(np.intp)
-    got, x, y = _greedy(prio, u, v, G.u, G.v, G.n)
-    assert x.tolist() == G.u[got].tolist() and y.tolist() == G.v[got].tolist()
-    assert len(set(got.tolist())) == got.size
-    assert sorted(got.tolist()) == _greedy_in_priority_order(ids[~out].tolist(), G)
+@pytest.mark.parametrize("name", ["empty", "parallel", "star", "path", "wide", "random"])
+def test_earlier_sums_walk_the_pool_one_edge_at_a_time(name):
+    # the prefix rule's sums: per edge, the weight of the earlier pool edges
+    # at each of its ends, as a walk over the pool in priority order finds
+    # it, whichever end of the earlier edges the vertex is; an earlier
+    # parallel edge counts at both ends
+    x, y, c = _prefix_pool(name)
+    seen, want_x, want_y = {}, [], []
+    for xi, yi, ci in zip(x.tolist(), y.tolist(), c.tolist()):
+        want_x.append(seen.get(xi, 0))
+        want_y.append(seen.get(yi, 0))
+        seen[xi] = seen.get(xi, 0) + ci
+        seen[yi] = seen.get(yi, 0) + ci
+    got_x, got_y = _earlier(x, y, np.int64)(c)
+    assert got_x.tolist() == want_x and got_y.tolist() == want_y
+    # every edge at taken positions only: the sums of the taken ones
+    taken = np.arange(x.size) % 3 == 0
+    tx, ty = _earlier(x, y, np.int64)(np.where(taken, c, 0))
+    assert (tx[:1] == 0).all() and (ty[:1] == 0).all()
+    assert (tx <= got_x).all() and (ty <= got_y).all()
+    if name == "wide":
+        assert got_x.max() >= 2**31
     if name == "star":
-        assert got.size == 1
-    if name in ("parallel", "random"):  # the mutual proposals alone take fewer
-        assert _matched(prio, u, v, G.u, G.v, G.n).size < got.size
+        assert max(want_x + want_y) == x.size - 1
+
+
+def test_star_whose_earlier_weight_passes_int32():
+    # W = 7,723 keeps the round's arithmetic in int32, while the centre's
+    # earlier pool weight passes 2**31 after 278,000 leaves; clipped, every
+    # edge after the first is left out, and only the first enters H
+    W, leaves = 7723, 300_000
+    G = MultiGraph.from_columns(leaves + 1, np.zeros(leaves, dtype=np.int64),
+                                np.arange(1, leaves + 1), np.full(leaves, W), W=W)
+    params = EdcsParams(W=W, beta=3, beta_minus=1)
+    assert 12 * params.beta * W**2 < 2**31 < leaves * W
+    H, trace = build_wb_edcs(G, Capacities.uniform(G.n), params)
+    assert H.members == {int(np.argmin(_priority(np.arange(leaves))))}
+    assert trace.rounds == trace.steps == 1
 
 
 @pytest.mark.parametrize("name", sorted(n for n in _REFERENCE_CASES if n != "large"))
 def test_builder_ledger_states(name):
-    # after each round of the reference: an insertion round inserted exactly
-    # the greedy matching in priority order of the non-members underfull
-    # before it, and a removal sub-round removed exactly that of the members
-    # over their bound before it; the edges of a round share no vertex, and
-    # every edge of its pool left out meets one of them; every member
-    # is within its bound after the sub-rounds end; and the gains summed so
-    # far equal the potential recount
+    # after each round of the reference: a round stepped on exactly the
+    # edges of its pool (the non-members underfull before an insertion
+    # round, the members over their bound before a removal sub-round) that,
+    # walked in priority order, still violate with the weights of the
+    # earlier pool edges at their ends counted as stepped on; the pool's
+    # first edge is always taken, and each taken edge violates at its own
+    # moment; every member is within its bound after the sub-rounds end;
+    # and the gains summed so far equal the potential recount
     G, b, params, _ = _REFERENCE_CASES[name]
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
 
@@ -660,20 +695,26 @@ def test_builder_ledger_states(name):
         if kind == "insert":
             if r:  # the sub-rounds before this round left none over its bound
                 assert all(excess(wdeg, j, params.beta) <= 0 for j in members)
-            pool = [j for j in range(G.m) if j not in members
-                    and excess(wdeg, j, params.beta_minus) < 0]
+            k, sign = params.beta_minus, 1
+            pool = [j for j in range(G.m) if j not in members and excess(wdeg, j, k) < 0]
         else:
-            pool = [j for j in members if excess(wdeg, j, params.beta) > 0]
-        assert ids and ids == _greedy_in_priority_order(pool, G)
-        ends = {x for j in ids for x in (eu[j], ev[j])}
-        assert len(ends) == 2 * len(ids)
-        # maximal: every edge of the pool left out meets a taken one
-        assert all(eu[j] in ends or ev[j] in ends for j in pool if j not in ids)
-        sign = 1 if kind == "insert" else -1
-        for j in ids:
-            (members.add if kind == "insert" else members.remove)(j)
-            wdeg[eu[j]] += sign * ew[j]
-            wdeg[ev[j]] += sign * ew[j]
+            k, sign = params.beta, -1
+            pool = [j for j in members if excess(wdeg, j, k) > 0]
+        pool.sort(key=lambda j: j * 0x9E3779B97F4A7C15 % 2**64)
+        assert ids and pool[0] in ids
+        passed, now = [0] * G.n, list(wdeg)
+        for j in pool:
+            x, y, w = eu[j], ev[j], ew[j]
+            rule = _excess(wdeg[x] + sign * passed[x], wdeg[y] + sign * passed[y], b[x], b[y], w, k)
+            assert (j in ids) == (sign * rule < 0)
+            passed[x] += w
+            passed[y] += w
+            if j in ids:
+                assert sign * excess(now, j, k) < 0
+                now[x] += sign * w
+                now[y] += sign * w
+                (members.add if kind == "insert" else members.remove)(j)
+        wdeg = now
         assert members == members_after and wdeg == wdeg_after
         assert phi == potential(Subgraph(G, members), b, params)
     assert members == H.members
