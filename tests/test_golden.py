@@ -19,13 +19,17 @@ The bipartite cases' ``matching`` digests were replaced once, when the
 bipartite solver changed from min-cost flow to the primal-dual method:
 among optimal matchings that tie on weight the two pick different edges.
 Their ``stats`` digests, which hold ``result_weight``, did not change.
-The build cases' digests were replaced twice.  First, when the builder
-changed from one queued edge at a time to rounds of vertex-disjoint steps
-(``edcs.BUILDER_ID``): the rounds keep another H, and the trace gained
-its ``rounds`` and ``builder`` fields.  Then, when each round came to take
-the greedy matching of its violating edges in priority order, not only
-the mutual least-priority proposals: H, the round count and the builder
-name changed again.
+The build cases' digests were replaced three times.  First, when the
+builder changed from one queued edge at a time to rounds of
+vertex-disjoint steps (``edcs.BUILDER_ID``): the rounds keep another H,
+and the trace gained its ``rounds`` and ``builder`` fields.  Then, when
+each round came to take the greedy matching of its violating edges in
+priority order, not only the mutual least-priority proposals: H, the
+round count and the builder name changed again.  Last, when a round came
+to take, in priority order, every violating edge that still violates with
+the earlier violating edges at its ends stepped on, so that a vertex can
+gain or lose several edges a round: the traces, two of the three H and
+the builder name changed.
 
 A digest changes only when behaviour does.  A change that means to alter
 a seeded output must say why and replace the digest; print the current
@@ -207,16 +211,16 @@ STREAM_GOLDEN: dict[str, dict[str, str]] = {
 
 BUILD_GOLDEN: dict[str, dict[str, str]] = {
     "build-n14-beta6": {
-        "trace": "f135fc7c4384821ffbc498765c70344d1880afa37ed1068ea350bdb032fcc515",
-        "H": "fdee642a51a3adc38733f1da40978997b6e37c687265b8b0e02dcf68e634c334",
+        "trace": "ccb331d7c2dd90482cbb0aa2c6a3e192809e97afd38ad5bc7a30446d5b6e1179",
+        "H": "ef8b0bccb7d78c26aaa1856f6bac3c488575c586c0e9b66e72e71abfbcbbe3cf",
     },
     "build-n14-beta10": {
-        "trace": "289364d5db84cdbda5a6a5bac7d89165dcce5ce08de5ab9dab30495da7f281bd",
+        "trace": "5e827c0cf69149aa551b5d6341646cfc8165d0b0ce75fe849caaba411d9f1765",
         "H": "4770cd29fe5c14abb2f33a1733b5aceac43e5615f30fa1576b1e804ffd50f25d",
     },
     "build-n60-beta12": {
-        "trace": "1e4759f0a2b730053c648bd8fc930a18d3301e8cfffdac3f09f03252351adab7",
-        "H": "47117bce5164ecea3ea01248ff7f16aa415d979f02c5248cb4a4c3e9c47cd977",
+        "trace": "be9f493534cf5cd91794ce9d49fe753a2378479e473c0477bc2ca80a6009af73",
+        "H": "f528ac1d25c433e98d825bd6a95721372dba569570161ff7adb64d3d5a0d49ee",
     },
 }
 

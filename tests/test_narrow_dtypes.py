@@ -40,7 +40,7 @@ PARAMS = EdcsParams(W=127, beta=4, beta_minus=2)
 
 GOLDEN = {
     "validate": "72b89a2d2f4fd2ab5def387c2e7db3efc2ab211b290a0a011db38465bf41cdf5",
-    "build": "62abbbb1719b095373a1212d7fd986e078049c5221e198162a2566183d3ecd5e",
+    "build": "942b4371fe5f1abde7b18bf6ff1765fcccbb7f7f3167cf0878a961bd47dffbec",
     "stream": "50d2e1b879a8b14e583b75ad855b003168222978150b26819b64f7a80bab313f",
     "exact": "88d380dc3247d7714f4ee67dd6cdf7381962313b5cf450acf0d15ad9945eef61",
 }
