@@ -409,17 +409,21 @@ def _earlier(x: np.ndarray, y: np.ndarray, sum_type):
     p = x.size
     ends = np.empty(2 * p, dtype=np.int64)
     ends[0::2], ends[1::2] = x, y  # entry 2r + j is end j of the r-th edge
-    order = np.argsort(ends * (2 * p) + np.arange(2 * p))
-    first = np.flatnonzero(np.diff(ends[order], prepend=-1))
-    size = np.diff(first, append=2 * p)
+    order = np.arange(2 * p)
+    order += ends * (2 * p)
+    order = np.argsort(order).astype(np.int32 if 2 * p < 2**31 else np.int64)
+    ends = ends[order]
+    first = np.flatnonzero(np.r_[p > 0, ends[1:] != ends[:-1]])  # each vertex's first entry
 
     def sums(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c = c[order >> 1]
-        run = np.cumsum(c, dtype=sum_type)
-        run -= c
-        run -= np.repeat(run[first], size)
+        c = np.asarray(c, dtype=sum_type)[order >> 1]
+        # each vertex's first entry also takes off the total of the vertex
+        # before it, so one running sum restarts at every vertex
+        c[first[1:]] -= np.add.reduceat(c, first)[:-1]
+        np.cumsum(c, out=c)
         out = np.empty(2 * p, dtype=sum_type)
-        out[order] = run
+        out[order[1:]] = c[:-1]
+        out[order[first]] = 0
         return out[0::2], out[1::2]
 
     return sums
@@ -440,10 +444,9 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     many single steps, each fixing a violation, and the potential argument
     holds step by step.  Each step is priced at that moment, from a second
     prefix sum over the taken edges alone, and checked to violate then.
-    A pool's first edge is always taken.  An edge taken at x had
-    wdeg_x + A_x < beta_minus * W * b_x, A_x counting every edge taken at x
-    before it, so weighted degrees stay within (beta_minus b_x + 1) W - 1,
-    which the builder checks after every insertion round.
+    An edge taken at x had wdeg_x + A_x < beta_minus * W * b_x, A_x
+    counting every edge taken at x before it, so weighted degrees stay
+    within (beta_minus b_x + 1) W - 1, checked after every insertion round.
 
     Only members at the round's endpoints can then be over their bound.
     Removal sub-rounds play the mirrored rule on those: a member leaves if
@@ -456,10 +459,8 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     underfull, and then no member is over its bound.
 
     The priority of edge i is i * 0x9E3779B97F4A7C15 mod 2**64, a fixed
-    scramble, so the order of the input's edge list does not decide which
-    edges a round takes.
-
-    The rule is tested and the steps priced over b_u * b_v through
+    scramble, so the order of the input's edge list does not set the
+    rounds.  The rule is tested and the steps priced over b_u * b_v through
     :func:`_degree_terms`.  With gap how far an edge violates at its
     moment, beta_minus * scaled - lhs for an insertion and
     lhs - beta * scaled for a removal, a step gains
@@ -525,9 +526,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             j = low[0]
             denom, fw, fb_u, fb_v = int(bu[j] * bv[j]), int(w[j]), int(bu[j]), int(bv[j])
             if gap[j] <= 0:
-                raise LocalSearchError(
-                    f"step on edge {int(ids[j])} fixes no violation at its moment: it is "
-                    f"{Fraction(int(gap[j]), denom)} past its bound")
+                raise LocalSearchError(f"step on edge {int(ids[j])} fixes no violation at its moment")
             raise LocalSearchError(
                 f"potential gain {Fraction(int(gain[j]), denom)} below the per-step floor "
                 f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(int(floor[j]), denom)} "
@@ -543,6 +542,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         if not pool.size:
             break
         cid, cu, cv, cw, lhs, scaled = (a[pool] for a in (cid, cu, cv, cw, lhs, scaled))
+        del pool
         go = play(cid, cu, cv, cw, lhs, scaled, True)
         ids, u, v, w = cid[go], cu[go], cv[go], cw[go]
         cid, cu, cv, cw = (a[~go] for a in (cid, cu, cv, cw))

@@ -675,9 +675,7 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
             e = excess(i, k)  # at this step's moment
             denom = bu * bv
             if check_invariants and ((e >= 0) if insert else (e <= 0)):
-                raise LocalSearchError(
-                    f"step on edge {i} fixes no violation at its moment: it is "
-                    f"{Fraction(-e if insert else e, denom)} past its bound")
+                raise LocalSearchError(f"step on edge {i} fixes no violation at its moment")
             gain = _step_gain(params, insert, e, w, bu, bv)
             gain_sum[denom] = gain_sum.get(denom, 0) + gain
             if gain < gain_min.get(denom, gain + 1):
