@@ -485,14 +485,14 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     caps = np.asarray(b.b, dtype=dtype)
     eu, ev, ew = G.u, G.v, G.w
     member = np.zeros(m, dtype=bool)
+    index = np.int32 if m < 2**31 else np.int64  # for the long arrays of edge ids
     # the ids of the edges at each vertex x, at[start[x]:start[x + 1]]
-    at = np.argsort(np.concatenate((eu, ev)), kind="stable")
-    at %= max(m, 1)
+    at = (np.argsort(np.concatenate((eu, ev)), kind="stable") % max(m, 1)).astype(index)
     start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n), out=start[1:])
     # the candidates in priority order: every underfull non-member, and
     # edges that were underfull when last tested; listed marks them
-    cid = np.argsort(_priority(np.arange(m)))
+    cid = np.argsort(_priority(np.arange(m))).astype(index)
     cu, cv, cw = eu[cid].astype(np.intp), ev[cid].astype(np.intp), ew[cid].astype(dtype)
     listed = np.ones(m, dtype=bool)
     hid = hu = hv = np.zeros(0, dtype=np.intp)  # the members and their ends
@@ -589,15 +589,16 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             hid, hu, hv = hid[keep], hu[keep], hv[keep]
             # list the underfull non-members at the freed vertices that have
             # no entry, each once, in priority order among the candidates
-            xs = np.unique(np.concatenate(freed))
+            xs = np.flatnonzero(np.bincount(np.concatenate(freed), minlength=n))
             lo = start[xs]
             size = start[xs + 1] - lo
             first = np.cumsum(size) - size
             near = at[np.repeat(lo - first, size) + np.arange(first[-1] + size[-1])]
             near = near[np.flatnonzero(~(listed[near] | member[near]))]
             lhs, scaled = terms(eu[near].astype(np.intp), ev[near].astype(np.intp), ew[near])
-            near = np.unique(near[lhs < scaled * beta_minus])
+            near = near[lhs < scaled * beta_minus]
             near = near[np.argsort(_priority(near))]
+            near = near[np.flatnonzero(np.diff(near, prepend=-1))]  # an edge met at both ends
             listed[near] = True
             spot = np.searchsorted(_priority(cid), _priority(near))
             cid, cu, cv, cw = (np.insert(col, spot, values) for col, values in

@@ -111,7 +111,7 @@ def test_build_peak():
     # m=5e4, W=3, b <= 4, beta 12/10): 9.98 MB with the one-edge loop over
     # Python lists, 4.63 MB with rounds over candidate columns that take
     # the mutual proposals, 4.69 MB with rounds that take the greedy
-    # matching, 5.95 MB with prefix sums over each round's pool.  Rounds
+    # matching, 5.38 MB with prefix sums over each round's pool.  Rounds
     # number 361 with mutual proposals, 130 with greedy matchings and 23
     # with the prefix rule; the round bound, about twice 23, fails if
     # rounds go back to one edge per vertex
