@@ -542,7 +542,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         if not pool.size:
             break
         cid, cu, cv, cw, lhs, scaled = (a[pool] for a in (cid, cu, cv, cw, lhs, scaled))
-        del pool
+        del pool  # before play allocates
         go = play(cid, cu, cv, cw, lhs, scaled, True)
         ids, u, v, w = cid[go], cu[go], cv[go], cw[go]
         cid, cu, cv, cw = (a[~go] for a in (cid, cu, cv, cw))
@@ -595,7 +595,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
             first = np.cumsum(size) - size
             near = at[np.repeat(lo - first, size) + np.arange(first[-1] + size[-1])]
             near = near[np.flatnonzero(~(listed[near] | member[near]))]
-            lhs, scaled = terms(eu[near].astype(np.intp), ev[near].astype(np.intp), ew[near])
+            lhs, scaled = terms(eu[near], ev[near], ew[near])
             near = near[lhs < scaled * beta_minus]
             near = near[np.argsort(_priority(near))]
             near = near[np.flatnonzero(np.diff(near, prepend=-1))]  # an edge met at both ends
