@@ -34,7 +34,7 @@ params = EdcsParams(W=3, beta=10, beta_minus=8)
 H, trace = build_wb_edcs(G, b, params)
 print(f"\nlocal search kept {len(H)}/{G.m} edges in {trace.steps} steps "
       f"({trace.insertions} insertions, {trace.removals} removals) over "
-      f"{trace.rounds} rounds, each a greedy matching of violating edges")
+      f"{trace.rounds} rounds of violating edges taken in priority order")
 print(f"final potential {trace.phi_final}, smallest step gain {trace.min_gain}")
 
 report = validate(G, b, H, params)
