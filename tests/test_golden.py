@@ -10,7 +10,9 @@ dies and the interval size floors to zero) and ``small_output`` (the store
 survives).  ``fallbacks-v3-chunks`` is a raw-multiplicity stream of more
 than 2 * 2**15 edges whose relevant store dies after the first 2**15
 positions, so that a pass over chunks of positions crosses chunk
-boundaries in both phases of the store.  Builder cases pin ``BuildTrace.to_json_dict()`` and H.
+boundaries in both phases of the store.  Builder cases pin
+``BuildTrace.to_json_dict()`` and H, from 40 edges up to the
+948,871-edge relevant subgraph of a raw spec.
 Generator cases pin ``random_instance``'s edge triples and capacities for
 bipartite, general and raw-multiplicity specs, and gadget cases the edge
 triples and sparsifier ids of ``tight_instance`` and ``multicopy_instance``.
@@ -57,6 +59,7 @@ from wedcs import (
     run_with_fallbacks,
     tight_instance,
 )
+from wedcs.graph import _relevant_ids
 
 from helpers import make_random, triples
 
@@ -122,6 +125,12 @@ STREAM_CASES = {
                             EdcsParams(W=2, beta=3, beta_minus=1), "0.49", 9, 3, "none"),
 }
 
+def _relevant_raw(seed: int, n: int, m: int):
+    # the relevant subgraph of a raw-multiplicity bipartite spec
+    G, b = make_random(seed, n=n, m=m, W=3, b_max=4, bipartite=True, allow_parallel=True)
+    return G.restrict(_relevant_ids(G, b))[0], b
+
+
 # name -> (instance, params)
 BUILD_CASES = {
     "build-n14-beta6": (lambda: make_random(0, n=14, m=40, W=3, b_max=3),
@@ -130,6 +139,9 @@ BUILD_CASES = {
                          EdcsParams(W=3, beta=10, beta_minus=8)),
     "build-n60-beta12": (lambda: make_random(2, n=60, m=400, W=3, b_max=4, bipartite=True),
                          EdcsParams(W=3, beta=12, beta_minus=10)),
+    # 948,871 edges in 41 rounds: the builder at the bench ladder's top rung
+    "build-relevant-n4000-m1e6": (lambda: _relevant_raw(7, 4000, 1_000_000),
+                                  EdcsParams(W=3, beta=12, beta_minus=10)),
 }
 
 # name -> spec
@@ -221,6 +233,10 @@ BUILD_GOLDEN: dict[str, dict[str, str]] = {
     "build-n60-beta12": {
         "trace": "be9f493534cf5cd91794ce9d49fe753a2378479e473c0477bc2ca80a6009af73",
         "H": "f528ac1d25c433e98d825bd6a95721372dba569570161ff7adb64d3d5a0d49ee",
+    },
+    "build-relevant-n4000-m1e6": {
+        "trace": "113a48e03906a09c73ae81a4c61a335fb5155ed60e18e5f1739f13d2f2a44dca",
+        "H": "0ca21c8a4feff3ee2212e1692725d47589126ad4a802978dcfb58cd0c0e5d4ae",
     },
 }
 
