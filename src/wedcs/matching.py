@@ -50,8 +50,10 @@ class BMatching:
     weight: int
 
     def verify(self, G: MultiGraph, b: Capacities) -> bool:
-        ids = np.asarray(self.edge_ids, dtype=np.int64)
-        if len(np.unique(ids)) != len(ids):
+        """Whether the ids name distinct edges of G whose weights sum to
+        ``weight`` and whose ends stay within their capacities."""
+        ids = np.sort(np.asarray(self.edge_ids, dtype=np.int64))
+        if ids.size and (ids[0] < 0 or ids[-1] >= G.m or (ids[1:] == ids[:-1]).any()):
             return False
         load = np.bincount(G.u[ids], minlength=G.n) + np.bincount(G.v[ids], minlength=G.n)
         total = int(G.w[ids].sum(dtype=np.int64))
