@@ -54,6 +54,18 @@ def test_exact_triangle_capacities():
     assert max_weight_b_matching_exact(G, Capacities.uniform(3, 2)).weight == 3
 
 
+@pytest.mark.parametrize("ids,weight,ok", [
+    ([1], 3, True), ([0, 1], 4, True), ([], 0, True),
+    ([-1], 3, False), ([2], 0, False), ([0, 0], 2, False), ([1, 1], 6, False), ([0], 3, False),
+], ids=["one", "both", "none", "negative", "past-m", "repeat", "repeat-fit", "weight"])
+def test_verify_checks_edge_ids(ids, weight, ok):
+    # an id outside [0, m) names no edge: -1 must not wrap round to the
+    # last one, and m must not raise; a repeated id is one edge used twice,
+    # even where capacity would allow it
+    G = MultiGraph(3, [(0, 1, 1), (1, 2, 3)], W=3)
+    assert BMatching(ids, weight).verify(G, Capacities.uniform(3, 2)) is ok
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_branch_and_bound_matches_enumeration(seed):
     G, b = make_random(seed, n=6, m=8, W=4, b_max=3, allow_parallel=True)
