@@ -15,8 +15,9 @@ Both are one comparison in exact integer arithmetic; the termination
 argument lives on slacks of 1/(b_u * b_v) that floating point would
 destroy.  The rule has two kernels, one per scale.  Over edge columns,
 :func:`_degree_terms` cross-multiplies it by each edge's b_u * b_v, which
-keeps its arrays within int64; the offline builder's rounds,
-:func:`validate`, phase 2 and the stream's invariant check use it.  For
+keeps its arrays within int64; :func:`validate`, phase 2 and the stream's
+invariant check use it, and the offline builder's rounds hold the same
+terms as columns that they compute once.  For
 one edge at a time, the stream runner's phase 1 changes H only through a
 :class:`_Ledger`, which keeps every weighted degree over one common
 denominator L = lcm(b), inserts, removes, and after an insertion repairs
@@ -112,6 +113,8 @@ BUILDER_ID = "prefix-rounds-fib64"
 #: An odd multiplier, so id -> id * _SCRAMBLE mod 2**64 is a bijection and
 #: no two edges share a priority.
 _SCRAMBLE = np.uint64(0x9E3779B97F4A7C15)
+#: Its inverse mod 2**64, which maps a priority back to its edge's id.
+_UNSCRAMBLE = np.uint64(pow(0x9E3779B97F4A7C15, -1, 2**64))
 
 
 @dataclass
@@ -302,20 +305,14 @@ def _degree_terms(wdeg, b: Capacities, coef: int = 0):
     ledger's L = lcm(b), because these arrays must fit int64: L can be
     hundreds of bits wide where every b_u * b_v is small.
 
-    ``wdeg`` is either a list of Python ints, converted once, here, or an
-    integer or ``object`` array, which the function reads in place, so
-    that its terms follow the caller's later updates.  For a list, given
+    ``wdeg`` is a list of Python ints, converted once, here.  Given
     ``coef`` >= k * w for every edge and every k compared with, the
     arrays are int64 unless a term could reach 2**62, and Python integers
-    (``object``) beyond that.  An array keeps its own dtype, and its
-    caller answers for the range of every term.
+    (``object``) beyond that.
     """
-    if isinstance(wdeg, np.ndarray):
-        dtype = wdeg.dtype
-    else:
-        b_max = max(b.b, default=1)
-        big = max(2 * max(wdeg, default=0), coef * b_max) * b_max >= 2**62
-        dtype = object if big else np.int64
+    b_max = max(b.b, default=1)
+    big = max(2 * max(wdeg, default=0), coef * b_max) * b_max >= 2**62
+    dtype = object if big else np.int64
     caps = np.asarray(b.b, dtype=dtype)
     wd = np.asarray(wdeg, dtype=dtype)
 
@@ -398,45 +395,55 @@ def _priority(ids: np.ndarray) -> np.ndarray:
     return ids.astype(np.uint64) * _SCRAMBLE
 
 
-def _earlier(x: np.ndarray, y: np.ndarray, sum_type):
-    """For a pool of p edges (x, y) listed in priority order: a function
-    of per-edge values c that returns, for every edge, the sums of c over
-    the earlier edges of the pool at its x end and at its y end, as
-    ``sum_type``; an earlier edge parallel to it counts at both.
+def _earlier(x: np.ndarray, y: np.ndarray, c: np.ndarray, sum_type):
+    """For a pool of p edges (x, y) listed in priority order and per-edge
+    values c: the sums of c over the earlier edges of the pool at each
+    edge's x end and at its y end, as ``sum_type``; an earlier edge
+    parallel to it counts at both.
 
-    The 2p ends are sorted once by (vertex, rank), and each call is an
-    exclusive prefix sum over that order, restarted at every vertex."""
+    The 2p ends are sorted by (vertex, rank), and the sums are an
+    exclusive prefix sum over that order, restarted at every vertex.
+    Vertex ids below 2**16 are sorted as ``uint16`` by a stable sort,
+    which numpy makes a radix sort; wider ids as the values of one packed
+    int64 key, vertex * 2p + entry, which sort faster than an argsort."""
     p = x.size
-    ends = np.empty(2 * p, dtype=np.int64)
+    narrow = p == 0 or max(x.max(), y.max()) < 2**16
+    ends = np.empty(2 * p, dtype=np.uint16 if narrow else np.int64)
     ends[0::2], ends[1::2] = x, y  # entry 2r + j is end j of the r-th edge
-    order = np.arange(2 * p)
-    order += ends * (2 * p)
-    order = np.argsort(order).astype(np.int32 if 2 * p < 2**31 else np.int64)
-    ends = ends[order]
+    if narrow:
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+    else:
+        order = np.arange(2 * p)
+        order += ends * (2 * p)
+        order.sort()  # the keys are distinct, so their values name the order
+        ends = order // (2 * p)
+        order %= 2 * p
     first = np.flatnonzero(np.r_[p > 0, ends[1:] != ends[:-1]])  # each vertex's first entry
-
-    def sums(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c = np.asarray(c, dtype=sum_type)[order >> 1]
-        # each vertex's first entry also takes off the total of the vertex
-        # before it, so one running sum restarts at every vertex
-        c[first[1:]] -= np.add.reduceat(c, first)[:-1]
-        np.cumsum(c, out=c)
-        out = np.empty(2 * p, dtype=sum_type)
-        out[order[1:]] = c[:-1]
-        out[order[first]] = 0
-        return out[0::2], out[1::2]
-
-    return sums
+    del ends
+    c = np.asarray(c, dtype=sum_type)[order >> 1]
+    # each vertex's first entry also takes off the total of the vertex
+    # before it, so one running sum restarts at every vertex
+    c[first[1:]] -= np.add.reduceat(c, first)[:-1]
+    np.cumsum(c, out=c)
+    out = np.empty(2 * p, dtype=sum_type)
+    out[order[1:]] = c[:-1]
+    out[order[first]] = 0
+    return out[0::2], out[1::2]
 
 
 def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     """Fix violations in rounds until none remain.
 
-    A round's pool is its violating edges in priority order.  An insertion
-    round's pool is the underfull non-members at the degrees before it, and
-    it takes each edge (u, v, w) that stays underfull when the weights A_u
-    and A_v of all earlier pool edges at u and at v, taken or not, are
-    added to those degrees: lhs + A_u b_v + A_v b_u < beta_minus * scaled
+    Every edge is held once, in priority order, beside the terms of the
+    rule that no step changes: b_u, b_v and beta_minus * scaled, with
+    scaled = b_u b_v w.  A round's pool is its violating edges in that
+    order.  An insertion round's pool is one scan over all m edges: the
+    non-members with lhs = wdeg_u b_v + wdeg_v b_u below
+    beta_minus * scaled at the degrees before the round.  It takes each
+    edge (u, v, w) that stays underfull when the weights A_u and A_v of
+    all earlier pool edges at u and at v, taken or not, are added to
+    those degrees: lhs + A_u b_v + A_v b_u < beta_minus * scaled
     (:func:`_earlier`).  The taken edges enter H together.  Degrees only
     rise within the round, so were it played one edge at a time in
     priority order, each taken edge would be underfull at its own moment,
@@ -452,24 +459,23 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     Removal sub-rounds play the mirrored rule on those: a member leaves if
     it is still over its bound with every earlier over-member at its ends
     removed, and the rest are re-tested at the new degrees, until none is
-    over; degrees only fall there, so no member joins that set.  The next
-    round's candidates are the underfull edges left out and the
-    non-members that a removal at one of their ends made underfull, since
-    elsewhere degrees only rose.  The search ends when no candidate is
-    underfull, and then no member is over its bound.
+    over; degrees only fall there, so no member joins that set.  The
+    search ends when a scan finds no underfull non-member, and then no
+    member is over its bound.
 
     The priority of edge i is i * 0x9E3779B97F4A7C15 mod 2**64, a fixed
     scramble, so the order of the input's edge list does not set the
-    rounds.  The rule is tested and the steps priced over b_u * b_v through
-    :func:`_degree_terms`.  With gap how far an edge violates at its
+    rounds.  The rule is tested and the steps priced over b_u * b_v, as
+    in :func:`_degree_terms`.  With gap how far an edge violates at its
     moment, beta_minus * scaled - lhs for an insertion and
     lhs - beta * scaled for a removal, a step gains
     w (c scaled + 2 gap - w (b_u + b_v)) / (b_u b_v), c = 2 beta - 2 -
     2 beta_minus for an insertion and 2 for a removal, and each gain is
-    checked against its edge's floor as it is taken.  A round's arithmetic
-    is int32 where every term fits, int64 where it fits that, and Python
-    integers beyond.  At the end the gains are summed per denominator
-    b_u * b_v, exactly, and the sums become one ``Fraction``.
+    checked against its edge's floor as it is taken.  The fixed columns
+    and a round's arithmetic are int32 where every term fits, int64 where
+    it fits that, and Python integers beyond.  At the end the gains are
+    summed per denominator b_u * b_v, exactly, and the sums become one
+    ``Fraction``.
     """
     n, m, W, beta, beta_minus = G.n, G.m, G.W, params.beta, params.beta_minus
     b_max = max(b.b, default=1)
@@ -481,79 +487,78 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     dtype = np.int32 if top < 2**31 else np.int64 if top < 2**62 else object
     sum_type = np.int64 if top * (m + 1) < 2**62 else object
     wdeg = np.zeros(n, dtype=dtype)
-    terms = _degree_terms(wdeg, b)
     caps = np.asarray(b.b, dtype=dtype)
-    eu, ev, ew = G.u, G.v, G.w
+    # the edge at position r is order[r]; positions are priority order
+    order = np.sort(_priority(np.arange(m))) * _UNSCRAMBLE  # sorting values beats an argsort
+    order = order.astype(np.int32 if m < 2**31 else np.int64)
+    eu, ev, ew = G.u[order].astype(np.intp), G.v[order].astype(np.intp), G.w[order].astype(dtype)
+    bu, bv = caps[eu], caps[ev]
+    lower = beta_minus * bu * bv * ew  # a non-member is underfull while lhs is below it
     member = np.zeros(m, dtype=bool)
-    index = np.int32 if m < 2**31 else np.int64  # for the long arrays of edge ids
-    # the ids of the edges at each vertex x, at[start[x]:start[x + 1]]
-    at = (np.argsort(np.concatenate((eu, ev)), kind="stable") % max(m, 1)).astype(index)
-    start = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n), out=start[1:])
-    # the candidates in priority order: every underfull non-member, and
-    # edges that were underfull when last tested; listed marks them
-    cid = np.argsort(_priority(np.arange(m))).astype(index)
-    cu, cv, cw = eu[cid].astype(np.intp), ev[cid].astype(np.intp), ew[cid].astype(dtype)
-    listed = np.ones(m, dtype=bool)
-    hid = hu = hv = np.zeros(0, dtype=np.intp)  # the members and their ends
-    taken = []  # per round, the edges stepped on and their scaled gains
+    taken = []  # per round, the positions stepped on and their scaled gains
     insertions = removals = rounds = 0
 
-    def play(ids, u, v, w, lhs, scaled, insert):
-        # steps on the edges of a pool in priority order, (u, v, w) with
-        # their terms before the round, that pass the rule; returns which
+    def shift(ends, w):
+        # adds the weights w to the degrees at their ends; bincount sums in
+        # float64, exactly while every sum stays below 2**53, as below top
+        if top < 2**53:
+            wdeg[:] += np.bincount(ends, w, n).astype(dtype)
+        else:
+            np.add.at(wdeg, ends, w)
+
+    def play(pos, lhs, insert):
+        # steps on the edges at positions pos, ascending, with their lhs
+        # before the round, that pass the rule; returns their positions
+        w, cu, cv = ew[pos], bu[pos], bv[pos]
         k = beta_minus if insert else beta
-        gap = k * scaled - lhs if insert else lhs - k * scaled
-        bu, bv = caps[u], caps[v]
-        earlier = _earlier(u, v, sum_type)
+        gap = k * cu * cv * w
+        gap = gap - lhs if insert else lhs - gap
         # k * W * b_x of earlier weight at an end x stops an insertion by
         # itself, and a removal's never reaches it, so the clip decides nothing
-        au, av = (np.minimum(a, k * W * c).astype(dtype) for a, c in zip(earlier(w), (bu, bv)))
-        go = gap > au * bv + av * bu
+        prefix = np.int32 if W * pos.size < 2**31 else sum_type  # bounds every sum of w
+        au, av = (np.minimum(a, k * W * c).astype(dtype, copy=False)
+                  for a, c in zip(_earlier(eu[pos], ev[pos], w, prefix), (cu, cv)))
+        go = gap > au * cv + av * cu
+        del au, av
         if not go[0]:  # nothing comes before it, so a round always makes progress
-            raise LocalSearchError(f"a round left out its pool's first edge {int(ids[0])}")
-        tu, tv = (a[go].astype(dtype) for a in earlier(np.where(go, w, 0)))
-        ids, w, bu, bv = ids[go], w[go], bu[go], bv[go]
-        gap = gap[go] - tu * bv - tv * bu
+            raise LocalSearchError(f"a round left out its pool's first edge {int(order[pos[0]])}")
+        pos, w, cu, cv = (a[go] for a in (pos, w, cu, cv))
+        # the earlier taken edges are the earlier edges of the taken ones
+        tu, tv = (a.astype(dtype, copy=False) for a in _earlier(eu[pos], ev[pos], w, prefix))
+        gap = gap[go] - tu * cv - tv * cu
         c = 2 * beta - 2 - 2 * beta_minus if insert else 2
-        gain = w * (c * scaled[go] + 2 * gap - w * (bu + bv))
+        gain = w * (c * cu * cv * w + 2 * gap - w * (cu + cv))
         # a step on edge (u, v, w) that fixes a violation gains at least the
         # floor g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), here scaled by
         # b_u b_v; at unit capacities g = 2w, the classic 2
-        floor = w * (w * (2 * bu * bv - bu - bv) + 2)
+        floor = w * (w * (2 * cu * cv - cu - cv) + 2)
         low = np.flatnonzero((gap <= 0) | (gain < floor))
         if low.size:
             j = low[0]
-            denom, fw, fb_u, fb_v = int(bu[j] * bv[j]), int(w[j]), int(bu[j]), int(bv[j])
+            denom, fw, fb_u, fb_v = int(cu[j] * cv[j]), int(w[j]), int(cu[j]), int(cv[j])
             if gap[j] <= 0:
-                raise LocalSearchError(f"step on edge {int(ids[j])} fixes no violation at its moment")
+                raise LocalSearchError(
+                    f"step on edge {int(order[pos[j]])} fixes no violation at its moment")
             raise LocalSearchError(
                 f"potential gain {Fraction(int(gain[j]), denom)} below the per-step floor "
                 f"w^2(2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) = {Fraction(int(floor[j]), denom)} "
                 f"for w={fw}, b_u={fb_u}, b_v={fb_v}")
-        taken.append((ids, gain))
-        return go
+        taken.append((pos, gain))
+        return pos
 
     while True:
-        lhs, scaled = terms(cu, cv, cw)
-        under = lhs < scaled * beta_minus
-        listed[cid[~under]] = False
-        pool = np.flatnonzero(under)
+        lhs = wdeg[eu] * bv + wdeg[ev] * bu
+        pool = np.flatnonzero((lhs < lower) & ~member)
         if not pool.size:
             break
-        cid, cu, cv, cw, lhs, scaled = (a[pool] for a in (cid, cu, cv, cw, lhs, scaled))
-        del pool  # before play allocates
-        go = play(cid, cu, cv, cw, lhs, scaled, True)
-        ids, u, v, w = cid[go], cu[go], cv[go], cw[go]
-        cid, cu, cv, cw = (a[~go] for a in (cid, cu, cv, cw))
-        listed[ids] = False
-        member[ids] = True
-        hid, hu, hv = np.concatenate((hid, ids)), np.concatenate((hu, u)), np.concatenate((hv, v))
-        np.add.at(wdeg, u, w)
-        np.add.at(wdeg, v, w)
+        lhs = lhs[pool]  # drops the scan before play allocates
+        pos = play(pool, lhs, True)
+        del pool, lhs
+        member[pos] = True
+        touched = np.concatenate((eu[pos], ev[pos]))
+        shift(touched, np.tile(ew[pos], 2))
         rounds += 1
-        insertions += ids.size
-        touched = np.concatenate((u, v))
+        insertions += pos.size
         cap = (beta_minus * caps[touched] + 1) * W - 1
         bad = np.flatnonzero(wdeg[touched] > cap)
         if bad.size:
@@ -564,58 +569,34 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         # only members at the touched vertices can be over their bound
         hit = np.zeros(n, dtype=bool)
         hit[touched] = True
-        at_hit = np.flatnonzero(hit[hu] | hit[hv])
-        over, u, v = hid[at_hit], hu[at_hit], hv[at_hit]
-        freed = []
+        over = np.flatnonzero(member)
+        over = over[hit[eu[over]] | hit[ev[over]]]
         while True:
-            w = ew[over].astype(dtype)
-            lhs, scaled = terms(u, v, w)
-            still = np.flatnonzero(lhs > scaled * beta)
+            cu, cv = bu[over], bv[over]
+            lhs = wdeg[eu[over]] * cv + wdeg[ev[over]] * cu
+            still = np.flatnonzero(lhs > beta * cu * cv * ew[over])
             if not still.size:
                 break
-            still = still[np.argsort(_priority(over[still]))]
-            over, u, v, w, lhs, scaled = (a[still] for a in (over, u, v, w, lhs, scaled))
-            go = play(over, u, v, w, lhs, scaled, False)
-            x, y, w = u[go], v[go], w[go]
-            member[over[go]] = False
-            np.subtract.at(wdeg, x, w)
-            np.subtract.at(wdeg, y, w)
+            over = over[still]
+            pos = play(over, lhs[still], False)
+            member[pos] = False
+            shift(np.concatenate((eu[pos], ev[pos])), -np.tile(ew[pos], 2))
             rounds += 1
-            removals += x.size
-            freed += (x, y)
-            over, u, v = over[~go], u[~go], v[~go]
-        if freed:
-            keep = np.flatnonzero(member[hid])
-            hid, hu, hv = hid[keep], hu[keep], hv[keep]
-            # list the underfull non-members at the freed vertices that have
-            # no entry, each once, in priority order among the candidates
-            xs = np.flatnonzero(np.bincount(np.concatenate(freed), minlength=n))
-            lo = start[xs]
-            size = start[xs + 1] - lo
-            first = np.cumsum(size) - size
-            near = at[np.repeat(lo - first, size) + np.arange(first[-1] + size[-1])]
-            near = near[np.flatnonzero(~(listed[near] | member[near]))]
-            lhs, scaled = terms(eu[near], ev[near], ew[near])
-            near = near[lhs < scaled * beta_minus]
-            near = near[np.argsort(_priority(near))]
-            near = near[np.flatnonzero(np.diff(near, prepend=-1))]  # an edge met at both ends
-            listed[near] = True
-            spot = np.searchsorted(_priority(cid), _priority(near))
-            cid, cu, cv, cw = (np.insert(col, spot, values) for col, values in
-                               ((cid, near), (cu, eu[near]), (cv, ev[near]), (cw, ew[near])))
+            removals += pos.size
+            over = over[member[over]]
 
-    del cid, cu, cv, cw, listed, at  # before the final checks allocate
-    ids = np.concatenate([ids for ids, _ in taken]) if taken else np.zeros(0, dtype=np.intp)
+    ids = np.concatenate([pos for pos, _ in taken]) if taken else np.zeros(0, dtype=np.intp)
     gains = np.concatenate([gain for _, gain in taken]) if taken else np.zeros(0, dtype=dtype)
     gains = gains.astype(sum_type)
-    denoms, group = np.unique(caps[eu[ids]] * caps[ev[ids]], return_inverse=True)
+    denoms, group = np.unique(bu[ids] * bv[ids], return_inverse=True)
+    H = Subgraph(G, order[member])
+    del order, eu, ev, ew, bu, bv, lower, member  # before the final checks allocate
     sums = np.zeros(len(denoms), dtype=sum_type)
     np.add.at(sums, group, gains)
     lows = np.full(len(denoms), top, dtype=sum_type)
     np.minimum.at(lows, group, gains)
     denoms = denoms.tolist()
     phi = sum(map(Fraction, sums.tolist(), denoms), Fraction(0))
-    H = Subgraph(G, np.flatnonzero(member))
     trace = BuildTrace(steps=insertions + removals, insertions=insertions, removals=removals,
                        phi_final=phi, min_gain=min(map(Fraction, lows.tolist(), denoms),
                                                    default=None),

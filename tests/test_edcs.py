@@ -578,6 +578,29 @@ def test_builder_matches_reference_in_python_integers(seed):
     assert trace.to_json_dict() == trace_ref.to_json_dict()
 
 
+@pytest.mark.parametrize("n", [2**16 - 1, 2**17], ids=["below-2^16", "above-2^16"])
+def test_builder_matches_reference_at_high_vertex_ids(n):
+    # a sparse graph on 60 vertices with ids in [2**15, n): below 2**16 the
+    # rounds sort pool ends as uint16; above it, where half the vertices are
+    # the other half's ids plus 2**16, alike as uint16, by the packed key
+    rng = np.random.default_rng(n)
+    low = np.sort(rng.choice(np.arange(2**15, min(n, 2**16)), 60 if n < 2**16 else 30,
+                             replace=False))
+    place = low if n < 2**16 else np.r_[low, low + 2**16]
+    G0, b0 = make_random(800, n=60, m=400, W=3, b_max=4)
+    G = MultiGraph.from_columns(n, place[G0.u], place[G0.v], G0.w, W=3)
+    caps = np.ones(n, dtype=np.int64)
+    caps[place] = b0.b
+    b = Capacities(caps.tolist())
+    params = EdcsParams(W=3, beta=6, beta_minus=4)
+    H_ref, trace_ref = reference_round_search(G, b, params, check_invariants=True)
+    H, trace = build_wb_edcs(G, b, params)
+    assert trace.removals > 0
+    assert H.members == H_ref.members
+    assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
+    assert trace.to_json_dict() == trace_ref.to_json_dict()
+
+
 def test_large_capacity_cases_cover_wide_denominators():
     kinds = {}
     for G, b, params in _LARGE_CAPACITY_CASES.values():
@@ -609,6 +632,14 @@ def test_reference_cases_cover_the_input_space():
     assert max(G.m for G, *_ in _REFERENCE_CASES.values()) >= 50_000
 
 
+# the random pool's 30 vertices moved up: to ids in [2**15, 2**16), which
+# int16 would make negative and uint16 keeps; past 2**16, where the packed
+# key sorts them; and to pairs x // 2 and x // 2 + 2**16, which uint16 would
+# make one vertex
+_HIGH_IDS = {"high": lambda x: x + 2**16 - 30, "wider": lambda x: x + 2**20,
+             "straddle": lambda x: x // 2 + (x % 2 << 16)}
+
+
 def _prefix_pool(name):
     """(x, y, c) of one ``_earlier`` test pool, listed in priority order."""
     if name in ("empty", "path"):
@@ -624,6 +655,9 @@ def _prefix_pool(name):
         # the centre's earlier weight passes 2**31
         W = 2**22
         G = MultiGraph(1001, [(0, i, W - i) for i in range(1, 1001)], W=W)
+    elif name in _HIGH_IDS:
+        x, y, c = _prefix_pool("random")
+        return _HIGH_IDS[name](x), _HIGH_IDS[name](y), c
     else:
         G, _ = make_random(77, n=30, m=200, W=3, b_max=4, allow_parallel=True)
     ids = np.arange(G.m)
@@ -631,7 +665,8 @@ def _prefix_pool(name):
     return G.u[ids].astype(np.intp), G.v[ids].astype(np.intp), G.w[ids].astype(np.int64)
 
 
-@pytest.mark.parametrize("name", ["empty", "parallel", "star", "path", "wide", "random"])
+@pytest.mark.parametrize("name", ["empty", "parallel", "star", "path", "wide", "random",
+                                  *_HIGH_IDS])
 def test_earlier_sums_walk_the_pool_one_edge_at_a_time(name):
     # the prefix rule's sums: per edge, the weight of the earlier pool edges
     # at each of its ends, as a walk over the pool in priority order finds
@@ -644,17 +679,24 @@ def test_earlier_sums_walk_the_pool_one_edge_at_a_time(name):
         want_y.append(seen.get(yi, 0))
         seen[xi] = seen.get(xi, 0) + ci
         seen[yi] = seen.get(yi, 0) + ci
-    got_x, got_y = _earlier(x, y, np.int64)(c)
+    got_x, got_y = _earlier(x, y, c, np.int64)
     assert got_x.tolist() == want_x and got_y.tolist() == want_y
     # every edge at taken positions only: the sums of the taken ones
     taken = np.arange(x.size) % 3 == 0
-    tx, ty = _earlier(x, y, np.int64)(np.where(taken, c, 0))
+    tx, ty = _earlier(x, y, np.where(taken, c, 0), np.int64)
     assert (tx[:1] == 0).all() and (ty[:1] == 0).all()
     assert (tx <= got_x).all() and (ty <= got_y).all()
     if name == "wide":
         assert got_x.max() >= 2**31
     if name == "star":
         assert max(want_x + want_y) == x.size - 1
+    ends = np.concatenate((x, y))
+    if name == "high":
+        assert 2**15 <= ends.min() and ends.max() < 2**16
+    if name == "wider":
+        assert ends.min() >= 2**16
+    if name == "straddle":
+        assert np.unique(ends % 2**16).size < np.unique(ends).size
 
 
 def test_star_whose_earlier_weight_passes_int32():
