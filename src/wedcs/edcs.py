@@ -509,17 +509,19 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     def play(pos, lhs, insert):
         # steps on the edges at positions pos, ascending, with their lhs
         # before the round, that pass the rule; returns their positions
-        w, cu, cv = ew[pos], bu[pos], bv[pos]
+        prefix = np.int32 if W * pos.size < 2**31 else sum_type  # bounds every sum of w
+        w = ew[pos]
+        earlier = _earlier(eu[pos], ev[pos], w, prefix)  # before the other pool columns
+        cu, cv = bu[pos], bv[pos]
         k = beta_minus if insert else beta
         gap = k * cu * cv * w
         gap = gap - lhs if insert else lhs - gap
         # k * W * b_x of earlier weight at an end x stops an insertion by
         # itself, and a removal's never reaches it, so the clip decides nothing
-        prefix = np.int32 if W * pos.size < 2**31 else sum_type  # bounds every sum of w
         au, av = (np.minimum(a, k * W * c).astype(dtype, copy=False)
-                  for a, c in zip(_earlier(eu[pos], ev[pos], w, prefix), (cu, cv)))
+                  for a, c in zip(earlier, (cu, cv)))
         go = gap > au * cv + av * cu
-        del au, av
+        del earlier, au, av
         if not go[0]:  # nothing comes before it, so a round always makes progress
             raise LocalSearchError(f"a round left out its pool's first edge {int(order[pos[0]])}")
         pos, w, cu, cv = (a[go] for a in (pos, w, cu, cv))
