@@ -686,6 +686,10 @@ def test_earlier_sums_walk_the_pool_one_edge_at_a_time(name):
     tx, ty = _earlier(x, y, np.where(taken, c, 0), np.int64)
     assert (tx[:1] == 0).all() and (ty[:1] == 0).all()
     assert (tx <= got_x).all() and (ty <= got_y).all()
+    # the builder prices its taken edges from the taken ones alone, as a
+    # pool of their own
+    sx, sy = _earlier(x[taken], y[taken], c[taken], np.int64)
+    assert sx.tolist() == tx[taken].tolist() and sy.tolist() == ty[taken].tolist()
     if name == "wide":
         assert got_x.max() >= 2**31
     if name == "star":
