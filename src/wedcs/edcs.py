@@ -500,7 +500,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
 
     def shift(ends, w):
         # adds the weights w to the degrees at their ends; bincount sums in
-        # float64, exactly while every sum stays below 2**53, as below top
+        # float64, which is exact while every sum, within top, is below 2**53
         if top < 2**53:
             wdeg[:] += np.bincount(ends, w, n).astype(dtype)
         else:
