@@ -498,24 +498,14 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     taken = []  # per round, the positions stepped on and their scaled gains
     insertions = removals = rounds = 0
 
-    def shift(ends, w):
-        # adds the weights w to the degrees at their ends; bincount sums in
-        # float64, which is exact while every sum, within top, is below 2**53
-        if top < 2**53:
-            wdeg[:] += np.bincount(ends, w, n).astype(dtype)
-        else:
-            np.add.at(wdeg, ends, w)
-
-    def play(pos, lhs, insert):
-        # steps on the edges at positions pos, ascending, with their lhs
-        # before the round, that pass the rule; returns their positions
+    def play(pos, gap, insert):
+        # steps on the edges at positions pos, ascending, that pass the rule,
+        # gap being how far each violates before the round; returns their positions
         prefix = np.int32 if W * pos.size < 2**31 else sum_type  # bounds every sum of w
         w = ew[pos]
         earlier = _earlier(eu[pos], ev[pos], w, prefix)  # before the other pool columns
         cu, cv = bu[pos], bv[pos]
         k = beta_minus if insert else beta
-        gap = k * cu * cv * w
-        gap = gap - lhs if insert else lhs - gap
         # k * W * b_x of earlier weight at an end x stops an insertion by
         # itself, and a removal's never reaches it, so the clip decides nothing
         au, av = (np.minimum(a, k * W * c).astype(dtype, copy=False)
@@ -553,12 +543,14 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         pool = np.flatnonzero((lhs < lower) & ~member)
         if not pool.size:
             break
-        lhs = lhs[pool]  # drops the scan before play allocates
-        pos = play(pool, lhs, True)
-        del pool, lhs
+        gap = lower[pool]
+        gap -= lhs[pool]
+        del lhs  # drops the scan before play allocates
+        pos = play(pool, gap, True)
+        del pool, gap
         member[pos] = True
         touched = np.concatenate((eu[pos], ev[pos]))
-        shift(touched, np.tile(ew[pos], 2))
+        np.add.at(wdeg, touched, np.tile(ew[pos], 2))
         rounds += 1
         insertions += pos.size
         cap = (beta_minus * caps[touched] + 1) * W - 1
@@ -575,14 +567,14 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         over = over[hit[eu[over]] | hit[ev[over]]]
         while True:
             cu, cv = bu[over], bv[over]
-            lhs = wdeg[eu[over]] * cv + wdeg[ev[over]] * cu
-            still = np.flatnonzero(lhs > beta * cu * cv * ew[over])
+            gap = wdeg[eu[over]] * cv + wdeg[ev[over]] * cu - beta * cu * cv * ew[over]
+            still = np.flatnonzero(gap > 0)
             if not still.size:
                 break
             over = over[still]
-            pos = play(over, lhs[still], False)
+            pos = play(over, gap[still], False)
             member[pos] = False
-            shift(np.concatenate((eu[pos], ev[pos])), -np.tile(ew[pos], 2))
+            np.add.at(wdeg, np.concatenate((eu[pos], ev[pos])), -np.tile(ew[pos], 2))
             rounds += 1
             removals += pos.size
             over = over[member[over]]
