@@ -42,7 +42,7 @@ print(f"validator: clean={report.is_clean}")
 assert report.is_clean
 
 # Degree bound: deg_H(v) <= beta * b_v at every vertex.
-worst = max(Fraction(H.degree(v), params.beta * b[v]) for v in range(G.n))
+worst = max(Fraction(H.deg[v], params.beta * b[v]) for v in range(G.n))
 print(f"degree bound headroom: max deg/(beta*b) = {float(worst):.3f}")
 
 # Size bound: |H| <= 2 * beta * |M| where M is an optimal b-matching.

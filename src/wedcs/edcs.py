@@ -13,15 +13,13 @@ Property (i) keeps H sparse (each vertex ends up with degree at most
 beta * b_v); property (ii) guarantees H retains a near-optimal b-matching.
 Both are one comparison in exact integer arithmetic; the termination
 argument lives on slacks of 1/(b_u * b_v) that floating point would
-destroy.  The rule has two kernels, one per scale.  Over edge columns,
-:func:`_degree_terms` cross-multiplies it by each edge's b_u * b_v, which
-keeps its arrays within int64; :func:`validate`, phase 2 and the stream's
-invariant check use it, and the offline builder's rounds hold the same
-terms as columns that they compute once.  For
-one edge at a time, the stream runner's phase 1 changes H only through a
-:class:`_Ledger`, which keeps every weighted degree over one common
-denominator L = lcm(b), inserts, removes, and after an insertion repairs
-the members pushed over their bound, pricing each step.
+destroy.  The rule has one kernel: it is cross-multiplied by each edge's
+b_u * b_v, wdeg_u * b_v + wdeg_v * b_u against k * b_u * b_v * w, and
+every step is priced over the same b_u * b_v by :func:`_scaled_gain`.
+:func:`_degree_terms` gives the terms over edge columns, within int64,
+for :func:`validate`, phase 2 and the stream's invariant check; the
+offline builder's rounds hold the same terms as columns that they
+compute once, and the stream's phase 1 takes them one edge at a time.
 """
 
 from __future__ import annotations
@@ -199,100 +197,14 @@ def parameters_for(epsilon, W: int) -> EdcsParams:
     return EdcsParams(W=W, epsilon=eps, lam=lam, beta=lo, beta_minus=beta_minus(lo))
 
 
-class _Ledger:
-    """H with a per-vertex member map, kept under property (i): the only
-    code that changes the H of the stream's phase 1, and the one place that
-    tests the degree rule for one edge and prices a step.
-
-    ``at[x]`` maps each member at x to its other endpoint, and
-    ``weight[i]`` is member i's weight, which :meth:`insert` records and
-    phase 1 reads its held copies' weights from.
-
-    ``load[x]`` is wdeg_H(x) * (L // b_x), with L = lcm of all capacities:
-    the weighted degrees over one common denominator.  For an edge
-    (u, v, w), E = load[u] + load[v] - k * w * L is L times
-    wdeg_u/b_u + wdeg_v/b_v - k * w: property (i) is broken when E > 0 at
-    k = beta, and the edge is underfull when E < 0 at k = beta_minus.
-    That is two list reads and an add per test.
-
-    :meth:`insert` and :meth:`remove` return L times the step's change of
-    :func:`potential`, from E taken before the step, at beta_minus for an
-    insertion and at beta for a removal.  An insertion gains
-    w^2 ((2 beta - 2 - 2 beta_minus) L - L/b_u - L/b_v) - 2w E, a removal
-    w^2 (2L - L/b_u - L/b_v) + 2w E.  A step that fixes a violation has
-    |E| >= L / (b_u * b_v), and beta_minus <= beta - 2, so it gains at
-    least L times w^2 (2 - 1/b_u - 1/b_v) + 2w / (b_u * b_v), the
-    per-step floor.  L can be wide; Python integers just grow.
-    """
-
-    __slots__ = ("H", "at", "weight", "L", "unit", "load", "beta_L", "minus_L", "grow_L")
-
-    def __init__(self, G: MultiGraph, b: Capacities, params: EdcsParams):
-        self.H = Subgraph(G)
-        self.at: list[dict[int, int]] = [{} for _ in range(G.n)]
-        self.weight: dict[int, int] = {}
-        L = self.L = math.lcm(*set(b.b))
-        self.unit = [L // c for c in b.b]
-        self.load = [0] * G.n
-        self.beta_L = params.beta * L
-        self.minus_L = params.beta_minus * L
-        self.grow_L = (2 * params.beta - 2 - 2 * params.beta_minus) * L
-
-    def insert(self, eid: int, u: int, v: int, w: int) -> int:
-        H = self.H
-        H.members.add(eid)
-        self.at[u][eid] = v
-        self.at[v][eid] = u
-        self.weight[eid] = w
-        wdeg, deg, load, unit = H.wdeg, H.deg, self.load, self.unit
-        e = load[u] + load[v] - self.minus_L * w
-        wdeg[u] += w
-        wdeg[v] += w
-        deg[u] += 1
-        deg[v] += 1
-        load[u] += w * unit[u]
-        load[v] += w * unit[v]
-        return w * (w * (self.grow_L - unit[u] - unit[v]) - 2 * e)
-
-    def remove(self, eid: int, u: int, v: int, w: int) -> int:
-        H = self.H
-        H.members.remove(eid)
-        del self.at[u][eid], self.at[v][eid]
-        wdeg, deg, load, unit = H.wdeg, H.deg, self.load, self.unit
-        e = load[u] + load[v] - self.beta_L * w
-        wdeg[u] -= w
-        wdeg[v] -= w
-        deg[u] -= 1
-        deg[v] -= 1
-        load[u] -= w * unit[u]
-        load[v] -= w * unit[v]
-        return w * (w * (2 * self.L - unit[u] - unit[v]) + 2 * e)
-
-    def repair(self, u: int, v: int) -> list[tuple[int, int, int, int, int]]:
-        """After an insertion at (u, v), remove the members at u or v over
-        their bound in ascending id order, each re-checked with the loads
-        at its turn, and return (id, x, y, w, gain) per removal, x its end
-        at u or v and gain as :meth:`remove` returns it.
-
-        A member (x, y, w) is over its bound exactly when
-        load[x] + load[y] > beta * w * L.  Before the insertion every
-        member was within its bound, so only members at u or v can be over
-        it now, and removals only lower degrees: one pass leaves every
-        member within it.  A parallel (u, v) member is tested from both
-        ends, hence the set."""
-        load, at, weight, limit = self.load, self.at, self.weight, self.beta_L
-        lu, lv = load[u], load[v]
-        over = [i for i, y in at[u].items() if lu + load[y] > limit * weight[i]]
-        over += [i for i, y in at[v].items() if lv + load[y] > limit * weight[i]]
-        if not over:
-            return []
-        removed = []
-        for i in sorted(set(over)):
-            x = u if i in at[u] else v
-            y, w = at[x][i], weight[i]
-            if load[x] + load[y] > limit * w:
-                removed.append((i, x, y, w, self.remove(i, x, y, w)))
-        return removed
+def _scaled_gain(w, c, bu, bv, gap):
+    """b_u * b_v times the change of :func:`potential` when an edge
+    (u, v, w) enters H (c = 2 beta - 2 - 2 beta_minus) or leaves it
+    (c = 2), given ``gap``: beta_minus * scaled - lhs before an insertion,
+    lhs - beta * scaled before a removal, with lhs = wdeg_u b_v + wdeg_v b_u
+    and scaled = b_u b_v w.  A step that fixes a violation has gap >= 1.
+    Works on Python integers and on arrays alike."""
+    return w * (c * bu * bv * w + 2 * gap - w * (bu + bv))
 
 
 def _degree_terms(wdeg, b: Capacities, coef: int = 0):
@@ -301,9 +213,9 @@ def _degree_terms(wdeg, b: Capacities, coef: int = 0):
     Returns a function of column arrays (u, v, w) that gives
     wdeg_u * b_v + wdeg_v * b_u and b_u * b_v * w per edge; property (i)
     or (ii) compares the first with beta or beta_minus times the second.
-    The rule is cross-multiplied by each edge's own b_u * b_v, not by the
-    ledger's L = lcm(b), because these arrays must fit int64: L can be
-    hundreds of bits wide where every b_u * b_v is small.
+    The rule is cross-multiplied by each edge's own b_u * b_v, which is
+    small where a common denominator of all capacities can be hundreds of
+    bits wide, so these arrays fit int64.
 
     ``wdeg`` is a list of Python ints, converted once, here.  Given
     ``coef`` >= k * w for every edge and every k compared with, the
@@ -337,7 +249,7 @@ def validate(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams) -> V
         raise ValueError("capacity vector length does not match vertex count")
     lhs, scaled = _degree_terms(H.wdeg, b, params.beta * G.W)(G.u, G.v, G.w)
     member = np.zeros(G.m, dtype=bool)
-    member[np.fromiter(H.members, dtype=np.int64, count=len(H.members))] = True
+    member[H.members] = True
     upper = np.flatnonzero(member & np.asarray(lhs > scaled * params.beta, dtype=bool))
     lower = np.flatnonzero(~member & np.asarray(lhs < scaled * params.beta_minus, dtype=bool))
     return ViolationReport(upper.tolist(), lower.tolist())
@@ -348,26 +260,25 @@ def potential(H: Subgraph, b: Capacities, params: EdcsParams) -> Fraction:
     capacity-normalized sum of squared weighted degrees.
 
     Strictly increases with every local-search step, which is what bounds
-    construction time.  The whole sum is taken in integers over the
-    ledger's denominator L = lcm(b), each squared degree times L // b_x,
-    and becomes one ``Fraction``; each of its two sums is an int64 dot
-    product where every term and the sum fit, and a Python sum beyond.
+    construction time.  The squared degrees are summed per capacity value,
+    exactly, and each sum over its value becomes one ``Fraction``, as the
+    builder sums its gains per denominator.  The sums are int64 where every
+    term and sum fits, and Python integers beyond.
     """
     G = H.parent
-    ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
-    w = G.w[ids]
-    if G.W**2 * ids.size < 2**63:
+    w = G.w[H.members]
+    if G.W**2 * w.size < 2**63:
         w = w.astype(np.int64)
         sq = int(w @ w)
     else:
         sq = sum(x * x for x in w.tolist())
-    L = math.lcm(*set(b.b))
-    if max(max(H.wdeg, default=0), 1) ** 2 * L * G.n < 2**63:
-        d = np.asarray(H.wdeg, dtype=np.int64)
-        degrees = int(d * d @ (L // np.asarray(b.b, dtype=np.int64)))
-    else:
-        degrees = sum(d * d * (L // c) for d, c in zip(H.wdeg, b.b, strict=True) if d)
-    return Fraction((2 * params.beta - 2) * sq * L - degrees, L)
+    values, group = np.unique(np.asarray(b.b), return_inverse=True)
+    big = max(H.wdeg, default=0) ** 2 * G.n >= 2**63
+    d = np.asarray(H.wdeg, dtype=object if big else np.int64)
+    degrees = np.zeros(len(values), dtype=d.dtype)
+    np.add.at(degrees, group, d * d)
+    return (2 * params.beta - 2) * sq - sum(map(Fraction, degrees.tolist(), values.tolist()),
+                                            Fraction(0))
 
 
 def build_wb_edcs(G: MultiGraph, b: Capacities, params: EdcsParams):
@@ -470,8 +381,9 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
     moment, beta_minus * scaled - lhs for an insertion and
     lhs - beta * scaled for a removal, a step gains
     w (c scaled + 2 gap - w (b_u + b_v)) / (b_u b_v), c = 2 beta - 2 -
-    2 beta_minus for an insertion and 2 for a removal, and each gain is
-    checked against its edge's floor as it is taken.  The fixed columns
+    2 beta_minus for an insertion and 2 for a removal
+    (:func:`_scaled_gain`), and each gain is checked against its edge's
+    floor as it is taken.  The fixed columns
     and a round's arithmetic are int32 where every term fits, int64 where
     it fits that, and Python integers beyond.  At the end the gains are
     summed per denominator b_u * b_v, exactly, and the sums become one
@@ -518,8 +430,7 @@ def _local_search(G: MultiGraph, b: Capacities, params: EdcsParams):
         # the earlier taken edges are the earlier edges of the taken ones
         tu, tv = (a.astype(dtype, copy=False) for a in _earlier(eu[pos], ev[pos], w, prefix))
         gap = gap[go] - tu * cv - tv * cu
-        c = 2 * beta - 2 - 2 * beta_minus if insert else 2
-        gain = w * (c * cu * cv * w + 2 * gap - w * (cu + cv))
+        gain = _scaled_gain(w, 2 * beta - 2 - 2 * beta_minus if insert else 2, cu, cv, gap)
         # a step on edge (u, v, w) that fixes a violation gains at least the
         # floor g = w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v), here scaled by
         # b_u b_v; at unit capacities g = 2w, the classic 2

@@ -205,8 +205,7 @@ class MultiGraph:
         When the ids are every edge, the graph is this one, with its
         caches: its columns never change, so nothing needs a copy.
         """
-        ids = np.sort(_id_array(edge_ids))
-        ids = ids[_run_starts(ids)]
+        ids = _sorted_ids(edge_ids)
         if len(ids) == self.m and (not ids.size or ids[0] == 0 and ids[-1] == self.m - 1):
             return self, ids
         graph = MultiGraph.from_columns(self.n, self.u[ids], self.v[ids], self.w[ids], W=self.W)
@@ -249,11 +248,14 @@ def _as_integers(col: np.ndarray) -> tuple[np.ndarray, int]:
     return col if bad < len(col) else np.array([int(x) for x in values], dtype=object), bad
 
 
-def _id_array(edge_ids: Iterable[int]) -> np.ndarray:
-    """Edge ids from any iterable (sets included) as an int64 array."""
+def _sorted_ids(edge_ids: Iterable[int]) -> np.ndarray:
+    """Edge ids from any iterable (sets included) as an ascending int64
+    array without repeats, deduplicated by comparing sorted neighbours."""
     if isinstance(edge_ids, (np.ndarray, list, tuple, range)):
-        return np.asarray(edge_ids, dtype=np.int64)
-    return np.fromiter(edge_ids, dtype=np.int64)
+        ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
+    else:
+        ids = np.sort(np.fromiter(edge_ids, dtype=np.int64))
+    return ids[_run_starts(ids)]
 
 
 def _vertex_sums(G: MultiGraph, ids: np.ndarray) -> tuple[list[int], list[int]]:
@@ -303,55 +305,43 @@ class Capacities:
 
 
 class Subgraph:
-    """Edge-id subset of a parent graph with cached per-vertex degrees.
+    """Edge-id subset of a parent graph with its per-vertex degrees;
+    immutable.
 
-    ``wdeg[v]`` caches the weighted degree (sum of member-edge weights at
-    ``v``) and ``deg[v]`` the plain degree, both lists of Python ints; the
-    constructor counts them over the parent's columns in one pass.  The
-    offline builder returns its H built this way from its member ids; the
-    stream's ledger (:class:`wedcs.edcs._Ledger`) is the one writer that
-    changes ``members`` and the degrees after construction.  Single-writer:
-    mutate from one thread only; concurrent readers are fine between
-    mutations.
+    ``members`` is the read-only int64 array of the member ids, ascending
+    and without repeats, whatever order and repeats they were given in.
+    ``wdeg[v]`` is the weighted degree (sum of member-edge weights at
+    ``v``) and ``deg[v]`` the plain degree, both lists of Python ints,
+    counted once over the parent's columns.  The offline builder and
+    stream phase 1 each build their H once, from the final member ids.
     """
 
     __slots__ = ("parent", "members", "wdeg", "deg")
 
     def __init__(self, parent: MultiGraph, members: Iterable[int] = ()):
-        self.parent = parent
-        self.members: set[int] = set(
-            members.tolist() if isinstance(members, np.ndarray) else members)
-        ids = np.fromiter(self.members, dtype=np.int64, count=len(self.members))
-        if ids.size and not (ids.min() >= 0 and ids.max() < parent.m):
+        ids = _sorted_ids(members)
+        if ids.size and not (ids[0] >= 0 and ids[-1] < parent.m):
             raise IndexError(f"edge ids must lie in [0, {parent.m})")
+        ids.flags.writeable = False
+        self.parent, self.members = parent, ids
         self.wdeg, self.deg = _vertex_sums(parent, ids)
-
-    def weighted_degree(self, v: int) -> int:
-        """Sum of weights of member edges incident to ``v``; O(1)."""
-        if not (0 <= v < self.parent.n):
-            raise IndexError(f"vertex {v} out of range [0, {self.parent.n})")
-        return self.wdeg[v]
-
-    def degree(self, v: int) -> int:
-        if not (0 <= v < self.parent.n):
-            raise IndexError(f"vertex {v} out of range [0, {self.parent.n})")
-        return self.deg[v]
 
     def edge_ids(self) -> list[int]:
         """Member edge ids in ascending order."""
-        return sorted(self.members)
+        return self.members.tolist()
 
     def __contains__(self, eid: int) -> bool:
-        return eid in self.members
+        i = self.members.searchsorted(eid)
+        return bool(i < self.members.size and self.members[i] == eid)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.members.size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        return iter(self.members.tolist())
 
     def __repr__(self) -> str:
-        return f"Subgraph({len(self.members)} of {self.parent!r})"
+        return f"Subgraph({self.members.size} of {self.parent!r})"
 
 
 def _pair_caps(G: MultiGraph, b: Capacities) -> np.ndarray:

@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .edcs import EdcsParams, _checked_epsilon, _degree_terms, _Ledger
+from .edcs import EdcsParams, _checked_epsilon, _degree_terms, _scaled_gain
 from .graph import (
     Capacities,
     MultiGraph,
@@ -272,10 +272,9 @@ def _phase2_keep(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams) 
         thr = np.minimum(lhs // (scaled * params.beta_minus), G.W).astype(G.w.dtype)
     else:
         thr = np.full(len(lo), G.W, dtype=G.w.dtype)
-    held = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
-    held_pair = G.pair[held]
+    held_pair = G.pair[H.members]
     full = np.bincount(held_pair, minlength=len(lo))[held_pair] >= _pair_caps(G, b)[held_pair]
-    held_pair, held_w = held_pair[full], G.w[held[full]]
+    held_pair, held_w = held_pair[full], G.w[H.members[full]]
     thr[held_pair] = held_w  # some held weight, lowered to the lightest next
     np.minimum.at(thr, held_pair, held_w)
     return np.asarray(G.w > thr[G.pair], dtype=bool)
@@ -283,7 +282,7 @@ def _phase2_keep(G: MultiGraph, b: Capacities, H: Subgraph, params: EdcsParams) 
 
 def _with_members(H: Subgraph, X: np.ndarray) -> np.ndarray:
     """The ids of H | X in one array: H's members, then X."""
-    return np.concatenate((np.fromiter(H.members, dtype=np.int64, count=len(H.members)), X))
+    return np.concatenate((H.members, X))
 
 
 def _extract(H: Subgraph, X: np.ndarray, stats: StreamRunStats, b: Capacities,
@@ -349,8 +348,8 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
     is recorded in the stats.  Phase 1 (:func:`_phase1`) is one loop over
     levels, each a run of epochs of alpha_i edges.  alpha_i never grows
     with i, so when alpha_0 is 0 phase 1 reads no edge: such an
-    ``alpha_zero`` stream builds no ledger, H stays empty, and X is a copy
-    of the whole order.  Once H is frozen, whether an edge joins X depends
+    ``alpha_zero`` stream never enters :func:`_phase1`, H is empty, and X
+    is a copy of the whole order.  Once H is frozen, whether an edge joins X depends
     only on the edge, so phase 2 is one mask over G's edge ids
     (:func:`_phase2_keep`) read at the remaining stream positions, and X
     is an array of ids in stream order; after an ``alpha_zero`` end every
@@ -391,7 +390,7 @@ def _two_phase_pass(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: 
         else:
             kept = _phase2_keep(G, b, H, params)[rest]
             X = rest[kept]
-        h_size = len(H.members)
+        h_size = len(H)
         peak = max(peak, h_size + len(X) + (store.final if store_alive else 0))
         if store is not None and not store_alive:
             peak = max(peak, h_size + store.peak_with(pos, kept))
@@ -422,59 +421,79 @@ def _phase1(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: Fraction
     positive; returns H, the positions read and the peak so far, and
     records its counters in ``stats``.
 
-    H changes only through the ledger's insert, remove and repair
-    (:class:`~wedcs.edcs._Ledger`)."""
+    H is held as ``at[x]``, each member at x mapped to its other end,
+    ``weight``, each member's weight, and ``wdeg``, the weighted degrees;
+    the :class:`Subgraph` is built once, at the end.  An arriving edge
+    (u, v, w) is underfull when wdeg_u b_v + wdeg_v b_u is below
+    beta_minus * b_u * b_v * w, and a replacement's two steps are priced
+    over b_u * b_v (:func:`~wedcs.edcs._scaled_gain`).  After every
+    insertion :func:`_repair` restores property (i)."""
     G = stream.graph
-    beta, m, order = params.beta, stream.m, stream.order
-    ledger = _Ledger(G, b, params)
-    H, at, weight, load, L = ledger.H, ledger.at, ledger.weight, ledger.load, ledger.L
-    minus_L = ledger.minus_L  # underfull: load[u] + load[v] < minus_L * w
+    beta, beta_minus, m, order = params.beta, params.beta_minus, stream.m, stream.order
+    caps = b.b
+    grow = 2 * beta - 2 - 2 * beta_minus  # an insertion's c in _scaled_gain
+    at: list[dict[int, int]] = [{} for _ in range(G.n)]
+    weight: dict[int, int] = {}
+    wdeg = [0] * G.n
     peak = 0
 
     def track(k: int) -> None:
         # in phase 1, where X is empty, after the edge at position k arrived
         nonlocal peak
-        size = len(H.members) + (store.size_at(k) if store is not None else 0)
+        size = len(weight) + (store.size_at(k) if store is not None else 0)
         if size > peak:
             peak = size
 
     def assert_bounded() -> None:
-        ids = np.fromiter(H.members, dtype=np.int64, count=len(H.members))
-        lhs, scaled = _degree_terms(H.wdeg, b, beta * G.W)(G.u[ids], G.v[ids], G.w[ids])
+        ids = np.fromiter(weight, dtype=np.int64, count=len(weight))
+        lhs, scaled = _degree_terms(wdeg, b, beta * G.W)(G.u[ids], G.v[ids], G.w[ids])
         over = ids[np.asarray(lhs > scaled * beta, dtype=bool)]
         if over.size:
             raise StreamInvariantError(
                 f"H lost its bounded weighted edge-degree at edge {over.min()}")
-        caps = _pair_caps(G, b)
-        crowded = np.flatnonzero(np.bincount(G.pair[ids], minlength=len(caps)) > caps)
+        limits = _pair_caps(G, b)
+        crowded = np.flatnonzero(np.bincount(G.pair[ids], minlength=len(limits)) > limits)
         if crowded.size:
             lo, hi = G.pair_ends
             raise StreamInvariantError(f"H holds too many parallel edges between "
                                        f"{lo[crowded[0]]} and {hi[crowded[0]]}")
 
+    def insert(eid: int, u: int, v: int, w: int) -> None:
+        at[u][eid] = v
+        at[v][eid] = u
+        weight[eid] = w
+        wdeg[u] += w
+        wdeg[v] += w
+
     def process_phase1_edge(eid: int, k: int) -> bool:
         """Returns True when the edge at position k triggered an insertion
         (or replacement)."""
         u, v, w = G.triple(eid)
-        if load[u] + load[v] >= minus_L * w:
+        bu, bv = caps[u], caps[v]
+        lhs = wdeg[u] * bv + wdeg[v] * bu
+        if lhs >= beta_minus * bu * bv * w:
             return False
         # the pair's copies in H: at most beta * b_u + 1 members at u
         held = [i for i, y in at[u].items() if y == v]
-        if len(held) < min(b[u], b[v]):
-            ledger.insert(eid, u, v, w)
+        if len(held) < min(bu, bv):
+            insert(eid, u, v, w)
         else:
             lightest = min(held, key=lambda i: (weight[i], i))
             lw = weight[lightest]
             if w <= lw:
                 return False  # irrelevant duplicate, ignore
             # the held copy leaves, then the edge enters: the two steps'
-            # gains over L together
-            gain = ledger.remove(lightest, u, v, lw) + ledger.insert(eid, u, v, w)
-            if gain < L:
+            # gains over b_u * b_v together
+            gain = _scaled_gain(lw, 2, bu, bv, lhs - beta * bu * bv * lw)
+            _drop(at, weight, wdeg, lightest, u, v)
+            lhs = wdeg[u] * bv + wdeg[v] * bu
+            gain += _scaled_gain(w, grow, bu, bv, beta_minus * bu * bv * w - lhs)
+            insert(eid, u, v, w)
+            if gain < bu * bv:
                 raise StreamInvariantError(
-                    f"replacement changed the potential by {Fraction(gain, L)} < 1")
+                    f"replacement changed the potential by {Fraction(gain, bu * bv)} < 1")
             stats.replacement_count += 1
-        ledger.repair(u, v)
+        _repair(at, weight, wdeg, caps, beta, u, v)
         if check_invariants:
             assert_bounded()
         track(k)
@@ -509,7 +528,40 @@ def _phase1(stream: EdgeStream, b: Capacities, params: EdcsParams, eps: Fraction
     if stats.fallback_used == "none" and pos > budget:
         raise StreamInvariantError(
             f"phase 1 consumed {pos} edges, beyond ceil(eps*m)={budget}")
-    return H, pos, peak
+    return Subgraph(G, weight.keys()), pos, peak
+
+
+def _drop(at: list[dict[int, int]], weight: dict[int, int], wdeg: list[int], eid: int,
+          x: int, y: int) -> None:
+    """Remove member ``eid``, at x and y, from phase 1's H."""
+    del at[x][eid], at[y][eid]
+    w = weight.pop(eid)
+    wdeg[x] -= w
+    wdeg[y] -= w
+
+
+def _repair(at: list[dict[int, int]], weight: dict[int, int], wdeg: list[int],
+            caps: tuple[int, ...], beta: int, u: int, v: int) -> list[int]:
+    """After an insertion at (u, v) into phase 1's H, remove the members at
+    u or v over their bound in ascending id order, each re-tested at its
+    turn, and return their ids.
+
+    A member (x, y, w) is over its bound exactly when
+    wdeg_x b_y + wdeg_y b_x > beta * b_x * b_y * w.  Before the insertion
+    every member was within its bound, so only members at u or v can be
+    over it now, and removals only lower degrees: one pass leaves every
+    member within it.  A parallel (u, v) member is tested from both ends,
+    hence the set."""
+    over = [i for x in (u, v) for i, y in at[x].items()
+            if wdeg[x] * caps[y] + wdeg[y] * caps[x] > beta * caps[x] * caps[y] * weight[i]]
+    removed = []
+    for i in sorted(set(over)):
+        x = u if i in at[u] else v
+        y = at[x][i]
+        if wdeg[x] * caps[y] + wdeg[y] * caps[x] > beta * caps[x] * caps[y] * weight[i]:
+            _drop(at, weight, wdeg, i, x, y)
+            removed.append(i)
+    return removed
 
 
 def run_with_fallbacks(stream: EdgeStream, b: Capacities, params: EdcsParams, epsilon, *,

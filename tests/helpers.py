@@ -96,31 +96,6 @@ def primal_dual_cover(G: MultiGraph, sides) -> list[int]:
     return alpha
 
 
-def add_edge(H: Subgraph, eid: int) -> None:
-    """Add edge ``eid`` to H, keeping its degree caches; the package's
-    own writer is the builder's ledger."""
-    if eid in H.members:
-        raise ValueError(f"edge {eid} already in subgraph")
-    u, v, w = H.parent.triple(eid)
-    H.members.add(eid)
-    H.wdeg[u] += w
-    H.wdeg[v] += w
-    H.deg[u] += 1
-    H.deg[v] += 1
-
-
-def remove_edge(H: Subgraph, eid: int) -> None:
-    """Remove edge ``eid`` from H, keeping its degree caches."""
-    if eid not in H.members:
-        raise ValueError(f"edge {eid} not in subgraph")
-    u, v, w = H.parent.triple(eid)
-    H.members.remove(eid)
-    H.wdeg[u] -= w
-    H.wdeg[v] -= w
-    H.deg[u] -= 1
-    H.deg[v] -= 1
-
-
 def triples(G: MultiGraph) -> list[tuple[int, int, int]]:
     """Every edge as a (u, v, w) tuple of Python ints, in id order."""
     return list(zip(G.u.tolist(), G.v.tolist(), G.w.tolist()))
@@ -351,7 +326,7 @@ def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching) -> S
     _reject_crowded(G, b, "reduce to the relevant subgraph first")
 
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
-    union_ids = sorted(H.members | set(M.edge_ids))
+    union_ids = sorted(set(H) | set(M.edge_ids))
     in_matching = set(M.edge_ids)
     by_pair: dict[tuple[int, int], list[int]] = {}
     for eid in union_ids:
@@ -393,8 +368,7 @@ def split_vertices(G: MultiGraph, b: Capacities, H: Subgraph, M: BMatching) -> S
         triples.append((offsets[u] + copy_of[(eid, u)], offsets[v] + copy_of[(eid, v)], ew[eid]))
         edge_origin.append(eid)
     split_graph = MultiGraph(offsets[-1], triples, W=G.W)
-    split_sub = Subgraph(split_graph,
-                         [j for j, eid in enumerate(edge_origin) if eid in H.members])
+    split_sub = Subgraph(split_graph, [j for j, eid in enumerate(edge_origin) if eid in H])
     matched_split = [j for j, eid in enumerate(edge_origin) if eid in matched_norm]
 
     if (split_graph.pair_count > 1).any():
@@ -472,8 +446,8 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
         cap = 2 * G.n * (3 * W ** 2 / (2 * float(eps) ** 2)) * math.log(max(m, 2))
         store = ScalarRelevantStore(G, b, cap)
     stats = StreamRunStats(seed=stream.seed, m=m, variant=variant, prng=stream.prng)
-    H = Subgraph(G)
-    wdeg = H.wdeg
+    members: set[int] = set()
+    wdeg = [0] * G.n
     X: set[int] = set()
     pair, ew, at = G.pair.tolist(), G.w.tolist(), incident_ids(G)
     pair_h: dict[int, set[int]] = {}
@@ -481,14 +455,20 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
 
     def track():
         nonlocal peak
-        peak = max(peak, len(H.members) + len(X) + (store.size if store else 0))
+        peak = max(peak, len(members) + len(X) + (store.size if store else 0))
 
     def h_add(eid):
-        add_edge(H, eid)
+        u, v, w = G.triple(eid)
+        members.add(eid)
+        wdeg[u] += w
+        wdeg[v] += w
         pair_h.setdefault(pair[eid], set()).add(eid)
 
     def h_remove(eid):
-        remove_edge(H, eid)
+        u, v, w = G.triple(eid)
+        members.remove(eid)
+        wdeg[u] -= w
+        wdeg[v] -= w
         pair_h[pair[eid]].discard(eid)
 
     def degree_underfull(eid):
@@ -504,12 +484,12 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
         return None
 
     def repair_upper(u0, v0):
-        pending = deque(sorted(i for i in set(at[u0]) | set(at[v0]) if i in H.members))
+        pending = deque(sorted(i for i in set(at[u0]) | set(at[v0]) if i in members))
         queued = set(pending)
         while pending:
             cand = pending.popleft()
             queued.discard(cand)
-            if cand not in H.members:
+            if cand not in members:
                 continue
             cu, cv, cw = G.triple(cand)
             cbu, cbv = b[cu], b[cv]
@@ -517,7 +497,7 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
                 continue
             h_remove(cand)
             for i in sorted(x for x in set(at[cu]) | set(at[cv])
-                            if x in H.members and x not in queued):
+                            if x in members and x not in queued):
                 pending.append(i)
                 queued.add(i)
 
@@ -587,8 +567,8 @@ def scalar_stream_run(stream, b: Capacities, params, epsilon, *, variant: int,
         stats.fallback_used = "small_output"
         edge_ids = store.edge_ids()
     else:
-        edge_ids = sorted(H.members | X)
-    return _extract(H, np.array(sorted(X), dtype=np.int64), stats, b, edge_ids,
+        edge_ids = sorted(members | X)
+    return _extract(Subgraph(G, members), np.array(sorted(X), dtype=np.int64), stats, b, edge_ids,
                     DEFAULT_ORACLE_BUDGET)
 
 
@@ -642,10 +622,9 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
     degrees after it and the gains summed so far."""
     beta, beta_minus = params.beta, params.beta_minus
     m = G.m
-    H = Subgraph(G)
     eu, ev, ew = G.u.tolist(), G.v.tolist(), G.w.tolist()
     caps = b.b
-    wdeg, deg, members = H.wdeg, H.deg, H.members
+    wdeg, members = [0] * G.n, set()
     prio = [i * _PRIORITY_MULTIPLIER % 2**64 for i in range(m)]
     steps = insertions = removals = rounds = 0
     # per denominator b_u * b_v: the summed and the smallest scaled gain
@@ -689,7 +668,6 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
             (members.add if insert else members.remove)(i)
             for x in (u, v):
                 wdeg[x] += sign * w
-                deg[x] += sign
             picked.append(i)
         picked.sort()
         steps += len(picked)
@@ -727,6 +705,7 @@ def reference_round_search(G: MultiGraph, b: Capacities, params, *, check_invari
     min_seen = min((Fraction(low, denom) for denom, low in gain_min.items()), default=None)
     trace = BuildTrace(steps=steps, insertions=insertions, removals=removals,
                        phi_final=phi, min_gain=min_seen, rounds=rounds)
+    H = Subgraph(G, members)
     if check_invariants:
         report = validate(G, b, H, params)
         if not report.is_clean:

@@ -23,7 +23,7 @@ from wedcs import (
     validate,
 )
 
-from wedcs.edcs import _degree_terms, _earlier, _Ledger, _priority
+from wedcs.edcs import _degree_terms, _earlier, _priority, _scaled_gain
 
 from helpers import _excess, _step_gain, make_random, reference_round_search, triples
 
@@ -125,7 +125,7 @@ def _fraction_violations(G, b, H, params):
     upper, lower = [], []
     for eid, (u, v, w) in enumerate(triples(G)):
         total = Fraction(H.wdeg[u], b[u]) + Fraction(H.wdeg[v], b[v])
-        if eid in H.members:
+        if eid in H:
             if total > params.beta * w:
                 upper.append(eid)
         elif total < params.beta_minus * w:
@@ -185,7 +185,7 @@ def test_potential_capacity_normalization():
 def _per_vertex_potential(H, b, params):
     """potential() as one Fraction per vertex."""
     G = H.parent
-    phi = Fraction((2 * params.beta - 2) * sum(int(G.w[e]) ** 2 for e in H.members))
+    phi = Fraction((2 * params.beta - 2) * sum(int(G.w[e]) ** 2 for e in H))
     for v in range(G.n):
         phi -= Fraction(H.wdeg[v] ** 2, b[v])
     return phi
@@ -230,18 +230,24 @@ def _gain(H, b, params, eid, insert):
     return Fraction(_step_gain(params, insert, excess, w, b[u], b[v]), b[u] * b[v])
 
 
-def _ledger_holding(G, b, params, members):
-    """A ledger over G whose H holds ``members``."""
-    ledger = _Ledger(G, b, params)
-    for eid in members:
-        ledger.insert(eid, *G.triple(eid))
-    return ledger
+def _shared_gain_terms(H, b, params, eid, insert):
+    """The arguments of ``_scaled_gain`` for edge ``eid`` entering or
+    leaving H: (w, c, b_u, b_v, gap)."""
+    u, v, w = H.parent.triple(eid)
+    bu, bv = b[u], b[v]
+    lhs = H.wdeg[u] * bv + H.wdeg[v] * bu
+    if insert:
+        return w, 2 * params.beta - 2 - 2 * params.beta_minus, bu, bv, \
+            params.beta_minus * bu * bv * w - lhs
+    return w, 2, bu, bv, lhs - params.beta * bu * bv * w
 
 
 @pytest.mark.parametrize("seed", [*range(8), "b200-W127-5"])
 def test_step_gains_match_potential_differences(seed):
     # the named case takes its graph and capacities from the large-capacity
-    # cases, where L = lcm(b) is past 2**64
+    # cases, where lcm(b) is past 2**64: the shared step gain, over each
+    # edge's b_u * b_v, matches the potential's difference and the
+    # reference for every edge stepped on, as integers and as arrays
     if isinstance(seed, str):
         G, b, params = _LARGE_CAPACITY_CASES[seed]
         assert math.lcm(*b.b) > 2**64
@@ -250,34 +256,35 @@ def test_step_gains_match_potential_differences(seed):
         G, b = make_random(seed, n=9, m=25, W=4, b_max=3)
         params = EdcsParams(W=4, beta=5, beta_minus=3)
         picked = seed
-    ledger = _ledger_holding(G, b, params, [eid for eid in range(G.m)
-                                            if (eid * 5 + picked) % 3 == 0])
-    H, L = ledger.H, ledger.L
+    members = {eid for eid in range(G.m) if (eid * 5 + picked) % 3 == 0}
+    H = Subgraph(G, members)
     before = potential(H, b, params)
+    terms = []
     for eid in range(G.m):
-        insert = eid not in H.members
-        reference = _gain(H, b, params, eid, insert)
-        step, undo = (ledger.insert, ledger.remove) if insert else (ledger.remove, ledger.insert)
-        gain = step(eid, *G.triple(eid))
-        assert Fraction(gain, L) == potential(H, b, params) - before == reference, eid
-        undo(eid, *G.triple(eid))
+        insert = eid not in H
+        terms.append(_shared_gain_terms(H, b, params, eid, insert))
+        w, c, bu, bv, gap = terms[-1]
+        gain = Fraction(_scaled_gain(w, c, bu, bv, gap), bu * bv)
+        after = potential(Subgraph(G, members ^ {eid}), b, params)
+        assert gain == after - before == _gain(H, b, params, eid, insert), eid
+    columns = (np.array(col, dtype=np.int64) for col in zip(*terms))
+    assert _scaled_gain(*columns).tolist() == [_scaled_gain(*t) for t in terms]
 
 
 def test_replacement_gain_matches_potential_difference():
     # a variant-3 replacement swaps the held copy of a full pair (here the
     # pair {0, 1} at capacities (1, 2)) for a heavier arrival given in the
-    # other orientation; the ledger prices both steps over L = lcm(b)
+    # other orientation; phase 1 prices both steps over b_u * b_v = 2
     G = MultiGraph(4, [(0, 1, 1), (1, 0, 3), (0, 2, 2), (1, 3, 3)], W=3)
     b = Capacities([1, 2, 3, 1])
     params = EdcsParams(W=3, beta=6, beta_minus=4)
-    ledger = _ledger_holding(G, b, params, [0, 2, 3])
-    H = ledger.H
-    before = potential(H, b, params)
-    reference = _gain(H, b, params, 0, False)
-    gain = ledger.remove(0, *G.triple(0))
-    reference += _gain(H, b, params, 1, True)
-    gain += ledger.insert(1, *G.triple(1))
-    assert Fraction(gain, ledger.L) == potential(H, b, params) - before == reference
+    H, mid, after = (Subgraph(G, ids) for ids in ([0, 2, 3], [2, 3], [1, 2, 3]))
+    reference = _gain(H, b, params, 0, False) + _gain(mid, b, params, 1, True)
+    gain = _scaled_gain(*_shared_gain_terms(H, b, params, 0, False)) \
+        + _scaled_gain(*_shared_gain_terms(mid, b, params, 1, True))
+    assert Fraction(gain, 2) == potential(after, b, params) - potential(H, b, params) \
+        == reference
+    assert gain >= 2
 
 
 # ---------------------------------------------------------------- builders
@@ -291,7 +298,7 @@ def test_build_empty_graph():
 def test_build_single_edge_one_step():
     G = MultiGraph(2, [(0, 1, 1)])
     H, trace = build_wb_edcs(G, Capacities.uniform(G.n), EdcsParams(W=1, beta=4, beta_minus=2))
-    assert sorted(H.members) == [0]
+    assert H.edge_ids() == [0]
     assert trace.steps == 1
 
 
@@ -299,7 +306,7 @@ def test_build_star_degree_bounded():
     G = MultiGraph(7, [(0, i, 1) for i in range(1, 7)])
     params = EdcsParams(W=1, beta=4, beta_minus=2)
     H, _ = build_wb_edcs(G, Capacities.uniform(G.n), params)
-    assert H.degree(0) <= 4
+    assert H.deg[0] <= 4
     assert validate(G, Capacities.uniform(7), H, params).is_clean
 
 
@@ -308,7 +315,7 @@ def test_build_triangle_all_capacity_two():
     params = EdcsParams(W=1, beta=4, beta_minus=2)
     H, _ = build_wb_edcs(G, Capacities.uniform(3, 2), params)
     # every endpoint pair sums to 2/2 + 2/2 = 2 <= 4, so nothing is evicted
-    assert sorted(H.members) == [0, 1, 2]
+    assert H.edge_ids() == [0, 1, 2]
 
 
 def test_build_on_tight_graph_is_clean():
@@ -327,7 +334,7 @@ def test_theorem_scale_params_keep_everything():
     G, b = make_random(3, n=10, m=20, W=1, b_max=2)
     params = EdcsParams(W=1, beta=10**6, beta_minus=10**6 - 2)
     H, _ = build_wb_edcs(G, b, params)
-    assert H.members == set(range(G.m))
+    assert H.edge_ids() == list(range(G.m))
 
 
 @pytest.mark.parametrize("seed,beta", [(s, b) for s in range(8) for b in (6, 10)])
@@ -337,7 +344,7 @@ def test_build_corpus_properties(seed, beta):
     H, trace = build_wb_edcs(G, b, params)  # internal checks already assert gains
     assert validate(G, b, H, params).is_clean
     # degree bound: deg_H(v) <= beta * b_v
-    assert all(H.degree(v) <= beta * b[v] for v in range(G.n))
+    assert all(H.deg[v] <= beta * b[v] for v in range(G.n))
     # potential-derived step bound: a step on (u, v, w) gains at least
     # w^2 (2 - 1/b_u - 1/b_v) + 2w/(b_u b_v) >= 1 + 1/(b_u b_v), hence at
     # least 1 + 1/b_max^2 uniformly
@@ -462,7 +469,7 @@ def test_builder_fuzz_always_clean(data):
     params = EdcsParams(W=W, beta=beta, beta_minus=beta_minus)
     H, trace = build_wb_edcs(G, b, params)
     assert validate(G, b, H, params).is_clean
-    assert all(H.degree(v) <= beta * b[v] for v in range(G.n))
+    assert all(H.deg[v] <= beta * b[v] for v in range(G.n))
     if beta_minus == 0:
         assert len(H) == 0  # nothing is ever underfull
 
@@ -474,7 +481,7 @@ def test_simple_build_min_gain_two():
     assert trace.min_gain is None or trace.min_gain >= 2
     assert trace.steps <= trace.phi_final / 2
     # plain degree bound for the unit-capacity case
-    assert all(H.degree(v) <= params.beta for v in range(G.n))
+    assert all(H.deg[v] <= params.beta for v in range(G.n))
 
 
 # ---------------------------------------------------------------- reference
@@ -526,15 +533,15 @@ def test_builder_matches_reference(name, check):
     G, b, params, _ = _REFERENCE_CASES[name]
     H_ref, trace_ref = reference_round_search(G, b, params, check_invariants=check)
     H, trace = build_wb_edcs(G, b, params)
-    assert H.members == H_ref.members
+    assert H.edge_ids() == H_ref.edge_ids()
     assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
     assert trace.to_json_dict() == trace_ref.to_json_dict()
 
 
 def _large_capacity_cases() -> dict[str, tuple]:
     """Seeded builder inputs with capacities up to 50 or 200, by name:
-    (graph, capacities, params).  The ledger's common denominator
-    L = lcm(b) is 43 to 140 bits wide here; weights cap at W in
+    (graph, capacities, params).  A common denominator of all
+    capacities, L = lcm(b), is 43 to 140 bits wide here; weights cap at W in
     {1, 3, 127}, and beta_minus is beta - 2 or 0."""
     cases: dict[str, tuple] = {}
     for seed in range(8):
@@ -557,7 +564,7 @@ def test_builder_matches_reference_at_large_capacities(name):
     G, b, params = _LARGE_CAPACITY_CASES[name]
     H_ref, trace_ref = reference_round_search(G, b, params, check_invariants=True)
     H, trace = build_wb_edcs(G, b, params)
-    assert H.members == H_ref.members
+    assert H.edge_ids() == H_ref.edge_ids()
     assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
     assert trace.to_json_dict() == trace_ref.to_json_dict()
 
@@ -573,7 +580,7 @@ def test_builder_matches_reference_in_python_integers(seed):
     H_ref, trace_ref = reference_round_search(G, b, params, check_invariants=True)
     H, trace = build_wb_edcs(G, b, params)
     assert trace.removals > 0
-    assert H.members == H_ref.members
+    assert H.edge_ids() == H_ref.edge_ids()
     assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
     assert trace.to_json_dict() == trace_ref.to_json_dict()
 
@@ -596,7 +603,7 @@ def test_builder_matches_reference_at_high_vertex_ids(n):
     H_ref, trace_ref = reference_round_search(G, b, params, check_invariants=True)
     H, trace = build_wb_edcs(G, b, params)
     assert trace.removals > 0
-    assert H.members == H_ref.members
+    assert H.edge_ids() == H_ref.edge_ids()
     assert H.wdeg == H_ref.wdeg and H.deg == H_ref.deg
     assert trace.to_json_dict() == trace_ref.to_json_dict()
 
@@ -713,7 +720,7 @@ def test_star_whose_earlier_weight_passes_int32():
     params = EdcsParams(W=W, beta=3, beta_minus=1)
     assert 12 * params.beta * W**2 < 2**31 < leaves * W
     H, trace = build_wb_edcs(G, Capacities.uniform(G.n), params)
-    assert H.members == {int(np.argmin(_priority(np.arange(leaves))))}
+    assert H.edge_ids() == [int(np.argmin(_priority(np.arange(leaves))))]
     assert trace.rounds == trace.steps == 1
 
 
@@ -763,7 +770,7 @@ def test_builder_ledger_states(name):
         wdeg = now
         assert members == members_after and wdeg == wdeg_after
         assert phi == potential(Subgraph(G, members), b, params)
-    assert members == H.members
+    assert members == set(H)
     assert all(excess(wdeg, j, params.beta_minus) >= 0 for j in range(G.m) if j not in members)
 
 
@@ -781,49 +788,48 @@ def _phase1_case(name):
 
 @pytest.mark.parametrize("name", [*sorted(n for n in _REFERENCE_CASES if n != "large"), "hubs"])
 def test_repair_rechecks_only_members_over_their_bound(name, monkeypatch):
-    # stream phase 1 inserts through the ledger and repairs after each
-    # insertion: each repair removes exactly the members at the inserted
-    # edge's ends that are over their bound at their turn, by the
-    # reference excess, in ascending id order; one at its bound (excess 0)
-    # stays.  The reference cases are read three edges an epoch, where
-    # their own interval sizes would be zero
-    from wedcs import edcs, streaming
+    # stream phase 1 repairs after each insertion: each repair removes
+    # exactly the members at the inserted edge's ends that are over their
+    # bound at their turn, by the reference excess, in ascending id order;
+    # one at its bound (excess 0) stays.  The reference cases are read
+    # three edges an epoch, where their own interval sizes would be zero
+    from wedcs import streaming
 
     G, b, params, seed, eps, alpha = _phase1_case(name)
     if alpha is not None:
         monkeypatch.setattr(streaming, "_interval", lambda params, eps, m, i: alpha)
-    repair, remove = edcs._Ledger.repair, edcs._Ledger.remove
+    repair, drop = streaming._repair, streaming._drop
     spied, counts = [], []
     repairing = False
 
-    def spied_remove(ledger, eid, u, v, w):
+    def spied_drop(at, weight, wdeg, eid, u, v):
         if repairing:
-            wdeg = ledger.H.wdeg
-            assert _excess(wdeg[u], wdeg[v], b[u], b[v], w, params.beta) > 0, eid
+            assert _excess(wdeg[u], wdeg[v], b[u], b[v], weight[eid], params.beta) > 0, eid
             spied.append(eid)
-        return remove(ledger, eid, u, v, w)
+        drop(at, weight, wdeg, eid, u, v)
 
-    def checked_repair(ledger, u, v):
+    def checked_repair(at, weight, wdeg, caps, beta, u, v):
         nonlocal repairing
-        wdeg, at, weight = list(ledger.H.wdeg), ledger.at, ledger.weight
+        now = list(wdeg)
         expected = []
         for i in sorted({i for x in (u, v) for i in at[x]}):
             x = u if i in at[u] else v
             y, w = at[x][i], weight[i]
-            if _excess(wdeg[x], wdeg[y], b[x], b[y], w, params.beta) > 0:
+            if _excess(now[x], now[y], b[x], b[y], w, params.beta) > 0:
                 expected.append(i)
-                wdeg[x] -= w
-                wdeg[y] -= w
+                now[x] -= w
+                now[y] -= w
         spied.clear()
         repairing = True
-        removed = repair(ledger, u, v)
+        removed = repair(at, weight, wdeg, caps, beta, u, v)
         repairing = False
-        assert spied == expected == [r[0] for r in removed]
+        assert spied == expected == removed
+        assert wdeg == now
         counts.append(len(expected))
         return removed
 
-    monkeypatch.setattr(edcs._Ledger, "remove", spied_remove)
-    monkeypatch.setattr(edcs._Ledger, "repair", checked_repair)
+    monkeypatch.setattr(streaming, "_drop", spied_drop)
+    monkeypatch.setattr(streaming, "_repair", checked_repair)
     stats = streaming.StreamRunStats(seed=seed, m=G.m, variant=3, prng=streaming.PRNG_ID)
     H, pos, _ = streaming._phase1(make_stream(G, seed), b, params, eps, stats, None, True)
     assert pos > 0 and (counts or params.beta_minus == 0)

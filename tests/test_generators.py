@@ -194,7 +194,7 @@ def test_multicopy_per_class_structure(k, W):
     G = inst.graph
     for weight_class in range(1, W + 1):
         class_ids = [i for i in range(G.m) if G.triple(i)[2] == weight_class]
-        kept = [i for i in class_ids if i in inst.union_edcs.members]
+        kept = [i for i in class_ids if i in inst.union_edcs]
         wdeg = [0] * G.n
         for i in kept:
             u, v, w = G.triple(i)
@@ -203,7 +203,7 @@ def test_multicopy_per_class_structure(k, W):
         for i in class_ids:
             u, v, w = G.triple(i)
             total = wdeg[u] + wdeg[v]
-            if i in inst.union_edcs.members:
+            if i in inst.union_edcs:
                 assert total <= (2 * k + 1) * w
             else:
                 assert total >= 2 * k * w

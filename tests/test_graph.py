@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,38 +14,39 @@ from wedcs import (
     run_single_pass,
 )
 
-from helpers import add_edge, make_random, pair_count, remove_edge, triples
+from helpers import make_random, pair_count, triples
 
 
 def test_weighted_degree_empty_subgraph():
     G = MultiGraph(3, [(0, 1, 3), (1, 2, 1)])
     H = Subgraph(G)
-    assert all(H.weighted_degree(v) == 0 for v in range(3))
+    assert H.wdeg == H.deg == [0, 0, 0]
 
 
 def test_weighted_degree_single_edge():
     G = MultiGraph(2, [(0, 1, 3)])
     H = Subgraph(G, [0])
-    assert H.weighted_degree(0) == 3
-    assert H.weighted_degree(1) == 3
+    assert H.wdeg == [3, 3]
+    assert H.deg == [1, 1]
 
 
 def test_weighted_degree_triangle():
     # hand-summed: edges at vertex 0 weigh 3 and 2
     G = MultiGraph(3, [(0, 1, 3), (0, 2, 2), (1, 2, 1)])
     H = Subgraph(G, [0, 1, 2])
-    assert H.weighted_degree(0) == 5
-    assert H.weighted_degree(1) == 4
-    assert H.weighted_degree(2) == 3
+    assert H.wdeg == [5, 4, 3]
+    assert H.deg == [2, 2, 2]
 
 
 def test_weighted_degree_vertex_out_of_range():
+    # one degree per vertex, so a vertex past n has none
     G = MultiGraph(2, [(0, 1, 1)])
-    H = Subgraph(G)
+    H = Subgraph(G, [0])
+    assert len(H.wdeg) == len(H.deg) == 2
     with pytest.raises(IndexError):
-        H.weighted_degree(2)
+        H.wdeg[2]
     with pytest.raises(IndexError):
-        H.degree(-1)
+        H.deg[2]
 
 
 def test_multigraph_rejects_bad_edges():
@@ -77,19 +79,21 @@ def test_capacities_validation():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cache_coherence_random_edit_script(data):
+    # an edit script toggles ids in a set; the subgraph built from the
+    # script's ids in any order, repeats included, holds that set's ids
+    # once each, and its degrees match a recount
     seed = data.draw(st.integers(0, 10_000))
     G, _ = make_random(seed, n=8, m=16, W=4, b_max=3)
-    H = Subgraph(G)
     ops = data.draw(st.lists(st.integers(0, G.m - 1), max_size=60))
+    members = set()
     for eid in ops:
-        if eid in H:
-            remove_edge(H, eid)
-        else:
-            add_edge(H, eid)
-    # fresh recount from the member set alone
+        members ^= {eid}
+    given = [eid for eid in ops if eid in members]
+    H = Subgraph(G, data.draw(st.permutations(given)))
+    assert H.edge_ids() == sorted(members)
     wdeg = [0] * G.n
     deg = [0] * G.n
-    for eid in H.members:
+    for eid in members:
         u, v, w = G.triple(eid)
         wdeg[u] += w
         wdeg[v] += w
@@ -102,19 +106,19 @@ def test_cache_coherence_random_edit_script(data):
 def test_relevant_subgraph_single_edge():
     G = MultiGraph(2, [(0, 1, 2)])
     R = relevant_subgraph(G, Capacities.uniform(2))
-    assert sorted(R.members) == [0]
+    assert R.edge_ids() == [0]
 
 
 def test_relevant_subgraph_takes_heaviest():
     G = MultiGraph(2, [(0, 1, 5), (0, 1, 3), (0, 1, 1)])
     R = relevant_subgraph(G, Capacities.uniform(2, 2))
-    assert sorted(R.members) == [0, 1]  # sort-and-take-top of (5, 3, 1)
+    assert R.edge_ids() == [0, 1]  # sort-and-take-top of (5, 3, 1)
 
 
 def test_relevant_subgraph_tie_break_by_id():
     G = MultiGraph(2, [(0, 1, 4), (0, 1, 4), (0, 1, 4)])
     R = relevant_subgraph(G, Capacities([2, 3]))
-    assert sorted(R.members) == [0, 1]  # equal weights: the two smallest ids
+    assert R.edge_ids() == [0, 1]  # equal weights: the two smallest ids
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,7 +128,7 @@ def test_relevant_subgraph_idempotent(seed):
     R1 = relevant_subgraph(G, b)
     shrunk, old_ids = G.restrict(R1.members)
     R2 = relevant_subgraph(shrunk, b)
-    assert sorted(old_ids[j] for j in R2.members) == sorted(R1.members)
+    assert old_ids[R2.members].tolist() == R1.edge_ids()
 
 
 # (n, m, bipartite, raw) past the 20 seeded general graphs: edgeless graphs
@@ -339,11 +343,35 @@ def test_restrict_maps_ids():
     assert triples(sub) == [(0, 1, 1), (0, 2, 3)]
 
 
-def test_subgraph_add_remove_errors():
-    G = MultiGraph(2, [(0, 1, 1)])
-    H = Subgraph(G)
-    with pytest.raises(ValueError):
-        remove_edge(H, 0)
-    add_edge(H, 0)
-    with pytest.raises(ValueError):
-        add_edge(H, 0)
+def test_subgraph_sorts_and_dedupes_its_ids():
+    G = MultiGraph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (0, 1, 4)])
+    for given in ([3, 1, 3, 0, 1], {3, 0, 1}, np.array([1, 0, 3, 0], dtype=np.int32),
+                  iter([0, 3, 1])):
+        H = Subgraph(G, given)
+        assert H.members.dtype == np.int64 and H.members.tolist() == [0, 1, 3]
+        assert not H.members.flags.writeable
+        assert H.wdeg == [5, 7, 2] and H.deg == [2, 3, 1]
+    empty = Subgraph(G, [])
+    assert empty.edge_ids() == [] and len(empty) == 0 and empty.wdeg == [0, 0, 0]
+    assert Subgraph(G).edge_ids() == []
+
+
+def test_subgraph_rejects_ids_outside_the_graph():
+    G = MultiGraph(3, [(0, 1, 1), (1, 2, 2)])
+    for bad in ([-1], [0, 2], [2, 1, -1]):
+        with pytest.raises(IndexError, match=r"edge ids must lie in \[0, 2\)"):
+            Subgraph(G, bad)
+    with pytest.raises(IndexError):
+        Subgraph(MultiGraph(2, []), [0])
+
+
+def test_subgraph_membership_and_iteration():
+    G = MultiGraph(3, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (0, 1, 4)])
+    H = Subgraph(G, [3, 1])
+    assert 1 in H and 3 in H and np.int64(3) in H
+    assert 0 not in H and 2 not in H  # absent
+    assert -1 not in H and 4 not in H and 2**70 not in H  # outside [0, m)
+    assert 0 not in Subgraph(G)
+    assert len(H) == 2
+    assert list(H) == H.edge_ids() == [1, 3]
+    assert all(type(i) is int for i in (*H, *H.edge_ids()))

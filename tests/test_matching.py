@@ -306,7 +306,7 @@ def test_split_unit_capacities_is_identity_shaped():
     result = split_vertices(G, b, H, M)
     assert result.graph.n == G.n
     assert result.vertex_map == [(v, 0) for v in range(G.n)]
-    assert sorted(result.edge_origin) == sorted(H.members | set(M.edge_ids))
+    assert sorted(result.edge_origin) == sorted(set(H) | set(M.edge_ids))
 
 
 def test_split_triangle_capacity_two():
@@ -349,7 +349,7 @@ def test_split_oracle_relations(seed):
     W = G.W
     for x in range(Gp.n):
         v, _ = result.vertex_map[x]
-        got = Hp.weighted_degree(x)
+        got = Hp.wdeg[x]
         assert H.wdeg[v] - 3 * W * b[v] <= got * b[v] <= H.wdeg[v] + 3 * W * b[v]
 
 

@@ -66,14 +66,14 @@ def _validate_digest(G, b) -> str:
 
 def _build_digest(G, b) -> str:
     H, trace = build_wb_edcs(G, b, PARAMS)
-    return _digest({"trace": trace.to_json_dict(), "H": sorted(H.members), "wdeg": H.wdeg})
+    return _digest({"trace": trace.to_json_dict(), "H": H.edge_ids(), "wdeg": H.wdeg})
 
 
 def _stream_digest(G, b) -> str:
     result = run_single_pass(make_stream(G, 3), b, PARAMS, "0.49", variant=3)
     return _digest({"stats": result.stats.to_json_dict(),
                     "matching": [list(result.matching.edge_ids), result.matching.weight],
-                    "H": sorted(result.H.members), "X": sorted(result.X.tolist())})
+                    "H": result.H.edge_ids(), "X": sorted(result.X.tolist())})
 
 
 def _exact_digest(G, b) -> str:

@@ -22,7 +22,6 @@ from wedcs import (
     run_with_fallbacks,
     validate,
 )
-from wedcs.edcs import _Ledger
 from wedcs.streaming import StreamInvariantError
 
 from helpers import (
@@ -197,7 +196,7 @@ def test_deterministic_replay():
     params = EdcsParams(W=2, beta=6, beta_minus=4)
     r1 = run_single_pass(make_stream(G, 42), b, params, "0.3")
     r2 = run_single_pass(make_stream(G, 42), b, params, "0.3")
-    assert r1.H.members == r2.H.members
+    assert r1.H.edge_ids() == r2.H.edge_ids()
     assert set(r1.X.tolist()) == set(r2.X.tolist())
     assert r1.matching.edge_ids == r2.matching.edge_ids
     assert r1.stats.to_json_dict() == r2.stats.to_json_dict()
@@ -215,7 +214,7 @@ def test_variants_agree_without_parallel_edges(seed, runner, check_invariants):
     params = EdcsParams(W=3, beta=8, beta_minus=6)
     r1, r3 = (runner(make_stream(G, seed), b, params, "0.3", variant=variant,
                      check_invariants=check_invariants) for variant in (1, 3))
-    assert r1.H.members == r3.H.members
+    assert r1.H.edge_ids() == r3.H.edge_ids()
     assert set(r1.X.tolist()) == set(r3.X.tolist())
     assert r1.matching.edge_ids == r3.matching.edge_ids
     d1, d3 = r1.stats.to_json_dict(), r3.stats.to_json_dict()
@@ -240,7 +239,7 @@ def test_variants_agree_through_phase_1(seed, runner, check_invariants):
     assert r1.stats.phase1_edges_consumed > 0 and r3.stats.phase1_edges_consumed > 0
     if runner is run_single_pass:
         assert r1.stats.fallback_used == "none"
-    assert r1.H.members == r3.H.members
+    assert r1.H.edge_ids() == r3.H.edge_ids()
     assert set(r1.X.tolist()) == set(r3.X.tolist())
     assert r1.matching.edge_ids == r3.matching.edge_ids
     d1, d3 = r1.stats.to_json_dict(), r3.stats.to_json_dict()
@@ -259,7 +258,7 @@ def test_variant3_replacement_trace():
                           "0.49", variant=3, check_invariants=True)
     assert res.stats.fallback_used == "none"
     assert res.stats.replacement_count == 1
-    assert sorted(res.H.members) == [1, 2]
+    assert res.H.edge_ids() == [1, 2]
     assert 0 not in set(res.X.tolist())
     assert res.matching.weight == 6
 
@@ -275,7 +274,7 @@ def test_variant3_replacement_evicts_the_smaller_id_on_equal_weights():
                           "0.49", variant=3, check_invariants=True)
     assert res.stats.fallback_used == "none"
     assert res.stats.replacement_count == 1
-    assert sorted(res.H.members) == [1, 2, 3]
+    assert res.H.edge_ids() == [1, 2, 3]
 
 
 def test_variant1_rejects_raw_multiplicity():
@@ -319,7 +318,7 @@ def test_variant3_replacements_increase_potential():
     assert stats.replacement_count == 100
     assert stats.phase1_edges_consumed == 151
     # H holds exactly the heaviest copy of every pair
-    assert res.H.members == set(range(100, 150))
+    assert res.H.edge_ids() == list(range(100, 150))
     # the late duplicates are irrelevant (pair full, not heavier): none kept
     assert len(res.X) == 0
     assert res.matching.weight == 50 * 3
@@ -333,7 +332,7 @@ def test_variant3_random_raw_stream_respects_pair_caps(seed):
     res = run_single_pass(make_stream(G, seed + 100), b, params, "0.4",
                           variant=3, check_invariants=True)
     held: dict[tuple[int, int], int] = {}
-    for eid in res.H.members:
+    for eid in res.H:
         u, v, _ = G.triple(eid)
         pair = (min(u, v), max(u, v))
         held[pair] = held.get(pair, 0) + 1
@@ -371,7 +370,7 @@ def test_sandwich_property_on_matched_collection():
     res = run_single_pass(make_stream(G, 11), b, params, "0.3")
     best = max_weight_b_matching_exact(G, b)
     xm = set(res.X.tolist()) & set(best.edge_ids)
-    combined = Subgraph(G, res.H.members | xm)
+    combined = Subgraph(G, set(res.H) | xm)
     for v in range(G.n):
         assert res.H.wdeg[v] <= combined.wdeg[v] <= res.H.wdeg[v] + b[v] * G.W
 
@@ -386,8 +385,8 @@ def _offline_combination(seed: int, params: EdcsParams, n: int, m: int, W: int,
     H_half, _ = build_wb_edcs(first_half, b, params)
     H = Subgraph(G, H_half.members)  # same ids: restriction preserved prefix ids
     X = {eid for eid in range(G.m)
-         if eid not in H.members and _underfull_direct(H, b, eid, params)}
-    union, _ = G.restrict(H.members | X)
+         if eid not in H and _underfull_direct(H, b, eid, params)}
+    union, _ = G.restrict(set(H) | X)
     got = max_weight_b_matching_exact(union, b).weight
     opt = max_weight_b_matching_exact(G, b).weight
     return opt, got
@@ -439,7 +438,7 @@ def test_relevant_store_tracks_relevant_subgraph(monkeypatch):
             store.observe(eid)
             assert series.size_at(t) == store.size == sum(min(k, b[p], b[q])
                                                           for (p, q), k in seen.items())
-        assert store.edge_ids() == sorted(relevant_subgraph(G, b).members)
+        assert store.edge_ids() == relevant_subgraph(G, b).edge_ids()
 
 
 @pytest.mark.parametrize("cap", [0.5, 1, 7, 23.5, 40])
@@ -611,15 +610,15 @@ def test_alpha_zero_on_dense_high_capacity_graph(exact_calls):
 
 @pytest.mark.parametrize("runner", [run_single_pass, run_with_fallbacks])
 def test_alpha_zero_stream_builds_no_ledger(monkeypatch, runner):
-    # alpha_0 floors to zero, so phase 1 reads no edge: the pass builds no
-    # ledger, and X is an owned copy of the whole order, as the
-    # edge-at-a-time reference keeps it
+    # alpha_0 floors to zero, so phase 1 reads no edge: the pass never
+    # enters it, so builds none of its member map, and X is an owned copy
+    # of the whole order, as the edge-at-a-time reference keeps it
     import wedcs.streaming as streaming
 
-    def no_ledger(*args):
-        raise AssertionError("an alpha_zero stream built a ledger")
+    def no_phase1(*args):
+        raise AssertionError("an alpha_zero stream entered phase 1")
 
-    monkeypatch.setattr(streaming, "_Ledger", no_ledger)
+    monkeypatch.setattr(streaming, "_phase1", no_phase1)
     cases = [(make_random(8, n=8, m=120, W=2, b_max=8, b_min=8, bipartite=True),
               EdcsParams(W=2, beta=6, beta_minus=4), "0.1", 1),
              (make_random(2, n=10, m=600, W=3, b_max=4, bipartite=True, allow_parallel=True),
@@ -634,24 +633,6 @@ def test_alpha_zero_stream_builds_no_ledger(monkeypatch, runner):
         assert _outcome(got) == _outcome(want), variant
         assert got.X.tolist() == stream.order.tolist()
         assert not np.shares_memory(got.X, stream.order)
-
-
-@pytest.mark.parametrize("runner", [run_single_pass, run_with_fallbacks])
-def test_stream_through_phase_1_builds_one_ledger(monkeypatch, runner):
-    import wedcs.streaming as streaming
-
-    built = []
-
-    class CountedLedger(_Ledger):
-        def __init__(self, *args):
-            built.append(1)
-            super().__init__(*args)
-
-    monkeypatch.setattr(streaming, "_Ledger", CountedLedger)
-    G, b = make_random(3, n=100, m=1500, W=1, b_max=3, bipartite=True)
-    res = runner(make_stream(G, 3), b, EdcsParams(W=1, beta=3, beta_minus=1), "0.3")
-    assert res.stats.phase1_edges_consumed > 0
-    assert built == [1]
 
 
 def test_fallback_none_on_standard_instance(exact_calls):
@@ -731,7 +712,7 @@ def _differential_case(seed: int):
 
 
 def _outcome(result):
-    return (result.stats.to_json_dict(), sorted(result.H.members), sorted(result.X.tolist()),
+    return (result.stats.to_json_dict(), result.H.edge_ids(), sorted(result.X.tolist()),
             result.matching.edge_ids, result.matching.weight)
 
 
@@ -810,12 +791,14 @@ def test_invariant_check_fires_without_repair(monkeypatch):
     # vertex 0 in the second epoch and pushes the weight-1 member (0, 1) one
     # over its bound, 3 + 1 > beta * 1, which repair removes; with repair
     # switched off, check_invariants must catch it
+    import wedcs.streaming as streaming
+
     G = MultiGraph(3, [(0, 1, 1), (0, 2, 2)] + [(1, 2, 1)] * 9998, W=3)
     b, params = Capacities.uniform(3), EdcsParams(W=3, beta=3, beta_minus=1)
     stream = file_order_stream(G)
     res = run_single_pass(stream, b, params, "0.49", variant=3, check_invariants=True)
     assert res.stats.phase1_edges_consumed >= 2 and 0 not in res.H
-    monkeypatch.setattr(_Ledger, "repair", lambda self, u, v: [])
+    monkeypatch.setattr(streaming, "_repair", lambda *args: [])
     with pytest.raises(StreamInvariantError, match="bounded weighted edge-degree at edge 0"):
         run_single_pass(stream, b, params, "0.49", variant=3, check_invariants=True)
 
